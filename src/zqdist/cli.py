@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -59,6 +60,7 @@ from .sphere import (
     spectra_max_diff,
     sphere_count_formula,
     sphere_counts_all,
+    sphere_enumerate,
     sphere_size_bound_check,
     sphere_spec,
 )
@@ -176,11 +178,45 @@ def _cmd_gauss(args):
 # sphere
 
 
-def _crt_count_from_enumeration(m, d: int, t: int, max_grid: int) -> int:
-    out = 1
-    for pm in m.prime_power_moduli():
-        out *= int(sphere_counts_all(pm, d, max_grid)[t % pm.q])
-    return out
+def _t_values(q: int, args) -> list[int]:
+    """--t reduced mod q, deduplicated and sorted; all of Z_q for --all-t or no --t."""
+    if args.all_t or not args.t:
+        return list(range(q))
+    return sorted({t % q for t in args.t})
+
+
+def _sphere_rows(m, d: int, ts, max_grid: int) -> list[dict]:
+    """One row per t: the enumerated count, and for odd q the formula and CRT
+    counts with the error term (and its per-prime-power bound for d > 2);
+    then the partition row t="all"."""
+    q = m.q
+    counts = sphere_counts_all(m, d, max_grid)
+    rows = []
+    for t in ts:
+        enum = int(counts[t])
+        row = {"q": q, "d": d, "t": t, "count_enum": enum, "passed": True}
+        if m.is_odd:
+            spec = sphere_spec(m, d, t)
+            rep = sphere_count_formula(spec)
+            crt = math.prod(int(sphere_counts_all(pm, d, max_grid)[t % pm.q])
+                            for pm in m.prime_power_moduli())
+            row.update(
+                count_formula=rep.exact_count,
+                count_crt=crt,
+                main_term=rep.main_term,
+                ii_re=rep.ii_t.real,
+                ii_abs=abs(rep.ii_t),
+                ii_bound=rep.ii_bound,
+            )
+            row["passed"] = enum == rep.exact_count == crt
+            if d > 2:
+                bc = sphere_size_bound_check(spec)
+                row.update(bound_ratio_max=max(f.ratio for f in bc.factors), bound_ok=bc.ok)
+                row["passed"] = row["passed"] and bc.ok
+        rows.append(row)
+    total = int(counts.sum())
+    rows.append({"q": q, "d": d, "t": "all", "count_enum": total, "passed": total == q**d})
+    return rows
 
 
 def _cmd_sphere(args):
@@ -193,39 +229,32 @@ def _cmd_sphere(args):
     for q in sorted(set(args.q)):
         m = as_modulus(q)
         for d in sorted(set(args.d)):
-            counts = sphere_counts_all(m, d, args.max_grid)
-            ts = list(range(q)) if args.all_t or not args.t else sorted(set(args.t))
-            for t in ts:
-                t %= q
-                enum = int(counts[t])
-                row = {"q": q, "d": d, "t": t, "count_enum": enum, "passed": True}
-                if m.is_odd:
-                    rep = sphere_count_formula(sphere_spec(m, d, t))
-                    crt = _crt_count_from_enumeration(m, d, t, args.max_grid)
-                    row.update(
-                        count_formula=rep.exact_count,
-                        count_crt=crt,
-                        main_term=rep.main_term,
-                        ii_re=rep.ii_t.real,
-                        ii_abs=abs(rep.ii_t),
-                        ii_bound=rep.ii_bound,
-                    )
-                    row["passed"] = enum == rep.exact_count == crt
-                    if d > 2:
-                        bc = sphere_size_bound_check(sphere_spec(m, d, t))
-                        row["bound_ratio_max"] = max(f.ratio for f in bc.factors)
-                        row["passed"] = row["passed"] and bc.ok
-                rows.append(row)
-            rows.append({
-                "q": q, "d": d, "t": "all",
-                "count_enum": int(counts.sum()),
-                "passed": int(counts.sum()) == q**d,
-            })
+            rows += _sphere_rows(m, d, _t_values(q, args), args.max_grid)
     return cols, rows
 
 
 # ---------------------------------------------------------------------------
 # spectrum
+
+
+def _spectrum_row(m, d: int, t: int, max_grid: int) -> dict:
+    """The two spectrum routes compared, and the decay bound for d > 2."""
+    spec = sphere_spec(m, d, t)
+    diff = spectra_max_diff(spec, max_grid)
+    row = {
+        "q": m.q, "d": d, "t": t,
+        "max_route_diff": diff, "route_tol": 1e-8,
+        "passed": diff < 1e-8,
+    }
+    if d > 2:
+        rep = decay_bound_check(spec, max_grid=max_grid)
+        row.update(
+            max_nonzero_coeff=rep.max_nonzero_coeff,
+            decay_bound=rep.bound,
+            ratio_to_bound=rep.ratio,
+        )
+        row["passed"] = row["passed"] and rep.ok
+    return row
 
 
 def _cmd_spectrum(args):
@@ -239,24 +268,7 @@ def _cmd_spectrum(args):
         m = as_modulus(q)
         m.require_odd("spectrum")
         for d in sorted(set(args.d)):
-            ts = list(range(q)) if args.all_t or not args.t else sorted(set(args.t))
-            for t in ts:
-                spec = sphere_spec(m, d, t % q)
-                diff = spectra_max_diff(spec, args.max_grid)
-                row = {
-                    "q": q, "d": d, "t": t % q,
-                    "max_route_diff": diff, "route_tol": 1e-8,
-                    "passed": diff < 1e-8,
-                }
-                if d > 2:
-                    rep = decay_bound_check(spec, max_grid=args.max_grid)
-                    row.update(
-                        max_nonzero_coeff=rep.max_nonzero_coeff,
-                        decay_bound=rep.bound,
-                        ratio_to_bound=rep.ratio,
-                    )
-                    row["passed"] = row["passed"] and rep.ok
-                rows.append(row)
+            rows += [_spectrum_row(m, d, t, args.max_grid) for t in _t_values(q, args)]
     return cols, rows
 
 
@@ -294,23 +306,20 @@ def _load_set(args) -> tuple[PointSet, str]:
     raise DomainError("no point-set source given (--set-file/--random/--even-weight/--lattice)")
 
 
-def _cmd_nu(args):
-    E, label = _load_set(args)
+def _nu_rows(E: PointSet, label: str, route: str, max_grid: int, max_pairs: int) -> list[dict]:
+    """One row per t with the brute count when |E|^2 fits the pair budget and
+    the spectral decomposition when q is odd and q^d fits the grid budget
+    (compared when both run); then the total row t="all"."""
     q, d = E.q, E.d
-    cols = [
-        "q", "d", "set", "size", "t",
-        "nu_brute", "main_term", "r_t", "r_bound",
-        "nu_spectral", "certificate", "match", "passed",
-    ]
     hist = None
-    if E.size * E.size <= args.max_pairs:
-        hist = nu_histogram(E, args.max_pairs)
+    if E.size * E.size <= max_pairs:
+        hist = nu_histogram(E, max_pairs)
     reports = None
-    if E.modulus.is_odd and q**d <= args.max_grid:
-        reports = {r.t: r for r in nu_spectral_sweep(E, None, args.route, args.max_grid)}
+    if E.modulus.is_odd and q**d <= max_grid:
+        reports = {r.t: r for r in nu_spectral_sweep(E, None, route, max_grid)}
     if hist is None and reports is None:
         raise BudgetError(f"set of size {E.size} in Z_{q}^{d} fits neither the pair "
-                          f"budget {args.max_pairs} nor the grid budget {args.max_grid}")
+                          f"budget {max_pairs} nor the grid budget {max_grid}")
     rows = []
     for t in range(q):
         row = {"q": q, "d": d, "set": label, "size": E.size, "t": t, "passed": True}
@@ -334,7 +343,17 @@ def _cmd_nu(args):
         "q": q, "d": d, "set": label, "size": E.size, "t": "all",
         "nu_brute": total, "passed": total == E.size**2,
     })
-    return cols, rows
+    return rows
+
+
+def _cmd_nu(args):
+    E, label = _load_set(args)
+    cols = [
+        "q", "d", "set", "size", "t",
+        "nu_brute", "main_term", "r_t", "r_bound",
+        "nu_spectral", "certificate", "match", "passed",
+    ]
+    return cols, _nu_rows(E, label, args.route, args.max_grid, args.max_pairs)
 
 
 def _cmd_certificate(args):
@@ -361,36 +380,48 @@ def _cmd_certificate(args):
 # construct
 
 
-def _cmd_construct(args):
-    if args.kind == "even-weight":
-        if args.d is None:
+def _construction(kind: str, d, p, ell) -> tuple[PointSet, dict]:
+    """The named construction and its row, whose "passed" so far holds the size check."""
+    if kind == "even-weight":
+        if d is None:
             raise DomainError("construct even-weight needs --d")
-        E = construct_even_weight(args.d)
-        expected = 2 ** (args.d - 1)
+        E = construct_even_weight(d)
+        expected = 2 ** (d - 1)
         label = "even-weight"
     else:
-        if args.p is None or args.ell is None or args.d is None:
+        if p is None or ell is None or d is None:
             raise DomainError("construct lattice needs --p, --ell and --d")
-        E = construct_zero_distance_lattice(args.p, args.ell, args.d)
-        expected = args.p ** ((args.ell // 2) * args.d)
-        label = f"lattice(p={args.p},ell={args.ell})"
-    if args.out_set:
-        write_pointset(E, _resolve_out(args.out_set))
-    cols = ["construction", "q", "d", "size", "expected_size", "distances", "passed"]
+        E = construct_zero_distance_lattice(p, ell, d)
+        expected = p ** ((ell // 2) * d)
+        label = f"lattice(p={p},ell={ell})"
     row = {
         "construction": label, "q": E.q, "d": E.d,
         "size": E.size, "expected_size": expected,
         "passed": E.size == expected,
     }
+    return E, row
+
+
+def _check_distances(E: PointSet, row: dict, max_pairs: int) -> None:
+    """Add Delta(E) to a construction row; it passes only if Delta(E) = {0}."""
+    dists = sorted(distance_set(E, max_pairs))
+    row["distances"] = ";".join(str(t) for t in dists)
+    row["passed"] = row["passed"] and dists == [0]
+
+
+def _cmd_construct(args):
+    E, row = _construction(args.kind, args.d, args.p, args.ell)
+    if args.out_set:
+        write_pointset(E, _resolve_out(args.out_set))
     if args.check:
-        dists = sorted(distance_set(E, args.max_pairs))
-        row["distances"] = ";".join(str(t) for t in dists)
-        row["passed"] = row["passed"] and dists == [0]
+        _check_distances(E, row, args.max_pairs)
+    cols = ["construction", "q", "d", "size", "expected_size", "distances", "passed"]
     return cols, [row]
 
 
 # ---------------------------------------------------------------------------
-# verify-all
+# verify-all: the subcommands' rows mapped onto
+# (check, instance, metric, value, bound, tol, ratio, passed)
 
 
 def _row(check, instance, metric, value, bound=None, tol=None, ratio=None, passed=True) -> dict:
@@ -405,17 +436,6 @@ def _random_grid(q: int, d: int, seed: int) -> GridFunction:
     rng = np.random.Generator(np.random.PCG64(seed))
     vals = rng.standard_normal(q**d) + 1j * rng.standard_normal(q**d)
     return GridFunction(q, d, vals)
-
-
-def _verify_gauss(n_max: int) -> list[dict]:
-    rows = []
-    for n in range(1, n_max + 1):
-        r = _gauss_sweep_row(n)
-        rows.append(_row(
-            "gauss_oracle", f"n={n:03d}", "max_abs_err",
-            r["max_abs_err"], tol=r["tol"], passed=r["passed"],
-        ))
-    return rows
 
 
 def _verify_fourier(q_max: int, seed: int) -> list[dict]:
@@ -447,119 +467,79 @@ def _verify_fourier(q_max: int, seed: int) -> list[dict]:
     return rows
 
 
-def _verify_sphere(q_max: int, max_grid: int) -> list[dict]:
-    rows = []
-    for q in (3, 5, 9, 15, 25, 27):
-        if q > q_max:
-            continue
-        m = as_modulus(q)
-        for d in (3, 4):
-            counts = sphere_counts_all(m, d, max_grid)
-            partition_ok = int(counts.sum()) == q**d
-            rows.append(_row(
-                "sphere_partition", f"q={q:02d} d={d}", "total",
-                int(counts.sum()), bound=q**d, passed=partition_ok,
-            ))
-            for t in range(q):
-                rep = sphere_count_formula(sphere_spec(m, d, t))
-                crt = _crt_count_from_enumeration(m, d, t, max_grid)
-                agree = int(counts[t]) == rep.exact_count == crt
-                rows.append(_row(
-                    "sphere_count", f"q={q:02d} d={d} t={t:02d}", "count",
-                    int(counts[t]), passed=agree,
-                ))
-                bc = sphere_size_bound_check(sphere_spec(m, d, t))
-                ratio = max(f.ratio for f in bc.factors)
-                rows.append(_row(
-                    "sphere_error_bound", f"q={q:02d} d={d} t={t:02d}", "ratio_max",
-                    ratio, bound=1.0, ratio=ratio, passed=bc.ok,
-                ))
-    return rows
-
-
-def _verify_spectra(q_max: int, max_grid: int) -> list[dict]:
-    rows = []
-    for q in (3, 5, 9, 15):
-        if q > q_max:
-            continue
-        for t in range(q):
-            spec = sphere_spec(q, 3, t)
-            diff = spectra_max_diff(spec, max_grid)
-            rows.append(_row(
-                "spectrum_two_route", f"q={q:02d} d=3 t={t:02d}", "max_abs_diff",
-                diff, tol=1e-8, passed=diff < 1e-8,
-            ))
-            rep = decay_bound_check(spec, max_grid=max_grid)
-            rows.append(_row(
-                "spectrum_decay", f"q={q:02d} d=3 t={t:02d}", "max_nonzero_coeff",
-                rep.max_nonzero_coeff, bound=rep.bound, ratio=rep.ratio, passed=rep.ok,
-            ))
-    return rows
-
-
-def _verify_nu(q_max: int, sets_per_q: int, seed: int, max_grid: int, max_pairs: int) -> list[dict]:
-    rows = []
-    for q in (3, 5, 9):
-        if q > q_max:
-            continue
-        d = 3
-        named: list[tuple[str, PointSet]] = [
-            ("full-grid", sample_random_set(q, d, q**d, seed)),
-            ("sphere-t1", PointSet(q, d, _sphere_points(q, d, 1))),
-            ("singleton", PointSet(q, d, [(0,) * d])),
-        ]
-        if q == 9:
-            named.append(("lattice", construct_zero_distance_lattice(3, 2, d)))
-        for k in range(sets_per_q):
-            size = 2 + (seed + 7 * k + q) % min(120, q**d - 1)
-            named.append((f"random-{k}", sample_random_set(q, d, size, seed + 1000 * q + k)))
-        for label, E in named:
-            hist = nu_histogram(E, max_pairs)
-            reports = nu_spectral_sweep(E, None, "direct", max_grid)
-            dev = max(abs(r.main_term + r.r_t - int(hist[r.t])) for r in reports)
-            mism = sum(1 for r in reports if r.nu != int(hist[r.t]))
-            inst = f"q={q:02d} d={d} set={label}"
-            rows.append(_row("nu_decomposition", inst, "max_abs_dev", dev,
-                             tol=1e-6, passed=(mism == 0 and dev < 1e-6)))
-            fired = [r for r in reports if r.certificate_positive]
-            violations = sum(1 for r in fired if int(hist[r.t]) == 0)
-            rows.append(_row("certificate_soundness", inst, "violations", violations,
-                             bound=0, passed=violations == 0))
-    return rows
-
-
-def _sphere_points(q: int, d: int, t: int):
-    from .sphere import sphere_enumerate
-
-    return sphere_enumerate(sphere_spec(q, d, t))
-
-
-def _verify_constructions(max_pairs: int) -> list[dict]:
-    rows = []
-    for d in range(1, 11):
-        E = construct_even_weight(d)
-        dists = sorted(distance_set(E, max_pairs))
-        ok = E.size == 2 ** (d - 1) and dists == [0]
-        rows.append(_row("construction_even_weight", f"d={d:02d}", "size",
-                         E.size, bound=2 ** (d - 1), passed=ok))
-    for p, ell, d in ((3, 2, 3), (3, 3, 3), (5, 2, 3)):
-        E = construct_zero_distance_lattice(p, ell, d)
-        dists = sorted(distance_set(E, max_pairs))
-        ok = E.size == p ** ((ell // 2) * d) and dists == [0]
-        rows.append(_row("construction_lattice", f"p={p} ell={ell} d={d}", "size",
-                         E.size, bound=p ** ((ell // 2) * d), passed=ok))
-    return rows
+def _nu_sets(q: int, sets_per_q: int, seed: int) -> list[tuple[str, PointSet]]:
+    """The labelled point sets in Z_q^3 whose nu(t) verify-all decomposes."""
+    d = 3
+    named = [
+        ("full-grid", sample_random_set(q, d, q**d, seed)),
+        ("sphere-t1", PointSet(q, d, sphere_enumerate(sphere_spec(q, d, 1)))),
+        ("singleton", PointSet(q, d, [(0,) * d])),
+    ]
+    if q == 9:
+        named.append(("lattice", construct_zero_distance_lattice(3, 2, d)))
+    for k in range(sets_per_q):
+        size = 2 + (seed + 7 * k + q) % min(120, q**d - 1)
+        named.append((f"random-{k}", sample_random_set(q, d, size, seed + 1000 * q + k)))
+    return named
 
 
 def _cmd_verify_all(args):
     cols = ["check", "instance", "metric", "value", "bound", "tol", "ratio", "passed"]
+    max_grid, max_pairs = args.max_grid, args.max_pairs
     rows = []
-    rows += _verify_gauss(args.n_max)
+    for n in range(1, args.n_max + 1):
+        r = _gauss_sweep_row(n)
+        rows.append(_row("gauss_oracle", f"n={n:03d}", "max_abs_err",
+                         r["max_abs_err"], tol=r["tol"], passed=r["passed"]))
     rows += _verify_fourier(args.q_max, args.seed)
-    rows += _verify_sphere(args.q_max, args.max_grid)
-    rows += _verify_spectra(args.q_max, args.max_grid)
-    rows += _verify_nu(args.q_max, args.sets_per_q, args.seed, args.max_grid, args.max_pairs)
-    rows += _verify_constructions(args.max_pairs)
+    for q in (3, 5, 9, 15, 25, 27):
+        if q > args.q_max:
+            continue
+        for d in (3, 4):
+            *per_t, total = _sphere_rows(as_modulus(q), d, range(q), max_grid)
+            rows.append(_row("sphere_partition", f"q={q:02d} d={d}", "total",
+                             total["count_enum"], bound=q**d, passed=total["passed"]))
+            for r in per_t:
+                inst = f"q={q:02d} d={d} t={r['t']:02d}"
+                agree = r["count_enum"] == r["count_formula"] == r["count_crt"]
+                rows.append(_row("sphere_count", inst, "count", r["count_enum"], passed=agree))
+                rows.append(_row("sphere_error_bound", inst, "ratio_max", r["bound_ratio_max"],
+                                 bound=1.0, ratio=r["bound_ratio_max"], passed=r["bound_ok"]))
+    for q in (3, 5, 9, 15):
+        if q > args.q_max:
+            continue
+        for t in range(q):
+            r = _spectrum_row(as_modulus(q), 3, t, max_grid)
+            inst = f"q={q:02d} d=3 t={t:02d}"
+            rows.append(_row("spectrum_two_route", inst, "max_abs_diff", r["max_route_diff"],
+                             tol=r["route_tol"], passed=r["max_route_diff"] < r["route_tol"]))
+            rows.append(_row("spectrum_decay", inst, "max_nonzero_coeff", r["max_nonzero_coeff"],
+                             bound=r["decay_bound"], ratio=r["ratio_to_bound"],
+                             passed=r["max_nonzero_coeff"] <= r["decay_bound"]))
+    for q in (3, 5, 9):
+        if q > args.q_max:
+            continue
+        for label, E in _nu_sets(q, args.sets_per_q, args.seed):
+            if E.size * E.size > max_pairs:
+                nu_histogram(E, max_pairs)  # raises BudgetError: the check needs the pair scan
+            *per_t, _ = _nu_rows(E, label, "direct", max_grid, max_pairs)
+            dev = max(abs(r["main_term"] + r["r_t"] - r["nu_brute"]) for r in per_t)
+            mism = sum(not r["match"] for r in per_t)
+            violations = sum(r["certificate"] and r["nu_brute"] == 0 for r in per_t)
+            inst = f"q={q:02d} d=3 set={label}"
+            rows.append(_row("nu_decomposition", inst, "max_abs_dev", dev,
+                             tol=1e-6, passed=(mism == 0 and dev < 1e-6)))
+            rows.append(_row("certificate_soundness", inst, "violations", violations,
+                             bound=0, passed=violations == 0))
+    constructions = [("construction_even_weight", f"d={d:02d}", "even-weight", d, None, None)
+                     for d in range(1, 11)]
+    constructions += [("construction_lattice", f"p={p} ell={ell} d=3", "lattice", 3, p, ell)
+                      for p, ell in ((3, 2), (3, 3), (5, 2))]
+    for check, inst, kind, d, p, ell in constructions:
+        E, r = _construction(kind, d, p, ell)
+        _check_distances(E, r, max_pairs)
+        rows.append(_row(check, inst, "size", r["size"], bound=r["expected_size"],
+                         passed=r["passed"]))
     rows.sort(key=lambda r: (r["check"], r["instance"]))
     return cols, rows
 

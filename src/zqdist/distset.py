@@ -17,8 +17,10 @@ main term - bound > 0 the distance t is certified to occur.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -169,6 +171,7 @@ def nu_histogram(E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET) -> np.ndarra
     return counts
 
 
+@lru_cache(maxsize=1)
 def _popcount_parity_lut16() -> np.ndarray:
     v = np.arange(1 << 16, dtype=np.uint32)
     for shift in (8, 4, 2, 1):
@@ -178,16 +181,11 @@ def _popcount_parity_lut16() -> np.ndarray:
     return lut
 
 
-_PARITY16: "np.ndarray | None" = None
-
-
 def _nu_histogram_mod2(E: PointSet) -> np.ndarray:
     # Over Z_2 each point packs into one machine word and the distance of a
     # pair is the popcount parity of the XOR of the words.  The popcount is
     # tabulated; every ordered pair is still XORed individually.
-    global _PARITY16
-    if _PARITY16 is None:
-        _PARITY16 = _popcount_parity_lut16()
+    parity = _popcount_parity_lut16()
     bits = (E.array() & 1).astype(np.uint16)
     codes = np.zeros(E.size, dtype=np.uint16)
     for j in range(E.d):
@@ -196,7 +194,7 @@ def _nu_histogram_mod2(E: PointSet) -> np.ndarray:
     block = max(1, 2**23 // max(1, E.size))
     for lo in range(0, E.size, block):
         x = codes[:, None] ^ codes[None, lo : lo + block]
-        odd += int(_PARITY16[x].sum(dtype=np.int64))
+        odd += int(parity[x].sum(dtype=np.int64))
     n2 = E.size * E.size
     return np.array([n2 - odd, odd], dtype=np.int64)
 
@@ -229,18 +227,26 @@ def _r_bound(E: PointSet) -> float:
     return E.size * tau(m) * float(m.q) ** (E.d - 1) * float(m.p1) ** (-(E.d - 2) / 2)
 
 
-def _sphere_spectrum(E: PointSet, t: int, route: str, max_grid: int):
-    return sphere_spectrum(sphere_spec(E.modulus, E.d, t), route, max_grid)
-
-
 def nu_spectral_sweep(
     E: PointSet,
     ts: "Sequence[int] | None" = None,
     route: str = "direct",
     max_grid: int = DEFAULT_GRID_BUDGET,
-    int_tol: float = 1e-6,
+    int_tol: "float | None" = None,
 ) -> list[NuReport]:
-    """nu_spectral for several t, sharing the transform of E's indicator."""
+    """nu_spectral for several t, sharing the transform of E's indicator.
+
+    Each float sum must land within a tolerance of an integer, with an
+    imaginary part and a chain-bound excess no larger than that tolerance.
+    By default the tolerance for t is (d q + ceil(log2 q^d)) eps A_t: rounding
+    error grows with d length-q transform passes and a q^d-term sum.  A_t is
+    the size of the summed terms, q^{2d} sum_m |E^(m)|^2 |S_t^(m)|, plus
+    |E| q^{d-1} = q^{2d} sum_m |E^(m)|^2 / q, because each computed S_t^(m)
+    carries an absolute error of order eps / q even where it cancels to 0
+    (an empty S_t on the formula route).  An explicit int_tol takes
+    precedence.  A derived tolerance of 1/2 or more cannot certify the
+    nearest integer and raises BudgetError.
+    """
     m = E.modulus
     m.require_odd("nu_spectral")
     q, d = m.q, E.d
@@ -251,26 +257,36 @@ def nu_spectral_sweep(
     counts = sphere_counts_all(m, d, max_grid)
     scale = float(q) ** (2 * d)
     r_bound = _r_bound(E)
+    rounding = (d * q + math.ceil(math.log2(q**d))) * float(np.finfo(np.float64).eps)
+    cancelled = E.size * float(q) ** (d - 1)
     out = []
     for t_in in ts:
         t = _t_value(t_in, q)
-        s_hat = _sphere_spectrum(E, t, route, max_grid)
+        s_hat = sphere_spectrum(sphere_spec(m, d, t), route, max_grid)
         total = scale * complex(np.sum(power * s_hat.values))
         main = E.size**2 * int(counts[t]) / q**d
         r = total - main
-        if abs(r.imag) > max(int_tol, 1e-9 * max(1.0, abs(total))):
+        mags = np.abs(s_hat.values)
+        tol = int_tol
+        if tol is None:
+            tol = rounding * (scale * float(np.dot(power, mags)) + cancelled)
+            if tol >= 0.5:
+                raise BudgetError(
+                    f"nu({t}): rounding tolerance {tol:.3g} reaches 1/2, so the float sum "
+                    f"cannot certify an integer count for |E| = {E.size} in Z_{q}^{d}"
+                )
+        if abs(r.imag) > tol:
             raise InconsistencyError(f"nu({t}) has imaginary part {r.imag}")
         nu_int = round(total.real)
-        if abs(total.real - nu_int) > int_tol:
+        if abs(total.real - nu_int) > tol:
             raise InconsistencyError(
-                f"nu({t}) = {total.real!r} is not within {int_tol} of an integer"
+                f"nu({t}) = {total.real!r} is not within {tol:.3g} of an integer"
             )
         # chain check: |R_t| <= q^d |E| max_{m != 0} |S_t^(m)| (<= r_bound for d > 2)
-        mags = np.abs(s_hat.values)
         mags[0] = 0.0
         chain = float(q) ** d * E.size * float(mags.max())
         slack = 1.0 + 1e-9
-        if abs(r) > chain * slack + int_tol:
+        if abs(r) > chain * slack + tol:
             raise InconsistencyError(f"|R_{t}| = {abs(r)} exceeds the spectral chain bound {chain}")
         if d > 2 and chain > r_bound * slack:
             raise InconsistencyError(f"chain bound {chain} exceeds the decay bound {r_bound}")
@@ -285,7 +301,7 @@ def nu_spectral(
     t: "int | Residue",
     route: str = "direct",
     max_grid: int = DEFAULT_GRID_BUDGET,
-    int_tol: float = 1e-6,
+    int_tol: "float | None" = None,
 ) -> NuReport:
     """Spectral evaluation of nu(t); must reproduce nu_brute exactly."""
     return nu_spectral_sweep(E, [_t_value(t, E.q)], route, max_grid, int_tol)[0]
@@ -322,7 +338,7 @@ def certificate_check(
     route: str = "direct",
     max_grid: int = DEFAULT_GRID_BUDGET,
     max_pairs: int = DEFAULT_PAIR_BUDGET,
-    int_tol: float = 1e-6,
+    int_tol: "float | None" = None,
 ) -> list[CertificateRow]:
     """Soundness of the positivity certificate for every t.
 

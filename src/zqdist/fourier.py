@@ -72,14 +72,11 @@ def character_table(q: int) -> np.ndarray:
     return tbl
 
 
-@lru_cache(maxsize=16)
 def lattice_points(q: int, d: int) -> np.ndarray:
     """All points of Z_q^d as a (q^d, d) integer array in flat-index order."""
     check_grid_budget(q, d)
     pts = np.indices((q,) * d, dtype=np.int64).reshape(d, -1).T
-    pts = np.ascontiguousarray(pts)
-    pts.setflags(write=False)
-    return pts
+    return np.ascontiguousarray(pts)
 
 
 class _GridBase:

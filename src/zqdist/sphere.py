@@ -290,22 +290,16 @@ def sphere_spectrum_formula(spec: SphereSpec, max_grid: int = DEFAULT_GRID_BUDGE
     return Spectrum(mod, d, acc.reshape(-1))
 
 
-@lru_cache(maxsize=32)
-def _spectrum_cached(q: int, d: int, t: int, route: str) -> Spectrum:
-    spec = sphere_spec(q, d, t)
-    if route == "direct":
-        return sphere_fourier_direct(spec)
-    if route == "formula":
-        return sphere_spectrum_formula(spec)
-    raise DomainError(f"unknown spectrum route {route!r}")
-
-
 def sphere_spectrum(
     spec: SphereSpec, route: str = "direct", max_grid: int = DEFAULT_GRID_BUDGET
 ) -> Spectrum:
-    """Either spectrum route, memoized; repeat sweeps share the arrays."""
-    check_grid_budget(spec.q, spec.d, max_grid)
-    return _spectrum_cached(spec.q, spec.d, spec.t_value, route)
+    """The spectrum by the named route: "direct" transforms the enumerated
+    indicator, "formula" assembles the Gauss-sum products.  Nothing is cached."""
+    if route == "direct":
+        return sphere_fourier_direct(spec, max_grid)
+    if route == "formula":
+        return sphere_spectrum_formula(spec, max_grid)
+    raise DomainError(f"unknown spectrum route {route!r}")
 
 
 def spectra_max_diff(spec: SphereSpec, max_grid: int = DEFAULT_GRID_BUDGET) -> float:
@@ -331,13 +325,7 @@ def decay_bound_check(
     mod.require_odd("decay_bound_check")
     if spec.d <= 2:
         raise DomainError(f"the decay bound needs d > 2, got d={spec.d}")
-    if route == "direct":
-        sp = sphere_fourier_direct(spec, max_grid)
-    elif route == "formula":
-        sp = sphere_spectrum_formula(spec, max_grid)
-    else:
-        raise DomainError(f"unknown spectrum route {route!r}")
-    mags = np.abs(sp.values)
+    mags = np.abs(sphere_spectrum(spec, route, max_grid).values)
     mags[0] = 0.0
     mx = float(mags.max())
     bound = tau(mod) / (mod.q * float(mod.p1) ** ((spec.d - 2) / 2))

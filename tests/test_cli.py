@@ -1,14 +1,33 @@
 import csv
 import io
+import itertools
 import json
 
 from zqdist.cli import main
+from zqdist.distset import sample_random_set
 
 
 def run(tmp_path, *argv, name="out.csv"):
     out = tmp_path / name
     code = main([*argv, "--out", str(out)])
     return code, out.read_text(encoding="utf-8") if out.exists() else ""
+
+
+def records(text):
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def sphere_count_loop(q, d, t):
+    return sum(1 for x in itertools.product(range(q), repeat=d) if sum(c * c for c in x) % q == t)
+
+
+def nu_loop(E):
+    # independent oracle: every ordered pair, distances counted one by one
+    counts = [0] * E.q
+    for x in E.points:
+        for y in E.points:
+            counts[sum((a - b) ** 2 for a, b in zip(x, y)) % E.q] += 1
+    return counts
 
 
 class TestSphereCommand:
@@ -25,6 +44,31 @@ class TestSphereCommand:
         code, text = run(tmp_path, "sphere", "--q", "4", "--d", "2", "--all-t")
         assert code == 0
         assert "true" in text
+
+    def test_t_reduced_before_deduplication(self, tmp_path):
+        code, text = run(tmp_path, "sphere", "--q", "9", "--d", "3", "--t", "1", "4", "22")
+        assert code == 0
+        assert [r["t"] for r in records(text)] == ["1", "4", "all"]
+
+    def test_odd_q_low_dimensions(self, tmp_path):
+        code, text = run(tmp_path, "sphere", "--q", "5", "--d", "1", "2", "--all-t")
+        assert code == 0
+        rows = [r for r in records(text) if r["t"] != "all"]
+        assert len(rows) == 10
+        for r in rows:
+            count = str(sphere_count_loop(5, int(r["d"]), int(r["t"])))
+            assert r["count_enum"] == r["count_formula"] == r["count_crt"] == count
+            assert r["ii_bound"] == r["bound_ratio_max"] == ""
+            assert r["passed"] == "true"
+
+    def test_composite_q_crt_count(self, tmp_path):
+        code, text = run(tmp_path, "sphere", "--q", "15", "--d", "3", "--t", "0", "7")
+        assert code == 0
+        rows = records(text)
+        assert [r["t"] for r in rows] == ["0", "7", "all"]
+        for r in rows[:2]:
+            assert r["count_crt"] == str(sphere_count_loop(15, 3, int(r["t"])))
+            assert 0 <= float(r["bound_ratio_max"]) <= 1
 
 
 class TestGaussCommand:
@@ -54,6 +98,20 @@ class TestSpectrumCommand:
         code, _ = run(tmp_path, "spectrum", "--q", "4", "--all-t")
         assert code == 2
 
+    def test_t_sorted_after_reduction(self, tmp_path):
+        code, text = run(tmp_path, "spectrum", "--q", "9", "--t", "10", "2")
+        assert code == 0
+        assert [r["t"] for r in records(text)] == ["1", "2"]
+
+    def test_d2_has_no_decay_columns(self, tmp_path):
+        code, text = run(tmp_path, "spectrum", "--q", "5", "--d", "2", "--all-t")
+        assert code == 0
+        rows = records(text)
+        assert [r["t"] for r in rows] == ["0", "1", "2", "3", "4"]
+        for r in rows:
+            assert r["max_nonzero_coeff"] == r["decay_bound"] == r["ratio_to_bound"] == ""
+            assert float(r["max_route_diff"]) < 1e-8 and r["passed"] == "true"
+
 
 class TestNuCommand:
     def test_construct_then_nu_flow(self, tmp_path):
@@ -81,6 +139,26 @@ class TestNuCommand:
                       "--max-pairs", "10", "--max-grid", "10")
         assert code == 2
 
+    def test_spectral_route_only(self, tmp_path):
+        code, text = run(tmp_path, "nu", "--random", "30", "--q", "5", "--d", "3", "--seed", "3",
+                         "--max-pairs", "100")
+        assert code == 0
+        *rows, total = records(text)
+        assert all(r["nu_brute"] == r["match"] == "" for r in rows)
+        expected = nu_loop(sample_random_set(5, 3, 30, 3))
+        assert [int(r["nu_spectral"]) for r in rows] == expected
+        assert total["t"] == "all" and total["nu_brute"] == "900"
+
+    def test_brute_route_only(self, tmp_path):
+        code, text = run(tmp_path, "nu", "--random", "30", "--q", "5", "--d", "4", "--seed", "3",
+                         "--max-grid", "100")
+        assert code == 0
+        *rows, total = records(text)
+        assert all(r["nu_spectral"] == r["main_term"] == r["match"] == "" for r in rows)
+        expected = nu_loop(sample_random_set(5, 4, 30, 3))
+        assert [int(r["nu_brute"]) for r in rows] == expected
+        assert total["t"] == "all" and total["nu_brute"] == "900"
+
     def test_missing_source(self, tmp_path):
         code, _ = run(tmp_path, "nu")
         assert code == 2
@@ -96,6 +174,13 @@ class TestCertificateCommand:
         assert code == 0
         assert all(line.endswith("true") for line in text.strip().splitlines()[1:])
 
+    def test_z9d6_at_default_tolerance(self, tmp_path):
+        # nu(7) lands 1.4e-6 from its integer here, which a fixed 1e-6 rejected
+        code, text = run(tmp_path, "certificate", "--random", "177147", "--q", "9", "--d", "6",
+                         "--seed", "2024")
+        assert code == 0
+        assert [r["t"] for r in records(text)] == [str(t) for t in range(9)]
+
 
 class TestConstructCommand:
     def test_lattice_with_check(self, tmp_path):
@@ -105,6 +190,14 @@ class TestConstructCommand:
         header, row = list(csv.reader(io.StringIO(text)))[:2]
         rec = dict(zip(header, row))
         assert rec["size"] == "27" and rec["distances"] == "0"
+
+    def test_even_weight_with_check(self, tmp_path):
+        code, text = run(tmp_path, "construct", "even-weight", "--d", "6", "--check")
+        assert code == 0
+        assert records(text) == [{
+            "construction": "even-weight", "q": "2", "d": "6", "size": "32",
+            "expected_size": "32", "distances": "0", "passed": "true",
+        }]
 
     def test_missing_params(self, tmp_path):
         code, _ = run(tmp_path, "construct", "lattice")
@@ -127,6 +220,12 @@ class TestVerifyAll:
         assert code == 0
         rows = json.loads(out.read_text())
         assert rows and all(r["passed"] for r in rows)
+
+    def test_pair_budget_error_exit_2(self, tmp_path, capsys):
+        code, text = run(tmp_path, "verify-all", "--n-max", "5", "--max-pairs", "1000")
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "|E|^2 = 15625 ordered pairs" in err and "exceeds the budget 1000" in err
 
 
 class TestUsage:

@@ -162,6 +162,15 @@ class TestNuSpectral:
         with pytest.raises(DomainError):
             nu_spectral(construct_even_weight(3), 0)
 
+    @pytest.mark.parametrize("q,d", [(3, 1), (9, 1), (9, 2), (27, 2)])
+    def test_formula_route_on_empty_spheres(self, q, d):
+        # these grids have empty spheres, whose formula-route coefficients are
+        # pure rounding noise; the default tolerance must still accept the sums
+        for E in (full_grid(q, d), PointSet(q, d, [(0,) * d]), sample_random_set(q, d, q, seed=5)):
+            hist = nu_histogram(E)
+            for rep in nu_spectral_sweep(E, route="formula"):
+                assert rep.nu == int(hist[rep.t])
+
     def test_single_t_equals_sweep(self):
         E = sample_random_set(5, 3, 12, seed=77)
         sweep = nu_spectral_sweep(E)
