@@ -56,6 +56,7 @@ from .sphere import (
     SphereCountReport,
     SphereSpec,
     decay_bound_check,
+    decay_report,
     spectra_max_diff,
     sphere_count_formula,
     sphere_counts_all,
@@ -79,7 +80,7 @@ __all__ = [
     "sphere_spec", "sphere_enumerate", "sphere_counts_all",
     "sphere_count_formula", "sphere_size_bound_check", "sphere_fourier_direct",
     "sphere_fourier_formula", "sphere_spectrum_formula", "spectra_max_diff",
-    "decay_bound_check",
+    "decay_report", "decay_bound_check",
     "PointSet", "NuReport", "CertificateRow", "ThresholdReport",
     "distance", "distance_set", "nu_brute", "nu_histogram", "nu_spectral",
     "nu_spectral_sweep", "theorem_threshold", "certificate_check",

@@ -3,14 +3,16 @@
 Three evaluators:
 
 ``gauss_brute``
-    direct summation with compensated accumulation; the trust anchor.
+    the trust anchor: the exact multiplicities c_k = #{x : a x^2 + b x = k}
+    dotted with the n-th roots of unity.  It uses no closed form.
 ``gauss_closed``
     the closed form of G(a, n) = G(a, 0, n) for gcd(a, n) = 1, split by the
     residue of n mod 4.
 ``gauss_general``
     arbitrary (a, b): the gcd reduction
     G(a, b, n) = (a,n) G(a/(a,n), b/(a,n), n/(a,n)) when (a,n) | b, zero
-    otherwise, followed for odd reduced modulus by completing the square.
+    otherwise, then the classical rules for the linear term of the reduced
+    sum (Berndt, Evans and Williams, *Gauss and Jacobi Sums*, 1998, ch. 1).
 
 Closed-form results are carried symbolically (an integer scale, a surd, a
 Gaussian-integer unit and an exact rational phase) so downstream bound checks
@@ -23,61 +25,45 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+
+import numpy as np
 
 from .arith import jacobi
-from .errors import DomainError, InconsistencyError
+from .errors import DomainError
+from .fourier import character_table
 
 __all__ = ["GaussSumValue", "gauss_brute", "gauss_closed", "gauss_general"]
 
 _F0 = Fraction(0)
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class GaussSumValue:
-    """Value of a quadratic Gauss sum.
+    """Exact value of a quadratic Gauss sum.
 
-    Exact values are ``scale * sqrt(surd) * (unit_re + i unit_im) * e^{2 pi i phase}``
+    The value is ``scale * sqrt(surd) * (unit_re + i unit_im) * e^{2 pi i phase}``
     with scale >= 0 an integer, surd the reduced modulus and unit a Gaussian
     integer of squared modulus 0, 1 or 2.  ``scale == 0`` encodes the
-    vanishing sum.  When ``approx`` is set the sum was measured numerically
-    (even reduced modulus with a linear term) and the symbolic fields are
-    placeholders.
+    vanishing sum.
     """
 
     scale: int
     surd: int
     unit: tuple[int, int]
     phase: Fraction
-    approx: complex | None = None
-
-    @property
-    def is_exact(self) -> bool:
-        return self.approx is None
 
     @property
     def is_zero(self) -> bool:
-        if self.approx is None:
-            return self.scale == 0
-        return abs(self.approx) < 1e-9 * self.scale * math.sqrt(self.surd)
+        return self.scale == 0
 
     @property
-    def magnitude_sq(self) -> Fraction:
+    def magnitude_sq(self) -> int:
         """Exact squared modulus (e.g. n, 2n or 0 times an integer square)."""
-        if self.approx is None:
-            u0, u1 = self.unit
-            return Fraction(self.scale * self.scale * self.surd * (u0 * u0 + u1 * u1))
-        r = abs(self.approx) ** 2
-        k = round(r)
-        if abs(r - k) > 1e-6 * max(1.0, r):
-            raise InconsistencyError(f"numeric Gauss magnitude^2 {r} is not near an integer")
-        return Fraction(k)
+        u0, u1 = self.unit
+        return self.scale * self.scale * self.surd * (u0 * u0 + u1 * u1)
 
     @property
     def complex_render(self) -> complex:
-        if self.approx is not None:
-            return self.approx
         u0, u1 = self.unit
         z = complex(u0, u1) * (self.scale * math.sqrt(self.surd))
         if self.phase:
@@ -91,47 +77,26 @@ class GaussSumValue:
 _ZERO = GaussSumValue(0, 1, (0, 0), _F0)
 
 
-@lru_cache(maxsize=512)
-def _roots(n: int) -> tuple[complex, ...]:
-    step = _TWO_PI / n
-    return tuple(complex(math.cos(step * k), math.sin(step * k)) for k in range(n))
+def gauss_brute(a: int, b: "int | np.ndarray", n: int) -> "complex | np.ndarray":
+    """G(a, b, n) from the exact multiplicities c_k = #{x : a x^2 + b x = k mod n}.
 
-
-def gauss_brute(a: int, b: int, n: int) -> complex:
-    """Direct summation of G(a, b, n) in index order.
-
-    Kahan-compensated on both components, so the accumulated rounding error
-    stays O(machine epsilon) relative to the term magnitudes, independent of
-    n; trustworthy as an oracle up to n ~ 10^4.
+    One bincount gives every c_k as an integer, and one dot with the table
+    of e^{2 pi i k / n} gives the sum, so the only rounding is in that dot.
+    ``b`` may be an integer array; the result then has its shape and costs
+    O(b.size * n) memory.  Every factor is reduced mod n first, so int64
+    never overflows for n < 2^31.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    a %= n
-    b %= n
-    roots = _roots(n)
-    # v = (a x^2 + b x) mod n, updated incrementally: the difference
-    # a(2x+1) + b grows by 2a per step.
-    v = 0
-    dv = (a + b) % n
-    step = (2 * a) % n
-    s_re = s_im = c_re = c_im = 0.0
-    for _ in range(n):
-        z = roots[v]
-        y = z.real - c_re
-        t = s_re + y
-        c_re = (t - s_re) - y
-        s_re = t
-        y = z.imag - c_im
-        t = s_im + y
-        c_im = (t - s_im) - y
-        s_im = t
-        v += dv
-        if v >= n:
-            v -= n
-        dv += step
-        if dv >= n:
-            dv -= n
-    return complex(s_re, s_im)
+    if isinstance(b, int):
+        b %= n  # a Python int of any size
+    x = np.arange(n, dtype=np.int64)
+    bs = np.asarray(b, dtype=np.int64)[..., None] % n
+    k = ((a % n) * (x * x % n) + bs * x) % n  # one row of values per b
+    k += n * np.arange(k.size // n, dtype=np.int64).reshape(bs.shape)
+    counts = np.bincount(k.ravel(), minlength=k.size).reshape(k.shape)
+    sums = counts @ character_table(n)
+    return complex(sums) if sums.ndim == 0 else sums
 
 
 def _eps_unit(n: int) -> tuple[int, int]:
@@ -176,15 +141,18 @@ def gauss_closed(a: int, n: int) -> GaussSumValue:
 
 
 def gauss_general(a: int, b: int, n: int) -> GaussSumValue:
-    """G(a, b, n) for arbitrary integer a, b.
+    """G(a, b, n) for arbitrary integer a, b, always in closed form.
 
-    Applies the gcd reduction, then for an odd reduced modulus absorbs the
-    linear term by completing the square:
+    After the gcd reduction a' is a unit mod n'.  An odd b' with n' even
+    then gives
 
-        G(a', b', n') = e^{-2 pi i b'^2 (4a')^{-1} / n'} G(a', n').
+        4 | n':           G(a', b', n') = 0            (x -> x + n'/2 flips the sign)
+        n' = 2m, m odd:   G(a', b', 2m) = 2 G(2a', b', m)   (CRT; the Z_2 factor is 2)
 
-    An even reduced modulus with b' != 0 is outside the stated closed forms
-    and is measured with gauss_brute instead (the result is flagged inexact).
+    and every remaining sum has 2 a' c = b' (mod n') solvable, so completing
+    the square gives
+
+        G(a', b', n') = e^{-2 pi i a' c^2 / n'} G(a', n').
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -199,17 +167,14 @@ def gauss_general(a: int, b: int, n: int) -> GaussSumValue:
     if b % g:
         return _ZERO
     a2, b2, n2 = a // g, b // g, n // g
-    if n2 % 2 == 1:
-        base = gauss_closed(a2, n2)
-        phase = _F0
-        if b2:
-            shift = (-b2 * b2 * pow(4 * a2, -1, n2)) % n2
-            phase = Fraction(shift, n2)
-        return GaussSumValue(g, base.surd, base.unit, phase)
-    if b2 == 0:
-        base = gauss_closed(a2, n2)
-        if base.scale == 0:
+    if b2 % 2 and n2 % 2 == 0:
+        if n2 % 4 == 0:
             return _ZERO
-        return GaussSumValue(g, base.surd, base.unit, base.phase)
-    z = gauss_brute(a2, b2, n2)
-    return GaussSumValue(g, n2, (0, 0), _F0, approx=g * z)
+        a2, n2, g = 2 * a2, n2 // 2, 2 * g
+    base = gauss_closed(a2, n2)
+    if base.scale == 0:
+        return _ZERO
+    if b2 % 2:
+        b2 += n2  # n2 is odd here, so b2 / 2 exists mod n2
+    c = b2 // 2 * pow(a2, -1, n2) % n2
+    return GaussSumValue(g, base.surd, base.unit, Fraction(-a2 * c * c % n2, n2))

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import Modulus, Residue, as_modulus, tau
-from .errors import DomainError, InconsistencyError
+from .errors import BudgetError, DomainError, InconsistencyError
 from .fourier import (
     DEFAULT_GRID_BUDGET,
     GridFunction,
@@ -52,6 +52,7 @@ __all__ = [
     "sphere_spectrum_formula",
     "sphere_spectrum",
     "spectra_max_diff",
+    "decay_report",
     "decay_bound_check",
 ]
 
@@ -88,9 +89,12 @@ def sphere_spec(q: "int | Modulus", d: int, t: "int | Residue") -> SphereSpec:
     return SphereSpec(m, d, tv)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _norms_flat(q: int, d: int) -> np.ndarray:
-    """x_1^2 + ... + x_d^2 mod q for every flat index, row-major."""
+    """x_1^2 + ... + x_d^2 mod q for every flat index, row-major.
+
+    One q^d int64 table is kept (80 MB at the default grid budget): callers
+    work through one (q, d) at a time."""
     sq = (np.arange(q, dtype=np.int64) ** 2) % q
     acc = np.zeros(1, dtype=np.int64)
     for _ in range(d):
@@ -138,19 +142,20 @@ class SphereCountReport:
     ii_bound: float | None  # combined multiplicatively over prime-power factors; None for d <= 2
 
 
-def _coerce_count(value: float) -> int:
-    k = round(value)
-    if abs(value - k) > 1e-6:
-        raise InconsistencyError(f"count {value!r} is not within 1e-6 of an integer")
-    return int(k)
-
-
 def _count_via_characters(q: int, d: int, t: int) -> tuple[int, complex]:
-    """Evaluate the count formula over Z_q directly (odd q)."""
+    """Evaluate the count formula over Z_q directly (odd q).
+
+    The error term II_t is a float sum that must land on an integer.  Each
+    term carries a relative rounding error of a few eps, so the tolerance is
+    (d + 3) eps sum_s |term_s| / q, used for both the distance to the
+    integer and the imaginary part.  A tolerance of 1/2 or more cannot
+    certify a count and raises BudgetError.
+    """
     tbl = character_table(q)
     main = q ** (d - 1)
     re_terms: list[float] = []
     im_terms: list[float] = []
+    mags: list[float] = []
     for s in range(1, q):
         gv = gauss_general(s, 0, q)  # exact for odd q: scale * sqrt(surd) * i^k
         u0, u1 = gv.unit
@@ -159,10 +164,20 @@ def _count_via_characters(q: int, d: int, t: int) -> tuple[int, complex]:
         z = mag * _I_POW[(k * d) % 4] * np.conj(tbl[(s * t) % q])
         re_terms.append(z.real)
         im_terms.append(z.imag)
+        mags.append(mag)
     ii = complex(math.fsum(re_terms), math.fsum(im_terms)) / q
-    if abs(ii.imag) > 1e-6 * max(1, main):
+    tol = (d + 3) * float(np.finfo(np.float64).eps) * math.fsum(mags) / q
+    if tol >= 0.5:
+        raise BudgetError(
+            f"rounding tolerance {tol:.3g} of the error term reaches 1/2, so the float "
+            f"sum cannot certify |S_{t}| for q={q} d={d}"
+        )
+    if abs(ii.imag) > tol:
         raise InconsistencyError(f"error term has imaginary part {ii.imag} for q={q} d={d} t={t}")
-    return main + _coerce_count(ii.real), ii
+    ii_int = round(ii.real)
+    if abs(ii.real - ii_int) > tol:
+        raise InconsistencyError(f"error term {ii.real!r} is not within {tol:.3g} of an integer")
+    return main + ii_int, ii
 
 
 def sphere_count_formula(spec: SphereSpec) -> SphereCountReport:
@@ -317,16 +332,28 @@ class DecayReport:
     ok: bool
 
 
+def _decay_bound(spec: SphereSpec) -> float:
+    """q^{-1} tau(q) p_1^{-(d-2)/2}, which holds for odd q and d > 2."""
+    mod = spec.modulus
+    mod.require_odd("the decay bound")
+    if spec.d <= 2:
+        raise DomainError(f"the decay bound needs d > 2, got d={spec.d}")
+    return tau(mod) / (mod.q * float(mod.p1) ** ((spec.d - 2) / 2))
+
+
+def decay_report(spec: SphereSpec, spectrum: Spectrum) -> DecayReport:
+    """Compare max_{m != 0} |S_t^(m)| over a given spectrum of S_t against
+    q^{-1} tau(q) p_1^{-(d-2)/2}."""
+    bound = _decay_bound(spec)
+    mags = np.abs(spectrum.values)
+    mags[0] = 0.0
+    mx = float(mags.max())
+    return DecayReport(mx, bound, mx / bound, mx <= bound)
+
+
 def decay_bound_check(
     spec: SphereSpec, route: str = "direct", max_grid: int = DEFAULT_GRID_BUDGET
 ) -> DecayReport:
-    """Compare max_{m != 0} |S_t^(m)| against q^{-1} tau(q) p_1^{-(d-2)/2}."""
-    mod = spec.modulus
-    mod.require_odd("decay_bound_check")
-    if spec.d <= 2:
-        raise DomainError(f"the decay bound needs d > 2, got d={spec.d}")
-    mags = np.abs(sphere_spectrum(spec, route, max_grid).values)
-    mags[0] = 0.0
-    mx = float(mags.max())
-    bound = tau(mod) / (mod.q * float(mod.p1) ** ((spec.d - 2) / 2))
-    return DecayReport(mx, bound, mx / bound, mx <= bound)
+    """The decay bound on the spectrum by the named route."""
+    _decay_bound(spec)  # reject even q and d <= 2 before any transform
+    return decay_report(spec, sphere_spectrum(spec, route, max_grid))

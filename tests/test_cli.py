@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 
+from zqdist import cli, sphere
 from zqdist.cli import main
 from zqdist.distset import sample_random_set
 
@@ -83,6 +84,14 @@ class TestGaussCommand:
         row = text.strip().splitlines()[1].split(",")
         assert row[3] == "2" and row[4] == "-2"  # G(3, 4) = 2 - 2i
 
+    def test_even_modulus_linear_term_exact(self, tmp_path):
+        code, text = run(tmp_path, "gauss", "--a", "1", "--b", "1", "--n", "8")
+        assert code == 0
+        (row,) = records(text)
+        assert "exact" not in row
+        assert row["closed_re"] == row["closed_im"] == "0"
+        assert row["magnitude_sq"] == "0" and row["passed"] == "true"
+
     def test_missing_args(self, tmp_path):
         code, _ = run(tmp_path, "gauss")
         assert code == 2
@@ -97,6 +106,21 @@ class TestSpectrumCommand:
     def test_even_q_rejected(self, tmp_path):
         code, _ = run(tmp_path, "spectrum", "--q", "4", "--all-t")
         assert code == 2
+
+    def test_each_route_once_per_row(self, tmp_path, monkeypatch):
+        calls = {"sphere_fourier_direct": 0, "sphere_spectrum_formula": 0}
+        for name in calls:
+            real = getattr(sphere, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            for mod in (sphere, cli):
+                monkeypatch.setattr(mod, name, counted, raising=False)
+        code, text = run(tmp_path, "spectrum", "--q", "9", "--all-t")
+        assert code == 0 and len(records(text)) == 9
+        assert calls == {"sphere_fourier_direct": 9, "sphere_spectrum_formula": 9}
 
     def test_t_sorted_after_reduction(self, tmp_path):
         code, text = run(tmp_path, "spectrum", "--q", "9", "--t", "10", "2")

@@ -1,6 +1,8 @@
 import cmath
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,23 @@ class TestBrute:
             for a in range(n):
                 for b in range(n):
                     assert abs(gauss_brute(a, b, n) - direct_sum(a, b, n)) < 1e-9 * max(n, 1)
+
+    def test_array_b_matches_plain_sum(self):
+        for n in range(1, 31):
+            for a in range(n):
+                row = gauss_brute(a, np.arange(n), n)
+                assert row.shape == (n,)
+                for b in range(n):
+                    assert abs(row[b] - direct_sum(a, b, n)) < 1e-9 * n
+        grid = np.array([[-3, 40], [7, 10**6]])
+        out = gauss_brute(5, grid, 12)
+        assert out.shape == (2, 2)
+        for b, z in zip(grid.ravel(), out.ravel()):
+            assert abs(z - direct_sum(5, int(b), 12)) < 1e-9 * 12
+
+    def test_huge_scalar_arguments(self):
+        big = 10**30
+        assert abs(gauss_brute(big + 3, big, 7) - direct_sum((big + 3) % 7, big % 7, 7)) < 1e-9 * 7
 
     def test_rejects_bad_n(self):
         with pytest.raises(DomainError):
@@ -131,13 +150,43 @@ class TestGeneral:
                 assert abs(whole - split) < 1e-6 * n1 * n2
                 assert abs(whole - gauss_brute(a, 0, n1 * n2)) < 1e-6 * n1 * n2
 
-    def test_numeric_fallback_flagged(self):
-        # even reduced modulus with a linear term is measured, not closed-form
+    def test_even_modulus_linear_term_exact(self):
         v = gauss_general(1, 1, 8)
-        assert not v.is_exact
-        assert abs(v.complex_render - gauss_brute(1, 1, 8)) < 1e-12
-        exact = gauss_general(1, 2, 9)
-        assert exact.is_exact
+        assert v.is_zero and v.magnitude_sq == 0
+        assert v.complex_render == 0
+        assert abs(gauss_brute(1, 1, 8)) < 1e-12
+        # e^{-2 pi i / 8} G(1, 8) = (1 - i) / sqrt(2) * (1 + i) sqrt(8) = 4
+        w = gauss_general(1, 2, 8)
+        assert (w.scale, w.surd, w.unit, w.phase) == (1, 8, (1, 1), Fraction(7, 8))
+        assert abs(w.complex_render - 4) < 1e-12
+        assert abs(w.complex_render - gauss_brute(1, 2, 8)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "a, b, n",
+        [(1, 2, 8), (3, 6, 16), (5, 10, 64), (6, 4, 24), (7, 2, 12), (1, 4, 6)],
+    )
+    def test_even_linear_term_completes_the_square(self, a, b, n):
+        g = math.gcd(a, n)
+        assert (n // g) % 2 == 0 and (b // g) % 2 == 0 and b % n
+        assert abs(gauss_general(a, b, n).complex_render - gauss_brute(a, b, n)) < 1e-12 * n
+
+    @pytest.mark.parametrize("a, b, n", [(1, 1, 4), (1, 1, 8), (3, 5, 64), (2, 2, 16), (2, 6, 24)])
+    def test_odd_linear_term_vanishes_mod4(self, a, b, n):
+        g = math.gcd(a, n)
+        assert (n // g) % 4 == 0 and (b // g) % 2 == 1
+        assert gauss_general(a, b, n).is_zero
+        assert abs(gauss_brute(a, b, n)) < 1e-12 * n
+
+    @pytest.mark.parametrize(
+        "a, b, n", [(1, 1, 2), (1, 3, 6), (3, 5, 14), (2, 6, 20), (5, 7, 62), (9, 27, 54)]
+    )
+    def test_odd_linear_term_mod2_halves(self, a, b, n):
+        # G(a', b', 2m) = 2 G(2a', b', m) for odd m: |G|^2 = 4 g^2 m
+        g = math.gcd(a, n)
+        assert (n // g) % 4 == 2 and (b // g) % 2 == 1
+        v = gauss_general(a, b, n)
+        assert v.magnitude_sq == 4 * g * g * (n // g // 2)
+        assert abs(v.complex_render - gauss_brute(a, b, n)) < 1e-12 * n
 
     def test_numeric_magnitude_coerces(self):
         assert gauss_general(1, 2, 8).magnitude_sq == 16

@@ -27,6 +27,17 @@ def brute_count(q, d, t):
     )
 
 
+def convolution_counts(q, d):
+    # independent oracle: the histogram of x^2 mod q convolved d times, in integers
+    squares = [0] * q
+    for x in range(q):
+        squares[x * x % q] += 1
+    counts = [1] + [0] * (q - 1)
+    for _ in range(d):
+        counts = [sum(counts[(t - k) % q] * squares[k] for k in range(q)) for t in range(q)]
+    return counts
+
+
 class TestEnumerate:
     def test_z3_cubed(self):
         sizes = [len(sphere_enumerate(sphere_spec(3, 3, t))) for t in range(3)]
@@ -105,6 +116,20 @@ class TestCountFormula:
     def test_even_q_rejected(self):
         with pytest.raises(DomainError):
             sphere_count_formula(sphere_spec(6, 3, 1))
+
+    def test_q63_d8_tolerance_from_magnitudes(self):
+        # the error term lands up to 1.6e-5 from its integer here, beyond a fixed 1e-6
+        expected = convolution_counts(63, 8)
+        for t in range(63):
+            assert sphere_count_formula(sphere_spec(63, 8, t)).exact_count == expected[t], t
+
+    def test_rounding_limit_is_a_budget_error(self):
+        # the float sum's tolerance is ~1.5e7 here, so no count can be certified
+        spec = sphere_spec(2187, 8, 1)
+        with pytest.raises(BudgetError):
+            sphere_count_formula(spec)
+        with pytest.raises(BudgetError):
+            sphere_size_bound_check(spec)
 
 
 class TestSizeBound:
