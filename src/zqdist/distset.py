@@ -20,20 +20,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .arith import Modulus, Residue, as_modulus, factorize, tau
 from .errors import BudgetError, DomainError, InconsistencyError
-from .fourier import (
-    DEFAULT_GRID_BUDGET,
-    GridFunction,
-    check_grid_budget,
-    forward,
-    point_of_index,
-)
+from .fourier import DEFAULT_GRID_BUDGET, GridFunction, check_grid_budget, forward
 from .sphere import sphere_counts_all, sphere_spec, sphere_spectrum
 
 __all__ = [
@@ -61,26 +54,41 @@ DEFAULT_PAIR_BUDGET = 10**8
 
 
 class PointSet:
-    """A nonempty, deduplicated, lexicographically sorted set of points."""
+    """A nonempty, deduplicated, lexicographically sorted set of points.
 
-    __slots__ = ("modulus", "d", "points", "_array")
+    The points are one read-only (size, d) int64 array of residues in [0, q).
+    Coordinates may be any integers, Python ints of any size included; they
+    are reduced mod q.
+    """
+
+    __slots__ = ("modulus", "d", "_coords")
 
     def __init__(self, q: "int | Modulus", d: int, points: Iterable[Sequence[int]]) -> None:
         m = as_modulus(q)
         if d < 1:
             raise DomainError(f"dimension must be >= 1, got {d}")
-        seen = set()
-        for p in points:
-            tp = tuple(int(c) % m.q for c in p)
-            if len(tp) != d:
-                raise DomainError(f"point {tp} does not have {d} coordinates")
-            seen.add(tp)
-        if not seen:
+        rows = points if isinstance(points, (list, tuple, np.ndarray)) else list(points)
+        if len(rows) == 0:
             raise DomainError("point set is empty")
+        try:
+            try:
+                arr = np.array(rows, dtype=np.int64)
+            except OverflowError:
+                # coordinates beyond int64 reduce exactly as Python ints
+                arr = np.array([[int(c) % m.q for c in p] for p in rows], dtype=np.int64)
+        except ValueError:
+            raise DomainError(f"every point needs {d} coordinates") from None
+        if arr.ndim != 2 or arr.shape[1] != d:
+            raise DomainError(f"every point needs {d} coordinates, got shape {arr.shape}")
+        arr %= m.q
+        arr = arr[np.lexsort(arr.T[::-1])]
+        keep = np.ones(len(arr), dtype=bool)
+        keep[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+        arr = arr[keep]
+        arr.setflags(write=False)
         self.modulus = m
         self.d = d
-        self.points = tuple(sorted(seen))
-        self._array = None
+        self._coords = arr
 
     @property
     def q(self) -> int:
@@ -88,18 +96,18 @@ class PointSet:
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self._coords)
+
+    @property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self._coords.tolist()))
 
     def array(self) -> np.ndarray:
-        if self._array is None:
-            arr = np.array(self.points, dtype=np.int64)
-            arr.setflags(write=False)
-            self._array = arr
-        return self._array
+        return self._coords
 
     def flat_indices(self) -> np.ndarray:
         strides = self.q ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
-        return self.array() @ strides
+        return self._coords @ strides
 
     def indicator(self, max_grid: int = DEFAULT_GRID_BUDGET) -> GridFunction:
         size = check_grid_budget(self.q, self.d, max_grid)
@@ -110,26 +118,30 @@ class PointSet:
     def translate(self, v: Sequence[int]) -> "PointSet":
         if len(v) != self.d:
             raise DomainError(f"translation vector needs {self.d} coordinates")
-        return PointSet(
-            self.modulus, self.d, [tuple(c + w for c, w in zip(p, v)) for p in self.points]
-        )
+        shift = np.array([int(w) % self.q for w in v], dtype=np.int64)
+        return PointSet(self.modulus, self.d, self._coords + shift)
 
     def __iter__(self):
         return iter(self.points)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.size
 
     def __contains__(self, p) -> bool:
-        return tuple(int(c) % self.q for c in p) in set(self.points)
+        if len(p) != self.d:
+            return False
+        row = np.array([int(c) % self.q for c in p], dtype=np.int64)
+        return bool((self._coords == row).all(axis=1).any())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
-        return (self.modulus, self.d, self.points) == (other.modulus, other.d, other.points)
+        return (self.modulus, self.d) == (other.modulus, other.d) and np.array_equal(
+            self._coords, other._coords
+        )
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self.d, self.points))
+        return hash((self.modulus, self.d, self._coords.tobytes()))
 
     def __repr__(self) -> str:
         return f"PointSet(q={self.q}, d={self.d}, size={self.size})"
@@ -152,16 +164,23 @@ def distance(x: Sequence[int], y: Sequence[int], q: "int | Modulus") -> Residue:
 
 
 def nu_histogram(E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET) -> np.ndarray:
-    """nu(t) for every t at once: one exhaustive scan over ordered pairs."""
+    """nu(t) for every t at once: one exhaustive scan over ordered pairs.
+
+    Over Z_2 no pair is scanned: ||x - y|| = ||x|| + ||y|| mod 2, since the
+    cross term 2 x.y vanishes, so with c_0 points of even weight and c_1 of
+    odd weight nu(0) = c_0^2 + c_1^2 and nu(1) = 2 c_0 c_1.
+    """
     n = E.size
     if n * n > max_pairs:
         raise BudgetError(
             f"|E|^2 = {n * n} ordered pairs for q={E.q} d={E.d} exceeds the budget {max_pairs}"
         )
-    if E.q == 2 and E.d <= 16:
-        return _nu_histogram_mod2(E)
     q = E.q
     pts = E.array()
+    if q == 2:
+        odd = int((pts.sum(axis=1) % 2).sum())
+        even = n - odd
+        return np.array([even * even + odd * odd, 2 * even * odd], dtype=np.int64)
     counts = np.zeros(q, dtype=np.int64)
     block = max(1, 2**22 // max(1, n * E.d))
     for lo in range(0, n, block):
@@ -169,34 +188,6 @@ def nu_histogram(E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET) -> np.ndarra
         dist = (diff * diff).sum(axis=2) % q
         counts += np.bincount(dist.reshape(-1), minlength=q)
     return counts
-
-
-@lru_cache(maxsize=1)
-def _popcount_parity_lut16() -> np.ndarray:
-    v = np.arange(1 << 16, dtype=np.uint32)
-    for shift in (8, 4, 2, 1):
-        v ^= v >> shift
-    lut = (v & 1).astype(np.uint8)
-    lut.setflags(write=False)
-    return lut
-
-
-def _nu_histogram_mod2(E: PointSet) -> np.ndarray:
-    # Over Z_2 each point packs into one machine word and the distance of a
-    # pair is the popcount parity of the XOR of the words.  The popcount is
-    # tabulated; every ordered pair is still XORed individually.
-    parity = _popcount_parity_lut16()
-    bits = (E.array() & 1).astype(np.uint16)
-    codes = np.zeros(E.size, dtype=np.uint16)
-    for j in range(E.d):
-        codes |= bits[:, j] << np.uint16(j)
-    odd = 0
-    block = max(1, 2**23 // max(1, E.size))
-    for lo in range(0, E.size, block):
-        x = codes[:, None] ^ codes[None, lo : lo + block]
-        odd += int(parity[x].sum(dtype=np.int64))
-    n2 = E.size * E.size
-    return np.array([n2 - odd, odd], dtype=np.int64)
 
 
 def nu_brute(E: PointSet, t: "int | Residue", max_pairs: int = DEFAULT_PAIR_BUDGET) -> int:
@@ -379,11 +370,9 @@ def construct_even_weight(d: int) -> PointSet:
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    pts = []
-    for code in range(1 << d):
-        if bin(code).count("1") % 2 == 0:
-            pts.append(tuple((code >> (d - 1 - j)) & 1 for j in range(d)))
-    return PointSet(2, d, pts)
+    # the first d - 1 coordinates are free; the last one makes the weight even
+    free = (np.arange(1 << (d - 1))[:, None] >> np.arange(d - 2, -1, -1)) & 1
+    return PointSet(2, d, np.column_stack([free, free.sum(axis=1) % 2]))
 
 
 def construct_zero_distance_lattice(p: int, ell: int, d: int) -> PointSet:
@@ -399,12 +388,9 @@ def construct_zero_distance_lattice(p: int, ell: int, d: int) -> PointSet:
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
     q = p**ell
-    step = p ** ((ell + 1) // 2)
-    coords = list(range(0, q, step))
-    pts = [()]
-    for _ in range(d):
-        pts = [pt + (c,) for pt in pts for c in coords]
-    return PointSet(q, d, pts)
+    coords = np.arange(0, q, p ** ((ell + 1) // 2))
+    grid = np.meshgrid(*[coords] * d, indexing="ij")
+    return PointSet(q, d, np.stack(grid, axis=-1).reshape(-1, d))
 
 
 _MASK64 = (1 << 64) - 1
@@ -434,7 +420,8 @@ def sample_random_set(q: "int | Modulus", d: int, size: int, seed: int) -> Point
     """Uniform sample of `size` distinct points of Z_q^d.
 
     Bit-for-bit reproducible from the seed: a splitmix64 stream drives a
-    partial Fisher-Yates selection over flat indices.
+    partial Fisher-Yates selection over flat indices, so q^d may not exceed
+    2^64.
     """
     m = as_modulus(q)
     n = m.q**d
@@ -442,6 +429,8 @@ def sample_random_set(q: "int | Modulus", d: int, size: int, seed: int) -> Point
         raise DomainError(f"sample size must be >= 1, got {size}")
     if size > n:
         raise DomainError(f"sample size {size} exceeds |Z_{m.q}^{d}| = {n}")
+    if n > 1 << 64:
+        raise DomainError(f"|Z_{m.q}^{d}| = {n} exceeds the 2^64 flat indices of the sampler")
     gen = _splitmix64(seed)
     swap: dict[int, int] = {}
     chosen = []
@@ -449,8 +438,12 @@ def sample_random_set(q: "int | Modulus", d: int, size: int, seed: int) -> Point
         j = i + _draw_below(gen, n - i)
         chosen.append(swap.get(j, j))
         swap[j] = swap.get(i, i)
-    chosen.sort()
-    return PointSet(m, d, [point_of_index(c, m.q, d) for c in chosen])
+    # flat indices below 2^64 fit uint64; peel off the base-q digits
+    flat = np.array(chosen, dtype=np.uint64)
+    digits = np.empty((size, d), dtype=np.int64)
+    for j in range(d - 1, -1, -1):
+        flat, digits[:, j] = np.divmod(flat, np.uint64(m.q))
+    return PointSet(m, d, digits)
 
 
 def write_pointset(E: PointSet, path) -> None:
@@ -458,8 +451,7 @@ def write_pointset(E: PointSet, path) -> None:
     point per line; blank lines and # comments are ignored on read."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"q={E.q} d={E.d}\n")
-        for p in E.points:
-            fh.write(",".join(str(c) for c in p) + "\n")
+        np.savetxt(fh, E.array(), fmt="%d", delimiter=",")
 
 
 def read_pointset(path) -> PointSet:
@@ -474,12 +466,12 @@ def read_pointset(path) -> PointSet:
                 match = re.fullmatch(r"q=(\d+)\s+d=(\d+)", line)
                 if not match:
                     raise DomainError(f"first line must be 'q=<int> d=<int>', got {line!r}")
-                header = (int(match.group(1)), int(match.group(2)))
+                header = (as_modulus(int(match.group(1))), int(match.group(2)))
                 continue
-            coords = tuple(int(tok) for tok in line.split(","))
+            coords = tuple(int(tok) % header[0].q for tok in line.split(","))
             if len(coords) != header[1]:
                 raise DomainError(f"point {coords} does not have {header[1]} coordinates")
             pts.append(coords)
     if header is None:
         raise DomainError("missing 'q=<int> d=<int>' header line")
-    return PointSet(header[0], header[1], pts)
+    return PointSet(*header, pts)

@@ -66,6 +66,40 @@ class TestPointSet:
             PointSet(3, 2, [])
         with pytest.raises(DomainError):
             PointSet(3, 2, [(1, 2, 3)])
+        with pytest.raises(DomainError):
+            PointSet(3, 2, [(1, 2), (1, 2, 3)])
+
+    def test_reduces_python_ints_of_any_size(self):
+        assert PointSet(5, 2, [(10**30, 1)]).points == ((0, 1),)
+        assert PointSet(5, 2, [(-(10**30) - 1, 2**70), (4, 4)]).points == ((4, 4),)
+
+    def test_membership_with_unreduced_coordinates(self):
+        E = PointSet(5, 2, [(1, 2), (3, 4)])
+        assert (6, -3) in E
+        assert (10**30 + 3, 4) in E
+        assert (0, 0) not in E
+        assert (1, 2, 0) not in E
+
+    def test_order_does_not_matter(self):
+        pts = [(1, 2), (3, 4), (0, 4), (3, 4)]
+        a = PointSet(5, 2, pts)
+        b = PointSet(5, 2, reversed(pts))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a.points == ((0, 4), (1, 2), (3, 4))
+
+    def test_array_is_the_sorted_read_only_points(self):
+        E = PointSet(7, 3, [(6, 0, 1), (0, 9, 2), (6, 0, 8)])
+        arr = E.array()
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        assert arr.tolist() == [list(p) for p in E.points] == [[0, 2, 2], [6, 0, 1]]
+        assert len(E) == E.size == 2
+
+    def test_translate_wraps(self):
+        E = PointSet(5, 2, [(0, 0), (4, 3)])
+        assert E.translate((1, 2**70)).points == tuple(
+            sorted(((x + 1) % 5, (y + 2**70) % 5) for x, y in E.points)
+        )
 
     def test_indicator_round_trip(self):
         E = sample_random_set(5, 3, 17, seed=9)
@@ -112,11 +146,21 @@ class TestNuBrute:
         for t in range(5):
             assert int(hist[t]) == nu_loop(E, t)
 
-    def test_mod2_path_matches_literal_loop(self):
-        E = sample_random_set(2, 9, 40, seed=3)
+    @pytest.mark.parametrize("d,size", [(1, 2), (9, 40), (24, 40)])
+    def test_mod2_path_matches_literal_loop(self, d, size):
+        E = sample_random_set(2, d, size, seed=3)
+        assert {sum(p) % 2 for p in E.points} == {0, 1}
         hist = nu_histogram(E)
         for t in range(2):
             assert int(hist[t]) == nu_loop(E, t)
+
+    @settings(max_examples=30, deadline=None)
+    @given(q=st.sampled_from([2, 4, 6]), d=st.integers(1, 4), size=st.integers(1, 30),
+           seed=st.integers(0, 10_000))
+    def test_even_q_matches_literal_loop(self, q, d, size, seed):
+        E = sample_random_set(q, d, min(size, q**d), seed=seed)
+        hist = nu_histogram(E)
+        assert [int(h) for h in hist] == [nu_loop(E, t) for t in range(q)]
 
     def test_histogram_totals(self):
         for seed in range(5):
@@ -170,6 +214,15 @@ class TestNuSpectral:
             hist = nu_histogram(E)
             for rep in nu_spectral_sweep(E, route="formula"):
                 assert rep.nu == int(hist[rep.t])
+
+    @settings(max_examples=30, deadline=None)
+    @given(q=st.sampled_from([3, 5, 7, 9, 15, 25, 27]), d=st.integers(1, 2),
+           size=st.integers(1, 40), seed=st.integers(0, 10_000))
+    def test_both_routes_match_histogram_low_d(self, q, d, size, seed):
+        E = sample_random_set(q, d, min(size, q**d), seed=seed)
+        hist = [int(h) for h in nu_histogram(E)]
+        for route in ("direct", "formula"):
+            assert [rep.nu for rep in nu_spectral_sweep(E, route=route)] == hist
 
     def test_single_t_equals_sweep(self):
         E = sample_random_set(5, 3, 12, seed=77)
@@ -296,6 +349,21 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_random_set(3, 2, 10, seed=0)
 
+    def test_exact_beyond_int64(self):
+        # 2^63 < 3^40 < 2^64: flat indices past int64 keep their exact digits
+        E = sample_random_set(3, 40, 4, seed=1)
+        flat = [sum(c * 3 ** (39 - j) for j, c in enumerate(p)) for p in E.points]
+        assert flat == [
+            8195237237126968763,
+            8196980753821780236,
+            9648886400068060536,
+            10451216379200822465,
+        ]
+
+    def test_grid_beyond_64_bits_rejected(self):
+        with pytest.raises(DomainError):
+            sample_random_set(101, 10, 3, seed=1)
+
 
 class TestTranslationInvariance:
     @settings(max_examples=40, deadline=None)
@@ -331,6 +399,11 @@ class TestFileFormat:
         )
         E = read_pointset(path)
         assert E.points == ((1, 2), (1, 4))
+
+    def test_huge_coordinates_reduce(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"q=5 d=2\n{10**30},1\n{-(10**40)},{2**80 + 1}\n", encoding="utf-8")
+        assert read_pointset(path).points == ((0, 1), (0, 2))
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
