@@ -31,6 +31,7 @@ from .distset import (
     distance_set,
     nu_brute,
     nu_histogram,
+    nu_pairs,
     nu_spectral,
     nu_spectral_sweep,
     read_pointset,
@@ -82,7 +83,7 @@ __all__ = [
     "sphere_fourier_formula", "sphere_spectrum_formula", "spectra_max_diff",
     "decay_report", "decay_bound_check",
     "PointSet", "NuReport", "CertificateRow", "ThresholdReport",
-    "distance", "distance_set", "nu_brute", "nu_histogram", "nu_spectral",
+    "distance", "distance_set", "nu_brute", "nu_histogram", "nu_pairs", "nu_spectral",
     "nu_spectral_sweep", "theorem_threshold", "certificate_check",
     "construct_even_weight", "construct_zero_distance_lattice",
     "sample_random_set", "read_pointset", "write_pointset",

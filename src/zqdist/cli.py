@@ -308,13 +308,13 @@ def _load_set(args) -> tuple[PointSet, str]:
 
 
 def _nu_rows(E: PointSet, label: str, route: str, max_grid: int, max_pairs: int) -> list[dict]:
-    """One row per t with the brute count when |E|^2 fits the pair budget and
+    """One row per t with the exact count when |E|^2 fits the pair budget and
     the spectral decomposition when q is odd and q^d fits the grid budget
     (compared when both run); then the total row t="all"."""
     q, d = E.q, E.d
     hist = None
     if E.size * E.size <= max_pairs:
-        hist = nu_histogram(E, max_pairs)
+        hist = nu_histogram(E, max_pairs, max_grid)
     reports = None
     if E.modulus.is_odd and q**d <= max_grid:
         reports = {r.t: r for r in nu_spectral_sweep(E, None, route, max_grid)}
@@ -403,9 +403,9 @@ def _construction(kind: str, d, p, ell) -> tuple[PointSet, dict]:
     return E, row
 
 
-def _check_distances(E: PointSet, row: dict, max_pairs: int) -> None:
+def _check_distances(E: PointSet, row: dict, max_pairs: int, max_grid: int) -> None:
     """Add Delta(E) to a construction row; it passes only if Delta(E) = {0}."""
-    dists = sorted(distance_set(E, max_pairs))
+    dists = sorted(distance_set(E, max_pairs, max_grid))
     row["distances"] = ";".join(str(t) for t in dists)
     row["passed"] = row["passed"] and dists == [0]
 
@@ -415,7 +415,7 @@ def _cmd_construct(args):
     if args.out_set:
         write_pointset(E, _resolve_out(args.out_set))
     if args.check:
-        _check_distances(E, row, args.max_pairs)
+        _check_distances(E, row, args.max_pairs, args.max_grid)
     cols = ["construction", "q", "d", "size", "expected_size", "distances", "passed"]
     return cols, [row]
 
@@ -522,7 +522,7 @@ def _cmd_verify_all(args):
             continue
         for label, E in _nu_sets(q, args.sets_per_q, args.seed):
             if E.size * E.size > max_pairs:
-                nu_histogram(E, max_pairs)  # raises BudgetError: the check needs the pair scan
+                nu_histogram(E, max_pairs)  # raises BudgetError: the check needs exact counts
             *per_t, _ = _nu_rows(E, label, "direct", max_grid, max_pairs)
             dev = max(abs(r["main_term"] + r["r_t"] - r["nu_brute"]) for r in per_t)
             mism = sum(not r["match"] for r in per_t)
@@ -538,7 +538,7 @@ def _cmd_verify_all(args):
                       for p, ell in ((3, 2), (3, 3), (5, 2))]
     for check, inst, kind, d, p, ell in constructions:
         E, r = _construction(kind, d, p, ell)
-        _check_distances(E, r, max_pairs)
+        _check_distances(E, r, max_pairs, max_grid)
         rows.append(_row(check, inst, "size", r["size"], bound=r["expected_size"],
                          passed=r["passed"]))
     rows.sort(key=lambda r: (r["check"], r["instance"]))
@@ -563,7 +563,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-grid", type=int, default=DEFAULT_GRID_BUDGET,
                        help="largest q^d any grid operation may touch")
         p.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_BUDGET,
-                       help="largest |E|^2 any pair scan may touch")
+                       help="largest |E|^2 any exact pair count may touch")
 
     g = sub.add_parser("gauss", help="quadratic Gauss sums")
     common(g)

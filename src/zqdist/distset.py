@@ -5,7 +5,13 @@ distance set Delta(E) collects every value it takes on E x E, including 0.
 nu(t) counts ordered pairs at distance t, diagonal included, so
 sum_t nu(t) = |E|^2 always.
 
-Two routes to nu(t): an exhaustive pair scan, and the spectral decomposition
+Three routes to nu(t):
+
+* the pair scan (`nu_pairs`, the oracle) visits all |E|^2 ordered pairs;
+* the autocorrelation (`nu_histogram`, production) transforms the indicator
+  once: A = 1_E * 1_{-E} counts the pairs with x - y = z, so
+  nu(t) = sum_{||z|| = t} A(z) for every t at once;
+* the spectral decomposition (`nu_spectral_sweep`, the certificate)
 
     nu(t) = q^{2d} sum_m |E^(m)|^2 S_t^(m)
           = q^{-d} |E|^2 |S_t|  +  q^{2d} sum_{m != 0} |E^(m)|^2 S_t^(m)
@@ -26,8 +32,15 @@ import numpy as np
 
 from .arith import Modulus, Residue, as_modulus, factorize, tau
 from .errors import BudgetError, DomainError, InconsistencyError
-from .fourier import DEFAULT_GRID_BUDGET, GridFunction, check_grid_budget, forward
-from .sphere import sphere_counts_all, sphere_spec, sphere_spectrum
+from .fourier import (
+    DEFAULT_GRID_BUDGET,
+    GridFunction,
+    Spectrum,
+    check_grid_budget,
+    forward,
+    inverse,
+)
+from .sphere import _norms_flat, sphere_counts_all, sphere_spec, sphere_spectrum
 
 __all__ = [
     "PointSet",
@@ -39,6 +52,7 @@ __all__ = [
     "distance_set",
     "nu_brute",
     "nu_histogram",
+    "nu_pairs",
     "nu_spectral",
     "nu_spectral_sweep",
     "theorem_threshold",
@@ -106,6 +120,10 @@ class PointSet:
         return self._coords
 
     def flat_indices(self) -> np.ndarray:
+        if self.q**self.d > 1 << 63:
+            raise DomainError(
+                f"|Z_{self.q}^{self.d}| = {self.q**self.d} exceeds the 2^63 flat indices of int64"
+            )
         strides = self.q ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
         return self._coords @ strides
 
@@ -163,24 +181,22 @@ def distance(x: Sequence[int], y: Sequence[int], q: "int | Modulus") -> Residue:
     return Residue(sum((a - b) ** 2 for a, b in zip(x, y)), m)
 
 
-def nu_histogram(E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET) -> np.ndarray:
-    """nu(t) for every t at once: one exhaustive scan over ordered pairs.
-
-    Over Z_2 no pair is scanned: ||x - y|| = ||x|| + ||y|| mod 2, since the
-    cross term 2 x.y vanishes, so with c_0 points of even weight and c_1 of
-    odd weight nu(0) = c_0^2 + c_1^2 and nu(1) = 2 c_0 c_1.
-    """
+def _check_pair_budget(E: PointSet, max_pairs: int) -> None:
     n = E.size
     if n * n > max_pairs:
         raise BudgetError(
             f"|E|^2 = {n * n} ordered pairs for q={E.q} d={E.d} exceeds the budget {max_pairs}"
         )
-    q = E.q
+
+
+def nu_pairs(E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET) -> np.ndarray:
+    """nu(t) for every t by one exhaustive scan over ordered pairs.
+
+    The oracle for nu_histogram: no transform and no shortcut for any q.
+    """
+    _check_pair_budget(E, max_pairs)
+    n, q = E.size, E.q
     pts = E.array()
-    if q == 2:
-        odd = int((pts.sum(axis=1) % 2).sum())
-        even = n - odd
-        return np.array([even * even + odd * odd, 2 * even * odd], dtype=np.int64)
     counts = np.zeros(q, dtype=np.int64)
     block = max(1, 2**22 // max(1, n * E.d))
     for lo in range(0, n, block):
@@ -190,14 +206,76 @@ def nu_histogram(E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET) -> np.ndarra
     return counts
 
 
+def _nu_autocorrelation(E: PointSet, max_grid: int) -> np.ndarray:
+    """nu(t) = sum_{||z|| = t} A(z) with A = q^d inverse(|forward(1_E)|^2).
+
+    A(z) counts the pairs with x - y = z, so it is an integer; the float
+    values are rounded after a check.  Each transform is d length-q passes,
+    so it adds a relative error of about d q eps; the terms of the final sum
+    q^d sum_m |E^(m)|^2 e(z.m/q) have absolute sum q^d sum_m |E^(m)|^2 = |E|
+    by Parseval.  Two transforms therefore put A within 2 d q eps |E| of its
+    integer.  A tolerance of 1/2 or more cannot single out the integer, and
+    float bincount sums stay exact only up to 2^53: both raise BudgetError.
+    """
+    q, d, n = E.q, E.d, E.size
+    tol = 2 * d * q * float(np.finfo(np.float64).eps) * n
+    if tol >= 0.5 or n * n > 2**53:
+        raise BudgetError(
+            f"autocorrelation tolerance {tol:.3g} for |E| = {n} in Z_{q}^{d} cannot "
+            f"certify integer pair counts"
+        )
+    e_hat = forward(E.indicator(max_grid))
+    power = Spectrum(E.modulus, d, np.abs(e_hat.values) ** 2)
+    acorr = inverse(power).values.real * float(q**d)
+    counts = np.rint(acorr)
+    worst = float(np.abs(acorr - counts).max())
+    if worst > tol:
+        raise InconsistencyError(
+            f"autocorrelation entry lies {worst:.3g} from an integer, beyond the tolerance {tol:.3g}"
+        )
+    nu = np.bincount(_norms_flat(q, d), weights=counts, minlength=q).astype(np.int64)
+    if int(nu.sum()) != n * n:
+        raise InconsistencyError(
+            f"autocorrelation pair counts sum to {int(nu.sum())}, not |E|^2 = {n * n}"
+        )
+    return nu
+
+
+def nu_histogram(
+    E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET, max_grid: int = DEFAULT_GRID_BUDGET
+) -> np.ndarray:
+    """nu(t) for every t at once.
+
+    |E|^2 must fit max_pairs whichever route runs.  Over Z_2 no pair is
+    scanned: ||x - y|| = ||x|| + ||y|| mod 2, since the cross term 2 x.y
+    vanishes, so with c_0 points of even weight and c_1 of odd weight
+    nu(0) = c_0^2 + c_1^2 and nu(1) = 2 c_0 c_1.  Otherwise the
+    autocorrelation route runs when q^max(d, 2) fits max_grid (the length-q
+    transform kernel has q^2 entries) and q^{d+1} <= |E|^2, i.e. when its
+    d q^{d+1} work is no more than the d |E|^2 of the pair scan; every other
+    set goes to nu_pairs.
+    """
+    _check_pair_budget(E, max_pairs)
+    n, q, d = E.size, E.q, E.d
+    if q == 2:
+        odd = int((E.array().sum(axis=1) % 2).sum())
+        even = n - odd
+        return np.array([even * even + odd * odd, 2 * even * odd], dtype=np.int64)
+    if q ** max(d, 2) <= max_grid and q ** (d + 1) <= n * n:
+        return _nu_autocorrelation(E, max_grid)
+    return nu_pairs(E, max_pairs)
+
+
 def nu_brute(E: PointSet, t: "int | Residue", max_pairs: int = DEFAULT_PAIR_BUDGET) -> int:
-    """Exact ordered-pair count |{(x, y) in E x E : ||x - y|| = t}|."""
-    return int(nu_histogram(E, max_pairs)[_t_value(t, E.q)])
+    """Exact ordered-pair count |{(x, y) in E x E : ||x - y|| = t}|, by the pair scan."""
+    return int(nu_pairs(E, max_pairs)[_t_value(t, E.q)])
 
 
-def distance_set(E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET) -> set[int]:
+def distance_set(
+    E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET, max_grid: int = DEFAULT_GRID_BUDGET
+) -> set[int]:
     """Delta(E) as a set of canonical residue values (0 is always present)."""
-    hist = nu_histogram(E, max_pairs)
+    hist = nu_histogram(E, max_pairs, max_grid)
     return {int(t) for t in np.flatnonzero(hist)}
 
 
@@ -342,7 +420,7 @@ def certificate_check(
         raise DomainError(f"the certificate needs d > 2, got d={E.d}")
     hist = None
     if E.size * E.size <= max_pairs:
-        hist = nu_histogram(E, max_pairs)
+        hist = nu_histogram(E, max_pairs, max_grid)
     rows = []
     for rep in nu_spectral_sweep(E, None, route, max_grid, int_tol):
         nu_t = int(hist[rep.t]) if hist is not None else None

@@ -6,7 +6,9 @@
 Grids are stored flat in row-major order: the flat index of (x_1, ..., x_d)
 is its base-q reading with x_1 most significant.  Transforms are separable:
 d one-dimensional length-q passes, O(d q^{d+1}) scalar work, no radix
-restriction on q.  Phases are reduced mod q before exponentiation.  Each
+restriction on q.  The q x q pass kernel costs 16 q^2 bytes whatever d is,
+so transforms raise BudgetError once q^2 exceeds DEFAULT_GRID_BUDGET.
+Phases are reduced mod q before exponentiation.  Each
 output coefficient is a contiguous dot product, so results are independent
 of any parallel schedule the underlying BLAS may use.
 """
@@ -137,6 +139,11 @@ def chi(x: Residue) -> complex:
 
 @lru_cache(maxsize=64)
 def _kernel(q: int, forward_sign: bool) -> np.ndarray:
+    if q * q > DEFAULT_GRID_BUDGET:
+        raise BudgetError(
+            f"the Z_{q} transform kernel has {q * q} entries, exceeding the budget "
+            f"{DEFAULT_GRID_BUDGET}"
+        )
     phases = np.outer(np.arange(q), np.arange(q)) % q
     tbl = character_table(q)
     mat = np.conj(tbl)[phases] if forward_sign else tbl[phases]

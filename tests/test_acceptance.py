@@ -16,7 +16,7 @@ from zqdist.distset import (
     construct_even_weight,
     construct_zero_distance_lattice,
     distance_set,
-    nu_histogram,
+    nu_pairs,
     nu_spectral_sweep,
     sample_random_set,
     theorem_threshold,
@@ -182,7 +182,7 @@ def test_criterion_6_nu_decomposition():
     instances = 0
     failures = 0
     for q, label, E in _criterion6_sets():
-        hist = nu_histogram(E)
+        hist = nu_pairs(E)
         for rep in nu_spectral_sweep(E):
             instances += 1
             if rep.nu != int(hist[rep.t]):
@@ -196,7 +196,7 @@ def test_criterion_7_certificate_soundness():
     t0 = time.time()
     fired_total = 0
     for q, label, E in _criterion6_sets():
-        hist = nu_histogram(E)
+        hist = nu_pairs(E)
         for rep in nu_spectral_sweep(E):
             if rep.certificate_positive:
                 fired_total += 1

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zqdist import distset
 from zqdist.distset import (
     PointSet,
     certificate_check,
@@ -14,6 +16,7 @@ from zqdist.distset import (
     distance_set,
     nu_brute,
     nu_histogram,
+    nu_pairs,
     nu_spectral,
     nu_spectral_sweep,
     read_pointset,
@@ -21,7 +24,8 @@ from zqdist.distset import (
     theorem_threshold,
     write_pointset,
 )
-from zqdist.errors import BudgetError, DomainError
+from zqdist.errors import BudgetError, DomainError, InconsistencyError
+from zqdist.fourier import GridFunction
 from zqdist.sphere import sphere_counts_all, sphere_enumerate, sphere_spec
 
 
@@ -172,11 +176,89 @@ class TestNuBrute:
         with pytest.raises(BudgetError):
             nu_histogram(E, max_pairs=100)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), q=st.sampled_from([3, 4, 5, 6, 9, 15]), d=st.integers(1, 4))
+    def test_both_routes_match_literal_loop(self, data, q, d):
+        # sizes on both sides of q^{d+1} <= |E|^2, where nu_histogram switches
+        # from the pair scan to the autocorrelation (capped for the literal loop)
+        threshold = math.isqrt(q ** (d + 1) - 1) + 1
+        hi = min(q**d, 2 * threshold, 300)
+        size = data.draw(st.integers(min(max(1, threshold // 2), hi), hi))
+        E = sample_random_set(q, d, size, seed=data.draw(st.integers(0, 10_000)))
+        loop = [nu_loop(E, t) for t in range(q)]
+        assert [int(h) for h in nu_pairs(E)] == loop
+        assert [int(h) for h in nu_histogram(E)] == loop
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(distset, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(distset, name, spy)
+    return calls
+
+
+class TestNuAutocorrelation:
+    def test_one_transform_each_way(self, monkeypatch):
+        # |E| = 15^3 sits exactly on q^{d+1} = |E|^2, the edge of the grid route
+        E = sample_random_set(15, 5, 3375, seed=11)
+        forwards = _counting(monkeypatch, "forward")
+        inverses = _counting(monkeypatch, "inverse")
+        scans = _counting(monkeypatch, "nu_pairs")
+        hist = nu_histogram(E)
+        assert (len(forwards), len(inverses), len(scans)) == (1, 1, 0)
+        assert np.array_equal(hist, nu_pairs(E))
+
+    @pytest.mark.parametrize("size,transforms,scans", [(80, 0, 1), (81, 1, 0)])
+    def test_route_switches_at_crossover(self, monkeypatch, size, transforms, scans):
+        # Z_9^3: q^{d+1} = 6561 = 81^2
+        E = sample_random_set(9, 3, size, seed=4)
+        forwards = _counting(monkeypatch, "forward")
+        pair_scans = _counting(monkeypatch, "nu_pairs")
+        nu_histogram(E)
+        assert (len(forwards), len(pair_scans)) == (transforms, scans)
+
+    @pytest.mark.parametrize("q,d,max_grid", [(5, 3, 124), (11, 1, 120)])
+    def test_grid_budget_keeps_pair_scan(self, monkeypatch, q, d, max_grid):
+        # the grid Z_5^3, or for d = 1 the 11 x 11 transform kernel, exceeds max_grid
+        E = full_grid(q, d)
+        forwards = _counting(monkeypatch, "forward")
+        assert np.array_equal(nu_histogram(E, max_grid=max_grid), nu_pairs(E))
+        assert forwards == []
+
+    def test_nu_brute_never_transforms(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("nu_brute called forward")
+
+        monkeypatch.setattr(distset, "forward", refuse)
+        E = full_grid(3, 3)
+        counts = sphere_counts_all(3, 3)
+        assert [nu_brute(E, t) for t in range(3)] == [27 * int(c) for c in counts]
+
+    @pytest.mark.parametrize("shift", [0.3, 1.0], ids=["off-integer", "wrong-total"])
+    def test_perturbed_inverse_is_inconsistent(self, monkeypatch, shift):
+        # A(z) = 9 inverse(...) on Z_3^2.  A shift of 0.3 leaves every A(z) 0.3
+        # from its integer, which rounds back to the right counts; a shift of 1
+        # rounds cleanly but breaks sum nu = |E|^2.  Each check must catch its own.
+        real = distset.inverse
+
+        def perturbed(F):
+            f = real(F)
+            return GridFunction(f.modulus, f.d, f.values + shift / 9)
+
+        monkeypatch.setattr(distset, "inverse", perturbed)
+        with pytest.raises(InconsistencyError):
+            nu_histogram(full_grid(3, 2))
+
 
 class TestNuSpectral:
     def test_matches_brute_random(self):
         E = sample_random_set(9, 3, 50, seed=42)
-        hist = nu_histogram(E)
+        hist = nu_pairs(E)
         for rep in nu_spectral_sweep(E):
             assert rep.nu == int(hist[rep.t])
             assert abs(rep.main_term + rep.r_t - rep.nu) < 1e-6
@@ -211,7 +293,7 @@ class TestNuSpectral:
         # these grids have empty spheres, whose formula-route coefficients are
         # pure rounding noise; the default tolerance must still accept the sums
         for E in (full_grid(q, d), PointSet(q, d, [(0,) * d]), sample_random_set(q, d, q, seed=5)):
-            hist = nu_histogram(E)
+            hist = nu_pairs(E)
             for rep in nu_spectral_sweep(E, route="formula"):
                 assert rep.nu == int(hist[rep.t])
 
@@ -220,7 +302,7 @@ class TestNuSpectral:
            size=st.integers(1, 40), seed=st.integers(0, 10_000))
     def test_both_routes_match_histogram_low_d(self, q, d, size, seed):
         E = sample_random_set(q, d, min(size, q**d), seed=seed)
-        hist = [int(h) for h in nu_histogram(E)]
+        hist = [int(h) for h in nu_pairs(E)]
         for route in ("direct", "formula"):
             assert [rep.nu for rep in nu_spectral_sweep(E, route=route)] == hist
 
@@ -360,6 +442,13 @@ class TestSampling:
             10451216379200822465,
         ]
 
+    def test_flat_indices_beyond_int64_rejected(self):
+        E = sample_random_set(3, 40, 4, seed=1)
+        with pytest.raises(DomainError):
+            E.flat_indices()
+        # 2^63 itself still fits: the largest flat index is 2^63 - 1
+        assert PointSet(2, 63, [[1] * 63]).flat_indices().tolist() == [2**63 - 1]
+
     def test_grid_beyond_64_bits_rejected(self):
         with pytest.raises(DomainError):
             sample_random_set(101, 10, 3, seed=1)
@@ -427,13 +516,13 @@ class TestFileFormat:
 class TestAdversarialSpectralAgreement:
     def test_sphere_as_point_set(self):
         E = PointSet(9, 3, sphere_enumerate(sphere_spec(9, 3, 1)))
-        hist = nu_histogram(E)
+        hist = nu_pairs(E)
         for rep in nu_spectral_sweep(E):
             assert rep.nu == int(hist[rep.t])
 
     def test_lattice_construction(self):
         E = construct_zero_distance_lattice(3, 2, 3)
-        hist = nu_histogram(E)
+        hist = nu_pairs(E)
         for rep in nu_spectral_sweep(E):
             assert rep.nu == int(hist[rep.t])
         assert nu_brute(E, 0) == E.size**2

@@ -7,6 +7,7 @@ from zqdist.arith import residue
 from zqdist.errors import BudgetError, DomainError
 from zqdist.fourier import (
     GridFunction,
+    Spectrum,
     chi,
     dft_reference,
     forward,
@@ -94,11 +95,18 @@ class TestForward:
         with pytest.raises(BudgetError):
             dft_reference(random_grid(9, 3, 0), max_size=100)
 
+    def test_kernel_budget(self):
+        # 3163^2 > 10^7: the q x q kernel (160 MB) is refused before it is built,
+        # though the grid itself has only 3163 points
+        f = GridFunction(3163, 1, np.zeros(3163))
+        with pytest.raises(BudgetError):
+            forward(f)
+        with pytest.raises(BudgetError):
+            inverse(Spectrum(3163, 1, np.zeros(3163)))
+
 
 class TestInverse:
     def test_zero_spectrum(self):
-        from zqdist.fourier import Spectrum
-
         f = inverse(Spectrum(5, 2, np.zeros(25)))
         assert np.abs(f.values).max() == 0
 
