@@ -18,7 +18,13 @@ Three routes to nu(t):
           = main term           +  error term
 
 with the error term bounded by |E| tau(q) q^{d-1} p_1^{-(d-2)/2}.  Whenever
-main term - bound > 0 the distance t is certified to occur.
+main term - bound > 0 the distance t is certified to occur.  For odd q,
+S_t^(m) depends on m only through its class (gcd(m, q) = g and ||m/g|| mod
+q/g, at most sigma(q) classes), so the sweep bins |E^(m)|^2 by class into P
+and gets every nu(t) from q^{2d} P @ K with the sigma(q) x q class kernel
+K[c, t] = S_t^(m): one transform of the indicator, then O(q^d) work.  Its
+`route` only picks how K is built: "direct" from sphere counts, "formula"
+from Gauss sums.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .fourier import (
     forward,
     inverse,
 )
-from .sphere import _norms_flat, sphere_counts_all, sphere_spec, sphere_spectrum
+from .sphere import _class_kernel, _ClassKernel, _norms_flat, sphere_counts_all
 
 __all__ = [
     "PointSet",
@@ -206,7 +212,12 @@ def nu_pairs(E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET) -> np.ndarray:
     return counts
 
 
-def _nu_autocorrelation(E: PointSet, max_grid: int) -> np.ndarray:
+def _power_spectrum(E: PointSet, max_grid: int) -> np.ndarray:
+    """|E^(m)|^2 for every frequency m, from the one transform of E's indicator."""
+    return np.abs(forward(E.indicator(max_grid)).values) ** 2
+
+
+def _nu_autocorrelation(E: PointSet, max_grid: int, power: "np.ndarray | None") -> np.ndarray:
     """nu(t) = sum_{||z|| = t} A(z) with A = q^d inverse(|forward(1_E)|^2).
 
     A(z) counts the pairs with x - y = z, so it is an integer; the float
@@ -216,6 +227,7 @@ def _nu_autocorrelation(E: PointSet, max_grid: int) -> np.ndarray:
     by Parseval.  Two transforms therefore put A within 2 d q eps |E| of its
     integer.  A tolerance of 1/2 or more cannot single out the integer, and
     float bincount sums stay exact only up to 2^53: both raise BudgetError.
+    `power` is |E^|^2 when the caller has already transformed E.
     """
     q, d, n = E.q, E.d, E.size
     tol = 2 * d * q * float(np.finfo(np.float64).eps) * n
@@ -224,9 +236,9 @@ def _nu_autocorrelation(E: PointSet, max_grid: int) -> np.ndarray:
             f"autocorrelation tolerance {tol:.3g} for |E| = {n} in Z_{q}^{d} cannot "
             f"certify integer pair counts"
         )
-    e_hat = forward(E.indicator(max_grid))
-    power = Spectrum(E.modulus, d, np.abs(e_hat.values) ** 2)
-    acorr = inverse(power).values.real * float(q**d)
+    if power is None:
+        power = _power_spectrum(E, max_grid)
+    acorr = inverse(Spectrum(E.modulus, d, power)).values.real * float(q**d)
     counts = np.rint(acorr)
     worst = float(np.abs(acorr - counts).max())
     if worst > tol:
@@ -255,6 +267,13 @@ def nu_histogram(
     d q^{d+1} work is no more than the d |E|^2 of the pair scan; every other
     set goes to nu_pairs.
     """
+    return _nu_histogram(E, max_pairs, max_grid, None)
+
+
+def _nu_histogram(
+    E: PointSet, max_pairs: int, max_grid: int, power: "np.ndarray | None"
+) -> np.ndarray:
+    """nu_histogram, reusing |E^|^2 (or None) on the autocorrelation route."""
     _check_pair_budget(E, max_pairs)
     n, q, d = E.size, E.q, E.d
     if q == 2:
@@ -262,7 +281,7 @@ def nu_histogram(
         even = n - odd
         return np.array([even * even + odd * odd, 2 * even * odd], dtype=np.int64)
     if q ** max(d, 2) <= max_grid and q ** (d + 1) <= n * n:
-        return _nu_autocorrelation(E, max_grid)
+        return _nu_autocorrelation(E, max_grid, power)
     return nu_pairs(E, max_pairs)
 
 
@@ -296,66 +315,123 @@ def _r_bound(E: PointSet) -> float:
     return E.size * tau(m) * float(m.q) ** (E.d - 1) * float(m.p1) ** (-(E.d - 2) / 2)
 
 
+def _class_power(power: np.ndarray, kern: _ClassKernel) -> tuple[np.ndarray, np.ndarray]:
+    """P_c = sum of |E^(m)|^2 over the class c of m, and the roundings in each P_c.
+
+    The N = q^d frequencies are binned in blocks of L = ceil(sqrt N), then the
+    B = ceil(N / L) block sums are added, so a class of N_c members is a sum
+    along at most min(N_c, L) + min(N_c, B) - 2 roundings instead of N_c - 1.
+    """
+    n, classes = power.size, kern.sizes.size
+    block = math.isqrt(n - 1) + 1
+    blocks = -(-n // block)
+    keys = kern.ids + classes * (np.arange(n, dtype=np.int64) // block)
+    sums = np.bincount(keys, weights=power, minlength=classes * blocks)
+    sizes = np.maximum(kern.sizes, 1)
+    rounds = np.minimum(sizes, block) + np.minimum(sizes, blocks) - 2
+    return sums.reshape(blocks, classes).sum(axis=0), rounds
+
+
+def _sweep_tolerance(
+    E: PointSet, power_by_class: np.ndarray, rounds: np.ndarray, kern: _ClassKernel, ts
+) -> np.ndarray:
+    """The rounding tolerance of nu(t) = q^{2d} sum_c P_c K[c, t] for every t.
+
+    Each step is bounded relative to the size of its terms, in units of
+    eps = 2^-52:
+
+    * |E^(m)|^2 for m != 0: the forward transform is d length-q passes, each
+      adding a relative error of (q + 11) eps to E^(m) (q terms, table roots
+      within 11 eps), and squaring adds 2: 2 d (q + 11) + 2;
+    * |E^(0)|^2: E^(0) = |E| q^{-d} sums integers exactly, so only its
+      scaling and the square round: 4;
+    * P_c: the block sums of _class_power add `rounds[c]` more;
+    * the sum over the C = sigma(q) classes, the product P_c K[c, t] and the
+      factor q^{2d} add C + 3.
+
+    Together these give the step count rho_c, which weights
+    A_t = q^{2d} sum_m |E^(m)|^2 |S_t^(m)| = q^{2d} sum_c P_c |K[c, t]| class
+    by class.  The kernel builders bound the error of K[c, t] absolutely, by
+    error[c, t]: K cancels to 0 on an empty sphere, so no relative bound
+    holds there.  Hence
+
+        tol_t = q^{2d} sum_c P_c (rho_c eps |K[c, t]| + error[c, t]).
+
+    A tolerance of 1/2 or more for a requested t cannot certify the nearest
+    integer and raises BudgetError.
+    """
+    q, d = E.q, E.d
+    rho = 2 * d * (q + 11) + 2 + rounds + kern.sizes.size + 3
+    rho[0] = 4 + kern.sizes.size + 3  # class 0 is m = 0 alone
+    scale = float(q) ** (2 * d)
+    eps = float(np.finfo(np.float64).eps)
+    tol = scale * ((eps * rho * power_by_class) @ np.abs(kern.values)
+                   + power_by_class @ kern.error)
+    for t in ts:
+        if tol[t] >= 0.5:
+            raise BudgetError(
+                f"nu({t}): rounding tolerance {tol[t]:.3g} reaches 1/2, so the float sum "
+                f"cannot certify an integer count for |E| = {E.size} in Z_{q}^{d}"
+            )
+    return tol
+
+
 def nu_spectral_sweep(
     E: PointSet,
     ts: "Sequence[int] | None" = None,
     route: str = "direct",
     max_grid: int = DEFAULT_GRID_BUDGET,
     int_tol: "float | None" = None,
+    *,
+    _power: "np.ndarray | None" = None,
 ) -> list[NuReport]:
-    """nu_spectral for several t, sharing the transform of E's indicator.
+    """nu_spectral for several t from one transform of E's indicator.
+
+    S_t^(m) depends on m only through its class (sphere._frequency_classes),
+    so nu(t) = q^{2d} sum_c P_c K[c, t] with P_c the sum of |E^(m)|^2 over
+    class c (_class_power) and K the sigma(q) x q class kernel
+    (sphere._class_kernel).  `route` picks how K is built: "direct" from the
+    enumerated spheres, "formula" from Gauss sums.  Beyond the one forward
+    transform the work is O(q^d), and the chain bound
+    max_{m != 0} |S_t^(m)| is a column maximum of |K|.  certificate_check and
+    the CLI, which also run nu_histogram, transform E once and hand |E^|^2 in
+    as `_power`.
 
     Each float sum must land within a tolerance of an integer, with an
     imaginary part and a chain-bound excess no larger than that tolerance.
-    By default the tolerance for t is (d q + ceil(log2 q^d)) eps A_t: rounding
-    error grows with d length-q transform passes and a q^d-term sum.  A_t is
-    the size of the summed terms, q^{2d} sum_m |E^(m)|^2 |S_t^(m)|, plus
-    |E| q^{d-1} = q^{2d} sum_m |E^(m)|^2 / q, because each computed S_t^(m)
-    carries an absolute error of order eps / q even where it cancels to 0
-    (an empty S_t on the formula route).  An explicit int_tol takes
-    precedence.  A derived tolerance of 1/2 or more cannot certify the
-    nearest integer and raises BudgetError.
+    The tolerance is derived per t from the rounding steps of the sum (see
+    _sweep_tolerance); an explicit int_tol takes precedence.
     """
     m = E.modulus
     m.require_odd("nu_spectral")
     q, d = m.q, E.d
-    if ts is None:
-        ts = range(q)
-    e_hat = forward(E.indicator(max_grid))
-    power = np.abs(e_hat.values) ** 2
+    ts = range(q) if ts is None else [_t_value(t, q) for t in ts]
+    kern = _class_kernel(m, d, route, max_grid)
+    power = _power_spectrum(E, max_grid) if _power is None else _power
+    power_by_class, rounds = _class_power(power, kern)
+    total = float(q) ** (2 * d) * (power_by_class @ kern.values)
+    if int_tol is None:
+        tol = _sweep_tolerance(E, power_by_class, rounds, kern, ts)
+    else:
+        tol = np.full(q, float(int_tol))
     counts = sphere_counts_all(m, d, max_grid)
-    scale = float(q) ** (2 * d)
+    # chain check: |R_t| <= q^d |E| max_{m != 0} |S_t^(m)| (<= r_bound for d > 2)
+    chains = float(q) ** d * E.size * kern.chain
     r_bound = _r_bound(E)
-    rounding = (d * q + math.ceil(math.log2(q**d))) * float(np.finfo(np.float64).eps)
-    cancelled = E.size * float(q) ** (d - 1)
+    slack = 1.0 + 1e-9
     out = []
-    for t_in in ts:
-        t = _t_value(t_in, q)
-        s_hat = sphere_spectrum(sphere_spec(m, d, t), route, max_grid)
-        total = scale * complex(np.sum(power * s_hat.values))
+    for t in ts:
         main = E.size**2 * int(counts[t]) / q**d
-        r = total - main
-        mags = np.abs(s_hat.values)
-        tol = int_tol
-        if tol is None:
-            tol = rounding * (scale * float(np.dot(power, mags)) + cancelled)
-            if tol >= 0.5:
-                raise BudgetError(
-                    f"nu({t}): rounding tolerance {tol:.3g} reaches 1/2, so the float sum "
-                    f"cannot certify an integer count for |E| = {E.size} in Z_{q}^{d}"
-                )
-        if abs(r.imag) > tol:
+        z, tol_t, chain = complex(total[t]), float(tol[t]), float(chains[t])
+        r = z - main
+        if abs(r.imag) > tol_t:
             raise InconsistencyError(f"nu({t}) has imaginary part {r.imag}")
-        nu_int = round(total.real)
-        if abs(total.real - nu_int) > tol:
+        nu_int = round(z.real)
+        if abs(z.real - nu_int) > tol_t:
             raise InconsistencyError(
-                f"nu({t}) = {total.real!r} is not within {tol:.3g} of an integer"
+                f"nu({t}) = {z.real!r} is not within {tol_t:.3g} of an integer"
             )
-        # chain check: |R_t| <= q^d |E| max_{m != 0} |S_t^(m)| (<= r_bound for d > 2)
-        mags[0] = 0.0
-        chain = float(q) ** d * E.size * float(mags.max())
-        slack = 1.0 + 1e-9
-        if abs(r) > chain * slack + tol:
+        if abs(r) > chain * slack + tol_t:
             raise InconsistencyError(f"|R_{t}| = {abs(r)} exceeds the spectral chain bound {chain}")
         if d > 2 and chain > r_bound * slack:
             raise InconsistencyError(f"chain bound {chain} exceeds the decay bound {r_bound}")
@@ -413,16 +489,18 @@ def certificate_check(
 
     Where |E|^2 fits the pair budget the claim nu(t) > 0 is verified against
     the brute count; otherwise positivity follows from nu = M + R_t >= M - |R_t|.
+    The sweep and nu_histogram share one transform of E's indicator.
     """
     m = E.modulus
     m.require_odd("certificate_check")
     if E.d <= 2:
         raise DomainError(f"the certificate needs d > 2, got d={E.d}")
+    power = _power_spectrum(E, max_grid)
     hist = None
     if E.size * E.size <= max_pairs:
-        hist = nu_histogram(E, max_pairs, max_grid)
+        hist = _nu_histogram(E, max_pairs, max_grid, power)
     rows = []
-    for rep in nu_spectral_sweep(E, None, route, max_grid, int_tol):
+    for rep in nu_spectral_sweep(E, None, route, max_grid, int_tol, _power=power):
         nu_t = int(hist[rep.t]) if hist is not None else None
         if nu_t is not None:
             positive = nu_t > 0
@@ -472,26 +550,49 @@ def construct_zero_distance_lattice(p: int, ell: int, d: int) -> PointSet:
 
 
 _MASK64 = (1 << 64) - 1
+_U64 = np.uint64
 
 
-def _splitmix64(seed: int):
-    """splitmix64: the documented 64-bit-state generator behind seeded sampling."""
-    state = seed & _MASK64
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
+def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:
+    """Outputs start, ..., start + count - 1 of the splitmix64 stream from `seed`.
+
+    Output k mixes the state seed + (k + 1) gamma mod 2^64, so any stretch of
+    the stream comes out at once; uint64 arithmetic wraps mod 2^64.
+    """
+    z = _U64(seed & _MASK64) + np.arange(start + 1, start + count + 1, dtype=_U64) * _U64(
+        0x9E3779B97F4A7C15
+    )
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return z ^ (z >> _U64(31))
 
 
-def _draw_below(gen, n: int) -> int:
-    # rejection keeps the draw exactly uniform
-    limit = (1 << 64) - ((1 << 64) % n)
-    while True:
-        z = next(gen)
-        if z < limit:
-            return z % n
+def _fisher_yates_draws(seed: int, n: int, size: int) -> list[int]:
+    """j_i = i + (a uniform draw below n - i) for i < size, n <= 2^64.
+
+    Each draw takes the next stream output z and rejects it while
+    z >= 2^64 - (2^64 mod (n - i)), which keeps it exactly uniform.  A
+    rejection moves every later draw one output on, so the stream is read in
+    stretches that end at the first rejection; they grow while none occurs.
+    """
+    span = _U64(n & _MASK64) - np.arange(size, dtype=_U64)  # n - i; 0 stands for 2^64
+    safe = np.where(span == 0, _U64(1), span)
+    rem = (_U64(0) - span) % safe  # 2^64 mod (n - i)
+    draws = np.empty(size, dtype=_U64)
+    done = pos = 0
+    width = size
+    while done < size:
+        take = min(width, size - done)
+        z = _splitmix64(seed, pos, take)
+        part = slice(done, done + take)
+        rejected = np.flatnonzero((rem[part] != 0) & (z >= _U64(0) - rem[part]))
+        ok = int(rejected[0]) if rejected.size else take
+        accepted = slice(done, done + ok)
+        draws[accepted] = np.where(span[accepted] == 0, z[:ok], z[:ok] % safe[accepted])
+        done += ok
+        pos += ok + (1 if rejected.size else 0)
+        width = 2 * width if not rejected.size else max(64, 2 * ok)
+    return (draws + np.arange(size, dtype=_U64)).tolist()
 
 
 def sample_random_set(q: "int | Modulus", d: int, size: int, seed: int) -> PointSet:
@@ -509,11 +610,9 @@ def sample_random_set(q: "int | Modulus", d: int, size: int, seed: int) -> Point
         raise DomainError(f"sample size {size} exceeds |Z_{m.q}^{d}| = {n}")
     if n > 1 << 64:
         raise DomainError(f"|Z_{m.q}^{d}| = {n} exceeds the 2^64 flat indices of the sampler")
-    gen = _splitmix64(seed)
     swap: dict[int, int] = {}
     chosen = []
-    for i in range(size):
-        j = i + _draw_below(gen, n - i)
+    for i, j in enumerate(_fisher_yates_draws(seed, n, size)):
         chosen.append(swap.get(j, j))
         swap[j] = swap.get(i, i)
     # flat indices below 2^64 fit uint64; peel off the base-q digits

@@ -10,6 +10,19 @@ transform of the enumerated indicator, and the Gauss-sum product formula
 
     S_t^(m) = q^{-d-1} sum_s e^{-2 pi i s t / q} prod_i G(s, -m_i, q).
 
+For odd q those Gauss sums make S_t^(m) depend on m only through its class,
+g = gcd(m, q) and ||m/g|| mod q/g (Iosevich-Rudnev 2007;
+Covert-Iosevich-Pakianathan 2012): at most sigma(q) classes, exactly sigma(q)
+for d >= 3.  The sigma(q) x q class kernel K[c, t] = S_t^(m), m in class c,
+holds every coefficient of every sphere.  It is built from one
+representative per class by either route: "direct" counts the points of
+Z_q^j by (||y||, y . m) exactly over the j coordinates where m is nonzero,
+takes one q-term character sum and convolves with the sphere counts of the
+other coordinates; "formula" multiplies the Gauss sums and takes one
+length-q DFT over s.  The
+spectral sweep of distset reads nu(t) off it; the full spectra above are its
+oracle.
+
 Formula routes require odd q; enumeration works for any q within budget.
 """
 
@@ -58,6 +71,7 @@ __all__ = [
 
 # unit^d lookup when unit = i^k
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -89,16 +103,21 @@ def sphere_spec(q: "int | Modulus", d: int, t: "int | Residue") -> SphereSpec:
     return SphereSpec(m, d, tv)
 
 
+def _form_flat(q: int, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """tables[0][x_1] + ... + tables[d-1][x_d] mod q for every flat index, row-major."""
+    acc = np.zeros(1, dtype=np.int64)
+    for tbl in tables:
+        acc = ((acc[:, None] + tbl[None, :]) % q).reshape(-1)
+    return acc
+
+
 @lru_cache(maxsize=1)
 def _norms_flat(q: int, d: int) -> np.ndarray:
     """x_1^2 + ... + x_d^2 mod q for every flat index, row-major.
 
     One q^d int64 table is kept (80 MB at the default grid budget): callers
     work through one (q, d) at a time."""
-    sq = (np.arange(q, dtype=np.int64) ** 2) % q
-    acc = np.zeros(1, dtype=np.int64)
-    for _ in range(d):
-        acc = ((acc[:, None] + sq[None, :]) % q).reshape(-1)
+    acc = _form_flat(q, [(np.arange(q, dtype=np.int64) ** 2) % q] * d)
     acc.setflags(write=False)
     return acc
 
@@ -166,7 +185,7 @@ def _count_via_characters(q: int, d: int, t: int) -> tuple[int, complex]:
         im_terms.append(z.imag)
         mags.append(mag)
     ii = complex(math.fsum(re_terms), math.fsum(im_terms)) / q
-    tol = (d + 3) * float(np.finfo(np.float64).eps) * math.fsum(mags) / q
+    tol = (d + 3) * _EPS * math.fsum(mags) / q
     if tol >= 0.5:
         raise BudgetError(
             f"rounding tolerance {tol:.3g} of the error term reaches 1/2, so the float "
@@ -315,6 +334,137 @@ def sphere_spectrum(
     if route == "formula":
         return sphere_spectrum_formula(spec, max_grid)
     raise DomainError(f"unknown spectrum route {route!r}")
+
+
+def _frequency_classes(q: int, d: int) -> tuple[np.ndarray, int]:
+    """The class of every frequency m in Z_q^d (odd q), flat and row-major,
+    and the number sigma(q) of class slots.
+
+    With g = gcd(m_1, ..., m_d, q) and n = q / g, write m = g m' with m' in
+    Z_n^d.  The class of m is the pair (g, ||m'|| mod n), so there are at
+    most sigma(q) = sum_{g | q} q / g classes, and exactly that many for
+    d >= 3.  Class 0 is m = 0; the classes of larger g come first.  Each
+    divisor h writes its classes over the strided slice of the multiples of
+    h, in increasing order of h, so the last write to m comes from
+    h = gcd(m, q).  The norms of Z_n^d are read off the cached Z_q^d table.
+    """
+    divisors = [h for h in range(1, q + 1) if q % h == 0]
+    norms = _norms_flat(q, d).reshape((q,) * d)
+    ids = np.empty((q,) * d, dtype=np.int64)
+    offset = slots = sum(divisors)  # sigma(q); the classes of h take the n slots below
+    for h in divisors:
+        n = q // h
+        offset -= n
+        ids[(slice(None, None, h),) * d] = offset + norms[(slice(0, n),) * d] % n
+    return ids.reshape(-1), slots
+
+
+@dataclass(frozen=True)
+class _ClassKernel:
+    """S_t^(m) for every t, one row per class of frequencies m.
+
+    ``ids`` gives the class of every frequency (see _frequency_classes),
+    ``sizes`` the members of each class (0 for the classes that are empty
+    when d <= 2), ``values[c, t]`` the coefficient S_t^(m) shared by every m
+    in class c (a zero row for an empty class), and ``error[c, t]`` a bound
+    on the rounding error of ``values[c, t]``.
+    """
+
+    ids: np.ndarray
+    sizes: np.ndarray
+    values: np.ndarray
+    error: np.ndarray
+
+    @property
+    def chain(self) -> np.ndarray:
+        """max_{m != 0} |S_t^(m)| for every t: class 0 holds only m = 0."""
+        return np.abs(self.values[1:]).max(axis=0)
+
+
+def _kernel_direct(q: int, d: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K[c, t] = q^{-d} sum_{||x|| = t} e(-x . m_c / q) from exact integer
+    counts, with no Gauss sum.
+
+    m_c is the first member of its class in flat order, so only its last j
+    coordinates can be nonzero: one bincount over Z_q^j gives the integers
+    #{y in Z_q^j : ||y|| = b, y . m_c = k}, one q-term character sum over k
+    turns them into v(b), and the cyclic convolution of v with the sphere
+    counts of Z_q^{d-j} adds the other coordinates.  Each table root e(k/q)
+    is within 11 eps (its angle, below 2 pi, carries a few roundings; 7.4 eps
+    is the largest error for q < 400), so v(b) is within (q + 10) eps of the
+    count sum_k #{...}; the convolution of nonnegative counts adds q + 1 and
+    the scaling 1, leaving K[c, t] within (2 q + 12) eps |S_t| q^{-d}."""
+    ks = np.arange(q, dtype=np.int64)
+    squares = ks * ks % q
+    shift = (ks[:, None] - ks[None, :]) % q  # [t, a] -> t - a
+    roots_of = np.bincount(squares, minlength=q)  # #{x in Z_q : x^2 = a}
+    spheres = [np.bincount([0], minlength=q)]  # spheres[i][t] = |S_t| in Z_q^i
+    for _ in range(d):
+        spheres.append(spheres[-1][shift] @ roots_of)
+    conj_roots = np.conj(character_table(q))
+    norms = {}  # j -> q ||y|| for every y in Z_q^j, shared by representatives
+    vals = np.empty((len(reps), q), dtype=np.complex128)
+    for c, rep in enumerate(reps):
+        j = d - int(np.argmax(rep != 0)) if rep.any() else 0
+        if j not in norms:
+            norms[j] = _form_flat(q, [squares] * j) * q
+        dots = _form_flat(q, [ks * int(mi) % q for mi in rep[d - j :]])
+        counts = np.bincount(norms[j] + dots, minlength=q * q).reshape(q, q)
+        vals[c] = spheres[d - j][shift] @ (counts @ conj_roots)
+    vals *= 1.0 / float(q) ** d
+    err = (2 * q + 12) * _EPS * spheres[d] / float(q) ** d
+    return vals, np.broadcast_to(err, vals.shape)
+
+
+def _kernel_formula(q: int, d: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K[c, t] = q^{-d-1} sum_s e(-st/q) W_c(s) with W_c(s) = prod_i G(s, -m_i, q)
+    from the closed forms, one length-q DFT over s for all classes at once.
+
+    A rendered G(s, b, q) is within 2 eps of its value when b = 0 (scale
+    sqrt(surd) times a unit) and within 16 eps otherwise (the phase factor
+    e(phi) adds its angle's roundings, up to 3 eps of 2 pi, and a complex
+    product); 0.75 and 4.3 eps are the largest errors for odd q < 62.  With
+    z_c nonzero coordinates in m_c, the d-fold product (16 z_c + 2 (d - z_c)
+    + d - 1), the table character (13), the q-term sum and the scaling leave
+    K[c, t] within (q + 3 d + 14 z_c + 13) eps q^{-d-1} sum_s |W_c(s)|."""
+    w = np.prod(_gauss_table(q)[:, (-reps) % q], axis=2)  # (s, class)
+    s = np.arange(q)
+    phases = np.conj(character_table(q))[np.outer(s, s) % q]  # [t, s] = e(-st/q)
+    norm = 1.0 / float(q) ** (d + 1)
+    vals = (phases @ w).T * norm
+    steps = q + 3 * d + 14 * np.count_nonzero(reps, axis=1) + 13
+    err = np.broadcast_to((steps * _EPS * np.abs(w).sum(axis=0) * norm)[:, None], vals.shape)
+    return vals, err
+
+
+def _class_kernel(
+    mod: Modulus, d: int, route: str = "direct", max_grid: int = DEFAULT_GRID_BUDGET
+) -> _ClassKernel:
+    """The sigma(q) x q class kernel of the spheres of Z_q^d, built by the named
+    route from the first member (in flat order) of every nonempty class:
+    "direct" from exact point counts, "formula" from Gauss sums."""
+    mod.require_odd("the sphere class kernel")
+    if route not in ("direct", "formula"):
+        raise DomainError(f"unknown spectrum route {route!r}")
+    q = mod.q
+    size = check_grid_budget(q, d, max_grid)
+    if q * q > DEFAULT_GRID_BUDGET:
+        raise BudgetError(
+            f"the Z_{q} class kernel needs q x q tables of {q * q} entries, exceeding the "
+            f"budget {DEFAULT_GRID_BUDGET}"
+        )
+    ids, n_classes = _frequency_classes(q, d)
+    sizes = np.bincount(ids, minlength=n_classes)
+    first = np.full(n_classes, size)
+    np.minimum.at(first, ids, np.arange(size))
+    present = np.flatnonzero(sizes)
+    reps = np.stack(np.unravel_index(first[present], (q,) * d), axis=1)
+    build = _kernel_direct if route == "direct" else _kernel_formula
+    vals, err = build(q, d, reps)
+    values = np.zeros((n_classes, q), dtype=np.complex128)
+    error = np.zeros((n_classes, q))
+    values[present], error[present] = vals, err
+    return _ClassKernel(ids, sizes, values, error)
 
 
 def spectra_max_diff(spec: SphereSpec, max_grid: int = DEFAULT_GRID_BUDGET) -> float:

@@ -3,7 +3,7 @@ import io
 import itertools
 import json
 
-from zqdist import cli, sphere
+from zqdist import cli, distset, sphere
 from zqdist.cli import main
 from zqdist.distset import sample_random_set
 
@@ -157,6 +157,23 @@ class TestNuCommand:
         assert code == 0
         for line in text.strip().splitlines()[1:]:
             assert line.endswith("true")
+
+    def test_one_transform_for_both_counts(self, tmp_path, monkeypatch):
+        # 600^2 >= 9^4: the histogram and the spectral sweep share one transform
+        calls = []
+        real = distset.forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for mod in (distset, sphere, cli):
+            monkeypatch.setattr(mod, "forward", counted, raising=False)
+        code, text = run(tmp_path, "nu", "--random", "600", "--q", "9", "--d", "3",
+                         "--seed", "1")
+        assert code == 0 and len(calls) == 1
+        *rows, _ = records(text)
+        assert all(r["match"] == "true" for r in rows)
 
     def test_budget_error_exit_2(self, tmp_path):
         code, _ = run(tmp_path, "nu", "--random", "40", "--q", "9", "--d", "3",

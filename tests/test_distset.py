@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -26,7 +27,13 @@ from zqdist.distset import (
 )
 from zqdist.errors import BudgetError, DomainError, InconsistencyError
 from zqdist.fourier import GridFunction
-from zqdist.sphere import sphere_counts_all, sphere_enumerate, sphere_spec
+from zqdist.sphere import (
+    _class_kernel,
+    sphere_counts_all,
+    sphere_enumerate,
+    sphere_fourier_direct,
+    sphere_spec,
+)
 
 
 def full_grid(q, d):
@@ -312,6 +319,50 @@ class TestNuSpectral:
         for t in range(5):
             assert nu_spectral(E, t) == sweep[t]
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), q=st.sampled_from([3, 5, 9, 15, 21, 25, 27, 45]))
+    def test_class_sweep_matches_pairs_and_full_spectra(self, data, q):
+        # q^d <= 10^5 keeps the full direct spectra of the chain oracle small
+        d = data.draw(st.integers(1, max(k for k in (1, 2, 3, 4) if q**k <= 10**5)))
+        size = data.draw(st.integers(1, min(q**d, 300)))
+        E = sample_random_set(q, d, size, seed=data.draw(st.integers(0, 10_000)))
+        hist = [int(h) for h in nu_pairs(E)]
+        chain = _full_spectrum_chain(q, d)
+        for route in ("direct", "formula"):
+            assert [rep.nu for rep in nu_spectral_sweep(E, route=route)] == hist
+            kern = _class_kernel(E.modulus, d, route)
+            assert np.abs(kern.chain - chain).max() <= 1e-14
+
+    def test_tolerance_at_one_half_is_a_budget_error(self, monkeypatch):
+        # class sums 10^15 times too large drive the derived tolerance past 1/2;
+        # that is a budget limit, not an inconsistency
+        E = sample_random_set(9, 3, 200, seed=3)
+        kern = _class_kernel(E.modulus, 3)
+        sums, rounds = distset._class_power(distset._power_spectrum(E, 10**7), kern)
+        tol = distset._sweep_tolerance(E, sums, rounds, kern, range(9))
+        assert 0 < tol.max() < 1e-9
+        with pytest.raises(BudgetError, match="reaches 1/2"):
+            distset._sweep_tolerance(E, sums * 1e15, rounds, kern, [4])
+        distset._sweep_tolerance(E, sums * 1e15, rounds, kern, [])  # no t requested
+        real = distset._class_power
+        monkeypatch.setattr(distset, "_class_power",
+                            lambda power, kn: (real(power, kn)[0] * 1e15, real(power, kn)[1]))
+        with pytest.raises(BudgetError):
+            nu_spectral_sweep(E)
+        with pytest.raises(BudgetError):
+            certificate_check(E)
+
+
+@functools.lru_cache(maxsize=None)
+def _full_spectrum_chain(q, d):
+    """max_{m != 0} |S_t^(m)| for every t, over the full direct spectra."""
+    chain = []
+    for t in range(q):
+        mags = np.abs(sphere_fourier_direct(sphere_spec(q, d, t)).values)
+        mags[0] = 0.0
+        chain.append(mags.max())
+    return np.array(chain)
+
 
 class TestThreshold:
     def test_frozen_values(self):
@@ -353,6 +404,15 @@ class TestCertificate:
             rows = certificate_check(full_grid(q, 3))
             assert all(r.margin > 0 for r in rows)
             assert all(r.nu is not None and r.nu > 0 for r in rows)
+
+    def test_one_transform_shared_with_histogram(self, monkeypatch):
+        # 600^2 >= 9^4, so nu_histogram takes the autocorrelation route and
+        # reuses the sweep's transform
+        E = sample_random_set(9, 3, 600, seed=1)
+        forwards = _counting(monkeypatch, "forward")
+        rows = certificate_check(E)
+        assert len(forwards) == 1
+        assert [r.nu for r in rows] == [int(h) for h in nu_pairs(E)]
 
     def test_tiny_set_never_fires(self):
         rows = certificate_check(PointSet(9, 3, [(0, 0, 0), (1, 2, 3)]))
@@ -449,9 +509,43 @@ class TestSampling:
         # 2^63 itself still fits: the largest flat index is 2^63 - 1
         assert PointSet(2, 63, [[1] * 63]).flat_indices().tolist() == [2**63 - 1]
 
+    @pytest.mark.parametrize("q,d,size,seed", [
+        (9, 6, 3000, 2024),
+        (15, 5, 6000, 2024),
+        (3, 40, 3000, 7),  # 2^64 mod 3^40 rejects a third of the draws
+        (2, 64, 50, 3),  # q^d = 2^64 exactly: no rejection, no reduction
+        (4, 32, 200, -5),
+        (5, 27, 500, 2**70 + 3),
+    ])
+    def test_matches_scalar_splitmix64(self, q, d, size, seed):
+        assert sorted(sample_random_set(q, d, size, seed).points) == _scalar_sample(
+            q, d, size, seed)
+
     def test_grid_beyond_64_bits_rejected(self):
         with pytest.raises(DomainError):
             sample_random_set(101, 10, 3, seed=1)
+
+
+def _scalar_sample(q, d, size, seed):
+    # independent oracle: splitmix64 one output at a time, each draw rejected
+    # while z >= 2^64 - (2^64 mod (n - i)), then the Fisher-Yates swaps
+    mask = (1 << 64) - 1
+    state = seed & mask
+    n = q**d
+    swap, chosen = {}, []
+    for i in range(size):
+        limit = (1 << 64) - ((1 << 64) % (n - i))
+        while True:
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            z ^= z >> 31
+            if z < limit:
+                break
+        j = i + z % (n - i)
+        chosen.append(swap.get(j, j))
+        swap[j] = swap.get(i, i)
+    return sorted(tuple((f // q**k) % q for k in range(d - 1, -1, -1)) for f in chosen)
 
 
 class TestTranslationInvariance:

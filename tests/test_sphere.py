@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from zqdist.arith import as_modulus
 from zqdist.errors import BudgetError, DomainError
 from zqdist.fourier import forward
 from zqdist.sphere import (
+    _class_kernel,
     decay_bound_check,
     spectra_max_diff,
     sphere_count_formula,
@@ -263,3 +265,60 @@ class TestIndicator:
         a = sphere_fourier_direct(spec).values
         b = forward(sphere_indicator(spec)).values
         assert np.abs(a - b).max() == 0
+
+
+# odd q (composite ones included) and d with q^d <= 10^5
+CLASS_CASES = [
+    (q, d)
+    for q in (3, 5, 9, 15, 21, 25, 27, 45)
+    for d in (1, 2, 3, 4)
+    if q**d <= 10**5
+]
+
+
+def sigma(q):
+    return sum(h for h in range(1, q + 1) if q % h == 0)
+
+
+class TestClassKernel:
+    @pytest.mark.parametrize("q,d", CLASS_CASES)
+    def test_direct_spectra_are_constant_on_classes(self, q, d):
+        # the oracle: every full direct spectrum, binned by class
+        eps = np.finfo(np.float64).eps
+        kernels = {route: _class_kernel(as_modulus(q), d, route) for route in ("direct", "formula")}
+        kern = kernels["direct"]
+        assert np.array_equal(kern.ids, kernels["formula"].ids)
+        present = np.flatnonzero(kern.sizes)
+        if d >= 3:
+            assert len(present) == sigma(q)
+        assert kern.sizes[0] == 1 and kern.ids[0] == 0  # class 0 is m = 0 alone
+        order = np.argsort(kern.ids, kind="stable")
+        bounds = np.cumsum(kern.sizes)[:-1]
+        counts = sphere_counts_all(q, d)
+        for t in range(q):
+            spectrum = sphere_fourier_direct(sphere_spec(q, d, t)).values
+            # the transform's own rounding: d length-q passes, roots within 11 eps
+            tol = d * (q + 11) * eps * counts[t] / q**d
+            for c, members in enumerate(np.split(spectrum[order], bounds)):
+                if members.size == 0:
+                    continue
+                assert np.abs(members - members[0]).max() <= 2 * tol, (t, c)
+                for route, kn in kernels.items():
+                    gap = np.abs(members - kn.values[c, t]).max()
+                    assert gap <= kn.error[c, t] + tol, (route, t, c, gap)
+            mags = np.abs(spectrum)
+            mags[0] = 0.0
+            for kn in kernels.values():
+                assert abs(kn.chain[t] - mags.max()) <= kn.error[:, t].max() + tol
+
+    def test_unknown_route(self):
+        with pytest.raises(DomainError):
+            _class_kernel(as_modulus(9), 3, "fft")
+
+    def test_even_q_and_grid_budget(self):
+        with pytest.raises(DomainError):
+            _class_kernel(as_modulus(6), 3)
+        with pytest.raises(BudgetError):
+            _class_kernel(as_modulus(9), 3, max_grid=700)
+        with pytest.raises(BudgetError):  # 3163^2 > 10^7: no q x q table is built
+            _class_kernel(as_modulus(3163), 1)
