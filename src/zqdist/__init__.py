@@ -50,7 +50,7 @@ from .fourier import (
     orthogonality_max_defect,
     plancherel_defect,
 )
-from .gauss import GaussSumValue, gauss_brute, gauss_closed, gauss_general
+from .gauss import GaussSumValue, gauss_brute, gauss_closed, gauss_general, gauss_row
 from .sphere import (
     DecayReport,
     SizeBoundReport,
@@ -74,7 +74,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Modulus", "Residue", "factorize", "tau", "jacobi", "eps", "val_p",
     "inv_mod", "crt_split", "crt_combine", "residue",
-    "GaussSumValue", "gauss_brute", "gauss_closed", "gauss_general",
+    "GaussSumValue", "gauss_brute", "gauss_closed", "gauss_general", "gauss_row",
     "GridFunction", "Spectrum", "chi", "forward", "inverse",
     "plancherel_defect", "dft_reference", "orthogonality_max_defect",
     "SphereSpec", "SphereCountReport", "SizeBoundReport", "DecayReport",

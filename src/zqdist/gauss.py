@@ -1,6 +1,6 @@
 """Quadratic Gauss sums G(a, b, n) = sum_{x in Z_n} e^{2 pi i (a x^2 + b x)/n}.
 
-Three evaluators:
+Evaluators:
 
 ``gauss_brute``
     the trust anchor: the exact multiplicities c_k = #{x : a x^2 + b x = k}
@@ -13,8 +13,14 @@ Three evaluators:
     G(a, b, n) = (a,n) G(a/(a,n), b/(a,n), n/(a,n)) when (a,n) | b, zero
     otherwise, then the classical rules for the linear term of the reduced
     sum (Berndt, Evans and Williams, *Gauss and Jacobi Sums*, 1998, ch. 1).
+``gauss_row``
+    the same closed form for a whole row b in Z_n at once, rendered as
+    complex: the reduction runs once per (a, n) and the completed-square
+    phases are integer array operations.
 
-Closed-form results are carried symbolically (an integer scale, a surd, a
+``gauss_general`` and ``gauss_row`` share one reduction helper, ``_reduce``,
+so the branch rules exist once.  Closed-form results of
+``gauss_general`` are carried symbolically (an integer scale, a surd, a
 Gaussian-integer unit and an exact rational phase) so downstream bound checks
 can use exact magnitudes; a complex rendering is always available.
 """
@@ -25,6 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +39,7 @@ from .arith import jacobi
 from .errors import DomainError
 from .fourier import character_table
 
-__all__ = ["GaussSumValue", "gauss_brute", "gauss_closed", "gauss_general"]
+__all__ = ["GaussSumValue", "gauss_brute", "gauss_closed", "gauss_general", "gauss_row"]
 
 _F0 = Fraction(0)
 
@@ -140,11 +147,30 @@ def gauss_closed(a: int, n: int) -> GaussSumValue:
     return GaussSumValue(1, n, unit, _F0)
 
 
-def gauss_general(a: int, b: int, n: int) -> GaussSumValue:
-    """G(a, b, n) for arbitrary integer a, b, always in closed form.
+@dataclass(frozen=True)
+class _Branch:
+    """G(a, b, n) = scale * G(a', b', n') for the b of one parity class, with
+    a' a unit mod n' and base = G(a', n') nonzero."""
 
-    After the gcd reduction a' is a unit mod n'.  An odd b' with n' even
-    then gives
+    scale: int
+    n: int
+    neg_inv: int  # -a'^{-1} mod n'
+    base: GaussSumValue
+
+    def phase(self, b2):
+        """-a' c^2 mod n' with 2 a' c = b' (mod n'), for an int or an int64 array
+        of b' in [0, 2 n'); every product is reduced mod n' first."""
+        half = (b2 + b2 % 2 * self.n) // 2 % self.n  # b' / 2 mod n': odd b' means odd n'
+        return half * half % self.n * self.neg_inv % self.n
+
+
+@lru_cache(maxsize=1024)
+def _reduce(a: int, n: int) -> tuple[int, tuple["_Branch | None", "_Branch | None"]]:
+    """g = gcd(a, n) and, for b' = b / g even and odd, the branch that completes
+    the square of G(a, b, n), or None where every such sum vanishes.
+
+    G(a, b, n) = g G(a', b', n') with a' = a/g, n' = n/g when g | b, zero
+    otherwise.  An odd b' with n' even then gives
 
         4 | n':           G(a', b', n') = 0            (x -> x + n'/2 flips the sign)
         n' = 2m, m odd:   G(a', b', 2m) = 2 G(2a', b', m)   (CRT; the Z_2 factor is 2)
@@ -153,28 +179,58 @@ def gauss_general(a: int, b: int, n: int) -> GaussSumValue:
     the square gives
 
         G(a', b', n') = e^{-2 pi i a' c^2 / n'} G(a', n').
+
+    ``a`` must be reduced mod n, so that the cache sees one key per row.
+    """
+    g = math.gcd(a, n)  # n when a = 0: only b = 0 survives, with G = n
+    a2, n2 = a // g, n // g
+
+    def branch(scale: int, a3: int, n3: int) -> "_Branch | None":
+        base = gauss_closed(a3, n3)
+        if base.is_zero:
+            return None
+        return _Branch(scale, n3, -pow(a3, -1, n3) % n3, base)
+
+    even = branch(g, a2, n2)
+    if n2 % 2:
+        return g, (even, even)
+    if n2 % 4 == 0:
+        return g, (even, None)
+    return g, (even, branch(2 * g, 2 * a2 % (n2 // 2), n2 // 2))
+
+
+def gauss_general(a: int, b: int, n: int) -> GaussSumValue:
+    """G(a, b, n) for arbitrary integer a, b, always in closed form: the
+    branch of ``_reduce`` for b, with the completed square's phase kept as
+    an exact fraction."""
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    g, branches = _reduce(a % n, n)
+    b %= n
+    br = None if b % g else branches[b // g % 2]
+    if br is None:
+        return _ZERO
+    return GaussSumValue(br.scale, br.base.surd, br.base.unit, Fraction(br.phase(b // g), br.n))
+
+
+def gauss_row(a: int, n: int) -> np.ndarray:
+    """G(a, b, n) rendered as complex for every b in Z_n, in one numpy pass.
+
+    The branches of ``_reduce`` are found once per row; the gating and the
+    completed-square phases are int64 array operations, and each phase is
+    rendered as np.exp(2 pi i num / n').  The entries that vanish are exact
+    zeros.  No character table is shared with ``gauss_brute``.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    a %= n
-    b %= n
-    if a == 0:
-        # sum of a plain character: n when n | b, zero otherwise
-        if b == 0:
-            return GaussSumValue(n, 1, (1, 0), _F0)
-        return _ZERO
-    g = math.gcd(a, n)
-    if b % g:
-        return _ZERO
-    a2, b2, n2 = a // g, b // g, n // g
-    if b2 % 2 and n2 % 2 == 0:
-        if n2 % 4 == 0:
-            return _ZERO
-        a2, n2, g = 2 * a2, n2 // 2, 2 * g
-    base = gauss_closed(a2, n2)
-    if base.scale == 0:
-        return _ZERO
-    if b2 % 2:
-        b2 += n2  # n2 is odd here, so b2 / 2 exists mod n2
-    c = b2 // 2 * pow(a2, -1, n2) % n2
-    return GaussSumValue(g, base.surd, base.unit, Fraction(-a2 * c * c % n2, n2))
+    g, branches = _reduce(a % n, n)
+    b2 = np.arange(n // g, dtype=np.int64)  # b = g b' are the only b with g | b
+    out = np.zeros(n, dtype=np.complex128)
+    for parity, br in enumerate(branches):
+        if br is None:
+            continue
+        sel = b2[parity::2]
+        u0, u1 = br.base.unit
+        size = complex(u0, u1) * (br.scale * math.sqrt(br.base.surd))
+        out[g * sel] = size * np.exp(2j * np.pi * (br.phase(sel) / br.n))
+    return out

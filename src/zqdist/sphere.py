@@ -46,7 +46,7 @@ from .fourier import (
     forward,
     point_of_index,
 )
-from .gauss import gauss_general
+from .gauss import gauss_general, gauss_row
 
 __all__ = [
     "SphereSpec",
@@ -272,11 +272,8 @@ def sphere_fourier_direct(spec: SphereSpec, max_grid: int = DEFAULT_GRID_BUDGET)
 
 @lru_cache(maxsize=16)
 def _gauss_table(q: int) -> np.ndarray:
-    """G(s, b, q) for all (s, b) in Z_q^2."""
-    out = np.empty((q, q), dtype=np.complex128)
-    for s in range(q):
-        for b in range(q):
-            out[s, b] = gauss_general(s, b, q).complex_render
+    """G(s, b, q) for all (s, b) in Z_q^2, one closed-form row per s."""
+    out = np.stack([gauss_row(s, q) for s in range(q)])
     out.setflags(write=False)
     return out
 

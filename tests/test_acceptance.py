@@ -28,7 +28,7 @@ from zqdist.fourier import (
     orthogonality_max_defect,
     plancherel_defect,
 )
-from zqdist.gauss import gauss_brute, gauss_general
+from zqdist.gauss import gauss_brute, gauss_general, gauss_row
 from zqdist.sphere import (
     decay_bound_check,
     spectra_max_diff,
@@ -72,6 +72,14 @@ def test_criterion_1_gauss_oracle_equivalence():
     elapsed = time.time() - t0
     assert elapsed < 30.0, f"criterion 1 took {elapsed:.1f}s, budget is 30s"
     _report(1, "gauss oracle", f"n<=99 all (a,b), max err {worst:.2e}", t0)
+
+
+def test_gauss_row_oracle_equivalence():
+    # the row form against the oracle, at criterion 1's tolerance
+    for n in range(1, 100):
+        for a in range(n):
+            diff = float(np.abs(gauss_row(a, n) - gauss_brute(a, np.arange(n), n)).max())
+            assert diff < 1e-6 * n, f"n={n} a={a}: |row - brute| = {diff}"
 
 
 def test_criterion_2_fourier_identities():

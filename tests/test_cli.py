@@ -3,7 +3,7 @@ import io
 import itertools
 import json
 
-from zqdist import cli, distset, sphere
+from zqdist import cli, distset, gauss, sphere
 from zqdist.cli import main
 from zqdist.distset import sample_random_set
 
@@ -95,6 +95,24 @@ class TestGaussCommand:
     def test_missing_args(self, tmp_path):
         code, _ = run(tmp_path, "gauss")
         assert code == 2
+
+    def test_sweep_row_is_one_gauss_row_per_a(self, monkeypatch):
+        calls = []
+        real = gauss.gauss_row
+
+        def counted(a, n):
+            calls.append((a, n))
+            return real(a, n)
+
+        def forbidden(*args):
+            raise AssertionError("gauss_general called by the sweep")
+
+        monkeypatch.setattr(cli, "gauss_row", counted)
+        for mod in (cli, gauss):
+            monkeypatch.setattr(mod, "gauss_general", forbidden)
+        row = cli._gauss_sweep_row(12)
+        assert calls == [(a, 12) for a in range(12)]
+        assert row["cases"] == 144 and row["passed"]
 
 
 class TestSpectrumCommand:

@@ -1,4 +1,7 @@
 import cmath
+import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +163,34 @@ class TestOrthogonality:
     def test_larger_grids(self):
         assert orthogonality_max_defect(15, 3) < 1e-10
         assert orthogonality_max_defect(12, 3) < 1e-10
+
+    def test_against_double_loop(self):
+        # the definition summed term by term; every sum is exact but for
+        # rounding, and the counts-times-roots sum rounds within (q + 2) eps
+        eps = np.finfo(np.float64).eps
+        for q in range(2, 126):
+            for d in range(1, 8):
+                n = q**d
+                if n > 125:
+                    break
+                pts = list(itertools.product(range(q), repeat=d))
+                ref = 0.0
+                for m in pts:
+                    terms = [cmath.exp(2j * cmath.pi * (sum(a * b for a, b in zip(x, m)) % q) / q)
+                             for x in pts]
+                    z = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+                    ref = max(ref, abs(z / n - (1 if not any(m) else 0)))
+                got = orthogonality_max_defect(q, d)
+                assert got <= (q + 2) * eps and abs(got - ref) <= (q + 4) * eps, (q, d, got, ref)
+
+    def test_peak_memory(self):
+        tracemalloc.start()
+        try:
+            orthogonality_max_defect(15, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20, peak
 
 
 class TestGridFunction:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zqdist.errors import DomainError
-from zqdist.gauss import gauss_brute, gauss_closed, gauss_general
+from zqdist.gauss import gauss_brute, gauss_closed, gauss_general, gauss_row
 
 
 def direct_sum(a: int, b: int, n: int) -> complex:
@@ -207,3 +207,40 @@ class TestGeneral:
     )
     def test_random_agreement(self, n, a, b):
         assert abs(gauss_general(a, b, n).complex_render - gauss_brute(a, b, n)) < 1e-6 * n
+
+
+class TestRow:
+    def test_matches_scalar_render(self):
+        # each entry is within 4 eps of |G| = scale sqrt(surd) of the symbolic
+        # value's own rendering, and exactly 0 wherever that value is zero
+        eps = np.finfo(np.float64).eps
+        for n in range(1, 100):
+            for a in range(n):
+                row = gauss_row(a, n)
+                assert row.shape == (n,) and row.dtype == np.complex128
+                vals = [gauss_general(a, b, n) for b in range(n)]
+                rendered = np.array([v.complex_render for v in vals])
+                size = np.array([v.scale * math.sqrt(v.surd) for v in vals])
+                assert np.all(np.abs(row - rendered) <= 4 * eps * size), (n, a)
+                zero = np.array([v.is_zero for v in vals])
+                assert np.all(row[zero] == 0), (n, a)
+
+    def test_small_moduli_and_zero_a(self):
+        for a in (0, 1, 5, -3):
+            assert np.array_equal(gauss_row(a, 1), [1.0])
+        for a in (0, 12, -24):
+            expected = np.zeros(12, dtype=np.complex128)
+            expected[0] = 12
+            assert np.array_equal(gauss_row(a, 12), expected)
+
+    def test_huge_and_negative_a(self):
+        big = 2**70 + 3
+        for n in (7, 12, 30, 64):
+            assert np.array_equal(gauss_row(big, n), gauss_row(big % n, n))
+            assert np.array_equal(gauss_row(-big, n), gauss_row(-big % n, n))
+            assert np.abs(gauss_row(big, n) - gauss_brute(big, np.arange(n), n)).max() < 1e-12 * n
+
+    def test_rejects_bad_n(self):
+        for n in (0, -5):
+            with pytest.raises(DomainError):
+                gauss_row(1, n)

@@ -1,13 +1,16 @@
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 
+from zqdist import gauss, sphere
 from zqdist.arith import as_modulus
 from zqdist.errors import BudgetError, DomainError
 from zqdist.fourier import forward
 from zqdist.sphere import (
     _class_kernel,
+    _gauss_table,
     decay_bound_check,
     spectra_max_diff,
     sphere_count_formula,
@@ -322,3 +325,53 @@ class TestClassKernel:
             _class_kernel(as_modulus(9), 3, max_grid=700)
         with pytest.raises(BudgetError):  # 3163^2 > 10^7: no q x q table is built
             _class_kernel(as_modulus(3163), 1)
+
+
+class TestGaussTable:
+    def test_render_error_within_kernel_constants(self):
+        # _kernel_formula assumes each rendered G(s, b, q) is within 2 eps of
+        # |G| of its exact value for b = 0 and within 16 eps otherwise
+        eps = np.finfo(np.float64).eps
+        worst = {True: 0.0, False: 0.0}
+        with mpmath.workdps(30):
+            for q in range(3, 62, 2):
+                tbl = _gauss_table(q)
+                seen = set()
+                for s, b in itertools.product(range(q), repeat=2):
+                    v = gauss.gauss_general(s, b, q)
+                    z = complex(tbl[s, b])
+                    if v.is_zero:
+                        assert z == 0, (q, s, b)
+                        continue
+                    key = (b == 0, v.scale, v.surd, v.unit, v.phase, z)
+                    if key in seen:  # the same rendering of the same value
+                        continue
+                    seen.add(key)
+                    mag = v.scale * mpmath.sqrt(v.surd)
+                    turn = mpmath.mpf(v.phase.numerator) / v.phase.denominator
+                    exact = mag * mpmath.mpc(*v.unit) * mpmath.expjpi(2 * turn)
+                    err = float(abs(mpmath.mpc(z) - exact) / mag) / eps
+                    worst[b == 0] = max(worst[b == 0], err)
+        assert worst[True] <= 2 and worst[False] <= 16, worst
+
+    def test_one_gauss_row_per_s(self, monkeypatch):
+        calls = []
+        real = gauss.gauss_row
+
+        def counted(a, n):
+            calls.append((a, n))
+            return real(a, n)
+
+        def forbidden(*args):
+            raise AssertionError("gauss_general called by the table")
+
+        monkeypatch.setattr(sphere, "gauss_row", counted)
+        for mod in (sphere, gauss):
+            monkeypatch.setattr(mod, "gauss_general", forbidden)
+        _gauss_table.cache_clear()
+        try:
+            tbl = _gauss_table(15)
+        finally:
+            _gauss_table.cache_clear()
+        assert calls == [(s, 15) for s in range(15)]
+        assert tbl.shape == (15, 15) and not tbl.flags.writeable
