@@ -198,23 +198,34 @@ def dft_reference(f: GridFunction, max_size: int = 20_000) -> Spectrum:
 def orthogonality_max_defect(q: int, d: int, max_grid: int = DEFAULT_GRID_BUDGET) -> float:
     """max over m of | q^{-d} sum_x e^{2 pi i (x . m)/q} - [m = 0] |.
 
-    Every (x, m) pair is summed directly; no transform code is involved.  For
-    each block of m the phases x . m mod q are binned into exact integer
-    counts per residue, so the only rounding is in one dot of those counts
-    with the q-th roots of unity.
+    Every (x, m) pair is summed directly; no transform code is involved.  The
+    phase of (x, m) is formed as sum_i T[x_i, m_i] with T[x, m] = x m mod q,
+    an integer in [0, d (q - 1)], by d - 1 broadcast additions of the columns
+    of T that a block of m needs.  Each row of the block bins its phases with
+    a per-row offset into W = ceil((d (q - 1) + 1) / q) q bins, and the bins
+    are folded mod q by a reshape and a sum.  So every pair lands as an exact
+    integer count per residue, and the only rounding is in one dot of those
+    counts with the q-th roots of unity.  Blocks hold 2^20 // max(q^d, W)
+    rows of m.
     """
-    check_grid_budget(q, d, max_grid)
-    pts = lattice_points(q, d)
+    n = check_grid_budget(q, d, max_grid)
     tbl = character_table(q)
-    n = pts.shape[0]
+    ks = np.arange(q, dtype=np.int64)
+    width = -(-(d * (q - 1) + 1) // q) * q
     worst = 0.0
-    chunk = max(1, 2**20 // max(n, 1))
+    chunk = max(1, 2**20 // max(n, width))
     for lo in range(0, n, chunk):
-        block = pts[lo : lo + chunk]
-        phases = block @ pts.T  # one row per m in the block
-        phases %= q
-        phases += q * np.arange(len(block))[:, None]
-        counts = np.bincount(phases.ravel(), minlength=q * len(block)).reshape(-1, q)
+        block = np.unravel_index(np.arange(lo, min(lo + chunk, n)), (q,) * d)
+        rows = len(block[0])
+        phases = np.multiply.outer(block[0], ks) % q  # T[x_1, m_1] for every x_1, per m
+        for mi in block[1:]:  # x_1 most significant, as in the flat order
+            column = np.multiply.outer(mi, ks) % q
+            phases = (phases[:, :, None] + column[:, None, :]).reshape(rows, -1)
+        phases += width * np.arange(rows, dtype=np.int64)[:, None]
+        bins = np.bincount(phases.ravel(), minlength=width * rows)
+        del phases  # at most two block-sized int64 arrays are alive at once
+        counts = bins.reshape(rows, width // q, q).sum(axis=1)
+        del bins
         sums = counts @ tbl / n
         if lo == 0:
             sums[0] -= 1.0

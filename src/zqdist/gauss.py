@@ -4,7 +4,8 @@ Evaluators:
 
 ``gauss_brute``
     the trust anchor: the exact multiplicities c_k = #{x : a x^2 + b x = k}
-    dotted with the n-th roots of unity.  It uses no closed form.
+    dotted with the n-th roots of unity.  It uses no closed form.  ``a`` and
+    ``b`` broadcast as integer arrays, so one call covers all of Z_n^2.
 ``gauss_closed``
     the closed form of G(a, n) = G(a, 0, n) for gcd(a, n) = 1, split by the
     residue of n mod 4.
@@ -15,8 +16,8 @@ Evaluators:
     sum (Berndt, Evans and Williams, *Gauss and Jacobi Sums*, 1998, ch. 1).
 ``gauss_row``
     the same closed form for a whole row b in Z_n at once, rendered as
-    complex: the reduction runs once per (a, n) and the completed-square
-    phases are integer array operations.
+    complex, for one a or an integer array of a: the reduction runs once
+    per (a, n) and the completed-square phases are integer array operations.
 
 ``gauss_general`` and ``gauss_row`` share one reduction helper, ``_reduce``,
 so the branch rules exist once.  Closed-form results of
@@ -84,26 +85,45 @@ class GaussSumValue:
 _ZERO = GaussSumValue(0, 1, (0, 0), _F0)
 
 
-def gauss_brute(a: int, b: "int | np.ndarray", n: int) -> "complex | np.ndarray":
+def _residues(v, n: int) -> np.ndarray:
+    """v mod n as an int64 array of v's shape.  Integer arrays are reduced by
+    numpy; anything else (Python ints of any size, lists of them) is reduced
+    as Python ints before an int64 array is built."""
+    if isinstance(v, np.ndarray) and v.dtype.kind in "iu":
+        return (v % n).astype(np.int64)
+    return np.asarray(np.asarray(v, dtype=object) % n, dtype=np.int64)
+
+
+def gauss_brute(a: "int | np.ndarray", b: "int | np.ndarray", n: int) -> "complex | np.ndarray":
     """G(a, b, n) from the exact multiplicities c_k = #{x : a x^2 + b x = k mod n}.
 
     One bincount gives every c_k as an integer, and one dot with the table
     of e^{2 pi i k / n} gives the sum, so the only rounding is in that dot.
-    ``b`` may be an integer array; the result then has its shape and costs
-    O(b.size * n) memory.  Every factor is reduced mod n first, so int64
-    never overflows for n < 2^31.
+    ``a`` and ``b`` may be integer arrays; they broadcast against each other
+    and the result has their broadcast shape.  The (a, b) pairs are counted
+    in blocks of at most 2^20 (a, b, x) triples (one block row per pair when
+    n exceeds that), so the working memory stays bounded whatever the shape.
+    Every factor is reduced mod n first, so int64 never overflows for
+    n < 2^31.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if isinstance(b, int):
-        b %= n  # a Python int of any size
+    av, bv = np.broadcast_arrays(_residues(a, n), _residues(b, n))
+    shape = av.shape
+    av, bv = av.reshape(-1, 1), bv.reshape(-1, 1)
     x = np.arange(n, dtype=np.int64)
-    bs = np.asarray(b, dtype=np.int64)[..., None] % n
-    k = ((a % n) * (x * x % n) + bs * x) % n  # one row of values per b
-    k += n * np.arange(k.size // n, dtype=np.int64).reshape(bs.shape)
-    counts = np.bincount(k.ravel(), minlength=k.size).reshape(k.shape)
-    sums = counts @ character_table(n)
-    return complex(sums) if sums.ndim == 0 else sums
+    squares = x * x % n
+    tbl = character_table(n)
+    sums = np.empty(av.shape[0], dtype=np.complex128)
+    rows = max(1, 2**20 // n)
+    for lo in range(0, av.shape[0], rows):
+        k = av[lo : lo + rows] * squares  # one row of values per (a, b)
+        k += bv[lo : lo + rows] * x
+        k %= n
+        k += n * np.arange(k.shape[0], dtype=np.int64)[:, None]
+        counts = np.bincount(k.ravel(), minlength=k.size).reshape(k.shape)
+        sums[lo : lo + rows] = counts @ tbl
+    return complex(sums[0]) if not shape else sums.reshape(shape)
 
 
 def _eps_unit(n: int) -> tuple[int, int]:
@@ -157,11 +177,13 @@ class _Branch:
     neg_inv: int  # -a'^{-1} mod n'
     base: GaussSumValue
 
-    def phase(self, b2):
-        """-a' c^2 mod n' with 2 a' c = b' (mod n'), for an int or an int64 array
-        of b' in [0, 2 n'); every product is reduced mod n' first."""
-        half = (b2 + b2 % 2 * self.n) // 2 % self.n  # b' / 2 mod n': odd b' means odd n'
-        return half * half % self.n * self.neg_inv % self.n
+
+def _square_phase(b2, n, neg_inv):
+    """-a' c^2 mod n' with 2 a' c = b' (mod n') and neg_inv = -a'^{-1} mod n',
+    for ints or int64 arrays of b' in [0, 2 n'); every product is reduced mod
+    n' first."""
+    half = (b2 + b2 % 2 * n) // 2 % n  # b' / 2 mod n': odd b' means odd n'
+    return half * half % n * neg_inv % n
 
 
 @lru_cache(maxsize=1024)
@@ -210,27 +232,44 @@ def gauss_general(a: int, b: int, n: int) -> GaussSumValue:
     br = None if b % g else branches[b // g % 2]
     if br is None:
         return _ZERO
-    return GaussSumValue(br.scale, br.base.surd, br.base.unit, Fraction(br.phase(b // g), br.n))
+    phase = Fraction(_square_phase(b // g, br.n, br.neg_inv), br.n)
+    return GaussSumValue(br.scale, br.base.surd, br.base.unit, phase)
 
 
-def gauss_row(a: int, n: int) -> np.ndarray:
-    """G(a, b, n) rendered as complex for every b in Z_n, in one numpy pass.
+def gauss_row(a: "int | np.ndarray", n: int) -> np.ndarray:
+    """G(a, b, n) rendered as complex for every b in Z_n: one row for an
+    integer a, and for an integer array a one row per entry, of shape
+    a.shape + (n,).
 
-    The branches of ``_reduce`` are found once per row; the gating and the
-    completed-square phases are int64 array operations, and each phase is
-    rendered as np.exp(2 pi i num / n').  The entries that vanish are exact
-    zeros.  No character table is shared with ``gauss_brute``.
+    The branches of ``_reduce`` are looked up once per a and gathered into
+    arrays; the gates and the completed-square phases are then one int64 pass
+    over every (a, b), and each phase is rendered as np.exp(2 pi i num / n').
+    The entries that vanish are exact zeros.  No character table is shared
+    with ``gauss_brute``.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    g, branches = _reduce(a % n, n)
-    b2 = np.arange(n // g, dtype=np.int64)  # b = g b' are the only b with g | b
-    out = np.zeros(n, dtype=np.complex128)
-    for parity, br in enumerate(branches):
-        if br is None:
-            continue
-        sel = b2[parity::2]
-        u0, u1 = br.base.unit
-        size = complex(u0, u1) * (br.scale * math.sqrt(br.base.surd))
-        out[g * sel] = size * np.exp(2j * np.pi * (br.phase(sel) / br.n))
-    return out
+    av = _residues(a, n)
+    rows = av.size
+    g = np.empty((rows, 1), dtype=np.int64)
+    mod = np.ones((rows, 2), dtype=np.int64)  # n' per parity of b' (1 where G vanishes)
+    neg_inv = np.zeros((rows, 2), dtype=np.int64)
+    size = np.zeros((rows, 2), dtype=np.complex128)  # scale sqrt(surd) unit; 0 where G vanishes
+    for r, ar in enumerate(av.ravel().tolist()):
+        g[r], branches = _reduce(ar, n)
+        for parity, br in enumerate(branches):
+            if br is not None:
+                u0, u1 = br.base.unit
+                mod[r, parity], neg_inv[r, parity] = br.n, br.neg_inv
+                size[r, parity] = complex(u0, u1) * (br.scale * math.sqrt(br.base.surd))
+    b = np.arange(n, dtype=np.int64)
+    b2 = b // g  # b' = b / g, meaningful where g | b
+    parity = b2 % 2
+    row = np.arange(rows)[:, None]
+    live = (b % g == 0) & (size[row, parity] != 0)
+    r, col = np.nonzero(live)
+    b2, parity = b2[r, col], parity[r, col]
+    num = _square_phase(b2, mod[r, parity], neg_inv[r, parity])
+    out = np.zeros((rows, n), dtype=np.complex128)
+    out[r, col] = size[r, parity] * np.exp(2j * np.pi * (num / mod[r, parity]))
+    return out.reshape(av.shape + (n,))

@@ -161,42 +161,55 @@ class SphereCountReport:
     ii_bound: float | None  # combined multiplicatively over prime-power factors; None for d <= 2
 
 
-def _count_via_characters(q: int, d: int, t: int) -> tuple[int, complex]:
-    """Evaluate the count formula over Z_q directly (odd q).
+@lru_cache(maxsize=64)
+def _count_via_characters(q: int, d: int) -> tuple[tuple[int, ...], tuple[complex, ...]]:
+    """Evaluate the count formula over Z_q directly (odd q): |S_t| and II_t
+    for every t in Z_q, from one evaluation of the s-terms.
 
-    The error term II_t is a float sum that must land on an integer.  Each
-    term carries a relative rounding error of a few eps, so the tolerance is
-    (d + 3) eps sum_s |term_s| / q, used for both the distance to the
-    integer and the imaginary part.  A tolerance of 1/2 or more cannot
-    certify a count and raises BudgetError.
+    The term of s is e^{-2 pi i s t / q} G(s, q)^d, rendered from the exact
+    G(s, q) = scale sqrt(surd) i^k.  The error term II_t is a float sum, one
+    ``math.fsum`` per t over the q - 1 terms, that must land on an integer.
+    Each term carries a relative rounding error of a few eps, so the
+    tolerance is (d + 3) eps sum_s |term_s| / q, used for both the distance
+    to the integer and the imaginary part; it is the same for every t.  A
+    tolerance of 1/2 or more cannot certify a count and raises BudgetError
+    before the terms of any t are formed.  Memory is O(q); the result is
+    cached per (q, d): q ints and q complexes.
     """
-    tbl = character_table(q)
-    main = q ** (d - 1)
-    re_terms: list[float] = []
-    im_terms: list[float] = []
-    mags: list[float] = []
+    weights = []  # |G(s, q)|^d i^{k d}, the factor of term s that does not depend on t
+    mags = []
     for s in range(1, q):
         gv = gauss_general(s, 0, q)  # exact for odd q: scale * sqrt(surd) * i^k
-        u0, u1 = gv.unit
-        k = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}[(u0, u1)]
+        k = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}[gv.unit]
         mag = float(gv.scale) ** d * float(gv.surd) ** (d / 2)
-        z = mag * _I_POW[(k * d) % 4] * np.conj(tbl[(s * t) % q])
-        re_terms.append(z.real)
-        im_terms.append(z.imag)
+        weights.append(mag * _I_POW[(k * d) % 4])
         mags.append(mag)
-    ii = complex(math.fsum(re_terms), math.fsum(im_terms)) / q
     tol = (d + 3) * _EPS * math.fsum(mags) / q
     if tol >= 0.5:
         raise BudgetError(
             f"rounding tolerance {tol:.3g} of the error term reaches 1/2, so the float "
-            f"sum cannot certify |S_{t}| for q={q} d={d}"
+            f"sum cannot certify |S_t| for q={q} d={d}"
         )
-    if abs(ii.imag) > tol:
-        raise InconsistencyError(f"error term has imaginary part {ii.imag} for q={q} d={d} t={t}")
-    ii_int = round(ii.real)
-    if abs(ii.real - ii_int) > tol:
-        raise InconsistencyError(f"error term {ii.real!r} is not within {tol:.3g} of an integer")
-    return main + ii_int, ii
+    ss = np.arange(1, q)
+    weights = np.array(weights)
+    conj_roots = np.conj(character_table(q))
+    main = q ** (d - 1)
+    counts, iis = [], []
+    for t in range(q):
+        terms = weights * conj_roots[ss * t % q]
+        ii = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())) / q
+        if abs(ii.imag) > tol:
+            raise InconsistencyError(
+                f"error term has imaginary part {ii.imag} for q={q} d={d} t={t}"
+            )
+        ii_int = round(ii.real)
+        if abs(ii.real - ii_int) > tol:
+            raise InconsistencyError(
+                f"error term {ii.real!r} is not within {tol:.3g} of an integer"
+            )
+        counts.append(main + ii_int)
+        iis.append(ii)
+    return tuple(counts), tuple(iis)
 
 
 def sphere_count_formula(spec: SphereSpec) -> SphereCountReport:
@@ -205,10 +218,11 @@ def sphere_count_formula(spec: SphereSpec) -> SphereCountReport:
     m = spec.modulus
     m.require_odd("sphere_count_formula (use sphere_enumerate for even q)")
     q, d, t = m.q, spec.d, spec.t_value
-    count, ii = _count_via_characters(q, d, t)
+    counts, iis = _count_via_characters(q, d)
+    count, ii = counts[t], iis[t]
     crt = 1
     for pm in m.prime_power_moduli():
-        crt *= _count_via_characters(pm.q, d, t % pm.q)[0]
+        crt *= _count_via_characters(pm.q, d)[0][t % pm.q]
     if crt != count:
         raise InconsistencyError(
             f"direct count {count} != CRT product {crt} for q={q} d={d} t={t}"
@@ -254,8 +268,7 @@ def sphere_size_bound_check(spec: SphereSpec) -> SizeBoundReport:
     rows = []
     for p, a in m.factors:
         qi = p**a
-        count, _ = _count_via_characters(qi, d, t % qi)
-        ii = count - qi ** (d - 1)
+        ii = _count_via_characters(qi, d)[0][t % qi] - qi ** (d - 1)
         # bound^2 = a^2 p^{2a(d-1) + 2 - d}; the exponent is positive for d > 2
         exponent = 2 * a * (d - 1) + 2 - d
         ok = ii * ii <= a * a * p**exponent
@@ -272,8 +285,8 @@ def sphere_fourier_direct(spec: SphereSpec, max_grid: int = DEFAULT_GRID_BUDGET)
 
 @lru_cache(maxsize=16)
 def _gauss_table(q: int) -> np.ndarray:
-    """G(s, b, q) for all (s, b) in Z_q^2, one closed-form row per s."""
-    out = np.stack([gauss_row(s, q) for s in range(q)])
+    """G(s, b, q) for all (s, b) in Z_q^2 in closed form, from one call."""
+    out = gauss_row(np.arange(q), q)
     out.setflags(write=False)
     return out
 

@@ -1,7 +1,11 @@
+import collections
 import csv
 import io
 import itertools
 import json
+import tracemalloc
+
+import numpy as np
 
 from zqdist import cli, distset, gauss, sphere
 from zqdist.cli import main
@@ -72,6 +76,26 @@ class TestSphereCommand:
             assert 0 <= float(r["bound_ratio_max"]) <= 1
 
 
+    def test_character_sums_once_per_modulus(self, tmp_path, monkeypatch):
+        # the direct count (45), the CRT counts and the per-factor bounds (9, 5):
+        # each (modulus, d) evaluates its q - 1 Gauss sums G(s, q) once for all t
+        calls = collections.Counter()
+        real = gauss.gauss_general
+
+        def counted(a, b, n):
+            calls[n] += 1
+            return real(a, b, n)
+
+        monkeypatch.setattr(sphere, "gauss_general", counted)
+        sphere._count_via_characters.cache_clear()
+        try:
+            code, text = run(tmp_path, "sphere", "--q", "45", "--d", "3", "--all-t")
+        finally:
+            sphere._count_via_characters.cache_clear()
+        assert code == 0 and len(records(text)) == 46
+        assert calls == {45: 44, 9: 8, 5: 4}
+
+
 class TestGaussCommand:
     def test_verify_small(self, tmp_path):
         code, text = run(tmp_path, "gauss", "--verify", "--n-max", "25")
@@ -96,23 +120,54 @@ class TestGaussCommand:
         code, _ = run(tmp_path, "gauss")
         assert code == 2
 
-    def test_sweep_row_is_one_gauss_row_per_a(self, monkeypatch):
+    def test_sweep_row_is_one_call_of_each(self, monkeypatch):
         calls = []
-        real = gauss.gauss_row
+        real_row, real_brute = gauss.gauss_row, gauss.gauss_brute
 
-        def counted(a, n):
-            calls.append((a, n))
-            return real(a, n)
+        def counted_row(a, n):
+            calls.append(("row", np.array(a), n))
+            return real_row(a, n)
+
+        def counted_brute(a, b, n):
+            calls.append(("brute", (a, b), n))
+            return real_brute(a, b, n)
 
         def forbidden(*args):
             raise AssertionError("gauss_general called by the sweep")
 
-        monkeypatch.setattr(cli, "gauss_row", counted)
+        monkeypatch.setattr(cli, "gauss_row", counted_row)
+        monkeypatch.setattr(cli, "gauss_brute", counted_brute)
         for mod in (cli, gauss):
             monkeypatch.setattr(mod, "gauss_general", forbidden)
         row = cli._gauss_sweep_row(12)
-        assert calls == [(a, 12) for a in range(12)]
+        assert [(kind, n) for kind, _, n in calls] == [("row", 12), ("brute", 12)]
+        assert np.array_equal(calls[0][1], np.arange(12))
+        a, b = np.broadcast_arrays(*calls[1][1])
+        assert a.shape == (12, 12)  # one row of b per a
+        assert sorted(zip(a.ravel().tolist(), b.ravel().tolist())) == list(
+            itertools.product(range(12), repeat=2)
+        )
         assert row["cases"] == 144 and row["passed"]
+
+    def test_sweep_row_equals_per_a_rows(self):
+        # the batched row against the per-a loop it replaces, bit for bit
+        for n in range(1, 100):
+            worst = 0.0
+            for a in range(n):
+                diff = np.abs(gauss.gauss_row(a, n) - gauss.gauss_brute(a, np.arange(n), n))
+                worst = max(worst, float(diff.max()))
+            assert cli._gauss_sweep_row(n)["max_abs_err"] == worst, n
+
+    def test_sweep_row_peak_memory(self):
+        # n = 200 has 8 * 10^6 (a, b, x) triples; the oracle counts them in blocks
+        tracemalloc.start()
+        try:
+            row = cli._gauss_sweep_row(200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row["passed"]
+        assert peak <= 48 * 2**20, peak
 
 
 class TestSpectrumCommand:

@@ -193,6 +193,19 @@ class TestOrthogonality:
         assert peak < 48 * 2**20, peak
 
 
+    def test_peak_memory_wide_modulus(self):
+        # d = 1 with q = 2000: each block row bins q phases into W = q bins, and
+        # the phases come from the columns of x m mod q that the block needs
+        tracemalloc.start()
+        try:
+            defect = orthogonality_max_defect(2000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert defect <= 2002 * np.finfo(np.float64).eps
+        assert peak < 48 * 2**20, peak
+
+
 class TestGridFunction:
     def test_shape_validation(self):
         with pytest.raises(DomainError):

@@ -48,6 +48,35 @@ class TestBrute:
         for b, z in zip(grid.ravel(), out.ravel()):
             assert abs(z - direct_sum(5, int(b), 12)) < 1e-9 * 12
 
+    def test_array_a_matches_double_loop(self):
+        # every x summed one term at a time: cmath terms, math.fsum; the counts
+        # times the table roots (each within 11 eps) round within (n + 12) eps n
+        eps = np.finfo(np.float64).eps
+        for n in range(1, 31):
+            grid = gauss_brute(np.arange(n)[:, None], np.arange(n), n)
+            assert grid.shape == (n, n)
+            for a in range(n):
+                for b in range(n):
+                    terms = [cmath.exp(2j * cmath.pi * ((a * x * x + b * x) % n) / n)
+                             for x in range(n)]
+                    ref = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+                    assert abs(grid[a, b] - ref) <= (n + 12) * eps * n, (n, a, b)
+
+    def test_array_a_blocks_equal_single_rows(self):
+        # n = 150 splits the 150^3 (a, b, x) triples into blocks that end inside a row of a
+        n = 150
+        grid = gauss_brute(np.arange(n)[:, None], np.arange(n), n)
+        rows = np.stack([gauss_brute(a, np.arange(n), n) for a in range(n)])
+        assert grid.tobytes() == rows.tobytes()
+
+    def test_array_a_broadcasts(self):
+        big = 2**70 + 3
+        out = gauss_brute([[big], [-big], [5]], np.array([0, 1, 7, 10**6]), 12)
+        assert out.shape == (3, 4)
+        for i, a in enumerate((big, -big, 5)):
+            for j, b in enumerate((0, 1, 7, 10**6)):
+                assert abs(out[i, j] - direct_sum(a % 12, b % 12, 12)) < 1e-9 * 12, (a, b)
+
     def test_huge_scalar_arguments(self):
         big = 10**30
         assert abs(gauss_brute(big + 3, big, 7) - direct_sum((big + 3) % 7, big % 7, 7)) < 1e-9 * 7
@@ -239,6 +268,21 @@ class TestRow:
             assert np.array_equal(gauss_row(big, n), gauss_row(big % n, n))
             assert np.array_equal(gauss_row(-big, n), gauss_row(-big % n, n))
             assert np.abs(gauss_row(big, n) - gauss_brute(big, np.arange(n), n)).max() < 1e-12 * n
+
+    def test_array_a_equals_stacked_rows(self):
+        for n in range(1, 100):
+            rows = np.stack([gauss_row(a, n) for a in range(n)])
+            assert gauss_row(np.arange(n), n).tobytes() == rows.tobytes(), n
+        big = 2**70 + 3
+        for n in (7, 12, 30, 64):
+            out = gauss_row([big, -big], n)  # Python ints, reduced before any int64 array
+            assert out.shape == (2, n)
+            rows = np.stack([gauss_row(big % n, n), gauss_row(-big % n, n)])
+            assert out.tobytes() == rows.tobytes()
+        grid = gauss_row(np.arange(12).reshape(3, 4), 12)
+        assert grid.shape == (3, 4, 12)
+        assert grid.tobytes() == gauss_row(np.arange(12), 12).tobytes()
+        assert gauss_row(np.arange(0), 5).shape == (0, 5)
 
     def test_rejects_bad_n(self):
         for n in (0, -5):

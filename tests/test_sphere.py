@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import mpmath
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from zqdist import gauss, sphere
 from zqdist.arith import as_modulus
 from zqdist.errors import BudgetError, DomainError
-from zqdist.fourier import forward
+from zqdist.fourier import character_table, forward
 from zqdist.sphere import (
     _class_kernel,
     _gauss_table,
@@ -135,6 +136,30 @@ class TestCountFormula:
             sphere_count_formula(spec)
         with pytest.raises(BudgetError):
             sphere_size_bound_check(spec)
+
+
+    def test_all_t_equals_per_t_fsum(self):
+        # the one evaluation per (q, d) against the literal per-t sum, bit for bit:
+        # term_s = |G(s, q)|^d i^{k d} e^{-2 pi i s t / q}, one fsum per t
+        i_pow = (1 + 0j, 1j, -1 + 0j, -1j)
+        unit_power = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+        for q in range(3, 100, 2):
+            roots = character_table(q)
+            gs = [gauss.gauss_general(s, 0, q) for s in range(1, q)]
+            for d in range(1, 9):
+                counts, iis = sphere._count_via_characters(q, d)
+                assert len(counts) == len(iis) == q
+                for t in range(q):
+                    terms = []
+                    for s, gv in enumerate(gs, start=1):
+                        mag = float(gv.scale) ** d * float(gv.surd) ** (d / 2)
+                        unit = i_pow[unit_power[gv.unit] * d % 4]
+                        terms.append(mag * unit * complex(roots[s * t % q]).conjugate())
+                    re = math.fsum(z.real for z in terms)
+                    im = math.fsum(z.imag for z in terms)
+                    ii = complex(re, im) / q
+                    assert (iis[t].real.hex(), iis[t].imag.hex()) == (ii.real.hex(), ii.imag.hex())
+                    assert counts[t] == q ** (d - 1) + round(ii.real), (q, d, t)
 
 
 class TestSizeBound:
@@ -354,12 +379,12 @@ class TestGaussTable:
                     worst[b == 0] = max(worst[b == 0], err)
         assert worst[True] <= 2 and worst[False] <= 16, worst
 
-    def test_one_gauss_row_per_s(self, monkeypatch):
+    def test_one_gauss_row_call(self, monkeypatch):
         calls = []
         real = gauss.gauss_row
 
         def counted(a, n):
-            calls.append((a, n))
+            calls.append((np.array(a), n))
             return real(a, n)
 
         def forbidden(*args):
@@ -373,5 +398,11 @@ class TestGaussTable:
             tbl = _gauss_table(15)
         finally:
             _gauss_table.cache_clear()
-        assert calls == [(s, 15) for s in range(15)]
+        assert len(calls) == 1 and calls[0][1] == 15
+        assert np.array_equal(calls[0][0], np.arange(15))
         assert tbl.shape == (15, 15) and not tbl.flags.writeable
+
+    def test_table_equals_stacked_rows(self):
+        for q in range(1, 100, 2):
+            rows = np.stack([gauss.gauss_row(s, q) for s in range(q)])
+            assert _gauss_table(q).tobytes() == rows.tobytes(), q
