@@ -75,7 +75,6 @@ class TestSphereCommand:
             assert r["count_crt"] == str(sphere_count_loop(15, 3, int(r["t"])))
             assert 0 <= float(r["bound_ratio_max"]) <= 1
 
-
     def test_character_sums_once_per_modulus(self, tmp_path, monkeypatch):
         # the direct count (45), the CRT counts and the per-factor bounds (9, 5):
         # each (modulus, d) evaluates its q - 1 Gauss sums G(s, q) once for all t

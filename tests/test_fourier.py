@@ -192,7 +192,6 @@ class TestOrthogonality:
             tracemalloc.stop()
         assert peak < 48 * 2**20, peak
 
-
     def test_peak_memory_wide_modulus(self):
         # d = 1 with q = 2000: each block row bins q phases into W = q bins, and
         # the phases come from the columns of x m mod q that the block needs

@@ -137,7 +137,6 @@ class TestCountFormula:
         with pytest.raises(BudgetError):
             sphere_size_bound_check(spec)
 
-
     def test_all_t_equals_per_t_fsum(self):
         # the one evaluation per (q, d) against the literal per-t sum, bit for bit:
         # term_s = |G(s, q)|^d i^{k d} e^{-2 pi i s t / q}, one fsum per t
