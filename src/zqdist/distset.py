@@ -9,8 +9,9 @@ Three routes to nu(t):
 
 * the pair scan (`nu_pairs`, the oracle) visits all |E|^2 ordered pairs;
 * the autocorrelation (`nu_histogram`, production) transforms the indicator
-  once: A = 1_E * 1_{-E} counts the pairs with x - y = z, so
-  nu(t) = sum_{||z|| = t} A(z) for every t at once;
+  once each way: A = 1_E * 1_{-E} counts the pairs with x - y = z, so
+  nu(t) = sum_{||z|| = t} A(z) for every t at once.  1_E is real, so both
+  transforms keep only the half spectrum m_d <= q // 2;
 * the spectral decomposition (`nu_spectral_sweep`, the certificate)
 
     nu(t) = q^{2d} sum_m |E^(m)|^2 S_t^(m)
@@ -41,10 +42,10 @@ from .errors import BudgetError, DomainError, InconsistencyError
 from .fourier import (
     DEFAULT_GRID_BUDGET,
     GridFunction,
-    Spectrum,
     check_grid_budget,
-    forward,
-    inverse,
+    half_forward,
+    half_weights,
+    hermitian_inverse,
 )
 from .sphere import _class_kernel, _ClassKernel, _norms_flat, sphere_counts_all
 
@@ -133,11 +134,14 @@ class PointSet:
         strides = self.q ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
         return self._coords @ strides
 
-    def indicator(self, max_grid: int = DEFAULT_GRID_BUDGET) -> GridFunction:
-        size = check_grid_budget(self.q, self.d, max_grid)
-        vals = np.zeros(size, dtype=np.complex128)
+    def _indicator_values(self, max_grid: int) -> np.ndarray:
+        """1_E on Z_q^d as a flat, row-major float64 array."""
+        vals = np.zeros(check_grid_budget(self.q, self.d, max_grid))
         vals[self.flat_indices()] = 1.0
-        return GridFunction(self.modulus, self.d, vals)
+        return vals
+
+    def indicator(self, max_grid: int = DEFAULT_GRID_BUDGET) -> GridFunction:
+        return GridFunction(self.modulus, self.d, self._indicator_values(max_grid))
 
     def translate(self, v: Sequence[int]) -> "PointSet":
         if len(v) != self.d:
@@ -213,24 +217,58 @@ def nu_pairs(E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET) -> np.ndarray:
 
 
 def _power_spectrum(E: PointSet, max_grid: int) -> np.ndarray:
-    """|E^(m)|^2 for every frequency m, from the one transform of E's indicator."""
-    return np.abs(forward(E.indicator(max_grid)).values) ** 2
+    """|E^(m)|^2 = re^2 + im^2 on the half grid m_d <= q // 2 (half_forward's
+    layout), from the one transform of E's real indicator.  The other
+    frequencies have |E^(-m)|^2 = |E^(m)|^2."""
+    half = half_forward(E._indicator_values(max_grid), E.q, E.d)
+    power = half.real**2
+    power += half.imag**2
+    return power
+
+
+def _autocorrelation_tolerance(E: PointSet) -> float:
+    """2 d q eps |E|: how far an entry of A = q^d hermitian_inverse(P) may
+    lie from its integer, P being |E^|^2 on the half grid.
+
+    The bound is a first-order model, not a worst case: each length-q pass
+    is charged a relative error of q eps on the absolute sum of the terms
+    of the final sum A(z) = q^d sum_m |E^(m)|^2 e(z.m/q) over all q^d
+    frequencies m, which is q^d sum_m |E^(m)|^2 = |E| by Parseval.  A
+    q-term dot product rounds at most q times by eps/2, so half of each
+    charge is left for the table roots and for the fixed roundings of the
+    square and of the scalings by q^-d and q^d.  Step by step:
+
+    * half_forward, d passes.  The first is a real product: re E and im E
+      are each a sum of q products of 0/1 values with the real or imaginary
+      part of a table root.  The other d - 1 are the complex q-term dot
+      products of `forward` with the same roots.  That is d q eps, as for
+      `forward`, and the frequencies it skips are conjugates of those it
+      keeps, exact by symmetry.
+    * P = re^2 + im^2 rounds twice, as |E^|^2 does; the weights w in
+      {1, 2} that stand for the skipped frequencies multiply exactly.
+    * hermitian_inverse, d passes.  The first d - 1 are q-term complex dot
+      products.  The last sums, for each x_d, the h = q//2 + 1 real terms
+      w (re B cos - im B sin), and |re B cos - im B sin| <= |B|, so their
+      absolute sum is at most sum_{m_d in Z_q} |B(m_d)|: the absolute sum of
+      the q-term pass it replaces, with at most q roundings.  That is d q eps.
+
+    Two transforms give 2 d q eps |E|, the bound of the full complex pair.
+    """
+    return 2 * E.d * E.q * float(np.finfo(np.float64).eps) * E.size
 
 
 def _nu_autocorrelation(E: PointSet, max_grid: int, power: "np.ndarray | None") -> np.ndarray:
-    """nu(t) = sum_{||z|| = t} A(z) with A = q^d inverse(|forward(1_E)|^2).
+    """nu(t) = sum_{||z|| = t} A(z) with A = q^d hermitian_inverse(|half_forward(1_E)|^2).
 
     A(z) counts the pairs with x - y = z, so it is an integer; the float
-    values are rounded after a check.  Each transform is d length-q passes,
-    so it adds a relative error of about d q eps; the terms of the final sum
-    q^d sum_m |E^(m)|^2 e(z.m/q) have absolute sum q^d sum_m |E^(m)|^2 = |E|
-    by Parseval.  Two transforms therefore put A within 2 d q eps |E| of its
-    integer.  A tolerance of 1/2 or more cannot single out the integer, and
-    float bincount sums stay exact only up to 2^53: both raise BudgetError.
-    `power` is |E^|^2 when the caller has already transformed E.
+    values are rounded after a check against _autocorrelation_tolerance.  A
+    tolerance of 1/2 or more cannot single out the integer, and float
+    bincount sums stay exact only up to 2^53: both raise BudgetError.
+    `power` is |E^|^2 on the half grid when the caller has already
+    transformed E.
     """
     q, d, n = E.q, E.d, E.size
-    tol = 2 * d * q * float(np.finfo(np.float64).eps) * n
+    tol = _autocorrelation_tolerance(E)
     if tol >= 0.5 or n * n > 2**53:
         raise BudgetError(
             f"autocorrelation tolerance {tol:.3g} for |E| = {n} in Z_{q}^{d} cannot "
@@ -238,9 +276,12 @@ def _nu_autocorrelation(E: PointSet, max_grid: int, power: "np.ndarray | None") 
         )
     if power is None:
         power = _power_spectrum(E, max_grid)
-    acorr = inverse(Spectrum(E.modulus, d, power)).values.real * float(q**d)
+    acorr = hermitian_inverse(power, q, d)
+    acorr *= float(q**d)
     counts = np.rint(acorr)
-    worst = float(np.abs(acorr - counts).max())
+    acorr -= counts
+    worst = float(np.abs(acorr).max())
+    del acorr
     if worst > tol:
         raise InconsistencyError(
             f"autocorrelation entry lies {worst:.3g} from an integer, beyond the tolerance {tol:.3g}"
@@ -318,16 +359,25 @@ def _r_bound(E: PointSet) -> float:
 def _class_power(power: np.ndarray, kern: _ClassKernel) -> tuple[np.ndarray, np.ndarray]:
     """P_c = sum of |E^(m)|^2 over the class c of m, and the roundings in each P_c.
 
-    The N = q^d frequencies are binned in blocks of L = ceil(sqrt N), then the
-    B = ceil(N / L) block sums are added, so a class of N_c members is a sum
-    along at most min(N_c, L) + min(N_c, B) - 2 roundings instead of N_c - 1.
+    `power` is the half grid of _power_spectrum.  A class is closed under
+    m -> -m (gcd(-m, q) = gcd(m, q) and ||-m'|| = ||m'||), and
+    |E^(-m)|^2 = |E^(m)|^2, so the sum over the whole class is the sum over
+    its half-grid members weighted by half_weights; the weights 1 and 2
+    multiply exactly.  The N half-grid frequencies are binned in blocks of
+    L = ceil(sqrt N), then the B = ceil(N / L) block sums are added, so a
+    class of N_c half-grid members is a sum along at most
+    min(N_c, L) + min(N_c, B) - 2 roundings.
     """
-    n, classes = power.size, kern.sizes.size
+    q, h = kern.values.shape[1], power.shape[1]
+    classes = kern.sizes.size
+    ids = kern.ids.reshape(-1, q)[:, :h]
+    n = ids.size
     block = math.isqrt(n - 1) + 1
     blocks = -(-n // block)
-    keys = kern.ids + classes * (np.arange(n, dtype=np.int64) // block)
-    sums = np.bincount(keys, weights=power, minlength=classes * blocks)
-    sizes = np.maximum(kern.sizes, 1)
+    keys = ids + classes * (np.arange(n, dtype=np.int64).reshape(-1, h) // block)
+    sums = np.bincount(keys.reshape(-1), weights=(power * half_weights(q)).reshape(-1),
+                       minlength=classes * blocks)
+    sizes = np.maximum(np.bincount(ids.reshape(-1), minlength=classes), 1)
     rounds = np.minimum(sizes, block) + np.minimum(sizes, blocks) - 2
     return sums.reshape(blocks, classes).sum(axis=0), rounds
 
@@ -340,12 +390,21 @@ def _sweep_tolerance(
     Each step is bounded relative to the size of its terms, in units of
     eps = 2^-52:
 
-    * |E^(m)|^2 for m != 0: the forward transform is d length-q passes, each
-      adding a relative error of (q + 11) eps to E^(m) (q terms, table roots
-      within 11 eps), and squaring adds 2: 2 d (q + 11) + 2;
-    * |E^(0)|^2: E^(0) = |E| q^{-d} sums integers exactly, so only its
-      scaling and the square round: 4;
-    * P_c: the block sums of _class_power add `rounds[c]` more;
+    * |E^(m)|^2 for m != 0 on the half grid: half_forward is d length-q
+      passes, each adding a relative error of (q + 11) eps to E^(m) (q terms,
+      table roots within 11 eps).  Its first pass sums the q real products
+      of the 0/1 values with the real parts of the roots, and separately with
+      the imaginary parts, so it rounds no more than a complex pass.
+      re^2 + im^2 adds 2: 2 d (q + 11) + 2;
+    * |E^(0)|^2: every pass sums integers times the root 1, exactly, to
+      E^(0) = |E| q^{-d}, so only its scaling and the square round: 4;
+    * the weights 1 and 2 of _class_power multiply exactly, and a class,
+      closed under m -> -m, sums over its half-grid members with those
+      weights to its sum over all of Z_q^d: no step;
+    * P_c: the block sums of _class_power over the half-grid members of c
+      add `rounds[c]` more.  The half grid holds (q^d + q^{d-1}) / 2
+      frequencies, so N_c, L and B, and with them rounds[c], are no larger
+      than over all of Z_q^d;
     * the sum over the C = sigma(q) classes, the product P_c K[c, t] and the
       factor q^{2d} add C + 3.
 

@@ -11,6 +11,15 @@ so transforms raise BudgetError once q^2 exceeds DEFAULT_GRID_BUDGET.
 Phases are reduced mod q before exponentiation.  Each
 output coefficient is a contiguous dot product, so results are independent
 of any parallel schedule the underlying BLAS may use.
+
+A real grid has F(-m) = conj F(m), so `half_forward` keeps only the
+q^{d-1} (q//2 + 1) frequencies with m_d <= q // 2: its last-axis pass is one
+real product with the real and imaginary parts of those kernel columns, and
+the other d - 1 passes are batched complex products that leave the axes in
+place.  `hermitian_inverse` takes such a half spectrum of a real, even
+function (a power spectrum) back to its real grid, the last axis again as
+one real product, weighted by `half_weights`.  The full complex `forward`
+and `inverse` serve complex grids and are the oracle for both.
 """
 
 from __future__ import annotations
@@ -29,6 +38,9 @@ __all__ = [
     "chi",
     "forward",
     "inverse",
+    "half_forward",
+    "hermitian_inverse",
+    "half_weights",
     "plancherel_defect",
     "dft_reference",
     "orthogonality_max_defect",
@@ -171,6 +183,82 @@ def inverse(F: Spectrum) -> GridFunction:
     """f(x) = sum_m F(m) e^{+2 pi i (x . m)/q}; exact inverse of forward."""
     out = _separable_apply(F.values, F.q, F.d, _kernel(F.q, False))
     return GridFunction(F.modulus, F.d, out)
+
+
+def half_weights(q: int) -> np.ndarray:
+    """How many m_d in Z_q column m_d = 0, ..., q // 2 of a half spectrum stands for.
+
+    Column m_d also stands for q - m_d, except m_d = 0 and, for even q,
+    m_d = q / 2, which are their own negatives: w = 1 there and 2 elsewhere.
+    So a sum over Z_q^d of an even function is the w-weighted sum over the
+    half grid.
+    """
+    w = np.full(q // 2 + 1, 2.0)
+    w[0] = 1.0
+    if q % 2 == 0:
+        w[-1] = 1.0
+    return w
+
+
+@lru_cache(maxsize=64)
+def _half_kernels(q: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The real last-axis kernels of half_forward and hermitian_inverse, and h = q//2 + 1.
+
+    The forward one is the columns m_d < h of the forward kernel, each split
+    into its real and imaginary column, so a real (N, q) grid times it is the
+    (N, h) complex result stored re/im interleaved.  The inverse one is the
+    rows m_d < h of the inverse kernel split into w Re and -w Im rows, with
+    w from half_weights.  Both hold the table roots of _kernel; multiplying
+    by w is exact.
+    """
+    h = q // 2 + 1
+    fwd = np.ascontiguousarray(_kernel(q, True)[:, :h]).view(np.float64)
+    w = half_weights(q)[:, None]
+    inv = _kernel(q, False)[:h]
+    inv_real = np.stack([w * inv.real, -w * inv.imag], axis=1).reshape(2 * h, q)
+    for arr in (fwd, inv_real):
+        arr.setflags(write=False)
+    return fwd, inv_real, h
+
+
+def _leading_passes(arr: np.ndarray, q: int, d: int, kernel: np.ndarray) -> np.ndarray:
+    # Axis j of the (q,) * (d - 1) + (h,) grid is transformed by one batched
+    # product over the (q^j, q, rest) view, so the axes never move.
+    for j in range(d - 1):
+        arr = np.matmul(kernel, arr.reshape(q**j, q, -1))
+    return arr.reshape(q ** (d - 1), -1)
+
+
+def half_forward(values: np.ndarray, q: int, d: int) -> np.ndarray:
+    """The forward transform of a real grid, on the frequencies with m_d <= q // 2.
+
+    A real f has F(-m) = conj F(m), so these (q^{d-1}, q//2 + 1) coefficients,
+    row-major over (m_1, ..., m_{d-1}) and then m_d, determine the rest.  The
+    last axis is one real product with the real and imaginary parts of the
+    kernel columns m_d <= q // 2; the other d - 1 axes use the complex kernel.
+    Each coefficient is a q-term dot product per pass with the table roots of
+    `forward`.
+    """
+    fwd, _, h = _half_kernels(q)
+    first = (np.asarray(values, dtype=np.float64).reshape(-1, q) @ fwd).view(np.complex128)
+    out = _leading_passes(first, q, d, _kernel(q, True))
+    out *= 1.0 / q**d
+    return out
+
+
+def hermitian_inverse(half: np.ndarray, q: int, d: int) -> np.ndarray:
+    """The inverse of a real, even spectrum given in the half_forward layout.
+
+    F(-m) = F(m) = conj F(m), so the inverse is real: after d - 1 complex
+    passes the last axis sums h = q//2 + 1 terms w Re(B(m_d) e(x_d m_d / q))
+    as one real product, with w = 1 for m_d = 0 and for m_d = q/2 (even q),
+    which are their own negatives, and w = 2 for every other m_d, which also
+    stands for q - m_d.  Returns the real grid, flat and row-major.
+    """
+    _, inv_real, h = _half_kernels(q)
+    arr = np.ascontiguousarray(half, dtype=np.complex128).reshape(-1, h)
+    arr = _leading_passes(arr, q, d, _kernel(q, False))
+    return (arr.view(np.float64) @ inv_real).reshape(-1)
 
 
 def plancherel_defect(f: GridFunction, g: GridFunction) -> float:

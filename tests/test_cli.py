@@ -233,17 +233,20 @@ class TestNuCommand:
     def test_one_transform_for_both_counts(self, tmp_path, monkeypatch):
         # 600^2 >= 9^4: the histogram and the spectral sweep share one transform
         calls = []
-        real = distset.forward
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(real):
+            def spy(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return spy
 
         for mod in (distset, sphere, cli):
-            monkeypatch.setattr(mod, "forward", counted, raising=False)
+            for name in ("forward", "half_forward"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
         code, text = run(tmp_path, "nu", "--random", "600", "--q", "9", "--d", "3",
                          "--seed", "1")
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and calls == ["half_forward"]
         *rows, _ = records(text)
         assert all(r["match"] == "true" for r in rows)
 

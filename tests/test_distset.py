@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ from zqdist.distset import (
     write_pointset,
 )
 from zqdist.errors import BudgetError, DomainError, InconsistencyError
-from zqdist.fourier import GridFunction
+from zqdist.fourier import forward, hermitian_inverse
 from zqdist.sphere import (
     _class_kernel,
+    _norms_flat,
     sphere_counts_all,
     sphere_enumerate,
     sphere_fourier_direct,
@@ -213,8 +215,8 @@ class TestNuAutocorrelation:
     def test_one_transform_each_way(self, monkeypatch):
         # |E| = 15^3 sits exactly on q^{d+1} = |E|^2, the edge of the grid route
         E = sample_random_set(15, 5, 3375, seed=11)
-        forwards = _counting(monkeypatch, "forward")
-        inverses = _counting(monkeypatch, "inverse")
+        forwards = _counting(monkeypatch, "half_forward")
+        inverses = _counting(monkeypatch, "hermitian_inverse")
         scans = _counting(monkeypatch, "nu_pairs")
         hist = nu_histogram(E)
         assert (len(forwards), len(inverses), len(scans)) == (1, 1, 0)
@@ -224,7 +226,7 @@ class TestNuAutocorrelation:
     def test_route_switches_at_crossover(self, monkeypatch, size, transforms, scans):
         # Z_9^3: q^{d+1} = 6561 = 81^2
         E = sample_random_set(9, 3, size, seed=4)
-        forwards = _counting(monkeypatch, "forward")
+        forwards = _counting(monkeypatch, "half_forward")
         pair_scans = _counting(monkeypatch, "nu_pairs")
         nu_histogram(E)
         assert (len(forwards), len(pair_scans)) == (transforms, scans)
@@ -233,33 +235,123 @@ class TestNuAutocorrelation:
     def test_grid_budget_keeps_pair_scan(self, monkeypatch, q, d, max_grid):
         # the grid Z_5^3, or for d = 1 the 11 x 11 transform kernel, exceeds max_grid
         E = full_grid(q, d)
-        forwards = _counting(monkeypatch, "forward")
+        forwards = _counting(monkeypatch, "half_forward")
         assert np.array_equal(nu_histogram(E, max_grid=max_grid), nu_pairs(E))
         assert forwards == []
 
     def test_nu_brute_never_transforms(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("nu_brute called forward")
+            raise AssertionError("nu_brute called half_forward")
 
-        monkeypatch.setattr(distset, "forward", refuse)
+        monkeypatch.setattr(distset, "half_forward", refuse)
         E = full_grid(3, 3)
         counts = sphere_counts_all(3, 3)
         assert [nu_brute(E, t) for t in range(3)] == [27 * int(c) for c in counts]
 
     @pytest.mark.parametrize("shift", [0.3, 1.0], ids=["off-integer", "wrong-total"])
     def test_perturbed_inverse_is_inconsistent(self, monkeypatch, shift):
-        # A(z) = 9 inverse(...) on Z_3^2.  A shift of 0.3 leaves every A(z) 0.3
-        # from its integer, which rounds back to the right counts; a shift of 1
-        # rounds cleanly but breaks sum nu = |E|^2.  Each check must catch its own.
-        real = distset.inverse
+        # A(z) = 9 hermitian_inverse(...) on Z_3^2.  A shift of 0.3 leaves every
+        # A(z) 0.3 from its integer, which rounds back to the right counts; a
+        # shift of 1 rounds cleanly but breaks sum nu = |E|^2.  Each check must
+        # catch its own.
+        real = distset.hermitian_inverse
 
-        def perturbed(F):
-            f = real(F)
-            return GridFunction(f.modulus, f.d, f.values + shift / 9)
+        def perturbed(half, q, d):
+            return real(half, q, d) + shift / 9
 
-        monkeypatch.setattr(distset, "inverse", perturbed)
+        monkeypatch.setattr(distset, "hermitian_inverse", perturbed)
         with pytest.raises(InconsistencyError):
             nu_histogram(full_grid(3, 2))
+
+
+# Every even q of the list and every odd q <= 45 with d <= 4, while the pair
+# scan at the crossover stays below 10^7 pairs (q^{d+1} <= 5 * 10^6).
+CROSSOVER_CASES = [
+    (q, d) for q in (4, 6, 8, 10, 12, *range(3, 46, 2)) for d in (1, 2, 3, 4)
+    if q ** (d + 1) <= 5 * 10**6
+]
+
+
+class TestHalfSpectrumRoute:
+    @pytest.mark.parametrize("q,d", CROSSOVER_CASES)
+    def test_histogram_matches_pairs_at_crossover(self, monkeypatch, q, d):
+        # the least |E| with q^{d+1} <= |E|^2 goes through the half spectrum (and
+        # for even q its Nyquist column m_d = q/2); one point fewer is scanned
+        edge = math.isqrt(q ** (d + 1) - 1) + 1
+        inverses = _counting(monkeypatch, "hermitian_inverse")
+        for size, transforms in ((edge - 1, 0), (edge, 1)):
+            E = sample_random_set(q, d, size, seed=10 * q + d)
+            before = len(inverses)
+            assert np.array_equal(nu_histogram(E), nu_pairs(E))
+            assert len(inverses) - before == transforms
+
+
+def _whole_grid_tolerance(E, kern):
+    """The sweep tolerance from |E^|^2 over all of Z_q^d, binned by class in
+    blocks of ceil(sqrt(q^d)): the route the half grid replaces."""
+    power = np.abs(forward(E.indicator()).values) ** 2
+    n, classes = power.size, kern.sizes.size
+    block = math.isqrt(n - 1) + 1
+    blocks = -(-n // block)
+    keys = kern.ids + classes * (np.arange(n) // block)
+    sums = np.bincount(keys, weights=power, minlength=classes * blocks)
+    sizes = np.maximum(kern.sizes, 1)
+    rounds = np.minimum(sizes, block) + np.minimum(sizes, blocks) - 2
+    return distset._sweep_tolerance(E, sums.reshape(blocks, classes).sum(axis=0), rounds, kern, [])
+
+
+TOLERANCE_SETS = [(9, 6, 177147), (15, 5, 6000), (27, 4, 3000), (45, 3, 4000)]
+
+
+class TestHalfSpectrumTolerances:
+    @pytest.mark.parametrize("q,d,size", TOLERANCE_SETS)
+    def test_autocorrelation_residual_within_tolerance(self, q, d, size):
+        E = sample_random_set(q, d, size, seed=2024)
+        power = distset._power_spectrum(E, 10**7)
+        acorr = hermitian_inverse(power, q, d) * float(q**d)
+        tol = distset._autocorrelation_tolerance(E)
+        assert np.abs(acorr - np.rint(acorr)).max() <= tol
+        assert tol <= 2 * d * q * np.finfo(np.float64).eps * size
+
+    @pytest.mark.parametrize("q,d,size", TOLERANCE_SETS)
+    @pytest.mark.parametrize("route", ["direct", "formula"])
+    def test_sweep_residual_within_tolerance(self, q, d, size, route):
+        E = sample_random_set(q, d, size, seed=2024)
+        kern = _class_kernel(E.modulus, d, route)
+        sums, rounds = distset._class_power(distset._power_spectrum(E, 10**7), kern)
+        total = float(q) ** (2 * d) * (sums @ kern.values)
+        tol = distset._sweep_tolerance(E, sums, rounds, kern, range(q))
+        assert (np.abs(total.real - np.rint(total.real)) <= tol).all()
+        assert (np.abs(total.imag) <= tol).all()
+        assert (tol <= _whole_grid_tolerance(E, kern)).all()
+
+    def test_class_sums_match_whole_grid(self):
+        # the weighted half-grid sums equal the whole-grid sums up to rounding
+        E = sample_random_set(15, 4, 2000, seed=6)
+        kern = _class_kernel(E.modulus, 4)
+        half, _ = distset._class_power(distset._power_spectrum(E, 10**7), kern)
+        whole = np.bincount(kern.ids, weights=np.abs(forward(E.indicator()).values) ** 2)
+        assert np.abs(half - whole).max() <= 1e-12 * whole.sum()
+
+
+def _peak_mib(fn, *args, **kwargs):
+    _norms_flat.cache_clear()  # count the norm table too
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestHalfSpectrumMemory:
+    def test_histogram_peak(self):
+        E = sample_random_set(15, 5, 6000, seed=2024)
+        assert _peak_mib(nu_histogram, E) <= 40
+
+    def test_certificate_peak(self):
+        E = sample_random_set(9, 6, 177147, seed=2024)
+        assert _peak_mib(certificate_check, E) <= 20
 
 
 class TestNuSpectral:
@@ -409,7 +501,7 @@ class TestCertificate:
         # 600^2 >= 9^4, so nu_histogram takes the autocorrelation route and
         # reuses the sweep's transform
         E = sample_random_set(9, 3, 600, seed=1)
-        forwards = _counting(monkeypatch, "forward")
+        forwards = _counting(monkeypatch, "half_forward")
         rows = certificate_check(E)
         assert len(forwards) == 1
         assert [r.nu for r in rows] == [int(h) for h in nu_pairs(E)]

@@ -14,6 +14,9 @@ from zqdist.fourier import (
     chi,
     dft_reference,
     forward,
+    half_forward,
+    half_weights,
+    hermitian_inverse,
     index_of_point,
     inverse,
     orthogonality_max_defect,
@@ -124,6 +127,71 @@ class TestInverse:
             scale = np.abs(f.values).max()
             defect = np.abs(inverse(forward(f)).values - f.values).max()
             assert defect < 1e-9 * scale
+
+
+HALF_CASES = [(q, d) for q in (3, 4, 5, 6, 9, 10, 15) for d in (1, 2, 3)]
+
+
+def half_of(values, q):
+    """The columns m_d <= q // 2 of a flat Z_q^d grid, as half_forward lays them out."""
+    return values.reshape(-1, q)[:, : q // 2 + 1]
+
+
+class TestHalfTransforms:
+    # Each transform is d passes of q-term dot products with table roots
+    # within 11 eps of e(k/q), whose moduli are 1: with |K| propagating the
+    # absolute values, each route lands within d (q + 11) eps sum |input| of
+    # the exact value (times q^-d forward), so two routes lie within twice that.
+
+    @pytest.mark.parametrize("q,d", HALF_CASES)
+    def test_half_forward_is_forward_on_half_grid(self, q, d):
+        rng = np.random.Generator(np.random.PCG64(10 * q + d))
+        eps = np.finfo(np.float64).eps
+        for f in (rng.standard_normal(q**d), (rng.random(q**d) < 0.3).astype(float)):
+            half = half_forward(f, q, d)
+            full = forward(GridFunction(q, d, f)).values
+            assert half.shape == (q ** (d - 1), q // 2 + 1)
+            bound = 2 * d * (q + 11) * eps * np.abs(f).sum() / q**d
+            assert np.abs(half - half_of(full, q)).max() <= bound
+
+    @pytest.mark.parametrize("q,d", HALF_CASES)
+    def test_hermitian_inverse_is_real_part_of_inverse(self, q, d):
+        rng = np.random.Generator(np.random.PCG64(100 * q + d))
+        eps = np.finfo(np.float64).eps
+        power = np.abs(forward(GridFunction(q, d, rng.random(q**d) < 0.4)).values) ** 2
+        r = rng.standard_normal(q**d)
+        negated = [index_of_point([-c for c in point_of_index(i, q, d)], q, d)
+                   for i in range(q**d)]
+        even = r + r[negated]  # real and even: F(-m) = F(m)
+        for spectrum in (power, even):
+            got = hermitian_inverse(half_of(spectrum, q), q, d)
+            want = inverse(Spectrum(q, d, spectrum)).values.real
+            assert got.shape == (q**d,)
+            bound = 2 * d * (q + 11) * eps * np.abs(spectrum).sum()
+            assert np.abs(got - want).max() <= bound
+
+    def test_round_trip_of_a_real_grid(self):
+        # |F|^2 of a 0/1 grid inverts to its autocorrelation, an integer grid
+        for q, d in ((6, 3), (7, 3), (10, 2)):
+            f = (np.random.Generator(np.random.PCG64(q)).random(q**d) < 0.5).astype(float)
+            half = half_forward(f, q, d)
+            acorr = hermitian_inverse(half.real**2 + half.imag**2, q, d) * q**d
+            grid = f.reshape((q,) * d)
+            direct = [np.sum(grid * np.roll(grid, shift, axis=tuple(range(d))))
+                      for shift in itertools.product(range(q), repeat=d)]
+            assert np.abs(acorr - direct).max() < 1e-9
+
+    def test_weights_count_every_column_once(self):
+        for q in range(2, 30):
+            w = half_weights(q)
+            assert w.size == q // 2 + 1 and w.sum() == q
+            assert w[0] == 1 and w[-1] == (1 if q % 2 == 0 else 2)
+
+    def test_kernel_budget(self):
+        with pytest.raises(BudgetError):
+            half_forward(np.zeros(3163), 3163, 1)
+        with pytest.raises(BudgetError):
+            hermitian_inverse(np.zeros(1582), 3163, 1)
 
 
 class TestPlancherel:
