@@ -9,11 +9,9 @@ certifies when a point set realizes every distance.
 from .arith import (
     Modulus,
     Residue,
-    crt_combine,
     crt_split,
     eps,
     factorize,
-    inv_mod,
     jacobi,
     residue,
     tau,
@@ -32,7 +30,6 @@ from .distset import (
     nu_brute,
     nu_histogram,
     nu_pairs,
-    nu_spectral,
     nu_spectral_sweep,
     read_pointset,
     sample_random_set,
@@ -43,7 +40,6 @@ from .errors import BudgetError, DomainError, InconsistencyError
 from .fourier import (
     GridFunction,
     Spectrum,
-    chi,
     dft_reference,
     forward,
     inverse,
@@ -56,14 +52,11 @@ from .sphere import (
     SizeBoundReport,
     SphereCountReport,
     SphereSpec,
-    decay_bound_check,
     decay_report,
-    spectra_max_diff,
     sphere_count_formula,
     sphere_counts_all,
     sphere_enumerate,
     sphere_fourier_direct,
-    sphere_fourier_formula,
     sphere_size_bound_check,
     sphere_spec,
     sphere_spectrum_formula,
@@ -73,17 +66,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Modulus", "Residue", "factorize", "tau", "jacobi", "eps", "val_p",
-    "inv_mod", "crt_split", "crt_combine", "residue",
+    "crt_split", "residue",
     "GaussSumValue", "gauss_brute", "gauss_closed", "gauss_general", "gauss_row",
-    "GridFunction", "Spectrum", "chi", "forward", "inverse",
+    "GridFunction", "Spectrum", "forward", "inverse",
     "plancherel_defect", "dft_reference", "orthogonality_max_defect",
     "SphereSpec", "SphereCountReport", "SizeBoundReport", "DecayReport",
     "sphere_spec", "sphere_enumerate", "sphere_counts_all",
     "sphere_count_formula", "sphere_size_bound_check", "sphere_fourier_direct",
-    "sphere_fourier_formula", "sphere_spectrum_formula", "spectra_max_diff",
-    "decay_report", "decay_bound_check",
+    "sphere_spectrum_formula", "decay_report",
     "PointSet", "NuReport", "CertificateRow", "ThresholdReport",
-    "distance", "distance_set", "nu_brute", "nu_histogram", "nu_pairs", "nu_spectral",
+    "distance", "distance_set", "nu_brute", "nu_histogram", "nu_pairs",
     "nu_spectral_sweep", "theorem_threshold", "certificate_check",
     "construct_even_weight", "construct_zero_distance_lattice",
     "sample_random_set", "read_pointset", "write_pointset",

@@ -1,19 +1,17 @@
 """Exact integer and modular arithmetic over Z_q.
 
-Factorization, divisor counts, Jacobi symbols, p-adic valuations, modular
-inverses and the CRT decomposition Z_q = prod Z_{p^a}.  Everything here is
-pure integer arithmetic; floats never appear.  q = 1 is rejected everywhere
-(Z_1 is the zero ring and downstream formulas divide by q-dependent
-quantities); even q is accepted, operations that need odd q gate themselves
-via Modulus.require_odd.
+Factorization, divisor counts, Jacobi symbols, p-adic valuations and the
+CRT decomposition Z_q -> prod Z_{p^a}.  Everything here is pure integer
+arithmetic; floats never appear.  q = 1 is rejected everywhere (Z_1 is the
+zero ring and downstream formulas divide by q-dependent quantities); even q
+is accepted, operations that need odd q gate themselves via
+Modulus.require_odd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
-from typing import Sequence
 
 from .errors import DomainError
 
@@ -26,9 +24,7 @@ __all__ = [
     "jacobi",
     "eps",
     "val_p",
-    "inv_mod",
     "crt_split",
-    "crt_combine",
     "residue",
 ]
 
@@ -195,35 +191,6 @@ def residue(value: int, q: "int | Modulus") -> Residue:
     return Residue(value, as_modulus(q))
 
 
-def inv_mod(a: Residue) -> Residue:
-    """Multiplicative inverse in Z_q; the argument must be a unit."""
-    try:
-        v = pow(a.value, -1, a.q)
-    except ValueError as exc:
-        raise DomainError(f"{a.value} is not a unit mod {a.q}") from exc
-    return Residue(v, a.modulus)
-
-
 def crt_split(x: Residue) -> tuple[Residue, ...]:
     """Image of x under the ring isomorphism Z_q -> prod Z_{p_i^{a_i}}."""
     return tuple(Residue(x.value, m) for m in x.modulus.prime_power_moduli())
-
-
-def crt_combine(parts: Sequence[Residue], modulus: "Modulus | None" = None) -> Residue:
-    """Inverse of crt_split.  The parts' moduli must be pairwise coprime."""
-    if not parts:
-        raise DomainError("crt_combine needs at least one component")
-    q = 1
-    for r in parts:
-        if gcd(q, r.q) != 1:
-            raise DomainError("component moduli must be pairwise coprime")
-        q *= r.q
-    if modulus is None:
-        modulus = factorize(q)
-    elif modulus.q != q:
-        raise DomainError(f"target modulus {modulus.q} != product of components {q}")
-    x = 0
-    for r in parts:
-        m_i = q // r.q
-        x += r.value * m_i * pow(m_i, -1, r.q)
-    return Residue(x, modulus)

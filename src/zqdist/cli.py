@@ -62,10 +62,9 @@ from .sphere import (
     sphere_count_formula,
     sphere_counts_all,
     sphere_enumerate,
-    sphere_fourier_direct,
     sphere_size_bound_check,
     sphere_spec,
-    sphere_spectrum_formula,
+    sphere_spectrum,
 )
 
 DEFAULT_SEED = 1
@@ -240,8 +239,8 @@ def _spectrum_row(m, d: int, t: int, max_grid: int) -> dict:
     """The two spectrum routes compared, and the decay bound for d > 2 on the
     direct spectrum; each route is computed once."""
     spec = sphere_spec(m, d, t)
-    direct = sphere_fourier_direct(spec, max_grid)
-    diff = float(np.abs(direct.values - sphere_spectrum_formula(spec, max_grid).values).max())
+    direct = sphere_spectrum(spec, "direct", max_grid)
+    diff = float(np.abs(direct.values - sphere_spectrum(spec, "formula", max_grid).values).max())
     row = {
         "q": m.q, "d": d, "t": t,
         "max_route_diff": diff, "route_tol": 1e-8,

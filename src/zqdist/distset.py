@@ -41,7 +41,6 @@ from .arith import Modulus, Residue, as_modulus, factorize, tau
 from .errors import BudgetError, DomainError, InconsistencyError
 from .fourier import (
     DEFAULT_GRID_BUDGET,
-    GridFunction,
     check_grid_budget,
     half_forward,
     half_weights,
@@ -60,7 +59,6 @@ __all__ = [
     "nu_brute",
     "nu_histogram",
     "nu_pairs",
-    "nu_spectral",
     "nu_spectral_sweep",
     "theorem_threshold",
     "certificate_check",
@@ -139,9 +137,6 @@ class PointSet:
         vals = np.zeros(check_grid_budget(self.q, self.d, max_grid))
         vals[self.flat_indices()] = 1.0
         return vals
-
-    def indicator(self, max_grid: int = DEFAULT_GRID_BUDGET) -> GridFunction:
-        return GridFunction(self.modulus, self.d, self._indicator_values(max_grid))
 
     def translate(self, v: Sequence[int]) -> "PointSet":
         if len(v) != self.d:
@@ -444,7 +439,8 @@ def nu_spectral_sweep(
     *,
     _power: "np.ndarray | None" = None,
 ) -> list[NuReport]:
-    """nu_spectral for several t from one transform of E's indicator.
+    """Spectral evaluation of nu(t) for several t (every t by default) from one
+    transform of E's indicator; must reproduce nu_pairs exactly.
 
     S_t^(m) depends on m only through its class (sphere._frequency_classes),
     so nu(t) = q^{2d} sum_c P_c K[c, t] with P_c the sum of |E^(m)|^2 over
@@ -462,7 +458,7 @@ def nu_spectral_sweep(
     _sweep_tolerance); an explicit int_tol takes precedence.
     """
     m = E.modulus
-    m.require_odd("nu_spectral")
+    m.require_odd("nu_spectral_sweep")
     q, d = m.q, E.d
     ts = range(q) if ts is None else [_t_value(t, q) for t in ts]
     kern = _class_kernel(m, d, route, max_grid)
@@ -498,17 +494,6 @@ def nu_spectral_sweep(
             NuReport(t, int(nu_int), main, r.real, r_bound, bool(main - r_bound > 0))
         )
     return out
-
-
-def nu_spectral(
-    E: PointSet,
-    t: "int | Residue",
-    route: str = "direct",
-    max_grid: int = DEFAULT_GRID_BUDGET,
-    int_tol: "float | None" = None,
-) -> NuReport:
-    """Spectral evaluation of nu(t); must reproduce nu_brute exactly."""
-    return nu_spectral_sweep(E, [_t_value(t, E.q)], route, max_grid, int_tol)[0]
 
 
 @dataclass(frozen=True)

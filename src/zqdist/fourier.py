@@ -29,13 +29,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import Modulus, Residue, as_modulus
+from .arith import Modulus, as_modulus
 from .errors import BudgetError, DomainError
 
 __all__ = [
     "GridFunction",
     "Spectrum",
-    "chi",
     "forward",
     "inverse",
     "half_forward",
@@ -142,11 +141,6 @@ class GridFunction(_GridBase):
 
 class Spectrum(_GridBase):
     """Fourier coefficients indexed by frequency vectors m in Z_q^d."""
-
-
-def chi(x: Residue) -> complex:
-    """The additive character chi(x) = e^{2 pi i x / q}."""
-    return complex(character_table(x.q)[x.value])
 
 
 @lru_cache(maxsize=64)

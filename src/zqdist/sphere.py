@@ -6,7 +6,8 @@ Exact counts by exhaustive enumeration, the character-sum count formula
 
 with its error term and explicit per-prime-power bound, and the Fourier
 coefficients of the sphere indicator by two independent routes: the direct
-transform of the enumerated indicator, and the Gauss-sum product formula
+transform of the enumerated indicator (the oracle), and the Gauss-sum
+product formula
 
     S_t^(m) = q^{-d-1} sum_s e^{-2 pi i s t / q} prod_i G(s, -m_i, q).
 
@@ -19,9 +20,10 @@ representative per class by either route: "direct" counts the points of
 Z_q^j by (||y||, y . m) exactly over the j coordinates where m is nonzero,
 takes one q-term character sum and convolves with the sphere counts of the
 other coordinates; "formula" multiplies the Gauss sums and takes one
-length-q DFT over s.  The
-spectral sweep of distset reads nu(t) off it; the full spectra above are its
-oracle.
+length-q DFT over s.  The formula kernel is the only evaluation of the
+Gauss-sum product: the formula spectrum of S_t is its column t spread over
+the members of each class.  The spectral sweep of distset reads nu(t) off
+the kernel; the direct spectra are its oracle.
 
 Formula routes require odd q; enumeration works for any q within budget.
 """
@@ -61,12 +63,9 @@ __all__ = [
     "sphere_count_formula",
     "sphere_size_bound_check",
     "sphere_fourier_direct",
-    "sphere_fourier_formula",
     "sphere_spectrum_formula",
     "sphere_spectrum",
-    "spectra_max_diff",
     "decay_report",
-    "decay_bound_check",
 ]
 
 # unit^d lookup when unit = i^k
@@ -291,61 +290,6 @@ def _gauss_table(q: int) -> np.ndarray:
     return out
 
 
-def sphere_fourier_formula(spec: SphereSpec, m_point: Sequence[int]) -> complex:
-    """One Fourier coefficient via the Gauss-sum product formula.
-
-    The s = 0 term contributes q^d [m = 0], so a single sum over all of Z_q
-    covers every frequency.
-    """
-    mod = spec.modulus
-    mod.require_odd("sphere_fourier_formula")
-    q, d, t = mod.q, spec.d, spec.t_value
-    if len(m_point) != d:
-        raise DomainError(f"expected {d} coordinates, got {len(m_point)}")
-    tbl = _gauss_table(q)
-    roots = character_table(q)
-    total = 0j
-    for s in range(q):
-        prod = complex(roots[(-s * t) % q])
-        for mi in m_point:
-            prod *= tbl[s, (-mi) % q]
-        total += prod
-    return total / q ** (d + 1)
-
-
-def sphere_spectrum_formula(spec: SphereSpec, max_grid: int = DEFAULT_GRID_BUDGET) -> Spectrum:
-    """The full spectrum via the product formula, assembled per s as an outer
-    product of identical length-q factors (q^{d+1} scalar work)."""
-    mod = spec.modulus
-    mod.require_odd("sphere_spectrum_formula")
-    q, d, t = mod.q, spec.d, spec.t_value
-    check_grid_budget(q, d, max_grid)
-    tbl = _gauss_table(q)
-    roots = character_table(q)
-    neg = (-np.arange(q)) % q
-    acc = np.zeros((q,) * d, dtype=np.complex128)
-    for s in range(q):
-        vec = tbl[s][neg]  # vec[b] = G(s, -b, q)
-        term = vec
-        for _ in range(d - 1):
-            term = np.multiply.outer(term, vec)
-        acc += roots[(-s * t) % q] * term
-    acc *= 1.0 / float(q) ** (d + 1)
-    return Spectrum(mod, d, acc.reshape(-1))
-
-
-def sphere_spectrum(
-    spec: SphereSpec, route: str = "direct", max_grid: int = DEFAULT_GRID_BUDGET
-) -> Spectrum:
-    """The spectrum by the named route: "direct" transforms the enumerated
-    indicator, "formula" assembles the Gauss-sum products.  Nothing is cached."""
-    if route == "direct":
-        return sphere_fourier_direct(spec, max_grid)
-    if route == "formula":
-        return sphere_spectrum_formula(spec, max_grid)
-    raise DomainError(f"unknown spectrum route {route!r}")
-
-
 def _frequency_classes(q: int, d: int) -> tuple[np.ndarray, int]:
     """The class of every frequency m in Z_q^d (odd q), flat and row-major,
     and the number sigma(q) of class slots.
@@ -477,11 +421,23 @@ def _class_kernel(
     return _ClassKernel(ids, sizes, values, error)
 
 
-def spectra_max_diff(spec: SphereSpec, max_grid: int = DEFAULT_GRID_BUDGET) -> float:
-    """Entrywise distance between the two spectrum routes."""
-    a = sphere_fourier_direct(spec, max_grid).values
-    b = sphere_spectrum_formula(spec, max_grid).values
-    return float(np.abs(a - b).max())
+def sphere_spectrum_formula(spec: SphereSpec, max_grid: int = DEFAULT_GRID_BUDGET) -> Spectrum:
+    """The full spectrum by the product formula: column t of the formula class
+    kernel, spread over the members of every class."""
+    kern = _class_kernel(spec.modulus, spec.d, "formula", max_grid)
+    return Spectrum(spec.modulus, spec.d, kern.values[kern.ids, spec.t_value])
+
+
+def sphere_spectrum(
+    spec: SphereSpec, route: str = "direct", max_grid: int = DEFAULT_GRID_BUDGET
+) -> Spectrum:
+    """The spectrum by the named route: "direct" transforms the enumerated
+    indicator, "formula" spreads the formula class kernel.  Nothing is cached."""
+    if route == "direct":
+        return sphere_fourier_direct(spec, max_grid)
+    if route == "formula":
+        return sphere_spectrum_formula(spec, max_grid)
+    raise DomainError(f"unknown spectrum route {route!r}")
 
 
 @dataclass(frozen=True)
@@ -492,28 +448,15 @@ class DecayReport:
     ok: bool
 
 
-def _decay_bound(spec: SphereSpec) -> float:
-    """q^{-1} tau(q) p_1^{-(d-2)/2}, which holds for odd q and d > 2."""
+def decay_report(spec: SphereSpec, spectrum: Spectrum) -> DecayReport:
+    """Compare max_{m != 0} |S_t^(m)| over a given spectrum of S_t against
+    q^{-1} tau(q) p_1^{-(d-2)/2}, which holds for odd q and d > 2."""
     mod = spec.modulus
     mod.require_odd("the decay bound")
     if spec.d <= 2:
         raise DomainError(f"the decay bound needs d > 2, got d={spec.d}")
-    return tau(mod) / (mod.q * float(mod.p1) ** ((spec.d - 2) / 2))
-
-
-def decay_report(spec: SphereSpec, spectrum: Spectrum) -> DecayReport:
-    """Compare max_{m != 0} |S_t^(m)| over a given spectrum of S_t against
-    q^{-1} tau(q) p_1^{-(d-2)/2}."""
-    bound = _decay_bound(spec)
+    bound = tau(mod) / (mod.q * float(mod.p1) ** ((spec.d - 2) / 2))
     mags = np.abs(spectrum.values)
     mags[0] = 0.0
     mx = float(mags.max())
     return DecayReport(mx, bound, mx / bound, mx <= bound)
-
-
-def decay_bound_check(
-    spec: SphereSpec, route: str = "direct", max_grid: int = DEFAULT_GRID_BUDGET
-) -> DecayReport:
-    """The decay bound on the spectrum by the named route."""
-    _decay_bound(spec)  # reject even q and d <= 2 before any transform
-    return decay_report(spec, sphere_spectrum(spec, route, max_grid))

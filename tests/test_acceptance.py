@@ -9,7 +9,8 @@ import time
 
 import numpy as np
 
-from zqdist.arith import factorize
+from zqdist.arith import as_modulus, factorize
+from zqdist.cli import _spectrum_row
 from zqdist.cli import main as cli_main
 from zqdist.distset import (
     PointSet,
@@ -22,6 +23,7 @@ from zqdist.distset import (
     theorem_threshold,
 )
 from zqdist.fourier import (
+    DEFAULT_GRID_BUDGET,
     GridFunction,
     forward,
     inverse,
@@ -30,8 +32,6 @@ from zqdist.fourier import (
 )
 from zqdist.gauss import gauss_brute, gauss_general, gauss_row
 from zqdist.sphere import (
-    decay_bound_check,
-    spectra_max_diff,
     sphere_count_formula,
     sphere_counts_all,
     sphere_size_bound_check,
@@ -154,12 +154,13 @@ def test_criterion_5_decay_bound():
     worst_ratio = 0.0
     for q in FOURIER_QS:
         for t in range(q):
-            spec = sphere_spec(q, 3, t)
-            diff = spectra_max_diff(spec)
-            assert diff < 1e-8, f"two-route disagreement {diff} at q={q} t={t}"
-            rep = decay_bound_check(spec)
-            assert rep.ok, (q, t, rep)
-            worst_ratio = max(worst_ratio, rep.ratio)
+            # the row that spectrum and verify-all emit
+            row = _spectrum_row(as_modulus(q), 3, t, DEFAULT_GRID_BUDGET)
+            diff = row["max_route_diff"]
+            assert diff < row["route_tol"], f"two-route disagreement {diff} at q={q} t={t}"
+            assert row["max_nonzero_coeff"] <= row["decay_bound"], (q, t, row)
+            assert row["passed"], (q, t, row)
+            worst_ratio = max(worst_ratio, row["ratio_to_bound"])
     elapsed = time.time() - t0
     assert elapsed < 120.0, f"criterion 5 took {elapsed:.1f}s, budget is 2 min"
     _report(5, "spectral decay bound", f"max ratio {worst_ratio:.4f}", t0)

@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 from zqdist.arith import (
     Modulus,
     Residue,
-    crt_combine,
     crt_split,
     eps,
     factorize,
-    inv_mod,
     jacobi,
     residue,
     tau,
@@ -181,48 +179,20 @@ class TestResidue:
             residue(1, 9) + residue(1, 15)
 
 
-class TestInvMod:
-    def test_examples(self):
-        assert inv_mod(residue(4, 9)).value == 7
-        assert inv_mod(residue(1, 45)).value == 1
-        with pytest.raises(DomainError):
-            inv_mod(residue(3, 9))
-
-    def test_all_units_small(self):
-        import math
-
-        for q in range(2, 50):
-            for a in range(1, q):
-                if math.gcd(a, q) == 1:
-                    assert (a * inv_mod(residue(a, q)).value) % q == 1
-
-
 class TestCrt:
     def test_examples(self):
         parts = crt_split(residue(7, 15))
         assert [(r.value, r.q) for r in parts] == [(1, 3), (2, 5)]
-        assert crt_combine(parts).value == 7
+        assert [x for x in range(15) if crt_split(residue(x, 15)) == parts] == [7]
         assert all(r.value == 0 for r in crt_split(residue(0, 45)))
-        back = crt_combine([residue(1, 3), residue(2, 5)])
-        assert (back.value, back.q) == (7, 15)
-
-    def test_round_trip_exhaustive(self):
-        for q in (6, 12, 15, 45, 105, 210, 225):
-            m = factorize(q)
-            for x in range(q):
-                r = Residue(x, m)
-                assert crt_combine(crt_split(r), m) == r
 
     def test_ring_homomorphism_exhaustive(self):
         for q in (15, 45, 225):
             m = factorize(q)
+            assert len({crt_split(Residue(x, m)) for x in range(q)}) == q  # one-to-one
             for x in range(q):
                 for y in range(q):
                     rx, ry = Residue(x, m), Residue(y, m)
                     sx, sy = crt_split(rx), crt_split(ry)
                     assert crt_split(rx + ry) == tuple(a + b for a, b in zip(sx, sy))
                     assert crt_split(rx * ry) == tuple(a * b for a, b in zip(sx, sy))
-
-    def test_non_coprime_rejected(self):
-        with pytest.raises(DomainError):
-            crt_combine([residue(1, 6), residue(1, 4)])

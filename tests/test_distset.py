@@ -19,7 +19,6 @@ from zqdist.distset import (
     nu_brute,
     nu_histogram,
     nu_pairs,
-    nu_spectral,
     nu_spectral_sweep,
     read_pointset,
     sample_random_set,
@@ -27,7 +26,7 @@ from zqdist.distset import (
     write_pointset,
 )
 from zqdist.errors import BudgetError, DomainError, InconsistencyError
-from zqdist.fourier import forward, hermitian_inverse
+from zqdist.fourier import GridFunction, forward, hermitian_inverse
 from zqdist.sphere import (
     _class_kernel,
     _norms_flat,
@@ -40,6 +39,11 @@ from zqdist.sphere import (
 
 def full_grid(q, d):
     return PointSet(q, d, itertools.product(range(q), repeat=d))
+
+
+def indicator(E):
+    # 1_E as a complex grid function, for the full forward transform
+    return GridFunction(E.modulus, E.d, E._indicator_values(10**7))
 
 
 def nu_loop(E, t):
@@ -116,7 +120,7 @@ class TestPointSet:
 
     def test_indicator_round_trip(self):
         E = sample_random_set(5, 3, 17, seed=9)
-        ind = E.indicator()
+        ind = indicator(E)
         assert int(ind.values.real.sum()) == 17
         members = set(E.points)
         for i in E.flat_indices():
@@ -289,7 +293,7 @@ class TestHalfSpectrumRoute:
 def _whole_grid_tolerance(E, kern):
     """The sweep tolerance from |E^|^2 over all of Z_q^d, binned by class in
     blocks of ceil(sqrt(q^d)): the route the half grid replaces."""
-    power = np.abs(forward(E.indicator()).values) ** 2
+    power = np.abs(forward(indicator(E)).values) ** 2
     n, classes = power.size, kern.sizes.size
     block = math.isqrt(n - 1) + 1
     blocks = -(-n // block)
@@ -330,7 +334,7 @@ class TestHalfSpectrumTolerances:
         E = sample_random_set(15, 4, 2000, seed=6)
         kern = _class_kernel(E.modulus, 4)
         half, _ = distset._class_power(distset._power_spectrum(E, 10**7), kern)
-        whole = np.bincount(kern.ids, weights=np.abs(forward(E.indicator()).values) ** 2)
+        whole = np.bincount(kern.ids, weights=np.abs(forward(indicator(E)).values) ** 2)
         assert np.abs(half - whole).max() <= 1e-12 * whole.sum()
 
 
@@ -379,13 +383,13 @@ class TestNuSpectral:
 
     def test_empty_fiber(self):
         E = PointSet(3, 3, [(0, 0, 0), (1, 0, 0)])
-        rep = nu_spectral(E, 2)
+        (rep,) = nu_spectral_sweep(E, [2])
         assert rep.nu == 0
         assert abs(rep.main_term + rep.r_t) < 1e-9
 
     def test_even_q_rejected(self):
         with pytest.raises(DomainError):
-            nu_spectral(construct_even_weight(3), 0)
+            nu_spectral_sweep(construct_even_weight(3), [0])
 
     @pytest.mark.parametrize("q,d", [(3, 1), (9, 1), (9, 2), (27, 2)])
     def test_formula_route_on_empty_spheres(self, q, d):
@@ -409,7 +413,7 @@ class TestNuSpectral:
         E = sample_random_set(5, 3, 12, seed=77)
         sweep = nu_spectral_sweep(E)
         for t in range(5):
-            assert nu_spectral(E, t) == sweep[t]
+            assert nu_spectral_sweep(E, [t]) == [sweep[t]]
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), q=st.sampled_from([3, 5, 9, 15, 21, 25, 27, 45]))

@@ -6,12 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zqdist.arith import residue
 from zqdist.errors import BudgetError, DomainError
 from zqdist.fourier import (
     GridFunction,
     Spectrum,
-    chi,
+    character_table,
     dft_reference,
     forward,
     half_forward,
@@ -37,17 +36,17 @@ def delta(q, d, point=None):
 
 
 class TestChi:
+    # the additive character chi(x) = e^{2 pi i x / q}, tabulated
     def test_values(self):
-        assert chi(residue(0, 7)) == 1
-        assert abs(chi(residue(3, 9)) - cmath.exp(2j * cmath.pi / 3)) < 1e-12
+        assert character_table(7)[0] == 1
+        assert abs(character_table(9)[3] - cmath.exp(2j * cmath.pi / 3)) < 1e-12
 
     def test_character_property(self):
         for q in (5, 8, 9, 12):
+            tbl = character_table(q)
             for a in range(q):
                 for b in range(q):
-                    lhs = chi(residue(a, q)) * chi(residue(b, q))
-                    rhs = chi(residue(a + b, q))
-                    assert abs(lhs - rhs) < 1e-12
+                    assert abs(tbl[a] * tbl[b] - tbl[(a + b) % q]) < 1e-12
 
 
 class TestIndexing:

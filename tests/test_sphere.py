@@ -12,16 +12,15 @@ from zqdist.fourier import character_table, forward
 from zqdist.sphere import (
     _class_kernel,
     _gauss_table,
-    decay_bound_check,
-    spectra_max_diff,
+    decay_report,
     sphere_count_formula,
     sphere_counts_all,
     sphere_enumerate,
     sphere_fourier_direct,
-    sphere_fourier_formula,
     sphere_indicator,
     sphere_size_bound_check,
     sphere_spec,
+    sphere_spectrum,
     sphere_spectrum_formula,
 )
 
@@ -205,27 +204,47 @@ class TestFourierDirect:
             assert abs(total - int(counts[t]) / q**d) < 1e-12
 
 
+# odd q, composite ones included, and d with q^d <= 10^5
+FORMULA_CASES = [(q, d) for q in (3, 5, 9, 15, 21) for d in (1, 2, 3, 4) if q**d <= 10**5]
+
+
 class TestFourierFormula:
     def test_matches_direct_entrywise(self):
-        for q in (3, 5, 9):
+        # the kernel column spread over every frequency against the transform;
+        # for d <= 2 some classes are empty and their zero rows must stay unread
+        eps = np.finfo(np.float64).eps
+        for q, d in FORMULA_CASES:
+            kern = _class_kernel(as_modulus(q), d, "formula")
+            if d == 1:  # the non-squares mod q leave classes empty
+                assert (kern.sizes == 0).any()
+            counts = sphere_counts_all(q, d)
             for t in range(q):
-                assert spectra_max_diff(sphere_spec(q, 3, t)) < 1e-8
+                spec = sphere_spec(q, d, t)
+                formula = sphere_spectrum_formula(spec).values
+                gap = np.abs(formula - sphere_fourier_direct(spec).values)
+                tol = kern.error[kern.ids, t] + d * (q + 11) * eps * counts[t] / q**d
+                assert (gap <= tol).all(), (q, d, t, gap.max())
 
     def test_scalar_against_direct(self):
         sp = sphere_fourier_direct(sphere_spec(9, 3, 0))
-        spec = sphere_spec(9, 3, 0)
+        formula = sphere_spectrum_formula(sphere_spec(9, 3, 0))
         for m in ((0, 0, 0), (1, 0, 0), (2, 5, 7), (8, 8, 8)):
-            direct = sp.values[sp.index_of(m)]
-            assert abs(sphere_fourier_formula(spec, m) - direct) < 1e-8
+            assert abs(formula[m] - sp.values[sp.index_of(m)]) < 1e-8
 
     def test_mean_value_example(self):
-        assert abs(sphere_fourier_formula(sphere_spec(3, 3, 1), (0, 0, 0)) - 2 / 9) < 1e-12
+        assert abs(sphere_spectrum_formula(sphere_spec(3, 3, 1))[(0, 0, 0)] - 2 / 9) < 1e-12
 
     def test_scalar_matches_array_route(self):
-        spec = sphere_spec(5, 3, 3)
-        arr = sphere_spectrum_formula(spec)
+        # the product formula term by term, from brute-force Gauss sums
+        q, d, t = 5, 3, 3
+        rows = [gauss.gauss_brute(s, np.arange(q), q) for s in range(q)]
+        arr = sphere_spectrum_formula(sphere_spec(q, d, t))
         for m in ((0, 0, 0), (1, 2, 3), (4, 4, 1)):
-            assert abs(sphere_fourier_formula(spec, m) - arr.values[arr.index_of(m)]) < 1e-12
+            total = sum(
+                np.exp(-2j * np.pi * s * t / q) * np.prod([rows[s][-mi % q] for mi in m])
+                for s in range(q)
+            )
+            assert abs(total / q ** (d + 1) - arr[m]) < 1e-12
 
     def test_divisibility_gate(self):
         # s with a common factor g = (s, q) kills coordinates g does not divide
@@ -236,23 +255,27 @@ class TestFourierFormula:
 
     def test_even_q_rejected(self):
         with pytest.raises(DomainError):
-            sphere_fourier_formula(sphere_spec(6, 3, 1), (0, 0, 0))
-        with pytest.raises(DomainError):
             sphere_spectrum_formula(sphere_spec(6, 3, 1))
+        with pytest.raises(DomainError):
+            sphere_spectrum(sphere_spec(6, 3, 1), "formula")
 
     def test_wrong_arity(self):
         with pytest.raises(DomainError):
-            sphere_fourier_formula(sphere_spec(3, 3, 1), (0, 0))
+            sphere_spectrum_formula(sphere_spec(3, 3, 1))[(0, 0)]
+
+
+def decay_check(spec, route="direct"):
+    return decay_report(spec, sphere_spectrum(spec, route))
 
 
 class TestDecayBound:
     def test_z3_d3_frozen_bound(self):
-        rep = decay_bound_check(sphere_spec(3, 3, 1))
+        rep = decay_check(sphere_spec(3, 3, 1))
         assert abs(rep.bound - (1 / 3) * 2 * 3**-0.5) < 1e-12
         assert rep.ok and rep.ratio <= 1
 
     def test_z3_d4_frozen_bound(self):
-        rep = decay_bound_check(sphere_spec(3, 4, 0))
+        rep = decay_check(sphere_spec(3, 4, 0))
         assert abs(rep.bound - 2 / 9) < 1e-12
         assert rep.ok
 
@@ -260,12 +283,12 @@ class TestDecayBound:
         for q in (3, 5, 9, 15):
             for t in range(q):
                 for route in ("direct", "formula"):
-                    rep = decay_bound_check(sphere_spec(q, 3, t), route=route)
+                    rep = decay_check(sphere_spec(q, 3, t), route)
                     assert rep.ok, (q, t, route)
 
     def test_low_dimension_rejected(self):
         with pytest.raises(DomainError):
-            decay_bound_check(sphere_spec(3, 2, 0))
+            decay_check(sphere_spec(3, 2, 0))
 
 
 class TestOrthogonalInvariance:
