@@ -51,6 +51,7 @@ from .errors import BudgetError, DomainError, InconsistencyError
 from .fourier import (
     DEFAULT_GRID_BUDGET,
     GridFunction,
+    check_grid_budget,
     forward,
     inverse,
     orthogonality_max_defect,
@@ -152,6 +153,7 @@ def _cmd_gauss(args):
     if args.a is None or args.n is None:
         raise DomainError("provide --a and --n (and optionally --b), or use --verify")
     a, b, n = args.a, args.b, args.n
+    check_grid_budget(n, 1, args.max_grid)  # the oracle sums over all of Z_n
     val = gauss_general(a, b, n)
     z = val.complex_render
     w = gauss_brute(a, b, n)

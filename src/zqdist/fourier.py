@@ -277,37 +277,52 @@ def dft_reference(f: GridFunction, max_size: int = 20_000) -> Spectrum:
     return Spectrum(f.modulus, f.d, (kernel.T @ f.values) / f.size)
 
 
+def _residue_histograms(s: np.ndarray, q: int) -> np.ndarray:
+    """h[i, r] = #{x in Z_q : x s_i = r mod q} for each s_i, binned over all x."""
+    phases = np.multiply.outer(s, np.arange(q, dtype=np.int64))
+    phases %= q
+    phases += q * np.arange(len(s), dtype=np.int64)[:, None]
+    return np.bincount(phases.ravel(), minlength=phases.size).reshape(phases.shape)
+
+
 def orthogonality_max_defect(q: int, d: int, max_grid: int = DEFAULT_GRID_BUDGET) -> float:
     """max over m of | q^{-d} sum_x e^{2 pi i (x . m)/q} - [m = 0] |.
 
-    Every (x, m) pair is summed directly; no transform code is involved.  The
-    phase of (x, m) is formed as sum_i T[x_i, m_i] with T[x, m] = x m mod q,
-    an integer in [0, d (q - 1)], by d - 1 broadcast additions of the columns
-    of T that a block of m needs.  Each row of the block bins its phases with
-    a per-row offset into W = ceil((d (q - 1) + 1) / q) q bins, and the bins
-    are folded mod q by a reshape and a sum.  So every pair lands as an exact
-    integer count per residue, and the only rounding is in one dot of those
-    counts with the q-th roots of unity.  Blocks hold 2^20 // max(q^d, W)
-    rows of m.
+    No transform code is involved.  The sum over x is the dot of the exact
+    counts c[m, k] = #{x in Z_q^d : x . m = k mod q} with the q-th roots of
+    unity, so the only rounding is in that dot.  The counts are the d-fold
+    cyclic convolution of the per-coordinate histograms h[s, r] =
+    #{x in Z_q : x s = r mod q}, each binned over Z_q: for m = (m', s),
+    c[m] = c[m'] (*) h[s], with (*) the cyclic convolution over Z_q.  For a
+    block of rows c[m'] that is one integer product, of h with the q x q
+    circulant of each row, so the work is O(q^{d+2}) in place of the q^{2d}
+    pairs (x, m).  The counts of the first d - 1 coordinates are kept
+    (8 q^d bytes, twice that while they are built); the last coordinate is
+    streamed in blocks of max(2^20 // q^d, 2^10 // q, 1) rows of m in flat
+    order.  BLAS bits depend on the call shape, so for q^{d-1} <= 2^10 the
+    blocks are those of the pair-binning reference in the tests, which bins
+    all (x, m), and each dot there is the same call with the same float
+    result; the floor keeps larger grids from being cut into single rows.
     """
     n = check_grid_budget(q, d, max_grid)
     tbl = character_table(q)
     ks = np.arange(q, dtype=np.int64)
-    width = -(-(d * (q - 1) + 1) // q) * q
+    if d > 1:
+        h = _residue_histograms(ks, q)
+        circulant = (ks[None, :] - ks[:, None]) % q  # row[circulant][r, k] = row[k - r]
+        prefix = h  # the counts c[m'] of Z_q^1, one row per m'
+        for _ in range(d - 2):
+            prefix = (h @ prefix[:, circulant]).reshape(-1, q)
     worst = 0.0
-    chunk = max(1, 2**20 // max(n, width))
+    chunk = max(2**20 // n, 2**10 // q, 1)
     for lo in range(0, n, chunk):
-        block = np.unravel_index(np.arange(lo, min(lo + chunk, n)), (q,) * d)
-        rows = len(block[0])
-        phases = np.multiply.outer(block[0], ks) % q  # T[x_1, m_1] for every x_1, per m
-        for mi in block[1:]:  # x_1 most significant, as in the flat order
-            column = np.multiply.outer(mi, ks) % q
-            phases = (phases[:, :, None] + column[:, None, :]).reshape(rows, -1)
-        phases += width * np.arange(rows, dtype=np.int64)[:, None]
-        bins = np.bincount(phases.ravel(), minlength=width * rows)
-        del phases  # at most two block-sized int64 arrays are alive at once
-        counts = bins.reshape(rows, width // q, q).sum(axis=1)
-        del bins
+        hi = min(lo + chunk, n)
+        if d == 1:
+            counts = _residue_histograms(np.arange(lo, hi, dtype=np.int64), q)
+        else:  # rows m = (m', s) for m' in [lo // q, (hi - 1) // q], cut to [lo, hi)
+            p0 = lo // q
+            counts = (h @ prefix[p0 : (hi - 1) // q + 1][:, circulant]).reshape(-1, q)
+            counts = counts[lo - p0 * q : hi - p0 * q]
         sums = counts @ tbl / n
         if lo == 0:
             sums[0] -= 1.0

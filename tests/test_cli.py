@@ -119,6 +119,13 @@ class TestGaussCommand:
         code, _ = run(tmp_path, "gauss")
         assert code == 2
 
+    def test_modulus_past_grid_budget_exit_2(self, tmp_path):
+        # the oracle sums over all of Z_n, so n counts against --max-grid
+        code, text = run(tmp_path, "gauss", "--a", "3", "--n", "1001", "--max-grid", "1000")
+        assert code == 2 and text == ""
+        code, _ = run(tmp_path, "gauss", "--a", "3", "--n", "1000", "--max-grid", "1000")
+        assert code == 0
+
     def test_sweep_row_is_one_call_of_each(self, monkeypatch):
         calls = []
         real_row, real_brute = gauss.gauss_row, gauss.gauss_brute

@@ -219,7 +219,53 @@ class TestPlancherel:
             plancherel_defect(random_grid(3, 2, 0), random_grid(5, 2, 0))
 
 
+def pair_binning_defect(q, d):
+    # the pair-binning count that orthogonality_max_defect replaced: every
+    # (x, m) pair's phase binned per row of m, in blocks of 2^20 // q^d rows
+    n = q**d
+    tbl = character_table(q)
+    ks = np.arange(q, dtype=np.int64)
+    width = -(-(d * (q - 1) + 1) // q) * q
+    worst = 0.0
+    chunk = max(1, 2**20 // max(n, width))
+    for lo in range(0, n, chunk):
+        block = np.unravel_index(np.arange(lo, min(lo + chunk, n)), (q,) * d)
+        rows = len(block[0])
+        phases = np.multiply.outer(block[0], ks) % q
+        for mi in block[1:]:
+            column = np.multiply.outer(mi, ks) % q
+            phases = (phases[:, :, None] + column[:, None, :]).reshape(rows, -1)
+        phases += width * np.arange(rows, dtype=np.int64)[:, None]
+        bins = np.bincount(phases.ravel(), minlength=width * rows)
+        counts = bins.reshape(rows, width // q, q).sum(axis=1)
+        sums = counts @ tbl / n
+        if lo == 0:
+            sums[0] -= 1.0
+        worst = max(worst, float(np.abs(sums).max()))
+    return worst
+
+
 class TestOrthogonality:
+    def test_bitwise_equal_to_pair_binning(self):
+        # the same exact counts and the same dots, so the same float: every
+        # (q, d) of verify-all, of this class and of the acceptance suite
+        cases = {(q, d) for q in (2, 3, 4, 5, 7, 8, 9, 12, 15) for d in (1, 2, 3)}
+        cases |= {(q, d) for q in range(2, 126) for d in range(1, 8) if q**d <= 125}
+        cases |= {(12, 3), (7, 4), (2, 10), (4, 6), (2000, 1)}
+        for q, d in sorted(cases):
+            assert orthogonality_max_defect(q, d) == pair_binning_defect(q, d), (q, d)
+
+    def test_past_pair_binning_reach(self):
+        # Z_3^12 has 2.8 * 10^11 pairs (x, m); the convolved counts need 3^14 steps
+        tracemalloc.start()
+        try:
+            defect = orthogonality_max_defect(3, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert defect <= 5 * np.finfo(np.float64).eps
+        assert peak < 48 * 2**20, peak
+
     def test_exhaustive(self):
         for q in (2, 3, 4, 5, 7, 8, 9, 12, 15):
             for d in (1, 2, 3):

@@ -1,13 +1,16 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqdist.errors import DomainError
+from zqdist.errors import BudgetError, DomainError
+from zqdist.fourier import DEFAULT_GRID_BUDGET, character_table
 from zqdist.gauss import gauss_brute, gauss_closed, gauss_general, gauss_row
 
 
@@ -49,8 +52,8 @@ class TestBrute:
             assert abs(z - direct_sum(5, int(b), 12)) < 1e-9 * 12
 
     def test_array_a_matches_double_loop(self):
-        # every x summed one term at a time: cmath terms, math.fsum; the counts
-        # times the table roots (each within 11 eps) round within (n + 12) eps n
+        # every x summed one term at a time: cmath terms, math.fsum; the worst
+        # |grid - fsum| over n <= 30 is 0.11 of the (n + 12) eps n asserted here
         eps = np.finfo(np.float64).eps
         for n in range(1, 31):
             grid = gauss_brute(np.arange(n)[:, None], np.arange(n), n)
@@ -84,6 +87,80 @@ class TestBrute:
     def test_rejects_bad_n(self):
         with pytest.raises(DomainError):
             gauss_brute(1, 0, 0)
+
+    def test_rejects_n_past_grid_budget(self):
+        # checked before any Z_n array exists
+        with pytest.raises(BudgetError):
+            gauss_brute(3, 5, DEFAULT_GRID_BUDGET + 1)
+
+    @pytest.mark.parametrize("n", [7, 64, 65, 130, 1031])
+    def test_scattered_pairs_equal_grid_entries(self, n):
+        # each value is read off its own aligned tile, so any call shape gives
+        # the grid's bits; the pairs repeat, sit on the last tile edge and come
+        # as negative and huge Python ints in an odd shape
+        rng = np.random.default_rng(n)
+        a = rng.integers(0, n, size=(5, 7))
+        b = rng.integers(0, n, size=(5, 7))
+        a[0, :3] = b[0, :3] = n - 1
+        a[1, 1], b[1, 1] = a[1, 0], b[1, 0]
+        if n == 1031:  # the grid rows of the a that occur, one call per row
+            grid = np.zeros((n, n), dtype=np.complex128)
+            for v in set(a.ravel().tolist()):
+                grid[v] = gauss_brute(v, np.arange(n), n)
+        else:
+            grid = gauss_brute(np.arange(n)[:, None], np.arange(n), n)
+        ref = grid[a, b]
+        big = 2**70 * n
+        huge_a = [[x - big for x in row] for row in a.tolist()]
+        huge_b = [[y + 3 * big for y in row] for row in b.tolist()]
+        for got in (gauss_brute(a, b, n), gauss_brute(huge_a, huge_b, n),
+                    gauss_brute(a - 5 * n, b, n)):
+            assert got.shape == (5, 7) and got.tobytes() == ref.tobytes()
+        for i, j in [(0, 0), (1, 1), (2, 3), (4, 6)]:
+            assert gauss_brute(int(a[i, j]), int(b[i, j]), n) == ref[i, j]
+        outer = gauss_brute(a[:, :1], b[0], n)  # (5, 1) against (7,)
+        assert outer.tobytes() == grid[a[:, :1], b[0]].tobytes()
+
+    def test_scalar_peak_memory(self):
+        # n > 2^15 has 1 x 1 tiles: one chirp row, one linear column, their dot
+        n = 1000003
+        character_table(n)
+        tracemalloc.start()
+        try:
+            gauss_brute(3, 5, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 46 * 2**20, peak
+
+    def test_rounding_bound_against_50_digits(self):
+        # every table root is within 11 eps of e^{2 pi i k / n}, and every
+        # G(a, b, n) within the docstring's (sqrt(2) (n + 2) + 22) eps n of
+        # the definition evaluated to 50 digits: the exact multiplicities of
+        # each residue k times cos and sin of 2 pi k / n, as 10^-50 integers
+        eps = np.finfo(np.float64).eps
+        scale = 10**50
+        with mpmath.workdps(60):
+            for n in range(1, 41):
+                tbl = character_table(n)
+                roots = [mpmath.expjpi(mpmath.mpf(2 * k) / n) for k in range(n)]
+                for k, r in enumerate(roots):
+                    assert abs(mpmath.mpc(tbl[k].real, tbl[k].imag) - r) <= 11 * eps, (n, k)
+                re = np.array([int(mpmath.nint(r.real * scale)) for r in roots], dtype=object)
+                im = np.array([int(mpmath.nint(r.imag * scale)) for r in roots], dtype=object)
+                x = np.arange(n)
+                k = (x[:, None, None] * (x * x) + x[:, None] * x) % n  # k[a, b, x]
+                counts = np.zeros((n, n, n), dtype=np.int64)  # counts[a, b, k]
+                np.add.at(counts, (x[:, None, None], x[:, None], k), 1)
+                exact_re = counts.astype(object) @ re
+                exact_im = counts.astype(object) @ im
+                grid = gauss_brute(x[:, None], x, n)
+                bound = (math.sqrt(2) * (n + 2) + 22) * eps * n
+                for a in range(n):
+                    for b in range(n):
+                        err = abs(mpmath.mpc(grid[a, b].real, grid[a, b].imag)
+                                  - mpmath.mpc(exact_re[a, b], exact_im[a, b]) / scale)
+                        assert err <= bound, (n, a, b, float(err), bound)
 
 
 class TestClosed:
