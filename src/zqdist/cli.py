@@ -294,8 +294,14 @@ def _load_set(args) -> tuple[PointSet, str]:
     if args.random is not None:
         if args.q is None or args.d is None:
             raise DomainError("--random needs --q and --d")
-        E = sample_random_set(args.q, args.d, args.random, args.seed)
-        return E, f"random(size={args.random},seed={args.seed})"
+        size = args.random
+        # pair counts need |E|^2 <= max_pairs and every transform q^d <= max_grid
+        # (so |E| <= max_grid): refuse a set that no route takes before sampling it
+        if size * size > args.max_pairs and args.q**args.d > args.max_grid:
+            raise BudgetError(f"--random {size} in Z_{args.q}^{args.d} fits neither the pair "
+                              f"budget {args.max_pairs} nor the grid budget {args.max_grid}")
+        E = sample_random_set(args.q, args.d, size, args.seed)
+        return E, f"random(size={size},seed={args.seed})"
     if args.even_weight:
         if args.d is None:
             raise DomainError("--even-weight needs --d")

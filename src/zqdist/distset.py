@@ -77,7 +77,9 @@ class PointSet:
 
     The points are one read-only (size, d) int64 array of residues in [0, q).
     Coordinates may be any integers, Python ints of any size included; they
-    are reduced mod q.
+    are reduced mod q.  The rows are sorted and deduplicated on packed
+    base-q int64 keys (_packed_keys): one key, sorted by one argsort,
+    whenever q^d <= 2^62, and a lexsort over the few keys otherwise.
     """
 
     __slots__ = ("modulus", "d", "_coords")
@@ -100,10 +102,14 @@ class PointSet:
         if arr.ndim != 2 or arr.shape[1] != d:
             raise DomainError(f"every point needs {d} coordinates, got shape {arr.shape}")
         arr %= m.q
-        arr = arr[np.lexsort(arr.T[::-1])]
-        keep = np.ones(len(arr), dtype=bool)
-        keep[1:] = (arr[1:] != arr[:-1]).any(axis=1)
-        arr = arr[keep]
+        keys = _packed_keys(arr, m.q)
+        # equal keys are equal points, so the unstable sort of one key is canonical
+        order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+        same = np.ones(len(arr) - 1, dtype=bool)
+        for key in keys:
+            key = key[order]
+            same &= key[1:] == key[:-1]
+        arr = arr[order[np.append(True, ~same)]]
         arr.setflags(write=False)
         self.modulus = m
         self.d = d
@@ -168,6 +174,18 @@ class PointSet:
 
     def __repr__(self) -> str:
         return f"PointSet(q={self.q}, d={self.d}, size={self.size})"
+
+
+def _packed_keys(arr: np.ndarray, q: int) -> list[np.ndarray]:
+    """The rows of residues as base-q int64 keys, k coordinates to a key with
+    q^k <= 2^62 (one coordinate when q itself is larger): comparing the keys
+    in turn compares the rows lexicographically."""
+    k = 1
+    while q ** (k + 1) <= 1 << 62:
+        k += 1
+    d = arr.shape[1]
+    return [arr[:, lo : lo + k] @ (q ** np.arange(min(k, d - lo) - 1, -1, -1, dtype=np.int64))
+            for lo in range(0, d, k)]
 
 
 def _t_value(t: "int | Residue", q: int) -> int:
@@ -611,7 +629,7 @@ def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
-def _fisher_yates_draws(seed: int, n: int, size: int) -> list[int]:
+def _fisher_yates_draws(seed: int, n: int, size: int) -> np.ndarray:
     """j_i = i + (a uniform draw below n - i) for i < size, n <= 2^64.
 
     Each draw takes the next stream output z and rejects it while
@@ -636,7 +654,40 @@ def _fisher_yates_draws(seed: int, n: int, size: int) -> list[int]:
         done += ok
         pos += ok + (1 if rejected.size else 0)
         width = 2 * width if not rejected.size else max(64, 2 * ok)
-    return (draws + np.arange(size, dtype=_U64)).tolist()
+    return draws + np.arange(size, dtype=_U64)
+
+
+def _fisher_yates_select(draws: np.ndarray) -> np.ndarray:
+    """The values picked by the partial Fisher-Yates swaps j_0, j_1, ... (uint64).
+
+    Step i swaps positions i and j_i >= i of the identity array and picks
+    the value at j_i.  That value is j_i unless an earlier step k targeted
+    j_i; then, for the last such k, it is W(k), the value that sat at
+    position k at step k.  W(p) = p unless an earlier step targeted p, and
+    then W(p) = W(k) for the last such k < p.  Every step that targets p
+    has k <= p, so that k is the last in p's run of the stably sorted draws
+    unless step p targets p itself; then no later step targets p and W(p)
+    is never read.  The chains of W only run backwards, so pointer jumping
+    resolves them in O(log size) passes.
+    """
+    size = draws.size
+    order = np.argsort(draws, kind="stable")
+    ranked = draws[order]
+    same = ranked[1:] == ranked[:-1]
+    before = np.full(size, -1, dtype=np.int64)  # last earlier step with the same target
+    before[order[1:][same]] = order[:-1][same]
+    last = np.append(~same, True)
+    targets, k = ranked[last], order[last]
+    inside = targets < _U64(size)
+    # W as pointers: the last step before p that targeted p, or p itself
+    w = np.arange(size, dtype=np.int64)
+    w[targets[inside].astype(np.int64)] = k[inside]
+    while True:
+        jumped = w[w]
+        if np.array_equal(jumped, w):
+            break
+        w = jumped
+    return np.where(before < 0, draws, w[before].astype(_U64))
 
 
 def sample_random_set(q: "int | Modulus", d: int, size: int, seed: int) -> PointSet:
@@ -644,7 +695,9 @@ def sample_random_set(q: "int | Modulus", d: int, size: int, seed: int) -> Point
 
     Bit-for-bit reproducible from the seed: a splitmix64 stream drives a
     partial Fisher-Yates selection over flat indices, so q^d may not exceed
-    2^64.
+    2^64.  The swaps are resolved together, not one at a time: one stable
+    argsort of the draws and O(log size) pointer-jumping passes
+    (_fisher_yates_select).
     """
     m = as_modulus(q)
     n = m.q**d
@@ -654,13 +707,8 @@ def sample_random_set(q: "int | Modulus", d: int, size: int, seed: int) -> Point
         raise DomainError(f"sample size {size} exceeds |Z_{m.q}^{d}| = {n}")
     if n > 1 << 64:
         raise DomainError(f"|Z_{m.q}^{d}| = {n} exceeds the 2^64 flat indices of the sampler")
-    swap: dict[int, int] = {}
-    chosen = []
-    for i, j in enumerate(_fisher_yates_draws(seed, n, size)):
-        chosen.append(swap.get(j, j))
-        swap[j] = swap.get(i, i)
     # flat indices below 2^64 fit uint64; peel off the base-q digits
-    flat = np.array(chosen, dtype=np.uint64)
+    flat = _fisher_yates_select(_fisher_yates_draws(seed, n, size))
     digits = np.empty((size, d), dtype=np.int64)
     for j in range(d - 1, -1, -1):
         flat, digits[:, j] = np.divmod(flat, np.uint64(m.q))

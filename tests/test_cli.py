@@ -262,6 +262,15 @@ class TestNuCommand:
                       "--max-pairs", "10", "--max-grid", "10")
         assert code == 2
 
+    def test_oversized_random_is_a_budget_error(self, monkeypatch, capsys):
+        # rejected before sampling: 2^62 draws could never be allocated
+        assert main(["nu", "--random", str(2**62), "--q", "2", "--d", "64"]) == 2
+        assert "fits neither the pair budget" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "sample_random_set", None)
+        for size in (2**62, 20000):
+            for cmd in ("nu", "certificate"):
+                assert main([cmd, "--random", str(size), "--q", "3", "--d", "40"]) == 2
+
     def test_spectral_route_only(self, tmp_path):
         code, text = run(tmp_path, "nu", "--random", "30", "--q", "5", "--d", "3", "--seed", "3",
                          "--max-pairs", "100")

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -111,6 +112,38 @@ class TestPointSet:
         assert arr.dtype == np.int64 and not arr.flags.writeable
         assert arr.tolist() == [list(p) for p in E.points] == [[0, 2, 2], [6, 0, 1]]
         assert len(E) == E.size == 2
+
+    @pytest.mark.parametrize("q,d,keys", [
+        (2, 10, 1), (2, 62, 1), (2, 70, 2),
+        (3, 5, 1), (3, 39, 1), (3, 40, 2),  # 3^39 < 2^62 < 3^40
+        (45, 4, 1), (45, 11, 1), (45, 12, 2),  # 45^11 < 2^62 < 45^12
+        (2**31 - 1, 2, 1), (2**31 - 1, 3, 2),  # (2^31 - 1)^2 < 2^62
+        (10**12, 1, 1), (10**12, 3, 3),  # 10^24 > 2^62: one coordinate to a key
+    ])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_canonical_order_matches_lexsort(self, tmp_path, q, d, keys, seed):
+        rng = random.Random(1000 * d + seed)
+        small = [-3 * q, -1, 0, 1, q - 1, q, 2 * q + 1]
+        huge = [2**63, -(2**64) - 5, 10**15, -(10**15), 3**50]
+
+        def coord():
+            pick = rng.random()
+            if pick < 0.6:
+                return rng.choice(small)
+            if pick < 0.8 and seed % 2:
+                return rng.choice(huge)
+            return rng.randrange(-(10**15), 10**15)
+
+        pool = [[coord() for _ in range(d)] for _ in range(rng.randint(1, 60))]
+        rows = [rng.choice(pool) for _ in range(rng.randint(1, 120))]
+        E = PointSet(q, d, rows)
+        expected = _lexsort_canonical(q, rows)
+        assert E.array().tolist() == expected.tolist()
+        assert len(distset._packed_keys(expected, q)) == keys
+        path = tmp_path / "set.txt"
+        write_pointset(E, path)
+        assert path.read_bytes() == (f"q={q} d={d}\n" + "".join(
+            ",".join(map(str, p)) + "\n" for p in expected.tolist())).encode()
 
     def test_translate_wraps(self):
         E = PointSet(5, 2, [(0, 0), (4, 3)])
@@ -612,6 +645,10 @@ class TestSampling:
         (2, 64, 50, 3),  # q^d = 2^64 exactly: no rejection, no reduction
         (4, 32, 200, -5),
         (5, 27, 500, 2**70 + 3),
+        (3, 8, 6561, 11),  # full permutations
+        (5, 5, 3125, 12),
+        (7, 4, 2400, 13),  # size = n - 1
+        (2, 1, 2, 14),
     ])
     def test_matches_scalar_splitmix64(self, q, d, size, seed):
         assert sorted(sample_random_set(q, d, size, seed).points) == _scalar_sample(
@@ -628,7 +665,7 @@ def _scalar_sample(q, d, size, seed):
     mask = (1 << 64) - 1
     state = seed & mask
     n = q**d
-    swap, chosen = {}, []
+    draws = []
     for i in range(size):
         limit = (1 << 64) - ((1 << 64) % (n - i))
         while True:
@@ -638,10 +675,48 @@ def _scalar_sample(q, d, size, seed):
             z ^= z >> 31
             if z < limit:
                 break
-        j = i + z % (n - i)
+        draws.append(i + z % (n - i))
+    return sorted(tuple((f // q**k) % q for k in range(d - 1, -1, -1))
+                  for f in _swap_loop(draws))
+
+
+def _lexsort_canonical(q, rows):
+    # reference: reduce as Python ints, lexsort all d columns, drop repeats
+    arr = np.array([[int(c) % q for c in p] for p in rows], dtype=np.int64)
+    arr = arr[np.lexsort(arr.T[::-1])]
+    keep = np.ones(len(arr), dtype=bool)
+    keep[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+    return arr[keep]
+
+
+def _swap_loop(draws):
+    # reference: the Fisher-Yates swaps one at a time, untouched positions implicit
+    swap, chosen = {}, []
+    for i, j in enumerate(draws):
         chosen.append(swap.get(j, j))
         swap[j] = swap.get(i, i)
-    return sorted(tuple((f // q**k) % q for k in range(d - 1, -1, -1)) for f in chosen)
+    return chosen
+
+
+class TestFisherYatesSelect:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.one_of(st.integers(1, 3000), st.integers(1, 2**64)))
+    def test_matches_swap_loop(self, data, n):
+        size = data.draw(st.integers(1, min(n, 2000)))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        draws = [rng.randrange(i, n) for i in range(size)]
+        got = distset._fisher_yates_select(np.array(draws, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == _swap_loop(draws)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 1000])
+    def test_chains(self, size):
+        # each step targets the next position: the last pick follows one chain
+        # back through every step; all target the last position; none swaps
+        for draws in ([min(i + 1, size - 1) for i in range(size)], [size - 1] * size,
+                      list(range(size))):
+            got = distset._fisher_yates_select(np.array(draws, dtype=np.uint64))
+            assert got.tolist() == _swap_loop(draws)
 
 
 class TestTranslationInvariance:
