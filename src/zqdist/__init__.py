@@ -9,13 +9,10 @@ certifies when a point set realizes every distance.
 from .arith import (
     Modulus,
     Residue,
-    crt_split,
-    eps,
     factorize,
     jacobi,
     residue,
     tau,
-    val_p,
 )
 from .distset import (
     CertificateRow,
@@ -65,8 +62,7 @@ from .sphere import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Modulus", "Residue", "factorize", "tau", "jacobi", "eps", "val_p",
-    "crt_split", "residue",
+    "Modulus", "Residue", "factorize", "tau", "jacobi", "residue",
     "GaussSumValue", "gauss_brute", "gauss_closed", "gauss_general", "gauss_row",
     "GridFunction", "Spectrum", "forward", "inverse",
     "plancherel_defect", "dft_reference", "orthogonality_max_defect",

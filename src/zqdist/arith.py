@@ -1,11 +1,10 @@
 """Exact integer and modular arithmetic over Z_q.
 
-Factorization, divisor counts, Jacobi symbols, p-adic valuations and the
-CRT decomposition Z_q -> prod Z_{p^a}.  Everything here is pure integer
-arithmetic; floats never appear.  q = 1 is rejected everywhere (Z_1 is the
-zero ring and downstream formulas divide by q-dependent quantities); even q
-is accepted, operations that need odd q gate themselves via
-Modulus.require_odd.
+Factorization, divisor counts, Jacobi symbols and the CRT components
+Z_{p^a} of Z_q.  Everything here is pure integer arithmetic; floats never
+appear.  q = 1 is rejected everywhere (Z_1 is the zero ring and downstream
+formulas divide by q-dependent quantities); even q is accepted, operations
+that need odd q gate themselves via Modulus.require_odd.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ __all__ = [
     "as_modulus",
     "tau",
     "jacobi",
-    "eps",
-    "val_p",
-    "crt_split",
     "residue",
 ]
 
@@ -129,27 +125,6 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def eps(n: int) -> complex:
-    """The fourth root of unity attached to odd n: 1 if n = 1 (mod 4), i if n = 3 (mod 4)."""
-    if n % 2 == 0:
-        raise DomainError(f"eps is defined for odd n only, got {n}")
-    return 1 + 0j if n % 4 == 1 else 1j
-
-
-def val_p(s: int, p: int) -> int:
-    """Largest k with p^k | s.  s = 0 is rejected (its valuation is infinite)."""
-    if s == 0:
-        raise DomainError("val_p(0, p) is infinite")
-    if p < 2:
-        raise DomainError(f"p must be >= 2, got {p}")
-    s = abs(s)
-    k = 0
-    while s % p == 0:
-        s //= p
-        k += 1
-    return k
-
-
 @dataclass(frozen=True)
 class Residue:
     """A canonical representative in [0, q); inputs are normalized on construction."""
@@ -190,7 +165,3 @@ class Residue:
 def residue(value: int, q: "int | Modulus") -> Residue:
     return Residue(value, as_modulus(q))
 
-
-def crt_split(x: Residue) -> tuple[Residue, ...]:
-    """Image of x under the ring isomorphism Z_q -> prod Z_{p_i^{a_i}}."""
-    return tuple(Residue(x.value, m) for m in x.modulus.prime_power_moduli())

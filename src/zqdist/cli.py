@@ -34,6 +34,7 @@ from .arith import as_modulus
 from .distset import (
     DEFAULT_PAIR_BUDGET,
     PointSet,
+    _lattice_shape,
     _nu_histogram,
     _power_spectrum,
     certificate_check,
@@ -204,7 +205,7 @@ def _sphere_rows(m, d: int, ts, max_grid: int) -> list[dict]:
                 count_formula=rep.exact_count,
                 count_crt=crt,
                 main_term=rep.main_term,
-                ii_re=rep.ii_t.real,
+                ii_re=rep.ii_t,
                 ii_abs=abs(rep.ii_t),
                 ii_bound=rep.ii_bound,
             )
@@ -291,27 +292,34 @@ def _add_set_source_args(sub) -> None:
 def _load_set(args) -> tuple[PointSet, str]:
     if args.set_file:
         return read_pointset(args.set_file), f"file:{os.path.basename(args.set_file)}"
+    d = args.d
     if args.random is not None:
-        if args.q is None or args.d is None:
+        if args.q is None or d is None:
             raise DomainError("--random needs --q and --d")
-        size = args.random
-        # pair counts need |E|^2 <= max_pairs and every transform q^d <= max_grid
-        # (so |E| <= max_grid): refuse a set that no route takes before sampling it
-        if size * size > args.max_pairs and args.q**args.d > args.max_grid:
-            raise BudgetError(f"--random {size} in Z_{args.q}^{args.d} fits neither the pair "
-                              f"budget {args.max_pairs} nor the grid budget {args.max_grid}")
-        E = sample_random_set(args.q, args.d, size, args.seed)
-        return E, f"random(size={size},seed={args.seed})"
-    if args.even_weight:
-        if args.d is None:
+        q, size, label = args.q, args.random, f"random(size={args.random},seed={args.seed})"
+        build = lambda: sample_random_set(q, d, size, args.seed)
+    elif args.even_weight:
+        if d is None:
             raise DomainError("--even-weight needs --d")
-        return construct_even_weight(args.d), "even-weight"
-    if args.lattice:
-        if args.d is None:
+        if d < 1:
+            raise DomainError(f"dimension must be >= 1, got {d}")
+        q, size, label = 2, 2 ** (d - 1), "even-weight"
+        build = lambda: construct_even_weight(d)
+    elif args.lattice:
+        if d is None:
             raise DomainError("--lattice needs --d")
         p, ell = args.lattice
-        return construct_zero_distance_lattice(p, ell, args.d), f"lattice(p={p},ell={ell})"
-    raise DomainError("no point-set source given (--set-file/--random/--even-weight/--lattice)")
+        q, size = _lattice_shape(p, ell, d)
+        label = f"lattice(p={p},ell={ell})"
+        build = lambda: construct_zero_distance_lattice(p, ell, d)
+    else:
+        raise DomainError("no point-set source given (--set-file/--random/--even-weight/--lattice)")
+    # pair counts need |E|^2 <= max_pairs and every transform q^d <= max_grid
+    # (so |E| <= max_grid): refuse a set that no route takes before building it
+    if size * size > args.max_pairs and q**d > args.max_grid:
+        raise BudgetError(f"{label} of size {size} in Z_{q}^{d} fits neither the pair "
+                          f"budget {args.max_pairs} nor the grid budget {args.max_grid}")
+    return build(), label
 
 
 def _nu_rows(E: PointSet, label: str, route: str, max_grid: int, max_pairs: int) -> list[dict]:

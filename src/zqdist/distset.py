@@ -593,19 +593,25 @@ def construct_even_weight(d: int) -> PointSet:
     return PointSet(2, d, np.column_stack([free, free.sum(axis=1) % 2]))
 
 
-def construct_zero_distance_lattice(p: int, ell: int, d: int) -> PointSet:
-    """E = (p^ceil(ell/2) Z_{p^ell})^d, of size p^{floor(ell/2) d}.
-
-    Coordinate differences are multiples of p^ceil(ell/2), so every distance
-    is divisible by p^{2 ceil(ell/2)} and hence 0 in Z_{p^ell}.
-    """
+def _lattice_shape(p: int, ell: int, d: int) -> tuple[int, int]:
+    """q = p^ell and |E| = p^{floor(ell/2) d} of the zero-distance lattice,
+    after checking that p is an odd prime and ell, d >= 1."""
     if p < 3 or p % 2 == 0 or factorize(p).factors != ((p, 1),):
         raise DomainError(f"p must be an odd prime, got {p}")
     if ell < 1:
         raise DomainError(f"ell must be >= 1, got {ell}")
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    q = p**ell
+    return p**ell, p ** (ell // 2 * d)
+
+
+def construct_zero_distance_lattice(p: int, ell: int, d: int) -> PointSet:
+    """E = (p^ceil(ell/2) Z_{p^ell})^d, of size p^{floor(ell/2) d}.
+
+    Coordinate differences are multiples of p^ceil(ell/2), so every distance
+    is divisible by p^{2 ceil(ell/2)} and hence 0 in Z_{p^ell}.
+    """
+    q, _ = _lattice_shape(p, ell, d)
     coords = np.arange(0, q, p ** ((ell + 1) // 2))
     grid = np.meshgrid(*[coords] * d, indexing="ij")
     return PointSet(q, d, np.stack(grid, axis=-1).reshape(-1, d))

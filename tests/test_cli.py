@@ -75,9 +75,8 @@ class TestSphereCommand:
             assert r["count_crt"] == str(sphere_count_loop(15, 3, int(r["t"])))
             assert 0 <= float(r["bound_ratio_max"]) <= 1
 
-    def test_character_sums_once_per_modulus(self, tmp_path, monkeypatch):
-        # the direct count (45), the CRT counts and the per-factor bounds (9, 5):
-        # each (modulus, d) evaluates its q - 1 Gauss sums G(s, q) once for all t
+    def test_counts_take_no_gauss_sums(self, tmp_path, monkeypatch):
+        # the count formula is exact integer arithmetic: G(s, q) is never evaluated
         calls = collections.Counter()
         real = gauss.gauss_general
 
@@ -85,14 +84,12 @@ class TestSphereCommand:
             calls[n] += 1
             return real(a, b, n)
 
-        monkeypatch.setattr(sphere, "gauss_general", counted)
-        sphere._count_via_characters.cache_clear()
-        try:
-            code, text = run(tmp_path, "sphere", "--q", "45", "--d", "3", "--all-t")
-        finally:
-            sphere._count_via_characters.cache_clear()
+        monkeypatch.setattr(gauss, "gauss_general", counted)
+        monkeypatch.setattr(cli, "gauss_general", counted)
+        code, text = run(tmp_path, "sphere", "--q", "45", "--d", "3", "--all-t")
         assert code == 0 and len(records(text)) == 46
-        assert calls == {45: 44, 9: 8, 5: 4}
+        assert all(r["passed"] == "true" for r in records(text))
+        assert not calls
 
 
 class TestGaussCommand:
@@ -270,6 +267,28 @@ class TestNuCommand:
         for size in (2**62, 20000):
             for cmd in ("nu", "certificate"):
                 assert main([cmd, "--random", str(size), "--q", "3", "--d", "40"]) == 2
+
+    def test_oversized_constructions_are_budget_errors(self, monkeypatch, capsys):
+        # refused before construction: 2^63 and 3^40 points could never be built
+        assert main(["nu", "--even-weight", "--d", "64"]) == 2
+        assert "fits neither the pair budget" in capsys.readouterr().err
+
+        def forbidden(*args):
+            raise AssertionError("the lattice was built")
+
+        monkeypatch.setattr(cli, "construct_zero_distance_lattice", forbidden)
+        monkeypatch.setattr(cli, "construct_even_weight", forbidden)
+        for cmd in ("nu", "certificate"):
+            assert main([cmd, "--lattice", "3", "2", "--d", "40"]) == 2
+            assert "fits neither the pair budget" in capsys.readouterr().err
+            assert main([cmd, "--even-weight", "--d", "40"]) == 2
+
+    def test_construction_arguments_keep_domain_errors(self, capsys):
+        for argv in (["--even-weight", "--d", "0"], ["--lattice", "4", "2", "--d", "3"],
+                     ["--lattice", "3", "0", "--d", "3"], ["--lattice", "3", "2", "--d", "0"]):
+            assert main(["nu", *argv]) == 2
+            err = capsys.readouterr().err
+            assert "must be" in err and "budget" not in err, argv
 
     def test_spectral_route_only(self, tmp_path):
         code, text = run(tmp_path, "nu", "--random", "30", "--q", "5", "--d", "3", "--seed", "3",

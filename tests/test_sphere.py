@@ -1,5 +1,5 @@
+import functools
 import itertools
-import math
 
 import mpmath
 import numpy as np
@@ -8,7 +8,7 @@ import pytest
 from zqdist import gauss, sphere
 from zqdist.arith import as_modulus
 from zqdist.errors import BudgetError, DomainError
-from zqdist.fourier import character_table, forward
+from zqdist.fourier import forward
 from zqdist.sphere import (
     _class_kernel,
     _gauss_table,
@@ -32,15 +32,19 @@ def brute_count(q, d, t):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def convolution_counts(q, d):
-    # independent oracle: the histogram of x^2 mod q convolved d times, in integers
-    squares = [0] * q
-    for x in range(q):
-        squares[x * x % q] += 1
-    counts = [1] + [0] * (q - 1)
+    # independent oracle: the histogram of x^2 mod q convolved d times, in
+    # Python integers held by numpy object arrays, one shift per square
+    squares = np.bincount(np.arange(q) ** 2 % q, minlength=q)
+    counts = np.zeros(q, dtype=object)
+    counts[0] = 1
     for _ in range(d):
-        counts = [sum(counts[(t - k) % q] * squares[k] for k in range(q)) for t in range(q)]
-    return counts
+        step = np.zeros(q, dtype=object)
+        for k in np.flatnonzero(squares):
+            step += int(squares[k]) * np.roll(counts, k)
+        counts = step
+    return tuple(int(c) for c in counts)
 
 
 class TestEnumerate:
@@ -82,11 +86,9 @@ class TestPartition:
 class TestCountFormula:
     def test_z3_cubed_reports(self):
         rep0 = sphere_count_formula(sphere_spec(3, 3, 0))
-        assert (rep0.exact_count, rep0.main_term) == (9, 9)
-        assert abs(rep0.ii_t) < 1e-9
+        assert (rep0.exact_count, rep0.main_term, rep0.ii_t) == (9, 9, 0)
         rep1 = sphere_count_formula(sphere_spec(3, 3, 1))
-        assert (rep1.exact_count, rep1.main_term) == (6, 9)
-        assert abs(rep1.ii_t - (-3)) < 1e-9
+        assert (rep1.exact_count, rep1.main_term, rep1.ii_t) == (6, 9, -3)
 
     def test_matches_enumeration(self):
         for q in (3, 5, 9, 15, 27):
@@ -123,41 +125,33 @@ class TestCountFormula:
             sphere_count_formula(sphere_spec(6, 3, 1))
 
     def test_q63_d8_tolerance_from_magnitudes(self):
-        # the error term lands up to 1.6e-5 from its integer here, beyond a fixed 1e-6
+        # 63 = 3^2 * 7: two prime powers, and both parities of k d in the 3^2 factor
         expected = convolution_counts(63, 8)
         for t in range(63):
             assert sphere_count_formula(sphere_spec(63, 8, t)).exact_count == expected[t], t
 
-    def test_rounding_limit_is_a_budget_error(self):
-        # the float sum's tolerance is ~1.5e7 here, so no count can be certified
-        spec = sphere_spec(2187, 8, 1)
-        with pytest.raises(BudgetError):
-            sphere_count_formula(spec)
-        with pytest.raises(BudgetError):
-            sphere_size_bound_check(spec)
-
-    def test_all_t_equals_per_t_fsum(self):
-        # the one evaluation per (q, d) against the literal per-t sum, bit for bit:
-        # term_s = |G(s, q)|^d i^{k d} e^{-2 pi i s t / q}, one fsum per t
-        i_pow = (1 + 0j, 1j, -1 + 0j, -1j)
-        unit_power = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+    def test_matches_convolution_odd_q_below_100(self):
+        # every t of every odd q < 100 with d <= 10; the float character sum
+        # this replaced could not certify 684 of these (q, t) cases at d = 10
         for q in range(3, 100, 2):
-            roots = character_table(q)
-            gs = [gauss.gauss_general(s, 0, q) for s in range(1, q)]
-            for d in range(1, 9):
-                counts, iis = sphere._count_via_characters(q, d)
-                assert len(counts) == len(iis) == q
+            for d in range(1, 11):
+                expected = convolution_counts(q, d)
                 for t in range(q):
-                    terms = []
-                    for s, gv in enumerate(gs, start=1):
-                        mag = float(gv.scale) ** d * float(gv.surd) ** (d / 2)
-                        unit = i_pow[unit_power[gv.unit] * d % 4]
-                        terms.append(mag * unit * complex(roots[s * t % q]).conjugate())
-                    re = math.fsum(z.real for z in terms)
-                    im = math.fsum(z.imag for z in terms)
-                    ii = complex(re, im) / q
-                    assert (iis[t].real.hex(), iis[t].imag.hex()) == (ii.real.hex(), ii.imag.hex())
-                    assert counts[t] == q ** (d - 1) + round(ii.real), (q, d, t)
+                    rep = sphere_count_formula(sphere_spec(q, d, t))
+                    assert rep.exact_count == expected[t], (q, d, t)
+                    assert rep.ii_t == expected[t] - q ** (d - 1)
+                    assert type(rep.exact_count) is int and type(rep.ii_t) is int
+
+    @pytest.mark.parametrize("q,d", [(2187, 8), (99, 10)])
+    def test_large_counts_exact(self, q, d):
+        # counts past 2^53: the spheres partition the grid, t = 1 is the
+        # convolution, and so is the error term of every factor in the bound check
+        spec = sphere_spec(q, d, 1)
+        assert sum(sphere_count_formula(sphere_spec(q, d, t)).exact_count for t in range(q)) == q**d
+        assert sphere_count_formula(spec).exact_count == convolution_counts(q, d)[1]
+        for f in sphere_size_bound_check(spec).factors:
+            qi = f.p**f.alpha
+            assert f.ii_abs == abs(convolution_counts(qi, d)[1] - qi ** (d - 1)), qi
 
 
 class TestSizeBound:
@@ -413,8 +407,7 @@ class TestGaussTable:
             raise AssertionError("gauss_general called by the table")
 
         monkeypatch.setattr(sphere, "gauss_row", counted)
-        for mod in (sphere, gauss):
-            monkeypatch.setattr(mod, "gauss_general", forbidden)
+        monkeypatch.setattr(gauss, "gauss_general", forbidden)
         _gauss_table.cache_clear()
         try:
             tbl = _gauss_table(15)
