@@ -301,25 +301,34 @@ def _load_set(args) -> tuple[PointSet, str]:
     elif args.even_weight:
         if d is None:
             raise DomainError("--even-weight needs --d")
-        if d < 1:
-            raise DomainError(f"dimension must be >= 1, got {d}")
-        q, size, label = 2, 2 ** (d - 1), "even-weight"
-        build = lambda: construct_even_weight(d)
+        q, size, label, build = _explicit_set("even-weight", d)
     elif args.lattice:
         if d is None:
             raise DomainError("--lattice needs --d")
-        p, ell = args.lattice
-        q, size = _lattice_shape(p, ell, d)
-        label = f"lattice(p={p},ell={ell})"
-        build = lambda: construct_zero_distance_lattice(p, ell, d)
+        q, size, label, build = _explicit_set("lattice", d, *args.lattice)
     else:
         raise DomainError("no point-set source given (--set-file/--random/--even-weight/--lattice)")
-    # pair counts need |E|^2 <= max_pairs and every transform q^d <= max_grid
-    # (so |E| <= max_grid): refuse a set that no route takes before building it
-    if size * size > args.max_pairs and q**d > args.max_grid:
-        raise BudgetError(f"{label} of size {size} in Z_{q}^{d} fits neither the pair "
-                          f"budget {args.max_pairs} nor the grid budget {args.max_grid}")
+    _check_set_budget(label, size, q, d, args.max_pairs, args.max_grid)
     return build(), label
+
+
+def _explicit_set(kind: str, d: int, p=None, ell=None):
+    """(q, |E|, label, build) of the even-weight set or the zero-distance
+    lattice, with its arguments checked and the set not yet built."""
+    if kind == "even-weight":
+        if d < 1:
+            raise DomainError(f"dimension must be >= 1, got {d}")
+        return 2, 2 ** (d - 1), "even-weight", lambda: construct_even_weight(d)
+    q, size = _lattice_shape(p, ell, d)
+    return q, size, f"lattice(p={p},ell={ell})", lambda: construct_zero_distance_lattice(p, ell, d)
+
+
+def _check_set_budget(label: str, size: int, q: int, d: int, max_pairs: int, max_grid: int) -> None:
+    """Pair counts need |E|^2 <= max_pairs and every transform q^d <= max_grid
+    (so |E| <= max_grid): refuse a set that no route takes before building it."""
+    if size * size > max_pairs and q**d > max_grid:
+        raise BudgetError(f"{label} of size {size} in Z_{q}^{d} fits neither the pair "
+                          f"budget {max_pairs} nor the grid budget {max_grid}")
 
 
 def _nu_rows(E: PointSet, label: str, route: str, max_grid: int, max_pairs: int) -> list[dict]:
@@ -398,20 +407,16 @@ def _cmd_certificate(args):
 # construct
 
 
-def _construction(kind: str, d, p, ell) -> tuple[PointSet, dict]:
-    """The named construction and its row, whose "passed" so far holds the size check."""
-    if kind == "even-weight":
-        if d is None:
-            raise DomainError("construct even-weight needs --d")
-        E = construct_even_weight(d)
-        expected = 2 ** (d - 1)
-        label = "even-weight"
-    else:
-        if p is None or ell is None or d is None:
-            raise DomainError("construct lattice needs --p, --ell and --d")
-        E = construct_zero_distance_lattice(p, ell, d)
-        expected = p ** ((ell // 2) * d)
-        label = f"lattice(p={p},ell={ell})"
+def _construction(kind: str, d, p, ell, max_pairs: int, max_grid: int) -> tuple[PointSet, dict]:
+    """The named construction and its row, whose "passed" so far holds the size
+    check; a set that fits neither budget is refused before it is built."""
+    if kind == "even-weight" and d is None:
+        raise DomainError("construct even-weight needs --d")
+    if kind == "lattice" and (p is None or ell is None or d is None):
+        raise DomainError("construct lattice needs --p, --ell and --d")
+    q, expected, label, build = _explicit_set(kind, d, p, ell)
+    _check_set_budget(label, expected, q, d, max_pairs, max_grid)
+    E = build()
     row = {
         "construction": label, "q": E.q, "d": E.d,
         "size": E.size, "expected_size": expected,
@@ -428,7 +433,7 @@ def _check_distances(E: PointSet, row: dict, max_pairs: int, max_grid: int) -> N
 
 
 def _cmd_construct(args):
-    E, row = _construction(args.kind, args.d, args.p, args.ell)
+    E, row = _construction(args.kind, args.d, args.p, args.ell, args.max_pairs, args.max_grid)
     if args.out_set:
         write_pointset(E, _resolve_out(args.out_set))
     if args.check:
@@ -554,7 +559,7 @@ def _cmd_verify_all(args):
     constructions += [("construction_lattice", f"p={p} ell={ell} d=3", "lattice", 3, p, ell)
                       for p, ell in ((3, 2), (3, 3), (5, 2))]
     for check, inst, kind, d, p, ell in constructions:
-        E, r = _construction(kind, d, p, ell)
+        E, r = _construction(kind, d, p, ell, max_pairs, max_grid)
         _check_distances(E, r, max_pairs, max_grid)
         rows.append(_row(check, inst, "size", r["size"], bound=r["expected_size"],
                          passed=r["passed"]))

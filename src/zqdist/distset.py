@@ -8,11 +8,14 @@ sum_t nu(t) = |E|^2 always.
 Three routes to nu(t):
 
 * the pair scan (`nu_pairs`, the oracle) visits all |E|^2 ordered pairs;
-* the autocorrelation (`nu_histogram`, production) transforms the indicator
-  once each way: A = 1_E * 1_{-E} counts the pairs with x - y = z, so
+* the autocorrelation transforms the indicator once each way:
+  A = 1_E * 1_{-E} counts the pairs with x - y = z, so
   nu(t) = sum_{||z|| = t} A(z) for every t at once.  1_E is real, so both
-  transforms keep only the half spectrum m_d <= q // 2;
-* the spectral decomposition (`nu_spectral_sweep`, the certificate)
+  transforms keep only the half spectrum m_d <= q // 2.  `nu_histogram`
+  takes it for even q and for odd q with d <= 3, and the CLI and
+  certificate_check take it as the count the sweep is checked against;
+* the spectral decomposition (`nu_spectral_sweep`, the certificate, and
+  `nu_histogram` for odd q with d >= 4)
 
     nu(t) = q^{2d} sum_m |E^(m)|^2 S_t^(m)
           = q^{-d} |E|^2 |S_t|  +  q^{2d} sum_{m != 0} |E^(m)|^2 S_t^(m)
@@ -21,8 +24,9 @@ Three routes to nu(t):
 with the error term bounded by |E| tau(q) q^{d-1} p_1^{-(d-2)/2}.  Whenever
 main term - bound > 0 the distance t is certified to occur.  For odd q,
 S_t^(m) depends on m only through its class (gcd(m, q) = g and ||m/g|| mod
-q/g, at most sigma(q) classes), so the sweep bins |E^(m)|^2 by class into P
-and gets every nu(t) from q^{2d} P @ K with the sigma(q) x q class kernel
+q/g, at most sigma(q) classes), so the sweep folds |E^(m)|^2 by class into P
+(_class_power, axis by axis over the half spectrum, with no q^d table) and
+gets every nu(t) from q^{2d} P @ K with the sigma(q) x q class kernel
 K[c, t] = S_t^(m): one transform of the indicator, then O(q^d) work.  Its
 `route` only picks how K is built: "direct" from sphere counts, "formula"
 from Gauss sums.
@@ -30,9 +34,9 @@ from Gauss sums.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,7 +50,14 @@ from .fourier import (
     half_weights,
     hermitian_inverse,
 )
-from .sphere import _class_kernel, _ClassKernel, _norms_flat, sphere_counts_all
+from .sphere import (
+    _class_count,
+    _class_kernel,
+    _class_slots,
+    _ClassKernel,
+    _norms_flat,
+    _sphere_count_rows,
+)
 
 __all__ = [
     "PointSet",
@@ -315,26 +326,59 @@ def nu_histogram(
     |E|^2 must fit max_pairs whichever route runs.  Over Z_2 no pair is
     scanned: ||x - y|| = ||x|| + ||y|| mod 2, since the cross term 2 x.y
     vanishes, so with c_0 points of even weight and c_1 of odd weight
-    nu(0) = c_0^2 + c_1^2 and nu(1) = 2 c_0 c_1.  Otherwise the
-    autocorrelation route runs when q^max(d, 2) fits max_grid (the length-q
-    transform kernel has q^2 entries) and q^{d+1} <= |E|^2, i.e. when its
-    d q^{d+1} work is no more than the d |E|^2 of the pair scan; every other
-    set goes to nu_pairs.
+    nu(0) = c_0^2 + c_1^2 and nu(1) = 2 c_0 c_1.  Otherwise a transform runs
+    when q^max(d, 2) fits max_grid (the length-q transform kernel has q^2
+    entries) and q^{d+1} <= |E|^2, i.e. when its d q^{d+1} work is no more
+    than the d |E|^2 of the pair scan; every other set goes to nu_pairs.
+
+    For odd q with d >= 4 that transform feeds the spectral sweep with the
+    direct class kernel (nu_spectral_sweep): no inverse transform and no q^d
+    rounding pass, and the kernel's sigma(q) q^3 build stays below the
+    q^{d+1} of the inverse it replaces.  Timed on one core with the kernel
+    not yet cached, the sweep is 5 to 10 times slower than the
+    autocorrelation at d = 3 (q = 9 to 45) and faster at d >= 4 from about
+    q^d = 6 * 10^4 up, slower by at most 1.7 ms below.
+
+    The sweep runs when its a-priori tolerance bound (_sweep_tolerance_bound,
+    from |E| and the cached kernel alone) is at most 1/4, which leaves room
+    for the roundings of the class sums below the sweep's own limit of 1/2;
+    a set it refuses, and every other set on the transform side, goes to the
+    autocorrelation.
     """
+    _check_pair_budget(E, max_pairs)
+    q, d, n = E.q, E.d, E.size
+    if E.modulus.is_odd and d >= 4 and _transform_side(E, max_grid):
+        kern = _class_kernel(E.modulus, d, "direct", max_grid)
+        if _sweep_tolerance_bound(kern, q, d, n) <= 0.25:
+            reports = _sweep(E, range(q), kern, _power_spectrum(E, max_grid), None)
+            nu = np.array([rep.nu for rep in reports], dtype=np.int64)
+            if int(nu.sum()) != n * n:
+                raise InconsistencyError(
+                    f"spectral pair counts sum to {int(nu.sum())}, not |E|^2 = {n * n}"
+                )
+            return nu
     return _nu_histogram(E, max_pairs, max_grid, None)
+
+
+def _transform_side(E: PointSet, max_grid: int) -> bool:
+    """q^max(d, 2) fits max_grid and q^{d+1} <= |E|^2 (see nu_histogram)."""
+    q, d = E.q, E.d
+    return q ** max(d, 2) <= max_grid and q ** (d + 1) <= E.size * E.size
 
 
 def _nu_histogram(
     E: PointSet, max_pairs: int, max_grid: int, power: "np.ndarray | None"
 ) -> np.ndarray:
-    """nu_histogram, reusing |E^|^2 (or None) on the autocorrelation route."""
+    """The parity count, autocorrelation or pair scan of nu_histogram, never
+    the sweep, reusing |E^|^2 (or None) on the autocorrelation route: the
+    count that certificate_check and the CLI check the sweep against."""
     _check_pair_budget(E, max_pairs)
-    n, q, d = E.size, E.q, E.d
+    n, q = E.size, E.q
     if q == 2:
         odd = int((E.array().sum(axis=1) % 2).sum())
         even = n - odd
         return np.array([even * even + odd * odd, 2 * even * odd], dtype=np.int64)
-    if q ** max(d, 2) <= max_grid and q ** (d + 1) <= n * n:
+    if _transform_side(E, max_grid):
         return _nu_autocorrelation(E, max_grid, power)
     return nu_pairs(E, max_pairs)
 
@@ -369,34 +413,116 @@ def _r_bound(E: PointSet) -> float:
     return E.size * tau(m) * float(m.q) ** (E.d - 1) * float(m.p1) ** (-(E.d - 2) / 2)
 
 
-def _class_power(power: np.ndarray, kern: _ClassKernel) -> tuple[np.ndarray, np.ndarray]:
-    """P_c = sum of |E^(m)|^2 over the class c of m, and the roundings in each P_c.
+def _class_power(power: np.ndarray, q: int, d: int) -> np.ndarray:
+    """P_c = the sum of |E^(m)|^2 over the class c of m, for every class slot.
 
-    `power` is the half grid of _power_spectrum.  A class is closed under
-    m -> -m (gcd(-m, q) = gcd(m, q) and ||-m'|| = ||m'||), and
+    `power` is the half grid of _power_spectrum; it is not modified.  A class
+    is closed under m -> -m (gcd(-m, q) = gcd(m, q) and ||-m'|| = ||m'||), and
     |E^(-m)|^2 = |E^(m)|^2, so the sum over the whole class is the sum over
     its half-grid members weighted by half_weights; the weights 1 and 2
-    multiply exactly.  The N half-grid frequencies are binned in blocks of
-    L = ceil(sqrt N), then the B = ceil(N / L) block sums are added, so a
-    class of N_c half-grid members is a sum along at most
-    min(N_c, L) + min(N_c, B) - 2 roundings.
+    multiply exactly.  For each divisor g of q, with n = q / g, the strided
+    view power[::g, ..., ::g] is exactly the half grid of Z_n^d: its last
+    axis keeps m_d = g u for u <= n // 2.  In a copy of it the multiples of
+    each prime p | n are zeroed, as their gcd with q exceeds g; what is left
+    are the m = g m' with gcd(m', n) = 1, which _fold sums by ||m'|| mod n
+    into the n slots of g (sphere._class_slots).
     """
-    q, h = kern.values.shape[1], power.shape[1]
-    classes = kern.sizes.size
-    ids = kern.ids.reshape(-1, q)[:, :h]
-    n = ids.size
-    block = math.isqrt(n - 1) + 1
-    blocks = -(-n // block)
-    keys = ids + classes * (np.arange(n, dtype=np.int64).reshape(-1, h) // block)
-    sums = np.bincount(keys.reshape(-1), weights=(power * half_weights(q)).reshape(-1),
-                       minlength=classes * blocks)
-    sizes = np.maximum(np.bincount(ids.reshape(-1), minlength=classes), 1)
-    rounds = np.minimum(sizes, block) + np.minimum(sizes, blocks) - 2
-    return sums.reshape(blocks, classes).sum(axis=0), rounds
+    grid = power.reshape((q,) * (d - 1) + (q // 2 + 1,))
+    out = np.empty(_class_count(q))
+    for g, n, offset in _class_slots(q):
+        part = grid[(slice(None, None, g),) * d].copy()
+        for p, _ in factorize(n).factors if n > 1 else ():
+            part[(slice(None, None, p),) * d] = 0.0
+        out[offset : offset + n] = _fold(part, n, d)
+    return out
+
+
+# Folds of moduli up to this are BLAS products with (n^2, n) matrices, 2 MiB
+# at n = 63.  Timed per fold on one core, the product takes a third to a half
+# of the time of the shifts for n <= 63 at d >= 4 (d >= 4 keeps n <= 56
+# within the default grid budget), so the whole Z_15^5 pair count and Z_9^6
+# certificate run 10% faster with it; at d = 3 the two tie from n ~ 57 to
+# 105, where the matrix would be 9 MiB, so larger n use the shifts.
+_FOLD_PRODUCT_MAX = 64
+
+
+def _fold(part: np.ndarray, n: int, d: int) -> np.ndarray:
+    """sum_m part[m] by ||m|| mod n, for `part` on the half grid of Z_n^d.
+
+    One axis at a time, from the last: the half axis u folds into a residue
+    axis r = u^2 with the weights half_weights(n); then each earlier axis m
+    folds with the residue axis u into r = m^2 + u (mod n).  Every term is
+    nonnegative and the zero terms add exactly, so a residue of the half fold
+    is a sum of at most h = n // 2 + 1 terms, along at most h - 1 roundings,
+    and one of a later fold a sum of n terms, one per m, along at most n - 1.
+    Both _fold_by_product and _fold_by_shifts keep these counts.
+    """
+    fold = _fold_by_product if n <= _FOLD_PRODUCT_MAX else _fold_by_shifts
+    return fold(part, n, d)
+
+
+def _fold_by_product(part: np.ndarray, n: int, d: int) -> np.ndarray:
+    """_fold as one BLAS product per axis with the matrices of _fold_matrices."""
+    half, full = _fold_matrices(n)
+    acc = part.reshape(-1, n // 2 + 1) @ half
+    for _ in range(d - 1):
+        acc = acc.reshape(-1, n * n) @ full
+    return acc.reshape(n)
+
+
+def _fold_by_shifts(part: np.ndarray, n: int, d: int) -> np.ndarray:
+    """_fold with no matrix: the half axis adds one column per u, and each
+    later fold adds the residue row of every m shifted by m^2, as two slices."""
+    acc = part.reshape(-1, n // 2 + 1)
+    w = half_weights(n)
+    folded = np.zeros((len(acc), n))
+    for u in range(n // 2 + 1):
+        folded[:, u * u % n] += w[u] * acc[:, u]
+    for _ in range(d - 1):
+        acc = folded.reshape(-1, n, n)
+        folded = acc[:, 0].copy()
+        for m in range(1, n):
+            s = m * m % n  # new[r] += acc[m, r - s]
+            folded[:, s:] += acc[:, m, : n - s]
+            folded[:, :s] += acc[:, m, n - s :]
+    return folded.reshape(n)
+
+
+@lru_cache(maxsize=8)
+def _fold_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n // 2 + 1, n) half-axis fold, w(u) at [u, u^2 mod n], and the
+    (n^2, n) axis fold, 1 at [(m, u), m^2 + u mod n].  Eight moduli are
+    cached: 11 MiB at most (the odd n from 49 to 63), 0.7 MiB for the
+    divisors of 45."""
+    u = np.arange(n // 2 + 1)
+    half = np.zeros((len(u), n))
+    half[u, u * u % n] = half_weights(n)
+    m, u = np.divmod(np.arange(n * n), n)  # row (m, u) of the axis fold
+    full = np.zeros((n * n, n))
+    full[m * n + u, (m * m + u) % n] = 1.0
+    for arr in (half, full):
+        arr.setflags(write=False)
+    return half, full
+
+
+def _step_counts(q: int, d: int) -> np.ndarray:
+    """The rounding-step count rho_c of _sweep_tolerance for every class slot."""
+    classes = _class_count(q)
+    rho = np.empty(classes)
+    for _, n, offset in _class_slots(q):
+        rho[offset : offset + n] = 2 * d * (q + 11) + 2 + n // 2 + (d - 1) * (n - 1)
+    rho[0] = 4  # class 0 is m = 0 alone: n = 1 leaves no fold rounding
+    return rho + classes + 3
+
+
+def _tolerance_weights(kern: _ClassKernel, q: int, d: int) -> np.ndarray:
+    """W[c, t] = rho_c eps |K[c, t]| + error[c, t]: tol_t = q^{2d} sum_c P_c W[c, t]."""
+    eps = float(np.finfo(np.float64).eps)
+    return (eps * _step_counts(q, d))[:, None] * np.abs(kern.values) + kern.error
 
 
 def _sweep_tolerance(
-    E: PointSet, power_by_class: np.ndarray, rounds: np.ndarray, kern: _ClassKernel, ts
+    E: PointSet, power_by_class: np.ndarray, kern: _ClassKernel, ts
 ) -> np.ndarray:
     """The rounding tolerance of nu(t) = q^{2d} sum_c P_c K[c, t] for every t.
 
@@ -411,17 +537,14 @@ def _sweep_tolerance(
       re^2 + im^2 adds 2: 2 d (q + 11) + 2;
     * |E^(0)|^2: every pass sums integers times the root 1, exactly, to
       E^(0) = |E| q^{-d}, so only its scaling and the square round: 4;
-    * the weights 1 and 2 of _class_power multiply exactly, and a class,
-      closed under m -> -m, sums over its half-grid members with those
-      weights to its sum over all of Z_q^d: no step;
-    * P_c: the block sums of _class_power over the half-grid members of c
-      add `rounds[c]` more.  The half grid holds (q^d + q^{d-1}) / 2
-      frequencies, so N_c, L and B, and with them rounds[c], are no larger
-      than over all of Z_q^d;
+    * P_c: the weights 1 and 2 of _class_power multiply exactly, and a class
+      of modulus n = q / gcd(m, q) is folded (_fold) along at most
+      n // 2 + (d - 1)(n - 1) roundings of sums of nonnegative terms: n // 2
+      on the half axis, n - 1 on each other.  Class 0 (n = 1) adds none;
     * the sum over the C = sigma(q) classes, the product P_c K[c, t] and the
       factor q^{2d} add C + 3.
 
-    Together these give the step count rho_c, which weights
+    Together these give the step count rho_c (_step_counts), which weights
     A_t = q^{2d} sum_m |E^(m)|^2 |S_t^(m)| = q^{2d} sum_c P_c |K[c, t]| class
     by class.  The kernel builders bound the error of K[c, t] absolutely, by
     error[c, t]: K cancels to 0 on an empty sphere, so no relative bound
@@ -433,12 +556,7 @@ def _sweep_tolerance(
     integer and raises BudgetError.
     """
     q, d = E.q, E.d
-    rho = 2 * d * (q + 11) + 2 + rounds + kern.sizes.size + 3
-    rho[0] = 4 + kern.sizes.size + 3  # class 0 is m = 0 alone
-    scale = float(q) ** (2 * d)
-    eps = float(np.finfo(np.float64).eps)
-    tol = scale * ((eps * rho * power_by_class) @ np.abs(kern.values)
-                   + power_by_class @ kern.error)
+    tol = float(q) ** (2 * d) * (power_by_class @ _tolerance_weights(kern, q, d))
     for t in ts:
         if tol[t] >= 0.5:
             raise BudgetError(
@@ -446,6 +564,15 @@ def _sweep_tolerance(
                 f"cannot certify an integer count for |E| = {E.size} in Z_{q}^{d}"
             )
     return tol
+
+
+def _sweep_tolerance_bound(kern: _ClassKernel, q: int, d: int, size: int) -> float:
+    """An upper bound on every tol_t of _sweep_tolerance for a set of `size`
+    points in Z_q^d, known before the set is transformed: the P_c are
+    nonnegative and sum to sum_m |E^(m)|^2 = |E| q^{-d} (Parseval), so
+    tol_t <= q^d |E| max_c W[c, t].  The computed P_c exceed their values by
+    a relative rho_c eps at most, far below a factor 2."""
+    return float(q) ** d * size * float(_tolerance_weights(kern, q, d).max())
 
 
 def nu_spectral_sweep(
@@ -460,15 +587,16 @@ def nu_spectral_sweep(
     """Spectral evaluation of nu(t) for several t (every t by default) from one
     transform of E's indicator; must reproduce nu_pairs exactly.
 
-    S_t^(m) depends on m only through its class (sphere._frequency_classes),
-    so nu(t) = q^{2d} sum_c P_c K[c, t] with P_c the sum of |E^(m)|^2 over
+    S_t^(m) depends on m only through its class (sphere._class_slots), so
+    nu(t) = q^{2d} sum_c P_c K[c, t] with P_c the sum of |E^(m)|^2 over
     class c (_class_power) and K the sigma(q) x q class kernel
-    (sphere._class_kernel).  `route` picks how K is built: "direct" from the
-    enumerated spheres, "formula" from Gauss sums.  Beyond the one forward
-    transform the work is O(q^d), and the chain bound
-    max_{m != 0} |S_t^(m)| is a column maximum of |K|.  certificate_check and
-    the CLI, which also run nu_histogram, transform E once and hand |E^|^2 in
-    as `_power`.
+    (sphere._class_kernel).  `route` picks how K is built: "direct" from
+    exact point counts, "formula" from Gauss sums.  Beyond the one forward
+    transform the work is O(q^d) with no q^d table, |S_t| comes from the
+    exact convolution sphere._sphere_count_rows, and the chain bound
+    max_{m != 0} |S_t^(m)| is a column maximum of |K|.  certificate_check
+    and the CLI, which also count nu(t) independently, transform E once and
+    hand |E^|^2 in as `_power`.
 
     Each float sum must land within a tolerance of an integer, with an
     imaginary part and a chain-bound excess no larger than that tolerance.
@@ -477,17 +605,26 @@ def nu_spectral_sweep(
     """
     m = E.modulus
     m.require_odd("nu_spectral_sweep")
-    q, d = m.q, E.d
+    q = m.q
     ts = range(q) if ts is None else [_t_value(t, q) for t in ts]
-    kern = _class_kernel(m, d, route, max_grid)
+    kern = _class_kernel(m, E.d, route, max_grid)
     power = _power_spectrum(E, max_grid) if _power is None else _power
-    power_by_class, rounds = _class_power(power, kern)
+    return _sweep(E, ts, kern, power, int_tol)
+
+
+def _sweep(
+    E: PointSet, ts, kern: _ClassKernel, power: np.ndarray, int_tol: "float | None"
+) -> list[NuReport]:
+    """The reports of nu_spectral_sweep for the residues ts, from the kernel
+    and the half-grid power spectrum."""
+    q, d = E.q, E.d
+    power_by_class = _class_power(power, q, d)
     total = float(q) ** (2 * d) * (power_by_class @ kern.values)
     if int_tol is None:
-        tol = _sweep_tolerance(E, power_by_class, rounds, kern, ts)
+        tol = _sweep_tolerance(E, power_by_class, kern, ts)
     else:
         tol = np.full(q, float(int_tol))
-    counts = sphere_counts_all(m, d, max_grid)
+    counts = _sphere_count_rows(q, d)[d]
     # chain check: |R_t| <= q^d |E| max_{m != 0} |S_t^(m)| (<= r_bound for d > 2)
     chains = float(q) ** d * E.size * kern.chain
     r_bound = _r_bound(E)
@@ -534,7 +671,7 @@ def theorem_threshold(q: "int | Modulus", d: int, C: float) -> ThresholdReport:
 class CertificateRow:
     t: int
     fired: bool  # main_term - r_bound > 0
-    nu: "int | None"  # brute count when the pair budget allows it
+    nu: "int | None"  # pair-scan or autocorrelation count, when |E|^2 fits the pair budget
     margin: float  # main_term - |R_t|
     slack: float  # r_bound - |R_t|
     sound: bool  # not fired, or nu(t) > 0
@@ -550,8 +687,9 @@ def certificate_check(
     """Soundness of the positivity certificate for every t.
 
     Where |E|^2 fits the pair budget the claim nu(t) > 0 is verified against
-    the brute count; otherwise positivity follows from nu = M + R_t >= M - |R_t|.
-    The sweep and nu_histogram share one transform of E's indicator.
+    an independent count, the pair scan or the autocorrelation (never the
+    sweep itself); otherwise positivity follows from nu = M + R_t >= M - |R_t|.
+    The sweep and that count share one transform of E's indicator.
     """
     m = E.modulus
     m.require_odd("certificate_check")
@@ -611,10 +749,14 @@ def construct_zero_distance_lattice(p: int, ell: int, d: int) -> PointSet:
     Coordinate differences are multiples of p^ceil(ell/2), so every distance
     is divisible by p^{2 ceil(ell/2)} and hence 0 in Z_{p^ell}.
     """
-    q, _ = _lattice_shape(p, ell, d)
+    q, size = _lattice_shape(p, ell, d)
     coords = np.arange(0, q, p ** ((ell + 1) // 2))
-    grid = np.meshgrid(*[coords] * d, indexing="ij")
-    return PointSet(q, d, np.stack(grid, axis=-1).reshape(-1, d))
+    # row i holds the base-k digits of i, k = len(coords), for any d
+    flat = np.arange(size, dtype=np.int64)
+    digits = np.empty((size, d), dtype=np.int64)
+    for j in range(d - 1, -1, -1):
+        flat, digits[:, j] = np.divmod(flat, len(coords))
+    return PointSet(q, d, coords[digits])
 
 
 _MASK64 = (1 << 64) - 1
@@ -723,10 +865,41 @@ def sample_random_set(q: "int | Modulus", d: int, size: int, seed: int) -> Point
 
 def write_pointset(E: PointSet, path) -> None:
     """Plain-text format: header ``q=<int> d=<int>``, one comma-separated
-    point per line; blank lines and # comments are ignored on read."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"q={E.q} d={E.d}\n")
-        np.savetxt(fh, E.array(), fmt="%d", delimiter=",")
+    point per line; blank lines and # comments are ignored on read.  The
+    lines are those of np.savetxt(fmt="%d", delimiter=","), formatted a block
+    of rows at a time as bytes (_decimal_rows)."""
+    arr = E.array()
+    width = len(str(int(arr.max())))
+    block = max(1, 2**20 // (E.d * (width + 1)))
+    with open(path, "wb") as fh:
+        fh.write(f"q={E.q} d={E.d}\n".encode())
+        for lo in range(0, len(arr), block):
+            fh.write(_decimal_rows(arr[lo : lo + block], width))
+
+
+def _decimal_rows(rows: np.ndarray, width: int) -> bytes:
+    """Rows of residues below 10^width as "x_1,...,x_d\n" lines in decimal.
+
+    Every value gets `width` digit slots and one separator slot (a comma, or
+    a newline after the last coordinate); the digits fill the slots from the
+    right, and the leading slots above a value's own digits are dropped, so
+    0 is written "0" and no value gets a leading zero.
+    """
+    n, d = rows.shape
+    out = np.empty((n, d, width + 1), dtype=np.uint8)
+    rest = rows
+    for k in range(width - 1, 0, -1):
+        rest, out[:, :, k] = np.divmod(rest, 10)
+    out[:, :, 0] = rest
+    out[:, :, :width] += ord("0")
+    out[:, :, width] = ord(",")
+    out[:, -1, width] = ord("\n")
+    if width == 1:
+        return out.tobytes()
+    keep = np.ones(out.shape, dtype=bool)
+    for k in range(width - 1):
+        keep[:, :, k] = rows >= 10 ** (width - 1 - k)
+    return out[keep].tobytes()
 
 
 def read_pointset(path) -> PointSet:

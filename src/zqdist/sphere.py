@@ -264,6 +264,39 @@ def _gauss_table(q: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _class_slots(q: int) -> tuple[tuple[int, int, int], ...]:
+    """(g, n = q / g, offset) for every divisor g of q in increasing order:
+    the classes of gcd g take the slots offset, ..., offset + n - 1, the
+    slot of m = g m' being offset + ||m'|| mod n.  There are sigma(q) slots;
+    the larger g come first, so slot 0 is g = q, the class of m = 0 alone."""
+    slots = []
+    offset = sum(g for g in range(1, q + 1) if q % g == 0)
+    for g in range(1, q + 1):
+        if q % g == 0:
+            offset -= q // g
+            slots.append((g, q // g, offset))
+    return tuple(slots)
+
+
+def _class_count(q: int) -> int:
+    """sigma(q), the number of class slots."""
+    return sum(n for _, n, _ in _class_slots(q))
+
+
+def _class_ids(q: int, d: int, norms: np.ndarray) -> np.ndarray:
+    """The class slot of every m in Z_q^d, flat and row-major, from the flat
+    table `norms` of ||m|| mod q.  Each divisor g writes its slots over the
+    strided slice of the multiples of g, in increasing order of g, so the
+    last write to m comes from g = gcd(m, q); ||m'|| mod n for m' in Z_n^d is
+    the norm of Z_q^d at m' reduced mod n."""
+    norms = norms.reshape((q,) * d)
+    ids = np.empty((q,) * d, dtype=np.int64)
+    for g, n, offset in _class_slots(q):
+        ids[(slice(None, None, g),) * d] = offset + norms[(slice(0, n),) * d] % n
+    return ids.reshape(-1)
+
+
 def _frequency_classes(q: int, d: int) -> tuple[np.ndarray, int]:
     """The class of every frequency m in Z_q^d (odd q), flat and row-major,
     and the number sigma(q) of class slots.
@@ -271,35 +304,23 @@ def _frequency_classes(q: int, d: int) -> tuple[np.ndarray, int]:
     With g = gcd(m_1, ..., m_d, q) and n = q / g, write m = g m' with m' in
     Z_n^d.  The class of m is the pair (g, ||m'|| mod n), so there are at
     most sigma(q) = sum_{g | q} q / g classes, and exactly that many for
-    d >= 3.  Class 0 is m = 0; the classes of larger g come first.  Each
-    divisor h writes its classes over the strided slice of the multiples of
-    h, in increasing order of h, so the last write to m comes from
-    h = gcd(m, q).  The norms of Z_n^d are read off the cached Z_q^d table.
+    d >= 3 (_class_slots gives their layout).  This q^d table serves only
+    where a whole spectrum is spread over its classes.
     """
-    divisors = [h for h in range(1, q + 1) if q % h == 0]
-    norms = _norms_flat(q, d).reshape((q,) * d)
-    ids = np.empty((q,) * d, dtype=np.int64)
-    offset = slots = sum(divisors)  # sigma(q); the classes of h take the n slots below
-    for h in divisors:
-        n = q // h
-        offset -= n
-        ids[(slice(None, None, h),) * d] = offset + norms[(slice(0, n),) * d] % n
-    return ids.reshape(-1), slots
+    return _class_ids(q, d, _norms_flat(q, d)), _class_count(q)
 
 
 @dataclass(frozen=True)
 class _ClassKernel:
-    """S_t^(m) for every t, one row per class of frequencies m.
+    """S_t^(m) for every t, one row per class slot of frequencies m (see
+    _class_slots).
 
-    ``ids`` gives the class of every frequency (see _frequency_classes),
-    ``sizes`` the members of each class (0 for the classes that are empty
-    when d <= 2), ``values[c, t]`` the coefficient S_t^(m) shared by every m
-    in class c (a zero row for an empty class), and ``error[c, t]`` a bound
-    on the rounding error of ``values[c, t]``.
+    ``values[c, t]`` is the coefficient S_t^(m) shared by every m in class c
+    (a zero row for a class that is empty, as some are when d <= 2), and
+    ``error[c, t]`` a bound on the rounding error of ``values[c, t]``.  Both
+    arrays are read-only: kernels are cached.
     """
 
-    ids: np.ndarray
-    sizes: np.ndarray
     values: np.ndarray
     error: np.ndarray
 
@@ -309,26 +330,44 @@ class _ClassKernel:
         return np.abs(self.values[1:]).max(axis=0)
 
 
+@lru_cache(maxsize=32)
+def _sphere_count_rows(q: int, d: int) -> np.ndarray:
+    """|S_t| in Z_q^i for i = 0, ..., d (row i) and every t, exactly.
+
+    Row i + 1 is the cyclic convolution of row i with
+    #{x in Z_q : x^2 = a}, one int64 product with the q x q shift table per
+    row; every entry is at most q^i, so the counts are exact while q^d fits
+    int64 (any grid within budget does).  No grid is enumerated.
+    """
+    ks = np.arange(q, dtype=np.int64)
+    roots_of = np.bincount(ks * ks % q, minlength=q)  # #{x in Z_q : x^2 = a}
+    shift = (ks[:, None] - ks[None, :]) % q  # [t, a] -> t - a
+    rows = np.zeros((d + 1, q), dtype=np.int64)
+    rows[0, 0] = 1
+    for i in range(d):
+        rows[i + 1] = rows[i][shift] @ roots_of
+    rows.setflags(write=False)
+    return rows
+
+
 def _kernel_direct(q: int, d: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K[c, t] = q^{-d} sum_{||x|| = t} e(-x . m_c / q) from exact integer
     counts, with no Gauss sum.
 
-    m_c is the first member of its class in flat order, so only its last j
-    coordinates can be nonzero: one bincount over Z_q^j gives the integers
-    #{y in Z_q^j : ||y|| = b, y . m_c = k}, one q-term character sum over k
-    turns them into v(b), and the cyclic convolution of v with the sphere
-    counts of Z_q^{d-j} adds the other coordinates.  Each table root e(k/q)
-    is within 11 eps (its angle, below 2 pi, carries a few roundings; 7.4 eps
-    is the largest error for q < 400), so v(b) is within (q + 10) eps of the
-    count sum_k #{...}; the convolution of nonnegative counts adds q + 1 and
-    the scaling 1, leaving K[c, t] within (2 q + 12) eps |S_t| q^{-d}."""
+    m_c is the first member of its class in flat order, so only its last
+    j <= 3 coordinates can be nonzero: one bincount over Z_q^j gives the
+    integers #{y in Z_q^j : ||y|| = b, y . m_c = k}, one q-term character sum
+    over k turns them into v(b), and the cyclic convolution of v with the
+    sphere counts of Z_q^{d-j} (_sphere_count_rows) adds the other
+    coordinates.  Each table root e(k/q) is within 11 eps (its angle, below
+    2 pi, carries a few roundings; 7.4 eps is the largest error for
+    q < 400), so v(b) is within (q + 10) eps of the count sum_k #{...}; the
+    convolution of nonnegative counts adds q + 1 and the scaling 1, leaving
+    K[c, t] within (2 q + 12) eps |S_t| q^{-d}."""
     ks = np.arange(q, dtype=np.int64)
     squares = ks * ks % q
     shift = (ks[:, None] - ks[None, :]) % q  # [t, a] -> t - a
-    roots_of = np.bincount(squares, minlength=q)  # #{x in Z_q : x^2 = a}
-    spheres = [np.bincount([0], minlength=q)]  # spheres[i][t] = |S_t| in Z_q^i
-    for _ in range(d):
-        spheres.append(spheres[-1][shift] @ roots_of)
+    spheres = _sphere_count_rows(q, d)  # spheres[i][t] = |S_t| in Z_q^i
     conj_roots = np.conj(character_table(q))
     norms = {}  # j -> q ||y|| for every y in Z_q^j, shared by representatives
     vals = np.empty((len(reps), q), dtype=np.complex128)
@@ -365,48 +404,80 @@ def _kernel_formula(q: int, d: int, reps: np.ndarray) -> tuple[np.ndarray, np.nd
     return vals, err
 
 
+def _class_representatives(q: int, d: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(reps, present, slots): the first member in flat order of every
+    nonempty class of Z_q^d, the slots of those classes, and sigma(q).
+
+    A class meets {0}^{d-j} x Z_q^j with j = min(d, 3), since Z_q^3 already
+    holds all sigma(q) classes, and every member there precedes in flat order
+    every member with a nonzero among the first d - j coordinates.  So the
+    first members of the classes of Z_q^j, padded with d - j leading zeros,
+    are those of Z_q^d, found on q^j points whatever d is.
+    """
+    j = min(d, 3)
+    squares = np.arange(q, dtype=np.int64) ** 2 % q
+    ids = _class_ids(q, j, _form_flat(q, [squares] * j))
+    present, first = np.unique(ids, return_index=True)
+    reps = np.zeros((len(present), d), dtype=np.int64)
+    reps[:, d - j :] = np.stack(np.unravel_index(first, (q,) * j), axis=1)
+    return reps, present, _class_count(q)
+
+
+def _build_class_kernel(q: int, d: int, route: str) -> _ClassKernel:
+    reps, present, slots = _class_representatives(q, d)
+    build = _kernel_direct if route == "direct" else _kernel_formula
+    vals, err = build(q, d, reps)
+    values = np.zeros((slots, q), dtype=np.complex128)
+    error = np.zeros((slots, q))
+    values[present], error[present] = vals, err
+    for arr in (values, error):
+        arr.setflags(write=False)
+    return _ClassKernel(values, error)
+
+
+# A kernel holds sigma(q) x q values and as many error bounds.  Kernels of at
+# most 2^16 values are cached, 16 of them, so the cache never holds more than
+# 2^20 values; larger kernels are rebuilt on every call.
+_CACHED_KERNEL_VALUES = 1 << 16
+_cached_class_kernel = lru_cache(maxsize=16)(_build_class_kernel)
+
+
 def _class_kernel(
     mod: Modulus, d: int, route: str = "direct", max_grid: int = DEFAULT_GRID_BUDGET
 ) -> _ClassKernel:
     """The sigma(q) x q class kernel of the spheres of Z_q^d, built by the named
     route from the first member (in flat order) of every nonempty class:
-    "direct" from exact point counts, "formula" from Gauss sums."""
+    "direct" from exact point counts, "formula" from Gauss sums.  The build
+    touches q^min(d, 3) points, never the grid, and is cached per (q, d, route)
+    while sigma(q) q <= 2^16."""
     mod.require_odd("the sphere class kernel")
     if route not in ("direct", "formula"):
         raise DomainError(f"unknown spectrum route {route!r}")
     q = mod.q
-    size = check_grid_budget(q, d, max_grid)
+    check_grid_budget(q, d, max_grid)
     if q * q > DEFAULT_GRID_BUDGET:
         raise BudgetError(
             f"the Z_{q} class kernel needs q x q tables of {q * q} entries, exceeding the "
             f"budget {DEFAULT_GRID_BUDGET}"
         )
-    ids, n_classes = _frequency_classes(q, d)
-    sizes = np.bincount(ids, minlength=n_classes)
-    first = np.full(n_classes, size)
-    np.minimum.at(first, ids, np.arange(size))
-    present = np.flatnonzero(sizes)
-    reps = np.stack(np.unravel_index(first[present], (q,) * d), axis=1)
-    build = _kernel_direct if route == "direct" else _kernel_formula
-    vals, err = build(q, d, reps)
-    values = np.zeros((n_classes, q), dtype=np.complex128)
-    error = np.zeros((n_classes, q))
-    values[present], error[present] = vals, err
-    return _ClassKernel(ids, sizes, values, error)
+    if _class_count(q) * q <= _CACHED_KERNEL_VALUES:
+        return _cached_class_kernel(q, d, route)
+    return _build_class_kernel(q, d, route)
 
 
 def sphere_spectrum_formula(spec: SphereSpec, max_grid: int = DEFAULT_GRID_BUDGET) -> Spectrum:
     """The full spectrum by the product formula: column t of the formula class
     kernel, spread over the members of every class."""
     kern = _class_kernel(spec.modulus, spec.d, "formula", max_grid)
-    return Spectrum(spec.modulus, spec.d, kern.values[kern.ids, spec.t_value])
+    ids, _ = _frequency_classes(spec.q, spec.d)
+    return Spectrum(spec.modulus, spec.d, kern.values[ids, spec.t_value])
 
 
 def sphere_spectrum(
     spec: SphereSpec, route: str = "direct", max_grid: int = DEFAULT_GRID_BUDGET
 ) -> Spectrum:
     """The spectrum by the named route: "direct" transforms the enumerated
-    indicator, "formula" spreads the formula class kernel.  Nothing is cached."""
+    indicator, "formula" spreads the (cached) formula class kernel."""
     if route == "direct":
         return sphere_fourier_direct(spec, max_grid)
     if route == "formula":

@@ -198,6 +198,18 @@ class TestSpectrumCommand:
         assert code == 0 and len(records(text)) == 9
         assert calls == {"sphere_fourier_direct": 9, "sphere_spectrum_formula": 9}
 
+    def test_kernel_built_once_per_route(self, tmp_path):
+        # the formula kernel of Z_45^3 serves all 45 rows from the cache; the
+        # direct spectra need no kernel
+        sphere._cached_class_kernel.cache_clear()
+        code, text = run(tmp_path, "spectrum", "--q", "45", "--d", "3", "--all-t")
+        assert code == 0 and len(records(text)) == 45
+        info = sphere._cached_class_kernel.cache_info()
+        assert (info.misses, info.hits) == (1, 44)
+        code, _ = run(tmp_path, "nu", "--random", "300", "--q", "45", "--d", "3")
+        assert code == 0
+        assert sphere._cached_class_kernel.cache_info().misses == 2  # the direct kernel
+
     def test_t_sorted_after_reduction(self, tmp_path):
         code, text = run(tmp_path, "spectrum", "--q", "9", "--t", "10", "2")
         assert code == 0
@@ -251,6 +263,23 @@ class TestNuCommand:
         code, text = run(tmp_path, "nu", "--random", "600", "--q", "9", "--d", "3",
                          "--seed", "1")
         assert code == 0 and calls == ["half_forward"]
+        *rows, _ = records(text)
+        assert all(r["match"] == "true" for r in rows)
+
+    def test_count_is_never_the_sweep(self, tmp_path, monkeypatch):
+        # 600^2 >= 9^5 puts nu_histogram on the sweep; the nu_brute column
+        # still comes from the autocorrelation, so "match" compares two routes
+        routes = []
+        for name in ("_sweep", "hermitian_inverse"):
+            real = getattr(distset, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                routes.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(distset, name, spy)
+        code, text = run(tmp_path, "nu", "--random", "600", "--q", "9", "--d", "4", "--seed", "1")
+        assert code == 0 and sorted(routes) == ["_sweep", "hermitian_inverse"]
         *rows, _ = records(text)
         assert all(r["match"] == "true" for r in rows)
 
@@ -353,6 +382,25 @@ class TestConstructCommand:
     def test_missing_params(self, tmp_path):
         code, _ = run(tmp_path, "construct", "lattice")
         assert code == 2
+
+    def test_oversized_constructions_are_budget_errors(self, monkeypatch, capsys):
+        # refused before construction: 2^63 and 3^40 points could never be built
+        def forbidden(*args):
+            raise AssertionError("the set was built")
+
+        monkeypatch.setattr(cli, "construct_zero_distance_lattice", forbidden)
+        monkeypatch.setattr(cli, "construct_even_weight", forbidden)
+        for argv in (["even-weight", "--d", "64"], ["lattice", "--p", "3", "--ell", "2", "--d", "40"],
+                     ["even-weight", "--d", "24", "--out-set", "ew.txt"]):
+            assert main(["construct", *argv]) == 2, argv
+            assert "fits neither the pair budget" in capsys.readouterr().err
+
+    def test_construction_arguments_keep_domain_errors(self, capsys):
+        for argv in (["even-weight", "--d", "0"], ["lattice", "--p", "4", "--ell", "2", "--d", "3"],
+                     ["lattice", "--p", "3", "--ell", "0", "--d", "3"]):
+            assert main(["construct", *argv]) == 2
+            err = capsys.readouterr().err
+            assert "must be" in err and "budget" not in err, argv
 
 
 class TestVerifyAll:

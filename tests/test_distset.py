@@ -1,4 +1,5 @@
 import functools
+import io
 import itertools
 import math
 import random
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqdist import distset
+from zqdist import distset, fourier, sphere
+from zqdist.arith import as_modulus
 from zqdist.distset import (
     PointSet,
     certificate_check,
@@ -30,6 +32,7 @@ from zqdist.errors import BudgetError, DomainError, InconsistencyError
 from zqdist.fourier import GridFunction, forward, hermitian_inverse
 from zqdist.sphere import (
     _class_kernel,
+    _frequency_classes,
     _norms_flat,
     sphere_counts_all,
     sphere_enumerate,
@@ -250,13 +253,26 @@ def _counting(monkeypatch, name):
 
 class TestNuAutocorrelation:
     def test_one_transform_each_way(self, monkeypatch):
-        # |E| = 15^3 sits exactly on q^{d+1} = |E|^2, the edge of the grid route
-        E = sample_random_set(15, 5, 3375, seed=11)
+        # |E| = 15^2 sits exactly on q^{d+1} = |E|^2, the edge of the grid route;
+        # d = 3 keeps odd q on the autocorrelation
+        E = sample_random_set(15, 3, 225, seed=11)
         forwards = _counting(monkeypatch, "half_forward")
         inverses = _counting(monkeypatch, "hermitian_inverse")
         scans = _counting(monkeypatch, "nu_pairs")
         hist = nu_histogram(E)
         assert (len(forwards), len(inverses), len(scans)) == (1, 1, 0)
+        assert np.array_equal(hist, nu_pairs(E))
+
+    def test_sweep_route_has_no_inverse(self, monkeypatch):
+        # |E| = 15^3 on the edge of Z_15^5: odd q with d >= 4 reads nu(t) off
+        # the direct class kernel, with no inverse transform and no norm table
+        E = sample_random_set(15, 5, 3375, seed=11)
+        forwards = _counting(monkeypatch, "half_forward")
+        inverses = _counting(monkeypatch, "hermitian_inverse")
+        scans = _counting(monkeypatch, "nu_pairs")
+        sweeps = _counting(monkeypatch, "_sweep")
+        hist = nu_histogram(E)
+        assert (len(forwards), len(inverses), len(scans), len(sweeps)) == (1, 0, 0, 1)
         assert np.array_equal(hist, nu_pairs(E))
 
     @pytest.mark.parametrize("size,transforms,scans", [(80, 0, 1), (81, 1, 0)])
@@ -314,27 +330,40 @@ class TestHalfSpectrumRoute:
     def test_histogram_matches_pairs_at_crossover(self, monkeypatch, q, d):
         # the least |E| with q^{d+1} <= |E|^2 goes through the half spectrum (and
         # for even q its Nyquist column m_d = q/2); one point fewer is scanned
+        # (odd q with d = 4 through the spectral sweep, with no inverse)
         edge = math.isqrt(q ** (d + 1) - 1) + 1
+        forwards = _counting(monkeypatch, "half_forward")
         inverses = _counting(monkeypatch, "hermitian_inverse")
+        sweeps = _counting(monkeypatch, "_sweep")
+        swept = q % 2 == 1 and d >= 4
         for size, transforms in ((edge - 1, 0), (edge, 1)):
             E = sample_random_set(q, d, size, seed=10 * q + d)
-            before = len(inverses)
+            before = len(forwards), len(inverses), len(sweeps)
             assert np.array_equal(nu_histogram(E), nu_pairs(E))
-            assert len(inverses) - before == transforms
+            after = len(forwards), len(inverses), len(sweeps)
+            expected = (transforms, 0, transforms) if swept else (transforms, transforms, 0)
+            assert tuple(b - a for a, b in zip(before, after)) == expected
 
 
 def _whole_grid_tolerance(E, kern):
     """The sweep tolerance from |E^|^2 over all of Z_q^d, binned by class in
-    blocks of ceil(sqrt(q^d)): the route the half grid replaces."""
+    blocks of ceil(sqrt(q^d)) (rounds min(N_c, L) + min(N_c, B) - 2 for a
+    class of N_c members): the route before the half grid and the fold."""
+    q, d = E.q, E.d
+    ids, classes = _frequency_classes(q, d)
     power = np.abs(forward(indicator(E)).values) ** 2
-    n, classes = power.size, kern.sizes.size
+    n = power.size
     block = math.isqrt(n - 1) + 1
     blocks = -(-n // block)
-    keys = kern.ids + classes * (np.arange(n) // block)
+    keys = ids + classes * (np.arange(n) // block)
     sums = np.bincount(keys, weights=power, minlength=classes * blocks)
-    sizes = np.maximum(kern.sizes, 1)
+    sums = sums.reshape(blocks, classes).sum(axis=0)
+    sizes = np.maximum(np.bincount(ids, minlength=classes), 1)
     rounds = np.minimum(sizes, block) + np.minimum(sizes, blocks) - 2
-    return distset._sweep_tolerance(E, sums.reshape(blocks, classes).sum(axis=0), rounds, kern, [])
+    rho = 2 * d * (q + 11) + 2 + rounds + classes + 3
+    rho[0] = 4 + classes + 3
+    eps = np.finfo(np.float64).eps
+    return float(q) ** (2 * d) * ((eps * rho * sums) @ np.abs(kern.values) + sums @ kern.error)
 
 
 TOLERANCE_SETS = [(9, 6, 177147), (15, 5, 6000), (27, 4, 3000), (45, 3, 4000)]
@@ -355,9 +384,9 @@ class TestHalfSpectrumTolerances:
     def test_sweep_residual_within_tolerance(self, q, d, size, route):
         E = sample_random_set(q, d, size, seed=2024)
         kern = _class_kernel(E.modulus, d, route)
-        sums, rounds = distset._class_power(distset._power_spectrum(E, 10**7), kern)
+        sums = distset._class_power(distset._power_spectrum(E, 10**7), q, d)
         total = float(q) ** (2 * d) * (sums @ kern.values)
-        tol = distset._sweep_tolerance(E, sums, rounds, kern, range(q))
+        tol = distset._sweep_tolerance(E, sums, kern, range(q))
         assert (np.abs(total.real - np.rint(total.real)) <= tol).all()
         assert (np.abs(total.imag) <= tol).all()
         assert (tol <= _whole_grid_tolerance(E, kern)).all()
@@ -365,14 +394,135 @@ class TestHalfSpectrumTolerances:
     def test_class_sums_match_whole_grid(self):
         # the weighted half-grid sums equal the whole-grid sums up to rounding
         E = sample_random_set(15, 4, 2000, seed=6)
-        kern = _class_kernel(E.modulus, 4)
-        half, _ = distset._class_power(distset._power_spectrum(E, 10**7), kern)
-        whole = np.bincount(kern.ids, weights=np.abs(forward(indicator(E)).values) ** 2)
+        half = distset._class_power(distset._power_spectrum(E, 10**7), 15, 4)
+        ids, _ = _frequency_classes(15, 4)
+        whole = np.bincount(ids, weights=np.abs(forward(indicator(E)).values) ** 2)
         assert np.abs(half - whole).max() <= 1e-12 * whole.sum()
 
 
+# every odd q with q^d <= 10^5 for d = 2, ..., 6; d = 1 stops where d = 2
+# does, at q <= 315, since the reference transform holds a q x q kernel
+FOLD_CASES = {d: [q for q in range(3, 317, 2) if q ** max(d, 2) <= 10**5] for d in range(1, 7)}
+
+
+def _class_sums_exactly(E):
+    """(half grid of |forward(1_E)|^2, its class sums over all of Z_q^d,
+    summed exactly by fsum after binning by _frequency_classes ids).
+
+    The full grid takes |E^(-m)|^2 from the half grid where m_d > q // 2, as
+    the fold assumes, so the two differ only by the fold's own roundings."""
+    q, d = E.q, E.d
+    h = q // 2 + 1
+    full = (np.abs(forward(indicator(E)).values) ** 2).reshape((q,) * d)
+    neg = full[np.ix_(*[(-np.arange(q)) % q] * d)]  # neg[m] = full[-m]
+    upper = np.arange(q) > q // 2
+    full = np.where(upper, neg, full)  # the last axis broadcasts
+    ids, classes = _frequency_classes(q, d)
+    order = np.argsort(ids, kind="stable")
+    bounds = np.cumsum(np.bincount(ids, minlength=classes))[:-1]
+    exact = np.array([math.fsum(part) for part in np.split(full.reshape(-1)[order], bounds)])
+    return full[..., :h].reshape(-1, h), exact
+
+
+def _fold_rounds(q, d):
+    """n // 2 + (d - 1)(n - 1) for every class slot of modulus n."""
+    rounds = np.empty(sum(n for _, n, _ in sphere._class_slots(q)))
+    for _, n, offset in sphere._class_slots(q):
+        rounds[offset : offset + n] = n // 2 + (d - 1) * (n - 1)
+    return rounds
+
+
+class TestClassFold:
+    @pytest.mark.parametrize("d", sorted(FOLD_CASES))
+    def test_fold_matches_full_grid_classes(self, monkeypatch, d):
+        # both fold paths: _fold as it picks them (the BLAS product for
+        # n <= 64, the shifts above) and the shifts for every n
+        eps = np.finfo(np.float64).eps
+        for q in FOLD_CASES[d]:
+            E = sample_random_set(q, d, max(1, q**d // 3), seed=q + d)
+            half, exact = _class_sums_exactly(E)
+            bound = (_fold_rounds(q, d) + 1) * eps * exact  # + 1: fsum rounds once
+            for fold in (distset._fold, distset._fold_by_shifts):
+                monkeypatch.setattr(distset, "_fold", fold)
+                folded = distset._class_power(half, q, d)
+                assert (np.abs(folded - exact) <= bound).all(), (q, d, fold.__name__)
+            if q > 64:
+                fourier._kernel.cache_clear()  # q x q transform kernels add up
+
+    def test_power_is_not_modified(self):
+        E = sample_random_set(45, 3, 3000, seed=3)
+        power = distset._power_spectrum(E, 10**7)
+        before = power.copy()
+        distset._class_power(power, 45, 3)
+        assert np.array_equal(power, before)
+
+    def test_sweep_builds_no_grid_table(self, monkeypatch):
+        # neither the q^d norm table nor the q^d class-id grid, cold caches included
+        def forbidden(*args):
+            raise AssertionError("the sweep built a q^d table")
+
+        for mod in (sphere, distset):
+            monkeypatch.setattr(mod, "_norms_flat", forbidden)
+        monkeypatch.setattr(sphere, "_frequency_classes", forbidden)
+        sphere._cached_class_kernel.cache_clear()
+        sphere._sphere_count_rows.cache_clear()
+        E = sample_random_set(15, 4, 1000, seed=4)
+        hist = nu_pairs(E)
+        for route in ("direct", "formula"):
+            assert [rep.nu for rep in nu_spectral_sweep(E, route=route)] == list(hist)
+        assert np.array_equal(nu_histogram(E), hist)  # 15^5 <= 1000^2: the sweep route
+        E = sample_random_set(105, 3, 2000, seed=5)  # n = 105 folds by shifts
+        assert [rep.nu for rep in nu_spectral_sweep(E)] == list(nu_pairs(E))
+
+
+class TestSweepRouting:
+    def test_bound_sends_inputs_to_each_side(self):
+        # Z_15^5 at |E| = 3375 is far inside; a full Z_5^12, admitted only
+        # with a raised grid budget, would round past 1/4 and stays on the
+        # autocorrelation
+        kern = _class_kernel(as_modulus(15), 5)
+        assert distset._sweep_tolerance_bound(kern, 15, 5, 3375) <= 0.25
+        big = _class_kernel(as_modulus(5), 12, max_grid=5**12)
+        assert distset._sweep_tolerance_bound(big, 5, 12, 5**12) > 0.25
+
+    def test_bound_covers_the_sweep_tolerance(self):
+        for q, d, size in ((15, 5, 6000), (9, 6, 177147), (27, 4, 3000), (5, 6, 15625)):
+            E = sample_random_set(q, d, size, seed=2024)
+            kern = _class_kernel(E.modulus, d)
+            sums = distset._class_power(distset._power_spectrum(E, 10**7), q, d)
+            tol = distset._sweep_tolerance(E, sums, kern, [])
+            assert tol.max() <= distset._sweep_tolerance_bound(kern, q, d, size) * (1 + 1e-9)
+
+    def test_refused_bound_keeps_autocorrelation(self, monkeypatch):
+        E = sample_random_set(15, 5, 3375, seed=11)
+        monkeypatch.setattr(distset, "_sweep_tolerance_bound", lambda *args: 0.3)
+        inverses = _counting(monkeypatch, "hermitian_inverse")
+        sweeps = _counting(monkeypatch, "_sweep")
+        assert np.array_equal(nu_histogram(E), nu_pairs(E))
+        assert (len(inverses), len(sweeps)) == (1, 0)
+
+    @pytest.mark.parametrize("q", [3, 9, 15, 45, 105])
+    def test_histogram_matches_pairs(self, monkeypatch, q):
+        # d <= 5, on both sides of q^{d+1} <= |E|^2 where the pair scan stays
+        # below 2 * 10^7 pairs, else one set for the scan
+        swept = _counting(monkeypatch, "_sweep")
+        for d in range(1, 6):
+            edge = math.isqrt(q ** (d + 1) - 1) + 1
+            if edge <= q**d and edge * edge <= 2 * 10**7 and q**d <= 10**7:
+                sizes = (edge - 1, edge)
+            else:
+                sizes = (min(q**d, 2000),)
+            for size in sizes:
+                E = sample_random_set(q, d, size, seed=q * d + size)
+                before = len(swept)
+                assert np.array_equal(nu_histogram(E), nu_pairs(E)), (q, d, size)
+                on_sweep = d >= 4 and q**d <= 10**7 and q ** (d + 1) <= size * size
+                assert len(swept) - before == on_sweep, (q, d, size)
+
+
 def _peak_mib(fn, *args, **kwargs):
-    _norms_flat.cache_clear()  # count the norm table too
+    _norms_flat.cache_clear()  # count the norm table and the class kernels too
+    sphere._cached_class_kernel.cache_clear()
     tracemalloc.start()
     try:
         fn(*args, **kwargs)
@@ -467,15 +617,14 @@ class TestNuSpectral:
         # that is a budget limit, not an inconsistency
         E = sample_random_set(9, 3, 200, seed=3)
         kern = _class_kernel(E.modulus, 3)
-        sums, rounds = distset._class_power(distset._power_spectrum(E, 10**7), kern)
-        tol = distset._sweep_tolerance(E, sums, rounds, kern, range(9))
+        sums = distset._class_power(distset._power_spectrum(E, 10**7), 9, 3)
+        tol = distset._sweep_tolerance(E, sums, kern, range(9))
         assert 0 < tol.max() < 1e-9
         with pytest.raises(BudgetError, match="reaches 1/2"):
-            distset._sweep_tolerance(E, sums * 1e15, rounds, kern, [4])
-        distset._sweep_tolerance(E, sums * 1e15, rounds, kern, [])  # no t requested
+            distset._sweep_tolerance(E, sums * 1e15, kern, [4])
+        distset._sweep_tolerance(E, sums * 1e15, kern, [])  # no t requested
         real = distset._class_power
-        monkeypatch.setattr(distset, "_class_power",
-                            lambda power, kn: (real(power, kn)[0] * 1e15, real(power, kn)[1]))
+        monkeypatch.setattr(distset, "_class_power", lambda power, q, d: real(power, q, d) * 1e15)
         with pytest.raises(BudgetError):
             nu_spectral_sweep(E)
         with pytest.raises(BudgetError):
@@ -534,6 +683,16 @@ class TestCertificate:
             assert all(r.margin > 0 for r in rows)
             assert all(r.nu is not None and r.nu > 0 for r in rows)
 
+    def test_count_is_never_the_sweep(self, monkeypatch):
+        # 600^2 >= 9^5 puts the public nu_histogram on the sweep, but the
+        # certificate checks its sweep against the autocorrelation
+        E = sample_random_set(9, 4, 600, seed=1)
+        sweeps = _counting(monkeypatch, "_sweep")
+        inverses = _counting(monkeypatch, "hermitian_inverse")
+        rows = certificate_check(E)
+        assert (len(sweeps), len(inverses)) == (1, 1)
+        assert [r.nu for r in rows] == [int(h) for h in nu_pairs(E)]
+
     def test_one_transform_shared_with_histogram(self, monkeypatch):
         # 600^2 >= 9^4, so nu_histogram takes the autocorrelation route and
         # reuses the sweep's transform
@@ -583,6 +742,8 @@ class TestConstructions:
     def test_lattice_ell1_is_singleton(self):
         E = construct_zero_distance_lattice(7, 1, 3)
         assert E.points == ((0, 0, 0),)
+        # past numpy's 32 meshgrid dimensions too
+        assert construct_zero_distance_lattice(3, 1, 40).points == ((0,) * 40,)
 
     def test_lattice_size_formula(self):
         for p, ell, d in ((3, 2, 2), (3, 4, 2), (5, 3, 2), (7, 2, 3)):
@@ -744,6 +905,27 @@ class TestFileFormat:
         path = tmp_path / "set.txt"
         write_pointset(E, path)
         assert read_pointset(path) == E
+
+    def test_bytes_match_savetxt(self, tmp_path):
+        # the lines np.savetxt(fmt="%d", delimiter=",") wrote, byte for byte:
+        # one to nineteen digits, zeros, one coordinate, and 2^16 rows of 17
+        # one-digit values, three blocks of at most 2^20 bytes
+        sets = [
+            construct_even_weight(17),
+            full_grid(11, 2),
+            PointSet(7, 1, [(0,), (3,), (6,)]),
+            sample_random_set(1000003, 3, 5000, seed=9),
+            PointSet(2**62 + 1, 2, [(0, 2**62), (10**18, 9), (10**17 - 1, 10**17)]),
+            sample_random_set(3, 8, 4000, seed=1),
+        ]
+        for E in sets:
+            path = tmp_path / "set.txt"
+            write_pointset(E, path)
+            ref = io.StringIO()
+            ref.write(f"q={E.q} d={E.d}\n")
+            np.savetxt(ref, E.array(), fmt="%d", delimiter=",")
+            assert path.read_bytes() == ref.getvalue().encode(), E
+            assert read_pointset(path) == E
 
     def test_comments_blanks_normalization(self, tmp_path):
         path = tmp_path / "messy.txt"

@@ -11,6 +11,7 @@ from zqdist.errors import BudgetError, DomainError
 from zqdist.fourier import forward
 from zqdist.sphere import (
     _class_kernel,
+    _frequency_classes,
     _gauss_table,
     decay_report,
     sphere_count_formula,
@@ -81,6 +82,18 @@ class TestPartition:
             for d in (1, 2, 3):
                 counts = sphere_counts_all(q, d)
                 assert int(counts.sum()) == q**d
+
+
+    def test_convolved_rows_equal_enumeration(self):
+        # the kernel's and the sweep's exact counts, odd and even q, every i <= d
+        for q, d in itertools.product((2, 3, 4, 6, 9, 15, 45), range(1, 7)):
+            if q**d > 10**5:
+                continue
+            rows = sphere._sphere_count_rows(q, d)
+            assert rows.shape == (d + 1, q) and not rows.flags.writeable
+            assert list(rows[0]) == [1] + [0] * (q - 1)
+            for i in range(1, d + 1):
+                assert np.array_equal(rows[i], sphere_counts_all(q, i)), (q, d, i)
 
 
 class TestCountFormula:
@@ -209,14 +222,17 @@ class TestFourierFormula:
         eps = np.finfo(np.float64).eps
         for q, d in FORMULA_CASES:
             kern = _class_kernel(as_modulus(q), d, "formula")
-            if d == 1:  # the non-squares mod q leave classes empty
-                assert (kern.sizes == 0).any()
+            ids, slots = _frequency_classes(q, d)
+            if d == 1:  # the non-squares mod q leave classes empty, with zero rows
+                empty = np.bincount(ids, minlength=slots) == 0
+                assert empty.any()
+                assert not kern.values[empty].any() and not kern.error[empty].any()
             counts = sphere_counts_all(q, d)
             for t in range(q):
                 spec = sphere_spec(q, d, t)
                 formula = sphere_spectrum_formula(spec).values
                 gap = np.abs(formula - sphere_fourier_direct(spec).values)
-                tol = kern.error[kern.ids, t] + d * (q + 11) * eps * counts[t] / q**d
+                tol = kern.error[ids, t] + d * (q + 11) * eps * counts[t] / q**d
                 assert (gap <= tol).all(), (q, d, t, gap.max())
 
     def test_scalar_against_direct(self):
@@ -330,14 +346,17 @@ class TestClassKernel:
         # the oracle: every full direct spectrum, binned by class
         eps = np.finfo(np.float64).eps
         kernels = {route: _class_kernel(as_modulus(q), d, route) for route in ("direct", "formula")}
-        kern = kernels["direct"]
-        assert np.array_equal(kern.ids, kernels["formula"].ids)
-        present = np.flatnonzero(kern.sizes)
+        ids, slots = _frequency_classes(q, d)  # the reference class of every frequency
+        sizes = np.bincount(ids, minlength=slots)
+        for kn in kernels.values():
+            assert kn.values.shape == kn.error.shape == (slots, q)
+            assert not kn.values[sizes == 0].any()  # an empty class has a zero row
+        present = np.flatnonzero(sizes)
         if d >= 3:
             assert len(present) == sigma(q)
-        assert kern.sizes[0] == 1 and kern.ids[0] == 0  # class 0 is m = 0 alone
-        order = np.argsort(kern.ids, kind="stable")
-        bounds = np.cumsum(kern.sizes)[:-1]
+        assert sizes[0] == 1 and ids[0] == 0  # class 0 is m = 0 alone
+        order = np.argsort(ids, kind="stable")
+        bounds = np.cumsum(sizes)[:-1]
         counts = sphere_counts_all(q, d)
         for t in range(q):
             spectrum = sphere_fourier_direct(sphere_spec(q, d, t)).values
@@ -354,6 +373,38 @@ class TestClassKernel:
             mags[0] = 0.0
             for kn in kernels.values():
                 assert abs(kn.chain[t] - mags.max()) <= kn.error[:, t].max() + tol
+
+    @pytest.mark.parametrize("q,d", CLASS_CASES + [(3, 5), (5, 5), (7, 5), (9, 5), (3, 6), (5, 6)])
+    def test_kernels_equal_grid_representative_kernels(self, q, d):
+        # the reference: the first member in flat order of every class of the
+        # whole grid, by np.minimum.at over all q^d frequencies; the kernels
+        # from the padded Z_q^min(d, 3) members must match it bit for bit
+        ids, slots = _frequency_classes(q, d)
+        first = np.full(slots, q**d)
+        np.minimum.at(first, ids, np.arange(q**d))
+        present = np.flatnonzero(np.bincount(ids, minlength=slots))
+        reps = np.stack(np.unravel_index(first[present], (q,) * d), axis=1)
+        small, small_present, small_slots = sphere._class_representatives(q, d)
+        assert small_slots == slots and np.array_equal(small_present, present)
+        assert np.array_equal(small, reps)
+        for route, build in (("direct", sphere._kernel_direct), ("formula", sphere._kernel_formula)):
+            vals, err = build(q, d, reps)
+            kern = _class_kernel(as_modulus(q), d, route)
+            assert kern.values[present].tobytes() == vals.tobytes(), route
+            assert kern.error[present].tobytes() == np.ascontiguousarray(err).tobytes(), route
+
+    def test_kernel_cache_is_bounded(self):
+        # sigma(q) q <= 2^16 values are cached; 255 (sigma = 432) is rebuilt
+        sphere._cached_class_kernel.cache_clear()
+        a = _class_kernel(as_modulus(45), 3)
+        assert _class_kernel(as_modulus(45), 3) is a
+        assert not a.values.flags.writeable and not a.error.flags.writeable
+        info = sphere._cached_class_kernel.cache_info()
+        assert (info.hits, info.misses, info.maxsize) == (1, 1, 16)
+        assert info.maxsize * sphere._CACHED_KERNEL_VALUES <= 2**20
+        b = _class_kernel(as_modulus(255), 1, "formula")
+        assert _class_kernel(as_modulus(255), 1, "formula") is not b
+        assert sphere._cached_class_kernel.cache_info().currsize == 1
 
     def test_unknown_route(self):
         with pytest.raises(DomainError):
