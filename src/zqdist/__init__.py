@@ -24,7 +24,6 @@ from .distset import (
     construct_zero_distance_lattice,
     distance,
     distance_set,
-    nu_brute,
     nu_histogram,
     nu_pairs,
     nu_spectral_sweep,
@@ -71,7 +70,7 @@ __all__ = [
     "sphere_count_formula", "sphere_size_bound_check", "sphere_fourier_direct",
     "sphere_spectrum_formula", "decay_report",
     "PointSet", "NuReport", "CertificateRow", "ThresholdReport",
-    "distance", "distance_set", "nu_brute", "nu_histogram", "nu_pairs",
+    "distance", "distance_set", "nu_histogram", "nu_pairs",
     "nu_spectral_sweep", "theorem_threshold", "certificate_check",
     "construct_even_weight", "construct_zero_distance_lattice",
     "sample_random_set", "read_pointset", "write_pointset",

@@ -10,10 +10,11 @@ Three routes to nu(t):
 * the pair scan (`nu_pairs`, the oracle) visits all |E|^2 ordered pairs;
 * the autocorrelation transforms the indicator once each way:
   A = 1_E * 1_{-E} counts the pairs with x - y = z, so
-  nu(t) = sum_{||z|| = t} A(z) for every t at once.  1_E is real, so both
-  transforms keep only the half spectrum m_d <= q // 2.  `nu_histogram`
-  takes it for even q and for odd q with d <= 3, and the CLI and
-  certificate_check take it as the count the sweep is checked against;
+  nu(t) = sum_{||z|| = t} A(z) for every t at once.  1_E is real and A
+  even, so both transforms keep only a half grid (m_d or z_d <= q // 2),
+  and _fold sums A by sphere with no q^d table.  `nu_histogram` takes it
+  for even q and for odd q with d <= 3, and the CLI and certificate_check
+  take it as the count the sweep is checked against;
 * the spectral decomposition (`nu_spectral_sweep`, the certificate, and
   `nu_histogram` for odd q with d >= 4)
 
@@ -55,7 +56,6 @@ from .sphere import (
     _class_kernel,
     _class_slots,
     _ClassKernel,
-    _norms_flat,
     _sphere_count_rows,
 )
 
@@ -67,7 +67,6 @@ __all__ = [
     "DEFAULT_PAIR_BUDGET",
     "distance",
     "distance_set",
-    "nu_brute",
     "nu_histogram",
     "nu_pairs",
     "nu_spectral_sweep",
@@ -286,10 +285,11 @@ def _nu_autocorrelation(E: PointSet, max_grid: int, power: "np.ndarray | None") 
 
     A(z) counts the pairs with x - y = z, so it is an integer; the float
     values are rounded after a check against _autocorrelation_tolerance.  A
-    tolerance of 1/2 or more cannot single out the integer, and float
-    bincount sums stay exact only up to 2^53: both raise BudgetError.
-    `power` is |E^|^2 on the half grid when the caller has already
-    transformed E.
+    is even, so _fold sums the rounded half grid of hermitian_inverse by
+    sphere; its sums of integers are exact up to 2^53.  A tolerance of 1/2
+    or more cannot single out the integer, and |E|^2 > 2^53 cannot be summed
+    exactly: both raise BudgetError.  `power` is |E^|^2 on the half grid
+    when the caller has already transformed E.
     """
     q, d, n = E.q, E.d, E.size
     tol = _autocorrelation_tolerance(E)
@@ -310,7 +310,7 @@ def _nu_autocorrelation(E: PointSet, max_grid: int, power: "np.ndarray | None") 
         raise InconsistencyError(
             f"autocorrelation entry lies {worst:.3g} from an integer, beyond the tolerance {tol:.3g}"
         )
-    nu = np.bincount(_norms_flat(q, d), weights=counts, minlength=q).astype(np.int64)
+    nu = _fold(counts, q, d).astype(np.int64)
     if int(nu.sum()) != n * n:
         raise InconsistencyError(
             f"autocorrelation pair counts sum to {int(nu.sum())}, not |E|^2 = {n * n}"
@@ -333,11 +333,12 @@ def nu_histogram(
 
     For odd q with d >= 4 that transform feeds the spectral sweep with the
     direct class kernel (nu_spectral_sweep): no inverse transform and no q^d
-    rounding pass, and the kernel's sigma(q) q^3 build stays below the
-    q^{d+1} of the inverse it replaces.  Timed on one core with the kernel
-    not yet cached, the sweep is 5 to 10 times slower than the
-    autocorrelation at d = 3 (q = 9 to 45) and faster at d >= 4 from about
-    q^d = 6 * 10^4 up, slower by at most 1.7 ms below.
+    rounding pass, and the kernel's build (representatives on Z_q^3, then
+    O(q^2) per class) stays below the q^{d+1} of the inverse it replaces.
+    Timed on one core with the kernel not yet cached, the sweep is 2.4 to 8
+    times slower than the autocorrelation at d = 3 (q = 45 down to 9) and
+    faster at d >= 4 from about q^d = 6 * 10^4 up, slower by at most 0.3 ms
+    below.
 
     The sweep runs when its a-priori tolerance bound (_sweep_tolerance_bound,
     from |E| and the cached kernel alone) is at most 1/4, which leaves room
@@ -381,11 +382,6 @@ def _nu_histogram(
     if _transform_side(E, max_grid):
         return _nu_autocorrelation(E, max_grid, power)
     return nu_pairs(E, max_pairs)
-
-
-def nu_brute(E: PointSet, t: "int | Residue", max_pairs: int = DEFAULT_PAIR_BUDGET) -> int:
-    """Exact ordered-pair count |{(x, y) in E x E : ||x - y|| = t}|, by the pair scan."""
-    return int(nu_pairs(E, max_pairs)[_t_value(t, E.q)])
 
 
 def distance_set(

@@ -8,18 +8,18 @@ is its base-q reading with x_1 most significant.  Transforms are separable:
 d one-dimensional length-q passes, O(d q^{d+1}) scalar work, no radix
 restriction on q.  The q x q pass kernel costs 16 q^2 bytes whatever d is,
 so transforms raise BudgetError once q^2 exceeds DEFAULT_GRID_BUDGET.
-Phases are reduced mod q before exponentiation.  Each
-output coefficient is a contiguous dot product, so results are independent
-of any parallel schedule the underlying BLAS may use.
+Phases are reduced mod q before exponentiation.  Every transform runs its
+last axis as one product and the other d - 1 as batched complex products
+that leave the axes in place (_leading_passes).
 
 A real grid has F(-m) = conj F(m), so `half_forward` keeps only the
 q^{d-1} (q//2 + 1) frequencies with m_d <= q // 2: its last-axis pass is one
-real product with the real and imaginary parts of those kernel columns, and
-the other d - 1 passes are batched complex products that leave the axes in
-place.  `hermitian_inverse` takes such a half spectrum of a real, even
-function (a power spectrum) back to its real grid, the last axis again as
-one real product, weighted by `half_weights`.  The full complex `forward`
-and `inverse` serve complex grids and are the oracle for both.
+real product with the real and imaginary parts of those kernel columns.
+`hermitian_inverse` takes such a half spectrum of a real, even function (a
+power spectrum) back to its real, even grid on the same half x_d <= q // 2,
+the last axis again as one real product, weighted by `half_weights`.  The
+full complex `forward` and `inverse` serve complex grids and are the oracle
+for both.
 """
 
 from __future__ import annotations
@@ -157,25 +157,18 @@ def _kernel(q: int, forward_sign: bool) -> np.ndarray:
     return mat
 
 
-def _separable_apply(values: np.ndarray, q: int, d: int, kernel: np.ndarray) -> np.ndarray:
-    # Each pass transforms the leading axis with one matrix product and moves
-    # it to the back, so after d passes the axes are in their original order.
-    arr = values.reshape(q, -1)
-    for _ in range(d):
-        arr = np.ascontiguousarray((kernel @ arr).T).reshape(q, -1)
-    return arr.reshape(-1)
-
-
 def forward(f: GridFunction) -> Spectrum:
     """F(m) = q^{-d} sum_x f(x) e^{-2 pi i (x . m)/q}, axis by axis."""
-    out = _separable_apply(f.values, f.q, f.d, _kernel(f.q, True))
+    kernel = _kernel(f.q, True)
+    out = _leading_passes(f.values.reshape(-1, f.q) @ kernel, f.q, f.d, kernel).reshape(-1)
     out *= 1.0 / f.size
     return Spectrum(f.modulus, f.d, out)
 
 
 def inverse(F: Spectrum) -> GridFunction:
     """f(x) = sum_m F(m) e^{+2 pi i (x . m)/q}; exact inverse of forward."""
-    out = _separable_apply(F.values, F.q, F.d, _kernel(F.q, False))
+    kernel = _kernel(F.q, False)
+    out = _leading_passes(F.values.reshape(-1, F.q) @ kernel, F.q, F.d, kernel)
     return GridFunction(F.modulus, F.d, out)
 
 
@@ -201,15 +194,15 @@ def _half_kernels(q: int) -> tuple[np.ndarray, np.ndarray, int]:
     The forward one is the columns m_d < h of the forward kernel, each split
     into its real and imaginary column, so a real (N, q) grid times it is the
     (N, h) complex result stored re/im interleaved.  The inverse one is the
-    rows m_d < h of the inverse kernel split into w Re and -w Im rows, with
-    w from half_weights.  Both hold the table roots of _kernel; multiplying
-    by w is exact.
+    block m_d < h, x_d < h of the inverse kernel, each row split into a w Re
+    and a -w Im row, with w from half_weights.  Both hold the table roots of
+    _kernel; multiplying by w is exact.
     """
     h = q // 2 + 1
     fwd = np.ascontiguousarray(_kernel(q, True)[:, :h]).view(np.float64)
     w = half_weights(q)[:, None]
-    inv = _kernel(q, False)[:h]
-    inv_real = np.stack([w * inv.real, -w * inv.imag], axis=1).reshape(2 * h, q)
+    inv = _kernel(q, False)[:h, :h]
+    inv_real = np.stack([w * inv.real, -w * inv.imag], axis=1).reshape(2 * h, h)
     for arr in (fwd, inv_real):
         arr.setflags(write=False)
     return fwd, inv_real, h
@@ -241,18 +234,20 @@ def half_forward(values: np.ndarray, q: int, d: int) -> np.ndarray:
 
 
 def hermitian_inverse(half: np.ndarray, q: int, d: int) -> np.ndarray:
-    """The inverse of a real, even spectrum given in the half_forward layout.
+    """The inverse of a real, even spectrum given in the half_forward layout,
+    on the half grid x_d <= q // 2 in that layout.
 
-    F(-m) = F(m) = conj F(m), so the inverse is real: after d - 1 complex
-    passes the last axis sums h = q//2 + 1 terms w Re(B(m_d) e(x_d m_d / q))
-    as one real product, with w = 1 for m_d = 0 and for m_d = q/2 (even q),
-    which are their own negatives, and w = 2 for every other m_d, which also
-    stands for q - m_d.  Returns the real grid, flat and row-major.
+    F(-m) = F(m) = conj F(m), so the inverse is real and even, and its half
+    grid determines it.  After d - 1 complex passes the last axis sums
+    h = q//2 + 1 terms w Re(B(m_d) e(x_d m_d / q)) for each x_d < h as one
+    real product, with w = 1 for m_d = 0 and for m_d = q/2 (even q), which
+    are their own negatives, and w = 2 for every other m_d, which also
+    stands for q - m_d.
     """
     _, inv_real, h = _half_kernels(q)
     arr = np.ascontiguousarray(half, dtype=np.complex128).reshape(-1, h)
     arr = _leading_passes(arr, q, d, _kernel(q, False))
-    return (arr.view(np.float64) @ inv_real).reshape(-1)
+    return arr.view(np.float64) @ inv_real
 
 
 def plancherel_defect(f: GridFunction, g: GridFunction) -> float:

@@ -17,11 +17,12 @@ g = gcd(m, q) and ||m/g|| mod q/g (Iosevich-Rudnev 2007;
 Covert-Iosevich-Pakianathan 2012): at most sigma(q) classes, exactly sigma(q)
 for d >= 3.  The sigma(q) x q class kernel K[c, t] = S_t^(m), m in class c,
 holds every coefficient of every sphere.  It is built from one
-representative per class by either route: "direct" counts the points of
-Z_q^j by (||y||, y . m) exactly over the j coordinates where m is nonzero,
-takes one q-term character sum and convolves with the sphere counts of the
-other coordinates; "formula" multiplies the Gauss sums and takes one
-length-q DFT over s.  The formula kernel is the only evaluation of the
+representative per class by either route: "direct" convolves over Z_q, one
+coordinate at a time, the sums U[mu](b) of e(-x mu / q) over the square
+roots x of b for the j <= 3 nonzero coordinates mu of m with the exact
+sphere counts of the other d - j coordinates, in O(j q^2) and with no grid
+enumerated; "formula" multiplies the Gauss sums and takes one length-q DFT
+over s.  The formula kernel is the only evaluation of the
 Gauss-sum product: the formula spectrum of S_t is its column t spread over
 the members of each class.  The spectral sweep of distset reads nu(t) off
 the kernel; the direct spectra are its oracle.
@@ -351,36 +352,43 @@ def _sphere_count_rows(q: int, d: int) -> np.ndarray:
 
 
 def _kernel_direct(q: int, d: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K[c, t] = q^{-d} sum_{||x|| = t} e(-x . m_c / q) from exact integer
-    counts, with no Gauss sum.
+    """K[c, t] = q^{-d} sum_{||x|| = t} e(-x . m_c / q) by cyclic convolution
+    over Z_q, with no Gauss sum and no grid enumerated.
 
-    m_c is the first member of its class in flat order, so only its last
-    j <= 3 coordinates can be nonzero: one bincount over Z_q^j gives the
-    integers #{y in Z_q^j : ||y|| = b, y . m_c = k}, one q-term character sum
-    over k turns them into v(b), and the cyclic convolution of v with the
-    sphere counts of Z_q^{d-j} (_sphere_count_rows) adds the other
-    coordinates.  Each table root e(k/q) is within 11 eps (its angle, below
-    2 pi, carries a few roundings; 7.4 eps is the largest error for
-    q < 400), so v(b) is within (q + 10) eps of the count sum_k #{...}; the
-    convolution of nonnegative counts adds q + 1 and the scaling 1, leaving
-    K[c, t] within (2 q + 12) eps |S_t| q^{-d}."""
+    With U[mu](b) = sum_{x^2 = b} e(-x mu / q), the sum factors as
+    K[c] = q^{-d} N_{d-j} (*) U[mu_1] (*) ... (*) U[mu_j] over the j <= 3
+    nonzero coordinates mu_i of m_c, where N_i, the i-fold convolution of
+    U[0](b) = #{x : x^2 = b}, holds the sphere counts of Z_q^i
+    (_sphere_count_rows); N_0 = delta_0 is skipped when j = d.  x and -x
+    share x^2, so U[mu] is real: cosines of table roots, binned in O(q).
+
+    |U[mu](b)| <= N_1(b), so each convolution is bounded termwise by a
+    sphere count and K[c, t] by |S_t| q^{-d}.  A table root is within 11 eps
+    (7.4 eps is the largest error for q < 400) and U(b) adds at most
+    r = max N_1 of them: U is within (11 + r // 2) eps N_1.  Each of the k
+    convolutions (j - 1 when j = d, else j) sums q products within
+    (q // 2 + 1) eps; with the scaling and second-order terms (2), K[c, t]
+    is within (j (11 + r // 2) + k (q // 2 + 1) + 2) eps |S_t| q^{-d}."""
     ks = np.arange(q, dtype=np.int64)
     squares = ks * ks % q
-    shift = (ks[:, None] - ks[None, :]) % q  # [t, a] -> t - a
+    cos = character_table(q).real  # the real part of e(-x mu / q) as well
     spheres = _sphere_count_rows(q, d)  # spheres[i][t] = |S_t| in Z_q^i
-    conj_roots = np.conj(character_table(q))
-    norms = {}  # j -> q ||y|| for every y in Z_q^j, shared by representatives
+    root_steps = 11 + int(spheres[1].max()) // 2
     vals = np.empty((len(reps), q), dtype=np.complex128)
+    steps = np.empty(len(reps))
     for c, rep in enumerate(reps):
-        j = d - int(np.argmax(rep != 0)) if rep.any() else 0
-        if j not in norms:
-            norms[j] = _form_flat(q, [squares] * j) * q
-        dots = _form_flat(q, [ks * int(mi) % q for mi in rep[d - j :]])
-        counts = np.bincount(norms[j] + dots, minlength=q * q).reshape(q, q)
-        vals[c] = spheres[d - j][shift] @ (counts @ conj_roots)
+        mus = rep[rep != 0]
+        factors = [spheres[d - len(mus)]] if len(mus) < d else []
+        factors += [np.bincount(squares, weights=cos[ks * mu % q], minlength=q) for mu in mus]
+        row = factors[0]
+        for u in factors[1:]:
+            full = np.convolve(row, u)  # the linear convolution, wrapped mod q
+            row = full[:q] + np.append(full[q:], 0.0)
+        vals[c] = row
+        steps[c] = len(mus) * root_steps + (len(factors) - 1) * (q // 2 + 1) + 2
     vals *= 1.0 / float(q) ** d
-    err = (2 * q + 12) * _EPS * spheres[d] / float(q) ** d
-    return vals, np.broadcast_to(err, vals.shape)
+    err = steps[:, None] * _EPS * spheres[d] / float(q) ** d
+    return vals, err
 
 
 def _kernel_formula(q: int, d: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,6 @@ from zqdist.distset import (
     construct_zero_distance_lattice,
     distance,
     distance_set,
-    nu_brute,
     nu_histogram,
     nu_pairs,
     nu_spectral_sweep,
@@ -179,19 +178,20 @@ class TestDistanceSet:
 class TestNuBrute:
     def test_two_point_example(self):
         E = PointSet(3, 3, [(0, 0, 0), (1, 0, 0)])
-        assert [nu_brute(E, t) for t in range(3)] == [2, 2, 0]
+        assert list(nu_pairs(E)) == [2, 2, 0]
 
     def test_singleton(self):
         E = PointSet(7, 2, [(3, 4)])
-        assert [nu_brute(E, t) for t in range(7)] == [1, 0, 0, 0, 0, 0, 0]
+        assert list(nu_pairs(E)) == [1, 0, 0, 0, 0, 0, 0]
 
     def test_full_grid_vs_sphere_counts(self):
         # translation invariance: nu(t) = q^d |S_t| on the full grid
         for q in (3, 5):
             counts = sphere_counts_all(q, 3)
             E = full_grid(q, 3)
+            hist = nu_pairs(E)
             for t in range(q):
-                assert nu_brute(E, t) == q**3 * int(counts[t])
+                assert hist[t] == q**3 * int(counts[t])
 
     def test_matches_literal_loop(self):
         E = sample_random_set(5, 3, 20, seed=1)
@@ -292,14 +292,14 @@ class TestNuAutocorrelation:
         assert np.array_equal(nu_histogram(E, max_grid=max_grid), nu_pairs(E))
         assert forwards == []
 
-    def test_nu_brute_never_transforms(self, monkeypatch):
+    def test_nu_pairs_never_transforms(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("nu_brute called half_forward")
+            raise AssertionError("nu_pairs called half_forward")
 
         monkeypatch.setattr(distset, "half_forward", refuse)
         E = full_grid(3, 3)
         counts = sphere_counts_all(3, 3)
-        assert [nu_brute(E, t) for t in range(3)] == [27 * int(c) for c in counts]
+        assert list(nu_pairs(E)) == [27 * int(c) for c in counts]
 
     @pytest.mark.parametrize("shift", [0.3, 1.0], ids=["off-integer", "wrong-total"])
     def test_perturbed_inverse_is_inconsistent(self, monkeypatch, shift):
@@ -457,12 +457,13 @@ class TestClassFold:
         assert np.array_equal(power, before)
 
     def test_sweep_builds_no_grid_table(self, monkeypatch):
-        # neither the q^d norm table nor the q^d class-id grid, cold caches included
+        # neither the q^d norm table nor the q^d class-id grid, cold caches
+        # included; nor does the autocorrelation of nu_histogram, for even q
+        # and for odd q with d <= 3
         def forbidden(*args):
             raise AssertionError("the sweep built a q^d table")
 
-        for mod in (sphere, distset):
-            monkeypatch.setattr(mod, "_norms_flat", forbidden)
+        monkeypatch.setattr(sphere, "_norms_flat", forbidden)
         monkeypatch.setattr(sphere, "_frequency_classes", forbidden)
         sphere._cached_class_kernel.cache_clear()
         sphere._sphere_count_rows.cache_clear()
@@ -473,6 +474,26 @@ class TestClassFold:
         assert np.array_equal(nu_histogram(E), hist)  # 15^5 <= 1000^2: the sweep route
         E = sample_random_set(105, 3, 2000, seed=5)  # n = 105 folds by shifts
         assert [rep.nu for rep in nu_spectral_sweep(E)] == list(nu_pairs(E))
+        inverses = _counting(monkeypatch, "hermitian_inverse")
+        for q, d, size in ((6, 5, 3000), (4, 8, 600), (66, 2, 600), (9, 3, 300), (45, 3, 2100),
+                           (101, 1, 101)):
+            E = sample_random_set(q, d, size, seed=q + d)
+            assert np.array_equal(nu_histogram(E), nu_pairs(E)), (q, d)
+        assert len(inverses) == 6
+
+
+class TestEvenAutocorrelation:
+    @pytest.mark.parametrize("q", [66, 70])
+    def test_histogram_matches_pairs_at_crossover(self, monkeypatch, q):
+        # even q > 64 folds the autocorrelation's half grid by shifts; the
+        # least |E| with q^3 <= |E|^2 takes the transform, one point fewer the scan
+        edge = math.isqrt(q**3 - 1) + 1
+        inverses = _counting(monkeypatch, "hermitian_inverse")
+        for size, transforms in ((edge - 1, 0), (edge, 1)):
+            E = sample_random_set(q, 2, size, seed=q)
+            before = len(inverses)
+            assert np.array_equal(nu_histogram(E), nu_pairs(E))
+            assert len(inverses) - before == transforms
 
 
 class TestSweepRouting:
@@ -972,4 +993,4 @@ class TestAdversarialSpectralAgreement:
         hist = nu_pairs(E)
         for rep in nu_spectral_sweep(E):
             assert rep.nu == int(hist[rep.t])
-        assert nu_brute(E, 0) == E.size**2
+        assert nu_pairs(E)[0] == E.size**2

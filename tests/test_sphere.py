@@ -327,13 +327,14 @@ class TestIndicator:
         assert np.abs(a - b).max() == 0
 
 
-# odd q (composite ones included) and d with q^d <= 10^5
+# odd q (composite ones included) and d with q^d <= 10^5, and large primes
+# q whose representatives have no zero coordinate (j = d)
 CLASS_CASES = [
     (q, d)
     for q in (3, 5, 9, 15, 21, 25, 27, 45)
     for d in (1, 2, 3, 4)
     if q**d <= 10**5
-]
+] + [(101, 1), (101, 2), (251, 2)]
 
 
 def sigma(q):
@@ -392,6 +393,17 @@ class TestClassKernel:
             kern = _class_kernel(as_modulus(q), d, route)
             assert kern.values[present].tobytes() == vals.tobytes(), route
             assert kern.error[present].tobytes() == np.ascontiguousarray(err).tobytes(), route
+
+    def test_direct_kernel_enumerates_no_grid(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the direct kernel built a Z_q^j table")
+
+        for q, d in ((45, 3), (15, 5), (101, 2), (1009, 1)):
+            reps, _, _ = sphere._class_representatives(q, d)
+            monkeypatch.setattr(sphere, "_form_flat", forbidden)
+            vals, err = sphere._kernel_direct(q, d, reps)
+            monkeypatch.undo()
+            assert vals.shape == err.shape == (len(reps), q)
 
     def test_kernel_cache_is_bounded(self):
         # sigma(q) q <= 2^16 values are cached; 255 (sigma = 432) is rebuilt
