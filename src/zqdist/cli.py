@@ -36,7 +36,6 @@ from .distset import (
     PointSet,
     _lattice_shape,
     _nu_histogram,
-    _power_spectrum,
     certificate_check,
     construct_even_weight,
     construct_zero_distance_lattice,
@@ -337,13 +336,12 @@ def _nu_rows(E: PointSet, label: str, route: str, max_grid: int, max_pairs: int)
     (compared when both run); then the total row t="all"."""
     q, d = E.q, E.d
     spectral = E.modulus.is_odd and q**d <= max_grid
-    power = _power_spectrum(E, max_grid) if spectral else None  # shared by both counts
     hist = None
     if E.size * E.size <= max_pairs:
-        hist = _nu_histogram(E, max_pairs, max_grid, power)
+        hist = _nu_histogram(E, max_pairs, max_grid)
     reports = None
-    if spectral:
-        reports = {r.t: r for r in nu_spectral_sweep(E, None, route, max_grid, _power=power)}
+    if spectral:  # reads E's class power when the autocorrelation has run
+        reports = {r.t: r for r in nu_spectral_sweep(E, None, route, max_grid)}
     if hist is None and reports is None:
         raise BudgetError(f"set of size {E.size} in Z_{q}^{d} fits neither the pair "
                           f"budget {max_pairs} nor the grid budget {max_grid}")

@@ -30,7 +30,9 @@ q/g, at most sigma(q) classes), so the sweep folds |E^(m)|^2 by class into P
 gets every nu(t) from q^{2d} P @ K with the sigma(q) x q class kernel
 K[c, t] = S_t^(m): one transform of the indicator, then O(q^d) work.  Its
 `route` only picks how K is built: "direct" from sphere counts, "formula"
-from Gauss sums.
+from Gauss sums.  P depends on E alone, so the PointSet keeps it (sigma(q)
+floats, nothing else) from its first transform: each set is transformed at
+most once per process for the sweep, whichever routes and callers follow.
 """
 
 from __future__ import annotations
@@ -90,9 +92,13 @@ class PointSet:
     are reduced mod q.  The rows are sorted and deduplicated on packed
     base-q int64 keys (_packed_keys): one key, sorted by one argsort,
     whenever q^d <= 2^62, and a lexsort over the few keys otherwise.
+
+    For odd q the set also keeps its class power P_c (_power_by_class), the
+    sigma(q) floats of the sweep, once a transform of it has run: a new or
+    translated set starts without them.
     """
 
-    __slots__ = ("modulus", "d", "_coords")
+    __slots__ = ("modulus", "d", "_coords", "_power_by_class")
 
     def __init__(self, q: "int | Modulus", d: int, points: Iterable[Sequence[int]]) -> None:
         m = as_modulus(q)
@@ -124,6 +130,7 @@ class PointSet:
         self.modulus = m
         self.d = d
         self._coords = arr
+        self._power_by_class = None
 
     @property
     def q(self) -> int:
@@ -158,7 +165,9 @@ class PointSet:
         if len(v) != self.d:
             raise DomainError(f"translation vector needs {self.d} coordinates")
         shift = np.array([int(w) % self.q for w in v], dtype=np.int64)
-        return PointSet(self.modulus, self.d, self._coords + shift)
+        # c + s wraps int64 once q > 2^62; c - (q - s) stays in [0, q)
+        c, rest = self._coords, self.q - shift
+        return PointSet(self.modulus, self.d, np.where(c >= rest, c - rest, c + shift))
 
     def __iter__(self):
         return iter(self.points)
@@ -249,6 +258,23 @@ def _power_spectrum(E: PointSet, max_grid: int) -> np.ndarray:
     return power
 
 
+def _power_by_class(
+    E: PointSet, max_grid: int, power: "np.ndarray | None" = None
+) -> np.ndarray:
+    """P_c of E for every class slot (_class_power), odd q, kept on E: only the
+    first call on a set folds it, from `power` when the caller has just
+    transformed E (the autocorrelation), else from a transform of its own.
+    The grid budget is checked on every call, before the kept values are read."""
+    check_grid_budget(E.q, E.d, max_grid)
+    if E._power_by_class is None:
+        if power is None:
+            power = _power_spectrum(E, max_grid)
+        by_class = _class_power(power, E.q, E.d)
+        by_class.setflags(write=False)
+        E._power_by_class = by_class
+    return E._power_by_class
+
+
 def _autocorrelation_tolerance(E: PointSet) -> float:
     """2 d q eps |E|: how far an entry of A = q^d hermitian_inverse(P) may
     lie from its integer, P being |E^|^2 on the half grid.
@@ -280,7 +306,7 @@ def _autocorrelation_tolerance(E: PointSet) -> float:
     return 2 * E.d * E.q * float(np.finfo(np.float64).eps) * E.size
 
 
-def _nu_autocorrelation(E: PointSet, max_grid: int, power: "np.ndarray | None") -> np.ndarray:
+def _nu_autocorrelation(E: PointSet, max_grid: int) -> np.ndarray:
     """nu(t) = sum_{||z|| = t} A(z) with A = q^d hermitian_inverse(|half_forward(1_E)|^2).
 
     A(z) counts the pairs with x - y = z, so it is an integer; the float
@@ -288,8 +314,8 @@ def _nu_autocorrelation(E: PointSet, max_grid: int, power: "np.ndarray | None") 
     is even, so _fold sums the rounded half grid of hermitian_inverse by
     sphere; its sums of integers are exact up to 2^53.  A tolerance of 1/2
     or more cannot single out the integer, and |E|^2 > 2^53 cannot be summed
-    exactly: both raise BudgetError.  `power` is |E^|^2 on the half grid
-    when the caller has already transformed E.
+    exactly: both raise BudgetError.  For odd q its transform also leaves E's
+    class power (_power_by_class) for a sweep that follows.
     """
     q, d, n = E.q, E.d, E.size
     tol = _autocorrelation_tolerance(E)
@@ -298,8 +324,9 @@ def _nu_autocorrelation(E: PointSet, max_grid: int, power: "np.ndarray | None") 
             f"autocorrelation tolerance {tol:.3g} for |E| = {n} in Z_{q}^{d} cannot "
             f"certify integer pair counts"
         )
-    if power is None:
-        power = _power_spectrum(E, max_grid)
+    power = _power_spectrum(E, max_grid)
+    if E.modulus.is_odd:
+        _power_by_class(E, max_grid, power)
     acorr = hermitian_inverse(power, q, d)
     acorr *= float(q**d)
     counts = np.rint(acorr)
@@ -351,14 +378,14 @@ def nu_histogram(
     if E.modulus.is_odd and d >= 4 and _transform_side(E, max_grid):
         kern = _class_kernel(E.modulus, d, "direct", max_grid)
         if _sweep_tolerance_bound(kern, q, d, n) <= 0.25:
-            reports = _sweep(E, range(q), kern, _power_spectrum(E, max_grid), None)
+            reports = _sweep(E, range(q), kern, _power_by_class(E, max_grid), None)
             nu = np.array([rep.nu for rep in reports], dtype=np.int64)
             if int(nu.sum()) != n * n:
                 raise InconsistencyError(
                     f"spectral pair counts sum to {int(nu.sum())}, not |E|^2 = {n * n}"
                 )
             return nu
-    return _nu_histogram(E, max_pairs, max_grid, None)
+    return _nu_histogram(E, max_pairs, max_grid)
 
 
 def _transform_side(E: PointSet, max_grid: int) -> bool:
@@ -367,12 +394,10 @@ def _transform_side(E: PointSet, max_grid: int) -> bool:
     return q ** max(d, 2) <= max_grid and q ** (d + 1) <= E.size * E.size
 
 
-def _nu_histogram(
-    E: PointSet, max_pairs: int, max_grid: int, power: "np.ndarray | None"
-) -> np.ndarray:
+def _nu_histogram(E: PointSet, max_pairs: int, max_grid: int) -> np.ndarray:
     """The parity count, autocorrelation or pair scan of nu_histogram, never
-    the sweep, reusing |E^|^2 (or None) on the autocorrelation route: the
-    count that certificate_check and the CLI check the sweep against."""
+    the sweep: the count that certificate_check and the CLI check the sweep
+    against.  An autocorrelation leaves E's class power for that sweep."""
     _check_pair_budget(E, max_pairs)
     n, q = E.size, E.q
     if q == 2:
@@ -380,7 +405,7 @@ def _nu_histogram(
         even = n - odd
         return np.array([even * even + odd * odd, 2 * even * odd], dtype=np.int64)
     if _transform_side(E, max_grid):
-        return _nu_autocorrelation(E, max_grid, power)
+        return _nu_autocorrelation(E, max_grid)
     return nu_pairs(E, max_pairs)
 
 
@@ -577,8 +602,6 @@ def nu_spectral_sweep(
     route: str = "direct",
     max_grid: int = DEFAULT_GRID_BUDGET,
     int_tol: "float | None" = None,
-    *,
-    _power: "np.ndarray | None" = None,
 ) -> list[NuReport]:
     """Spectral evaluation of nu(t) for several t (every t by default) from one
     transform of E's indicator; must reproduce nu_pairs exactly.
@@ -590,13 +613,16 @@ def nu_spectral_sweep(
     exact point counts, "formula" from Gauss sums.  Beyond the one forward
     transform the work is O(q^d) with no q^d table, |S_t| comes from the
     exact convolution sphere._sphere_count_rows, and the chain bound
-    max_{m != 0} |S_t^(m)| is a column maximum of |K|.  certificate_check
-    and the CLI, which also count nu(t) independently, transform E once and
-    hand |E^|^2 in as `_power`.
+    max_{m != 0} |S_t^(m)| is a column maximum of |K|.  P is kept on E
+    (sigma(q) floats): only the first sweep of a set transforms it, or none
+    when certificate_check or the CLI counted nu(t) by the autocorrelation
+    first, and every later sweep, by either route, reads P back after
+    checking the grid budget.
 
     Each float sum must land within a tolerance of an integer, with an
-    imaginary part and a chain-bound excess no larger than that tolerance.
-    The tolerance is derived per t from the rounding steps of the sum (see
+    imaginary part no larger than that tolerance and a chain-bound excess no
+    larger than it plus the chain's own slack (see _sweep).  The
+    tolerance is derived per t from the rounding steps of the sum (see
     _sweep_tolerance); an explicit int_tol takes precedence.
     """
     m = E.modulus
@@ -604,31 +630,39 @@ def nu_spectral_sweep(
     q = m.q
     ts = range(q) if ts is None else [_t_value(t, q) for t in ts]
     kern = _class_kernel(m, E.d, route, max_grid)
-    power = _power_spectrum(E, max_grid) if _power is None else _power
-    return _sweep(E, ts, kern, power, int_tol)
+    return _sweep(E, ts, kern, _power_by_class(E, max_grid), int_tol)
 
 
 def _sweep(
-    E: PointSet, ts, kern: _ClassKernel, power: np.ndarray, int_tol: "float | None"
+    E: PointSet, ts, kern: _ClassKernel, power_by_class: np.ndarray, int_tol: "float | None"
 ) -> list[NuReport]:
     """The reports of nu_spectral_sweep for the residues ts, from the kernel
-    and the half-grid power spectrum."""
+    and the class power P_c.
+
+    The chain check |R_t| <= q^d |E| max_{m != 0} |S_t^(m)| and the decay
+    check of that chain against r_bound (d > 2) allow for the computed values
+    lying off their true ones: |R_t| by tol_t, the chain and r_bound by
+    slack_t.  Each K[c, t] is within error[c, t] of its S_t^(m), so the
+    computed chain is within q^d |E| max_{c >= 1} error[c, t] of the true
+    one; the rest are roundings of one eps each (|K| and three products in
+    the chain, two powers and three products in r_bound), which 8 eps of
+    each value covers."""
     q, d = E.q, E.d
-    power_by_class = _class_power(power, q, d)
     total = float(q) ** (2 * d) * (power_by_class @ kern.values)
     if int_tol is None:
         tol = _sweep_tolerance(E, power_by_class, kern, ts)
     else:
         tol = np.full(q, float(int_tol))
     counts = _sphere_count_rows(q, d)[d]
-    # chain check: |R_t| <= q^d |E| max_{m != 0} |S_t^(m)| (<= r_bound for d > 2)
     chains = float(q) ** d * E.size * kern.chain
     r_bound = _r_bound(E)
-    slack = 1.0 + 1e-9
+    eps = float(np.finfo(np.float64).eps)
+    slack = float(q) ** d * E.size * kern.error[1:].max(axis=0) + 8 * eps * (chains + r_bound)
     out = []
     for t in ts:
         main = E.size**2 * int(counts[t]) / q**d
         z, tol_t, chain = complex(total[t]), float(tol[t]), float(chains[t])
+        slack_t = float(slack[t])
         r = z - main
         if abs(r.imag) > tol_t:
             raise InconsistencyError(f"nu({t}) has imaginary part {r.imag}")
@@ -637,9 +671,9 @@ def _sweep(
             raise InconsistencyError(
                 f"nu({t}) = {z.real!r} is not within {tol_t:.3g} of an integer"
             )
-        if abs(r) > chain * slack + tol_t:
+        if abs(r) > chain + slack_t + tol_t:
             raise InconsistencyError(f"|R_{t}| = {abs(r)} exceeds the spectral chain bound {chain}")
-        if d > 2 and chain > r_bound * slack:
+        if d > 2 and chain > r_bound + slack_t:
             raise InconsistencyError(f"chain bound {chain} exceeds the decay bound {r_bound}")
         out.append(
             NuReport(t, int(nu_int), main, r.real, r_bound, bool(main - r_bound > 0))
@@ -685,18 +719,20 @@ def certificate_check(
     Where |E|^2 fits the pair budget the claim nu(t) > 0 is verified against
     an independent count, the pair scan or the autocorrelation (never the
     sweep itself); otherwise positivity follows from nu = M + R_t >= M - |R_t|.
-    The sweep and that count share one transform of E's indicator.
+    The sweep and that count share one transform of E's indicator, and a
+    later check of the same set, by either route, transforms it no more
+    (E keeps its class power, see nu_spectral_sweep).
     """
     m = E.modulus
     m.require_odd("certificate_check")
     if E.d <= 2:
         raise DomainError(f"the certificate needs d > 2, got d={E.d}")
-    power = _power_spectrum(E, max_grid)
+    check_grid_budget(E.q, E.d, max_grid)  # before a pair scan the sweep would refuse
     hist = None
     if E.size * E.size <= max_pairs:
-        hist = _nu_histogram(E, max_pairs, max_grid, power)
+        hist = _nu_histogram(E, max_pairs, max_grid)
     rows = []
-    for rep in nu_spectral_sweep(E, None, route, max_grid, int_tol, _power=power):
+    for rep in nu_spectral_sweep(E, None, route, max_grid, int_tol):
         nu_t = int(hist[rep.t]) if hist is not None else None
         if nu_t is not None:
             positive = nu_t > 0

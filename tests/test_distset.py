@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -152,6 +153,16 @@ class TestPointSet:
         assert E.translate((1, 2**70)).points == tuple(
             sorted(((x + 1) % 5, (y + 2**70) % 5) for x, y in E.points)
         )
+
+    def test_translate_past_2_62(self):
+        # c + s exceeds int64 once q > 2^62: the sum must not wrap
+        q = 5 * 3**38
+        assert PointSet(q, 1, [[q - 1]]).translate([q - 1]).points == ((q - 2,),)
+        rng = random.Random(5)
+        rows = [[rng.randrange(q) for _ in range(3)] for _ in range(40)]
+        v = [q - 1, rng.randrange(q), q // 2 + 1]
+        expected = sorted(tuple((c + w) % q for c, w in zip(p, v)) for p in rows)
+        assert PointSet(q, 3, rows).translate(v).points == tuple(expected)
 
     def test_indicator_round_trip(self):
         E = sample_random_set(5, 3, 17, seed=9)
@@ -651,6 +662,37 @@ class TestNuSpectral:
         with pytest.raises(BudgetError):
             certificate_check(E)
 
+    def test_chain_checks_allow_the_derived_slack_only(self, monkeypatch):
+        # a chain understated (or, against r_bound, overstated) by more than its
+        # derived slack plus tol_t fails; one within half the slack passes
+        E = sample_random_set(9, 4, 300, seed=6)
+        q, d, n = 9, 4, E.size
+        kern = _class_kernel(E.modulus, d)
+        reports = nu_spectral_sweep(E)
+        t = max(range(q), key=lambda t: abs(reports[t].r_t) / kern.chain[t])
+        r = abs(reports[t].r_t)
+        scale = float(q) ** d * n
+        r_bound = distset._r_bound(E)
+        # the kernel error of a class m != 0, and 8 eps of the chain and r_bound
+        eps = float(np.finfo(np.float64).eps)
+        slack = scale * kern.error[1:, t].max() + 8 * eps * (scale * kern.chain[t] + r_bound)
+        tol = distset._sweep_tolerance(E, distset._power_by_class(E, 10**7), kern, [t])[t]
+        assert 0 < slack < 1e-12 * r_bound and tol < slack
+
+        def sweep_with_chain(value):
+            chain = kern.chain.copy()
+            chain[t] = value / scale
+            fake = types.SimpleNamespace(values=kern.values, error=kern.error, chain=chain)
+            monkeypatch.setattr(distset, "_class_kernel", lambda *args: fake)
+            return nu_spectral_sweep(E)
+
+        assert sweep_with_chain(r - slack / 2) == reports
+        with pytest.raises(InconsistencyError, match="chain bound"):
+            sweep_with_chain(r - 2 * (slack + tol))
+        sweep_with_chain(r_bound + slack / 2)
+        with pytest.raises(InconsistencyError, match="decay bound"):
+            sweep_with_chain(r_bound + 2 * slack)
+
 
 @functools.lru_cache(maxsize=None)
 def _full_spectrum_chain(q, d):
@@ -732,6 +774,61 @@ class TestCertificate:
             certificate_check(construct_even_weight(4))
         with pytest.raises(DomainError):
             certificate_check(sample_random_set(9, 2, 10, seed=0))
+
+
+class TestKeptClassPower:
+    # a PointSet keeps its class power P_c, so only its first sweep transforms it
+    def test_one_transform_for_both_routes_and_the_sweep(self, monkeypatch):
+        # |E|^2 > max_pairs, so no autocorrelation runs: only the sweeps transform
+        E = sample_random_set(9, 6, 20000, seed=2024)
+        forwards = _counting(monkeypatch, "half_forward")
+        direct = certificate_check(E, "direct")
+        formula = certificate_check(E, "formula")
+        sweep = nu_spectral_sweep(E)
+        assert len(forwards) == 1
+        assert repr(direct) == repr(certificate_check(PointSet(9, 6, E.array()), "direct"))
+        assert repr(formula) == repr(certificate_check(PointSet(9, 6, E.array()), "formula"))
+        assert repr(sweep) == repr(nu_spectral_sweep(PointSet(9, 6, E.array())))
+        assert len(forwards) == 4
+
+    def test_autocorrelation_leaves_it_for_the_sweep(self, monkeypatch):
+        E = sample_random_set(9, 3, 600, seed=1)
+        assert np.array_equal(nu_histogram(E), nu_pairs(E))
+        forwards = _counting(monkeypatch, "half_forward")
+        for route in ("direct", "formula"):
+            assert [rep.nu for rep in nu_spectral_sweep(E, route=route)] == list(nu_pairs(E))
+        assert forwards == []
+
+    def test_grid_budget_checked_when_kept(self):
+        E = sample_random_set(9, 4, 600, seed=1)
+        nu_spectral_sweep(E)
+        assert E._power_by_class is not None
+        with pytest.raises(BudgetError):
+            distset._power_by_class(E, 9**4 - 1)
+        with pytest.raises(BudgetError):
+            nu_spectral_sweep(E, max_grid=9**4 - 1)
+        with pytest.raises(BudgetError):
+            certificate_check(E, max_grid=9**4 - 1)
+
+    def test_new_sets_start_empty(self):
+        E = sample_random_set(9, 4, 600, seed=1)
+        assert E._power_by_class is None
+        nu_spectral_sweep(E)
+        assert len(E._power_by_class) == 13  # sigma(9) floats
+        with pytest.raises(ValueError):
+            E._power_by_class[0] = 0.0
+        assert E.translate((1, 2, 3, 4))._power_by_class is None
+        assert PointSet(9, 4, E.array())._power_by_class is None
+
+    def test_even_q_and_pair_scans_keep_none(self):
+        # even q through the autocorrelation, Z_2 by parity, odd q below the
+        # crossover (9^4 > 80^2) by the pair scan
+        for E in (sample_random_set(6, 5, 3000, seed=3), construct_even_weight(6),
+                  sample_random_set(9, 3, 80, seed=4)):
+            nu_histogram(E)
+            distance_set(E)
+            nu_pairs(E)
+            assert E._power_by_class is None
 
 
 class TestConstructions:
