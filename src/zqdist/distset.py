@@ -234,16 +234,28 @@ def _check_pair_budget(E: PointSet, max_pairs: int) -> None:
 def nu_pairs(E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET) -> np.ndarray:
     """nu(t) for every t by one exhaustive scan over ordered pairs.
 
-    The oracle for nu_histogram: no transform and no shortcut for any q.
+    The oracle for nu_histogram: no transform and no shortcut for any q.  Its
+    histogram has q entries, so q is held to DEFAULT_GRID_BUDGET, as the
+    q x q transform kernel is.  Each square (x_i - y_i)^2 < q^2 then fits
+    int64; when the d of them could sum past 2^63 they are reduced mod q
+    first, which leaves sums below d q.
     """
     _check_pair_budget(E, max_pairs)
-    n, q = E.size, E.q
+    n, q, d = E.size, E.q, E.d
+    if q > DEFAULT_GRID_BUDGET:
+        raise BudgetError(
+            f"the histogram of Z_{q} has {q} entries, exceeding the budget {DEFAULT_GRID_BUDGET}"
+        )
+    reduce_squares = d * (q - 1) ** 2 >= 1 << 63
     pts = E.array()
     counts = np.zeros(q, dtype=np.int64)
-    block = max(1, 2**22 // max(1, n * E.d))
+    block = max(1, 2**22 // max(1, n * d))
     for lo in range(0, n, block):
         diff = pts[lo : lo + block, None, :] - pts[None, :, :]
-        dist = (diff * diff).sum(axis=2) % q
+        diff *= diff
+        if reduce_squares:
+            diff %= q
+        dist = diff.sum(axis=2) % q
         counts += np.bincount(dist.reshape(-1), minlength=q)
     return counts
 
@@ -359,26 +371,28 @@ def nu_histogram(
     than the d |E|^2 of the pair scan; every other set goes to nu_pairs.
 
     For odd q with d >= 4 that transform feeds the spectral sweep with the
-    direct class kernel (nu_spectral_sweep): no inverse transform and no q^d
-    rounding pass, and the kernel's build (representatives on Z_q^3, then
-    O(q^2) per class) stays below the q^{d+1} of the inverse it replaces.
-    Timed on one core with the kernel not yet cached, the sweep is 2.4 to 8
-    times slower than the autocorrelation at d = 3 (q = 45 down to 9) and
-    faster at d >= 4 from about q^d = 6 * 10^4 up, slower by at most 0.3 ms
-    below.
+    direct class kernel, nu_spectral_sweep(E, None, "direct", max_grid): no
+    inverse transform and no q^d rounding pass, and the kernel's build
+    (representatives on Z_q^3, then O(q^2) per class) stays below the
+    q^{d+1} of the inverse it replaces.  Timed on one core with the kernel
+    not yet cached, at the least |E| past the crossover, the sweep is 2
+    (q = 45) to 5.5 (q = 15) times slower than the autocorrelation at d = 3,
+    and faster at d >= 4 from about q^d = 6 * 10^4 up, slower by at most
+    0.3 ms below.
 
-    The sweep runs when its a-priori tolerance bound (_sweep_tolerance_bound,
-    from |E| and the cached kernel alone) is at most 1/4, which leaves room
-    for the roundings of the class sums below the sweep's own limit of 1/2;
-    a set it refuses, and every other set on the transform side, goes to the
-    autocorrelation.
+    A sweep that raises BudgetError (a rounding tolerance of 1/2 or more,
+    which no set within the default budgets reaches) falls back to the
+    autocorrelation, which transforms E once more; so do even q, d <= 3 and
+    every other set on the transform side.
     """
     _check_pair_budget(E, max_pairs)
-    q, d, n = E.q, E.d, E.size
-    if E.modulus.is_odd and d >= 4 and _transform_side(E, max_grid):
-        kern = _class_kernel(E.modulus, d, "direct", max_grid)
-        if _sweep_tolerance_bound(kern, q, d, n) <= 0.25:
-            reports = _sweep(E, range(q), kern, _power_by_class(E, max_grid), None)
+    n = E.size
+    if E.modulus.is_odd and E.d >= 4 and _transform_side(E, max_grid):
+        try:
+            reports = nu_spectral_sweep(E, None, "direct", max_grid)
+        except BudgetError:
+            pass
+        else:
             nu = np.array([rep.nu for rep in reports], dtype=np.int64)
             if int(nu.sum()) != n * n:
                 raise InconsistencyError(
@@ -397,9 +411,14 @@ def _transform_side(E: PointSet, max_grid: int) -> bool:
 def _nu_histogram(E: PointSet, max_pairs: int, max_grid: int) -> np.ndarray:
     """The parity count, autocorrelation or pair scan of nu_histogram, never
     the sweep: the count that certificate_check and the CLI check the sweep
-    against.  An autocorrelation leaves E's class power for that sweep."""
+    against.  An autocorrelation leaves E's class power for that sweep.  The
+    histogram has q entries, so q must fit max_grid."""
     _check_pair_budget(E, max_pairs)
     n, q = E.size, E.q
+    if q > max_grid:
+        raise BudgetError(
+            f"the histogram of Z_{q} has {q} entries, exceeding the budget {max_grid}"
+        )
     if q == 2:
         odd = int((E.array().sum(axis=1) % 2).sum())
         even = n - odd
@@ -526,22 +545,6 @@ def _fold_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return half, full
 
 
-def _step_counts(q: int, d: int) -> np.ndarray:
-    """The rounding-step count rho_c of _sweep_tolerance for every class slot."""
-    classes = _class_count(q)
-    rho = np.empty(classes)
-    for _, n, offset in _class_slots(q):
-        rho[offset : offset + n] = 2 * d * (q + 11) + 2 + n // 2 + (d - 1) * (n - 1)
-    rho[0] = 4  # class 0 is m = 0 alone: n = 1 leaves no fold rounding
-    return rho + classes + 3
-
-
-def _tolerance_weights(kern: _ClassKernel, q: int, d: int) -> np.ndarray:
-    """W[c, t] = rho_c eps |K[c, t]| + error[c, t]: tol_t = q^{2d} sum_c P_c W[c, t]."""
-    eps = float(np.finfo(np.float64).eps)
-    return (eps * _step_counts(q, d))[:, None] * np.abs(kern.values) + kern.error
-
-
 def _sweep_tolerance(
     E: PointSet, power_by_class: np.ndarray, kern: _ClassKernel, ts
 ) -> np.ndarray:
@@ -565,7 +568,7 @@ def _sweep_tolerance(
     * the sum over the C = sigma(q) classes, the product P_c K[c, t] and the
       factor q^{2d} add C + 3.
 
-    Together these give the step count rho_c (_step_counts), which weights
+    Together these give the step count rho_c, which weights
     A_t = q^{2d} sum_m |E^(m)|^2 |S_t^(m)| = q^{2d} sum_c P_c |K[c, t]| class
     by class.  The kernel builders bound the error of K[c, t] absolutely, by
     error[c, t]: K cancels to 0 on an empty sphere, so no relative bound
@@ -577,7 +580,13 @@ def _sweep_tolerance(
     integer and raises BudgetError.
     """
     q, d = E.q, E.d
-    tol = float(q) ** (2 * d) * (power_by_class @ _tolerance_weights(kern, q, d))
+    rho = np.empty(len(power_by_class))
+    for _, n, offset in _class_slots(q):
+        rho[offset : offset + n] = 2 * d * (q + 11) + 2 + n // 2 + (d - 1) * (n - 1)
+    rho[0] = 4  # class 0 is m = 0 alone: n = 1 leaves no fold rounding
+    rho += len(rho) + 3
+    weights = (float(np.finfo(np.float64).eps) * rho)[:, None] * np.abs(kern.values)
+    tol = float(q) ** (2 * d) * (power_by_class @ (weights + kern.error))
     for t in ts:
         if tol[t] >= 0.5:
             raise BudgetError(
@@ -585,15 +594,6 @@ def _sweep_tolerance(
                 f"cannot certify an integer count for |E| = {E.size} in Z_{q}^{d}"
             )
     return tol
-
-
-def _sweep_tolerance_bound(kern: _ClassKernel, q: int, d: int, size: int) -> float:
-    """An upper bound on every tol_t of _sweep_tolerance for a set of `size`
-    points in Z_q^d, known before the set is transformed: the P_c are
-    nonnegative and sum to sum_m |E^(m)|^2 = |E| q^{-d} (Parseval), so
-    tol_t <= q^d |E| max_c W[c, t].  The computed P_c exceed their values by
-    a relative rho_c eps at most, far below a factor 2."""
-    return float(q) ** d * size * float(_tolerance_weights(kern, q, d).max())
 
 
 def nu_spectral_sweep(

@@ -46,6 +46,7 @@ from .fourier import (
     DEFAULT_GRID_BUDGET,
     GridFunction,
     Spectrum,
+    _kernel,
     character_table,
     check_grid_budget,
     forward,
@@ -403,10 +404,8 @@ def _kernel_formula(q: int, d: int, reps: np.ndarray) -> tuple[np.ndarray, np.nd
     + d - 1), the table character (13), the q-term sum and the scaling leave
     K[c, t] within (q + 3 d + 14 z_c + 13) eps q^{-d-1} sum_s |W_c(s)|."""
     w = np.prod(_gauss_table(q)[:, (-reps) % q], axis=2)  # (s, class)
-    s = np.arange(q)
-    phases = np.conj(character_table(q))[np.outer(s, s) % q]  # [t, s] = e(-st/q)
     norm = 1.0 / float(q) ** (d + 1)
-    vals = (phases @ w).T * norm
+    vals = (_kernel(q, True) @ w).T * norm  # the DFT matrix: [t, s] = e(-st/q)
     steps = q + 3 * d + 14 * np.count_nonzero(reps, axis=1) + 13
     err = np.broadcast_to((steps * _EPS * np.abs(w).sum(axis=0) * norm)[:, None], vals.shape)
     return vals, err

@@ -288,6 +288,21 @@ class TestNuCommand:
                       "--max-pairs", "10", "--max-grid", "10")
         assert code == 2
 
+    def test_histogram_past_the_budgets_exit_2(self, tmp_path, capsys):
+        # two points, but a histogram of q entries: refused before it is allocated
+        setfile = tmp_path / "two.txt"
+        setfile.write_text(f"q={2**40 + 15} d=1\n0\n1\n", encoding="utf-8")
+        assert main(["nu", "--set-file", str(setfile)]) == 2
+        assert "histogram" in capsys.readouterr().err
+        assert main(["nu", "--random", "2", "--q", str(2**40 + 15), "--d", "1",
+                     "--seed", "1"]) == 2
+        assert "histogram" in capsys.readouterr().err
+        # a raised --max-grid admits q, the pair scan's own limit still holds
+        q = 10**7 + 19
+        assert main(["nu", "--random", "2", "--q", str(q), "--d", "1", "--seed", "1",
+                     "--max-grid", str(q)]) == 2
+        assert "histogram" in capsys.readouterr().err
+
     def test_oversized_random_is_a_budget_error(self, monkeypatch, capsys):
         # rejected before sampling: 2^62 draws could never be allocated
         assert main(["nu", "--random", str(2**62), "--q", "2", "--d", "64"]) == 2

@@ -236,6 +236,25 @@ class TestNuBrute:
         with pytest.raises(BudgetError):
             nu_histogram(E, max_pairs=100)
 
+    def test_square_sums_past_2_63_stay_exact(self):
+        # d (q - 1)^2 > 2^63: each square is 1 mod q, so the distance is d mod q
+        q, d = 9999991, 100000
+        E = PointSet(q, d, [[0] * d, [q - 1] * d])
+        assert distance_set(E) == {0, d}
+        assert int(nu_pairs(E)[d]) == 2
+
+    def test_histogram_longer_than_the_budget_is_refused(self):
+        # two points make 4 pairs, but the histogram alone would have q entries
+        E = PointSet(2**40 + 15, 1, [[0], [1]])
+        with pytest.raises(BudgetError, match="histogram"):
+            nu_pairs(E)
+        with pytest.raises(BudgetError, match="histogram"):
+            nu_histogram(E)
+        E = PointSet(101, 1, [[0], [1]])
+        with pytest.raises(BudgetError, match="histogram"):
+            nu_histogram(E, max_grid=100)
+        assert list(nu_histogram(E, max_grid=101)[:2]) == [2, 2]
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), q=st.sampled_from([3, 4, 5, 6, 9, 15]), d=st.integers(1, 4))
     def test_both_routes_match_literal_loop(self, data, q, d):
@@ -508,30 +527,26 @@ class TestEvenAutocorrelation:
 
 
 class TestSweepRouting:
-    def test_bound_sends_inputs_to_each_side(self):
-        # Z_15^5 at |E| = 3375 is far inside; a full Z_5^12, admitted only
-        # with a raised grid budget, would round past 1/4 and stays on the
-        # autocorrelation
-        kern = _class_kernel(as_modulus(15), 5)
-        assert distset._sweep_tolerance_bound(kern, 15, 5, 3375) <= 0.25
-        big = _class_kernel(as_modulus(5), 12, max_grid=5**12)
-        assert distset._sweep_tolerance_bound(big, 5, 12, 5**12) > 0.25
-
-    def test_bound_covers_the_sweep_tolerance(self):
-        for q, d, size in ((15, 5, 6000), (9, 6, 177147), (27, 4, 3000), (5, 6, 15625)):
-            E = sample_random_set(q, d, size, seed=2024)
-            kern = _class_kernel(E.modulus, d)
-            sums = distset._class_power(distset._power_spectrum(E, 10**7), q, d)
-            tol = distset._sweep_tolerance(E, sums, kern, [])
-            assert tol.max() <= distset._sweep_tolerance_bound(kern, q, d, size) * (1 + 1e-9)
-
-    def test_refused_bound_keeps_autocorrelation(self, monkeypatch):
+    def test_sweep_is_the_one_entry(self, monkeypatch):
+        # past the crossover an odd-q set with d >= 4 is counted by the same
+        # call certificate_check and the CLI make, and by nothing else
         E = sample_random_set(15, 5, 3375, seed=11)
-        monkeypatch.setattr(distset, "_sweep_tolerance_bound", lambda *args: 0.3)
+        sweeps = _counting(monkeypatch, "nu_spectral_sweep")
+        histograms = _counting(monkeypatch, "_nu_histogram")
+        assert np.array_equal(nu_histogram(E), nu_pairs(E))
+        assert (len(sweeps), len(histograms)) == (1, 0)
+
+    def test_refused_sweep_falls_back_to_autocorrelation(self, monkeypatch):
+        E = sample_random_set(15, 5, 3375, seed=11)
+
+        def refuse(*args):
+            raise BudgetError("forced")
+
+        monkeypatch.setattr(distset, "_sweep_tolerance", refuse)
         inverses = _counting(monkeypatch, "hermitian_inverse")
         sweeps = _counting(monkeypatch, "_sweep")
         assert np.array_equal(nu_histogram(E), nu_pairs(E))
-        assert (len(inverses), len(sweeps)) == (1, 0)
+        assert (len(inverses), len(sweeps)) == (1, 1)
 
     @pytest.mark.parametrize("q", [3, 9, 15, 45, 105])
     def test_histogram_matches_pairs(self, monkeypatch, q):
