@@ -331,20 +331,21 @@ def _check_set_budget(label: str, size: int, q: int, d: int, max_pairs: int, max
 
 
 def _nu_rows(E: PointSet, label: str, route: str, max_grid: int, max_pairs: int) -> list[dict]:
-    """One row per t with the exact count when |E|^2 fits the pair budget and
-    the spectral decomposition when q is odd and q^d fits the grid budget
-    (compared when both run); then the total row t="all"."""
+    """One row per t, then the total row t="all".  The exact count runs when
+    |E|^2 fits the pair budget, and for even q (no other route) to raise its
+    own budget error past it.  For odd q the sweep runs too, checked against
+    the count when both run, and left out when refused while a count exists."""
     q, d = E.q, E.d
-    spectral = E.modulus.is_odd and q**d <= max_grid
     hist = None
-    if E.size * E.size <= max_pairs:
+    if E.size * E.size <= max_pairs or not E.modulus.is_odd:
         hist = _nu_histogram(E, max_pairs, max_grid)
     reports = None
-    if spectral:  # reads E's class power when the autocorrelation has run
-        reports = {r.t: r for r in nu_spectral_sweep(E, None, route, max_grid)}
-    if hist is None and reports is None:
-        raise BudgetError(f"set of size {E.size} in Z_{q}^{d} fits neither the pair "
-                          f"budget {max_pairs} nor the grid budget {max_grid}")
+    if E.modulus.is_odd:  # reads E's class power when the autocorrelation has run
+        try:
+            reports = nu_spectral_sweep(E, route, max_grid)
+        except BudgetError:
+            if hist is None:
+                raise
     rows = []
     for t in range(q):
         row = {"q": q, "d": d, "set": label, "size": E.size, "t": t, "passed": True}
@@ -363,7 +364,7 @@ def _nu_rows(E: PointSet, label: str, route: str, max_grid: int, max_pairs: int)
                 row["match"] = rep.nu == int(hist[t])
                 row["passed"] = bool(row["match"])
         rows.append(row)
-    total = int(hist.sum()) if hist is not None else sum(r.nu for r in reports.values())
+    total = int(hist.sum()) if hist is not None else sum(r.nu for r in reports)
     rows.append({
         "q": q, "d": d, "set": label, "size": E.size, "t": "all",
         "nu_brute": total, "passed": total == E.size**2,

@@ -37,6 +37,7 @@ most once per process for the sweep, whichever routes and callers follow.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -207,14 +208,6 @@ def _packed_keys(arr: np.ndarray, q: int) -> list[np.ndarray]:
             for lo in range(0, d, k)]
 
 
-def _t_value(t: "int | Residue", q: int) -> int:
-    if isinstance(t, Residue):
-        if t.q != q:
-            raise DomainError(f"t is a residue mod {t.q}, expected mod {q}")
-        return t.value
-    return t % q
-
-
 def distance(x: Sequence[int], y: Sequence[int], q: "int | Modulus") -> Residue:
     """||x - y|| = sum (x_i - y_i)^2 as a residue mod q."""
     if len(x) != len(y):
@@ -260,10 +253,20 @@ def nu_pairs(E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET) -> np.ndarray:
     return counts
 
 
+def _check_transform_budget(E: PointSet, max_grid: int) -> None:
+    """A transform of Z_q^d holds the q^d grid and the q x q kernel of its
+    passes: q^max(d, 2) must fit max_grid."""
+    size = E.q ** max(E.d, 2)
+    if size > max_grid:
+        raise BudgetError(f"a transform of Z_{E.q}^{E.d} needs q^max(d, 2) = {size} "
+                          f"entries, exceeding the budget {max_grid}")
+
+
 def _power_spectrum(E: PointSet, max_grid: int) -> np.ndarray:
     """|E^(m)|^2 = re^2 + im^2 on the half grid m_d <= q // 2 (half_forward's
     layout), from the one transform of E's real indicator.  The other
     frequencies have |E^(-m)|^2 = |E^(m)|^2."""
+    _check_transform_budget(E, max_grid)
     half = half_forward(E._indicator_values(max_grid), E.q, E.d)
     power = half.real**2
     power += half.imag**2
@@ -276,8 +279,8 @@ def _power_by_class(
     """P_c of E for every class slot (_class_power), odd q, kept on E: only the
     first call on a set folds it, from `power` when the caller has just
     transformed E (the autocorrelation), else from a transform of its own.
-    The grid budget is checked on every call, before the kept values are read."""
-    check_grid_budget(E.q, E.d, max_grid)
+    The transform budget is checked on every call, before P is read."""
+    _check_transform_budget(E, max_grid)
     if E._power_by_class is None:
         if power is None:
             power = _power_spectrum(E, max_grid)
@@ -288,34 +291,29 @@ def _power_by_class(
 
 
 def _autocorrelation_tolerance(E: PointSet) -> float:
-    """2 d q eps |E|: how far an entry of A = q^d hermitian_inverse(P) may
-    lie from its integer, P being |E^|^2 on the half grid.
+    """(2 |E|^{1/2} + 1) d (q + 11) eps |E|: how far an entry of
+    A = q^d hermitian_inverse(P) may lie from its integer, P being |E^|^2 on
+    the half grid.  Each length-q pass is charged (q + 11) eps of the
+    absolute sum of its terms, as in _sweep_tolerance; a q-term dot product
+    rounds at most q times by eps/2, so the q eps/2 left over covers the
+    square and the scalings by q^-d and q^d.
 
-    The bound is a first-order model, not a worst case: each length-q pass
-    is charged a relative error of q eps on the absolute sum of the terms
-    of the final sum A(z) = q^d sum_m |E^(m)|^2 e(z.m/q) over all q^d
-    frequencies m, which is q^d sum_m |E^(m)|^2 = |E| by Parseval.  A
-    q-term dot product rounds at most q times by eps/2, so half of each
-    charge is left for the table roots and for the fixed roundings of the
-    square and of the scalings by q^-d and q^d.  Step by step:
-
-    * half_forward, d passes.  The first is a real product: re E and im E
-      are each a sum of q products of 0/1 values with the real or imaginary
-      part of a table root.  The other d - 1 are the complex q-term dot
-      products of `forward` with the same roots.  That is d q eps, as for
-      `forward`, and the frequencies it skips are conjugates of those it
-      keeps, exact by symmetry.
-    * P = re^2 + im^2 rounds twice, as |E^|^2 does; the weights w in
-      {1, 2} that stand for the skipped frequencies multiply exactly.
-    * hermitian_inverse, d passes.  The first d - 1 are q-term complex dot
-      products.  The last sums, for each x_d, the h = q//2 + 1 real terms
-      w (re B cos - im B sin), and |re B cos - im B sin| <= |B|, so their
-      absolute sum is at most sum_{m_d in Z_q} |B(m_d)|: the absolute sum of
-      the q-term pass it replaces, with at most q roundings.  That is d q eps.
-
-    Two transforms give 2 d q eps |E|, the bound of the full complex pair.
+    * half_forward, d passes: E^(m) is a sum with absolute sum q^-d |E|, so
+      |dE^(m)| <= d (q + 11) eps q^-d |E|.  Its first pass sums real
+      products with the real and imaginary parts of the roots apart, which
+      rounds no more than a complex pass; the frequencies it skips are
+      conjugates of those it keeps, exact by symmetry.
+    * These errors enter A(z) = q^d sum_m |E^(m)|^2 e(z.m/q) through at most
+      2 q^d sum_m |E^(m)| |dE^(m)|, and sum_m |E^(m)| <= |E|^{1/2} over the
+      q^d frequencies by Cauchy-Schwarz and Parseval: 2 d (q + 11) eps |E|^{3/2}.
+    * hermitian_inverse, d passes over terms with absolute sum
+      q^d sum_m |E^(m)|^2 = |E|: d (q + 11) eps |E|.  Its last pass sums, for
+      each x_d, the q//2 + 1 real terms w (re B cos - im B sin), with w in
+      {1, 2} exact and |re B cos - im B sin| <= |B|, so no more than the
+      q-term pass it replaces.
     """
-    return 2 * E.d * E.q * float(np.finfo(np.float64).eps) * E.size
+    eps, n = float(np.finfo(np.float64).eps), E.size
+    return (2 * math.sqrt(n) + 1) * E.d * (E.q + 11) * eps * n
 
 
 def _nu_autocorrelation(E: PointSet, max_grid: int) -> np.ndarray:
@@ -365,31 +363,27 @@ def nu_histogram(
     |E|^2 must fit max_pairs whichever route runs.  Over Z_2 no pair is
     scanned: ||x - y|| = ||x|| + ||y|| mod 2, since the cross term 2 x.y
     vanishes, so with c_0 points of even weight and c_1 of odd weight
-    nu(0) = c_0^2 + c_1^2 and nu(1) = 2 c_0 c_1.  Otherwise a transform runs
-    when q^max(d, 2) fits max_grid (the length-q transform kernel has q^2
-    entries) and q^{d+1} <= |E|^2, i.e. when its d q^{d+1} work is no more
-    than the d |E|^2 of the pair scan; every other set goes to nu_pairs.
+    nu(0) = c_0^2 + c_1^2 and nu(1) = 2 c_0 c_1.  Otherwise routes are
+    picked by cost: a transform is tried when q^{d+1} <= |E|^2 (its
+    d q^{d+1} work is then no more than the d |E|^2 of the pair scan), and
+    a route its budgets refuse falls through: the sweep to the
+    autocorrelation, which transforms E again, and that to nu_pairs.
 
     For odd q with d >= 4 that transform feeds the spectral sweep with the
-    direct class kernel, nu_spectral_sweep(E, None, "direct", max_grid): no
+    direct class kernel, nu_spectral_sweep(E, "direct", max_grid): no
     inverse transform and no q^d rounding pass, and the kernel's build
     (representatives on Z_q^3, then O(q^2) per class) stays below the
     q^{d+1} of the inverse it replaces.  Timed on one core with the kernel
     not yet cached, at the least |E| past the crossover, the sweep is 2
     (q = 45) to 5.5 (q = 15) times slower than the autocorrelation at d = 3,
     and faster at d >= 4 from about q^d = 6 * 10^4 up, slower by at most
-    0.3 ms below.
-
-    A sweep that raises BudgetError (a rounding tolerance of 1/2 or more,
-    which no set within the default budgets reaches) falls back to the
-    autocorrelation, which transforms E once more; so do even q, d <= 3 and
-    every other set on the transform side.
+    0.3 ms below.  Even q and d <= 3 take the autocorrelation.
     """
     _check_pair_budget(E, max_pairs)
     n = E.size
-    if E.modulus.is_odd and E.d >= 4 and _transform_side(E, max_grid):
+    if E.modulus.is_odd and E.d >= 4 and _transform_side(E):
         try:
-            reports = nu_spectral_sweep(E, None, "direct", max_grid)
+            reports = nu_spectral_sweep(E, "direct", max_grid)
         except BudgetError:
             pass
         else:
@@ -402,17 +396,17 @@ def nu_histogram(
     return _nu_histogram(E, max_pairs, max_grid)
 
 
-def _transform_side(E: PointSet, max_grid: int) -> bool:
-    """q^max(d, 2) fits max_grid and q^{d+1} <= |E|^2 (see nu_histogram)."""
-    q, d = E.q, E.d
-    return q ** max(d, 2) <= max_grid and q ** (d + 1) <= E.size * E.size
+def _transform_side(E: PointSet) -> bool:
+    """q^{d+1} <= |E|^2: a transform costs no more than the pair scan."""
+    return E.q ** (E.d + 1) <= E.size * E.size
 
 
 def _nu_histogram(E: PointSet, max_pairs: int, max_grid: int) -> np.ndarray:
     """The parity count, autocorrelation or pair scan of nu_histogram, never
     the sweep: the count that certificate_check and the CLI check the sweep
-    against.  An autocorrelation leaves E's class power for that sweep.  The
-    histogram has q entries, so q must fit max_grid."""
+    against.  An autocorrelation it refuses falls through to the pair scan;
+    one that runs leaves E's class power for that sweep.  The histogram has
+    q entries, so q must fit max_grid."""
     _check_pair_budget(E, max_pairs)
     n, q = E.size, E.q
     if q > max_grid:
@@ -423,8 +417,11 @@ def _nu_histogram(E: PointSet, max_pairs: int, max_grid: int) -> np.ndarray:
         odd = int((E.array().sum(axis=1) % 2).sum())
         even = n - odd
         return np.array([even * even + odd * odd, 2 * even * odd], dtype=np.int64)
-    if _transform_side(E, max_grid):
-        return _nu_autocorrelation(E, max_grid)
+    if _transform_side(E):
+        try:
+            return _nu_autocorrelation(E, max_grid)
+        except BudgetError:
+            pass
     return nu_pairs(E, max_pairs)
 
 
@@ -545,9 +542,7 @@ def _fold_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return half, full
 
 
-def _sweep_tolerance(
-    E: PointSet, power_by_class: np.ndarray, kern: _ClassKernel, ts
-) -> np.ndarray:
+def _sweep_tolerance(E: PointSet, power_by_class: np.ndarray, kern: _ClassKernel) -> np.ndarray:
     """The rounding tolerance of nu(t) = q^{2d} sum_c P_c K[c, t] for every t.
 
     Each step is bounded relative to the size of its terms, in units of
@@ -576,8 +571,8 @@ def _sweep_tolerance(
 
         tol_t = q^{2d} sum_c P_c (rho_c eps |K[c, t]| + error[c, t]).
 
-    A tolerance of 1/2 or more for a requested t cannot certify the nearest
-    integer and raises BudgetError.
+    A tolerance of 1/2 or more for any t cannot certify the nearest integer
+    and raises BudgetError.
     """
     q, d = E.q, E.d
     rho = np.empty(len(power_by_class))
@@ -587,24 +582,24 @@ def _sweep_tolerance(
     rho += len(rho) + 3
     weights = (float(np.finfo(np.float64).eps) * rho)[:, None] * np.abs(kern.values)
     tol = float(q) ** (2 * d) * (power_by_class @ (weights + kern.error))
-    for t in ts:
-        if tol[t] >= 0.5:
-            raise BudgetError(
-                f"nu({t}): rounding tolerance {tol[t]:.3g} reaches 1/2, so the float sum "
-                f"cannot certify an integer count for |E| = {E.size} in Z_{q}^{d}"
-            )
+    over = np.flatnonzero(tol >= 0.5)
+    if over.size:
+        t = int(over[0])
+        raise BudgetError(
+            f"nu({t}): rounding tolerance {tol[t]:.3g} reaches 1/2, so the float sum "
+            f"cannot certify an integer count for |E| = {E.size} in Z_{q}^{d}"
+        )
     return tol
 
 
 def nu_spectral_sweep(
     E: PointSet,
-    ts: "Sequence[int] | None" = None,
     route: str = "direct",
     max_grid: int = DEFAULT_GRID_BUDGET,
     int_tol: "float | None" = None,
 ) -> list[NuReport]:
-    """Spectral evaluation of nu(t) for several t (every t by default) from one
-    transform of E's indicator; must reproduce nu_pairs exactly.
+    """Spectral evaluation of nu(t) for every t from one transform of E's
+    indicator; must reproduce nu_pairs exactly.
 
     S_t^(m) depends on m only through its class (sphere._class_slots), so
     nu(t) = q^{2d} sum_c P_c K[c, t] with P_c the sum of |E^(m)|^2 over
@@ -617,7 +612,7 @@ def nu_spectral_sweep(
     (sigma(q) floats): only the first sweep of a set transforms it, or none
     when certificate_check or the CLI counted nu(t) by the autocorrelation
     first, and every later sweep, by either route, reads P back after
-    checking the grid budget.
+    checking the transform budget.
 
     Each float sum must land within a tolerance of an integer, with an
     imaginary part no larger than that tolerance and a chain-bound excess no
@@ -627,17 +622,15 @@ def nu_spectral_sweep(
     """
     m = E.modulus
     m.require_odd("nu_spectral_sweep")
-    q = m.q
-    ts = range(q) if ts is None else [_t_value(t, q) for t in ts]
-    kern = _class_kernel(m, E.d, route, max_grid)
-    return _sweep(E, ts, kern, _power_by_class(E, max_grid), int_tol)
+    power_by_class = _power_by_class(E, max_grid)  # its budget check precedes any kernel build
+    return _sweep(E, _class_kernel(m, E.d, route, max_grid), power_by_class, int_tol)
 
 
 def _sweep(
-    E: PointSet, ts, kern: _ClassKernel, power_by_class: np.ndarray, int_tol: "float | None"
+    E: PointSet, kern: _ClassKernel, power_by_class: np.ndarray, int_tol: "float | None"
 ) -> list[NuReport]:
-    """The reports of nu_spectral_sweep for the residues ts, from the kernel
-    and the class power P_c.
+    """The reports of nu_spectral_sweep for every t, from the kernel and the
+    class power P_c.
 
     The chain check |R_t| <= q^d |E| max_{m != 0} |S_t^(m)| and the decay
     check of that chain against r_bound (d > 2) allow for the computed values
@@ -650,7 +643,7 @@ def _sweep(
     q, d = E.q, E.d
     total = float(q) ** (2 * d) * (power_by_class @ kern.values)
     if int_tol is None:
-        tol = _sweep_tolerance(E, power_by_class, kern, ts)
+        tol = _sweep_tolerance(E, power_by_class, kern)
     else:
         tol = np.full(q, float(int_tol))
     counts = _sphere_count_rows(q, d)[d]
@@ -659,7 +652,7 @@ def _sweep(
     eps = float(np.finfo(np.float64).eps)
     slack = float(q) ** d * E.size * kern.error[1:].max(axis=0) + 8 * eps * (chains + r_bound)
     out = []
-    for t in ts:
+    for t in range(q):
         main = E.size**2 * int(counts[t]) / q**d
         z, tol_t, chain = complex(total[t]), float(tol[t]), float(chains[t])
         slack_t = float(slack[t])
@@ -727,12 +720,12 @@ def certificate_check(
     m.require_odd("certificate_check")
     if E.d <= 2:
         raise DomainError(f"the certificate needs d > 2, got d={E.d}")
-    check_grid_budget(E.q, E.d, max_grid)  # before a pair scan the sweep would refuse
+    _check_transform_budget(E, max_grid)  # before a pair scan the sweep would refuse
     hist = None
     if E.size * E.size <= max_pairs:
         hist = _nu_histogram(E, max_pairs, max_grid)
     rows = []
-    for rep in nu_spectral_sweep(E, None, route, max_grid, int_tol):
+    for rep in nu_spectral_sweep(E, route, max_grid, int_tol):
         nu_t = int(hist[rep.t]) if hist is not None else None
         if nu_t is not None:
             positive = nu_t > 0

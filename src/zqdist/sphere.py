@@ -332,22 +332,28 @@ class _ClassKernel:
         return np.abs(self.values[1:]).max(axis=0)
 
 
+def _cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (*) b over Z_q, q = len(a) = len(b): the linear convolution wrapped mod q."""
+    full = np.convolve(a, b)
+    full[: len(a) - 1] += full[len(a) :]
+    return full[: len(a)]
+
+
 @lru_cache(maxsize=32)
 def _sphere_count_rows(q: int, d: int) -> np.ndarray:
     """|S_t| in Z_q^i for i = 0, ..., d (row i) and every t, exactly.
 
-    Row i + 1 is the cyclic convolution of row i with
-    #{x in Z_q : x^2 = a}, one int64 product with the q x q shift table per
-    row; every entry is at most q^i, so the counts are exact while q^d fits
-    int64 (any grid within budget does).  No grid is enumerated.
+    Row i + 1 is the cyclic convolution of row i with #{x in Z_q : x^2 = a},
+    in int64; every entry of the linear convolution is at most the total
+    q^{i+1}, so the counts are exact while q^d fits int64 (any grid within
+    budget does).  No grid is enumerated.
     """
     ks = np.arange(q, dtype=np.int64)
     roots_of = np.bincount(ks * ks % q, minlength=q)  # #{x in Z_q : x^2 = a}
-    shift = (ks[:, None] - ks[None, :]) % q  # [t, a] -> t - a
     rows = np.zeros((d + 1, q), dtype=np.int64)
     rows[0, 0] = 1
     for i in range(d):
-        rows[i + 1] = rows[i][shift] @ roots_of
+        rows[i + 1] = _cyclic_convolve(rows[i], roots_of)
     rows.setflags(write=False)
     return rows
 
@@ -383,8 +389,7 @@ def _kernel_direct(q: int, d: int, reps: np.ndarray) -> tuple[np.ndarray, np.nda
         factors += [np.bincount(squares, weights=cos[ks * mu % q], minlength=q) for mu in mus]
         row = factors[0]
         for u in factors[1:]:
-            full = np.convolve(row, u)  # the linear convolution, wrapped mod q
-            row = full[:q] + np.append(full[q:], 0.0)
+            row = _cyclic_convolve(row, u)
         vals[c] = row
         steps[c] = len(mus) * root_steps + (len(factors) - 1) * (q // 2 + 1) + 2
     vals *= 1.0 / float(q) ** d

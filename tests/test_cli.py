@@ -354,6 +354,29 @@ class TestNuCommand:
         assert [int(r["nu_brute"]) for r in rows] == expected
         assert total["t"] == "all" and total["nu_brute"] == "900"
 
+    def test_refused_sweep_keeps_the_pair_counts(self, tmp_path):
+        # the sweep of Z_5003 needs a q x q kernel past 10^7 entries, so it is
+        # refused and the pair scan's counts stand without the spectral columns
+        code, text = run(tmp_path, "nu", "--random", "500", "--q", "5003", "--d", "1",
+                         "--seed", "1")
+        assert code == 0
+        *rows, total = records(text)
+        assert all(r["nu_brute"] != "" and r["nu_spectral"] == "" for r in rows)
+        assert total["t"] == "all" and total["nu_brute"] == "250000"
+
+    def test_raised_grid_budget_keeps_the_pair_counts(self, tmp_path):
+        # |E| = q puts Z_3163 on the transform side; q^2 > 10^7 refuses the
+        # transform at the default budget, and its kernel past a raised one
+        expected = [str(c) for c in distset.nu_pairs(sample_random_set(3163, 1, 3163, 1))]
+        for extra in ((), ("--max-grid", "20000000")):
+            code, text = run(tmp_path, "nu", "--random", "3163", "--q", "3163", "--d", "1",
+                             "--seed", "1", *extra)
+            assert code == 0, extra
+            *rows, total = records(text)
+            assert [r["nu_brute"] for r in rows] == expected
+            assert all(r["nu_spectral"] == "" for r in rows)
+            assert total["nu_brute"] == str(3163**2)
+
     def test_missing_source(self, tmp_path):
         code, _ = run(tmp_path, "nu")
         assert code == 2

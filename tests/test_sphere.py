@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -94,6 +95,20 @@ class TestPartition:
             assert list(rows[0]) == [1] + [0] * (q - 1)
             for i in range(1, d + 1):
                 assert np.array_equal(rows[i], sphere_counts_all(q, i)), (q, d, i)
+
+    def test_convolved_rows_hold_no_q_by_q_table(self):
+        # one cyclic convolution per row: a q x q int64 table at q = 3001 is 69 MiB
+        sphere._sphere_count_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            rows = sphere._sphere_count_rows(3001, 2)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2
+        assert int(rows[2].sum()) == 3001**2
+        for t in (0, 1, 2, 3000):
+            assert int(rows[2][t]) == sphere_count_formula(sphere_spec(3001, 2, t)).exact_count
 
 
 class TestCountFormula:
