@@ -461,30 +461,54 @@ def _random_grid(q: int, d: int, seed: int) -> GridFunction:
 
 
 def _verify_fourier(q_max: int, seed: int) -> list[dict]:
+    """Orthogonality, round trips and Plancherel, each against a tolerance
+    derived from the rounding of its length-q passes.
+
+    Each pass is charged (q + 11) eps of the absolute sum of its terms, as in
+    distset._sweep_tolerance: a q-term dot product rounds at most q times,
+    each table root is within 11 eps, and |K| = 1 carries absolute sums from
+    pass to pass.
+
+    * orthogonality: one q-term dot of exact counts (absolute sum q^d) with
+      the table roots, divided by q^d: (q + 11) eps.
+    * round trip, relative to max |f|: forward is d passes with absolute sum
+      q^-d sum |f| per coefficient, so the inverse meets errors summing to
+      d (q + 11) eps sum |f| and adds d passes over sum_m |F| <= sum |f|:
+      2 d (q + 11) eps sum |f| / max |f|.
+    * Plancherel, relative to q^-d sum |f| |g|: F and G are d passes each,
+      |dF| <= d (q + 11) eps q^-d sum |f| and |G| <= q^-d sum |g|, so
+      sum_m |dF| |G| + |F| |dG| <= 2 d (q + 11) eps q^-d sum |f| sum |g|.
+      The two q^d-term dots that close the identity are not charged.
+    """
+    eps = float(np.finfo(np.float64).eps)
     rows = []
     for q in (3, 5, 9, 15):
         if q > q_max:
             continue
+        charge = (q + 11) * eps
         for d in (1, 2, 3):
             defect = orthogonality_max_defect(q, d)
             rows.append(_row(
                 "fourier_orthogonality", f"q={q:02d} d={d}", "max_defect",
-                defect, tol=1e-9, passed=defect < 1e-9,
+                defect, tol=charge, passed=defect < charge,
             ))
             for k in range(2):
                 f = _random_grid(q, d, seed + 100 * q + 10 * d + k)
                 g = _random_grid(q, d, seed + 100 * q + 10 * d + k + 5000)
-                scale = float(np.abs(f.values).max())
+                abs_f, abs_g = np.abs(f.values), np.abs(g.values)
+                scale = float(abs_f.max())
                 rt = float(np.abs(inverse(forward(f)).values - f.values).max()) / scale
+                rt_tol = 2 * d * charge * float(abs_f.sum()) / scale
                 rows.append(_row(
                     "fourier_roundtrip", f"q={q:02d} d={d} grid={k}", "rel_defect",
-                    rt, tol=1e-9, passed=rt < 1e-9,
+                    rt, tol=rt_tol, passed=rt < rt_tol,
                 ))
-                pscale = float(np.mean(np.abs(f.values) * np.abs(g.values)))
+                pscale = float(np.mean(abs_f * abs_g))
                 pd = plancherel_defect(f, g) / pscale
+                pd_tol = 2 * d * charge * float(abs_f.sum()) * float(abs_g.mean()) / pscale
                 rows.append(_row(
                     "fourier_plancherel", f"q={q:02d} d={d} grid={k}", "rel_defect",
-                    pd, tol=1e-9, passed=pd < 1e-9,
+                    pd, tol=pd_tol, passed=pd < pd_tol,
                 ))
     return rows
 

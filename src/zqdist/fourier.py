@@ -8,9 +8,10 @@ is its base-q reading with x_1 most significant.  Transforms are separable:
 d one-dimensional length-q passes, O(d q^{d+1}) scalar work, no radix
 restriction on q.  The q x q pass kernel costs 16 q^2 bytes whatever d is,
 so transforms raise BudgetError once q^2 exceeds DEFAULT_GRID_BUDGET.
-Phases are reduced mod q before exponentiation.  Every transform runs its
-last axis as one product and the other d - 1 as batched complex products
-that leave the axes in place (_leading_passes).
+Phases are reduced mod q before exponentiation.  Every complex pass is one
+matrix product that transforms the last axis and moves it to the front,
+written into one of two reused buffers (_passes), so d passes bring the axes
+back to their order and allocate nothing past those two grids.
 
 A real grid has F(-m) = conj F(m), so `half_forward` keeps only the
 q^{d-1} (q//2 + 1) frequencies with m_d <= q // 2: its last-axis pass is one
@@ -158,18 +159,18 @@ def _kernel(q: int, forward_sign: bool) -> np.ndarray:
 
 
 def forward(f: GridFunction) -> Spectrum:
-    """F(m) = q^{-d} sum_x f(x) e^{-2 pi i (x . m)/q}, axis by axis."""
-    kernel = _kernel(f.q, True)
-    out = _leading_passes(f.values.reshape(-1, f.q) @ kernel, f.q, f.d, kernel).reshape(-1)
+    """F(m) = q^{-d} sum_x f(x) e^{-2 pi i (x . m)/q}: d passes of _passes,
+    the first reading f's values in place, then one scaling by q^{-d}."""
+    buffers = np.empty((2, f.size), dtype=np.complex128)
+    out = _passes(f.values, _kernel(f.q, True), f.d, buffers)
     out *= 1.0 / f.size
     return Spectrum(f.modulus, f.d, out)
 
 
 def inverse(F: Spectrum) -> GridFunction:
     """f(x) = sum_m F(m) e^{+2 pi i (x . m)/q}; exact inverse of forward."""
-    kernel = _kernel(F.q, False)
-    out = _leading_passes(F.values.reshape(-1, F.q) @ kernel, F.q, F.d, kernel)
-    return GridFunction(F.modulus, F.d, out)
+    buffers = np.empty((2, F.size), dtype=np.complex128)
+    return GridFunction(F.modulus, F.d, _passes(F.values, _kernel(F.q, False), F.d, buffers))
 
 
 def half_weights(q: int) -> np.ndarray:
@@ -208,12 +209,26 @@ def _half_kernels(q: int) -> tuple[np.ndarray, np.ndarray, int]:
     return fwd, inv_real, h
 
 
-def _leading_passes(arr: np.ndarray, q: int, d: int, kernel: np.ndarray) -> np.ndarray:
-    # Axis j of the (q,) * (d - 1) + (h,) grid is transformed by one batched
-    # product over the (q^j, q, rest) view, so the axes never move.
-    for j in range(d - 1):
-        arr = np.matmul(kernel, arr.reshape(q**j, q, -1))
-    return arr.reshape(q ** (d - 1), -1)
+def _passes(
+    arr: np.ndarray, kernel: np.ndarray, count: int, buffers: Sequence[np.ndarray]
+) -> np.ndarray:
+    """`count` length-q passes of the symmetric q x q `kernel` over the flat grid `arr`.
+
+    Each pass is one product, kernel @ arr.reshape(-1, q).T, written into
+    the (q, rest) view of the next buffer: it transforms the last axis and
+    moves it to the front, so d passes over Z_q^d leave the axes in their
+    order.  Pass k writes buffers[k % 2] and reads the previous pass, so only
+    the first pass reads `arr`, which may be read-only.  Each of the two
+    buffers (a pair of arrays, or the rows of a (2, arr.size) array) must be
+    C-contiguous with arr.size entries: a reshape of any other layout is a
+    copy, and the product would land in it and be lost.
+    """
+    q = len(kernel)
+    for k in range(count):
+        out = buffers[k % 2]
+        np.matmul(kernel, arr.reshape(-1, q).T, out=out.reshape(q, -1))
+        arr = out
+    return arr
 
 
 def half_forward(values: np.ndarray, q: int, d: int) -> np.ndarray:
@@ -222,15 +237,17 @@ def half_forward(values: np.ndarray, q: int, d: int) -> np.ndarray:
     A real f has F(-m) = conj F(m), so these (q^{d-1}, q//2 + 1) coefficients,
     row-major over (m_1, ..., m_{d-1}) and then m_d, determine the rest.  The
     last axis is one real product with the real and imaginary parts of the
-    kernel columns m_d <= q // 2; the other d - 1 axes use the complex kernel.
-    Each coefficient is a q-term dot product per pass with the table roots of
-    `forward`.
+    kernel columns m_d <= q // 2.  Its transpose, scaled by q^-d, is the
+    (q//2 + 1, q^{d-1}) grid with m_d in front, and d - 1 complex passes
+    (_passes, the real product's memory the spare buffer) bring m_d back to
+    the last axis.  Each coefficient is a q-term dot product per pass with
+    the table roots of `forward`.
     """
     fwd, _, h = _half_kernels(q)
     first = (np.asarray(values, dtype=np.float64).reshape(-1, q) @ fwd).view(np.complex128)
-    out = _leading_passes(first, q, d, _kernel(q, True))
-    out *= 1.0 / q**d
-    return out
+    front = np.multiply(first.T, 1.0 / q**d, order="C")
+    out = _passes(front, _kernel(q, True), d - 1, (first, front))
+    return out.reshape(q ** (d - 1), h)
 
 
 def hermitian_inverse(half: np.ndarray, q: int, d: int) -> np.ndarray:
@@ -238,16 +255,17 @@ def hermitian_inverse(half: np.ndarray, q: int, d: int) -> np.ndarray:
     on the half grid x_d <= q // 2 in that layout.
 
     F(-m) = F(m) = conj F(m), so the inverse is real and even, and its half
-    grid determines it.  After d - 1 complex passes the last axis sums
-    h = q//2 + 1 terms w Re(B(m_d) e(x_d m_d / q)) for each x_d < h as one
-    real product, with w = 1 for m_d = 0 and for m_d = q/2 (even q), which
-    are their own negatives, and w = 2 for every other m_d, which also
-    stands for q - m_d.
+    grid determines it.  The half spectrum is transposed once, m_d to the
+    front, and d - 1 complex passes (_passes) bring m_d back to the last
+    axis.  That axis then sums h = q//2 + 1 terms w Re(B(m_d) e(x_d m_d / q))
+    for each x_d < h as one real product, with w = 1 for m_d = 0 and for
+    m_d = q/2 (even q), which are their own negatives, and w = 2 for every
+    other m_d, which also stands for q - m_d.
     """
     _, inv_real, h = _half_kernels(q)
-    arr = np.ascontiguousarray(half, dtype=np.complex128).reshape(-1, h)
-    arr = _leading_passes(arr, q, d, _kernel(q, False))
-    return arr.view(np.float64) @ inv_real
+    front = np.asarray(np.reshape(half, (-1, h)).T, dtype=np.complex128, order="C")
+    arr = _passes(front, _kernel(q, False), d - 1, (np.empty_like(front), front))
+    return arr.reshape(-1, h).view(np.float64) @ inv_real
 
 
 def plancherel_defect(f: GridFunction, g: GridFunction) -> float:

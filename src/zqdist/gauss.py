@@ -301,17 +301,24 @@ def gauss_row(a: "int | np.ndarray", n: int) -> np.ndarray:
         raise DomainError(f"n must be >= 1, got {n}")
     av = _residues(a, n)
     rows = av.size
-    g = np.empty((rows, 1), dtype=np.int64)
-    mod = np.ones((rows, 2), dtype=np.int64)  # n' per parity of b' (1 where G vanishes)
-    neg_inv = np.zeros((rows, 2), dtype=np.int64)
-    size = np.zeros((rows, 2), dtype=np.complex128)  # scale sqrt(surd) unit; 0 where G vanishes
-    for r, ar in enumerate(av.ravel().tolist()):
-        g[r], branches = _reduce(ar, n)
-        for parity, br in enumerate(branches):
-            if br is not None:
+    g, mod, neg_inv, size = [], [], [], []  # g per a, the rest per a and parity of b'
+    for ar in av.ravel().tolist():
+        gr, branches = _reduce(ar, n)
+        g.append(gr)
+        for br in branches:
+            if br is None:  # G vanishes: n' = 1 and size 0
+                mod.append(1)
+                neg_inv.append(0)
+                size.append(0j)
+            else:  # size = scale sqrt(surd) unit
                 u0, u1 = br.base.unit
-                mod[r, parity], neg_inv[r, parity] = br.n, br.neg_inv
-                size[r, parity] = complex(u0, u1) * (br.scale * math.sqrt(br.base.surd))
+                mod.append(br.n)
+                neg_inv.append(br.neg_inv)
+                size.append(complex(u0, u1) * (br.scale * math.sqrt(br.base.surd)))
+    g = np.array(g, dtype=np.int64).reshape(rows, 1)
+    mod = np.array(mod, dtype=np.int64).reshape(rows, 2)
+    neg_inv = np.array(neg_inv, dtype=np.int64).reshape(rows, 2)
+    size = np.array(size, dtype=np.complex128).reshape(rows, 2)
     b = np.arange(n, dtype=np.int64)
     b2 = b // g  # b' = b / g, meaningful where g | b
     parity = b2 % 2

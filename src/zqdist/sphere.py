@@ -358,9 +358,13 @@ def _sphere_count_rows(q: int, d: int) -> np.ndarray:
     return rows
 
 
-def _kernel_direct(q: int, d: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_direct(
+    q: int, d: int, reps: np.ndarray, present: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """K[c, t] = q^{-d} sum_{||x|| = t} e(-x . m_c / q) by cyclic convolution
-    over Z_q, with no Gauss sum and no grid enumerated.
+    over Z_q, with no Gauss sum and no grid enumerated.  Row present[i] of
+    the sigma(q) x q values and errors holds the class whose first member is
+    reps[i]; the rows of absent classes are zero.
 
     With U[mu](b) = sum_{x^2 = b} e(-x mu / q), the sum factors as
     K[c] = q^{-d} N_{d-j} (*) U[mu_1] (*) ... (*) U[mu_j] over the j <= 3
@@ -381,9 +385,9 @@ def _kernel_direct(q: int, d: int, reps: np.ndarray) -> tuple[np.ndarray, np.nda
     cos = character_table(q).real  # the real part of e(-x mu / q) as well
     spheres = _sphere_count_rows(q, d)  # spheres[i][t] = |S_t| in Z_q^i
     root_steps = 11 + int(spheres[1].max()) // 2
-    vals = np.empty((len(reps), q), dtype=np.complex128)
-    steps = np.empty(len(reps))
-    for c, rep in enumerate(reps):
+    vals = np.zeros((_class_count(q), q), dtype=np.complex128)
+    steps = np.zeros(len(vals))
+    for c, rep in zip(present, reps):
         mus = rep[rep != 0]
         factors = [spheres[d - len(mus)]] if len(mus) < d else []
         factors += [np.bincount(squares, weights=cos[ks * mu % q], minlength=q) for mu in mus]
@@ -393,13 +397,17 @@ def _kernel_direct(q: int, d: int, reps: np.ndarray) -> tuple[np.ndarray, np.nda
         vals[c] = row
         steps[c] = len(mus) * root_steps + (len(factors) - 1) * (q // 2 + 1) + 2
     vals *= 1.0 / float(q) ** d
-    err = steps[:, None] * _EPS * spheres[d] / float(q) ** d
+    err = steps[:, None] * _EPS * spheres[d]
+    err /= float(q) ** d
     return vals, err
 
 
-def _kernel_formula(q: int, d: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_formula(
+    q: int, d: int, reps: np.ndarray, present: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """K[c, t] = q^{-d-1} sum_s e(-st/q) W_c(s) with W_c(s) = prod_i G(s, -m_i, q)
-    from the closed forms, one length-q DFT over s for all classes at once.
+    from the closed forms, one length-q DFT over s for all classes at once,
+    in the sigma(q) x q layout of _kernel_direct.
 
     A rendered G(s, b, q) is within 2 eps of its value when b = 0 (scale
     sqrt(surd) times a unit) and within 16 eps otherwise (the phase factor
@@ -410,15 +418,18 @@ def _kernel_formula(q: int, d: int, reps: np.ndarray) -> tuple[np.ndarray, np.nd
     K[c, t] within (q + 3 d + 14 z_c + 13) eps q^{-d-1} sum_s |W_c(s)|."""
     w = np.prod(_gauss_table(q)[:, (-reps) % q], axis=2)  # (s, class)
     norm = 1.0 / float(q) ** (d + 1)
-    vals = (_kernel(q, True) @ w).T * norm  # the DFT matrix: [t, s] = e(-st/q)
+    vals = np.zeros((_class_count(q), q), dtype=np.complex128)
+    vals[present] = (_kernel(q, True) @ w).T  # the DFT matrix: [t, s] = e(-st/q)
+    vals *= norm
     steps = q + 3 * d + 14 * np.count_nonzero(reps, axis=1) + 13
-    err = np.broadcast_to((steps * _EPS * np.abs(w).sum(axis=0) * norm)[:, None], vals.shape)
+    err = np.zeros(vals.shape)
+    err[present] = (steps * _EPS * np.abs(w).sum(axis=0) * norm)[:, None]
     return vals, err
 
 
-def _class_representatives(q: int, d: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(reps, present, slots): the first member in flat order of every
-    nonempty class of Z_q^d, the slots of those classes, and sigma(q).
+def _class_representatives(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, present): the first member in flat order of every nonempty
+    class of Z_q^d, and the slots of those classes.
 
     A class meets {0}^{d-j} x Z_q^j with j = min(d, 3), since Z_q^3 already
     holds all sigma(q) classes, and every member there precedes in flat order
@@ -432,16 +443,13 @@ def _class_representatives(q: int, d: int) -> tuple[np.ndarray, np.ndarray, int]
     present, first = np.unique(ids, return_index=True)
     reps = np.zeros((len(present), d), dtype=np.int64)
     reps[:, d - j :] = np.stack(np.unravel_index(first, (q,) * j), axis=1)
-    return reps, present, _class_count(q)
+    return reps, present
 
 
 def _build_class_kernel(q: int, d: int, route: str) -> _ClassKernel:
-    reps, present, slots = _class_representatives(q, d)
+    reps, present = _class_representatives(q, d)
     build = _kernel_direct if route == "direct" else _kernel_formula
-    vals, err = build(q, d, reps)
-    values = np.zeros((slots, q), dtype=np.complex128)
-    error = np.zeros((slots, q))
-    values[present], error[present] = vals, err
+    values, error = build(q, d, reps, present)
     for arr in (values, error):
         arr.setflags(write=False)
     return _ClassKernel(values, error)

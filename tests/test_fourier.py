@@ -90,11 +90,19 @@ class TestForward:
         assert abs(F.values[0] - 6 / 27) < 1e-12
 
     def test_separable_matches_reference(self):
+        # every pass count up to q^d <= 4096, so every rotation of the axes
         for q in (2, 3, 4, 5, 6, 7):
-            for d in (1, 2):
+            for d in range(1, 13):
+                if q**d > 4096:
+                    break
                 f = random_grid(q, d, seed=100 * q + d)
-                diff = np.abs(forward(f).values - dft_reference(f).values).max()
-                assert diff < 1e-10
+                ref = dft_reference(f).values
+                diff = np.abs(forward(f).values - ref).max()
+                assert diff < 1e-10, (q, d)
+                F = Spectrum(q, d, ref)
+                back = inverse(F).values
+                want = q**d * np.conj(dft_reference(GridFunction(q, d, np.conj(ref))).values)
+                assert np.abs(back - want).max() < 1e-10, (q, d)
 
     def test_reference_budget(self):
         with pytest.raises(BudgetError):
@@ -128,7 +136,9 @@ class TestInverse:
             assert defect < 1e-9 * scale
 
 
-HALF_CASES = [(q, d) for q in (3, 4, 5, 6, 9, 10, 15) for d in (1, 2, 3)]
+HALF_CASES = [(q, d) for q in (3, 4, 5, 6, 9, 10, 15) for d in (1, 2, 3)] + [
+    (2, 10), (3, 7), (4, 5), (5, 4), (6, 4), (9, 4),
+]
 
 
 def half_of(values, q):
@@ -179,6 +189,24 @@ class TestHalfTransforms:
             direct = [np.sum(grid * np.roll(grid, shift, axis=tuple(range(d))))
                       for shift in itertools.product(range(q), repeat=d)]
             assert np.abs(acorr - half_of(np.array(direct), q)).max() < 1e-9
+
+    def test_peak_is_two_half_grids(self):
+        # Z_3^12: eleven complex passes ping-pong between two half-grid
+        # buffers, the real product's memory one of them; 64 KiB is left for
+        # the interpreter's own allocations
+        q, d = 3, 12
+        f = (np.random.Generator(np.random.PCG64(7)).random(q**d) < 0.5).astype(float)
+        half_bytes = 16 * q ** (d - 1) * (q // 2 + 1)
+        power = half_forward(f, q, d)
+        power = power.real**2 + power.imag**2
+        for transform, values in ((half_forward, f), (hermitian_inverse, power)):
+            tracemalloc.start()
+            try:
+                out = transform(values, q, d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= out.nbytes + 2 * half_bytes + 2**16, (transform.__name__, peak)
 
     def test_weights_count_every_column_once(self):
         for q in range(2, 30):

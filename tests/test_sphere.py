@@ -400,25 +400,37 @@ class TestClassKernel:
         np.minimum.at(first, ids, np.arange(q**d))
         present = np.flatnonzero(np.bincount(ids, minlength=slots))
         reps = np.stack(np.unravel_index(first[present], (q,) * d), axis=1)
-        small, small_present, small_slots = sphere._class_representatives(q, d)
-        assert small_slots == slots and np.array_equal(small_present, present)
+        small, small_present = sphere._class_representatives(q, d)
+        assert np.array_equal(small_present, present)
         assert np.array_equal(small, reps)
         for route, build in (("direct", sphere._kernel_direct), ("formula", sphere._kernel_formula)):
-            vals, err = build(q, d, reps)
+            vals, err = build(q, d, reps, present)
             kern = _class_kernel(as_modulus(q), d, route)
-            assert kern.values[present].tobytes() == vals.tobytes(), route
-            assert kern.error[present].tobytes() == np.ascontiguousarray(err).tobytes(), route
+            assert vals.shape == err.shape == (slots, q), route
+            assert kern.values.tobytes() == vals.tobytes(), route
+            assert kern.error.tobytes() == err.tobytes(), route
 
     def test_direct_kernel_enumerates_no_grid(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("the direct kernel built a Z_q^j table")
 
         for q, d in ((45, 3), (15, 5), (101, 2), (1009, 1)):
-            reps, _, _ = sphere._class_representatives(q, d)
+            reps, present = sphere._class_representatives(q, d)
             monkeypatch.setattr(sphere, "_form_flat", forbidden)
-            vals, err = sphere._kernel_direct(q, d, reps)
+            vals, err = sphere._kernel_direct(q, d, reps, present)
             monkeypatch.undo()
-            assert vals.shape == err.shape == (len(reps), q)
+            assert vals.shape == err.shape == (sigma(q), q)
+
+    def test_direct_kernel_peak_is_the_kernel(self):
+        # _kernel_direct writes each class row into the sigma(q) x q arrays it
+        # returns, so a prime q near the q x q limit holds no second copy
+        tracemalloc.start()
+        try:
+            kern = sphere._build_class_kernel(3001, 1, "direct")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * (kern.values.nbytes + kern.error.nbytes), peak
 
     def test_kernel_cache_is_bounded(self):
         # sigma(q) q <= 2^16 values are cached; 255 (sigma = 432) is rebuilt
