@@ -8,11 +8,12 @@ sum_t nu(t) = |E|^2 always.
 Three routes to nu(t):
 
 * the pair scan (`nu_pairs`, the oracle) visits all |E|^2 ordered pairs;
-* the autocorrelation transforms the indicator once each way:
-  A = 1_E * 1_{-E} counts the pairs with x - y = z, so
-  nu(t) = sum_{||z|| = t} A(z) for every t at once.  1_E is real and A
-  even, so both transforms keep only a half grid (m_d or z_d <= q // 2),
-  and _fold sums A by sphere with no q^d table.  `nu_histogram` takes it
+* the autocorrelation: A = 1_E * 1_{-E} counts the pairs with x - y = z,
+  so nu(t) = sum_{||z|| = t} A(z) for every t at once.  A sphere is a union
+  of sign orbits {(+-z_1, ..., +-z_d)}, so only the orbit sums of A on the
+  orthant [0, q // 2]^d are needed: fourier.orbit_inverse takes them from
+  the orbit power O(s) = sum_{m in orbit(s)} |E^(m)|^2 of fourier.orbit_power,
+  and _fold sums them by sphere with no q^d table.  `nu_histogram` takes it
   for even q and for odd q with d <= 3, and the CLI and certificate_check
   take it as the count the sweep is checked against;
 * the spectral decomposition (`nu_spectral_sweep`, the certificate, and
@@ -25,14 +26,16 @@ Three routes to nu(t):
 with the error term bounded by |E| tau(q) q^{d-1} p_1^{-(d-2)/2}.  Whenever
 main term - bound > 0 the distance t is certified to occur.  For odd q,
 S_t^(m) depends on m only through its class (gcd(m, q) = g and ||m/g|| mod
-q/g, at most sigma(q) classes), so the sweep folds |E^(m)|^2 by class into P
-(_class_power, axis by axis over the half spectrum, with no q^d table) and
-gets every nu(t) from q^{2d} P @ K with the sigma(q) x q class kernel
-K[c, t] = S_t^(m): one transform of the indicator, then O(q^d) work.  Its
-`route` only picks how K is built: "direct" from sphere counts, "formula"
-from Gauss sums.  P depends on E alone, so the PointSet keeps it (sigma(q)
-floats, nothing else) from its first transform: each set is transformed at
-most once per process for the sweep, whichever routes and callers follow.
+q/g, at most sigma(q) classes), and a class is closed under sign flips, so
+the sweep folds O by class into P (_class_power, axis by axis over the
+(q//2 + 1)^d orthant, with no q^d table) and gets every nu(t) from
+q^{2d} P @ K with the sigma(q) x q class kernel K[c, t] = S_t^(m): one
+transform of the indicator, then O(q^d) work.  Its `route` only picks how K
+is built: "direct" from sphere counts, "formula" from Gauss sums.  P
+depends on E alone, so the PointSet keeps it (sigma(q) floats, nothing
+else) from its first transform, whichever route ran it: each set is
+transformed at most once per process for the sweep, whichever routes and
+callers follow.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ from .errors import BudgetError, DomainError, InconsistencyError
 from .fourier import (
     DEFAULT_GRID_BUDGET,
     check_grid_budget,
-    half_forward,
     half_weights,
-    hermitian_inverse,
+    orbit_inverse,
+    orbit_power,
 )
 from .sphere import (
     _class_count,
@@ -262,70 +265,86 @@ def _check_transform_budget(E: PointSet, max_grid: int) -> None:
                           f"entries, exceeding the budget {max_grid}")
 
 
-def _power_spectrum(E: PointSet, max_grid: int) -> np.ndarray:
-    """|E^(m)|^2 = re^2 + im^2 on the half grid m_d <= q // 2 (half_forward's
-    layout), from the one transform of E's real indicator.  The other
-    frequencies have |E^(-m)|^2 = |E^(m)|^2."""
+def _orbit_power(E: PointSet, max_grid: int) -> np.ndarray:
+    """The orbit power O(s) = sum_{m in orbit(s)} |E^(m)|^2 on the orthant
+    [0, q // 2]^d (fourier.orbit_power), from the one transform of E's
+    indicator.  Classes and spheres are closed under m_i -> -m_i, so every
+    nu(t) route reads |E^|^2 through O."""
     _check_transform_budget(E, max_grid)
-    half = half_forward(E._indicator_values(max_grid), E.q, E.d)
-    power = half.real**2
-    power += half.imag**2
-    return power
+    return orbit_power(E._indicator_values(max_grid), E.q, E.d)
 
 
 def _power_by_class(
-    E: PointSet, max_grid: int, power: "np.ndarray | None" = None
+    E: PointSet, max_grid: int, orbit: "np.ndarray | None" = None
 ) -> np.ndarray:
     """P_c of E for every class slot (_class_power), odd q, kept on E: only the
-    first call on a set folds it, from `power` when the caller has just
+    first call on a set folds it, from `orbit` when the caller has just
     transformed E (the autocorrelation), else from a transform of its own.
     The transform budget is checked on every call, before P is read."""
     _check_transform_budget(E, max_grid)
     if E._power_by_class is None:
-        if power is None:
-            power = _power_spectrum(E, max_grid)
-        by_class = _class_power(power, E.q, E.d)
+        if orbit is None:
+            orbit = _orbit_power(E, max_grid)
+        by_class = _class_power(orbit, E.q, E.d)
         by_class.setflags(write=False)
         E._power_by_class = by_class
     return E._power_by_class
 
 
-def _autocorrelation_tolerance(E: PointSet) -> float:
-    """(2 |E|^{1/2} + 1) d (q + 11) eps |E|: how far an entry of
-    A = q^d hermitian_inverse(P) may lie from its integer, P being |E^|^2 on
-    the half grid.  Each length-q pass is charged (q + 11) eps of the
-    absolute sum of its terms, as in _sweep_tolerance; a q-term dot product
-    rounds at most q times by eps/2, so the q eps/2 left over covers the
-    square and the scalings by q^-d and q^d.
+def _forward_charge(E: PointSet) -> float:
+    """a = d (q + 11) eps |E|, q^d times the bound on the error of each real
+    coefficient C_phi(s) of orbit_power for 1_E.
 
-    * half_forward, d passes: E^(m) is a sum with absolute sum q^-d |E|, so
-      |dE^(m)| <= d (q + 11) eps q^-d |E|.  Its first pass sums real
-      products with the real and imaginary parts of the roots apart, which
-      rounds no more than a complex pass; the frequencies it skips are
-      conjugates of those it keeps, exact by symmetry.
-    * These errors enter A(z) = q^d sum_m |E^(m)|^2 e(z.m/q) through at most
-      2 q^d sum_m |E^(m)| |dE^(m)|, and sum_m |E^(m)| <= |E|^{1/2} over the
-      q^d frequencies by Cauchy-Schwarz and Parseval: 2 d (q + 11) eps |E|^{3/2}.
-    * hermitian_inverse, d passes over terms with absolute sum
-      q^d sum_m |E^(m)|^2 = |E|: d (q + 11) eps |E|.  Its last pass sums, for
-      each x_d, the q//2 + 1 real terms w (re B cos - im B sin), with w in
-      {1, 2} exact and |re B cos - im B sin| <= |B|, so no more than the
-      q-term pass it replaces.
+    Each length-q pass is charged (q + 11) eps of the absolute sum of its
+    terms: a q-term dot product rounds at most q times by eps/2 and each
+    table root is within 11 eps, and the q eps/2 left over covers the
+    scaling by q^-d.  The basis rows have |cos|, |sin| <= 1, so the
+    absolute sums stay q^-d |E| through the d passes.  The 2^k errors of
+    the coefficients on one orbit are at most that in Euclidean norm too:
+    per pass (cos, sin) has norm 1, so Minkowski's inequality carries the
+    bound through every pass.  With |C(s)|^2 = O(s) / w(s), w(s) the orbit
+    size, the computed O(s) is then within
+
+        2 (w(s) O(s))^{1/2} a q^-d + w(s) a^2 q^-2d
+
+    of its value before the roundings of the squares and the folds."""
+    return E.d * (E.q + 11) * float(np.finfo(np.float64).eps) * E.size
+
+
+def _autocorrelation_tolerance(E: PointSet) -> float:
+    """w_max (a (2 |E|^{1/2} + a) + (d + 1 + d (q//2 + 12)) eps |E|): how far
+    an orbit sum R(r) = q^d orbit_inverse(O)(r) of A may lie from its
+    integer, with a from _forward_charge and w_max = 2^d (1 for q = 2) the
+    largest orbit.
+
+    * The forward errors of O (_forward_charge) enter R(r) through
+      q^d w(r) sum_s |dO(s)|, since |prod_i w(r_i) cos| <= w(r).  The
+      orbits cover Z_q^d, sum_s w(s) = q^d, and sum_s O(s) = |E| q^-d
+      (Parseval), so sum_s (w(s) O(s))^{1/2} <= |E|^{1/2} by
+      Cauchy-Schwarz: w(r) a (2 |E|^{1/2} + a).
+    * Squaring rounds once and each of the d axis folds of orbit_power adds
+      once, on nonnegative terms: (d + 1) eps of q^d sum_s O(s) = |E|.
+    * orbit_inverse is d passes of h = q//2 + 1 terms with |w cos| <= w,
+      charged (h + 11) eps of absolute sums that stay w(r) |E|, the leftover
+      h eps/2 covering the scaling by q^d: d (h + 11) eps w(r) |E|.
     """
-    eps, n = float(np.finfo(np.float64).eps), E.size
-    return (2 * math.sqrt(n) + 1) * E.d * (E.q + 11) * eps * n
+    eps, n, d = float(np.finfo(np.float64).eps), E.size, E.d
+    a = _forward_charge(E)
+    w_max = float(half_weights(E.q).max()) ** d
+    return w_max * (a * (2 * math.sqrt(n) + a) + (d + 1 + d * (E.q // 2 + 12)) * eps * n)
 
 
 def _nu_autocorrelation(E: PointSet, max_grid: int) -> np.ndarray:
-    """nu(t) = sum_{||z|| = t} A(z) with A = q^d hermitian_inverse(|half_forward(1_E)|^2).
+    """nu(t) = sum_{||z|| = t} A(z) with A = 1_E (*) 1_{-E}, from its orbit
+    sums R(r) = q^d orbit_inverse(O)(r) on the orthant, O = _orbit_power(E).
 
-    A(z) counts the pairs with x - y = z, so it is an integer; the float
-    values are rounded after a check against _autocorrelation_tolerance.  A
-    is even, so _fold sums the rounded half grid of hermitian_inverse by
-    sphere; its sums of integers are exact up to 2^53.  A tolerance of 1/2
-    or more cannot single out the integer, and |E|^2 > 2^53 cannot be summed
-    exactly: both raise BudgetError.  For odd q its transform also leaves E's
-    class power (_power_by_class) for a sweep that follows.
+    A(z) counts the pairs with x - y = z, so each R(r) is an integer; the
+    float values are rounded after a check against _autocorrelation_tolerance.
+    An orbit lies on one sphere, so _fold sums the rounded R by ||r|| mod q;
+    its sums of integers are exact up to 2^53.  A tolerance of 1/2 or more
+    cannot single out the integer, and |E|^2 > 2^53 cannot be summed exactly:
+    both raise BudgetError.  For odd q its transform also leaves E's class
+    power (_power_by_class) for a sweep that follows.
     """
     q, d, n = E.q, E.d, E.size
     tol = _autocorrelation_tolerance(E)
@@ -334,10 +353,10 @@ def _nu_autocorrelation(E: PointSet, max_grid: int) -> np.ndarray:
             f"autocorrelation tolerance {tol:.3g} for |E| = {n} in Z_{q}^{d} cannot "
             f"certify integer pair counts"
         )
-    power = _power_spectrum(E, max_grid)
+    orbit = _orbit_power(E, max_grid)
     if E.modulus.is_odd:
-        _power_by_class(E, max_grid, power)
-    acorr = hermitian_inverse(power, q, d)
+        _power_by_class(E, max_grid, orbit)
+    acorr = orbit_inverse(orbit, q, d)
     acorr *= float(q**d)
     counts = np.rint(acorr)
     acorr -= counts
@@ -370,14 +389,13 @@ def nu_histogram(
     autocorrelation, which transforms E again, and that to nu_pairs.
 
     For odd q with d >= 4 that transform feeds the spectral sweep with the
-    direct class kernel, nu_spectral_sweep(E, "direct", max_grid): no
-    inverse transform and no q^d rounding pass, and the kernel's build
-    (representatives on Z_q^3, then O(q^2) per class) stays below the
-    q^{d+1} of the inverse it replaces.  Timed on one core with the kernel
-    not yet cached, at the least |E| past the crossover, the sweep is 2
-    (q = 45) to 5.5 (q = 15) times slower than the autocorrelation at d = 3,
-    and faster at d >= 4 from about q^d = 6 * 10^4 up, slower by at most
-    0.3 ms below.  Even q and d <= 3 take the autocorrelation.
+    direct class kernel, nu_spectral_sweep(E, "direct", max_grid).  Both
+    routes read the same orbit power O (_orbit_power); past it the sweep
+    folds O by class and the autocorrelation runs d passes over the
+    (q//2 + 1)^d orthant and one rounding pass, so timed on one core at the
+    least |E| past the crossover, with the kernel cached, the two are within
+    10% of each other from Z_7^5 to Z_105^3.  Even q and d <= 3 take the
+    autocorrelation.
     """
     _check_pair_budget(E, max_pairs)
     n = E.size
@@ -443,6 +461,7 @@ class NuReport:
     r_t: float
     r_bound: float
     certificate_positive: bool  # main_term - r_bound > 0, forcing nu(t) > 0
+    tol: float  # how far the float sum of nu(t) may lie from its integer
 
 
 def _r_bound(E: PointSet) -> float:
@@ -450,21 +469,20 @@ def _r_bound(E: PointSet) -> float:
     return E.size * tau(m) * float(m.q) ** (E.d - 1) * float(m.p1) ** (-(E.d - 2) / 2)
 
 
-def _class_power(power: np.ndarray, q: int, d: int) -> np.ndarray:
+def _class_power(orbit: np.ndarray, q: int, d: int) -> np.ndarray:
     """P_c = the sum of |E^(m)|^2 over the class c of m, for every class slot.
 
-    `power` is the half grid of _power_spectrum; it is not modified.  A class
-    is closed under m -> -m (gcd(-m, q) = gcd(m, q) and ||-m'|| = ||m'||), and
-    |E^(-m)|^2 = |E^(m)|^2, so the sum over the whole class is the sum over
-    its half-grid members weighted by half_weights; the weights 1 and 2
-    multiply exactly.  For each divisor g of q, with n = q / g, the strided
-    view power[::g, ..., ::g] is exactly the half grid of Z_n^d: its last
-    axis keeps m_d = g u for u <= n // 2.  In a copy of it the multiples of
-    each prime p | n are zeroed, as their gcd with q exceeds g; what is left
-    are the m = g m' with gcd(m', n) = 1, which _fold sums by ||m'|| mod n
-    into the n slots of g (sphere._class_slots).
+    `orbit` is the orbit power of _orbit_power on the orthant [0, q // 2]^d;
+    it is not modified.  A class is closed under every sign flip
+    m_i -> -m_i (gcd and ||m'|| do not change), so P_c is the sum of O over
+    the orthant points of class c.  For each divisor g of q, with n = q / g,
+    the strided view orbit[::g, ..., ::g] is exactly the orthant
+    [0, n // 2]^d of Z_n^d (odd q).  In a copy of it the multiples of each
+    prime p | n are zeroed, as their gcd with q exceeds g; what is left are
+    the m = g m' with gcd(m', n) = 1, which _fold sums by ||m'|| mod n into
+    the n slots of g (sphere._class_slots).
     """
-    grid = power.reshape((q,) * (d - 1) + (q // 2 + 1,))
+    grid = orbit.reshape((q // 2 + 1,) * d)
     out = np.empty(_class_count(q))
     for g, n, offset in _class_slots(q):
         part = grid[(slice(None, None, g),) * d].copy()
@@ -474,25 +492,22 @@ def _class_power(power: np.ndarray, q: int, d: int) -> np.ndarray:
     return out
 
 
-# Folds of moduli up to this are BLAS products with (n^2, n) matrices, 2 MiB
-# at n = 63.  Timed per fold on one core, the product takes a third to a half
-# of the time of the shifts for n <= 63 at d >= 4 (d >= 4 keeps n <= 56
-# within the default grid budget), so the whole Z_15^5 pair count and Z_9^6
-# certificate run 10% faster with it; at d = 3 the two tie from n ~ 57 to
-# 105, where the matrix would be 9 MiB, so larger n use the shifts.
+# Folds of moduli up to this are BLAS products with (h n, n) matrices,
+# h = n // 2 + 1: 1 MiB at n = 63.  Timed per fold on one core at d = 3 and
+# 4, the product beats the shifts up to n = 63 (by 1.3 to 8 times) and loses
+# from n = 75 on, so larger n use the shifts.
 _FOLD_PRODUCT_MAX = 64
 
 
 def _fold(part: np.ndarray, n: int, d: int) -> np.ndarray:
-    """sum_m part[m] by ||m|| mod n, for `part` on the half grid of Z_n^d.
+    """sum_u part[u] by ||u|| mod n, for `part` on the orthant [0, n // 2]^d of Z_n^d.
 
-    One axis at a time, from the last: the half axis u folds into a residue
-    axis r = u^2 with the weights half_weights(n); then each earlier axis m
-    folds with the residue axis u into r = m^2 + u (mod n).  Every term is
-    nonnegative and the zero terms add exactly, so a residue of the half fold
-    is a sum of at most h = n // 2 + 1 terms, along at most h - 1 roundings,
-    and one of a later fold a sum of n terms, one per m, along at most n - 1.
-    Both _fold_by_product and _fold_by_shifts keep these counts.
+    One axis at a time, from the last: the axis u folds into a residue axis
+    r = u^2 (mod n); then each earlier axis u folds with the residue axis r
+    into u^2 + r (mod n).  Every term is nonnegative and the zero terms add
+    exactly, so each fold sums at most h = n // 2 + 1 terms into a residue,
+    along at most n // 2 roundings: d (n // 2) in all.  Both
+    _fold_by_product and _fold_by_shifts keep these counts.
     """
     fold = _fold_by_product if n <= _FOLD_PRODUCT_MAX else _fold_by_shifts
     return fold(part, n, d)
@@ -500,88 +515,88 @@ def _fold(part: np.ndarray, n: int, d: int) -> np.ndarray:
 
 def _fold_by_product(part: np.ndarray, n: int, d: int) -> np.ndarray:
     """_fold as one BLAS product per axis with the matrices of _fold_matrices."""
-    half, full = _fold_matrices(n)
-    acc = part.reshape(-1, n // 2 + 1) @ half
+    first, axis = _fold_matrices(n)
+    acc = part.reshape(-1, n // 2 + 1) @ first
     for _ in range(d - 1):
-        acc = acc.reshape(-1, n * n) @ full
+        acc = acc.reshape(-1, len(axis)) @ axis
     return acc.reshape(n)
 
 
 def _fold_by_shifts(part: np.ndarray, n: int, d: int) -> np.ndarray:
-    """_fold with no matrix: the half axis adds one column per u, and each
-    later fold adds the residue row of every m shifted by m^2, as two slices."""
-    acc = part.reshape(-1, n // 2 + 1)
-    w = half_weights(n)
+    """_fold with no matrix: the first fold adds one column per u, and each
+    later fold adds the residue row of every u shifted by u^2, as two slices."""
+    h = n // 2 + 1
+    acc = part.reshape(-1, h)
     folded = np.zeros((len(acc), n))
-    for u in range(n // 2 + 1):
-        folded[:, u * u % n] += w[u] * acc[:, u]
+    for u in range(h):
+        folded[:, u * u % n] += acc[:, u]
     for _ in range(d - 1):
-        acc = folded.reshape(-1, n, n)
+        acc = folded.reshape(-1, h, n)
         folded = acc[:, 0].copy()
-        for m in range(1, n):
-            s = m * m % n  # new[r] += acc[m, r - s]
-            folded[:, s:] += acc[:, m, : n - s]
-            folded[:, :s] += acc[:, m, n - s :]
+        for u in range(1, h):
+            s = u * u % n  # new[r] += acc[u, r - s]
+            folded[:, s:] += acc[:, u, : n - s]
+            folded[:, :s] += acc[:, u, n - s :]
     return folded.reshape(n)
 
 
 @lru_cache(maxsize=8)
 def _fold_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (n // 2 + 1, n) half-axis fold, w(u) at [u, u^2 mod n], and the
-    (n^2, n) axis fold, 1 at [(m, u), m^2 + u mod n].  Eight moduli are
-    cached: 11 MiB at most (the odd n from 49 to 63), 0.7 MiB for the
-    divisors of 45."""
-    u = np.arange(n // 2 + 1)
-    half = np.zeros((len(u), n))
-    half[u, u * u % n] = half_weights(n)
-    m, u = np.divmod(np.arange(n * n), n)  # row (m, u) of the axis fold
-    full = np.zeros((n * n, n))
-    full[m * n + u, (m * m + u) % n] = 1.0
-    for arr in (half, full):
+    """The (h, n) first fold, 1 at [u, u^2 mod n], and the (h n, n) axis
+    fold, 1 at [(u, r), u^2 + r mod n], with h = n // 2 + 1; the first is
+    the rows r = 0 of the second.  Eight moduli are cached: 5.5 MiB at most
+    (the odd n from 49 to 63), 0.1 MiB for the divisors of 45."""
+    h = n // 2 + 1
+    u, r = np.divmod(np.arange(h * n), n)  # row (u, r) of the axis fold
+    axis = np.zeros((h * n, n))
+    axis[u * n + r, (u * u + r) % n] = 1.0
+    first = np.ascontiguousarray(axis[::n])
+    for arr in (first, axis):
         arr.setflags(write=False)
-    return half, full
+    return first, axis
 
 
 def _sweep_tolerance(E: PointSet, power_by_class: np.ndarray, kern: _ClassKernel) -> np.ndarray:
     """The rounding tolerance of nu(t) = q^{2d} sum_c P_c K[c, t] for every t.
 
-    Each step is bounded relative to the size of its terms, in units of
-    eps = 2^-52:
+    * The forward errors of O (_forward_charge) enter nu(t) through
+      q^{2d} sum_s |dO(s)| |K[c(s), t]|.  By Cauchy-Schwarz and Parseval,
+      sum_s (w(s) O(s))^{1/2} |K[c(s), t]| <= (sum_m |S_t^(m)|^2)^{1/2}
+      (sum_s O(s))^{1/2} = q^-d (|S_t| |E|)^{1/2}, and
+      sum_s w(s) |K[c(s), t]| = sum_m |S_t^(m)| <= |S_t|^{1/2}: together
+      a (2 |E|^{1/2} + a) |S_t|^{1/2}, with |S_t| the exact sphere count.
+      This charge is absolute: a coefficient that cancels to near 0 keeps
+      the error of its terms, so no bound relative to |E^(m)|^2 holds.
+    * The rest is bounded relative to the nonnegative terms, in units of
+      eps = 2^-52, as rho_c: squaring and the d axis folds of orbit_power
+      round d + 1 times; the class fold (_fold) of modulus n = q / gcd(m, q)
+      d (n // 2) times; the sum over the C = sigma(q) classes, the product
+      P_c K[c, t] and the factor q^{2d} C + 3 times.  That weights
+      q^{2d} sum_c P_c |K[c, t]|.
+    * The kernel builders bound the error of K[c, t] absolutely, by
+      error[c, t]: K cancels to 0 on an empty sphere, so no relative bound
+      holds there.
 
-    * |E^(m)|^2 for m != 0 on the half grid: half_forward is d length-q
-      passes, each adding a relative error of (q + 11) eps to E^(m) (q terms,
-      table roots within 11 eps).  Its first pass sums the q real products
-      of the 0/1 values with the real parts of the roots, and separately with
-      the imaginary parts, so it rounds no more than a complex pass.
-      re^2 + im^2 adds 2: 2 d (q + 11) + 2;
-    * |E^(0)|^2: every pass sums integers times the root 1, exactly, to
-      E^(0) = |E| q^{-d}, so only its scaling and the square round: 4;
-    * P_c: the weights 1 and 2 of _class_power multiply exactly, and a class
-      of modulus n = q / gcd(m, q) is folded (_fold) along at most
-      n // 2 + (d - 1)(n - 1) roundings of sums of nonnegative terms: n // 2
-      on the half axis, n - 1 on each other.  Class 0 (n = 1) adds none;
-    * the sum over the C = sigma(q) classes, the product P_c K[c, t] and the
-      factor q^{2d} add C + 3.
+    Hence
 
-    Together these give the step count rho_c, which weights
-    A_t = q^{2d} sum_m |E^(m)|^2 |S_t^(m)| = q^{2d} sum_c P_c |K[c, t]| class
-    by class.  The kernel builders bound the error of K[c, t] absolutely, by
-    error[c, t]: K cancels to 0 on an empty sphere, so no relative bound
-    holds there.  Hence
+        tol_t = a (2 |E|^{1/2} + a) |S_t|^{1/2}
+                + q^{2d} sum_c P_c (rho_c eps |K[c, t]| + error[c, t]),
 
-        tol_t = q^{2d} sum_c P_c (rho_c eps |K[c, t]| + error[c, t]).
-
-    A tolerance of 1/2 or more for any t cannot certify the nearest integer
-    and raises BudgetError.
+    built with one sigma(q) x q temporary, |K|.  A tolerance of 1/2 or more
+    for any t cannot certify the nearest integer and raises BudgetError.
     """
     q, d = E.q, E.d
+    eps = float(np.finfo(np.float64).eps)
+    a = _forward_charge(E)
     rho = np.empty(len(power_by_class))
     for _, n, offset in _class_slots(q):
-        rho[offset : offset + n] = 2 * d * (q + 11) + 2 + n // 2 + (d - 1) * (n - 1)
-    rho[0] = 4  # class 0 is m = 0 alone: n = 1 leaves no fold rounding
+        rho[offset : offset + n] = d + 1 + d * (n // 2)
     rho += len(rho) + 3
-    weights = (float(np.finfo(np.float64).eps) * rho)[:, None] * np.abs(kern.values)
-    tol = float(q) ** (2 * d) * (power_by_class @ (weights + kern.error))
+    spheres = _sphere_count_rows(q, d)[d].astype(np.float64)
+    tol = (power_by_class * rho * eps) @ np.abs(kern.values)
+    tol += power_by_class @ kern.error
+    tol *= float(q) ** (2 * d)
+    tol += a * (2 * math.sqrt(E.size) + a) * np.sqrt(spheres)
     over = np.flatnonzero(tol >= 0.5)
     if over.size:
         t = int(over[0])
@@ -605,8 +620,8 @@ def nu_spectral_sweep(
     nu(t) = q^{2d} sum_c P_c K[c, t] with P_c the sum of |E^(m)|^2 over
     class c (_class_power) and K the sigma(q) x q class kernel
     (sphere._class_kernel).  `route` picks how K is built: "direct" from
-    exact point counts, "formula" from Gauss sums.  Beyond the one forward
-    transform the work is O(q^d) with no q^d table, |S_t| comes from the
+    exact point counts, "formula" from Gauss sums.  Beyond the one orbit
+    transform (_orbit_power) the work is O(q^d) with no q^d table, |S_t| comes from the
     exact convolution sphere._sphere_count_rows, and the chain bound
     max_{m != 0} |S_t^(m)| is a column maximum of |K|.  P is kept on E
     (sigma(q) floats): only the first sweep of a set transforms it, or none
@@ -618,7 +633,8 @@ def nu_spectral_sweep(
     imaginary part no larger than that tolerance and a chain-bound excess no
     larger than it plus the chain's own slack (see _sweep).  The
     tolerance is derived per t from the rounding steps of the sum (see
-    _sweep_tolerance); an explicit int_tol takes precedence.
+    _sweep_tolerance); an explicit int_tol takes precedence.  Each report
+    carries the tolerance its nu(t) was checked against.
     """
     m = E.modulus
     m.require_odd("nu_spectral_sweep")
@@ -669,7 +685,7 @@ def _sweep(
         if d > 2 and chain > r_bound + slack_t:
             raise InconsistencyError(f"chain bound {chain} exceeds the decay bound {r_bound}")
         out.append(
-            NuReport(t, int(nu_int), main, r.real, r_bound, bool(main - r_bound > 0))
+            NuReport(t, int(nu_int), main, r.real, r_bound, bool(main - r_bound > 0), tol_t)
         )
     return out
 

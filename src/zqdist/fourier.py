@@ -7,25 +7,25 @@ Grids are stored flat in row-major order: the flat index of (x_1, ..., x_d)
 is its base-q reading with x_1 most significant.  Transforms are separable:
 d one-dimensional length-q passes, O(d q^{d+1}) scalar work, no radix
 restriction on q.  The q x q pass kernel costs 16 q^2 bytes whatever d is,
-so transforms raise BudgetError once q^2 exceeds DEFAULT_GRID_BUDGET.
-Phases are reduced mod q before exponentiation.  Every complex pass is one
-matrix product that transforms the last axis and moves it to the front,
-written into one of two reused buffers (_passes), so d passes bring the axes
-back to their order and allocate nothing past those two grids.
+so transforms raise BudgetError once q^2 exceeds DEFAULT_GRID_BUDGET;
+the kernels and tables of q^2 <= 2^16 are cached, larger ones rebuilt.
+Phases are reduced mod q before exponentiation.  Every pass is one matrix
+product that transforms the last axis and moves it to the front, written
+into one of two reused buffers (_passes), so d passes bring the axes back
+to their order and allocate nothing past those two grids.
 
-A real grid has F(-m) = conj F(m), so `half_forward` keeps only the
-q^{d-1} (q//2 + 1) frequencies with m_d <= q // 2: its last-axis pass is one
-real product with the real and imaginary parts of those kernel columns.
-`hermitian_inverse` takes such a half spectrum of a real, even function (a
-power spectrum) back to its real, even grid on the same half x_d <= q // 2,
-the last axis again as one real product, weighted by `half_weights`.  The
-full complex `forward` and `inverse` serve complex grids and are the oracle
-for both.
+Sums over Z_q^d that are closed under every sign flip m_i -> -m_i need only
+the orbit sums over the orthant [0, q // 2]^d.  `orbit_power` gives the
+orbit sums of |F|^2 for a real grid from d real passes with q x q cosine
+and sine rows, squared and folded axis by axis; `orbit_inverse` gives the
+orbit sums of an inverse transform from the orbit sums of its spectrum, by
+d real passes with (q//2 + 1)^2 cosine matrices.  The complex `forward`
+and `inverse` serve complex grids and are the oracle for both.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,8 +38,8 @@ __all__ = [
     "Spectrum",
     "forward",
     "inverse",
-    "half_forward",
-    "hermitian_inverse",
+    "orbit_power",
+    "orbit_inverse",
     "half_weights",
     "plancherel_defect",
     "dft_reference",
@@ -144,13 +144,33 @@ class Spectrum(_GridBase):
     """Fourier coefficients indexed by frequency vectors m in Z_q^d."""
 
 
-@lru_cache(maxsize=64)
+# Transform tables of Z_q with q^2 at most this are cached, 16 of each kind:
+# 1 MiB a complex kernel, 0.5 MiB a real table, 40 MiB over the four kinds.
+# Larger ones, up to the q x q budget, are rebuilt on every call.
+_CACHED_TABLE_ENTRIES = 1 << 16
+
+
+def _transform_table(build):
+    """Decorate the builder of a table of Z_q: refuse q^2 past the kernel
+    budget, and cache the table while q^2 <= _CACHED_TABLE_ENTRIES."""
+    cached = lru_cache(maxsize=16)(build)
+
+    @wraps(build)
+    def table(q: int, *args):
+        if q * q > DEFAULT_GRID_BUDGET:
+            raise BudgetError(
+                f"the Z_{q} transform kernel has {q * q} entries, exceeding the budget "
+                f"{DEFAULT_GRID_BUDGET}"
+            )
+        return (cached if q * q <= _CACHED_TABLE_ENTRIES else build)(q, *args)
+
+    table.cache_clear = cached.cache_clear
+    table.cache_info = cached.cache_info
+    return table
+
+
+@_transform_table
 def _kernel(q: int, forward_sign: bool) -> np.ndarray:
-    if q * q > DEFAULT_GRID_BUDGET:
-        raise BudgetError(
-            f"the Z_{q} transform kernel has {q * q} entries, exceeding the budget "
-            f"{DEFAULT_GRID_BUDGET}"
-        )
     phases = np.outer(np.arange(q), np.arange(q)) % q
     tbl = character_table(q)
     mat = np.conj(tbl)[phases] if forward_sign else tbl[phases]
@@ -174,12 +194,11 @@ def inverse(F: Spectrum) -> GridFunction:
 
 
 def half_weights(q: int) -> np.ndarray:
-    """How many m_d in Z_q column m_d = 0, ..., q // 2 of a half spectrum stands for.
+    """The size of the sign orbit {m, -m} of each m = 0, ..., q // 2 in Z_q.
 
-    Column m_d also stands for q - m_d, except m_d = 0 and, for even q,
-    m_d = q / 2, which are their own negatives: w = 1 there and 2 elsewhere.
-    So a sum over Z_q^d of an even function is the w-weighted sum over the
-    half grid.
+    m = 0 and, for even q, m = q / 2 are their own negatives: w = 1 there
+    and 2 elsewhere.  The orbit of s in the orthant [0, q // 2]^d of Z_q^d
+    has prod_i w(s_i) members, and the orbits partition Z_q^d.
     """
     w = np.full(q // 2 + 1, 2.0)
     w[0] = 1.0
@@ -188,84 +207,112 @@ def half_weights(q: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=64)
-def _half_kernels(q: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The real last-axis kernels of half_forward and hermitian_inverse, and h = q//2 + 1.
-
-    The forward one is the columns m_d < h of the forward kernel, each split
-    into its real and imaginary column, so a real (N, q) grid times it is the
-    (N, h) complex result stored re/im interleaved.  The inverse one is the
-    block m_d < h, x_d < h of the inverse kernel, each row split into a w Re
-    and a -w Im row, with w from half_weights.  Both hold the table roots of
-    _kernel; multiplying by w is exact.
-    """
+@_transform_table
+def _orbit_basis(q: int) -> np.ndarray:
+    """The q x q real basis of orbit_power, one function of x per row:
+    cos(2 pi x m / q) for m = 0, ..., q // 2, then sin(2 pi x m / q) for
+    m = 1, ..., (q - 1) // 2.  Those are q rows for every q; the sine of
+    m = 0 and of m = q / 2 vanishes.  The entries are the parts of the table
+    roots of _kernel."""
     h = q // 2 + 1
-    fwd = np.ascontiguousarray(_kernel(q, True)[:, :h]).view(np.float64)
-    w = half_weights(q)[:, None]
-    inv = _kernel(q, False)[:h, :h]
-    inv_real = np.stack([w * inv.real, -w * inv.imag], axis=1).reshape(2 * h, h)
-    for arr in (fwd, inv_real):
-        arr.setflags(write=False)
-    return fwd, inv_real, h
+    ms = np.concatenate([np.arange(h), np.arange(1, q - h + 1)])
+    roots = character_table(q)[np.outer(ms, np.arange(q)) % q]
+    basis = roots.real.copy()
+    basis[h:] = roots.imag[h:]
+    basis.setflags(write=False)
+    return basis
+
+
+@_transform_table
+def _orbit_fold(q: int) -> np.ndarray:
+    """The (q//2 + 1) x q fold of orbit_power: row m holds w(m) of
+    half_weights at the cosine row m of _orbit_basis and, for 0 < m < q / 2,
+    at its sine row."""
+    h = q // 2 + 1
+    w = half_weights(q)
+    fold = np.zeros((h, q))
+    fold[np.arange(h), np.arange(h)] = w
+    fold[np.arange(1, q - h + 1), np.arange(h, q)] = w[1 : q - h + 1]
+    fold.setflags(write=False)
+    return fold
+
+
+@_transform_table
+def _orbit_cosines(q: int) -> np.ndarray:
+    """The (q//2 + 1)^2 matrix w(r) cos(2 pi r s / q) of orbit_inverse, row r,
+    column s, with w = half_weights(q) (multiplying by 1 or 2 is exact)."""
+    h = q // 2 + 1
+    cos = character_table(q).real[np.outer(np.arange(h), np.arange(h)) % q]
+    cos *= half_weights(q)[:, None]
+    cos.setflags(write=False)
+    return cos
 
 
 def _passes(
     arr: np.ndarray, kernel: np.ndarray, count: int, buffers: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """`count` length-q passes of the symmetric q x q `kernel` over the flat grid `arr`.
+    """`count` passes of the m x n `kernel` over the flat grid `arr` on Z_n^k.
 
-    Each pass is one product, kernel @ arr.reshape(-1, q).T, written into
-    the (q, rest) view of the next buffer: it transforms the last axis and
-    moves it to the front, so d passes over Z_q^d leave the axes in their
-    order.  Pass k writes buffers[k % 2] and reads the previous pass, so only
-    the first pass reads `arr`, which may be read-only.  Each of the two
-    buffers (a pair of arrays, or the rows of a (2, arr.size) array) must be
-    C-contiguous with arr.size entries: a reshape of any other layout is a
-    copy, and the product would land in it and be lost.
+    Each pass is one product, kernel @ arr.reshape(-1, n).T, written into
+    the (m, rest) view of the next buffer's first arr.size m / n entries:
+    output j of the last axis is sum_x kernel[j, x] arr[..., x], and that
+    axis moves to the front with length m, so k passes over Z_n^k leave the
+    axes in their order.  Pass k writes buffers[k % 2] and reads the
+    previous pass, so only the first pass reads `arr`, which may be
+    read-only.  Each of the two buffers (a pair of arrays, or the rows of a
+    (2, arr.size) array) must be C-contiguous with at least arr.size
+    entries: a reshape of any other layout is a copy, and the product would
+    land in it and be lost.
     """
-    q = len(kernel)
+    m, n = kernel.shape
     for k in range(count):
-        out = buffers[k % 2]
-        np.matmul(kernel, arr.reshape(-1, q).T, out=out.reshape(q, -1))
+        out = buffers[k % 2][: arr.size // n * m]
+        np.matmul(kernel, arr.reshape(-1, n).T, out=out.reshape(m, -1))
         arr = out
     return arr
 
 
-def half_forward(values: np.ndarray, q: int, d: int) -> np.ndarray:
-    """The forward transform of a real grid, on the frequencies with m_d <= q // 2.
+def orbit_power(values: np.ndarray, q: int, d: int) -> np.ndarray:
+    """O(s) = sum_{m in orbit(s)} |F(m)|^2 for the forward transform F of a
+    real grid, on the orthant [0, q // 2]^d: an array of shape (q//2 + 1,)^d.
 
-    A real f has F(-m) = conj F(m), so these (q^{d-1}, q//2 + 1) coefficients,
-    row-major over (m_1, ..., m_{d-1}) and then m_d, determine the rest.  The
-    last axis is one real product with the real and imaginary parts of the
-    kernel columns m_d <= q // 2.  Its transpose, scaled by q^-d, is the
-    (q//2 + 1, q^{d-1}) grid with m_d in front, and d - 1 complex passes
-    (_passes, the real product's memory the spare buffer) bring m_d back to
-    the last axis.  Each coefficient is a q-term dot product per pass with
-    the table roots of `forward`.
+    The orbit of s is {(+-s_1, ..., +-s_d)}.  Write F(m) through the real
+    coefficients C_phi(s) = q^{-d} sum_x f(x) prod_i phi_i(x_i), each phi_i
+    the cosine or (for s_i != -s_i) the sine of 2 pi x s_i / q: the 2^k
+    values of F on an orbit with k axes s_i != -s_i are a Walsh transform
+    of the 2^k coefficients C_phi(s), so O(s) = 2^k sum_phi C_phi(s)^2.
+    Hence d real passes (_passes) with the basis _orbit_basis, the first
+    scaled by q^-d, give every C_phi in q^d entries.  They are squared in
+    place, and d more passes with the (q//2 + 1) x q matrix _orbit_fold fold
+    the axes in turn: each adds the sine row of m into its cosine row, both
+    weighted by w(m) of half_weights.  The weights are 1 and 2, so the sum
+    rounds once and the doubling is exact.  The passes ping-pong between two
+    q^d buffers, so the peak is those and the (q//2 + 1)^d result.
     """
-    fwd, _, h = _half_kernels(q)
-    first = (np.asarray(values, dtype=np.float64).reshape(-1, q) @ fwd).view(np.complex128)
-    front = np.multiply(first.T, 1.0 / q**d, order="C")
-    out = _passes(front, _kernel(q, True), d - 1, (first, front))
-    return out.reshape(q ** (d - 1), h)
+    h = q // 2 + 1
+    basis = _orbit_basis(q)
+    buffers = np.empty((2, q**d))
+    arr = _passes(np.asarray(values, dtype=np.float64), basis, 1, buffers)
+    arr *= 1.0 / q**d
+    arr = _passes(arr, basis, d - 1, buffers[::-1])
+    np.square(arr, out=arr)
+    arr = _passes(arr, _orbit_fold(q), d, (buffers[d % 2], arr))  # pass k wrote buffers[k % 2]
+    return arr.reshape((h,) * d).copy()
 
 
-def hermitian_inverse(half: np.ndarray, q: int, d: int) -> np.ndarray:
-    """The inverse of a real, even spectrum given in the half_forward layout,
-    on the half grid x_d <= q // 2 in that layout.
+def orbit_inverse(orbit: np.ndarray, q: int, d: int) -> np.ndarray:
+    """sum_{z in orbit(r)} f(z) on the orthant, f being the inverse transform
+    of a spectrum F whose orbit sums are `orbit` (the layout of orbit_power).
 
-    F(-m) = F(m) = conj F(m), so the inverse is real and even, and its half
-    grid determines it.  The half spectrum is transposed once, m_d to the
-    front, and d - 1 complex passes (_passes) bring m_d back to the last
-    axis.  That axis then sums h = q//2 + 1 terms w Re(B(m_d) e(x_d m_d / q))
-    for each x_d < h as one real product, with w = 1 for m_d = 0 and for
-    m_d = q/2 (even q), which are their own negatives, and w = 2 for every
-    other m_d, which also stands for q - m_d.
+    sum_{z in orbit(r)} e(z . m / q) = prod_i w(r_i) cos(2 pi r_i m_i / q)
+    does not change when any m_i changes sign, so the orbit sums of f are
+    sum_s orbit(s) prod_i w(r_i) cos(2 pi r_i s_i / q): d real passes
+    (_passes) with the (q//2 + 1)^2 matrix _orbit_cosines.
     """
-    _, inv_real, h = _half_kernels(q)
-    front = np.asarray(np.reshape(half, (-1, h)).T, dtype=np.complex128, order="C")
-    arr = _passes(front, _kernel(q, False), d - 1, (np.empty_like(front), front))
-    return arr.reshape(-1, h).view(np.float64) @ inv_real
+    h = q // 2 + 1
+    flat = np.asarray(orbit, dtype=np.float64).reshape(-1)
+    out = _passes(flat, _orbit_cosines(q), d, np.empty((2, flat.size)))
+    return out.reshape((h,) * d)
 
 
 def plancherel_defect(f: GridFunction, g: GridFunction) -> float:

@@ -299,6 +299,7 @@ def _class_ids(q: int, d: int, norms: np.ndarray) -> np.ndarray:
     return ids.reshape(-1)
 
 
+@lru_cache(maxsize=1)
 def _frequency_classes(q: int, d: int) -> tuple[np.ndarray, int]:
     """The class of every frequency m in Z_q^d (odd q), flat and row-major,
     and the number sigma(q) of class slots.
@@ -307,9 +308,13 @@ def _frequency_classes(q: int, d: int) -> tuple[np.ndarray, int]:
     Z_n^d.  The class of m is the pair (g, ||m'|| mod n), so there are at
     most sigma(q) = sum_{g | q} q / g classes, and exactly that many for
     d >= 3 (_class_slots gives their layout).  This q^d table serves only
-    where a whole spectrum is spread over its classes.
+    where a whole spectrum is spread over its classes, every t of one
+    (q, d) in turn, so the last one is kept; the CLI drops it when a
+    command ends, so no second q^d table outlives the command.
     """
-    return _class_ids(q, d, _norms_flat(q, d)), _class_count(q)
+    ids = _class_ids(q, d, _norms_flat(q, d))
+    ids.setflags(write=False)
+    return ids, _class_count(q)
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,25 @@ class TestSpectrumCommand:
         assert code == 0
         assert sphere._cached_class_kernel.cache_info().misses == 2  # the direct kernel
 
+    def test_one_class_table_per_command(self, tmp_path, monkeypatch):
+        # the formula spectra of all 15 rows share one q^d class table, built
+        # once and dropped when the command ends; the formula kernel's
+        # representatives are found on Z_15^3
+        builds = []
+        real = sphere._class_ids
+
+        def spy(q, d, norms):
+            builds.append((q, d))
+            return real(q, d, norms)
+
+        monkeypatch.setattr(sphere, "_class_ids", spy)
+        sphere._cached_class_kernel.cache_clear()
+        sphere._frequency_classes.cache_clear()
+        code, text = run(tmp_path, "spectrum", "--q", "15", "--d", "4", "--all-t")
+        assert code == 0 and len(records(text)) == 15
+        assert sorted(builds) == [(15, 3), (15, 4)]
+        assert sphere._frequency_classes.cache_info().currsize == 0
+
     def test_t_sorted_after_reduction(self, tmp_path):
         code, text = run(tmp_path, "spectrum", "--q", "9", "--t", "10", "2")
         assert code == 0
@@ -257,12 +276,12 @@ class TestNuCommand:
             return spy
 
         for mod in (distset, sphere, cli):
-            for name in ("forward", "half_forward"):
+            for name in ("forward", "orbit_power"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
         code, text = run(tmp_path, "nu", "--random", "600", "--q", "9", "--d", "3",
                          "--seed", "1")
-        assert code == 0 and calls == ["half_forward"]
+        assert code == 0 and calls == ["orbit_power"]
         *rows, _ = records(text)
         assert all(r["match"] == "true" for r in rows)
 
@@ -270,7 +289,7 @@ class TestNuCommand:
         # 600^2 >= 9^5 puts nu_histogram on the sweep; the nu_brute column
         # still comes from the autocorrelation, so "match" compares two routes
         routes = []
-        for name in ("_sweep", "hermitian_inverse"):
+        for name in ("_sweep", "orbit_inverse"):
             real = getattr(distset, name)
 
             def spy(*args, _real=real, _name=name, **kwargs):
@@ -279,7 +298,7 @@ class TestNuCommand:
 
             monkeypatch.setattr(distset, name, spy)
         code, text = run(tmp_path, "nu", "--random", "600", "--q", "9", "--d", "4", "--seed", "1")
-        assert code == 0 and sorted(routes) == ["_sweep", "hermitian_inverse"]
+        assert code == 0 and sorted(routes) == ["_sweep", "orbit_inverse"]
         *rows, _ = records(text)
         assert all(r["match"] == "true" for r in rows)
 
@@ -457,6 +476,17 @@ class TestVerifyAll:
         assert code == 0
         rows = json.loads(out.read_text())
         assert rows and all(r["passed"] for r in rows)
+
+    def test_nu_decomposition_tolerance_is_derived(self, tmp_path):
+        # each row allows the sweep's own tolerance of its nu(t) and the
+        # rounding of main + r_t, far below the fixed 1e-6 it replaced
+        code, text = run(tmp_path, *self.ARGS)
+        assert code == 0
+        rows = [r for r in records(text) if r["check"] == "nu_decomposition"]
+        assert len(rows) == 3 * 5 + 1  # full grid, sphere, singleton, two random; lattice
+        for r in rows:
+            assert r["passed"] == "true"
+            assert float(r["value"]) <= float(r["tol"]) < 1e-8, r
 
     def test_pair_budget_error_exit_2(self, tmp_path, capsys):
         code, text = run(tmp_path, "verify-all", "--n-max", "5", "--max-pairs", "1000")

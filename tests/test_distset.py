@@ -29,7 +29,7 @@ from zqdist.distset import (
     write_pointset,
 )
 from zqdist.errors import BudgetError, DomainError, InconsistencyError
-from zqdist.fourier import GridFunction, forward, hermitian_inverse
+from zqdist.fourier import GridFunction, forward, half_weights, orbit_inverse
 from zqdist.sphere import (
     _class_kernel,
     _frequency_classes,
@@ -286,8 +286,8 @@ class TestNuAutocorrelation:
         # |E| = 15^2 sits exactly on q^{d+1} = |E|^2, the edge of the grid route;
         # d = 3 keeps odd q on the autocorrelation
         E = sample_random_set(15, 3, 225, seed=11)
-        forwards = _counting(monkeypatch, "half_forward")
-        inverses = _counting(monkeypatch, "hermitian_inverse")
+        forwards = _counting(monkeypatch, "orbit_power")
+        inverses = _counting(monkeypatch, "orbit_inverse")
         scans = _counting(monkeypatch, "nu_pairs")
         hist = nu_histogram(E)
         assert (len(forwards), len(inverses), len(scans)) == (1, 1, 0)
@@ -297,8 +297,8 @@ class TestNuAutocorrelation:
         # |E| = 15^3 on the edge of Z_15^5: odd q with d >= 4 reads nu(t) off
         # the direct class kernel, with no inverse transform and no norm table
         E = sample_random_set(15, 5, 3375, seed=11)
-        forwards = _counting(monkeypatch, "half_forward")
-        inverses = _counting(monkeypatch, "hermitian_inverse")
+        forwards = _counting(monkeypatch, "orbit_power")
+        inverses = _counting(monkeypatch, "orbit_inverse")
         scans = _counting(monkeypatch, "nu_pairs")
         sweeps = _counting(monkeypatch, "_sweep")
         hist = nu_histogram(E)
@@ -309,7 +309,7 @@ class TestNuAutocorrelation:
     def test_route_switches_at_crossover(self, monkeypatch, size, transforms, scans):
         # Z_9^3: q^{d+1} = 6561 = 81^2
         E = sample_random_set(9, 3, size, seed=4)
-        forwards = _counting(monkeypatch, "half_forward")
+        forwards = _counting(monkeypatch, "orbit_power")
         pair_scans = _counting(monkeypatch, "nu_pairs")
         nu_histogram(E)
         assert (len(forwards), len(pair_scans)) == (transforms, scans)
@@ -318,31 +318,31 @@ class TestNuAutocorrelation:
     def test_grid_budget_keeps_pair_scan(self, monkeypatch, q, d, max_grid):
         # the grid Z_5^3, or for d = 1 the 11 x 11 transform kernel, exceeds max_grid
         E = full_grid(q, d)
-        forwards = _counting(monkeypatch, "half_forward")
+        forwards = _counting(monkeypatch, "orbit_power")
         assert np.array_equal(nu_histogram(E, max_grid=max_grid), nu_pairs(E))
         assert forwards == []
 
     def test_nu_pairs_never_transforms(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("nu_pairs called half_forward")
+            raise AssertionError("nu_pairs called orbit_power")
 
-        monkeypatch.setattr(distset, "half_forward", refuse)
+        monkeypatch.setattr(distset, "orbit_power", refuse)
         E = full_grid(3, 3)
         counts = sphere_counts_all(3, 3)
         assert list(nu_pairs(E)) == [27 * int(c) for c in counts]
 
     @pytest.mark.parametrize("shift", [0.3, 1.0], ids=["off-integer", "wrong-total"])
     def test_perturbed_inverse_is_inconsistent(self, monkeypatch, shift):
-        # A(z) = 9 hermitian_inverse(...) on Z_3^2.  A shift of 0.3 leaves every
-        # A(z) 0.3 from its integer, which rounds back to the right counts; a
-        # shift of 1 rounds cleanly but breaks sum nu = |E|^2.  Each check must
-        # catch its own.
-        real = distset.hermitian_inverse
+        # The orbit sums of A are 9 orbit_inverse(...) on Z_3^2.  A shift of
+        # 0.3 leaves every sum 0.3 from its integer, which rounds back to the
+        # right counts; a shift of 1 rounds cleanly but breaks
+        # sum nu = |E|^2.  Each check must catch its own.
+        real = distset.orbit_inverse
 
-        def perturbed(half, q, d):
-            return real(half, q, d) + shift / 9
+        def perturbed(orbit, q, d):
+            return real(orbit, q, d) + shift / 9
 
-        monkeypatch.setattr(distset, "hermitian_inverse", perturbed)
+        monkeypatch.setattr(distset, "orbit_inverse", perturbed)
         with pytest.raises(InconsistencyError):
             nu_histogram(full_grid(3, 2))
 
@@ -358,12 +358,13 @@ CROSSOVER_CASES = [
 class TestHalfSpectrumRoute:
     @pytest.mark.parametrize("q,d", CROSSOVER_CASES)
     def test_histogram_matches_pairs_at_crossover(self, monkeypatch, q, d):
-        # the least |E| with q^{d+1} <= |E|^2 goes through the half spectrum (and
-        # for even q its Nyquist column m_d = q/2); one point fewer is scanned
-        # (odd q with d = 4 through the spectral sweep, with no inverse)
+        # the least |E| with q^{d+1} <= |E|^2 goes through the orbit power (and
+        # for even q the self-negative m_i = q/2 on every axis); one point
+        # fewer is scanned (odd q with d = 4 through the spectral sweep, with
+        # no orbit_inverse)
         edge = math.isqrt(q ** (d + 1) - 1) + 1
-        forwards = _counting(monkeypatch, "half_forward")
-        inverses = _counting(monkeypatch, "hermitian_inverse")
+        forwards = _counting(monkeypatch, "orbit_power")
+        inverses = _counting(monkeypatch, "orbit_inverse")
         sweeps = _counting(monkeypatch, "_sweep")
         swept = q % 2 == 1 and d >= 4
         for size, transforms in ((edge - 1, 0), (edge, 1)):
@@ -376,24 +377,19 @@ class TestHalfSpectrumRoute:
 
 
 def _whole_grid_tolerance(E, kern):
-    """The sweep tolerance from |E^|^2 over all of Z_q^d, binned by class in
-    blocks of ceil(sqrt(q^d)) (rounds min(N_c, L) + min(N_c, B) - 2 for a
-    class of N_c members): the route before the half grid and the fold."""
-    q, d = E.q, E.d
-    ids, classes = _frequency_classes(q, d)
-    power = np.abs(forward(indicator(E)).values) ** 2
-    n = power.size
-    block = math.isqrt(n - 1) + 1
-    blocks = -(-n // block)
-    keys = ids + classes * (np.arange(n) // block)
-    sums = np.bincount(keys, weights=power, minlength=classes * blocks)
-    sums = sums.reshape(blocks, classes).sum(axis=0)
-    sizes = np.maximum(np.bincount(ids, minlength=classes), 1)
-    rounds = np.minimum(sizes, block) + np.minimum(sizes, blocks) - 2
-    rho = 2 * d * (q + 11) + 2 + rounds + classes + 3
-    rho[0] = 4 + classes + 3
+    """_sweep_tolerance recomputed from the whole grid: |E^|^2 over all of
+    Z_q^d binned by _frequency_classes ids, |S_t| by enumeration, and the
+    fold rounds d (n // 2) of each class read off its slot."""
+    q, d, n = E.q, E.d, E.size
     eps = np.finfo(np.float64).eps
-    return float(q) ** (2 * d) * ((eps * rho * sums) @ np.abs(kern.values) + sums @ kern.error)
+    ids, classes = _frequency_classes(q, d)
+    sums = np.bincount(ids, weights=np.abs(forward(indicator(E)).values) ** 2,
+                       minlength=classes)
+    rho = d + 1 + _fold_rounds(q, d) + classes + 3
+    a = d * (q + 11) * eps * n
+    spheres = sphere_counts_all(q, d).astype(float)
+    return (a * (2 * math.sqrt(n) + a) * np.sqrt(spheres)
+            + float(q) ** (2 * d) * ((eps * rho * sums) @ np.abs(kern.values) + sums @ kern.error))
 
 
 TOLERANCE_SETS = [(9, 6, 177147), (15, 5, 6000), (27, 4, 3000), (45, 3, 4000)]
@@ -403,13 +399,14 @@ class TestHalfSpectrumTolerances:
     @pytest.mark.parametrize("q,d,size", TOLERANCE_SETS)
     def test_autocorrelation_residual_within_tolerance(self, q, d, size):
         E = sample_random_set(q, d, size, seed=2024)
-        power = distset._power_spectrum(E, 10**7)
-        acorr = hermitian_inverse(power, q, d) * float(q**d)
+        acorr = orbit_inverse(distset._orbit_power(E, 10**7), q, d) * float(q**d)
         tol = distset._autocorrelation_tolerance(E)
         assert np.abs(acorr - np.rint(acorr)).max() <= tol
-        # forward errors through Cauchy-Schwarz and Parseval, then the inverse
+        # forward errors through Cauchy-Schwarz and Parseval, the roundings of
+        # the orbit power, then the inverse passes, for an orbit of 2^d members
         eps = np.finfo(np.float64).eps
-        bound = 2 * d * (q + 11) * eps * size**1.5 + d * (q + 11) * eps * size
+        a = d * (q + 11) * eps * size
+        bound = 2**d * (a * (2 * size**0.5 + a) + (d + 1 + d * (q // 2 + 12)) * eps * size)
         assert tol == pytest.approx(bound, rel=1e-12)
 
     @pytest.mark.parametrize("q,d,size", TOLERANCE_SETS)
@@ -417,20 +414,20 @@ class TestHalfSpectrumTolerances:
     def test_sweep_residual_within_tolerance(self, q, d, size, route):
         E = sample_random_set(q, d, size, seed=2024)
         kern = _class_kernel(E.modulus, d, route)
-        sums = distset._class_power(distset._power_spectrum(E, 10**7), q, d)
+        sums = distset._class_power(distset._orbit_power(E, 10**7), q, d)
         total = float(q) ** (2 * d) * (sums @ kern.values)
         tol = distset._sweep_tolerance(E, sums, kern)
         assert (np.abs(total.real - np.rint(total.real)) <= tol).all()
         assert (np.abs(total.imag) <= tol).all()
-        assert (tol <= _whole_grid_tolerance(E, kern)).all()
+        assert tol == pytest.approx(_whole_grid_tolerance(E, kern), rel=1e-9)
 
     def test_class_sums_match_whole_grid(self):
-        # the weighted half-grid sums equal the whole-grid sums up to rounding
+        # the orbit-power class sums equal the whole-grid sums up to rounding
         E = sample_random_set(15, 4, 2000, seed=6)
-        half = distset._class_power(distset._power_spectrum(E, 10**7), 15, 4)
+        orbit = distset._class_power(distset._orbit_power(E, 10**7), 15, 4)
         ids, _ = _frequency_classes(15, 4)
         whole = np.bincount(ids, weights=np.abs(forward(indicator(E)).values) ** 2)
-        assert np.abs(half - whole).max() <= 1e-12 * whole.sum()
+        assert np.abs(orbit - whole).max() <= 1e-12 * whole.sum()
 
 
 # every odd q with q^d <= 10^5 for d = 2, ..., 6; d = 1 stops where d = 2
@@ -439,29 +436,31 @@ FOLD_CASES = {d: [q for q in range(3, 317, 2) if q ** max(d, 2) <= 10**5] for d 
 
 
 def _class_sums_exactly(E):
-    """(half grid of |forward(1_E)|^2, its class sums over all of Z_q^d,
-    summed exactly by fsum after binning by _frequency_classes ids).
+    """(orbit power of |forward(1_E)|^2 on the orthant, its class sums over
+    all of Z_q^d, summed exactly by fsum after binning by _frequency_classes
+    ids).
 
-    The full grid takes |E^(-m)|^2 from the half grid where m_d > q // 2, as
-    the fold assumes, so the two differ only by the fold's own roundings."""
+    The full grid takes every orbit member's value from the orbit's orthant
+    point s, so the orbit power w(s) |E^(s)|^2 multiplies by a power of 2,
+    exactly, and the two differ only by the fold's own roundings."""
     q, d = E.q, E.d
     h = q // 2 + 1
     full = (np.abs(forward(indicator(E)).values) ** 2).reshape((q,) * d)
-    neg = full[np.ix_(*[(-np.arange(q)) % q] * d)]  # neg[m] = full[-m]
-    upper = np.arange(q) > q // 2
-    full = np.where(upper, neg, full)  # the last axis broadcasts
+    fold = np.minimum(np.arange(q), q - np.arange(q))  # m -> the orthant point of its orbit
+    full = full[np.ix_(*[fold] * d)]
+    orbit = full[(slice(0, h),) * d] * functools.reduce(np.multiply.outer, [half_weights(q)] * d)
     ids, classes = _frequency_classes(q, d)
     order = np.argsort(ids, kind="stable")
     bounds = np.cumsum(np.bincount(ids, minlength=classes))[:-1]
     exact = np.array([math.fsum(part) for part in np.split(full.reshape(-1)[order], bounds)])
-    return full[..., :h].reshape(-1, h), exact
+    return orbit, exact
 
 
 def _fold_rounds(q, d):
-    """n // 2 + (d - 1)(n - 1) for every class slot of modulus n."""
+    """d (n // 2) for every class slot of modulus n."""
     rounds = np.empty(sum(n for _, n, _ in sphere._class_slots(q)))
     for _, n, offset in sphere._class_slots(q):
-        rounds[offset : offset + n] = n // 2 + (d - 1) * (n - 1)
+        rounds[offset : offset + n] = d * (n // 2)
     return rounds
 
 
@@ -473,21 +472,21 @@ class TestClassFold:
         eps = np.finfo(np.float64).eps
         for q in FOLD_CASES[d]:
             E = sample_random_set(q, d, max(1, q**d // 3), seed=q + d)
-            half, exact = _class_sums_exactly(E)
+            orbit, exact = _class_sums_exactly(E)
             bound = (_fold_rounds(q, d) + 1) * eps * exact  # + 1: fsum rounds once
             for fold in (distset._fold, distset._fold_by_shifts):
                 monkeypatch.setattr(distset, "_fold", fold)
-                folded = distset._class_power(half, q, d)
+                folded = distset._class_power(orbit, q, d)
                 assert (np.abs(folded - exact) <= bound).all(), (q, d, fold.__name__)
             if q > 64:
                 fourier._kernel.cache_clear()  # q x q transform kernels add up
 
     def test_power_is_not_modified(self):
         E = sample_random_set(45, 3, 3000, seed=3)
-        power = distset._power_spectrum(E, 10**7)
-        before = power.copy()
-        distset._class_power(power, 45, 3)
-        assert np.array_equal(power, before)
+        orbit = distset._orbit_power(E, 10**7)
+        before = orbit.copy()
+        distset._class_power(orbit, 45, 3)
+        assert np.array_equal(orbit, before)
 
     def test_sweep_builds_no_grid_table(self, monkeypatch):
         # neither the q^d norm table nor the q^d class-id grid, cold caches
@@ -507,7 +506,7 @@ class TestClassFold:
         assert np.array_equal(nu_histogram(E), hist)  # 15^5 <= 1000^2: the sweep route
         E = sample_random_set(105, 3, 2000, seed=5)  # n = 105 folds by shifts
         assert [rep.nu for rep in nu_spectral_sweep(E)] == list(nu_pairs(E))
-        inverses = _counting(monkeypatch, "hermitian_inverse")
+        inverses = _counting(monkeypatch, "orbit_inverse")
         for q, d, size in ((6, 5, 3000), (4, 8, 600), (66, 2, 600), (9, 3, 300), (45, 3, 2100),
                            (101, 1, 101)):
             E = sample_random_set(q, d, size, seed=q + d)
@@ -515,13 +514,59 @@ class TestClassFold:
         assert len(inverses) == 6
 
 
+# odd q, even q and q > 64 (class sums and autocorrelation folded by
+# shifts); d up to 5 while the pair scan at twice the crossover stays small
+ORBIT_MODULI = [3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 66, 67, 70, 105]
+
+
+class TestOrbitRoutes:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), q=st.sampled_from(ORBIT_MODULI))
+    def test_histogram_matches_pairs(self, data, q):
+        d = data.draw(st.integers(1, max(k for k in range(1, 6) if q ** (k + 1) <= 10**6)))
+        edge = math.isqrt(q ** (d + 1) - 1) + 1  # the least |E| that takes a transform
+        size = data.draw(st.integers(edge, min(q**d, 2 * edge)))
+        E = sample_random_set(q, d, size, seed=data.draw(st.integers(0, 10_000)))
+        assert np.array_equal(nu_histogram(E), nu_pairs(E)), (q, d, size)
+
+    def test_z3001_sweep_caches_no_large_array(self):
+        # no table of more than 2^16 entries outlives the sweep: what it
+        # leaves (the class power, the sphere counts, the table roots) stays
+        # below one 2^16-entry float64 array
+        for cache in (sphere._cached_class_kernel, sphere._sphere_count_rows, fourier._kernel,
+                      fourier._orbit_basis, fourier._orbit_fold, fourier._orbit_cosines,
+                      fourier.character_table):
+            cache.cache_clear()
+        E = sample_random_set(3001, 1, 500, seed=1)
+        tracemalloc.start()
+        try:
+            hist = [rep.nu for rep in nu_spectral_sweep(E)]
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert left < 8 * 2**16, left
+        assert hist == list(nu_histogram(E))
+
+    def test_sweep_tolerance_builds_one_kernel_sized_temporary(self):
+        E = sample_random_set(1009, 1, 500, seed=1)
+        kern = _class_kernel(E.modulus, 1)
+        by_class = distset._power_by_class(E, 10**7)
+        tracemalloc.start()
+        try:
+            distset._sweep_tolerance(E, by_class, kern)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= kern.error.nbytes + 2**16, peak
+
+
 class TestEvenAutocorrelation:
     @pytest.mark.parametrize("q", [66, 70])
     def test_histogram_matches_pairs_at_crossover(self, monkeypatch, q):
-        # even q > 64 folds the autocorrelation's half grid by shifts; the
+        # even q > 64 folds the autocorrelation's orbit sums by shifts; the
         # least |E| with q^3 <= |E|^2 takes the transform, one point fewer the scan
         edge = math.isqrt(q**3 - 1) + 1
-        inverses = _counting(monkeypatch, "hermitian_inverse")
+        inverses = _counting(monkeypatch, "orbit_inverse")
         for size, transforms in ((edge - 1, 0), (edge, 1)):
             E = sample_random_set(q, 2, size, seed=q)
             before = len(inverses)
@@ -546,7 +591,7 @@ class TestSweepRouting:
             raise BudgetError("forced")
 
         monkeypatch.setattr(distset, "_sweep_tolerance", refuse)
-        inverses = _counting(monkeypatch, "hermitian_inverse")
+        inverses = _counting(monkeypatch, "orbit_inverse")
         sweeps = _counting(monkeypatch, "_sweep")
         assert np.array_equal(nu_histogram(E), nu_pairs(E))
         assert (len(inverses), len(sweeps)) == (1, 1)
@@ -679,7 +724,7 @@ class TestNuSpectral:
         # that is a budget limit, not an inconsistency
         E = sample_random_set(9, 3, 200, seed=3)
         kern = _class_kernel(E.modulus, 3)
-        sums = distset._class_power(distset._power_spectrum(E, 10**7), 9, 3)
+        sums = distset._class_power(distset._orbit_power(E, 10**7), 9, 3)
         tol = distset._sweep_tolerance(E, sums, kern)
         assert 0 < tol.max() < 1e-9
         with pytest.raises(BudgetError, match="reaches 1/2"):
@@ -693,7 +738,8 @@ class TestNuSpectral:
 
     def test_chain_checks_allow_the_derived_slack_only(self, monkeypatch):
         # a chain understated (or, against r_bound, overstated) by more than its
-        # derived slack plus tol_t fails; one within half the slack passes
+        # derived slack plus tol_t (none against r_bound) fails; one within
+        # tol_t plus half the slack (half the slack) passes
         E = sample_random_set(9, 4, 300, seed=6)
         q, d, n = 9, 4, E.size
         kern = _class_kernel(E.modulus, d)
@@ -706,7 +752,7 @@ class TestNuSpectral:
         eps = float(np.finfo(np.float64).eps)
         slack = scale * kern.error[1:, t].max() + 8 * eps * (scale * kern.chain[t] + r_bound)
         tol = distset._sweep_tolerance(E, distset._power_by_class(E, 10**7), kern)[t]
-        assert 0 < slack < 1e-12 * r_bound and tol < slack
+        assert 0 < slack < 1e-12 * r_bound and tol == reports[t].tol
 
         def sweep_with_chain(value):
             chain = kern.chain.copy()
@@ -715,7 +761,7 @@ class TestNuSpectral:
             monkeypatch.setattr(distset, "_class_kernel", lambda *args: fake)
             return nu_spectral_sweep(E)
 
-        assert sweep_with_chain(r - slack / 2) == reports
+        assert sweep_with_chain(r - tol - slack / 2) == reports
         with pytest.raises(InconsistencyError, match="chain bound"):
             sweep_with_chain(r - 2 * (slack + tol))
         sweep_with_chain(r_bound + slack / 2)
@@ -780,7 +826,7 @@ class TestCertificate:
         # certificate checks its sweep against the autocorrelation
         E = sample_random_set(9, 4, 600, seed=1)
         sweeps = _counting(monkeypatch, "_sweep")
-        inverses = _counting(monkeypatch, "hermitian_inverse")
+        inverses = _counting(monkeypatch, "orbit_inverse")
         rows = certificate_check(E)
         assert (len(sweeps), len(inverses)) == (1, 1)
         assert [r.nu for r in rows] == [int(h) for h in nu_pairs(E)]
@@ -789,7 +835,7 @@ class TestCertificate:
         # 600^2 >= 9^4, so nu_histogram takes the autocorrelation route and
         # reuses the sweep's transform
         E = sample_random_set(9, 3, 600, seed=1)
-        forwards = _counting(monkeypatch, "half_forward")
+        forwards = _counting(monkeypatch, "orbit_power")
         rows = certificate_check(E)
         assert len(forwards) == 1
         assert [r.nu for r in rows] == [int(h) for h in nu_pairs(E)]
@@ -810,7 +856,7 @@ class TestKeptClassPower:
     def test_one_transform_for_both_routes_and_the_sweep(self, monkeypatch):
         # |E|^2 > max_pairs, so no autocorrelation runs: only the sweeps transform
         E = sample_random_set(9, 6, 20000, seed=2024)
-        forwards = _counting(monkeypatch, "half_forward")
+        forwards = _counting(monkeypatch, "orbit_power")
         direct = certificate_check(E, "direct")
         formula = certificate_check(E, "formula")
         sweep = nu_spectral_sweep(E)
@@ -823,7 +869,7 @@ class TestKeptClassPower:
     def test_autocorrelation_leaves_it_for_the_sweep(self, monkeypatch):
         E = sample_random_set(9, 3, 600, seed=1)
         assert np.array_equal(nu_histogram(E), nu_pairs(E))
-        forwards = _counting(monkeypatch, "half_forward")
+        forwards = _counting(monkeypatch, "orbit_power")
         for route in ("direct", "formula"):
             assert [rep.nu for rep in nu_spectral_sweep(E, route=route)] == list(nu_pairs(E))
         assert forwards == []

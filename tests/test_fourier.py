@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 import tracemalloc
@@ -6,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from zqdist import fourier
 from zqdist.errors import BudgetError, DomainError
 from zqdist.fourier import (
     GridFunction,
@@ -13,11 +15,11 @@ from zqdist.fourier import (
     character_table,
     dft_reference,
     forward,
-    half_forward,
     half_weights,
-    hermitian_inverse,
     index_of_point,
     inverse,
+    orbit_inverse,
+    orbit_power,
     orthogonality_max_defect,
     plancherel_defect,
     point_of_index,
@@ -141,30 +143,53 @@ HALF_CASES = [(q, d) for q in (3, 4, 5, 6, 9, 10, 15) for d in (1, 2, 3)] + [
 ]
 
 
-def half_of(values, q):
-    """The columns m_d <= q // 2 of a flat Z_q^d grid, as half_forward lays them out."""
-    return values.reshape(-1, q)[:, : q // 2 + 1]
+def orbit_sums(values, q, d):
+    """sum_{m in orbit(s)} values[m] for s in the orthant [0, q // 2]^d, with
+    numpy's sum over each orbit's members, gathered from a flat Z_q^d grid."""
+    h = q // 2 + 1
+    grid = values.reshape((q,) * d)
+    out = np.zeros((h,) * d, dtype=values.dtype)
+    for s in itertools.product(range(h), repeat=d):
+        members = {tuple(c) for c in itertools.product(*[{u, (-u) % q} for u in s])}
+        out[s] = grid[tuple(np.array(sorted(members)).T)].sum()
+    return out
+
+
+def orbit_sizes(q, d):
+    """w(s) = prod_i w(s_i), the number of members of each orbit."""
+    w = half_weights(q)
+    return functools.reduce(np.multiply.outer, [w] * d)
 
 
 class TestHalfTransforms:
-    # Each transform is d passes of q-term dot products with table roots
-    # within 11 eps of e(k/q), whose moduli are 1: with |K| propagating the
-    # absolute values, each route lands within d (q + 11) eps sum |input| of
-    # the exact value (times q^-d forward), so two routes lie within twice that.
+    # The orbit transforms on the orthant [0, q // 2]^d, named after the
+    # half-grid transforms they replaced.  Each pass is a q-term dot product
+    # (h = q // 2 + 1 terms in orbit_inverse) with table roots within 11 eps,
+    # charged (q + 11) eps of the absolute sum of its terms; |K| <= 1
+    # propagates the absolute sums.
 
     @pytest.mark.parametrize("q,d", HALF_CASES)
     def test_half_forward_is_forward_on_half_grid(self, q, d):
+        # the orbit power against the orbit sums of |forward|^2: each
+        # coefficient of each route is within D = d (q + 11) eps q^-d sum |f|
+        # of its value, so each route's O(s) within 2 (w O)^{1/2} D + w D^2
+        # and the roundings of its squares and sums
         rng = np.random.Generator(np.random.PCG64(10 * q + d))
         eps = np.finfo(np.float64).eps
+        w = orbit_sizes(q, d)
         for f in (rng.standard_normal(q**d), (rng.random(q**d) < 0.3).astype(float)):
-            half = half_forward(f, q, d)
-            full = forward(GridFunction(q, d, f)).values
-            assert half.shape == (q ** (d - 1), q // 2 + 1)
-            bound = 2 * d * (q + 11) * eps * np.abs(f).sum() / q**d
-            assert np.abs(half - half_of(full, q)).max() <= bound
+            got = orbit_power(f, q, d)
+            want = orbit_sums(np.abs(forward(GridFunction(q, d, f)).values) ** 2, q, d)
+            assert got.shape == (q // 2 + 1,) * d
+            D = d * (q + 11) * eps * np.abs(f).sum() / q**d
+            bound = 2 * (2 * np.sqrt(w * want) * D + w * D**2 + (2 * d + 2) * eps * want)
+            assert (np.abs(got - want) <= bound).all()
 
     @pytest.mark.parametrize("q,d", HALF_CASES)
     def test_hermitian_inverse_is_real_part_of_inverse(self, q, d):
+        # the orbit sums of inverse(F) from the orbit sums of F, for a power
+        # spectrum and for a real, even one: each route is d passes over
+        # terms with absolute sum w(r) sum |F| at most
         rng = np.random.Generator(np.random.PCG64(100 * q + d))
         eps = np.finfo(np.float64).eps
         power = np.abs(forward(GridFunction(q, d, rng.random(q**d) < 0.4)).values) ** 2
@@ -173,40 +198,53 @@ class TestHalfTransforms:
                    for i in range(q**d)]
         even = r + r[negated]  # real and even: F(-m) = F(m)
         for spectrum in (power, even):
-            got = hermitian_inverse(half_of(spectrum, q), q, d)
-            want = half_of(inverse(Spectrum(q, d, spectrum)).values.real, q)
-            assert got.shape == (q ** (d - 1), q // 2 + 1)
-            bound = 2 * d * (q + 11) * eps * np.abs(spectrum).sum()
-            assert np.abs(got - want).max() <= bound
+            got = orbit_inverse(orbit_sums(spectrum, q, d), q, d)
+            want = orbit_sums(inverse(Spectrum(q, d, spectrum)).values.real, q, d)
+            assert got.shape == (q // 2 + 1,) * d
+            bound = orbit_sizes(q, d) * 2 * d * (q + 11) * eps * np.abs(spectrum).sum()
+            assert (np.abs(got - want) <= bound).all()
 
     def test_round_trip_of_a_real_grid(self):
         # |F|^2 of a 0/1 grid inverts to its autocorrelation, an integer grid
         for q, d in ((6, 3), (7, 3), (10, 2)):
             f = (np.random.Generator(np.random.PCG64(q)).random(q**d) < 0.5).astype(float)
-            half = half_forward(f, q, d)
-            acorr = hermitian_inverse(half.real**2 + half.imag**2, q, d) * q**d
+            acorr = orbit_inverse(orbit_power(f, q, d), q, d) * q**d
             grid = f.reshape((q,) * d)
             direct = [np.sum(grid * np.roll(grid, shift, axis=tuple(range(d))))
                       for shift in itertools.product(range(q), repeat=d)]
-            assert np.abs(acorr - half_of(np.array(direct), q)).max() < 1e-9
+            assert np.abs(acorr - orbit_sums(np.array(direct), q, d)).max() < 1e-9
 
-    def test_peak_is_two_half_grids(self):
-        # Z_3^12: eleven complex passes ping-pong between two half-grid
-        # buffers, the real product's memory one of them; 64 KiB is left for
-        # the interpreter's own allocations
+    @pytest.mark.parametrize("q", range(2, 13))
+    def test_orbit_power_of_indicators(self, q):
+        # every q <= 12, odd and even (q/2 is its own negative on every axis),
+        # and every d with q^d <= 4096, against the orbit sums of |forward|^2
+        eps = np.finfo(np.float64).eps
+        for d in range(1, 13):
+            if q**d > 4096:
+                break
+            f = (np.random.Generator(np.random.PCG64(q * 13 + d)).random(q**d) < 0.4)
+            f = f.astype(float)
+            got = orbit_power(f, q, d)
+            want = orbit_sums(np.abs(forward(GridFunction(q, d, f)).values) ** 2, q, d)
+            w = orbit_sizes(q, d)
+            D = d * (q + 11) * eps * f.sum() / q**d
+            bound = 2 * (2 * np.sqrt(w * want) * D + w * D**2 + (2 * d + 2) * eps * want)
+            assert (np.abs(got - want) <= bound).all(), (q, d)
+            assert got.sum() == pytest.approx(f.sum() / q**d, rel=1e-12)  # Parseval
+
+    def test_peak_is_two_grids(self):
+        # Z_3^12: twelve real passes ping-pong between two q^d float64
+        # buffers, and the folds write into the spare one; 64 KiB is left for
+        # the (q//2 + 1)^d result and the interpreter's own allocations
         q, d = 3, 12
         f = (np.random.Generator(np.random.PCG64(7)).random(q**d) < 0.5).astype(float)
-        half_bytes = 16 * q ** (d - 1) * (q // 2 + 1)
-        power = half_forward(f, q, d)
-        power = power.real**2 + power.imag**2
-        for transform, values in ((half_forward, f), (hermitian_inverse, power)):
-            tracemalloc.start()
-            try:
-                out = transform(values, q, d)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= out.nbytes + 2 * half_bytes + 2**16, (transform.__name__, peak)
+        tracemalloc.start()
+        try:
+            orbit_power(f, q, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * q**d + 2**16, peak
 
     def test_weights_count_every_column_once(self):
         for q in range(2, 30):
@@ -216,9 +254,26 @@ class TestHalfTransforms:
 
     def test_kernel_budget(self):
         with pytest.raises(BudgetError):
-            half_forward(np.zeros(3163), 3163, 1)
+            orbit_power(np.zeros(3163), 3163, 1)
         with pytest.raises(BudgetError):
-            hermitian_inverse(np.zeros(1582), 3163, 1)
+            orbit_inverse(np.zeros(1582), 3163, 1)
+
+    def test_tables_past_2_16_entries_are_not_cached(self):
+        # 256^2 = 2^16 entries are cached, 257^2 are rebuilt on every call
+        tables = (fourier._kernel, fourier._orbit_basis, fourier._orbit_fold,
+                  fourier._orbit_cosines)
+        for table in tables:
+            table.cache_clear()
+        assert fourier._orbit_basis(256) is fourier._orbit_basis(256)
+        assert fourier._orbit_basis(257) is not fourier._orbit_basis(257)
+        assert fourier._kernel(256, True) is fourier._kernel(256, True)
+        assert fourier._kernel(257, True) is not fourier._kernel(257, True)
+        assert fourier._orbit_fold(256) is fourier._orbit_fold(256)
+        assert fourier._orbit_fold(257) is not fourier._orbit_fold(257)
+        assert fourier._orbit_cosines(256) is fourier._orbit_cosines(256)
+        assert fourier._orbit_cosines(257) is not fourier._orbit_cosines(257)
+        for table in tables:
+            assert table.cache_info().currsize == 1
 
 
 class TestPlancherel:
