@@ -35,7 +35,6 @@ from .distset import (
     DEFAULT_PAIR_BUDGET,
     PointSet,
     _lattice_shape,
-    _nu_histogram,
     certificate_check,
     construct_even_weight,
     construct_zero_distance_lattice,
@@ -331,22 +330,25 @@ def _check_set_budget(label: str, size: int, q: int, d: int, max_pairs: int, max
                           f"budget {max_pairs} nor the grid budget {max_grid}")
 
 
-def _nu_rows(E: PointSet, label: str, route: str, max_grid: int, max_pairs: int) -> list[dict]:
-    """One row per t, then the total row t="all".  The exact count runs when
-    |E|^2 fits the pair budget, and for even q (no other route) to raise its
-    own budget error past it.  For odd q the sweep runs too, checked against
-    the count when both run, and left out when refused while a count exists."""
+def _nu_rows(E: PointSet, label: str, max_grid: int, max_pairs: int) -> list[dict]:
+    """One row per t, then the total row t="all".  The exact count
+    (nu_histogram) runs for every set; for odd q the direct-kernel sweep
+    runs too, checked against the count.  Either is left out when its
+    budgets refuse it while the other runs; when both are refused the
+    count's BudgetError is raised."""
     q, d = E.q, E.d
-    hist = None
-    if E.size * E.size <= max_pairs or not E.modulus.is_odd:
-        hist = _nu_histogram(E, max_pairs, max_grid)
-    reports = None
+    hist = reports = refused = None
+    try:
+        hist = nu_histogram(E, max_pairs, max_grid)
+    except BudgetError as exc:
+        refused = exc
     if E.modulus.is_odd:  # reads E's class power when the autocorrelation has run
         try:
-            reports = nu_spectral_sweep(E, route, max_grid)
+            reports = nu_spectral_sweep(E, "direct", max_grid)
         except BudgetError:
-            if hist is None:
-                raise
+            pass
+    if hist is None and reports is None:
+        raise refused
     rows = []
     for t in range(q):
         row = {"q": q, "d": d, "set": label, "size": E.size, "t": t, "passed": True}
@@ -381,7 +383,7 @@ def _cmd_nu(args):
         "nu_brute", "main_term", "r_t", "r_bound",
         "nu_spectral", "certificate", "match", "passed",
     ]
-    return cols, _nu_rows(E, label, args.route, args.max_grid, args.max_pairs)
+    return cols, _nu_rows(E, label, args.max_grid, args.max_pairs)
 
 
 def _cmd_certificate(args):
@@ -393,7 +395,7 @@ def _cmd_certificate(args):
         "t", "fired", "nu_brute", "margin", "slack", "sound",
     ]
     rows = []
-    for row in certificate_check(E, args.route, args.max_grid, args.max_pairs):
+    for row in certificate_check(E, max_grid=args.max_grid, max_pairs=args.max_pairs):
         rows.append({
             "q": q, "d": d, "set": label, "size": E.size,
             "C": args.C, "threshold": thr.threshold,
@@ -569,9 +571,7 @@ def _cmd_verify_all(args):
         if q > args.q_max:
             continue
         for label, E in _nu_sets(q, args.sets_per_q, args.seed):
-            if E.size * E.size > max_pairs:
-                nu_histogram(E, max_pairs)  # raises BudgetError: the check needs exact counts
-            *per_t, _ = _nu_rows(E, label, "direct", max_grid, max_pairs)
+            *per_t, _ = _nu_rows(E, label, max_grid, max_pairs)
             devs = [abs(r["main_term"] + r["r_t"] - r["nu_brute"]) for r in per_t]
             # the sweep's own tolerance of nu(t), and the rounding of main + r_t
             tols = [r["tol"] + eps * (r["main_term"] + abs(r["r_t"])) for r in per_t]
@@ -614,7 +614,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-grid", type=int, default=DEFAULT_GRID_BUDGET,
                        help="largest q^d any grid operation may touch")
         p.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_BUDGET,
-                       help="largest |E|^2 any exact pair count may touch")
+                       help="largest |E|^2 the pair scan may touch")
 
     g = sub.add_parser("gauss", help="quadratic Gauss sums")
     common(g)
@@ -644,13 +644,11 @@ def _build_parser() -> argparse.ArgumentParser:
     n = sub.add_parser("nu", help="pair counts, brute vs spectral")
     common(n)
     _add_set_source_args(n)
-    n.add_argument("--route", choices=("direct", "formula"), default="direct")
     n.set_defaults(func=_cmd_nu)
 
     c = sub.add_parser("certificate", help="positivity certificate sweep")
     common(c)
     _add_set_source_args(c)
-    c.add_argument("--route", choices=("direct", "formula"), default="direct")
     c.add_argument("--C", type=float, default=1.0,
                    help="constant in the largeness threshold (reported, never hard-coded)")
     c.set_defaults(func=_cmd_certificate)

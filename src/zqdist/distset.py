@@ -13,11 +13,10 @@ Three routes to nu(t):
   of sign orbits {(+-z_1, ..., +-z_d)}, so only the orbit sums of A on the
   orthant [0, q // 2]^d are needed: fourier.orbit_inverse takes them from
   the orbit power O(s) = sum_{m in orbit(s)} |E^(m)|^2 of fourier.orbit_power,
-  and _fold sums them by sphere with no q^d table.  `nu_histogram` takes it
-  for even q and for odd q with d <= 3, and the CLI and certificate_check
-  take it as the count the sweep is checked against;
-* the spectral decomposition (`nu_spectral_sweep`, the certificate, and
-  `nu_histogram` for odd q with d >= 4)
+  and _fold sums them by sphere with no q^d table.  It is the one transform
+  count of `nu_histogram`, and so the count that certificate_check and the
+  CLI check the sweep against;
+* the spectral decomposition (`nu_spectral_sweep`, the certificate)
 
     nu(t) = q^{2d} sum_m |E^(m)|^2 S_t^(m)
           = q^{-d} |E|^2 |S_t|  +  q^{2d} sum_{m != 0} |E^(m)|^2 S_t^(m)
@@ -31,11 +30,11 @@ the sweep folds O by class into P (_class_power, axis by axis over the
 (q//2 + 1)^d orthant, with no q^d table) and gets every nu(t) from
 q^{2d} P @ K with the sigma(q) x q class kernel K[c, t] = S_t^(m): one
 transform of the indicator, then O(q^d) work.  Its `route` only picks how K
-is built: "direct" from sphere counts, "formula" from Gauss sums.  P
-depends on E alone, so the PointSet keeps it (sigma(q) floats, nothing
-else) from its first transform, whichever route ran it: each set is
-transformed at most once per process for the sweep, whichever routes and
-callers follow.
+is built: "direct" from sphere counts, "formula" from Gauss sums.  P and
+the autocorrelation's counts depend on E alone, so the PointSet keeps them
+(sigma(q) floats and q integers, nothing else) from its first transform,
+whichever route ran it: each set is transformed at most once per process,
+whichever routes and callers follow.
 """
 
 from __future__ import annotations
@@ -97,12 +96,13 @@ class PointSet:
     base-q int64 keys (_packed_keys): one key, sorted by one argsort,
     whenever q^d <= 2^62, and a lexsort over the few keys otherwise.
 
-    For odd q the set also keeps its class power P_c (_power_by_class), the
-    sigma(q) floats of the sweep, once a transform of it has run: a new or
+    Once a transform of the set has run it also keeps, read-only, its class
+    power P_c (_power_by_class, odd q), the sigma(q) floats of the sweep, and
+    the q pair counts of the autocorrelation (_nu_autocorrelation): a new or
     translated set starts without them.
     """
 
-    __slots__ = ("modulus", "d", "_coords", "_power_by_class")
+    __slots__ = ("modulus", "d", "_coords", "_power_by_class", "_nu")
 
     def __init__(self, q: "int | Modulus", d: int, points: Iterable[Sequence[int]]) -> None:
         m = as_modulus(q)
@@ -135,6 +135,7 @@ class PointSet:
         self.d = d
         self._coords = arr
         self._power_by_class = None
+        self._nu = None
 
     @property
     def q(self) -> int:
@@ -219,14 +220,6 @@ def distance(x: Sequence[int], y: Sequence[int], q: "int | Modulus") -> Residue:
     return Residue(sum((a - b) ** 2 for a, b in zip(x, y)), m)
 
 
-def _check_pair_budget(E: PointSet, max_pairs: int) -> None:
-    n = E.size
-    if n * n > max_pairs:
-        raise BudgetError(
-            f"|E|^2 = {n * n} ordered pairs for q={E.q} d={E.d} exceeds the budget {max_pairs}"
-        )
-
-
 def nu_pairs(E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET) -> np.ndarray:
     """nu(t) for every t by one exhaustive scan over ordered pairs.
 
@@ -234,10 +227,13 @@ def nu_pairs(E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET) -> np.ndarray:
     histogram has q entries, so q is held to DEFAULT_GRID_BUDGET, as the
     q x q transform kernel is.  Each square (x_i - y_i)^2 < q^2 then fits
     int64; when the d of them could sum past 2^63 they are reduced mod q
-    first, which leaves sums below d q.
+    first, which leaves sums below d q.  |E|^2 must fit max_pairs.
     """
-    _check_pair_budget(E, max_pairs)
     n, q, d = E.size, E.q, E.d
+    if n * n > max_pairs:
+        raise BudgetError(
+            f"|E|^2 = {n * n} ordered pairs for q={q} d={d} exceeds the budget {max_pairs}"
+        )
     if q > DEFAULT_GRID_BUDGET:
         raise BudgetError(
             f"the histogram of Z_{q} has {q} entries, exceeding the budget {DEFAULT_GRID_BUDGET}"
@@ -343,8 +339,10 @@ def _nu_autocorrelation(E: PointSet, max_grid: int) -> np.ndarray:
     An orbit lies on one sphere, so _fold sums the rounded R by ||r|| mod q;
     its sums of integers are exact up to 2^53.  A tolerance of 1/2 or more
     cannot single out the integer, and |E|^2 > 2^53 cannot be summed exactly:
-    both raise BudgetError.  For odd q its transform also leaves E's class
-    power (_power_by_class) for a sweep that follows.
+    both raise BudgetError, as does the transform budget.  The counts are kept
+    on E, read-only, and returned by every later call that these checks
+    admit; for odd q the transform also leaves E's class power
+    (_power_by_class) for a sweep that follows.
     """
     q, d, n = E.q, E.d, E.size
     tol = _autocorrelation_tolerance(E)
@@ -353,6 +351,9 @@ def _nu_autocorrelation(E: PointSet, max_grid: int) -> np.ndarray:
             f"autocorrelation tolerance {tol:.3g} for |E| = {n} in Z_{q}^{d} cannot "
             f"certify integer pair counts"
         )
+    _check_transform_budget(E, max_grid)  # also before the kept counts are read
+    if E._nu is not None:
+        return E._nu
     orbit = _orbit_power(E, max_grid)
     if E.modulus.is_odd:
         _power_by_class(E, max_grid, orbit)
@@ -371,61 +372,27 @@ def _nu_autocorrelation(E: PointSet, max_grid: int) -> np.ndarray:
         raise InconsistencyError(
             f"autocorrelation pair counts sum to {int(nu.sum())}, not |E|^2 = {n * n}"
         )
+    nu.setflags(write=False)
+    E._nu = nu
     return nu
 
 
 def nu_histogram(
     E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET, max_grid: int = DEFAULT_GRID_BUDGET
 ) -> np.ndarray:
-    """nu(t) for every t at once.
+    """nu(t) for every t at once, exactly: the count that certificate_check and
+    the CLI check the spectral sweep against, which it never runs.
 
-    |E|^2 must fit max_pairs whichever route runs.  Over Z_2 no pair is
-    scanned: ||x - y|| = ||x|| + ||y|| mod 2, since the cross term 2 x.y
-    vanishes, so with c_0 points of even weight and c_1 of odd weight
-    nu(0) = c_0^2 + c_1^2 and nu(1) = 2 c_0 c_1.  Otherwise routes are
-    picked by cost: a transform is tried when q^{d+1} <= |E|^2 (its
-    d q^{d+1} work is then no more than the d |E|^2 of the pair scan), and
-    a route its budgets refuse falls through: the sweep to the
-    autocorrelation, which transforms E again, and that to nu_pairs.
-
-    For odd q with d >= 4 that transform feeds the spectral sweep with the
-    direct class kernel, nu_spectral_sweep(E, "direct", max_grid).  Both
-    routes read the same orbit power O (_orbit_power); past it the sweep
-    folds O by class and the autocorrelation runs d passes over the
-    (q//2 + 1)^d orthant and one rounding pass, so timed on one core at the
-    least |E| past the crossover, with the kernel cached, the two are within
-    10% of each other from Z_7^5 to Z_105^3.  Even q and d <= 3 take the
-    autocorrelation.
+    Over Z_2 no pair is scanned: ||x - y|| = ||x|| + ||y|| mod 2, since the
+    cross term 2 x.y vanishes, so with c_0 points of even weight and c_1 of
+    odd weight nu(0) = c_0^2 + c_1^2 and nu(1) = 2 c_0 c_1.  Otherwise the
+    autocorrelation is tried when q^{d+1} <= |E|^2 (its d q^{d+1} work is
+    then no more than the d |E|^2 of the pair scan) or when |E|^2 exceeds
+    max_pairs, and a refused autocorrelation falls through to nu_pairs.
+    Each route admits itself: the pair budget gates only the pair scan, and
+    the autocorrelation its tolerance and the transform budget.  The
+    histogram has q entries, so q must fit max_grid.
     """
-    _check_pair_budget(E, max_pairs)
-    n = E.size
-    if E.modulus.is_odd and E.d >= 4 and _transform_side(E):
-        try:
-            reports = nu_spectral_sweep(E, "direct", max_grid)
-        except BudgetError:
-            pass
-        else:
-            nu = np.array([rep.nu for rep in reports], dtype=np.int64)
-            if int(nu.sum()) != n * n:
-                raise InconsistencyError(
-                    f"spectral pair counts sum to {int(nu.sum())}, not |E|^2 = {n * n}"
-                )
-            return nu
-    return _nu_histogram(E, max_pairs, max_grid)
-
-
-def _transform_side(E: PointSet) -> bool:
-    """q^{d+1} <= |E|^2: a transform costs no more than the pair scan."""
-    return E.q ** (E.d + 1) <= E.size * E.size
-
-
-def _nu_histogram(E: PointSet, max_pairs: int, max_grid: int) -> np.ndarray:
-    """The parity count, autocorrelation or pair scan of nu_histogram, never
-    the sweep: the count that certificate_check and the CLI check the sweep
-    against.  An autocorrelation it refuses falls through to the pair scan;
-    one that runs leaves E's class power for that sweep.  The histogram has
-    q entries, so q must fit max_grid."""
-    _check_pair_budget(E, max_pairs)
     n, q = E.size, E.q
     if q > max_grid:
         raise BudgetError(
@@ -435,9 +402,9 @@ def _nu_histogram(E: PointSet, max_pairs: int, max_grid: int) -> np.ndarray:
         odd = int((E.array().sum(axis=1) % 2).sum())
         even = n - odd
         return np.array([even * even + odd * odd, 2 * even * odd], dtype=np.int64)
-    if _transform_side(E):
+    if q ** (E.d + 1) <= n * n or n * n > max_pairs:
         try:
-            return _nu_autocorrelation(E, max_grid)
+            return _nu_autocorrelation(E, max_grid).copy()  # the caller's own, as on every route
         except BudgetError:
             pass
     return nu_pairs(E, max_pairs)
@@ -625,9 +592,9 @@ def nu_spectral_sweep(
     exact convolution sphere._sphere_count_rows, and the chain bound
     max_{m != 0} |S_t^(m)| is a column maximum of |K|.  P is kept on E
     (sigma(q) floats): only the first sweep of a set transforms it, or none
-    when certificate_check or the CLI counted nu(t) by the autocorrelation
-    first, and every later sweep, by either route, reads P back after
-    checking the transform budget.
+    when nu_histogram counted nu(t) by the autocorrelation first (as
+    certificate_check and the CLI do), and every later sweep, by either
+    route, reads P back after checking the transform budget.
 
     Each float sum must land within a tolerance of an integer, with an
     imaginary part no larger than that tolerance and a chain-bound excess no
@@ -710,7 +677,7 @@ def theorem_threshold(q: "int | Modulus", d: int, C: float) -> ThresholdReport:
 class CertificateRow:
     t: int
     fired: bool  # main_term - r_bound > 0
-    nu: "int | None"  # pair-scan or autocorrelation count, when |E|^2 fits the pair budget
+    nu: "int | None"  # nu_histogram's count, unless both its routes refuse the set
     margin: float  # main_term - |R_t|
     slack: float  # r_bound - |R_t|
     sound: bool  # not fired, or nu(t) > 0
@@ -725,21 +692,23 @@ def certificate_check(
 ) -> list[CertificateRow]:
     """Soundness of the positivity certificate for every t.
 
-    Where |E|^2 fits the pair budget the claim nu(t) > 0 is verified against
-    an independent count, the pair scan or the autocorrelation (never the
-    sweep itself); otherwise positivity follows from nu = M + R_t >= M - |R_t|.
-    The sweep and that count share one transform of E's indicator, and a
-    later check of the same set, by either route, transforms it no more
-    (E keeps its class power, see nu_spectral_sweep).
+    The claim nu(t) > 0 is verified against the independent count of
+    nu_histogram (the autocorrelation or the pair scan, never the sweep
+    itself); only when both its routes refuse the set does positivity
+    follow from nu = M + R_t >= M - |R_t|.  The sweep and the
+    autocorrelation share one transform of E's indicator, and a later check
+    of the same set, by either route, transforms it no more (E keeps its
+    counts and its class power, see nu_spectral_sweep).
     """
     m = E.modulus
     m.require_odd("certificate_check")
     if E.d <= 2:
         raise DomainError(f"the certificate needs d > 2, got d={E.d}")
     _check_transform_budget(E, max_grid)  # before a pair scan the sweep would refuse
-    hist = None
-    if E.size * E.size <= max_pairs:
-        hist = _nu_histogram(E, max_pairs, max_grid)
+    try:
+        hist = nu_histogram(E, max_pairs, max_grid)
+    except BudgetError:
+        hist = None
     rows = []
     for rep in nu_spectral_sweep(E, route, max_grid, int_tol):
         nu_t = int(hist[rep.t]) if hist is not None else None

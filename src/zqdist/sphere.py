@@ -258,9 +258,10 @@ def sphere_fourier_direct(spec: SphereSpec, max_grid: int = DEFAULT_GRID_BUDGET)
     return forward(sphere_indicator(spec, max_grid))
 
 
-@lru_cache(maxsize=16)
 def _gauss_table(q: int) -> np.ndarray:
-    """G(s, b, q) for all (s, b) in Z_q^2 in closed form, from one call."""
+    """G(s, b, q) for all (s, b) in Z_q^2 in closed form, from one call.  Not
+    cached: the q x q table is 16 q^2 bytes, and the kernel cache already
+    keeps the small kernels built from it."""
     out = gauss_row(np.arange(q), q)
     out.setflags(write=False)
     return out

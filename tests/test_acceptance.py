@@ -17,6 +17,7 @@ from zqdist.distset import (
     construct_even_weight,
     construct_zero_distance_lattice,
     distance_set,
+    nu_histogram,
     nu_pairs,
     nu_spectral_sweep,
     sample_random_set,
@@ -210,14 +211,17 @@ def test_criterion_7_certificate_soundness():
             if rep.certificate_positive:
                 fired_total += 1
                 assert int(hist[rep.t]) > 0, f"certificate unsound at q={q} {label} t={rep.t}"
-    # spectral-only run at q=9, d=6 with |E| at the C=1 threshold
+    # q=9, d=6 with |E| at the C=1 threshold: |E|^2 is past the pair budget,
+    # and the autocorrelation of nu_histogram is the independent count
     thr = theorem_threshold(9, 6, 1.0)
     size = 177147
     assert size >= thr.threshold
     E = sample_random_set(9, 6, size, seed=2024)
     reports = nu_spectral_sweep(E, int_tol=1e-2)
+    hist = nu_histogram(E)
     for rep in reports:
         assert rep.main_term - abs(rep.r_t) > 0, f"cannot certify t={rep.t}"
+        assert rep.nu == int(hist[rep.t]) > 0, f"sweep and count disagree at t={rep.t}"
         if rep.certificate_positive:
             fired_total += 1
     # every distance is realized: Delta(E) = Z_9

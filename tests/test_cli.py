@@ -10,6 +10,7 @@ import numpy as np
 from zqdist import cli, distset, gauss, sphere
 from zqdist.cli import main
 from zqdist.distset import sample_random_set
+from zqdist.errors import BudgetError
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -286,8 +287,8 @@ class TestNuCommand:
         assert all(r["match"] == "true" for r in rows)
 
     def test_count_is_never_the_sweep(self, tmp_path, monkeypatch):
-        # 600^2 >= 9^5 puts nu_histogram on the sweep; the nu_brute column
-        # still comes from the autocorrelation, so "match" compares two routes
+        # 600^2 >= 9^5: the nu_brute column comes from the autocorrelation,
+        # so "match" compares two routes
         routes = []
         for name in ("_sweep", "orbit_inverse"):
             real = getattr(distset, name)
@@ -353,7 +354,13 @@ class TestNuCommand:
             err = capsys.readouterr().err
             assert "must be" in err and "budget" not in err, argv
 
-    def test_spectral_route_only(self, tmp_path):
+    def test_spectral_route_only(self, tmp_path, monkeypatch):
+        # the pair budget refuses the scan and the autocorrelation is refused
+        # too, so only the sweep counts
+        def refuse(*args):
+            raise BudgetError("forced")
+
+        monkeypatch.setattr(distset, "_nu_autocorrelation", refuse)
         code, text = run(tmp_path, "nu", "--random", "30", "--q", "5", "--d", "3", "--seed", "3",
                          "--max-pairs", "100")
         assert code == 0
@@ -416,7 +423,10 @@ class TestCertificateCommand:
         code, text = run(tmp_path, "certificate", "--random", "177147", "--q", "9", "--d", "6",
                          "--seed", "2024")
         assert code == 0
-        assert [r["t"] for r in records(text)] == [str(t) for t in range(9)]
+        rows = records(text)
+        assert [r["t"] for r in rows] == [str(t) for t in range(9)]
+        # |E|^2 is past the pair budget; the autocorrelation still counts every t
+        assert all(int(r["nu_brute"]) > 0 and r["sound"] == "true" for r in rows)
 
 
 class TestConstructCommand:
@@ -488,11 +498,13 @@ class TestVerifyAll:
             assert r["passed"] == "true"
             assert float(r["value"]) <= float(r["tol"]) < 1e-8, r
 
-    def test_pair_budget_error_exit_2(self, tmp_path, capsys):
-        code, text = run(tmp_path, "verify-all", "--n-max", "5", "--max-pairs", "1000")
-        assert code == 2 and text == ""
-        err = capsys.readouterr().err
-        assert "|E|^2 = 15625 ordered pairs" in err and "exceeds the budget 1000" in err
+    def test_pair_budget_gates_only_the_pair_scan(self, tmp_path):
+        # Z_5^3 (15625 pairs) and the other sets past 1000 pairs are counted
+        # by the autocorrelation: the rows are those of the default budget
+        args = ["verify-all", "--n-max", "5", "--q-max", "9", "--sets-per-q", "2"]
+        code, text = run(tmp_path, *args, "--max-pairs", "1000", name="small.csv")
+        assert code == 0
+        assert text == run(tmp_path, *args, name="default.csv")[1]
 
 
 class TestUsage:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqdist import distset, fourier, sphere
+from zqdist import cli, distset, fourier, sphere
 from zqdist.arith import as_modulus
 from zqdist.distset import (
     PointSet,
@@ -232,9 +232,13 @@ class TestNuBrute:
             assert int(nu_histogram(E).sum()) == E.size**2
 
     def test_budget(self):
+        # the pair budget gates only the pair scan: 400 pairs past max_pairs
+        # are counted by the autocorrelation the grid admits, and only a set
+        # that neither budget admits is refused, its kept counts included
         E = sample_random_set(3, 3, 20, seed=0)
+        assert np.array_equal(nu_histogram(E, max_pairs=100), nu_pairs(E))
         with pytest.raises(BudgetError):
-            nu_histogram(E, max_pairs=100)
+            nu_histogram(E, max_pairs=100, max_grid=26)
 
     def test_square_sums_past_2_63_stay_exact(self):
         # d (q - 1)^2 > 2^63: each square is 1 mod q, so the distance is d mod q
@@ -283,8 +287,7 @@ def _counting(monkeypatch, name):
 
 class TestNuAutocorrelation:
     def test_one_transform_each_way(self, monkeypatch):
-        # |E| = 15^2 sits exactly on q^{d+1} = |E|^2, the edge of the grid route;
-        # d = 3 keeps odd q on the autocorrelation
+        # |E| = 15^2 sits exactly on q^{d+1} = |E|^2, the edge of the grid route
         E = sample_random_set(15, 3, 225, seed=11)
         forwards = _counting(monkeypatch, "orbit_power")
         inverses = _counting(monkeypatch, "orbit_inverse")
@@ -294,16 +297,19 @@ class TestNuAutocorrelation:
         assert np.array_equal(hist, nu_pairs(E))
 
     def test_sweep_route_has_no_inverse(self, monkeypatch):
-        # |E| = 15^3 on the edge of Z_15^5: odd q with d >= 4 reads nu(t) off
-        # the direct class kernel, with no inverse transform and no norm table
+        # |E| = 15^3 on the edge of Z_15^5: the sweep reads nu(t) off the
+        # direct class kernel with no inverse transform, while nu_histogram
+        # takes the autocorrelation's one inverse and no sweep
         E = sample_random_set(15, 5, 3375, seed=11)
         forwards = _counting(monkeypatch, "orbit_power")
         inverses = _counting(monkeypatch, "orbit_inverse")
         scans = _counting(monkeypatch, "nu_pairs")
         sweeps = _counting(monkeypatch, "_sweep")
-        hist = nu_histogram(E)
+        swept = [rep.nu for rep in nu_spectral_sweep(E)]
         assert (len(forwards), len(inverses), len(scans), len(sweeps)) == (1, 0, 0, 1)
-        assert np.array_equal(hist, nu_pairs(E))
+        hist = nu_histogram(E)
+        assert (len(forwards), len(inverses), len(scans), len(sweeps)) == (2, 1, 0, 1)
+        assert np.array_equal(hist, nu_pairs(E)) and swept == list(hist)
 
     @pytest.mark.parametrize("size,transforms,scans", [(80, 0, 1), (81, 1, 0)])
     def test_route_switches_at_crossover(self, monkeypatch, size, transforms, scans):
@@ -358,22 +364,20 @@ CROSSOVER_CASES = [
 class TestHalfSpectrumRoute:
     @pytest.mark.parametrize("q,d", CROSSOVER_CASES)
     def test_histogram_matches_pairs_at_crossover(self, monkeypatch, q, d):
-        # the least |E| with q^{d+1} <= |E|^2 goes through the orbit power (and
-        # for even q the self-negative m_i = q/2 on every axis); one point
-        # fewer is scanned (odd q with d = 4 through the spectral sweep, with
-        # no orbit_inverse)
+        # the least |E| with q^{d+1} <= |E|^2 goes through the orbit power and
+        # its inverse (for even q with the self-negative m_i = q/2 on every
+        # axis, for odd q with d = 4 too, never the spectral sweep); one point
+        # fewer is scanned
         edge = math.isqrt(q ** (d + 1) - 1) + 1
         forwards = _counting(monkeypatch, "orbit_power")
         inverses = _counting(monkeypatch, "orbit_inverse")
         sweeps = _counting(monkeypatch, "_sweep")
-        swept = q % 2 == 1 and d >= 4
         for size, transforms in ((edge - 1, 0), (edge, 1)):
             E = sample_random_set(q, d, size, seed=10 * q + d)
             before = len(forwards), len(inverses), len(sweeps)
             assert np.array_equal(nu_histogram(E), nu_pairs(E))
             after = len(forwards), len(inverses), len(sweeps)
-            expected = (transforms, 0, transforms) if swept else (transforms, transforms, 0)
-            assert tuple(b - a for a, b in zip(before, after)) == expected
+            assert tuple(b - a for a, b in zip(before, after)) == (transforms, transforms, 0)
 
 
 def _whole_grid_tolerance(E, kern):
@@ -503,7 +507,7 @@ class TestClassFold:
         hist = nu_pairs(E)
         for route in ("direct", "formula"):
             assert [rep.nu for rep in nu_spectral_sweep(E, route=route)] == list(hist)
-        assert np.array_equal(nu_histogram(E), hist)  # 15^5 <= 1000^2: the sweep route
+        assert np.array_equal(nu_histogram(E), hist)  # 15^5 <= 1000^2: the autocorrelation
         E = sample_random_set(105, 3, 2000, seed=5)  # n = 105 folds by shifts
         assert [rep.nu for rep in nu_spectral_sweep(E)] == list(nu_pairs(E))
         inverses = _counting(monkeypatch, "orbit_inverse")
@@ -576,15 +580,22 @@ class TestEvenAutocorrelation:
 
 class TestSweepRouting:
     def test_sweep_is_the_one_entry(self, monkeypatch):
-        # past the crossover an odd-q set with d >= 4 is counted by the same
-        # call certificate_check and the CLI make, and by nothing else
+        # past the crossover an odd-q set with d >= 4 is swept by the one call
+        # certificate_check makes, through the module name, and never by the
+        # count it is checked against
         E = sample_random_set(15, 5, 3375, seed=11)
+        expected = list(nu_pairs(E))
         sweeps = _counting(monkeypatch, "nu_spectral_sweep")
-        histograms = _counting(monkeypatch, "_nu_histogram")
-        assert np.array_equal(nu_histogram(E), nu_pairs(E))
-        assert (len(sweeps), len(histograms)) == (1, 0)
+        histograms = _counting(monkeypatch, "nu_histogram")
+        assert list(distset.nu_histogram(E)) == expected
+        assert (len(sweeps), len(histograms)) == (0, 1)
+        rows = certificate_check(E)
+        assert (len(sweeps), len(histograms)) == (1, 2)
+        assert [r.nu for r in rows] == expected
 
     def test_refused_sweep_falls_back_to_autocorrelation(self, monkeypatch):
+        # a sweep its tolerance refuses leaves the count alone: nu_histogram
+        # takes the autocorrelation, and the CLI keeps those counts
         E = sample_random_set(15, 5, 3375, seed=11)
 
         def refuse(*args):
@@ -593,7 +604,12 @@ class TestSweepRouting:
         monkeypatch.setattr(distset, "_sweep_tolerance", refuse)
         inverses = _counting(monkeypatch, "orbit_inverse")
         sweeps = _counting(monkeypatch, "_sweep")
-        assert np.array_equal(nu_histogram(E), nu_pairs(E))
+        expected = list(nu_pairs(E))
+        assert list(nu_histogram(E)) == expected
+        assert (len(inverses), len(sweeps)) == (1, 0)
+        *rows, _ = cli._nu_rows(E, "forced", 10**7, 10**8)
+        assert [r["nu_brute"] for r in rows] == expected
+        assert all("nu_spectral" not in r for r in rows)
         assert (len(inverses), len(sweeps)) == (1, 1)
 
     def test_raised_grid_budget_keeps_the_counts(self):
@@ -611,14 +627,17 @@ class TestSweepRouting:
 
         monkeypatch.setattr(distset, "_nu_autocorrelation", refuse)
         scans = _counting(monkeypatch, "nu_pairs")
-        assert np.array_equal(distset._nu_histogram(E, 10**8, 10**7), expected)
+        assert np.array_equal(nu_histogram(E), expected)
         assert len(scans) == 1
 
     @pytest.mark.parametrize("q", [3, 9, 15, 45, 105])
     def test_histogram_matches_pairs(self, monkeypatch, q):
         # d <= 5, on both sides of q^{d+1} <= |E|^2 where the pair scan stays
-        # below 2 * 10^7 pairs, else one set for the scan
-        swept = _counting(monkeypatch, "_sweep")
+        # below 2 * 10^7 pairs, else one set for the scan: the transform side
+        # takes one inverse, and no set is ever swept
+        sweeps = _counting(monkeypatch, "nu_spectral_sweep")
+        inner_sweeps = _counting(monkeypatch, "_sweep")
+        inverses = _counting(monkeypatch, "orbit_inverse")
         for d in range(1, 6):
             edge = math.isqrt(q ** (d + 1) - 1) + 1
             if edge <= q**d and edge * edge <= 2 * 10**7 and q**d <= 10**7:
@@ -627,10 +646,11 @@ class TestSweepRouting:
                 sizes = (min(q**d, 2000),)
             for size in sizes:
                 E = sample_random_set(q, d, size, seed=q * d + size)
-                before = len(swept)
+                before = len(inverses)
                 assert np.array_equal(nu_histogram(E), nu_pairs(E)), (q, d, size)
-                on_sweep = d >= 4 and q**d <= 10**7 and q ** (d + 1) <= size * size
-                assert len(swept) - before == on_sweep, (q, d, size)
+                on_grid = q ** max(d, 2) <= 10**7 and q ** (d + 1) <= size * size
+                assert len(inverses) - before == on_grid, (q, d, size)
+        assert sweeps == inner_sweeps == []
 
 
 def _peak_mib(fn, *args, **kwargs):
@@ -822,8 +842,8 @@ class TestCertificate:
             assert all(r.nu is not None and r.nu > 0 for r in rows)
 
     def test_count_is_never_the_sweep(self, monkeypatch):
-        # 600^2 >= 9^5 puts the public nu_histogram on the sweep, but the
-        # certificate checks its sweep against the autocorrelation
+        # 600^2 >= 9^5: the certificate checks its sweep against the
+        # autocorrelation of nu_histogram
         E = sample_random_set(9, 4, 600, seed=1)
         sweeps = _counting(monkeypatch, "_sweep")
         inverses = _counting(monkeypatch, "orbit_inverse")
@@ -854,17 +874,46 @@ class TestCertificate:
 class TestKeptClassPower:
     # a PointSet keeps its class power P_c, so only its first sweep transforms it
     def test_one_transform_for_both_routes_and_the_sweep(self, monkeypatch):
-        # |E|^2 > max_pairs, so no autocorrelation runs: only the sweeps transform
+        # |E|^2 > max_pairs, so the count is the autocorrelation's: it runs
+        # once, and its one transform serves both routes and the sweep
         E = sample_random_set(9, 6, 20000, seed=2024)
         forwards = _counting(monkeypatch, "orbit_power")
+        inverses = _counting(monkeypatch, "orbit_inverse")
         direct = certificate_check(E, "direct")
         formula = certificate_check(E, "formula")
         sweep = nu_spectral_sweep(E)
-        assert len(forwards) == 1
+        assert (len(forwards), len(inverses)) == (1, 1)
+        assert [r.nu for r in direct] == [r.nu for r in formula] == [rep.nu for rep in sweep]
         assert repr(direct) == repr(certificate_check(PointSet(9, 6, E.array()), "direct"))
         assert repr(formula) == repr(certificate_check(PointSet(9, 6, E.array()), "formula"))
         assert repr(sweep) == repr(nu_spectral_sweep(PointSet(9, 6, E.array())))
         assert len(forwards) == 4
+
+    def test_counts_past_the_pair_budget(self, monkeypatch):
+        # 12000^2 > 10^8 pairs: both routes still fill nu on every row with
+        # the pair counts, from one transform of E
+        E = sample_random_set(9, 6, 12000, seed=2024)
+        forwards = _counting(monkeypatch, "orbit_power")
+        expected = [int(h) for h in nu_pairs(E, max_pairs=2 * 10**8)]
+        for route in ("direct", "formula"):
+            rows = certificate_check(E, route)
+            assert [r.nu for r in rows] == expected, route
+            assert all(r.sound for r in rows)
+        assert len(forwards) == 1
+
+    def test_counts_kept_read_only(self, monkeypatch):
+        E = sample_random_set(9, 4, 600, seed=1)
+        assert E._nu is None
+        hist = nu_histogram(E)
+        assert np.array_equal(E._nu, hist) and E._nu.dtype == np.int64
+        with pytest.raises(ValueError):
+            E._nu[0] = 0
+        hist[0] = 0  # the caller's copy
+        forwards = _counting(monkeypatch, "orbit_power")
+        assert np.array_equal(nu_histogram(E), nu_pairs(E)) and forwards == []
+        with pytest.raises(BudgetError):  # the transform budget is checked when kept
+            distset._nu_autocorrelation(E, 9**4 - 1)
+        assert E.translate((1, 2, 3, 4))._nu is None
 
     def test_autocorrelation_leaves_it_for_the_sweep(self, monkeypatch):
         E = sample_random_set(9, 3, 600, seed=1)

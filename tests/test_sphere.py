@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from zqdist import gauss, sphere
+from zqdist import distset, gauss, sphere
 from zqdist.arith import as_modulus
 from zqdist.errors import BudgetError, DomainError
 from zqdist.fourier import forward
@@ -498,14 +498,23 @@ class TestGaussTable:
 
         monkeypatch.setattr(sphere, "gauss_row", counted)
         monkeypatch.setattr(gauss, "gauss_general", forbidden)
-        _gauss_table.cache_clear()
-        try:
-            tbl = _gauss_table(15)
-        finally:
-            _gauss_table.cache_clear()
+        tbl = _gauss_table(15)
         assert len(calls) == 1 and calls[0][1] == 15
         assert np.array_equal(calls[0][0], np.arange(15))
         assert tbl.shape == (15, 15) and not tbl.flags.writeable
+
+    def test_formula_sweep_keeps_no_table(self):
+        # the q x q table of Z_1009 is 16 MB; the formula kernel (sigma(q) q
+        # values) is past the kernel cache, so nothing of either outlives the sweep
+        E = distset.sample_random_set(1009, 1, 500, seed=1)
+        sphere._cached_class_kernel.cache_clear()
+        tracemalloc.start()
+        try:
+            distset.nu_spectral_sweep(E, "formula")
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert left < 2**20, left
 
     def test_table_equals_stacked_rows(self):
         for q in range(1, 100, 2):
