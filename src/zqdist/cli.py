@@ -131,11 +131,20 @@ def _jsonable(v):
 # gauss
 
 
+def _gauss_tol(n: int) -> float:
+    """How far a rendered closed form may lie from gauss_brute for modulus n:
+    gauss_brute's bound (sqrt(2) (n + 2) + 22) eps n, plus the rendering
+    error of the closed form, 16 eps |G| (as sphere._kernel_formula takes
+    it), with |G(a, b, n)| <= sqrt(2 gcd(a, n) n) <= sqrt(2) n."""
+    eps = float(np.finfo(np.float64).eps)
+    return (math.sqrt(2) * (n + 2) + 22 + 16 * math.sqrt(2)) * eps * n
+
+
 def _gauss_sweep_row(n: int) -> dict:
     """Closed form against the oracle for every (a, b) in Z_n^2, one call of each."""
     a = np.arange(n)
     worst = float(np.abs(gauss_row(a, n) - gauss_brute(a[:, None], a, n)).max())
-    tol = 1e-6 * n
+    tol = _gauss_tol(n)
     return {
         "n": n,
         "cases": n * n,
@@ -169,7 +178,7 @@ def _cmd_gauss(args):
         "brute_re": w.real, "brute_im": w.imag,
         "abs_err": err,
         "magnitude_sq": str(val.magnitude_sq),
-        "passed": err < 1e-6 * n,
+        "passed": err < _gauss_tol(n),
     }]
     return cols, rows
 
@@ -191,6 +200,8 @@ def _sphere_rows(m, d: int, ts, max_grid: int) -> list[dict]:
     then the partition row t="all"."""
     q = m.q
     counts = sphere_counts_all(m, d, max_grid)
+    factors = ([(pm.q, sphere_counts_all(pm, d, max_grid)) for pm in m.prime_power_moduli()]
+               if m.is_odd else [])  # the CRT factors' counts, one call per prime power
     rows = []
     for t in ts:
         enum = int(counts[t])
@@ -198,8 +209,7 @@ def _sphere_rows(m, d: int, ts, max_grid: int) -> list[dict]:
         if m.is_odd:
             spec = sphere_spec(m, d, t)
             rep = sphere_count_formula(spec)
-            crt = math.prod(int(sphere_counts_all(pm, d, max_grid)[t % pm.q])
-                            for pm in m.prime_power_moduli())
+            crt = math.prod(int(c[t % pq]) for pq, c in factors)
             row.update(
                 count_formula=rep.exact_count,
                 count_crt=crt,
@@ -607,14 +617,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=False, pairs=False):
+        """The output and grid-budget options, plus --seed and --max-pairs
+        for the subcommands that read them."""
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if seed:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--max-grid", type=int, default=DEFAULT_GRID_BUDGET,
                        help="largest q^d any grid operation may touch")
-        p.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_BUDGET,
-                       help="largest |E|^2 the pair scan may touch")
+        if pairs:
+            p.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_BUDGET,
+                           help="largest |E|^2 the pair scan may touch")
 
     g = sub.add_parser("gauss", help="quadratic Gauss sums")
     common(g)
@@ -642,19 +656,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_spectrum)
 
     n = sub.add_parser("nu", help="pair counts, brute vs spectral")
-    common(n)
+    common(n, seed=True, pairs=True)
     _add_set_source_args(n)
     n.set_defaults(func=_cmd_nu)
 
     c = sub.add_parser("certificate", help="positivity certificate sweep")
-    common(c)
+    common(c, seed=True, pairs=True)
     _add_set_source_args(c)
     c.add_argument("--C", type=float, default=1.0,
                    help="constant in the largeness threshold (reported, never hard-coded)")
     c.set_defaults(func=_cmd_certificate)
 
     k = sub.add_parser("construct", help="emit explicit zero-distance constructions")
-    common(k)
+    common(k, pairs=True)
     k.add_argument("kind", choices=("even-weight", "lattice"))
     k.add_argument("--d", type=int)
     k.add_argument("--p", type=int)
@@ -664,7 +678,7 @@ def _build_parser() -> argparse.ArgumentParser:
     k.set_defaults(func=_cmd_construct)
 
     v = sub.add_parser("verify-all", help="run the full property suite")
-    common(v)
+    common(v, seed=True, pairs=True)
     v.add_argument("--n-max", type=int, default=40, help="Gauss oracle sweep bound")
     v.add_argument("--q-max", type=int, default=27, help="cap on moduli in the sweeps")
     v.add_argument("--sets-per-q", type=int, default=5)

@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -459,68 +458,26 @@ def _class_power(orbit: np.ndarray, q: int, d: int) -> np.ndarray:
     return out
 
 
-# Folds of moduli up to this are BLAS products with (h n, n) matrices,
-# h = n // 2 + 1: 1 MiB at n = 63.  Timed per fold on one core at d = 3 and
-# 4, the product beats the shifts up to n = 63 (by 1.3 to 8 times) and loses
-# from n = 75 on, so larger n use the shifts.
-_FOLD_PRODUCT_MAX = 64
-
-
 def _fold(part: np.ndarray, n: int, d: int) -> np.ndarray:
     """sum_u part[u] by ||u|| mod n, for `part` on the orthant [0, n // 2]^d of Z_n^d.
 
-    One axis at a time, from the last: the axis u folds into a residue axis
-    r = u^2 (mod n); then each earlier axis u folds with the residue axis r
-    into u^2 + r (mod n).  Every term is nonnegative and the zero terms add
-    exactly, so each fold sums at most h = n // 2 + 1 terms into a residue,
-    along at most n // 2 roundings: d (n // 2) in all.  Both
-    _fold_by_product and _fold_by_shifts keep these counts.
+    One axis at a time, from the first: the axis u folds into a residue axis
+    r = u^2 (mod n); then each next axis u folds with the residue axis r
+    into new[r] = sum_u acc[r - u^2 (mod n), u], whole rows of the axes
+    still to fold at a time.  Every term is nonnegative and the zero terms
+    add exactly, so each fold sums at most h = n // 2 + 1 terms into a
+    residue, along at most n // 2 roundings: d (n // 2) in all.
     """
-    fold = _fold_by_product if n <= _FOLD_PRODUCT_MAX else _fold_by_shifts
-    return fold(part, n, d)
-
-
-def _fold_by_product(part: np.ndarray, n: int, d: int) -> np.ndarray:
-    """_fold as one BLAS product per axis with the matrices of _fold_matrices."""
-    first, axis = _fold_matrices(n)
-    acc = part.reshape(-1, n // 2 + 1) @ first
-    for _ in range(d - 1):
-        acc = acc.reshape(-1, len(axis)) @ axis
-    return acc.reshape(n)
-
-
-def _fold_by_shifts(part: np.ndarray, n: int, d: int) -> np.ndarray:
-    """_fold with no matrix: the first fold adds one column per u, and each
-    later fold adds the residue row of every u shifted by u^2, as two slices."""
     h = n // 2 + 1
-    acc = part.reshape(-1, h)
-    folded = np.zeros((len(acc), n))
+    part = part.reshape(h, -1)
+    folded = np.zeros((n, part.shape[1]))
     for u in range(h):
-        folded[:, u * u % n] += acc[:, u]
+        folded[u * u % n] += part[u]
+    u = np.arange(h)
+    shifted = (np.arange(n) - u[:, None] ** 2) % n  # [u, r]: r - u^2 mod n
     for _ in range(d - 1):
-        acc = folded.reshape(-1, h, n)
-        folded = acc[:, 0].copy()
-        for u in range(1, h):
-            s = u * u % n  # new[r] += acc[u, r - s]
-            folded[:, s:] += acc[:, u, : n - s]
-            folded[:, :s] += acc[:, u, n - s :]
+        folded = folded.reshape(n, h, -1)[shifted, u[:, None]].sum(axis=0)
     return folded.reshape(n)
-
-
-@lru_cache(maxsize=8)
-def _fold_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (h, n) first fold, 1 at [u, u^2 mod n], and the (h n, n) axis
-    fold, 1 at [(u, r), u^2 + r mod n], with h = n // 2 + 1; the first is
-    the rows r = 0 of the second.  Eight moduli are cached: 5.5 MiB at most
-    (the odd n from 49 to 63), 0.1 MiB for the divisors of 45."""
-    h = n // 2 + 1
-    u, r = np.divmod(np.arange(h * n), n)  # row (u, r) of the axis fold
-    axis = np.zeros((h * n, n))
-    axis[u * n + r, (u * u + r) % n] = 1.0
-    first = np.ascontiguousarray(axis[::n])
-    for arr in (first, axis):
-        arr.setflags(write=False)
-    return first, axis
 
 
 def _sweep_tolerance(E: PointSet, power_by_class: np.ndarray, kern: _ClassKernel) -> np.ndarray:

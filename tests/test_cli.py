@@ -124,6 +124,28 @@ class TestGaussCommand:
         code, _ = run(tmp_path, "gauss", "--a", "3", "--n", "1000", "--max-grid", "1000")
         assert code == 0
 
+    def test_relative_closed_form_error_fails(self, tmp_path, monkeypatch):
+        # a closed form off by a relative 1e-9 lies far past the rounding of
+        # either side, which is all the tolerance allows
+        real_row = gauss.gauss_row
+        monkeypatch.setattr(cli, "gauss_row", lambda a, n: real_row(a, n) * (1 + 1e-9))
+        code, text = run(tmp_path, "gauss", "--verify", "--n-max", "12")
+        assert code == 1
+        assert [r["passed"] for r in records(text)] == ["false"] * 12
+
+    def test_tolerance_is_the_derived_bound(self, tmp_path):
+        eps = np.finfo(np.float64).eps
+        code, text = run(tmp_path, "gauss", "--verify", "--n-max", "150")
+        assert code == 0
+        for r in records(text):
+            n = int(r["n"])
+            tol = (np.sqrt(2) * (n + 2) + 22 + 16 * np.sqrt(2)) * eps * n
+            assert abs(float(r["tol"]) - tol) <= 1e-11 * tol, n
+            assert float(r["max_abs_err"]) < tol / 10, n
+        code, text = run(tmp_path, "gauss", "--a", "7", "--b", "3", "--n", "1031")
+        (row,) = records(text)
+        assert code == 0 and float(row["abs_err"]) < cli._gauss_tol(1031) / 10
+
     def test_sweep_row_is_one_call_of_each(self, monkeypatch):
         calls = []
         real_row, real_brute = gauss.gauss_row, gauss.gauss_brute
@@ -510,6 +532,20 @@ class TestVerifyAll:
 class TestUsage:
     def test_unknown_command(self):
         assert main(["no-such-command"]) == 2
+
+    def test_only_read_options_are_accepted(self, tmp_path, capsys):
+        commands = {
+            "gauss": ["--a", "3", "--n", "5"],
+            "sphere": ["--q", "9", "--d", "3"],
+            "spectrum": ["--q", "9", "--d", "3"],
+            "construct": ["even-weight", "--d", "3"],
+        }
+        for name, argv in commands.items():
+            assert run(tmp_path, name, *argv)[0] == 0, name
+            unread = ["--seed"] if name == "construct" else ["--seed", "--max-pairs"]
+            for opt in unread:
+                assert main([name, *argv, opt, "5"]) == 2, (name, opt)
+                assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_no_command(self):
         assert main([]) == 2

@@ -470,18 +470,14 @@ def _fold_rounds(q, d):
 
 class TestClassFold:
     @pytest.mark.parametrize("d", sorted(FOLD_CASES))
-    def test_fold_matches_full_grid_classes(self, monkeypatch, d):
-        # both fold paths: _fold as it picks them (the BLAS product for
-        # n <= 64, the shifts above) and the shifts for every n
+    def test_fold_matches_full_grid_classes(self, d):
         eps = np.finfo(np.float64).eps
         for q in FOLD_CASES[d]:
             E = sample_random_set(q, d, max(1, q**d // 3), seed=q + d)
             orbit, exact = _class_sums_exactly(E)
             bound = (_fold_rounds(q, d) + 1) * eps * exact  # + 1: fsum rounds once
-            for fold in (distset._fold, distset._fold_by_shifts):
-                monkeypatch.setattr(distset, "_fold", fold)
-                folded = distset._class_power(orbit, q, d)
-                assert (np.abs(folded - exact) <= bound).all(), (q, d, fold.__name__)
+            folded = distset._class_power(orbit, q, d)
+            assert (np.abs(folded - exact) <= bound).all(), (q, d)
             if q > 64:
                 fourier._kernel.cache_clear()  # q x q transform kernels add up
 
@@ -518,8 +514,8 @@ class TestClassFold:
         assert len(inverses) == 6
 
 
-# odd q, even q and q > 64 (class sums and autocorrelation folded by
-# shifts); d up to 5 while the pair scan at twice the crossover stays small
+# odd q, even q and q > 64; d up to 5 while the pair scan at twice the
+# crossover stays small
 ORBIT_MODULI = [3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 66, 67, 70, 105]
 
 
@@ -567,8 +563,7 @@ class TestOrbitRoutes:
 class TestEvenAutocorrelation:
     @pytest.mark.parametrize("q", [66, 70])
     def test_histogram_matches_pairs_at_crossover(self, monkeypatch, q):
-        # even q > 64 folds the autocorrelation's orbit sums by shifts; the
-        # least |E| with q^3 <= |E|^2 takes the transform, one point fewer the scan
+        # the least |E| with q^3 <= |E|^2 takes the transform, one point fewer the scan
         edge = math.isqrt(q**3 - 1) + 1
         inverses = _counting(monkeypatch, "orbit_inverse")
         for size, transforms in ((edge - 1, 0), (edge, 1)):

@@ -460,28 +460,38 @@ class TestClassKernel:
 
 class TestGaussTable:
     def test_render_error_within_kernel_constants(self):
-        # _kernel_formula assumes each rendered G(s, b, q) is within 2 eps of
-        # |G| of its exact value for b = 0 and within 16 eps otherwise
+        # _kernel_formula and the CLI's Gauss tolerance assume each rendered
+        # G(s, b, n) is within 2 eps of |G| of its exact value for b = 0 and
+        # within 16 eps otherwise; checked for both renderings, gauss_row's
+        # table and GaussSumValue.complex_render, for every n <= 150, even n
+        # included.  G(s, -b, n) = G(s, b, n) (x -> -x), and the table
+        # renders the two alike, so b runs over [0, n // 2].
         eps = np.finfo(np.float64).eps
         worst = {True: 0.0, False: 0.0}
+        exact = {}
         with mpmath.workdps(30):
-            for q in range(3, 62, 2):
-                tbl = _gauss_table(q)
+            for n in range(1, 151):
+                tbl = _gauss_table(n)
+                assert np.array_equal(tbl[:, 1:], tbl[:, :0:-1]), n
                 seen = set()
-                for s, b in itertools.product(range(q), repeat=2):
-                    v = gauss.gauss_general(s, b, q)
+                for s, b in itertools.product(range(n), range(n // 2 + 1)):
+                    v = gauss.gauss_general(s, b, n)
                     z = complex(tbl[s, b])
                     if v.is_zero:
-                        assert z == 0, (q, s, b)
+                        assert z == 0 and v.complex_render == 0, (n, s, b)
                         continue
-                    key = (b == 0, v.scale, v.surd, v.unit, v.phase, z)
-                    if key in seen:  # the same rendering of the same value
+                    if (b == 0, v, z) in seen:  # the same rendering of the same value
                         continue
-                    seen.add(key)
-                    mag = v.scale * mpmath.sqrt(v.surd)
-                    turn = mpmath.mpf(v.phase.numerator) / v.phase.denominator
-                    exact = mag * mpmath.mpc(*v.unit) * mpmath.expjpi(2 * turn)
-                    err = float(abs(mpmath.mpc(z) - exact) / mag) / eps
+                    seen.add((b == 0, v, z))
+                    if v not in exact:
+                        mag = v.scale * mpmath.sqrt(v.surd)
+                        turn = mpmath.mpf(v.phase.numerator) / v.phase.denominator
+                        value = mag * mpmath.mpc(*v.unit) * mpmath.expjpi(2 * turn)
+                        err = float(abs(mpmath.mpc(v.complex_render) - value) / mag) / eps
+                        exact[v] = value, mag
+                        worst[not v.phase] = max(worst[not v.phase], err)  # b = 0: no phase
+                    value, mag = exact[v]
+                    err = float(abs(mpmath.mpc(z) - value) / mag) / eps
                     worst[b == 0] = max(worst[b == 0], err)
         assert worst[True] <= 2 and worst[False] <= 16, worst
 
