@@ -35,6 +35,7 @@ from .distset import (
     DEFAULT_PAIR_BUDGET,
     PointSet,
     _lattice_shape,
+    _splitmix64,
     certificate_check,
     construct_even_weight,
     construct_zero_distance_lattice,
@@ -469,9 +470,11 @@ def _row(check, instance, metric, value, bound=None, tol=None, ratio=None, passe
 
 
 def _random_grid(q: int, d: int, seed: int) -> GridFunction:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    vals = rng.standard_normal(q**d) + 1j * rng.standard_normal(q**d)
-    return GridFunction(q, d, vals)
+    """q^d values with real and imaginary parts uniform in [-1, 1), from the
+    top 53 bits of the splitmix64 stream of `seed` (real parts first)."""
+    size = q**d
+    u = (_splitmix64(seed, 0, 2 * size) >> np.uint64(11)) * 2.0**-52 - 1
+    return GridFunction(q, d, u[:size] + 1j * u[size:])
 
 
 def _verify_fourier(q_max: int, seed: int) -> list[dict]:

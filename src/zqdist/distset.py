@@ -220,9 +220,11 @@ def distance(x: Sequence[int], y: Sequence[int], q: "int | Modulus") -> Residue:
 
 
 def nu_pairs(E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET) -> np.ndarray:
-    """nu(t) for every t by one exhaustive scan over ordered pairs.
+    """nu(t) for every t by one exhaustive scan over unordered pairs.
 
-    The oracle for nu_histogram: no transform and no shortcut for any q.  Its
+    The oracle for nu_histogram: no transform and no shortcut for any q.
+    ||x - y|| = ||y - x||, so each pair x < y (in row order) is scanned once
+    and counted twice, and the |E| pairs x = y count at t = 0.  The
     histogram has q entries, so q is held to DEFAULT_GRID_BUDGET, as the
     q x q transform kernel is.  Each square (x_i - y_i)^2 < q^2 then fits
     int64; when the d of them could sum past 2^63 they are reduced mod q
@@ -242,12 +244,16 @@ def nu_pairs(E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET) -> np.ndarray:
     counts = np.zeros(q, dtype=np.int64)
     block = max(1, 2**22 // max(1, n * d))
     for lo in range(0, n, block):
-        diff = pts[lo : lo + block, None, :] - pts[None, :, :]
+        hi = min(lo + block, n)
+        diff = pts[lo:hi, None, :] - pts[None, lo + 1 :, :]  # x = row lo.., y = row lo + 1..
         diff *= diff
         if reduce_squares:
             diff %= q
         dist = diff.sum(axis=2) % q
-        counts += np.bincount(dist.reshape(-1), minlength=q)
+        later = np.arange(lo + 1, n) > np.arange(lo, hi)[:, None]  # y after x
+        counts += np.bincount(dist[later], minlength=q)
+    counts *= 2
+    counts[0] += n
     return counts
 
 

@@ -5,9 +5,10 @@ Evaluators:
 ``gauss_brute``
     the trust anchor: the definition summed as sum_x tbl[a x^2] tbl[b x]
     over the n-th roots of unity, one complex product per aligned tile of
-    Z_n x Z_n that holds a requested pair.  It uses no closed form.  ``a``
-    and ``b`` broadcast as integer arrays, so one call covers all of Z_n^2,
-    and every call shape gives the same bits for the same (a, b, n).
+    Z_n x Z_n that holds a requested pair, the tiles of one tile row in one
+    batched product.  It uses no closed form.  ``a`` and ``b`` broadcast as
+    integer arrays, so one call covers all of Z_n^2, and every call shape
+    gives the same bits for the same (a, b, n).
 ``gauss_closed``
     the closed form of G(a, n) = G(a, 0, n) for gcd(a, n) = 1, split by the
     residue of n mod 4.
@@ -19,10 +20,12 @@ Evaluators:
 ``gauss_row``
     the same closed form for a whole row b in Z_n at once, rendered as
     complex, for one a or an integer array of a: the reduction runs once
-    per (a, n) and the completed-square phases are integer array operations.
+    per (a, n), the completed-square phases are integer array operations,
+    and each phase is read from a table of roots per modulus.
 
 ``gauss_general`` and ``gauss_row`` share one reduction helper, ``_reduce``,
-so the branch rules exist once.  Closed-form results of
+which returns plain tuples; it and ``gauss_closed`` take the unit of
+G(a', n') from ``_unit``, so the branch rules exist once.  Closed-form results of
 ``gauss_general`` are carried symbolically (an integer scale, a surd, a
 Gaussian-integer unit and an exact rational phase) so downstream bound checks
 can use exact magnitudes; a complex rendering is always available.
@@ -116,11 +119,19 @@ def _chirp_rows(a0: int, a1: int, n: int, tbl: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _linear_columns(b0: int, b1: int, n: int, tbl: np.ndarray) -> np.ndarray:
-    """tbl[b x mod n] for x in Z_n down and b in [b0, b1) across."""
+def _linear_columns(b0: int, b1: int, n: int, tbl: np.ndarray, out=None) -> np.ndarray:
+    """tbl[b x mod n] for x in Z_n down and b in [b0, b1) across, into `out` if given."""
     phases = np.multiply.outer(np.arange(n, dtype=np.int64), np.arange(b0, b1, dtype=np.int64))
     phases %= n
-    return np.take(tbl, phases)
+    return np.take(tbl, phases, out=out)
+
+
+def _column_stack(cols: list, t: int, n: int, tbl: np.ndarray) -> np.ndarray:
+    """The linear columns of the T-wide tile columns `cols`, stacked (k, n, T)."""
+    stack = np.empty((len(cols), n, t), dtype=np.complex128)
+    for k, j in enumerate(cols):
+        _linear_columns(j * t, j * t + t, n, tbl, out=stack[k])
+    return stack
 
 
 def gauss_brute(a: "int | np.ndarray", b: "int | np.ndarray", n: int) -> "complex | np.ndarray":
@@ -133,12 +144,18 @@ def gauss_brute(a: "int | np.ndarray", b: "int | np.ndarray", n: int) -> "comple
     int64 phase stays below 2^63 before its own reduction mod n.
 
     Z_n x Z_n is cut into aligned T x T tiles, T = min(64, isqrt(2^15 // n))
-    or 1 where that is 0.  Each tile that holds a requested pair is
-    one complex product: its chirp rows tbl[a x^2] (T x n) times its linear
-    columns tbl[b x] (n x T).  A pair's value is read off the product of its
-    own tile, whose shape and data depend only on (a mod n, b mod n, n), and
-    BLAS gives the same bits for the same call; so a grid, a row, a scalar
-    and scattered pairs agree bit for bit, whatever their shape.
+    or 1 where that is 0.  Each tile that holds a requested pair is one
+    complex product: its chirp rows tbl[a x^2] (T x n) times its linear
+    columns tbl[b x] (n x T).  The chirp rows of each tile row and the
+    columns of each tile column are built once per call; the requested tiles
+    of one tile row are one batched product, its chirp rows against the
+    stack of their column blocks, and a ragged edge column (T does not
+    divide n) is a product of its own.  The column blocks held at once stay
+    within 2^21 entries: past that they come in chunks of tile columns, and
+    the chirp rows are built once per chunk.  A batched product makes the same
+    BLAS call per tile as a single one, so a pair's value, read off the
+    product of its own tile, depends only on (a mod n, b mod n, n): a grid,
+    a row, a scalar and scattered pairs agree bit for bit.
 
     Rounding: each table root is within 11 eps of the exact root, so each
     term, a product of two roots, is within 22 eps of its exact value before
@@ -151,53 +168,73 @@ def gauss_brute(a: "int | np.ndarray", b: "int | np.ndarray", n: int) -> "comple
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     check_grid_budget(n, 1)
-    av, bv = np.broadcast_arrays(_residues(a, n), _residues(b, n))
-    shape = av.shape
-    av, bv = av.ravel(), bv.ravel()
     # a tile costs T^2 n complex multiply-adds: at most 2^15, or n when T = 1,
     # so a scalar call stays O(n)
     t = max(1, min(64, math.isqrt(2**15 // n)))
-    side = -(-n // t)  # tiles per axis
-    tiles = av // t * side + bv // t
-    order = np.argsort(tiles, kind="stable")
-    tiles = tiles[order]
-    starts = np.flatnonzero(np.diff(tiles, prepend=-1)).tolist()
+    side = -(-n // t)  # tiles per axis; the last is n - (side - 1) T wide
+    tile_row, la = np.divmod(_residues(a, n), t)
+    tile_col, lb = np.divmod(_residues(b, n), t)
+    key = tile_row * side + tile_col
+    tiles, at = np.unique(key, return_inverse=True)
+    rows, cols = np.divmod(tiles, side)
+    width = np.minimum(t, n - cols * t)
+    col_ids, slot = np.unique(cols, return_inverse=True)
+    full = col_ids[col_ids < n // t].tolist()  # the T-wide tile columns; slot len(full) is ragged
+    # the full column blocks held at once stay within 2^21 entries: the tiles
+    # go in chunks of `cap` tile columns, the ragged column with the last
+    # chunk, and each chunk tile row by tile row
+    cap = max(1, 2**21 // (n * t))
+    chunk = np.minimum(slot, max(len(full) - 1, 0)) // cap
+    order = np.lexsort((cols, rows, chunk))
+    rows, slot, chunk = rows[order], slot[order], chunk[order]
+    area = np.minimum(t, n - rows * t) * width[order]
+    first = np.cumsum(area) - area  # each tile's product, flat in one buffer
+    start = np.empty_like(first)
+    start[order] = first
     tbl = character_table(n)
-    sums = np.empty(av.size, dtype=np.complex128)
-    chirp, chirp_row = None, -1
-    for lo, hi in zip(starts, starts[1:] + [tiles.size]):
-        i, j = divmod(int(tiles[lo]), side)
-        a0, b0 = i * t, j * t
-        if i != chirp_row:  # pairs are grouped by tile, row of tiles first
-            chirp, chirp_row = _chirp_rows(a0, min(a0 + t, n), n, tbl), i
-        block = chirp @ _linear_columns(b0, min(b0 + t, n), n, tbl)
-        sel = order[lo:hi]
-        sums[sel] = block[av[sel] - a0, bv[sel] - b0]
-    return complex(sums[0]) if not shape else sums.reshape(shape)
+    ragged = _linear_columns(n - n % t, n, n, tbl) if len(full) < col_ids.size else None
+    buf = np.empty(int(area.sum()), dtype=np.complex128)
+    group = chunk * side + rows  # tiles in (chunk, tile row) order
+    groups = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()] if group.size else []
+    stack, built = None, -1
+    for lo, hi in zip(groups, groups[1:] + [group.size]):
+        c = int(chunk[lo])
+        if c != built:
+            stack, built = None, c  # the last chunk's columns go before the next are built
+            stack = _column_stack(full[c * cap : c * cap + cap], t, n, tbl)
+        a0 = int(rows[lo]) * t
+        chirp = _chirp_rows(a0, min(a0 + t, n), n, tbl)
+        h = len(chirp)
+        if ragged is not None and slot[hi - 1] == len(full):
+            hi -= 1
+            o = int(first[hi])
+            np.matmul(chirp, ragged, out=buf[o : o + h * ragged.shape[1]].reshape(h, -1))
+        if hi > lo:
+            o = int(first[lo])
+            part = stack if hi - lo == len(stack) else stack[slot[lo:hi] - c * cap]
+            np.matmul(chirp, part, out=buf[o : o + (hi - lo) * h * t].reshape(hi - lo, h, t))
+            del part  # the stack may be rebuilt for the next chunk
+    at = at.reshape(key.shape)
+    sums = buf[start[at] + la * width[at] + lb]
+    return complex(sums) if not sums.shape else sums
 
 
-def _eps_unit(n: int) -> tuple[int, int]:
-    # eps_n = 1 for n = 1 (mod 4), i for n = 3 (mod 4)
-    return (1, 0) if n % 4 == 1 else (0, 1)
-
-
-def _eps_inv_unit(a: int) -> tuple[int, int]:
-    # 1 / eps_a
-    return (1, 0) if a % 4 == 1 else (0, -1)
-
-
-def _gmul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
-
-
-def _gsign(u: tuple[int, int], s: int) -> tuple[int, int]:
-    return (u[0] * s, u[1] * s)
+def _unit(a: int, n: int) -> tuple[int, int]:
+    """The Gaussian integer u with G(a, n) = u sqrt(n), for a reduced mod n
+    and gcd(a, n) = 1: the three branches of ``gauss_closed``."""
+    if n % 2:
+        s = jacobi(a, n)
+        return (s, 0) if n % 4 == 1 else (0, s)
+    if n % 4 == 2:
+        return (0, 0)
+    s = jacobi(n, a)
+    return (s, s) if a % 4 == 1 else (s, -s)  # (1+i) times 1 or -i
 
 
 def gauss_closed(a: int, n: int) -> GaussSumValue:
-    """Closed form of G(a, n) for gcd(a, n) = 1.
+    """Closed form of G(a, n) = G(a, 0, n) for gcd(a, n) = 1.
 
-        odd n:           eps_n (a/n) sqrt(n)
+        odd n:           eps_n (a/n) sqrt(n)      (eps_n = 1 or i as n = 1 or 3 mod 4)
         n = 2 (mod 4):   0
         n = 0 (mod 4):   (1+i) eps_a^{-1} (n/a) sqrt(n)
 
@@ -208,24 +245,22 @@ def gauss_closed(a: int, n: int) -> GaussSumValue:
     a %= n
     if n > 1 and math.gcd(a, n) != 1:
         raise DomainError(f"gcd({a}, {n}) > 1; use gauss_general")
-    if n % 2 == 1:
-        unit = _gsign(_eps_unit(n), jacobi(a, n))
-        return GaussSumValue(1, n, unit, _F0)
-    if n % 4 == 2:
-        return _ZERO
-    unit = _gmul((1, 1), _gsign(_eps_inv_unit(a), jacobi(n, a)))
-    return GaussSumValue(1, n, unit, _F0)
+    unit = _unit(a, n)
+    return _ZERO if unit == (0, 0) else GaussSumValue(1, n, unit, _F0)
 
 
-@dataclass(frozen=True)
-class _Branch:
-    """G(a, b, n) = scale * G(a', b', n') for the b of one parity class, with
-    a' a unit mod n' and base = G(a', n') nonzero."""
+# A branch of the reduction: (n', -a'^{-1} mod n', rendered size
+# scale sqrt(n') unit, scale, unit); the vanishing branch has size 0.
+_Branch = tuple[int, int, complex, int, tuple[int, int]]
+_DEAD: _Branch = (1, 0, 0j, 0, (0, 0))
 
-    scale: int
-    n: int
-    neg_inv: int  # -a'^{-1} mod n'
-    base: GaussSumValue
+
+def _branch(scale: int, a: int, n: int) -> _Branch:
+    """scale G(a, b', n) for a unit a mod n, as a branch."""
+    unit = _unit(a, n)
+    if unit == (0, 0):
+        return _DEAD
+    return n, -pow(a, -1, n) % n, complex(*unit) * (scale * math.sqrt(n)), scale, unit
 
 
 def _square_phase(b2, n, neg_inv):
@@ -236,10 +271,10 @@ def _square_phase(b2, n, neg_inv):
     return half * half % n * neg_inv % n
 
 
-@lru_cache(maxsize=1024)
-def _reduce(a: int, n: int) -> tuple[int, tuple["_Branch | None", "_Branch | None"]]:
+@lru_cache(maxsize=4096)
+def _reduce(a: int, n: int) -> tuple[int, _Branch, _Branch]:
     """g = gcd(a, n) and, for b' = b / g even and odd, the branch that completes
-    the square of G(a, b, n), or None where every such sum vanishes.
+    the square of G(a, b, n), or ``_DEAD`` where every such sum vanishes.
 
     G(a, b, n) = g G(a', b', n') with a' = a/g, n' = n/g when g | b, zero
     otherwise.  An odd b' with n' even then gives
@@ -252,23 +287,18 @@ def _reduce(a: int, n: int) -> tuple[int, tuple["_Branch | None", "_Branch | Non
 
         G(a', b', n') = e^{-2 pi i a' c^2 / n'} G(a', n').
 
-    ``a`` must be reduced mod n, so that the cache sees one key per row.
+    ``a`` must be reduced mod n, so that the cache sees one key per row.  The
+    cache holds every (a, n) with n <= 90 (4095 keys, about 1.5 MiB): all
+    the keys of a ``verify-all`` Gauss sweep up to ``--n-max 90``.
     """
     g = math.gcd(a, n)  # n when a = 0: only b = 0 survives, with G = n
     a2, n2 = a // g, n // g
-
-    def branch(scale: int, a3: int, n3: int) -> "_Branch | None":
-        base = gauss_closed(a3, n3)
-        if base.is_zero:
-            return None
-        return _Branch(scale, n3, -pow(a3, -1, n3) % n3, base)
-
-    even = branch(g, a2, n2)
+    even = _branch(g, a2, n2)
     if n2 % 2:
-        return g, (even, even)
+        return g, even, even
     if n2 % 4 == 0:
-        return g, (even, None)
-    return g, (even, branch(2 * g, 2 * a2 % (n2 // 2), n2 // 2))
+        return g, even, _DEAD
+    return g, even, _branch(2 * g, 2 * a2 % (n2 // 2), n2 // 2)
 
 
 def gauss_general(a: int, b: int, n: int) -> GaussSumValue:
@@ -277,13 +307,12 @@ def gauss_general(a: int, b: int, n: int) -> GaussSumValue:
     an exact fraction."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    g, branches = _reduce(a % n, n)
+    g, *branches = _reduce(a % n, n)
     b %= n
-    br = None if b % g else branches[b // g % 2]
-    if br is None:
+    mod, neg_inv, _, scale, unit = _DEAD if b % g else branches[b // g % 2]
+    if not scale:
         return _ZERO
-    phase = Fraction(_square_phase(b // g, br.n, br.neg_inv), br.n)
-    return GaussSumValue(br.scale, br.base.surd, br.base.unit, phase)
+    return GaussSumValue(scale, mod, unit, Fraction(_square_phase(b // g, mod, neg_inv), mod))
 
 
 def gauss_row(a: "int | np.ndarray", n: int) -> np.ndarray:
@@ -291,42 +320,41 @@ def gauss_row(a: "int | np.ndarray", n: int) -> np.ndarray:
     integer a, and for an integer array a one row per entry, of shape
     a.shape + (n,).
 
-    The branches of ``_reduce`` are looked up once per a and gathered into
-    arrays; the gates and the completed-square phases are then one int64 pass
-    over every (a, b), and each phase is rendered as np.exp(2 pi i num / n').
-    The entries that vanish are exact zeros.  No character table is shared
-    with ``gauss_brute``.
+    The branches of ``_reduce`` are looked up once per a; the gates and the
+    completed-square phases are then one int64 pass over every (a, b).  The
+    phase num / n' is read from one table of np.exp(2 pi i k / n') per
+    modulus n' present, so a call renders sigma(n) roots at most; np.exp
+    works entry by entry, so each root has the bits of rendering num / n'
+    directly.  The entries that vanish are
+    exact zeros.  No character table is shared with ``gauss_brute``.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     av = _residues(a, n)
-    rows = av.size
-    g, mod, neg_inv, size = [], [], [], []  # g per a, the rest per a and parity of b'
+    out = np.zeros(av.shape + (n,), dtype=np.complex128)
+    if not av.size:
+        return out
+    g, branches = [], []
     for ar in av.ravel().tolist():
-        gr, branches = _reduce(ar, n)
+        gr, even, odd = _reduce(ar, n)
         g.append(gr)
-        for br in branches:
-            if br is None:  # G vanishes: n' = 1 and size 0
-                mod.append(1)
-                neg_inv.append(0)
-                size.append(0j)
-            else:  # size = scale sqrt(surd) unit
-                u0, u1 = br.base.unit
-                mod.append(br.n)
-                neg_inv.append(br.neg_inv)
-                size.append(complex(u0, u1) * (br.scale * math.sqrt(br.base.surd)))
-    g = np.array(g, dtype=np.int64).reshape(rows, 1)
-    mod = np.array(mod, dtype=np.int64).reshape(rows, 2)
-    neg_inv = np.array(neg_inv, dtype=np.int64).reshape(rows, 2)
-    size = np.array(size, dtype=np.complex128).reshape(rows, 2)
+        branches += (even, odd)
+    mod, neg_inv, size = map(np.array, list(zip(*branches))[:3])
+    moduli, at = np.unique(mod, return_inverse=True)
+    roots = np.concatenate([np.exp(2j * np.pi * (np.arange(m) / m)) for m in moduli.tolist()])
+    offset = (np.cumsum(moduli) - moduli)[at]  # where the roots of each branch's n' start
+    g = np.array(g, dtype=np.int64)[:, None]
     b = np.arange(n, dtype=np.int64)
-    b2 = b // g  # b' = b / g, meaningful where g | b
-    parity = b2 % 2
-    row = np.arange(rows)[:, None]
-    live = (b % g == 0) & (size[row, parity] != 0)
-    r, col = np.nonzero(live)
-    b2, parity = b2[r, col], parity[r, col]
-    num = _square_phase(b2, mod[r, parity], neg_inv[r, parity])
-    out = np.zeros((rows, n), dtype=np.complex128)
-    out[r, col] = size[r, parity] * np.exp(2j * np.pi * (num / mod[r, parity]))
-    return out.reshape(av.shape + (n,))
+    flat = out.reshape(-1, n)
+    step = max(1, 2**18 // n)  # rows per pass: the int64 temporaries stay near 2 MiB
+    for lo in range(0, len(flat), step):
+        b2, rem = np.divmod(b, g[lo : lo + step])  # b' = b / g where g | b
+        br = b2 % 2  # index of the branch: 2 (row) + parity of b'
+        br += np.arange(2 * lo, 2 * lo + 2 * len(b2), 2)[:, None]
+        num = _square_phase(b2, mod[br], neg_inv[br])
+        num += offset[br]
+        part = size[br]
+        part *= roots[num]
+        part[(rem != 0) | (part == 0)] = 0  # g does not divide b, or the branch vanishes
+        flat[lo : lo + step] = part
+    return out

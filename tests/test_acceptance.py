@@ -8,9 +8,10 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 from zqdist.arith import as_modulus, factorize
-from zqdist.cli import _spectrum_row
+from zqdist.cli import _gauss_tol, _spectrum_row
 from zqdist.cli import main as cli_main
 from zqdist.distset import (
     PointSet,
@@ -31,7 +32,7 @@ from zqdist.fourier import (
     orthogonality_max_defect,
     plancherel_defect,
 )
-from zqdist.gauss import gauss_brute, gauss_general, gauss_row
+from zqdist.gauss import GaussSumValue, gauss_brute, gauss_general, gauss_row
 from zqdist.sphere import (
     sphere_count_formula,
     sphere_counts_all,
@@ -53,7 +54,7 @@ def test_criterion_1_gauss_oracle_equivalence():
     worst = 0.0
     branches = {"odd": 0, "mod2": 0, "mod4": 0, "gate_zero": 0}
     for n in range(1, 100):
-        tol = 1e-6 * n
+        tol = _gauss_tol(n)
         for a in range(n):
             row = gauss_brute(a, np.arange(n), n)
             for b in range(n):
@@ -75,12 +76,21 @@ def test_criterion_1_gauss_oracle_equivalence():
     _report(1, "gauss oracle", f"n<=99 all (a,b), max err {worst:.2e}", t0)
 
 
+def test_criterion_1_fails_a_relative_render_error(monkeypatch):
+    # the tolerance is the rounding of both sides: a closed form rendered a
+    # relative 1e-9 off fails at n = 1
+    real = GaussSumValue.complex_render.fget
+    monkeypatch.setattr(GaussSumValue, "complex_render", property(lambda v: real(v) * (1 + 1e-9)))
+    with pytest.raises(AssertionError, match="n=1 a=0 b=0"):
+        test_criterion_1_gauss_oracle_equivalence()
+
+
 def test_gauss_row_oracle_equivalence():
     # the row form against the oracle, at criterion 1's tolerance
     for n in range(1, 100):
         for a in range(n):
             diff = float(np.abs(gauss_row(a, n) - gauss_brute(a, np.arange(n), n)).max())
-            assert diff < 1e-6 * n, f"n={n} a={a}: |row - brute| = {diff}"
+            assert diff < _gauss_tol(n), f"n={n} a={a}: |row - brute| = {diff}"
 
 
 def test_criterion_2_fourier_identities():

@@ -3,11 +3,15 @@ import csv
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 
-from zqdist import cli, distset, gauss, sphere
+import zqdist
+from zqdist import cli, distset, fourier, gauss, sphere
 from zqdist.cli import main
 from zqdist.distset import sample_random_set
 from zqdist.errors import BudgetError
@@ -519,6 +523,46 @@ class TestVerifyAll:
         for r in rows:
             assert r["passed"] == "true"
             assert float(r["value"]) <= float(r["tol"]) < 1e-8, r
+
+    def test_perturbed_transform_fails_the_fourier_rows(self, monkeypatch):
+        # a forward transform off by a relative 1e-6 fails every round trip
+        # and Plancherel row on the splitmix64 grids
+        real = fourier.forward
+
+        def perturbed(f):
+            F = real(f)
+            return fourier.Spectrum(F.modulus, F.d, F.values * (1 + 1e-6))
+
+        rows = cli._verify_fourier(15, 1)
+        assert all(r["passed"] for r in rows)
+        monkeypatch.setattr(fourier, "forward", perturbed)
+        monkeypatch.setattr(cli, "forward", perturbed)
+        moved = [r for r in cli._verify_fourier(15, 1) if r["check"] != "fourier_orthogonality"]
+        assert len(moved) == 4 * 3 * 2 * 2 and not any(r["passed"] for r in moved)
+
+    def test_random_grids_are_uniform_in_the_square(self):
+        f = cli._random_grid(15, 3, 2024).values
+        assert f.shape == (15**3,)
+        for part in (f.real, f.imag):
+            assert -1 <= part.min() < -0.99 and 0.99 < part.max() < 1
+        assert np.array_equal(f, cli._random_grid(15, 3, 2024).values)
+        assert not np.array_equal(f, cli._random_grid(15, 3, 2025).values)
+
+    def test_does_not_import_numpy_random(self, tmp_path):
+        # the Fourier grids come from the package's own splitmix64 stream
+        src = os.path.dirname(os.path.dirname(zqdist.__file__))
+        code = (
+            "import sys\n"
+            "from zqdist.cli import main\n"
+            "code = main(['verify-all', '--n-max', '70', '--q-max', '27', '--sets-per-q', '5',"
+            f" '--out', {str(tmp_path / 'rows.csv')!r}])\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.split() == ["0", "False"]
 
     def test_pair_budget_gates_only_the_pair_scan(self, tmp_path):
         # Z_5^3 (15625 pairs) and the other sets past 1000 pairs are counted

@@ -247,6 +247,26 @@ class TestNuBrute:
         assert distance_set(E) == {0, d}
         assert int(nu_pairs(E)[d]) == 2
 
+    @pytest.mark.parametrize("q,d,size,seed", [
+        (9, 6, 1500, 1),  # four row blocks: the triangle inside each block is kept
+        (2, 24, 800, 7),
+        (15, 5, 300, 2),
+        (4, 8, 600, 3),
+        (101, 2, 900, 4),
+        (5, 3, 1, 0),
+    ])
+    def test_unordered_scan_matches_ordered_scan(self, q, d, size, seed):
+        E = sample_random_set(q, d, size, seed=seed)
+        assert np.array_equal(nu_pairs(E), ordered_scan(E))
+
+    def test_unordered_scan_reducing_squares(self):
+        # d (q - 1)^2 > 2^63, so the squares are reduced mod q; one row per block
+        q, d = 9999991, 100000
+        pts = np.random.default_rng(5).integers(0, q, size=(12, d))
+        E = PointSet(q, d, pts)
+        assert np.array_equal(nu_pairs(E), ordered_scan(E))
+        assert int(nu_pairs(E).sum()) == 144
+
     def test_histogram_longer_than_the_budget_is_refused(self):
         # two points make 4 pairs, but the histogram alone would have q entries
         E = PointSet(2**40 + 15, 1, [[0], [1]])
@@ -271,6 +291,17 @@ class TestNuBrute:
         loop = [nu_loop(E, t) for t in range(q)]
         assert [int(h) for h in nu_pairs(E)] == loop
         assert [int(h) for h in nu_histogram(E)] == loop
+
+
+def ordered_scan(E):
+    # every ordered pair (x, y), one row x at a time, squares reduced mod q
+    # before they are summed
+    q, pts = E.q, E.array()
+    counts = np.zeros(q, dtype=np.int64)
+    for x in pts:
+        diff = pts - x
+        counts += np.bincount(((diff * diff) % q).sum(axis=1) % q, minlength=q)
+    return counts
 
 
 def _counting(monkeypatch, name):

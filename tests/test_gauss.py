@@ -9,14 +9,84 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zqdist import gauss
+from zqdist.arith import jacobi
+from zqdist.cli import _gauss_tol
 from zqdist.errors import BudgetError, DomainError
 from zqdist.fourier import DEFAULT_GRID_BUDGET, character_table
-from zqdist.gauss import gauss_brute, gauss_closed, gauss_general, gauss_row
+from zqdist.gauss import GaussSumValue, gauss_brute, gauss_closed, gauss_general, gauss_row
+
+EPS = float(np.finfo(np.float64).eps)
+# One rendering of a closed form, relative to |G|: complex_render's 16 eps, as
+# cli._gauss_tol charges it.  A cmath reference e^{2 pi i s / n} u sqrt(n)
+# is charged 24 eps: its argument takes three roundings below 2 pi (6 pi eps
+# < 19 eps), the exponential and the two products at most 5 eps more.
+RENDER = 16 * EPS
+CMATH_REF = 24 * EPS
 
 
 def direct_sum(a: int, b: int, n: int) -> complex:
     # independent oracle: plain cmath sum, no shared code with gauss_brute
     return sum(cmath.exp(2j * cmath.pi * ((a * x * x + b * x) % n) / n) for x in range(n))
+
+
+# The closed-form checks, as functions of their range, so that a test below
+# can run each one against a perturbed rendering.
+
+
+def check_closed_against_brute(n_max: int) -> None:
+    for n in range(1, n_max):
+        for a in range(n if n > 1 else 1):
+            if n > 1 and math.gcd(a, n) != 1:
+                continue
+            diff = abs(gauss_closed(a, n).complex_render - gauss_brute(a, 0, n))
+            assert diff < _gauss_tol(n), (n, a, diff)
+
+
+def check_general_against_brute(n_max: int) -> None:
+    for n in range(1, n_max):
+        tol = _gauss_tol(n)
+        for a in range(n):
+            for b in range(n):
+                diff = abs(gauss_general(a, b, n).complex_render - gauss_brute(a, b, n))
+                assert diff < tol, (n, a, b, diff)
+
+
+def check_completing_the_square(n_max: int) -> None:
+    # odd n, gcd(a, n) = 1: G(a, b, n) = e^{-2 pi i b^2 (4a)^{-1}/n} eps_n (a/n) sqrt(n),
+    # the right side in cmath; |G| = sqrt(n)
+    for n in range(3, n_max, 2):
+        eps_n = 1 if n % 4 == 1 else 1j
+        tol = (RENDER + CMATH_REF) * math.sqrt(n)
+        for a in range(1, n):
+            if math.gcd(a, n) != 1:
+                continue
+            base = eps_n * jacobi(a, n) * math.sqrt(n)
+            for b in range(n):
+                shift = (-b * b * pow(4 * a, -1, n)) % n
+                expected = cmath.exp(2j * cmath.pi * shift / n) * base
+                diff = abs(gauss_general(a, b, n).complex_render - expected)
+                assert diff < tol, (n, a, b, diff)
+
+
+def check_crt_multiplicativity(pairs) -> None:
+    # for coprime odd n1, n2: G(a, n1 n2) = G(a n2, n1) G(a n1, n2).  The
+    # product of two renderings is within 2 RENDER |G| and its own rounding
+    # (sqrt(2) eps |G| for each of the two real products, 3 eps in all)
+    for n1, n2 in pairs:
+        n = n1 * n2
+        tol = (3 * RENDER + 3 * EPS) * math.sqrt(n)
+        for a in range(1, n):
+            if math.gcd(a, n) != 1:
+                continue
+            whole = gauss_general(a, 0, n).complex_render
+            split = gauss_general(a * n2, 0, n1).complex_render * gauss_general(a * n1, 0, n2).complex_render
+            assert abs(whole - split) < tol, (n1, n2, a)
+            assert abs(whole - gauss_brute(a, 0, n)) < _gauss_tol(n), (n1, n2, a)
+
+
+def check_agreement(n: int, a: int, b: int) -> None:
+    assert abs(gauss_general(a, b, n).complex_render - gauss_brute(a, b, n)) < _gauss_tol(n)
 
 
 class TestBrute:
@@ -121,6 +191,72 @@ class TestBrute:
         outer = gauss_brute(a[:, :1], b[0], n)  # (5, 1) against (7,)
         assert outer.tobytes() == grid[a[:, :1], b[0]].tobytes()
 
+    @pytest.mark.parametrize("n", [70, 1031])
+    def test_ragged_edge_tiles_agree_across_call_shapes(self, n):
+        # T does not divide n: the last tile row and column are narrower and
+        # take products of their own, with the same bits in every call shape
+        t = max(1, min(64, math.isqrt(2**15 // n)))
+        assert n % t
+        edge = list(range(n - n % t - 2, n))  # the last full tile's end and the ragged tile
+        a = np.array(edge + [0, t])
+        grid = gauss_brute(a[:, None], np.arange(n), n)
+        scattered = gauss_brute(a, a[::-1], n)
+        for i, x in enumerate(a.tolist()):
+            assert gauss_brute(x, np.arange(n), n).tobytes() == grid[i].tobytes()
+            for y in edge + [0]:
+                assert gauss_brute(x, y, n) == grid[i, y]
+            assert scattered[i] == grid[i, a[::-1][i]]
+        for x, y in [(n - 1, n - 1), (0, n - 1), (n - 1, 0)]:
+            assert abs(grid[list(a).index(x), y] - direct_sum(x, y, n)) < _gauss_tol(n)
+
+    def test_unit_tiles(self):
+        # n > 2^15 has 1 x 1 tiles: each value is one dot product of length n
+        n = 32771
+        assert math.isqrt(2**15 // n) == 0
+        b = [3, 17000, n - 1]
+        row = gauss_brute(7, b, n)
+        assert [gauss_brute(7, y, n) for y in b] == list(row)
+        assert gauss_brute([7, 7, 7], b, n).tobytes() == row.tobytes()
+        assert abs(row[0] - direct_sum(7, 3, n)) < _gauss_tol(n)
+
+    @pytest.mark.parametrize("n", [64, 70, 130])
+    def test_full_grid_builds_each_tile_row_and_column_once(self, monkeypatch, n):
+        built = {"rows": [], "cols": []}
+        real_rows, real_cols = gauss._chirp_rows, gauss._linear_columns
+
+        def rows(a0, a1, *args):
+            built["rows"].append(a0)
+            return real_rows(a0, a1, *args)
+
+        def cols(b0, b1, *args, **kwargs):
+            built["cols"].append(b0)
+            return real_cols(b0, b1, *args, **kwargs)
+
+        monkeypatch.setattr(gauss, "_chirp_rows", rows)
+        monkeypatch.setattr(gauss, "_linear_columns", cols)
+        x = np.arange(n)
+        grid = gauss_brute(x[:, None], x, n)
+        t = max(1, min(64, math.isqrt(2**15 // n)))
+        assert sorted(built["rows"]) == sorted(built["cols"]) == list(range(0, n, t))
+        monkeypatch.undo()
+        assert grid.tobytes() == np.stack([gauss_brute(a, x, n) for a in range(n)]).tobytes()
+
+    def test_row_holds_a_bounded_column_stack(self):
+        # Z_3001: 1000 tile columns of 3001 x 3 roots and a ragged one; a row
+        # call holds at most 2^21 entries (32 MiB) of them at once, the rest
+        # of Z_n^2's columns come in later chunks with the same bits
+        n = 3001
+        character_table(n)
+        tracemalloc.start()
+        try:
+            row = gauss_brute(5, np.arange(n), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20, peak
+        for y in (0, 1392, 1393, 2999, 3000):  # chunk edges at 3 * 464 and the ragged column
+            assert gauss_brute(5, y, n) == row[y]
+
     def test_scalar_peak_memory(self):
         # n > 2^15 has 1 x 1 tiles: one chirp row, one linear column, their dot
         n = 1000003
@@ -205,11 +341,7 @@ class TestClosed:
             gauss_closed(2, 6)
 
     def test_against_brute(self):
-        for n in range(1, 60):
-            for a in range(n if n > 1 else 1):
-                if n > 1 and math.gcd(a, n) != 1:
-                    continue
-                assert abs(gauss_closed(a, n).complex_render - gauss_brute(a, 0, n)) < 1e-6 * n
+        check_closed_against_brute(60)
 
 
 class TestGeneral:
@@ -223,38 +355,13 @@ class TestGeneral:
         assert gauss_general(0, 3, 7).is_zero
 
     def test_oracle_equivalence_sweep(self):
-        for n in range(1, 46):
-            tol = 1e-6 * n
-            for a in range(n):
-                for b in range(n):
-                    diff = abs(gauss_general(a, b, n).complex_render - gauss_brute(a, b, n))
-                    assert diff < tol, (n, a, b, diff)
+        check_general_against_brute(46)
 
     def test_completing_the_square(self):
-        # odd n, gcd(a, n) = 1: G(a, b, n) = e^{-2 pi i b^2 (4a)^{-1}/n} G(a, n)
-        for n in range(3, 36, 2):
-            for a in range(1, n):
-                if math.gcd(a, n) != 1:
-                    continue
-                base = gauss_closed(a, n).complex_render
-                for b in range(n):
-                    shift = (-b * b * pow(4 * a, -1, n)) % n
-                    expected = cmath.exp(2j * cmath.pi * shift / n) * base
-                    assert abs(gauss_general(a, b, n).complex_render - expected) < 1e-6 * n
+        check_completing_the_square(36)
 
     def test_crt_multiplicativity(self):
-        # for coprime odd n1, n2: G(a, n1 n2) = G(a n2, n1) G(a n1, n2)
-        for n1, n2 in ((3, 5), (3, 7), (5, 9), (7, 9), (9, 25)):
-            for a in range(1, n1 * n2):
-                if math.gcd(a, n1 * n2) != 1:
-                    continue
-                whole = gauss_general(a, 0, n1 * n2).complex_render
-                split = (
-                    gauss_general(a * n2, 0, n1).complex_render
-                    * gauss_general(a * n1, 0, n2).complex_render
-                )
-                assert abs(whole - split) < 1e-6 * n1 * n2
-                assert abs(whole - gauss_brute(a, 0, n1 * n2)) < 1e-6 * n1 * n2
+        check_crt_multiplicativity(((3, 5), (3, 7), (5, 9), (7, 9), (9, 25)))
 
     def test_even_modulus_linear_term_exact(self):
         v = gauss_general(1, 1, 8)
@@ -312,7 +419,27 @@ class TestGeneral:
         b=st.integers(-500, 500),
     )
     def test_random_agreement(self, n, a, b):
-        assert abs(gauss_general(a, b, n).complex_render - gauss_brute(a, b, n)) < 1e-6 * n
+        check_agreement(n, a, b)
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("check", [
+        lambda: check_closed_against_brute(8),
+        lambda: check_general_against_brute(8),
+        lambda: check_completing_the_square(8),
+        lambda: check_crt_multiplicativity(((3, 5),)),
+        lambda: check_agreement(7, 3, 2),
+        lambda: check_agreement(1, 0, 0),
+    ])
+    def test_relative_render_error_fails(self, monkeypatch, check):
+        # the checks above allow only the rounding of each side: a rendering
+        # off by a relative 1e-9 fails every one of them
+        check()
+        real = GaussSumValue.complex_render.fget
+        monkeypatch.setattr(GaussSumValue, "complex_render",
+                            property(lambda v: real(v) * (1 + 1e-9)))
+        with pytest.raises(AssertionError):
+            check()
 
 
 class TestRow:
