@@ -5,10 +5,10 @@ Evaluators:
 ``gauss_brute``
     the trust anchor: the definition summed as sum_x tbl[a x^2] tbl[b x]
     over the n-th roots of unity, one complex product per aligned tile of
-    Z_n x Z_n that holds a requested pair, the tiles of one tile row in one
-    batched product.  It uses no closed form.  ``a`` and ``b`` broadcast as
-    integer arrays, so one call covers all of Z_n^2, and every call shape
-    gives the same bits for the same (a, b, n).
+    Z_n x Z_n that holds a requested pair, each tile row's chirp rows and
+    each tile column's linear columns built once.  It uses no closed form.
+    ``a`` and ``b`` broadcast as integer arrays, so one call covers all of
+    Z_n^2, and every call shape gives the same bits for the same (a, b, n).
 ``gauss_closed``
     the closed form of G(a, n) = G(a, 0, n) for gcd(a, n) = 1, split by the
     residue of n mod 4.
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -119,19 +120,11 @@ def _chirp_rows(a0: int, a1: int, n: int, tbl: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _linear_columns(b0: int, b1: int, n: int, tbl: np.ndarray, out=None) -> np.ndarray:
-    """tbl[b x mod n] for x in Z_n down and b in [b0, b1) across, into `out` if given."""
+def _linear_columns(b0: int, b1: int, n: int, tbl: np.ndarray) -> np.ndarray:
+    """tbl[b x mod n] for x in Z_n down and b in [b0, b1) across."""
     phases = np.multiply.outer(np.arange(n, dtype=np.int64), np.arange(b0, b1, dtype=np.int64))
     phases %= n
-    return np.take(tbl, phases, out=out)
-
-
-def _column_stack(cols: list, t: int, n: int, tbl: np.ndarray) -> np.ndarray:
-    """The linear columns of the T-wide tile columns `cols`, stacked (k, n, T)."""
-    stack = np.empty((len(cols), n, t), dtype=np.complex128)
-    for k, j in enumerate(cols):
-        _linear_columns(j * t, j * t + t, n, tbl, out=stack[k])
-    return stack
+    return np.take(tbl, phases)
 
 
 def gauss_brute(a: "int | np.ndarray", b: "int | np.ndarray", n: int) -> "complex | np.ndarray":
@@ -144,18 +137,17 @@ def gauss_brute(a: "int | np.ndarray", b: "int | np.ndarray", n: int) -> "comple
     int64 phase stays below 2^63 before its own reduction mod n.
 
     Z_n x Z_n is cut into aligned T x T tiles, T = min(64, isqrt(2^15 // n))
-    or 1 where that is 0.  Each tile that holds a requested pair is one
-    complex product: its chirp rows tbl[a x^2] (T x n) times its linear
-    columns tbl[b x] (n x T).  The chirp rows of each tile row and the
-    columns of each tile column are built once per call; the requested tiles
-    of one tile row are one batched product, its chirp rows against the
-    stack of their column blocks, and a ragged edge column (T does not
-    divide n) is a product of its own.  The column blocks held at once stay
-    within 2^21 entries: past that they come in chunks of tile columns, and
-    the chirp rows are built once per chunk.  A batched product makes the same
-    BLAS call per tile as a single one, so a pair's value, read off the
-    product of its own tile, depends only on (a mod n, b mod n, n): a grid,
-    a row, a scalar and scattered pairs agree bit for bit.
+    or 1 where that is 0.  Each tile that holds a requested pair is
+    one complex product: its chirp rows tbl[a x^2] (T x n) times its linear
+    columns tbl[b x] (n x T).  The tiles go tile row by tile row, so each
+    tile row's chirp rows are built once, and each tile column's linear
+    columns are built once and dropped after its last requested tile.  The
+    kept columns stay within 2^21 entries: past that the tile columns go in
+    chunks of 2^21 // (n T), and each tile row's chirp rows are built once
+    per chunk.  A pair's value is read off the product of its own tile, whose
+    shape and data depend only on (a mod n, b mod n, n), and BLAS gives the
+    same bits for the same call; so a grid, a row, a scalar and scattered
+    pairs agree bit for bit, whatever their shape.
 
     Rounding: each table root is within 11 eps of the exact root, so each
     term, a product of two roots, is within 22 eps of its exact value before
@@ -168,55 +160,36 @@ def gauss_brute(a: "int | np.ndarray", b: "int | np.ndarray", n: int) -> "comple
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     check_grid_budget(n, 1)
+    av, bv = np.broadcast_arrays(_residues(a, n), _residues(b, n))
+    shape = av.shape
+    av, bv = av.ravel(), bv.ravel()
     # a tile costs T^2 n complex multiply-adds: at most 2^15, or n when T = 1,
     # so a scalar call stays O(n)
     t = max(1, min(64, math.isqrt(2**15 // n)))
-    side = -(-n // t)  # tiles per axis; the last is n - (side - 1) T wide
-    tile_row, la = np.divmod(_residues(a, n), t)
-    tile_col, lb = np.divmod(_residues(b, n), t)
-    key = tile_row * side + tile_col
-    tiles, at = np.unique(key, return_inverse=True)
-    rows, cols = np.divmod(tiles, side)
-    width = np.minimum(t, n - cols * t)
-    col_ids, slot = np.unique(cols, return_inverse=True)
-    full = col_ids[col_ids < n // t].tolist()  # the T-wide tile columns; slot len(full) is ragged
-    # the full column blocks held at once stay within 2^21 entries: the tiles
-    # go in chunks of `cap` tile columns, the ragged column with the last
-    # chunk, and each chunk tile row by tile row
-    cap = max(1, 2**21 // (n * t))
-    chunk = np.minimum(slot, max(len(full) - 1, 0)) // cap
-    order = np.lexsort((cols, rows, chunk))
-    rows, slot, chunk = rows[order], slot[order], chunk[order]
-    area = np.minimum(t, n - rows * t) * width[order]
-    first = np.cumsum(area) - area  # each tile's product, flat in one buffer
-    start = np.empty_like(first)
-    start[order] = first
+    side = -(-n // t)  # tiles per axis
+    cap = max(1, 2**21 // (n * t))  # tile columns whose linear columns are kept at once
+    rows, cols = av // t, bv // t
+    order = np.lexsort((cols, rows, cols // cap))  # chunk, then tile row, then tile column
+    tiles = (rows * side + cols)[order]
+    # the first pair of each tile: the first pair (keys are >= 0), then each change
+    first = np.flatnonzero(np.concatenate((tiles[:1] >= 0, tiles[1:] != tiles[:-1])))
+    heads, starts = tiles[first].tolist(), first.tolist()
+    uses = Counter(tile % side for tile in heads)  # requested tiles per tile column
     tbl = character_table(n)
-    ragged = _linear_columns(n - n % t, n, n, tbl) if len(full) < col_ids.size else None
-    buf = np.empty(int(area.sum()), dtype=np.complex128)
-    group = chunk * side + rows  # tiles in (chunk, tile row) order
-    groups = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()] if group.size else []
-    stack, built = None, -1
-    for lo, hi in zip(groups, groups[1:] + [group.size]):
-        c = int(chunk[lo])
-        if c != built:
-            stack, built = None, c  # the last chunk's columns go before the next are built
-            stack = _column_stack(full[c * cap : c * cap + cap], t, n, tbl)
-        a0 = int(rows[lo]) * t
-        chirp = _chirp_rows(a0, min(a0 + t, n), n, tbl)
-        h = len(chirp)
-        if ragged is not None and slot[hi - 1] == len(full):
-            hi -= 1
-            o = int(first[hi])
-            np.matmul(chirp, ragged, out=buf[o : o + h * ragged.shape[1]].reshape(h, -1))
-        if hi > lo:
-            o = int(first[lo])
-            part = stack if hi - lo == len(stack) else stack[slot[lo:hi] - c * cap]
-            np.matmul(chirp, part, out=buf[o : o + (hi - lo) * h * t].reshape(hi - lo, h, t))
-            del part  # the stack may be rebuilt for the next chunk
-    at = at.reshape(key.shape)
-    sums = buf[start[at] + la * width[at] + lb]
-    return complex(sums) if not sums.shape else sums
+    sums = np.empty(av.size, dtype=np.complex128)
+    chirp, chirp_at, columns = None, None, {}
+    for tile, lo, hi in zip(heads, starts, starts[1:] + [tiles.size]):
+        i, j = divmod(tile, side)
+        a0, b0 = i * t, j * t
+        if (j // cap, i) != chirp_at:
+            chirp, chirp_at = _chirp_rows(a0, min(a0 + t, n), n, tbl), (j // cap, i)
+        if j not in columns:
+            columns[j] = _linear_columns(b0, min(b0 + t, n), n, tbl)
+        uses[j] -= 1
+        block = chirp @ (columns[j] if uses[j] else columns.pop(j))  # dropped after its last tile
+        sel = order[lo:hi]
+        sums[sel] = block[av[sel] - a0, bv[sel] - b0]
+    return complex(sums[0]) if not shape else sums.reshape(shape)
 
 
 def _unit(a: int, n: int) -> tuple[int, int]:
@@ -271,7 +244,7 @@ def _square_phase(b2, n, neg_inv):
     return half * half % n * neg_inv % n
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1024)
 def _reduce(a: int, n: int) -> tuple[int, _Branch, _Branch]:
     """g = gcd(a, n) and, for b' = b / g even and odd, the branch that completes
     the square of G(a, b, n), or ``_DEAD`` where every such sum vanishes.
@@ -287,9 +260,7 @@ def _reduce(a: int, n: int) -> tuple[int, _Branch, _Branch]:
 
         G(a', b', n') = e^{-2 pi i a' c^2 / n'} G(a', n').
 
-    ``a`` must be reduced mod n, so that the cache sees one key per row.  The
-    cache holds every (a, n) with n <= 90 (4095 keys, about 1.5 MiB): all
-    the keys of a ``verify-all`` Gauss sweep up to ``--n-max 90``.
+    ``a`` must be reduced mod n, so that the cache sees one key per row.
     """
     g = math.gcd(a, n)  # n when a = 0: only b = 0 survives, with G = n
     a2, n2 = a // g, n // g

@@ -193,8 +193,8 @@ class TestBrute:
 
     @pytest.mark.parametrize("n", [70, 1031])
     def test_ragged_edge_tiles_agree_across_call_shapes(self, n):
-        # T does not divide n: the last tile row and column are narrower and
-        # take products of their own, with the same bits in every call shape
+        # T does not divide n: the last tile row and column are narrower, with
+        # the same bits in every call shape
         t = max(1, min(64, math.isqrt(2**15 // n)))
         assert n % t
         edge = list(range(n - n % t - 2, n))  # the last full tile's end and the ragged tile
@@ -219,8 +219,9 @@ class TestBrute:
         assert gauss_brute([7, 7, 7], b, n).tobytes() == row.tobytes()
         assert abs(row[0] - direct_sum(7, 3, n)) < _gauss_tol(n)
 
-    @pytest.mark.parametrize("n", [64, 70, 130])
-    def test_full_grid_builds_each_tile_row_and_column_once(self, monkeypatch, n):
+    @staticmethod
+    def count_builds(monkeypatch):
+        """The first row and column of every chirp-row and linear-column build."""
         built = {"rows": [], "cols": []}
         real_rows, real_cols = gauss._chirp_rows, gauss._linear_columns
 
@@ -228,12 +229,17 @@ class TestBrute:
             built["rows"].append(a0)
             return real_rows(a0, a1, *args)
 
-        def cols(b0, b1, *args, **kwargs):
+        def cols(b0, b1, *args):
             built["cols"].append(b0)
-            return real_cols(b0, b1, *args, **kwargs)
+            return real_cols(b0, b1, *args)
 
         monkeypatch.setattr(gauss, "_chirp_rows", rows)
         monkeypatch.setattr(gauss, "_linear_columns", cols)
+        return built
+
+    @pytest.mark.parametrize("n", [64, 70, 130])
+    def test_full_grid_builds_each_tile_row_and_column_once(self, monkeypatch, n):
+        built = self.count_builds(monkeypatch)
         x = np.arange(n)
         grid = gauss_brute(x[:, None], x, n)
         t = max(1, min(64, math.isqrt(2**15 // n)))
@@ -241,10 +247,11 @@ class TestBrute:
         monkeypatch.undo()
         assert grid.tobytes() == np.stack([gauss_brute(a, x, n) for a in range(n)]).tobytes()
 
-    def test_row_holds_a_bounded_column_stack(self):
-        # Z_3001: 1000 tile columns of 3001 x 3 roots and a ragged one; a row
-        # call holds at most 2^21 entries (32 MiB) of them at once, the rest
-        # of Z_n^2's columns come in later chunks with the same bits
+    def test_row_drops_each_column_after_use(self):
+        # Z_3001 (T = 3): a row call meets each of the 1001 tile columns once,
+        # so no column is kept past its tile: the traced peak stays near one
+        # tile's chirp rows and columns (3 x 3001 roots each), not the 32 MiB
+        # a chunk of kept columns would take
         n = 3001
         character_table(n)
         tracemalloc.start()
@@ -253,9 +260,32 @@ class TestBrute:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * 2**20, peak
-        for y in (0, 1392, 1393, 2999, 3000):  # chunk edges at 3 * 464 and the ragged column
+        assert peak <= 2 * 2**20, peak
+        for y in (0, 695, 696, 1392, 2999, 3000):  # chunk edges at 3 * 232 k and the ragged column
             assert gauss_brute(5, y, n) == row[y]
+
+    def test_chunks_build_each_tile_column_once(self, monkeypatch):
+        # two tile rows of Z_3001 (T = 3) past the cap: the 1001 tile columns
+        # come in 5 chunks of at most 232, each column is built once and kept
+        # for the second row, within 2^21 entries (32 MiB), and each tile
+        # row's chirp rows are built once per chunk
+        n = 3001
+        a = np.array([[5], [2999]])
+        character_table(n)
+        built = self.count_builds(monkeypatch)
+        tracemalloc.start()
+        try:
+            got = gauss_brute(a, np.arange(n), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 16 * 2**20 <= peak <= 40 * 2**20, peak
+        assert sorted(built["cols"]) == list(range(0, n, 3))
+        assert sorted(built["rows"]) == [3] * 5 + [2997] * 5
+        monkeypatch.undo()
+        for r, x in enumerate(a.ravel().tolist()):
+            for y in (0, 695, 696, 2783, 2784, 3000):  # chunk edges and the ragged column
+                assert gauss_brute(x, y, n) == got[r, y]
 
     def test_scalar_peak_memory(self):
         # n > 2^15 has 1 x 1 tiles: one chirp row, one linear column, their dot
