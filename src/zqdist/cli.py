@@ -59,6 +59,7 @@ from .fourier import (
 )
 from .gauss import gauss_brute, gauss_general, gauss_row
 from .sphere import (
+    _class_kernel,
     _frequency_classes,
     decay_report,
     sphere_count_formula,
@@ -250,14 +251,24 @@ def _cmd_sphere(args):
 
 def _spectrum_row(m, d: int, t: int, max_grid: int) -> dict:
     """The two spectrum routes compared, and the decay bound for d > 2 on the
-    direct spectrum; each route is computed once."""
+    direct spectrum; each route is computed once.
+
+    route_tol is the sum of the two routes' errors: the grid transform of
+    the indicator is d passes charged (q + 11) eps each (as in
+    _verify_fourier) of the absolute sum |S_t| q^-d, and the formula spectrum
+    spreads column t of the formula kernel, within its largest error[c, t].
+    """
     spec = sphere_spec(m, d, t)
     direct = sphere_spectrum(spec, "direct", max_grid)
     diff = float(np.abs(direct.values - sphere_spectrum(spec, "formula", max_grid).values).max())
+    eps = float(np.finfo(np.float64).eps)
+    size = int(sphere_counts_all(m, d, max_grid)[t])
+    tol = d * (m.q + 11) * eps * size / float(m.q) ** d
+    tol += float(_class_kernel(m, d, "formula", max_grid).error[:, t].max())
     row = {
         "q": m.q, "d": d, "t": t,
-        "max_route_diff": diff, "route_tol": 1e-8,
-        "passed": diff < 1e-8,
+        "max_route_diff": diff, "route_tol": tol,
+        "passed": diff < tol,
     }
     if d > 2:
         rep = decay_report(spec, direct)

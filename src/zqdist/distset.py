@@ -91,9 +91,11 @@ class PointSet:
 
     The points are one read-only (size, d) int64 array of residues in [0, q).
     Coordinates may be any integers, Python ints of any size included; they
-    are reduced mod q.  The rows are sorted and deduplicated on packed
-    base-q int64 keys (_packed_keys): one key, sorted by one argsort,
-    whenever q^d <= 2^62, and a lexsort over the few keys otherwise.
+    are reduced mod q unless every one already lies in [0, q).  The rows are
+    sorted and deduplicated on packed base-q int64 keys (_packed_keys): one
+    key, sorted by one argsort, whenever q^d <= 2^62, and a lexsort over the
+    few keys otherwise.  Both are cheap on rows that arrive sorted, as those
+    of sample_random_set do.
 
     Once a transform of the set has run it also keeps, read-only, its class
     power P_c (_power_by_class, odd q), the sigma(q) floats of the sweep, and
@@ -120,7 +122,8 @@ class PointSet:
             raise DomainError(f"every point needs {d} coordinates") from None
         if arr.ndim != 2 or arr.shape[1] != d:
             raise DomainError(f"every point needs {d} coordinates, got shape {arr.shape}")
-        arr %= m.q
+        if arr.min() < 0 or arr.max() >= m.q:
+            arr %= m.q
         keys = _packed_keys(arr, m.q)
         # equal keys are equal points, so the unstable sort of one key is canonical
         order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
@@ -790,11 +793,21 @@ def _fisher_yates_select(draws: np.ndarray) -> np.ndarray:
     unless step p targets p itself; then no later step targets p and W(p)
     is never read.  The chains of W only run backwards, so pointer jumping
     resolves them in O(log size) passes.
+
+    The stable order of the draws comes from two unstable sorts: an argsort
+    of the draws numbers their runs of equal values, and a sort of the keys
+    (run, step) packed into one uint64 lists the steps of each run in
+    increasing order.  The packing needs size < 2^32 (sample_random_set
+    refuses larger samples).
     """
     size = draws.size
-    order = np.argsort(draws, kind="stable")
-    ranked = draws[order]
+    first = np.argsort(draws)
+    ranked = draws[first]
     same = ranked[1:] == ranked[:-1]
+    run = np.zeros(size, dtype=_U64)
+    np.cumsum(~same, out=run[1:])
+    keys = np.sort((run << _U64(32)) | first.astype(_U64))
+    order = (keys & _U64(0xFFFFFFFF)).astype(np.int64)
     before = np.full(size, -1, dtype=np.int64)  # last earlier step with the same target
     before[order[1:][same]] = order[:-1][same]
     last = np.append(~same, True)
@@ -816,9 +829,10 @@ def sample_random_set(q: "int | Modulus", d: int, size: int, seed: int) -> Point
 
     Bit-for-bit reproducible from the seed: a splitmix64 stream drives a
     partial Fisher-Yates selection over flat indices, so q^d may not exceed
-    2^64.  The swaps are resolved together, not one at a time: one stable
-    argsort of the draws and O(log size) pointer-jumping passes
-    (_fisher_yates_select).
+    2^64, and size must stay below 2^32.  The swaps are resolved together,
+    not one at a time: two unstable sorts and O(log size) pointer-jumping
+    passes (_fisher_yates_select).  The picked flat indices are sorted, so
+    their base-q digits are the rows of the PointSet already in its order.
     """
     m = as_modulus(q)
     n = m.q**d
@@ -828,11 +842,15 @@ def sample_random_set(q: "int | Modulus", d: int, size: int, seed: int) -> Point
         raise DomainError(f"sample size {size} exceeds |Z_{m.q}^{d}| = {n}")
     if n > 1 << 64:
         raise DomainError(f"|Z_{m.q}^{d}| = {n} exceeds the 2^64 flat indices of the sampler")
-    # flat indices below 2^64 fit uint64; peel off the base-q digits
-    flat = _fisher_yates_select(_fisher_yates_draws(seed, n, size))
+    if size >= 1 << 32:
+        raise DomainError(f"sample size {size} reaches the sampler's limit of 2^32 points")
+    flat = np.sort(_fisher_yates_select(_fisher_yates_draws(seed, n, size)))
+    # q^d <= 2^64: the flat indices fit uint64, and their quotients by q fit int64
     digits = np.empty((size, d), dtype=np.int64)
-    for j in range(d - 1, -1, -1):
-        flat, digits[:, j] = np.divmod(flat, np.uint64(m.q))
+    rest, digits[:, d - 1] = np.divmod(flat, np.uint64(m.q))
+    rest = rest.astype(np.int64)
+    for j in range(d - 2, -1, -1):
+        rest, digits[:, j] = np.divmod(rest, m.q)
     return PointSet(m, d, digits)
 
 

@@ -104,11 +104,29 @@ def sphere_spec(q: "int | Modulus", d: int, t: "int | Residue") -> SphereSpec:
     return SphereSpec(m, d, tv)
 
 
+def _narrow_dtype(top: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds 0, ..., top when that is uint8
+    or uint16, else int64: a residue or slot table of q^d entries then takes
+    one or two bytes a point for q <= 2^15."""
+    dtype = np.min_scalar_type(top)
+    return dtype if dtype.itemsize <= 2 else np.dtype(np.int64)
+
+
 def _form_flat(q: int, tables: Sequence[np.ndarray]) -> np.ndarray:
-    """tables[0][x_1] + ... + tables[d-1][x_d] mod q for every flat index, row-major."""
-    acc = np.zeros(1, dtype=np.int64)
+    """tables[0][x_1] + ... + tables[d-1][x_d] mod q for every flat index,
+    row-major, from tables of residues in [0, q).
+
+    The sums are built in _narrow_dtype(2 q - 2), one axis at a time: each
+    sum of two residues is below 2 q, so it is reduced by subtracting q
+    where it reaches q, read on the unsigned view as min(s, s - q) (s - q
+    wraps above s when s < q).  No int64 q^d temporary is made for q <= 2^15.
+    """
+    dtype = _narrow_dtype(2 * q - 2)
+    acc = np.zeros(1, dtype=dtype)
     for tbl in tables:
-        acc = ((acc[:, None] + tbl[None, :]) % q).reshape(-1)
+        acc = np.add.outer(acc, tbl.astype(dtype)).reshape(-1)
+        wrap = acc.view(f"u{dtype.itemsize}")
+        np.minimum(wrap, wrap - q, out=wrap)
     return acc
 
 
@@ -116,8 +134,9 @@ def _form_flat(q: int, tables: Sequence[np.ndarray]) -> np.ndarray:
 def _norms_flat(q: int, d: int) -> np.ndarray:
     """x_1^2 + ... + x_d^2 mod q for every flat index, row-major.
 
-    One q^d int64 table is kept (80 MB at the default grid budget): callers
-    work through one (q, d) at a time."""
+    One q^d table is kept, in _form_flat's dtype: one byte a point for
+    q <= 128 and two for q <= 2^15 (at most 20 MB at the default grid
+    budget), eight beyond; callers work through one (q, d) at a time."""
     acc = _form_flat(q, [(np.arange(q, dtype=np.int64) ** 2) % q] * d)
     acc.setflags(write=False)
     return acc
@@ -292,11 +311,16 @@ def _class_ids(q: int, d: int, norms: np.ndarray) -> np.ndarray:
     table `norms` of ||m|| mod q.  Each divisor g writes its slots over the
     strided slice of the multiples of g, in increasing order of g, so the
     last write to m comes from g = gcd(m, q); ||m'|| mod n for m' in Z_n^d is
-    the norm of Z_q^d at m' reduced mod n."""
+    the norm of Z_q^d at m' reduced mod n.  The slots are written in
+    _narrow_dtype(sigma(q) - 1), one byte a point while sigma(q) <= 256, so
+    a sort of them is a radix sort; each residue is cast to that dtype
+    before its offset is added, so no sum wraps in the narrower norm dtype.
+    """
     norms = norms.reshape((q,) * d)
-    ids = np.empty((q,) * d, dtype=np.int64)
+    ids = np.empty((q,) * d, dtype=_narrow_dtype(_class_count(q) - 1))
     for g, n, offset in _class_slots(q):
-        ids[(slice(None, None, g),) * d] = offset + norms[(slice(0, n),) * d] % n
+        residues = norms[(slice(0, n),) * d] % n
+        ids[(slice(None, None, g),) * d] = residues.astype(ids.dtype) + offset
     return ids.reshape(-1)
 
 

@@ -12,6 +12,7 @@ import numpy as np
 
 import zqdist
 from zqdist import cli, distset, fourier, gauss, sphere
+from zqdist.arith import as_modulus
 from zqdist.cli import main
 from zqdist.distset import sample_random_set
 from zqdist.errors import BudgetError
@@ -232,7 +233,8 @@ class TestSpectrumCommand:
         code, text = run(tmp_path, "spectrum", "--q", "45", "--d", "3", "--all-t")
         assert code == 0 and len(records(text)) == 45
         info = sphere._cached_class_kernel.cache_info()
-        assert (info.misses, info.hits) == (1, 44)
+        # every row reads it twice: for its spectrum and for its route_tol
+        assert (info.misses, info.hits) == (1, 89)
         code, _ = run(tmp_path, "nu", "--random", "300", "--q", "45", "--d", "3")
         assert code == 0
         assert sphere._cached_class_kernel.cache_info().misses == 2  # the direct kernel
@@ -255,6 +257,40 @@ class TestSpectrumCommand:
         assert code == 0 and len(records(text)) == 15
         assert sorted(builds) == [(15, 3), (15, 4)]
         assert sphere._frequency_classes.cache_info().currsize == 0
+
+    def test_route_tol_is_the_derived_bound(self, tmp_path):
+        eps = np.finfo(np.float64).eps
+        code, text = run(tmp_path, "spectrum", "--q", "15", "--d", "3", "--all-t")
+        assert code == 0
+        kern = sphere._class_kernel(as_modulus(15), 3, "formula")
+        counts = sphere.sphere_counts_all(15, 3)
+        for r in records(text):
+            t = int(r["t"])
+            tol = 3 * (15 + 11) * eps * counts[t] / 15**3 + kern.error[:, t].max()
+            assert r["route_tol"] == format(float(tol), ".12g")
+            assert float(r["max_route_diff"]) < tol < 1e-13 and r["passed"] == "true"
+
+    def test_relative_formula_kernel_error_fails(self, tmp_path, monkeypatch):
+        # a formula kernel off by a relative 1e-9 stays within the fixed
+        # route_tol 1e-8 it replaced, but far past the routes' own errors
+        real = sphere._kernel_formula
+
+        def perturbed(*args):
+            vals, err = real(*args)
+            return vals * (1 + 1e-9), err
+
+        monkeypatch.setattr(sphere, "_kernel_formula", perturbed)
+        sphere._cached_class_kernel.cache_clear()
+        try:
+            code, text = run(tmp_path, "spectrum", "--q", "9", "--d", "3", "--all-t")
+            rows = [cli._spectrum_row(as_modulus(q), 3, t, 10**7)
+                    for q in (3, 5, 9, 15) for t in range(q)]
+        finally:
+            sphere._cached_class_kernel.cache_clear()
+        assert code == 1
+        for r in records(text):
+            assert float(r["max_route_diff"]) < 1e-8 and r["passed"] == "false", r
+        assert all(r["max_route_diff"] < 1e-8 and not r["passed"] for r in rows)
 
     def test_t_sorted_after_reduction(self, tmp_path):
         code, text = run(tmp_path, "spectrum", "--q", "9", "--t", "10", "2")

@@ -1087,6 +1087,56 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_random_set(101, 10, 3, seed=1)
 
+    @pytest.mark.parametrize("q,d,size,seed", [
+        (9, 6, 177147, 2024),
+        (3, 11, 177147, 5),
+        (2, 64, 1000, 3),
+        (3, 40, 2000, 9),
+        (10**9, 2, 500, 4),
+        (2**32 - 5, 2, 400, 6),
+        (2, 63, 50, 1),
+        (4, 32, 70, 2),
+        (45, 4, 20000, 11),
+    ])
+    def test_byte_identical_to_the_stable_sort_sampler(self, q, d, size, seed):
+        got = sample_random_set(q, d, size, seed).array()
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.tobytes() == _stable_sort_sample(q, d, size, seed).tobytes()
+
+    def test_size_of_2_32_refused_before_drawing(self, monkeypatch):
+        # the (run, step) keys of _fisher_yates_select hold a step in 32 bits
+        def forbidden(*args):
+            raise AssertionError("the sampler drew before checking the size")
+
+        monkeypatch.setattr(distset, "_fisher_yates_draws", forbidden)
+        with pytest.raises(DomainError):
+            sample_random_set(2, 64, 2**32, seed=1)
+        with pytest.raises(AssertionError):  # one point less reaches the draws
+            sample_random_set(2, 64, 2**32 - 1, seed=1)
+
+
+def _stable_sort_sample(q, d, size, seed):
+    # reference: the draws resolved through one stable argsort, the digits
+    # peeled in uint64 from the unsorted picks, the rows lexsorted
+    draws = distset._fisher_yates_draws(seed, q**d, size)
+    order = np.argsort(draws, kind="stable")
+    ranked = draws[order]
+    same = ranked[1:] == ranked[:-1]
+    before = np.full(size, -1, dtype=np.int64)
+    before[order[1:][same]] = order[:-1][same]
+    last = np.append(~same, True)
+    targets, k = ranked[last], order[last]
+    inside = targets < np.uint64(size)
+    w = np.arange(size, dtype=np.int64)
+    w[targets[inside].astype(np.int64)] = k[inside]
+    for _ in range(size.bit_length()):
+        w = w[w]
+    flat = np.where(before < 0, draws, w[before].astype(np.uint64))
+    digits = np.empty((size, d), dtype=np.int64)
+    for j in range(d - 1, -1, -1):
+        flat, digits[:, j] = np.divmod(flat, np.uint64(q))
+    return digits[np.lexsort(digits.T[::-1])]
+
 
 def _scalar_sample(q, d, size, seed):
     # independent oracle: splitmix64 one output at a time, each draw rejected

@@ -458,6 +458,59 @@ class TestClassKernel:
             _class_kernel(as_modulus(3163), 1)
 
 
+def _form_flat_int64(q, tables):
+    # reference: the int64 sums with a % on every pass
+    acc = np.zeros(1, dtype=np.int64)
+    for tbl in tables:
+        acc = ((acc[:, None] + np.asarray(tbl, dtype=np.int64)[None, :]) % q).reshape(-1)
+    return acc
+
+
+def _class_ids_int64(q, d, norms):
+    # reference: the slots written in int64, with no narrower dtype anywhere
+    norms = np.asarray(norms, dtype=np.int64).reshape((q,) * d)
+    ids = np.empty((q,) * d, dtype=np.int64)
+    for g, n, offset in sphere._class_slots(q):
+        ids[(slice(None, None, g),) * d] = offset + norms[(slice(0, n),) * d] % n
+    return ids.reshape(-1)
+
+
+class TestNarrowTables:
+    @pytest.mark.parametrize("q,d,dtype", [
+        (127, 3, np.uint8), (128, 3, np.uint8), (129, 3, np.uint16),
+        (32767, 1, np.uint16), (32768, 1, np.uint16), (32769, 1, np.int64),
+    ])
+    def test_norms_at_the_width_edges(self, q, d, dtype):
+        squares = np.arange(q, dtype=np.int64) ** 2 % q
+        norms = sphere._norms_flat(q, d)
+        assert norms.dtype == dtype
+        assert np.array_equal(norms, _form_flat_int64(q, [squares] * d))
+        # every residue on the first two axes, so sums reach 2 q - 2
+        tables = [np.arange(q), np.arange(q)[::-1], squares][:d]
+        form = sphere._form_flat(q, tables)
+        assert form.dtype == dtype
+        assert np.array_equal(form, _form_flat_int64(q, tables))
+
+    def test_one_byte_a_point(self):
+        assert sphere._norms_flat(27, 4).nbytes == 27**4
+        ids, slots = _frequency_classes(45, 4)
+        assert slots == 78 and ids.nbytes == 45**4
+
+    @pytest.mark.parametrize("q,d,dtype", [
+        (105, 3, np.uint8),  # sigma = 192: the first members come from a radix sort
+        (165, 3, np.uint16),  # sigma = 288: slots past one byte
+        (120, 3, np.uint16),  # sigma = 360 over one-byte norms: the cast comes first
+        (27720, 1, np.int64),  # sigma = 112320 over two-byte norms
+        (45045, 1, np.int64),  # sigma = 104832 past two bytes
+    ])
+    def test_class_ids_width(self, q, d, dtype):
+        norms = sphere._norms_flat(q, d)
+        ids = sphere._class_ids(q, d, norms)
+        assert ids.dtype == dtype
+        assert int(ids.max()) < sigma(q)
+        assert np.array_equal(ids, _class_ids_int64(q, d, norms))
+
+
 class TestGaussTable:
     def test_render_error_within_kernel_constants(self):
         # _kernel_formula and the CLI's Gauss tolerance assume each rendered
