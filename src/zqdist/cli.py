@@ -65,9 +65,9 @@ from .sphere import (
     sphere_count_formula,
     sphere_counts_all,
     sphere_enumerate,
+    sphere_fourier_direct,
     sphere_size_bound_check,
     sphere_spec,
-    sphere_spectrum,
 )
 
 DEFAULT_SEED = 1
@@ -249,24 +249,35 @@ def _cmd_sphere(args):
 # spectrum
 
 
-def _spectrum_row(m, d: int, t: int, max_grid: int) -> dict:
-    """The two spectrum routes compared, and the decay bound for d > 2 on the
-    direct spectrum; each route is computed once.
+def _spectrum_rows(m, d: int, ts, max_grid: int) -> list[dict]:
+    """One row per t in ts (_spectrum_row) from one fetch of the formula kernel's
+    columns ts and of the q^d class table, the kernel let go before the table."""
+    counts = sphere_counts_all(m, d, max_grid)
+    kern = _class_kernel(m, d, "formula", max_grid)
+    columns, errors = kern.values[:, ts], kern.error[:, ts].max(axis=0)
+    del kern
+    ids, _ = _frequency_classes(m.q, d)
+    return [_spectrum_row(sphere_spec(m, d, t), columns[:, i], ids, float(errors[i]),
+                          int(counts[t]), max_grid) for i, t in enumerate(ts)]
+
+
+def _spectrum_row(spec, column, ids, kernel_err: float, size: int, max_grid: int) -> dict:
+    """The two spectrum routes compared at one t, and the decay bound for
+    d > 2 on the direct spectrum.  The direct route transforms the indicator
+    and the formula route spreads the kernel column over the class table
+    ids, one after the other; both spectra are freed with the row.
 
     route_tol is the sum of the two routes' errors: the grid transform of
-    the indicator is d passes charged (q + 11) eps each (as in
-    _verify_fourier) of the absolute sum |S_t| q^-d, and the formula spectrum
-    spreads column t of the formula kernel, within its largest error[c, t].
+    the indicator is d passes (_pass_charge) of the absolute sum |S_t| q^-d,
+    and the formula spectrum spreads column t of the formula kernel, within
+    its largest error[c, t].
     """
-    spec = sphere_spec(m, d, t)
-    direct = sphere_spectrum(spec, "direct", max_grid)
-    diff = float(np.abs(direct.values - sphere_spectrum(spec, "formula", max_grid).values).max())
-    eps = float(np.finfo(np.float64).eps)
-    size = int(sphere_counts_all(m, d, max_grid)[t])
-    tol = d * (m.q + 11) * eps * size / float(m.q) ** d
-    tol += float(_class_kernel(m, d, "formula", max_grid).error[:, t].max())
+    q, d, t = spec.q, spec.d, spec.t_value
+    direct = sphere_fourier_direct(spec, max_grid)
+    diff = float(np.abs(direct.values - column[ids]).max())
+    tol = d * _pass_charge(q) * size / float(q) ** d + kernel_err
     row = {
-        "q": m.q, "d": d, "t": t,
+        "q": q, "d": d, "t": t,
         "max_route_diff": diff, "route_tol": tol,
         "passed": diff < tol,
     }
@@ -292,7 +303,7 @@ def _cmd_spectrum(args):
         m = as_modulus(q)
         m.require_odd("spectrum")
         for d in sorted(set(args.d)):
-            rows += [_spectrum_row(m, d, t, args.max_grid) for t in _t_values(q, args)]
+            rows += _spectrum_rows(m, d, _t_values(q, args), args.max_grid)
     return cols, rows
 
 
@@ -488,6 +499,25 @@ def _random_grid(q: int, d: int, seed: int) -> GridFunction:
     return GridFunction(q, d, u[:size] + 1j * u[size:])
 
 
+def _pass_charge(q: int) -> float:
+    """(q + 11) eps, the rounding of one length-q pass relative to the
+    absolute sum of its terms (see _verify_fourier)."""
+    return (q + 11) * float(np.finfo(np.float64).eps)
+
+
+def _grid_defects(f: GridFunction, g: GridFunction) -> tuple[float, float, float, float]:
+    """(round-trip defect, its tol, Plancherel defect, its tol) for two grids,
+    each relative to its scale as derived in _verify_fourier."""
+    charge = 2 * f.d * _pass_charge(f.q)
+    abs_f, abs_g = np.abs(f.values), np.abs(g.values)
+    scale = float(abs_f.max())
+    rt = float(np.abs(inverse(forward(f)).values - f.values).max()) / scale
+    pscale = float(np.mean(abs_f * abs_g))
+    pd = plancherel_defect(f, g) / pscale
+    return (rt, charge * float(abs_f.sum()) / scale,
+            pd, charge * float(abs_f.sum()) * float(abs_g.mean()) / pscale)
+
+
 def _verify_fourier(q_max: int, seed: int) -> list[dict]:
     """Orthogonality, round trips and Plancherel, each against a tolerance
     derived from the rounding of its length-q passes.
@@ -508,32 +538,24 @@ def _verify_fourier(q_max: int, seed: int) -> list[dict]:
       sum_m |dF| |G| + |F| |dG| <= 2 d (q + 11) eps q^-d sum |f| sum |g|.
       The two q^d-term dots that close the identity are not charged.
     """
-    eps = float(np.finfo(np.float64).eps)
     rows = []
     for q in (3, 5, 9, 15):
         if q > q_max:
             continue
-        charge = (q + 11) * eps
         for d in (1, 2, 3):
             defect = orthogonality_max_defect(q, d)
             rows.append(_row(
                 "fourier_orthogonality", f"q={q:02d} d={d}", "max_defect",
-                defect, tol=charge, passed=defect < charge,
+                defect, tol=_pass_charge(q), passed=defect < _pass_charge(q),
             ))
             for k in range(2):
                 f = _random_grid(q, d, seed + 100 * q + 10 * d + k)
                 g = _random_grid(q, d, seed + 100 * q + 10 * d + k + 5000)
-                abs_f, abs_g = np.abs(f.values), np.abs(g.values)
-                scale = float(abs_f.max())
-                rt = float(np.abs(inverse(forward(f)).values - f.values).max()) / scale
-                rt_tol = 2 * d * charge * float(abs_f.sum()) / scale
+                rt, rt_tol, pd, pd_tol = _grid_defects(f, g)
                 rows.append(_row(
                     "fourier_roundtrip", f"q={q:02d} d={d} grid={k}", "rel_defect",
                     rt, tol=rt_tol, passed=rt < rt_tol,
                 ))
-                pscale = float(np.mean(abs_f * abs_g))
-                pd = plancherel_defect(f, g) / pscale
-                pd_tol = 2 * d * charge * float(abs_f.sum()) * float(abs_g.mean()) / pscale
                 rows.append(_row(
                     "fourier_plancherel", f"q={q:02d} d={d} grid={k}", "rel_defect",
                     pd, tol=pd_tol, passed=pd < pd_tol,
@@ -583,9 +605,8 @@ def _cmd_verify_all(args):
     for q in (3, 5, 9, 15):
         if q > args.q_max:
             continue
-        for t in range(q):
-            r = _spectrum_row(as_modulus(q), 3, t, max_grid)
-            inst = f"q={q:02d} d=3 t={t:02d}"
+        for r in _spectrum_rows(as_modulus(q), 3, range(q), max_grid):
+            inst = f"q={q:02d} d=3 t={r['t']:02d}"
             rows.append(_row("spectrum_two_route", inst, "max_abs_diff", r["max_route_diff"],
                              tol=r["route_tol"], passed=r["max_route_diff"] < r["route_tol"]))
             rows.append(_row("spectrum_decay", inst, "max_nonzero_coeff", r["max_nonzero_coeff"],
@@ -715,8 +736,6 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     except InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 1
-    finally:
-        _frequency_classes.cache_clear()  # a command's formula spectra share one class table
     _emit(cols, rows, args)
     ok = all(row.get("passed", True) for row in rows)
     return 0 if ok else 1

@@ -562,12 +562,11 @@ def nu_spectral_sweep(
     certificate_check and the CLI do), and every later sweep, by either
     route, reads P back after checking the transform budget.
 
-    Each float sum must land within a tolerance of an integer, with an
-    imaginary part no larger than that tolerance and a chain-bound excess no
-    larger than it plus the chain's own slack (see _sweep).  The
-    tolerance is derived per t from the rounding steps of the sum (see
-    _sweep_tolerance); an explicit int_tol takes precedence.  Each report
-    carries the tolerance its nu(t) was checked against.
+    K is real, so each nu(t) is one float64 sum.  It must land within a
+    tolerance of an integer, and exceed the chain bound by no more than that
+    tolerance plus the chain's slack (_sweep).  The tolerance is derived per
+    t from the sum's rounding steps (_sweep_tolerance) unless int_tol is
+    given; each report carries the tolerance its nu(t) was checked against.
     """
     m = E.modulus
     m.require_odd("nu_spectral_sweep")
@@ -603,22 +602,18 @@ def _sweep(
     out = []
     for t in range(q):
         main = E.size**2 * int(counts[t]) / q**d
-        z, tol_t, chain = complex(total[t]), float(tol[t]), float(chains[t])
+        z, tol_t, chain = float(total[t]), float(tol[t]), float(chains[t])
         slack_t = float(slack[t])
         r = z - main
-        if abs(r.imag) > tol_t:
-            raise InconsistencyError(f"nu({t}) has imaginary part {r.imag}")
-        nu_int = round(z.real)
-        if abs(z.real - nu_int) > tol_t:
-            raise InconsistencyError(
-                f"nu({t}) = {z.real!r} is not within {tol_t:.3g} of an integer"
-            )
+        nu_int = round(z)
+        if abs(z - nu_int) > tol_t:
+            raise InconsistencyError(f"nu({t}) = {z!r} is not within {tol_t:.3g} of an integer")
         if abs(r) > chain + slack_t + tol_t:
             raise InconsistencyError(f"|R_{t}| = {abs(r)} exceeds the spectral chain bound {chain}")
         if d > 2 and chain > r_bound + slack_t:
             raise InconsistencyError(f"chain bound {chain} exceeds the decay bound {r_bound}")
         out.append(
-            NuReport(t, int(nu_int), main, r.real, r_bound, bool(main - r_bound > 0), tol_t)
+            NuReport(t, int(nu_int), main, r, r_bound, bool(main - r_bound > 0), tol_t)
         )
     return out
 

@@ -144,9 +144,10 @@ class Spectrum(_GridBase):
     """Fourier coefficients indexed by frequency vectors m in Z_q^d."""
 
 
-# Transform tables of Z_q with q^2 at most this are cached, 16 of each kind:
-# 1 MiB a complex kernel, 0.5 MiB a real table, 40 MiB over the four kinds.
-# Larger ones, up to the q x q budget, are rebuilt on every call.
+# Tables of Z_q with q^2 at most this are cached, 16 of each of five kinds:
+# 1 MiB a complex kernel, 0.5 MiB a real table (40 MiB over those four), and
+# 1.8 MB a sphere class kernel's sigma(q) x q values and errors (28 MB, odd
+# q <= 255).  Larger ones, up to the q x q budget, are rebuilt on every call.
 _CACHED_TABLE_ENTRIES = 1 << 16
 
 
@@ -180,17 +181,18 @@ def _kernel(q: int, forward_sign: bool) -> np.ndarray:
 
 def forward(f: GridFunction) -> Spectrum:
     """F(m) = q^{-d} sum_x f(x) e^{-2 pi i (x . m)/q}: d passes of _passes,
-    the first reading f's values in place, then one scaling by q^{-d}."""
-    buffers = np.empty((2, f.size), dtype=np.complex128)
-    out = _passes(f.values, _kernel(f.q, True), f.d, buffers)
+    the first reading f's values in place, then one scaling by q^{-d}.  The
+    two buffers are separate arrays, so the one not holding the result is
+    freed before the Spectrum copies it."""
+    out = _passes(f.values, _kernel(f.q, True), f.d, [np.empty_like(f.values) for _ in range(2)])
     out *= 1.0 / f.size
     return Spectrum(f.modulus, f.d, out)
 
 
 def inverse(F: Spectrum) -> GridFunction:
     """f(x) = sum_m F(m) e^{+2 pi i (x . m)/q}; exact inverse of forward."""
-    buffers = np.empty((2, F.size), dtype=np.complex128)
-    return GridFunction(F.modulus, F.d, _passes(F.values, _kernel(F.q, False), F.d, buffers))
+    out = _passes(F.values, _kernel(F.q, False), F.d, [np.empty_like(F.values) for _ in range(2)])
+    return GridFunction(F.modulus, F.d, out)
 
 
 def half_weights(q: int) -> np.ndarray:

@@ -41,12 +41,13 @@ from typing import Sequence
 import numpy as np
 
 from .arith import Modulus, Residue, as_modulus, jacobi, tau
-from .errors import BudgetError, DomainError
+from .errors import DomainError, InconsistencyError
 from .fourier import (
     DEFAULT_GRID_BUDGET,
     GridFunction,
     Spectrum,
     _kernel,
+    _transform_table,
     character_table,
     check_grid_budget,
     forward,
@@ -144,7 +145,11 @@ def _norms_flat(q: int, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _counts_cached(q: int, d: int) -> np.ndarray:
-    counts = np.bincount(_norms_flat(q, d), minlength=q)
+    # binned in blocks: np.bincount casts to intp, so one call would copy the table
+    norms = _norms_flat(q, d)
+    counts = np.zeros(q, dtype=np.intp)
+    for lo in range(0, norms.size, 1 << 16):
+        counts += np.bincount(norms[lo : lo + (1 << 16)], minlength=q)
     counts.setflags(write=False)
     return counts
 
@@ -277,15 +282,6 @@ def sphere_fourier_direct(spec: SphereSpec, max_grid: int = DEFAULT_GRID_BUDGET)
     return forward(sphere_indicator(spec, max_grid))
 
 
-def _gauss_table(q: int) -> np.ndarray:
-    """G(s, b, q) for all (s, b) in Z_q^2 in closed form, from one call.  Not
-    cached: the q x q table is 16 q^2 bytes, and the kernel cache already
-    keeps the small kernels built from it."""
-    out = gauss_row(np.arange(q), q)
-    out.setflags(write=False)
-    return out
-
-
 @lru_cache(maxsize=64)
 def _class_slots(q: int) -> tuple[tuple[int, int, int], ...]:
     """(g, n = q / g, offset) for every divisor g of q in increasing order:
@@ -324,7 +320,6 @@ def _class_ids(q: int, d: int, norms: np.ndarray) -> np.ndarray:
     return ids.reshape(-1)
 
 
-@lru_cache(maxsize=1)
 def _frequency_classes(q: int, d: int) -> tuple[np.ndarray, int]:
     """The class of every frequency m in Z_q^d (odd q), flat and row-major,
     and the number sigma(q) of class slots.
@@ -332,14 +327,10 @@ def _frequency_classes(q: int, d: int) -> tuple[np.ndarray, int]:
     With g = gcd(m_1, ..., m_d, q) and n = q / g, write m = g m' with m' in
     Z_n^d.  The class of m is the pair (g, ||m'|| mod n), so there are at
     most sigma(q) = sum_{g | q} q / g classes, and exactly that many for
-    d >= 3 (_class_slots gives their layout).  This q^d table serves only
-    where a whole spectrum is spread over its classes, every t of one
-    (q, d) in turn, so the last one is kept; the CLI drops it when a
-    command ends, so no second q^d table outlives the command.
+    d >= 3 (_class_slots gives their layout).  This q^d table is not cached:
+    the CLI's spectrum rows build it once for all the spheres of one (q, d).
     """
-    ids = _class_ids(q, d, _norms_flat(q, d))
-    ids.setflags(write=False)
-    return ids, _class_count(q)
+    return _class_ids(q, d, _norms_flat(q, d)), _class_count(q)
 
 
 @dataclass(frozen=True)
@@ -350,7 +341,7 @@ class _ClassKernel:
     ``values[c, t]`` is the coefficient S_t^(m) shared by every m in class c
     (a zero row for a class that is empty, as some are when d <= 2), and
     ``error[c, t]`` a bound on the rounding error of ``values[c, t]``.  Both
-    arrays are read-only: kernels are cached.
+    are float64, as S_t = -S_t makes S_t^(m) real, and read-only (cached).
     """
 
     values: np.ndarray
@@ -415,7 +406,7 @@ def _kernel_direct(
     cos = character_table(q).real  # the real part of e(-x mu / q) as well
     spheres = _sphere_count_rows(q, d)  # spheres[i][t] = |S_t| in Z_q^i
     root_steps = 11 + int(spheres[1].max()) // 2
-    vals = np.zeros((_class_count(q), q), dtype=np.complex128)
+    vals = np.zeros((_class_count(q), q))
     steps = np.zeros(len(vals))
     for c, rep in zip(present, reps):
         mus = rep[rep != 0]
@@ -445,15 +436,21 @@ def _kernel_formula(
     product); 0.75 and 4.3 eps are the largest errors for odd q < 62.  With
     z_c nonzero coordinates in m_c, the d-fold product (16 z_c + 2 (d - z_c)
     + d - 1), the table character (13), the q-term sum and the scaling leave
-    K[c, t] within (q + 3 d + 14 z_c + 13) eps q^{-d-1} sum_s |W_c(s)|."""
-    w = np.prod(_gauss_table(q)[:, (-reps) % q], axis=2)  # (s, class)
+    K[c, t] within (q + 3 d + 14 z_c + 13) eps q^{-d-1} sum_s |W_c(s)|.  S_t^(m)
+    is real, so an imaginary part past that bound raises InconsistencyError;
+    the real part, no further from S_t^(m) than the complex value, is kept."""
+    w = np.prod(gauss_row(np.arange(q), q)[:, (-reps) % q], axis=2)  # (s, class)
     norm = 1.0 / float(q) ** (d + 1)
-    vals = np.zeros((_class_count(q), q), dtype=np.complex128)
-    vals[present] = (_kernel(q, True) @ w).T  # the DFT matrix: [t, s] = e(-st/q)
-    vals *= norm
     steps = q + 3 * d + 14 * np.count_nonzero(reps, axis=1) + 13
+    bound = steps * _EPS * np.abs(w).sum(axis=0) * norm
+    rows = (_kernel(q, True) @ w).T  # the DFT matrix: [t, s] = e(-st/q)
+    rows *= norm
+    if (np.abs(rows.imag) > bound[:, None]).any():
+        raise InconsistencyError(f"an imaginary part of the Z_{q}^{d} kernel exceeds its error")
+    vals = np.zeros((_class_count(q), q))
+    vals[present] = rows.real
     err = np.zeros(vals.shape)
-    err[present] = (steps * _EPS * np.abs(w).sum(axis=0) * norm)[:, None]
+    err[present] = bound[:, None]
     return vals, err
 
 
@@ -476,6 +473,7 @@ def _class_representatives(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return reps, present
 
 
+@_transform_table
 def _build_class_kernel(q: int, d: int, route: str) -> _ClassKernel:
     reps, present = _class_representatives(q, d)
     build = _kernel_direct if route == "direct" else _kernel_formula
@@ -485,34 +483,19 @@ def _build_class_kernel(q: int, d: int, route: str) -> _ClassKernel:
     return _ClassKernel(values, error)
 
 
-# A kernel holds sigma(q) x q values and as many error bounds.  Kernels of at
-# most 2^16 values are cached, 16 of them, so the cache never holds more than
-# 2^20 values; larger kernels are rebuilt on every call.
-_CACHED_KERNEL_VALUES = 1 << 16
-_cached_class_kernel = lru_cache(maxsize=16)(_build_class_kernel)
-
-
 def _class_kernel(
     mod: Modulus, d: int, route: str = "direct", max_grid: int = DEFAULT_GRID_BUDGET
 ) -> _ClassKernel:
     """The sigma(q) x q class kernel of the spheres of Z_q^d, built by the named
     route from the first member (in flat order) of every nonempty class:
     "direct" from exact point counts, "formula" from Gauss sums.  The build
-    touches q^min(d, 3) points, never the grid, and is cached per (q, d, route)
-    while sigma(q) q <= 2^16."""
+    touches q^min(d, 3) points, never the grid, and keeps the rule of the
+    transform tables of Z_q (fourier._transform_table) on size and cache."""
     mod.require_odd("the sphere class kernel")
     if route not in ("direct", "formula"):
         raise DomainError(f"unknown spectrum route {route!r}")
-    q = mod.q
-    check_grid_budget(q, d, max_grid)
-    if q * q > DEFAULT_GRID_BUDGET:
-        raise BudgetError(
-            f"the Z_{q} class kernel needs q x q tables of {q * q} entries, exceeding the "
-            f"budget {DEFAULT_GRID_BUDGET}"
-        )
-    if _class_count(q) * q <= _CACHED_KERNEL_VALUES:
-        return _cached_class_kernel(q, d, route)
-    return _build_class_kernel(q, d, route)
+    check_grid_budget(mod.q, d, max_grid)
+    return _build_class_kernel(mod.q, d, route)
 
 
 def sphere_spectrum_formula(spec: SphereSpec, max_grid: int = DEFAULT_GRID_BUDGET) -> Spectrum:
@@ -527,7 +510,7 @@ def sphere_spectrum(
     spec: SphereSpec, route: str = "direct", max_grid: int = DEFAULT_GRID_BUDGET
 ) -> Spectrum:
     """The spectrum by the named route: "direct" transforms the enumerated
-    indicator, "formula" spreads the (cached) formula class kernel."""
+    indicator, "formula" spreads the formula class kernel."""
     if route == "direct":
         return sphere_fourier_direct(spec, max_grid)
     if route == "formula":

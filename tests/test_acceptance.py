@@ -4,14 +4,16 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
+import functools
 import itertools
 import time
 
 import numpy as np
 import pytest
 
-from zqdist.arith import as_modulus, factorize
-from zqdist.cli import _gauss_tol, _spectrum_row
+from zqdist import cli, fourier
+from zqdist.arith import as_modulus
+from zqdist.cli import _gauss_tol, _grid_defects, _pass_charge, _sphere_rows, _spectrum_rows
 from zqdist.cli import main as cli_main
 from zqdist.distset import (
     PointSet,
@@ -27,14 +29,11 @@ from zqdist.distset import (
 from zqdist.fourier import (
     DEFAULT_GRID_BUDGET,
     GridFunction,
-    forward,
-    inverse,
+    Spectrum,
     orthogonality_max_defect,
-    plancherel_defect,
 )
 from zqdist.gauss import GaussSumValue, gauss_brute, gauss_general, gauss_row
 from zqdist.sphere import (
-    sphere_count_formula,
     sphere_counts_all,
     sphere_size_bound_check,
     sphere_spec,
@@ -94,11 +93,12 @@ def test_gauss_row_oracle_equivalence():
 
 
 def test_criterion_2_fourier_identities():
+    # the tolerances verify-all derives: (q + 11) eps per length-q pass
     t0 = time.time()
     combos = [(q, d) for q in FOURIER_QS for d in (1, 2, 3)]
     for q, d in combos:
         defect = orthogonality_max_defect(q, d)
-        assert defect < 1e-9, f"orthogonality defect {defect} at q={q} d={d}"
+        assert defect < _pass_charge(q), f"orthogonality defect {defect} at q={q} d={d}"
     grids = 0
     k = 0
     while grids < 100:
@@ -107,23 +107,34 @@ def test_criterion_2_fourier_identities():
         rng = np.random.Generator(np.random.PCG64(1000 + grids))
         f = GridFunction(q, d, rng.standard_normal(q**d) + 1j * rng.standard_normal(q**d))
         g = GridFunction(q, d, rng.standard_normal(q**d) + 1j * rng.standard_normal(q**d))
-        scale = float(np.abs(f.values).max())
-        rt = float(np.abs(inverse(forward(f)).values - f.values).max())
-        assert rt < 1e-9 * scale, f"round trip defect {rt} at q={q} d={d}"
-        pscale = float(np.mean(np.abs(f.values) * np.abs(g.values)))
-        pd = plancherel_defect(f, g)
-        assert pd < 1e-9 * pscale, f"Plancherel defect {pd} at q={q} d={d}"
+        rt, rt_tol, pd, pd_tol = _grid_defects(f, g)
+        assert rt < rt_tol, f"round trip defect {rt} at q={q} d={d}"
+        assert pd < pd_tol, f"Plancherel defect {pd} at q={q} d={d}"
         grids += 1
     elapsed = time.time() - t0
     assert elapsed < 30.0, f"criterion 2 took {elapsed:.1f}s, budget is 30s"
     _report(2, "fourier identities", f"{len(combos)} exhaustive combos + {grids} grids", t0)
 
 
-def _crt_count(m, d, t):
-    out = 1
-    for pm in m.prime_power_moduli():
-        out *= int(sphere_counts_all(pm, d)[t % pm.q])
-    return out
+def test_criterion_2_fails_a_relative_transform_error(monkeypatch):
+    # the derived tolerances are rounding-sized: a forward transform a
+    # relative 1e-9 off fails the first round trip
+    real = fourier.forward
+
+    def perturbed(f):
+        F = real(f)
+        return Spectrum(F.modulus, F.d, F.values * (1 + 1e-9))
+
+    for mod in (cli, fourier):
+        monkeypatch.setattr(mod, "forward", perturbed)
+    with pytest.raises(AssertionError, match="round trip defect .* at q=3 d=1"):
+        test_criterion_2_fourier_identities()
+
+
+@functools.lru_cache(maxsize=None)
+def _sphere_table(q, d):
+    """The rows that `zqdist sphere --all-t` emits: per t, then t="all"."""
+    return _sphere_rows(as_modulus(q), d, range(q), DEFAULT_GRID_BUDGET)
 
 
 def test_criterion_3_sphere_counts():
@@ -132,12 +143,10 @@ def test_criterion_3_sphere_counts():
     checked = 0
     for q in SPHERE_QS:
         for d in SPHERE_DS:
-            counts = sphere_counts_all(q, d)
-            assert int(counts.sum()) == q**d, f"partition fails at q={q} d={d}"
-            for t in range(q):
-                rep = sphere_count_formula(sphere_spec(q, d, t))
-                crt = _crt_count(factorize(q), d, t)
-                assert int(counts[t]) == rep.exact_count == crt, (q, d, t)
+            *per_t, total = _sphere_table(q, d)
+            assert total["count_enum"] == q**d and total["passed"], f"partition fails at q={q} d={d}"
+            for r in per_t:
+                assert r["count_enum"] == r["count_formula"] == r["count_crt"], (q, d, r["t"])
                 checked += 1
     elapsed = time.time() - t0
     assert elapsed < 120.0, f"criterion 3 took {elapsed:.1f}s, budget is 2 min"
@@ -149,10 +158,10 @@ def test_criterion_4_sphere_error_bound():
     worst = 0.0
     for q in SPHERE_QS:
         for d in SPHERE_DS:
-            for t in range(q):
-                rep = sphere_size_bound_check(sphere_spec(q, d, t))
-                assert rep.ok, (q, d, t)
-                worst = max(worst, max(f.ratio for f in rep.factors))
+            *per_t, _ = _sphere_table(q, d)
+            for r in per_t:
+                assert r["bound_ok"], (q, d, r["t"])
+                worst = max(worst, r["bound_ratio_max"])
     # frozen instance: q=3 d=3 t=1 has |II| = 3 against 9 / sqrt(3) = 5.196
     rep = sphere_size_bound_check(sphere_spec(3, 3, 1))
     assert rep.factors[0].ii_abs == 3
@@ -164,9 +173,8 @@ def test_criterion_5_decay_bound():
     t0 = time.time()
     worst_ratio = 0.0
     for q in FOURIER_QS:
-        for t in range(q):
-            # the row that spectrum and verify-all emit
-            row = _spectrum_row(as_modulus(q), 3, t, DEFAULT_GRID_BUDGET)
+        # the rows that spectrum and verify-all emit
+        for t, row in enumerate(_spectrum_rows(as_modulus(q), 3, range(q), DEFAULT_GRID_BUDGET)):
             diff = row["max_route_diff"]
             assert diff < row["route_tol"], f"two-route disagreement {diff} at q={q} t={t}"
             assert row["max_nonzero_coeff"] <= row["decay_bound"], (q, t, row)

@@ -212,7 +212,9 @@ class TestSpectrumCommand:
         assert code == 2
 
     def test_each_route_once_per_row(self, tmp_path, monkeypatch):
-        calls = {"sphere_fourier_direct": 0, "sphere_spectrum_formula": 0}
+        # one transform per row; the formula spectra of all rows share one
+        # fetch of the kernel and one class table
+        calls = {"sphere_fourier_direct": 0, "_class_kernel": 0, "_frequency_classes": 0}
         for name in calls:
             real = getattr(sphere, name)
 
@@ -224,25 +226,39 @@ class TestSpectrumCommand:
                 monkeypatch.setattr(mod, name, counted, raising=False)
         code, text = run(tmp_path, "spectrum", "--q", "9", "--all-t")
         assert code == 0 and len(records(text)) == 9
-        assert calls == {"sphere_fourier_direct": 9, "sphere_spectrum_formula": 9}
+        assert calls == {"sphere_fourier_direct": 9, "_class_kernel": 1, "_frequency_classes": 1}
+
+    def test_formula_kernel_built_once_per_q_and_d(self, tmp_path, monkeypatch):
+        # Z_1009's kernel is past the cache: every row of the command reads
+        # the one build
+        builds = []
+        real = sphere._kernel_formula
+
+        def counted(q, d, *args):
+            builds.append((q, d))
+            return real(q, d, *args)
+
+        monkeypatch.setattr(sphere, "_kernel_formula", counted)
+        code, text = run(tmp_path, "spectrum", "--q", "1009", "--d", "1", "--t", "1", "2", "3", "4")
+        assert code == 0 and len(records(text)) == 4
+        assert builds == [(1009, 1)]
 
     def test_kernel_built_once_per_route(self, tmp_path):
-        # the formula kernel of Z_45^3 serves all 45 rows from the cache; the
+        # the formula kernel of Z_45^3 is fetched once for all 45 rows; the
         # direct spectra need no kernel
-        sphere._cached_class_kernel.cache_clear()
+        sphere._build_class_kernel.cache_clear()
         code, text = run(tmp_path, "spectrum", "--q", "45", "--d", "3", "--all-t")
         assert code == 0 and len(records(text)) == 45
-        info = sphere._cached_class_kernel.cache_info()
-        # every row reads it twice: for its spectrum and for its route_tol
-        assert (info.misses, info.hits) == (1, 89)
+        info = sphere._build_class_kernel.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
         code, _ = run(tmp_path, "nu", "--random", "300", "--q", "45", "--d", "3")
         assert code == 0
-        assert sphere._cached_class_kernel.cache_info().misses == 2  # the direct kernel
+        assert sphere._build_class_kernel.cache_info().misses == 2  # the direct kernel
 
     def test_one_class_table_per_command(self, tmp_path, monkeypatch):
         # the formula spectra of all 15 rows share one q^d class table, built
-        # once and dropped when the command ends; the formula kernel's
-        # representatives are found on Z_15^3
+        # once and not cached; the formula kernel's representatives are found
+        # on Z_15^3
         builds = []
         real = sphere._class_ids
 
@@ -251,12 +267,10 @@ class TestSpectrumCommand:
             return real(q, d, norms)
 
         monkeypatch.setattr(sphere, "_class_ids", spy)
-        sphere._cached_class_kernel.cache_clear()
-        sphere._frequency_classes.cache_clear()
+        sphere._build_class_kernel.cache_clear()
         code, text = run(tmp_path, "spectrum", "--q", "15", "--d", "4", "--all-t")
         assert code == 0 and len(records(text)) == 15
         assert sorted(builds) == [(15, 3), (15, 4)]
-        assert sphere._frequency_classes.cache_info().currsize == 0
 
     def test_route_tol_is_the_derived_bound(self, tmp_path):
         eps = np.finfo(np.float64).eps
@@ -280,13 +294,13 @@ class TestSpectrumCommand:
             return vals * (1 + 1e-9), err
 
         monkeypatch.setattr(sphere, "_kernel_formula", perturbed)
-        sphere._cached_class_kernel.cache_clear()
+        sphere._build_class_kernel.cache_clear()
         try:
             code, text = run(tmp_path, "spectrum", "--q", "9", "--d", "3", "--all-t")
-            rows = [cli._spectrum_row(as_modulus(q), 3, t, 10**7)
-                    for q in (3, 5, 9, 15) for t in range(q)]
+            rows = [r for q in (3, 5, 9, 15)
+                    for r in cli._spectrum_rows(as_modulus(q), 3, range(q), 10**7)]
         finally:
-            sphere._cached_class_kernel.cache_clear()
+            sphere._build_class_kernel.cache_clear()
         assert code == 1
         for r in records(text):
             assert float(r["max_route_diff"]) < 1e-8 and r["passed"] == "false", r

@@ -528,7 +528,7 @@ class TestClassFold:
 
         monkeypatch.setattr(sphere, "_norms_flat", forbidden)
         monkeypatch.setattr(sphere, "_frequency_classes", forbidden)
-        sphere._cached_class_kernel.cache_clear()
+        sphere._build_class_kernel.cache_clear()
         sphere._sphere_count_rows.cache_clear()
         E = sample_random_set(15, 4, 1000, seed=4)
         hist = nu_pairs(E)
@@ -564,7 +564,7 @@ class TestOrbitRoutes:
         # no table of more than 2^16 entries outlives the sweep: what it
         # leaves (the class power, the sphere counts, the table roots) stays
         # below one 2^16-entry float64 array
-        for cache in (sphere._cached_class_kernel, sphere._sphere_count_rows, fourier._kernel,
+        for cache in (sphere._build_class_kernel, sphere._sphere_count_rows, fourier._kernel,
                       fourier._orbit_basis, fourier._orbit_fold, fourier._orbit_cosines,
                       fourier.character_table):
             cache.cache_clear()
@@ -681,7 +681,7 @@ class TestSweepRouting:
 
 def _peak_mib(fn, *args, **kwargs):
     _norms_flat.cache_clear()  # count the norm table and the class kernels too
-    sphere._cached_class_kernel.cache_clear()
+    sphere._build_class_kernel.cache_clear()
     tracemalloc.start()
     try:
         fn(*args, **kwargs)

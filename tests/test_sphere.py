@@ -6,14 +6,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from zqdist import distset, gauss, sphere
+from zqdist import distset, fourier, gauss, sphere
 from zqdist.arith import as_modulus
-from zqdist.errors import BudgetError, DomainError
+from zqdist.errors import BudgetError, DomainError, InconsistencyError
 from zqdist.fourier import forward
 from zqdist.sphere import (
     _class_kernel,
     _frequency_classes,
-    _gauss_table,
     decay_report,
     sphere_count_formula,
     sphere_counts_all,
@@ -83,6 +82,22 @@ class TestPartition:
             for d in (1, 2, 3):
                 counts = sphere_counts_all(q, d)
                 assert int(counts.sum()) == q**d
+
+    @pytest.mark.parametrize("q,d", [(3162, 2), (45, 4)])
+    def test_counts_bin_in_bounded_blocks(self, q, d):
+        # np.bincount casts its input to intp: one call on the whole norm table
+        # would make an 8-byte copy of it, 80 MB for the two-byte Z_3162^2
+        norms = sphere._norms_flat(q, d)
+        sphere._counts_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            counts = sphere._counts_cached(q, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, peak
+        assert counts.dtype == np.intp
+        assert np.array_equal(counts, np.bincount(norms, minlength=q))
 
 
     def test_convolved_rows_equal_enumeration(self):
@@ -251,10 +266,15 @@ class TestFourierFormula:
                 assert (gap <= tol).all(), (q, d, t, gap.max())
 
     def test_scalar_against_direct(self):
-        sp = sphere_fourier_direct(sphere_spec(9, 3, 0))
-        formula = sphere_spectrum_formula(sphere_spec(9, 3, 0))
+        # within the formula kernel's error plus the transform's d passes
+        q, d, t = 9, 3, 0
+        eps = np.finfo(np.float64).eps
+        sp = sphere_fourier_direct(sphere_spec(q, d, t))
+        formula = sphere_spectrum_formula(sphere_spec(q, d, t))
+        kern = _class_kernel(as_modulus(q), d, "formula")
+        tol = kern.error[:, t].max() + d * (q + 11) * eps * sphere_counts_all(q, d)[t] / q**d
         for m in ((0, 0, 0), (1, 0, 0), (2, 5, 7), (8, 8, 8)):
-            assert abs(formula[m] - sp.values[sp.index_of(m)]) < 1e-8
+            assert abs(formula[m] - sp.values[sp.index_of(m)]) <= tol
 
     def test_mean_value_example(self):
         assert abs(sphere_spectrum_formula(sphere_spec(3, 3, 1))[(0, 0, 0)] - 2 / 9) < 1e-12
@@ -433,17 +453,35 @@ class TestClassKernel:
         assert peak <= 1.2 * (kern.values.nbytes + kern.error.nbytes), peak
 
     def test_kernel_cache_is_bounded(self):
-        # sigma(q) q <= 2^16 values are cached; 255 (sigma = 432) is rebuilt
-        sphere._cached_class_kernel.cache_clear()
+        # fourier's rule for tables of Z_q: cached while q^2 <= 2^16, so 257
+        # is rebuilt
+        sphere._build_class_kernel.cache_clear()
         a = _class_kernel(as_modulus(45), 3)
         assert _class_kernel(as_modulus(45), 3) is a
         assert not a.values.flags.writeable and not a.error.flags.writeable
-        info = sphere._cached_class_kernel.cache_info()
+        info = sphere._build_class_kernel.cache_info()
         assert (info.hits, info.misses, info.maxsize) == (1, 1, 16)
-        assert info.maxsize * sphere._CACHED_KERNEL_VALUES <= 2**20
-        b = _class_kernel(as_modulus(255), 1, "formula")
-        assert _class_kernel(as_modulus(255), 1, "formula") is not b
-        assert sphere._cached_class_kernel.cache_info().currsize == 1
+        assert info.maxsize * fourier._CACHED_TABLE_ENTRIES <= 2**20
+        b = _class_kernel(as_modulus(257), 1, "formula")
+        assert _class_kernel(as_modulus(257), 1, "formula") is not b
+        assert sphere._build_class_kernel.cache_info().currsize == 1
+
+    def test_both_builders_return_real_kernels(self):
+        for q, d in ((9, 3), (15, 2), (45, 3), (101, 1)):
+            reps, present = sphere._class_representatives(q, d)
+            for build in (sphere._kernel_direct, sphere._kernel_formula):
+                vals, err = build(q, d, reps, present)
+                assert vals.dtype == err.dtype == np.float64, (q, d, build.__name__)
+
+    def test_imaginary_gauss_error_fails_the_formula_build(self, monkeypatch):
+        # S_t^(m) is real: Gauss sums a relative 1e-9 off in the imaginary
+        # direction leave imaginary parts far past the kernel's error bound
+        real = gauss.gauss_row
+        monkeypatch.setattr(sphere, "gauss_row", lambda a, n: real(a, n) * (1 + 1e-9j))
+        for q, d in ((9, 3), (15, 4), (101, 1)):
+            reps, present = sphere._class_representatives(q, d)
+            with pytest.raises(InconsistencyError, match="imaginary part"):
+                sphere._kernel_formula(q, d, reps, present)
 
     def test_unknown_route(self):
         with pytest.raises(DomainError):
@@ -524,7 +562,7 @@ class TestGaussTable:
         exact = {}
         with mpmath.workdps(30):
             for n in range(1, 151):
-                tbl = _gauss_table(n)
+                tbl = gauss.gauss_row(np.arange(n), n)
                 assert np.array_equal(tbl[:, 1:], tbl[:, :0:-1]), n
                 seen = set()
                 for s, b in itertools.product(range(n), range(n // 2 + 1)):
@@ -549,6 +587,7 @@ class TestGaussTable:
         assert worst[True] <= 2 and worst[False] <= 16, worst
 
     def test_one_gauss_row_call(self, monkeypatch):
+        # the formula kernel reads its q x q table of Gauss sums from one call
         calls = []
         real = gauss.gauss_row
 
@@ -561,16 +600,16 @@ class TestGaussTable:
 
         monkeypatch.setattr(sphere, "gauss_row", counted)
         monkeypatch.setattr(gauss, "gauss_general", forbidden)
-        tbl = _gauss_table(15)
+        vals, _ = sphere._kernel_formula(15, 3, *sphere._class_representatives(15, 3))
         assert len(calls) == 1 and calls[0][1] == 15
         assert np.array_equal(calls[0][0], np.arange(15))
-        assert tbl.shape == (15, 15) and not tbl.flags.writeable
+        assert vals.shape == (sigma(15), 15)
 
     def test_formula_sweep_keeps_no_table(self):
         # the q x q table of Z_1009 is 16 MB; the formula kernel (sigma(q) q
         # values) is past the kernel cache, so nothing of either outlives the sweep
         E = distset.sample_random_set(1009, 1, 500, seed=1)
-        sphere._cached_class_kernel.cache_clear()
+        sphere._build_class_kernel.cache_clear()
         tracemalloc.start()
         try:
             distset.nu_spectral_sweep(E, "formula")
@@ -582,4 +621,4 @@ class TestGaussTable:
     def test_table_equals_stacked_rows(self):
         for q in range(1, 100, 2):
             rows = np.stack([gauss.gauss_row(s, q) for s in range(q)])
-            assert _gauss_table(q).tobytes() == rows.tobytes(), q
+            assert gauss.gauss_row(np.arange(q), q).tobytes() == rows.tobytes(), q
