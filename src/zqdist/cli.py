@@ -51,6 +51,8 @@ from .errors import BudgetError, DomainError, InconsistencyError
 from .fourier import (
     DEFAULT_GRID_BUDGET,
     GridFunction,
+    _kernel,
+    _pass_charge,
     check_grid_budget,
     forward,
     inverse,
@@ -61,6 +63,7 @@ from .gauss import gauss_brute, gauss_general, gauss_row
 from .sphere import (
     _class_kernel,
     _frequency_classes,
+    _norms_flat,
     decay_report,
     sphere_count_formula,
     sphere_counts_all,
@@ -251,11 +254,13 @@ def _cmd_sphere(args):
 
 def _spectrum_rows(m, d: int, ts, max_grid: int) -> list[dict]:
     """One row per t in ts (_spectrum_row) from one fetch of the formula kernel's
-    columns ts and of the q^d class table, the kernel let go before the table."""
-    counts = sphere_counts_all(m, d, max_grid)
+    columns ts and of the q^d class table.  Once the kernel is let go, the rows
+    hold the DFT kernel and the norm table, so they share them (fourier._table)."""
     kern = _class_kernel(m, d, "formula", max_grid)
     columns, errors = kern.values[:, ts], kern.error[:, ts].max(axis=0)
     del kern
+    held = _kernel(m.q, True), _norms_flat(m.q, d)  # not read: kept alive for the rows
+    counts = sphere_counts_all(m, d, max_grid)
     ids, _ = _frequency_classes(m.q, d)
     return [_spectrum_row(sphere_spec(m, d, t), columns[:, i], ids, float(errors[i]),
                           int(counts[t]), max_grid) for i, t in enumerate(ts)]
@@ -499,12 +504,6 @@ def _random_grid(q: int, d: int, seed: int) -> GridFunction:
     return GridFunction(q, d, u[:size] + 1j * u[size:])
 
 
-def _pass_charge(q: int) -> float:
-    """(q + 11) eps, the rounding of one length-q pass relative to the
-    absolute sum of its terms (see _verify_fourier)."""
-    return (q + 11) * float(np.finfo(np.float64).eps)
-
-
 def _grid_defects(f: GridFunction, g: GridFunction) -> tuple[float, float, float, float]:
     """(round-trip defect, its tol, Plancherel defect, its tol) for two grids,
     each relative to its scale as derived in _verify_fourier."""
@@ -522,10 +521,8 @@ def _verify_fourier(q_max: int, seed: int) -> list[dict]:
     """Orthogonality, round trips and Plancherel, each against a tolerance
     derived from the rounding of its length-q passes.
 
-    Each pass is charged (q + 11) eps of the absolute sum of its terms, as in
-    distset._forward_charge: a q-term dot product rounds at most q times,
-    each table root is within 11 eps, and |K| = 1 carries absolute sums from
-    pass to pass.
+    Each pass is charged fourier._pass_charge, (q + 11) eps of the absolute
+    sum of its terms, and |K| = 1 carries absolute sums from pass to pass.
 
     * orthogonality: one q-term dot of exact counts (absolute sum q^d) with
       the table roots, divided by q^d: (q + 11) eps.

@@ -32,9 +32,9 @@ q^{2d} P @ K with the sigma(q) x q class kernel K[c, t] = S_t^(m): one
 transform of the indicator, then O(q^d) work.  Its `route` only picks how K
 is built: "direct" from sphere counts, "formula" from Gauss sums.  P and
 the autocorrelation's counts depend on E alone, so the PointSet keeps them
-(sigma(q) floats and q integers, nothing else) from its first transform,
-whichever route ran it: each set is transformed at most once per process,
-whichever routes and callers follow.
+(sigma(q) floats and q integers, nothing else).  The autocorrelation's
+transform leaves both and the sweep's only P, so nu_histogram after a sweep
+transforms the set a second time.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .arith import Modulus, Residue, as_modulus, factorize, tau
 from .errors import BudgetError, DomainError, InconsistencyError
 from .fourier import (
     DEFAULT_GRID_BUDGET,
+    _pass_charge,
     check_grid_budget,
     half_weights,
     orbit_inverse,
@@ -97,10 +98,10 @@ class PointSet:
     few keys otherwise.  Both are cheap on rows that arrive sorted, as those
     of sample_random_set do.
 
-    Once a transform of the set has run it also keeps, read-only, its class
-    power P_c (_power_by_class, odd q), the sigma(q) floats of the sweep, and
-    the q pair counts of the autocorrelation (_nu_autocorrelation): a new or
-    translated set starts without them.
+    A transform of the set also keeps, read-only, its class power P_c
+    (_power_by_class, odd q), the sigma(q) floats of the sweep, and the
+    autocorrelation's transform its q pair counts (_nu_autocorrelation): a
+    new or translated set starts without them.
     """
 
     __slots__ = ("modulus", "d", "_coords", "_power_by_class", "_nu")
@@ -299,11 +300,10 @@ def _forward_charge(E: PointSet) -> float:
     """a = d (q + 11) eps |E|, q^d times the bound on the error of each real
     coefficient C_phi(s) of orbit_power for 1_E.
 
-    Each length-q pass is charged (q + 11) eps of the absolute sum of its
-    terms: a q-term dot product rounds at most q times by eps/2 and each
-    table root is within 11 eps, and the q eps/2 left over covers the
-    scaling by q^-d.  The basis rows have |cos|, |sin| <= 1, so the
-    absolute sums stay q^-d |E| through the d passes.  The 2^k errors of
+    Each length-q pass is charged _pass_charge, (q + 11) eps of the absolute
+    sum of its terms; its q roundings take q eps/2, and the q eps/2 left
+    over covers the scaling by q^-d.  The basis rows have |cos|, |sin| <= 1,
+    so the absolute sums stay q^-d |E| through the d passes.  The 2^k errors of
     the coefficients on one orbit are at most that in Euclidean norm too:
     per pass (cos, sin) has norm 1, so Minkowski's inequality carries the
     bound through every pass.  With |C(s)|^2 = O(s) / w(s), w(s) the orbit
@@ -312,7 +312,7 @@ def _forward_charge(E: PointSet) -> float:
         2 (w(s) O(s))^{1/2} a q^-d + w(s) a^2 q^-2d
 
     of its value before the roundings of the squares and the folds."""
-    return E.d * (E.q + 11) * float(np.finfo(np.float64).eps) * E.size
+    return E.d * _pass_charge(E.q) * E.size
 
 
 def _autocorrelation_tolerance(E: PointSet) -> float:
@@ -329,13 +329,14 @@ def _autocorrelation_tolerance(E: PointSet) -> float:
     * Squaring rounds once and each of the d axis folds of orbit_power adds
       once, on nonnegative terms: (d + 1) eps of q^d sum_s O(s) = |E|.
     * orbit_inverse is d passes of h = q//2 + 1 terms with |w cos| <= w,
-      charged (h + 11) eps of absolute sums that stay w(r) |E|, the leftover
-      h eps/2 covering the scaling by q^d: d (h + 11) eps w(r) |E|.
+      charged _pass_charge(h) of absolute sums that stay w(r) |E|, the
+      leftover h eps/2 covering the scaling by q^d: d (h + 11) eps w(r) |E|.
     """
     eps, n, d = float(np.finfo(np.float64).eps), E.size, E.d
     a = _forward_charge(E)
     w_max = float(half_weights(E.q).max()) ** d
-    return w_max * (a * (2 * math.sqrt(n) + a) + (d + 1 + d * (E.q // 2 + 12)) * eps * n)
+    steps = (d + 1) * eps + d * _pass_charge(E.q // 2 + 1)  # exact: eps is a power of two
+    return w_max * (a * (2 * math.sqrt(n) + a) + steps * n)
 
 
 def _nu_autocorrelation(E: PointSet, max_grid: int) -> np.ndarray:
@@ -560,7 +561,8 @@ def nu_spectral_sweep(
     (sigma(q) floats): only the first sweep of a set transforms it, or none
     when nu_histogram counted nu(t) by the autocorrelation first (as
     certificate_check and the CLI do), and every later sweep, by either
-    route, reads P back after checking the transform budget.
+    route, reads P back after checking the transform budget.  A later
+    nu_histogram transforms E again: the sweep keeps no pair counts.
 
     K is real, so each nu(t) is one float64 sum.  It must land within a
     tolerance of an integer, and exceed the chain bound by no more than that
@@ -659,7 +661,8 @@ def certificate_check(
     follow from nu = M + R_t >= M - |R_t|.  The sweep and the
     autocorrelation share one transform of E's indicator, and a later check
     of the same set, by either route, transforms it no more (E keeps its
-    counts and its class power, see nu_spectral_sweep).
+    counts and its class power).  After a nu_spectral_sweep of E alone, the
+    autocorrelation transforms E a second time: the sweep keeps no counts.
     """
     m = E.modulus
     m.require_odd("certificate_check")

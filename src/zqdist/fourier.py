@@ -7,8 +7,8 @@ Grids are stored flat in row-major order: the flat index of (x_1, ..., x_d)
 is its base-q reading with x_1 most significant.  Transforms are separable:
 d one-dimensional length-q passes, O(d q^{d+1}) scalar work, no radix
 restriction on q.  The q x q pass kernel costs 16 q^2 bytes whatever d is,
-so transforms raise BudgetError once q^2 exceeds DEFAULT_GRID_BUDGET;
-the kernels and tables of q^2 <= 2^16 are cached, larger ones rebuilt.
+so transforms raise BudgetError once q^2 exceeds DEFAULT_GRID_BUDGET; tables
+of at most 2^16 entries are kept, larger ones shared only while held (_table).
 Phases are reduced mod q before exponentiation.  Every pass is one matrix
 product that transforms the last axis and moves it to the front, written
 into one of two reused buffers (_passes), so d passes bring the axes back
@@ -25,6 +25,7 @@ and `inverse` serve complex grids and are the oracle for both.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache, wraps
 from typing import Iterable, Sequence
 
@@ -78,7 +79,41 @@ def point_of_index(index: int, q: int, d: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-@lru_cache(maxsize=64)
+# The one cache rule (_table): a table of at most this many entries is kept, 16
+# per builder (16 MiB if complex); a larger one is shared only while it is held.
+_CACHED_TABLE_ENTRIES = 1 << 16
+
+
+def _table(entries):
+    """Decorate a builder of read-only tables keyed by its arguments, a table
+    having entries(*key) entries: keep those of at most _CACHED_TABLE_ENTRIES,
+    least recently used out, and hold larger ones only by weak reference."""
+    def decorate(build):
+        kept, shared = lru_cache(maxsize=16)(build), weakref.WeakValueDictionary()
+
+        @wraps(build)
+        def table(*key):
+            if entries(*key) <= _CACHED_TABLE_ENTRIES:
+                return kept(*key)
+            if (tbl := shared.get(key)) is None:
+                tbl = shared[key] = build(*key)
+            return tbl
+
+        table.cache_clear, table.cache_info = kept.cache_clear, kept.cache_info
+        return table
+
+    return decorate
+
+
+def _square(q: int, *args) -> int:
+    """q^2, the size of a table of Z_q, refused past the kernel budget."""
+    if q * q > DEFAULT_GRID_BUDGET:
+        raise BudgetError(f"the Z_{q} transform kernel has {q * q} entries, exceeding the "
+                          f"budget {DEFAULT_GRID_BUDGET}")
+    return q * q
+
+
+@_table(lambda q: q)
 def character_table(q: int) -> np.ndarray:
     """e^{2 pi i k / q} for k in Z_q, the q-entry table behind all transforms."""
     tbl = np.exp(2j * np.pi * np.arange(q) / q)
@@ -144,33 +179,7 @@ class Spectrum(_GridBase):
     """Fourier coefficients indexed by frequency vectors m in Z_q^d."""
 
 
-# Tables of Z_q with q^2 at most this are cached, 16 of each of five kinds:
-# 1 MiB a complex kernel, 0.5 MiB a real table (40 MiB over those four), and
-# 1.8 MB a sphere class kernel's sigma(q) x q values and errors (28 MB, odd
-# q <= 255).  Larger ones, up to the q x q budget, are rebuilt on every call.
-_CACHED_TABLE_ENTRIES = 1 << 16
-
-
-def _transform_table(build):
-    """Decorate the builder of a table of Z_q: refuse q^2 past the kernel
-    budget, and cache the table while q^2 <= _CACHED_TABLE_ENTRIES."""
-    cached = lru_cache(maxsize=16)(build)
-
-    @wraps(build)
-    def table(q: int, *args):
-        if q * q > DEFAULT_GRID_BUDGET:
-            raise BudgetError(
-                f"the Z_{q} transform kernel has {q * q} entries, exceeding the budget "
-                f"{DEFAULT_GRID_BUDGET}"
-            )
-        return (cached if q * q <= _CACHED_TABLE_ENTRIES else build)(q, *args)
-
-    table.cache_clear = cached.cache_clear
-    table.cache_info = cached.cache_info
-    return table
-
-
-@_transform_table
+@_table(_square)
 def _kernel(q: int, forward_sign: bool) -> np.ndarray:
     phases = np.outer(np.arange(q), np.arange(q)) % q
     tbl = character_table(q)
@@ -209,7 +218,7 @@ def half_weights(q: int) -> np.ndarray:
     return w
 
 
-@_transform_table
+@_table(_square)
 def _orbit_basis(q: int) -> np.ndarray:
     """The q x q real basis of orbit_power, one function of x per row:
     cos(2 pi x m / q) for m = 0, ..., q // 2, then sin(2 pi x m / q) for
@@ -225,7 +234,7 @@ def _orbit_basis(q: int) -> np.ndarray:
     return basis
 
 
-@_transform_table
+@_table(_square)
 def _orbit_fold(q: int) -> np.ndarray:
     """The (q//2 + 1) x q fold of orbit_power: row m holds w(m) of
     half_weights at the cosine row m of _orbit_basis and, for 0 < m < q / 2,
@@ -239,7 +248,7 @@ def _orbit_fold(q: int) -> np.ndarray:
     return fold
 
 
-@_transform_table
+@_table(_square)
 def _orbit_cosines(q: int) -> np.ndarray:
     """The (q//2 + 1)^2 matrix w(r) cos(2 pi r s / q) of orbit_inverse, row r,
     column s, with w = half_weights(q) (multiplying by 1 or 2 is exact)."""
@@ -248,6 +257,12 @@ def _orbit_cosines(q: int) -> np.ndarray:
     cos *= half_weights(q)[:, None]
     cos.setflags(write=False)
     return cos
+
+
+def _pass_charge(q: int) -> float:
+    """(q + 11) eps, the rounding of one length-q pass relative to the absolute
+    sum of its terms: at most q roundings by eps/2, table roots within 11 eps."""
+    return (q + 11) * float(np.finfo(np.float64).eps)
 
 
 def _passes(

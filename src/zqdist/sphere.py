@@ -47,7 +47,8 @@ from .fourier import (
     GridFunction,
     Spectrum,
     _kernel,
-    _transform_table,
+    _square,
+    _table,
     character_table,
     check_grid_budget,
     forward,
@@ -131,25 +132,23 @@ def _form_flat(q: int, tables: Sequence[np.ndarray]) -> np.ndarray:
     return acc
 
 
-@lru_cache(maxsize=1)
+@_table(lambda q, d: q**d)
 def _norms_flat(q: int, d: int) -> np.ndarray:
-    """x_1^2 + ... + x_d^2 mod q for every flat index, row-major.
-
-    One q^d table is kept, in _form_flat's dtype: one byte a point for
-    q <= 128 and two for q <= 2^15 (at most 20 MB at the default grid
-    budget), eight beyond; callers work through one (q, d) at a time."""
+    """x_1^2 + ... + x_d^2 mod q for every flat index, row-major, in
+    _form_flat's dtype: one byte a point for q <= 128 and two for q <= 2^15
+    (at most 20 MB at the default grid budget), eight beyond."""
     acc = _form_flat(q, [(np.arange(q, dtype=np.int64) ** 2) % q] * d)
     acc.setflags(write=False)
     return acc
 
 
-@lru_cache(maxsize=32)
+@_table(lambda q, d: q)
 def _counts_cached(q: int, d: int) -> np.ndarray:
-    # binned in blocks: np.bincount casts to intp, so one call would copy the table
-    norms = _norms_flat(q, d)
+    # np.bincount copies a block to intp and returns q counts: blocks of max(2^16, q)
+    norms, step = _norms_flat(q, d), max(1 << 16, q)
     counts = np.zeros(q, dtype=np.intp)
-    for lo in range(0, norms.size, 1 << 16):
-        counts += np.bincount(norms[lo : lo + (1 << 16)], minlength=q)
+    for lo in range(0, norms.size, step):
+        counts += np.bincount(norms[lo : lo + step], minlength=q)
     counts.setflags(write=False)
     return counts
 
@@ -172,8 +171,7 @@ def sphere_enumerate(spec: SphereSpec, max_grid: int = DEFAULT_GRID_BUDGET) -> l
 def sphere_indicator(spec: SphereSpec, max_grid: int = DEFAULT_GRID_BUDGET) -> GridFunction:
     """The 0/1 indicator of S_t as a grid function."""
     check_grid_budget(spec.q, spec.d, max_grid)
-    vals = (_norms_flat(spec.q, spec.d) == spec.t_value).astype(np.complex128)
-    return GridFunction(spec.modulus, spec.d, vals)
+    return GridFunction(spec.modulus, spec.d, _norms_flat(spec.q, spec.d) == spec.t_value)
 
 
 @dataclass(frozen=True)
@@ -328,7 +326,7 @@ def _frequency_classes(q: int, d: int) -> tuple[np.ndarray, int]:
     Z_n^d.  The class of m is the pair (g, ||m'|| mod n), so there are at
     most sigma(q) = sum_{g | q} q / g classes, and exactly that many for
     d >= 3 (_class_slots gives their layout).  This q^d table is not cached:
-    the CLI's spectrum rows build it once for all the spheres of one (q, d).
+    the CLI's spectrum rows build it once per (q, d) from the norm table they hold.
     """
     return _class_ids(q, d, _norms_flat(q, d)), _class_count(q)
 
@@ -360,7 +358,7 @@ def _cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return full[: len(a)]
 
 
-@lru_cache(maxsize=32)
+@_table(lambda q, d: (d + 1) * q)
 def _sphere_count_rows(q: int, d: int) -> np.ndarray:
     """|S_t| in Z_q^i for i = 0, ..., d (row i) and every t, exactly.
 
@@ -473,7 +471,7 @@ def _class_representatives(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return reps, present
 
 
-@_transform_table
+@_table(_square)
 def _build_class_kernel(q: int, d: int, route: str) -> _ClassKernel:
     reps, present = _class_representatives(q, d)
     build = _kernel_direct if route == "direct" else _kernel_formula
@@ -490,7 +488,7 @@ def _class_kernel(
     route from the first member (in flat order) of every nonempty class:
     "direct" from exact point counts, "formula" from Gauss sums.  The build
     touches q^min(d, 3) points, never the grid, and keeps the rule of the
-    transform tables of Z_q (fourier._transform_table) on size and cache."""
+    tables of Z_q (fourier._table, by q^2) on size and cache."""
     mod.require_odd("the sphere class kernel")
     if route not in ("direct", "formula"):
         raise DomainError(f"unknown spectrum route {route!r}")

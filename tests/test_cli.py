@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 
@@ -242,6 +243,24 @@ class TestSpectrumCommand:
         code, text = run(tmp_path, "spectrum", "--q", "1009", "--d", "1", "--t", "1", "2", "3", "4")
         assert code == 0 and len(records(text)) == 4
         assert builds == [(1009, 1)]
+
+    def test_dft_kernel_built_once_for_the_rows(self, tmp_path, monkeypatch):
+        # Z_257's DFT kernel is past the cache: it is built once inside the
+        # formula kernel's build and once for all 257 rows, which hold it
+        builds = []
+        real = fourier._kernel
+
+        def tracked(*key):
+            tbl = real(*key)
+            if key == (257, True) and not any(ref() is tbl for ref in builds):
+                builds.append(weakref.ref(tbl))
+            return tbl
+
+        for mod in (fourier, sphere, cli):
+            monkeypatch.setattr(mod, "_kernel", tracked, raising=False)
+        code, text = run(tmp_path, "spectrum", "--q", "257", "--d", "1", "--all-t")
+        assert code == 0 and len(records(text)) == 257
+        assert len(builds) == 2
 
     def test_kernel_built_once_per_route(self, tmp_path):
         # the formula kernel of Z_45^3 is fetched once for all 45 rows; the

@@ -1,8 +1,10 @@
 import cmath
 import functools
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -49,6 +51,19 @@ class TestChi:
             for a in range(q):
                 for b in range(q):
                     assert abs(tbl[a] * tbl[b] - tbl[(a + b) % q]) < 1e-12
+
+    def test_character_tables_follow_the_rule(self):
+        # q entries: 2^16 roots are kept, 65537 shared while held
+        character_table.cache_clear()
+        assert character_table(65536) is character_table(65536)
+        assert character_table.cache_info().currsize == 1
+        held = character_table(65537)
+        assert character_table(65537) is held
+        gone = weakref.ref(held)
+        del held
+        gc.collect()
+        assert gone() is None
+        assert character_table.cache_info().currsize == 1
 
 
 class TestIndexing:
@@ -259,21 +274,22 @@ class TestHalfTransforms:
             orbit_inverse(np.zeros(1582), 3163, 1)
 
     def test_tables_past_2_16_entries_are_not_cached(self):
-        # 256^2 = 2^16 entries are cached, 257^2 are rebuilt on every call
-        tables = (fourier._kernel, fourier._orbit_basis, fourier._orbit_fold,
-                  fourier._orbit_cosines)
-        for table in tables:
+        # 256^2 = 2^16 entries are kept; 257^2 are shared while a caller holds
+        # them and gone once it lets them go
+        tables = ((fourier._kernel, (True,)), (fourier._orbit_basis, ()),
+                  (fourier._orbit_fold, ()), (fourier._orbit_cosines, ()))
+        for table, key in tables:
             table.cache_clear()
-        assert fourier._orbit_basis(256) is fourier._orbit_basis(256)
-        assert fourier._orbit_basis(257) is not fourier._orbit_basis(257)
-        assert fourier._kernel(256, True) is fourier._kernel(256, True)
-        assert fourier._kernel(257, True) is not fourier._kernel(257, True)
-        assert fourier._orbit_fold(256) is fourier._orbit_fold(256)
-        assert fourier._orbit_fold(257) is not fourier._orbit_fold(257)
-        assert fourier._orbit_cosines(256) is fourier._orbit_cosines(256)
-        assert fourier._orbit_cosines(257) is not fourier._orbit_cosines(257)
-        for table in tables:
-            assert table.cache_info().currsize == 1
+            assert table(256, *key) is table(256, *key)
+            held = table(257, *key)
+            assert table(257, *key) is held
+            gone = weakref.ref(held)
+            del held
+            gc.collect()
+            assert gone() is None, table.__name__
+            info = table.cache_info()
+            assert (info.currsize, info.maxsize) == (1, 16)
+            assert info.maxsize * fourier._CACHED_TABLE_ENTRIES <= 2**20
 
 
 class TestPlancherel:

@@ -290,7 +290,7 @@ class TestBrute:
     def test_scalar_peak_memory(self):
         # n > 2^15 has 1 x 1 tiles: one chirp row, one linear column, their dot
         n = 1000003
-        character_table(n)
+        tbl = character_table(n)  # held, so the call shares it and builds none
         tracemalloc.start()
         try:
             gauss_brute(3, 5, n)
@@ -298,6 +298,7 @@ class TestBrute:
         finally:
             tracemalloc.stop()
         assert peak <= 46 * 2**20, peak
+        assert character_table(n) is tbl
 
     def test_rounding_bound_against_50_digits(self):
         # every table root is within 11 eps of e^{2 pi i k / n}, and every

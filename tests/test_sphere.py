@@ -1,6 +1,8 @@
 import functools
+import gc
 import itertools
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -463,7 +465,11 @@ class TestClassKernel:
         assert (info.hits, info.misses, info.maxsize) == (1, 1, 16)
         assert info.maxsize * fourier._CACHED_TABLE_ENTRIES <= 2**20
         b = _class_kernel(as_modulus(257), 1, "formula")
-        assert _class_kernel(as_modulus(257), 1, "formula") is not b
+        assert _class_kernel(as_modulus(257), 1, "formula") is b  # shared while held
+        gone = weakref.ref(b)
+        del b
+        gc.collect()
+        assert gone() is None
         assert sphere._build_class_kernel.cache_info().currsize == 1
 
     def test_both_builders_return_real_kernels(self):
@@ -528,6 +534,33 @@ class TestNarrowTables:
         form = sphere._form_flat(q, tables)
         assert form.dtype == dtype
         assert np.array_equal(form, _form_flat_int64(q, tables))
+
+    def test_large_norm_tables_are_not_kept(self):
+        # 45^4 > 2^16 points: the norm table is shared while held, and neither
+        # it nor the counts keep it once released; 9^5 points are kept
+        assert sphere._norms_flat(9, 5) is sphere._norms_flat(9, 5)
+        held = sphere._norms_flat(45, 4)
+        counts = sphere_counts_all(45, 4)
+        assert sphere._norms_flat(45, 4) is held
+        gone = weakref.ref(held)
+        del held
+        gc.collect()
+        assert gone() is None
+        assert sphere_counts_all(45, 4) is counts  # 45 counts are kept
+
+    def test_indicator_is_built_once(self):
+        # the boolean comparison goes straight to GridFunction's complex copy
+        q, d = 45, 3
+        norms = sphere._norms_flat(q, d)
+        spec = sphere_spec(q, d, 1)
+        tracemalloc.start()
+        try:
+            ind = sphere_indicator(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * q**d + 2**16, peak
+        assert np.array_equal(ind.values, (norms == 1).astype(complex))
 
     def test_one_byte_a_point(self):
         assert sphere._norms_flat(27, 4).nbytes == 27**4
