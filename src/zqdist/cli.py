@@ -80,7 +80,7 @@ DEFAULT_SEED = 1
 # output plumbing
 
 
-def _fmt(v) -> str:
+def _fmt_any(v) -> str:
     if v is None:
         return ""
     if isinstance(v, (bool, np.bool_)):
@@ -90,6 +90,21 @@ def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return format(float(v), ".12g")
     return str(v)
+
+
+# the cell types the rows hold, by exact type; numpy scalars and the rest go
+# through _fmt_any's isinstance chain, which formats them alike
+_FMT_EXACT = {
+    type(None): lambda v: "",
+    bool: lambda v: "true" if v else "false",
+    int: str,
+    float: lambda v: format(v, ".12g"),
+    str: str,
+}
+
+
+def _fmt(v) -> str:
+    return _FMT_EXACT.get(type(v), _fmt_any)(v)
 
 
 def _resolve_out(path: "str | None") -> "str | None":
@@ -108,8 +123,7 @@ def _emit(columns: list[str], rows: list[dict], args) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in columns])
+        writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
         text = buf.getvalue()
     else:
         payload = [{c: _jsonable(row.get(c)) for c in columns} for row in rows]

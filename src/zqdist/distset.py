@@ -95,8 +95,9 @@ class PointSet:
     are reduced mod q unless every one already lies in [0, q).  The rows are
     sorted and deduplicated on packed base-q int64 keys (_packed_keys): one
     key, sorted by one argsort, whenever q^d <= 2^62, and a lexsort over the
-    few keys otherwise.  Both are cheap on rows that arrive sorted, as those
-    of sample_random_set do.
+    few keys otherwise.  Rows whose one key already strictly increases, as
+    those of sample_random_set and construct_even_weight do, are kept as they
+    come, with no sort and no gather.
 
     A transform of the set also keeps, read-only, its class power P_c
     (_power_by_class, odd q), the sigma(q) floats of the sweep, and the
@@ -126,13 +127,15 @@ class PointSet:
         if arr.min() < 0 or arr.max() >= m.q:
             arr %= m.q
         keys = _packed_keys(arr, m.q)
-        # equal keys are equal points, so the unstable sort of one key is canonical
-        order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
-        same = np.ones(len(arr) - 1, dtype=bool)
-        for key in keys:
-            key = key[order]
-            same &= key[1:] == key[:-1]
-        arr = arr[order[np.append(True, ~same)]]
+        # rows whose one key strictly increases are sorted and distinct already
+        if len(keys) > 1 or not (keys[0][1:] > keys[0][:-1]).all():
+            # equal keys are equal points, so the unstable sort of one key is canonical
+            order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+            same = np.ones(len(arr) - 1, dtype=bool)
+            for key in keys:
+                key = key[order]
+                same &= key[1:] == key[:-1]
+            arr = arr[order[np.append(True, ~same)]]
         arr.setflags(write=False)
         self.modulus = m
         self.d = d

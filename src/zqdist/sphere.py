@@ -118,17 +118,24 @@ def _form_flat(q: int, tables: Sequence[np.ndarray]) -> np.ndarray:
     """tables[0][x_1] + ... + tables[d-1][x_d] mod q for every flat index,
     row-major, from tables of residues in [0, q).
 
-    The sums are built in _narrow_dtype(2 q - 2), one axis at a time: each
-    sum of two residues is below 2 q, so it is reduced by subtracting q
-    where it reaches q, read on the unsigned view as min(s, s - q) (s - q
-    wraps above s when s < q).  No int64 q^d temporary is made for q <= 2^15.
+    The sums are built in _narrow_dtype(2 q - 2), so no int64 q^d temporary
+    is made for q <= 2^15; one table already in that dtype is returned as it
+    is.  Several are split in two halves, each summed on its own, and the
+    result is their outer sum: besides it, only the halves' tables of about
+    sqrt(q^d) entries exist.  Each outer sum of two residues is below 2 q, so
+    it is reduced by subtracting q where it reaches q, read on the unsigned
+    view as min(s, s - q) (s - q wraps above s when s < q), one block of 2^16
+    entries at a time.
     """
     dtype = _narrow_dtype(2 * q - 2)
-    acc = np.zeros(1, dtype=dtype)
-    for tbl in tables:
-        acc = np.add.outer(acc, tbl.astype(dtype)).reshape(-1)
-        wrap = acc.view(f"u{dtype.itemsize}")
-        np.minimum(wrap, wrap - q, out=wrap)
+    if len(tables) == 1:
+        return np.asarray(tables[0], dtype=dtype)
+    half = len(tables) // 2
+    acc = np.add.outer(_form_flat(q, tables[:half]), _form_flat(q, tables[half:])).reshape(-1)
+    wrap = acc.view(f"u{dtype.itemsize}")
+    for lo in range(0, wrap.size, 1 << 16):
+        block = wrap[lo : lo + (1 << 16)]
+        np.minimum(block, block - q, out=block)
     return acc
 
 
@@ -136,8 +143,13 @@ def _form_flat(q: int, tables: Sequence[np.ndarray]) -> np.ndarray:
 def _norms_flat(q: int, d: int) -> np.ndarray:
     """x_1^2 + ... + x_d^2 mod q for every flat index, row-major, in
     _form_flat's dtype: one byte a point for q <= 128 and two for q <= 2^15
-    (at most 20 MB at the default grid budget), eight beyond."""
-    acc = _form_flat(q, [(np.arange(q, dtype=np.int64) ** 2) % q] * d)
+    (at most 20 MB at the default grid budget), eight beyond.  The squares
+    are taken in place, so the traced peak of a build is the table and
+    little more."""
+    squares = np.arange(q, dtype=np.int64)
+    squares *= squares
+    squares %= q
+    acc = _form_flat(q, [squares] * d)
     acc.setflags(write=False)
     return acc
 

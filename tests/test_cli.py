@@ -664,6 +664,26 @@ class TestUsage:
         assert main([]) == 2
 
 
+class TestCellFormat:
+    def test_python_and_numpy_scalars_format_alike(self):
+        cases = [
+            ("true", [True, np.bool_(True)]),
+            ("false", [False, np.bool_(False)]),
+            ("7", [7, np.int64(7), np.uint8(7), np.int32(7)]),
+            ("-9223372036854775808", [-(2**63), np.int64(-(2**63))]),
+            ("18446744073709551615", [2**64 - 1, np.uint64(2**64 - 1)]),
+            ("0.1", [0.1, np.float64(0.1)]),
+            ("-2.62035213646e-13", [-2.62035213646e-13, np.float64(-2.62035213646e-13)]),
+            ("1e+300", [1e300, np.float64(1e300)]),
+            ("nan", [float("nan"), np.float64("nan")]),
+            ("", [None]),
+            ("all", ["all", np.str_("all")]),
+        ]
+        for text, values in cases:
+            for v in values:
+                assert cli._fmt(v) == cli._fmt_any(v) == text, (type(v), v)
+
+
 class TestOutDirEnv:
     def test_relative_out_resolves_under_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ZQDIST_OUT_DIR", str(tmp_path))

@@ -148,6 +148,26 @@ class TestPointSet:
         assert path.read_bytes() == (f"q={q} d={d}\n" + "".join(
             ",".join(map(str, p)) + "\n" for p in expected.tolist())).encode()
 
+    @pytest.mark.parametrize("q,d,size", [(9, 6, 177147), (2, 16, 1 << 15)])
+    def test_sorted_input_is_kept_without_a_gather(self, q, d, size):
+        # rows sorted and distinct, as the sampler and the even-weight set
+        # give them, cost the int64 copy, one key and one comparison: no
+        # argsort, duplicate mask or gather of the rows
+        rows = (sample_random_set(q, d, size, seed=2024) if q == 9
+                else construct_even_weight(d)).array().copy()
+        tracemalloc.start()
+        try:
+            E = PointSet(q, d, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (8 * d + 16) * len(rows), (peak, rows.nbytes)
+        assert E.array().tobytes() == rows.tobytes() and not E.array().flags.writeable
+        assert rows.flags.writeable and not np.shares_memory(E.array(), rows)
+        shuffled = rows[::-1].copy()
+        shuffled[-1] = shuffled[0]  # out of order, with a repeat
+        assert PointSet(q, d, shuffled).array().tobytes() == rows[1:].tobytes()
+
     def test_translate_wraps(self):
         E = PointSet(5, 2, [(0, 0), (4, 3)])
         assert E.translate((1, 2**70)).points == tuple(

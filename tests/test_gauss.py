@@ -219,6 +219,54 @@ class TestBrute:
         assert gauss_brute([7, 7, 7], b, n).tobytes() == row.tobytes()
         assert abs(row[0] - direct_sum(7, 3, n)) < _gauss_tol(n)
 
+    @pytest.mark.parametrize("n", [7, 70, 1031, 32771])
+    def test_outer_requests_equal_scalar_and_per_pair_calls(self, n):
+        # a column against a row is grouped by axis; the same pairs spelled
+        # out in full take the per-pair path, and one pair at a time the
+        # scalar one: all three agree bit for bit, on unsorted, repeated,
+        # negative and huge Python-int residues
+        big = 2**70 * n
+        a = [n - 1, 3, -2, 3, big + 5, 0, -big - 1]
+        b = [5, n - 1, -1, 5, 2 * big + 2, 1, n // 2, 3 * n]
+        column = [[x] for x in a]
+        res_a = np.array([x % n for x in a])
+        res_b = np.array([y % n for y in b])
+        outer = gauss_brute(column, b, n)
+        assert outer.shape == (len(a), len(b))
+        pairs_a, pairs_b = (v.copy() for v in np.broadcast_arrays(res_a[:, None], res_b))
+        assert gauss_brute(pairs_a, pairs_b, n).tobytes() == outer.tobytes()
+        assert gauss_brute(res_a[:, None], res_b, n).tobytes() == outer.tobytes()
+        for i, x in enumerate(a):
+            assert gauss_brute(x, b, n).tobytes() == outer[i].tobytes()
+            for j, y in enumerate(b):
+                assert gauss_brute(x, y, n) == outer[i, j], (x, y)
+        for j, y in enumerate(b):  # a column against a scalar keeps the column's shape
+            assert gauss_brute(column, y, n).tobytes() == outer[:, j : j + 1].tobytes()
+        nested = gauss_brute(res_a.reshape(7, 1, 1), res_b, n)
+        assert nested.shape == (7, 1, len(b)) and nested.tobytes() == outer.tobytes()
+
+    def test_whole_grid_scatters_no_pairs(self, monkeypatch):
+        # outer-product requests are grouped by axis: no sort of the n^2
+        # (chunk, tile row, tile column) keys; other shapes still take it
+        sorts = []
+        real = np.lexsort
+
+        def lexsort(keys, *args, **kwargs):
+            sorts.append(len(keys[0]))
+            return real(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", lexsort)
+        for n in (7, 70, 150):
+            x = np.arange(n)
+            gauss_brute(x[:, None], x, n)
+            gauss_brute(x[::-1, None], x[::-1], n)
+            gauss_brute(3, x, n)
+            gauss_brute(3, 5, n)
+        assert sorts == []
+        gauss_brute(np.arange(5), np.arange(5), 7)
+        assert sorts == [5]
+        assert gauss_brute(4, np.arange(0), 7).shape == (0,)
+
     @staticmethod
     def count_builds(monkeypatch):
         """The first row and column of every chirp-row and linear-column build."""

@@ -535,6 +535,26 @@ class TestNarrowTables:
         assert form.dtype == dtype
         assert np.array_equal(form, _form_flat_int64(q, tables))
 
+    @pytest.mark.parametrize("q,d", [(3162, 2), (2000003, 1), (45, 4), (3, 14)])
+    def test_norm_table_peak_is_the_table(self, q, d):
+        # the squares are taken in place and the outer sums reduced in
+        # blocks, with no full-size temporary beside the result; every block
+        # equals the int64 reference
+        gc.collect()
+        tracemalloc.start()
+        try:
+            norms = sphere._norms_flat(q, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * norms.nbytes, (peak, norms.nbytes)
+        squares = np.arange(q, dtype=np.int64) ** 2 % q
+        head = _form_flat_int64(q, [squares] * (d - 1))
+        rows = norms.reshape(len(head), q)
+        for lo in range(0, len(head), 256):
+            block = (head[lo : lo + 256, None] + squares) % q
+            assert np.array_equal(rows[lo : lo + 256], block), lo
+
     def test_large_norm_tables_are_not_kept(self):
         # 45^4 > 2^16 points: the norm table is shared while held, and neither
         # it nor the counts keep it once released; 9^5 points are kept
