@@ -80,20 +80,7 @@ DEFAULT_SEED = 1
 # output plumbing
 
 
-def _fmt_any(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".12g")
-    return str(v)
-
-
-# the cell types the rows hold, by exact type; numpy scalars and the rest go
-# through _fmt_any's isinstance chain, which formats them alike
+# every cell a row holds is one of these exact types
 _FMT_EXACT = {
     type(None): lambda v: "",
     bool: lambda v: "true" if v else "false",
@@ -104,7 +91,7 @@ _FMT_EXACT = {
 
 
 def _fmt(v) -> str:
-    return _FMT_EXACT.get(type(v), _fmt_any)(v)
+    return _FMT_EXACT[type(v)](v)
 
 
 def _resolve_out(path: "str | None") -> "str | None":
@@ -126,7 +113,7 @@ def _emit(columns: list[str], rows: list[dict], args) -> None:
         writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
         text = buf.getvalue()
     else:
-        payload = [{c: _jsonable(row.get(c)) for c in columns} for row in rows]
+        payload = [{c: row.get(c) for c in columns} for row in rows]
         text = json.dumps(payload, indent=None, separators=(",", ":")) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -136,14 +123,6 @@ def _emit(columns: list[str], rows: list[dict], args) -> None:
             os.makedirs(parent, exist_ok=True)
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _jsonable(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    return v
 
 
 # ---------------------------------------------------------------------------

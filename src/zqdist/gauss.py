@@ -4,15 +4,9 @@ Evaluators:
 
 ``gauss_brute``
     the trust anchor: the definition summed as sum_x tbl[a x^2] tbl[b x]
-    over the n-th roots of unity, one complex product per aligned tile of
-    Z_n x Z_n that holds a requested pair, each tile row's chirp rows and
-    each tile column's linear columns built once.  It uses no closed form.
-    ``a`` and ``b`` broadcast as integer arrays, so one call covers all of
-    Z_n^2, and every call shape gives the same bits for the same (a, b, n).
-    An outer-product request (a scalar or a column of a against a scalar or
-    a row of b, as a whole grid is) is grouped by axis: each tile's product
-    is written into its rectangle of the result.  Any other shape is grouped
-    by pair: the pairs are sorted by tile and read off one by one.
+    over the n-th roots of unity, for an outer product of a and b (a
+    scalar, a row, a whole table of Z_n x Z_n), as blocked products
+    chirp @ columns.  It uses no closed form.
 ``gauss_closed``
     the closed form of G(a, n) = G(a, 0, n) for gcd(a, n) = 1, split by the
     residue of n mod 4.
@@ -38,9 +32,7 @@ can use exact magnitudes; a complex rendering is always available.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -105,8 +97,8 @@ def _residues(v, n: int) -> np.ndarray:
     return np.asarray(np.asarray(v, dtype=object) % n, dtype=np.int64)
 
 
-def _chirp_rows(a0: int, a1: int, n: int, tbl: np.ndarray) -> np.ndarray:
-    """tbl[a x^2 mod n] for a in [a0, a1) down and x in Z_n across.
+def _chirp_rows(a: np.ndarray, n: int, tbl: np.ndarray) -> np.ndarray:
+    """tbl[a x^2 mod n] for each residue in ``a`` down and x in Z_n across.
 
     (n - x)^2 = x^2 mod n, so only x <= n // 2 is looked up and the rest of
     each row is the mirror image of that half.
@@ -116,101 +108,34 @@ def _chirp_rows(a0: int, a1: int, n: int, tbl: np.ndarray) -> np.ndarray:
     squares *= squares
     if n >= 2**21:  # a x^2 < n^3 would pass 2^63: reduce x^2 first
         squares %= n
-    phases = np.multiply.outer(np.arange(a0, a1, dtype=np.int64), squares)
+    phases = np.multiply.outer(a, squares)
     del squares
     phases %= n
-    rows = np.empty((a1 - a0, n), dtype=np.complex128)
+    rows = np.empty((a.size, n), dtype=np.complex128)
     np.take(tbl, phases, out=rows[:, :h])
     rows[:, h:] = rows[:, n - h : 0 : -1]
     return rows
-
-
-def _linear_columns(b0: int, b1: int, n: int, tbl: np.ndarray) -> np.ndarray:
-    """tbl[b x mod n] for x in Z_n down and b in [b0, b1) across."""
-    phases = np.multiply.outer(np.arange(n, dtype=np.int64), np.arange(b0, b1, dtype=np.int64))
-    phases %= n
-    return np.take(tbl, phases)
-
-
-def _tile_products(tiles: list, n: int, t: int, cap: int):
-    """chirp @ columns for each (tile row, tile column) of ``tiles``, in order.
-
-    The tiles must come chunk (tile column // cap) by chunk and, within one,
-    tile row by tile row: then each tile row's chirp rows are built once per
-    chunk, and each tile column's linear columns are built once and dropped
-    after its last tile."""
-    tbl = character_table(n)
-    uses = Counter(j for _, j in tiles)  # requested tiles per tile column
-    chirp, chirp_at, columns = None, None, {}
-    for i, j in tiles:
-        a0, b0 = i * t, j * t
-        if (j // cap, i) != chirp_at:
-            chirp, chirp_at = _chirp_rows(a0, min(a0 + t, n), n, tbl), (j // cap, i)
-        if j not in columns:
-            columns[j] = _linear_columns(b0, min(b0 + t, n), n, tbl)
-        uses[j] -= 1
-        yield chirp @ (columns[j] if uses[j] else columns.pop(j))  # dropped after its last tile
-
-
-def _tile_groups(v: np.ndarray, t: int) -> list:
-    """The tiles of side t that hold the residues v along one axis, ascending:
-    (tile index, positions in v, offsets within the tile) for each.
-
-    Consecutive residues, as in a whole row, give slices; any others are
-    grouped by one stable sort of v // t and give index arrays."""
-    if v.size and (np.diff(v) == 1).all():
-        lo, hi = int(v[0]), int(v[-1]) + 1
-        spans = ((k, max(k * t, lo), min(k * t + t, hi)) for k in range(lo // t, (hi - 1) // t + 1))
-        return [(k, slice(b0 - lo, b1 - lo), slice(b0 - k * t, b1 - k * t)) for k, b0, b1 in spans]
-    tiles = v // t
-    order = np.argsort(tiles, kind="stable")
-    tiles = tiles[order]
-    starts = np.flatnonzero(np.diff(tiles, prepend=-1)).tolist()
-    return [(k, order[lo:hi], v[order[lo:hi]] - k * t)
-            for k, lo, hi in zip(tiles[starts].tolist(), starts, starts[1:] + [v.size])]
-
-
-def _ix(x, y):
-    """The rectangle of rows x and columns y, each a slice or an index array."""
-    return (x, y) if isinstance(x, slice) or isinstance(y, slice) else np.ix_(x, y)
 
 
 def gauss_brute(a: "int | np.ndarray", b: "int | np.ndarray", n: int) -> "complex | np.ndarray":
     """G(a, b, n) = sum_x tbl[a x^2 mod n] tbl[b x mod n], straight from the definition.
 
     Both factors come from ``character_table(n)``; no closed form is used.
-    ``a`` and ``b`` may be integer arrays; they broadcast against each other
-    and the result has their broadcast shape.  They are reduced mod n first,
-    and n is held to the grid budget before any Z_n array is built, so every
-    int64 phase stays below 2^63 before its own reduction mod n.
+    ``a`` and ``b`` are reduced mod n first, and n is held to the grid budget
+    before any Z_n array is built, so every int64 phase stays below 2^63
+    before its own reduction mod n.
 
-    Z_n x Z_n is cut into aligned T x T tiles, T = min(64, isqrt(2^15 // n))
-    or 1 where that is 0.  Each tile that holds a requested pair is
-    one complex product: its chirp rows tbl[a x^2] (T x n) times its linear
-    columns tbl[b x] (n x T).  The tiles go tile row by tile row, so each
-    tile row's chirp rows are built once, and each tile column's linear
-    columns are built once and dropped after its last requested tile.  The
-    kept columns stay within 2^21 entries: past that the tile columns go in
-    chunks of 2^21 // (n T), and each tile row's chirp rows are built once
-    per chunk.
-
-    The requests are grouped in one of two ways, by their shapes alone:
-
-    - by axis, when they form an outer product: ``a`` a scalar or an array
-      whose last axis has length 1, and ``b`` a scalar or a 1-D array (a
-      scalar, a row, a whole grid ``a[:, None]`` against ``b``).  The values
-      of a and of b are grouped by tile on their own, and each requested
-      tile's product is written straight into its rectangle of the result,
-      through slices where an axis's residues are consecutive;
-    - by pair, for any other shape: the broadcast pairs are sorted by
-      (chunk, tile row, tile column) and each pair is read off its tile.
-
-    A pair's value is read off the product of its own tile, whose shape and
-    data depend only on (a mod n, b mod n, n), and BLAS gives the
-    same bits for the same call on the same thread count; so a grid, a row, a
-    scalar and scattered pairs agree bit for bit, whatever their shape.  The
-    bits can change with that count: G(7, 3, 32771) is 6.84e-13 off the closed
-    form with OPENBLAS_NUM_THREADS=1 and 2.62e-13 with 2.
+    The request is an outer product, and the result has the broadcast shape
+    of ``a`` and ``b``: a scalar on either side, with any shape on the other,
+    or an ``a`` whose last axis has length 1 against a 1-D ``b`` (a whole
+    table is ``a[:, None]`` against ``b``).  Any other shape raises
+    ``DomainError``.  The values are G = chirp @ columns, with
+    chirp[i, x] = tbl[a_i x^2] and columns[x, j] = tbl[b_j x], one matrix
+    product per block of at most 2^16 // n rows and columns (at least one),
+    so each factor holds at most 2^16 entries or one row of Z_n.  For
+    n <= 256 a whole Z_n x Z_n table is one product.  The same call gives
+    the same bits on the same BLAS thread count; other call shapes can round
+    differently, within the bound below.
 
     Rounding: each table root is within 11 eps of the exact root, so each
     term, a product of two roots, is within 22 eps of its exact value before
@@ -224,36 +149,24 @@ def gauss_brute(a: "int | np.ndarray", b: "int | np.ndarray", n: int) -> "comple
         raise DomainError(f"n must be >= 1, got {n}")
     check_grid_budget(n, 1)
     av, bv = _residues(a, n), _residues(b, n)
-    # a tile costs T^2 n complex multiply-adds: at most 2^15, or n when T = 1,
-    # so a scalar call stays O(n)
-    t = max(1, min(64, math.isqrt(2**15 // n)))
-    cap = max(1, 2**21 // (n * t))  # tile columns whose linear columns are kept at once
-    if (av.ndim == 0 or av.shape[-1] == 1) and bv.ndim <= 1:
-        shape = np.broadcast_shapes(av.shape, bv.shape)
-        rows, cols = _tile_groups(av.ravel(), t), _tile_groups(bv.ravel(), t)
-        # chunk by chunk, tile row by tile row; the sort is stable, so tile columns stay ascending
-        tiles = sorted(itertools.product(rows, cols), key=lambda rc: (rc[1][0] // cap, rc[0][0]))
-        out = np.empty((av.size, bv.size), dtype=np.complex128)
-        products = _tile_products([(r[0], c[0]) for r, c in tiles], n, t, cap)
-        for ((_, at_a, in_a), (_, at_b, in_b)), block in zip(tiles, products):
-            out[_ix(at_a, at_b)] = block[_ix(in_a, in_b)]
-        return complex(out[0, 0]) if not shape else out.reshape(shape)
-    av, bv = np.broadcast_arrays(av, bv)
-    shape = av.shape
+    if not (av.ndim == 0 or bv.ndim == 0 or (av.shape[-1] == 1 and bv.ndim == 1)):
+        raise DomainError(
+            f"gauss_brute takes an outer product: a of shape (..., 1) against 1-D b, or a "
+            f"scalar on either side; got shapes {av.shape} and {bv.shape}"
+        )
+    shape = np.broadcast_shapes(av.shape, bv.shape)
     av, bv = av.ravel(), bv.ravel()
-    side = -(-n // t)  # tiles per axis
-    rows, cols = av // t, bv // t
-    order = np.lexsort((cols, rows, cols // cap))  # chunk, then tile row, then tile column
-    tiles = (rows * side + cols)[order]
-    # the first pair of each tile: the first pair (keys are >= 0), then each change
-    first = np.flatnonzero(np.concatenate((tiles[:1] >= 0, tiles[1:] != tiles[:-1])))
-    heads, starts = [divmod(tile, side) for tile in tiles[first].tolist()], first.tolist()
-    sums = np.empty(av.size, dtype=np.complex128)
-    products = _tile_products(heads, n, t, cap)
-    for (i, j), lo, hi, block in zip(heads, starts, starts[1:] + [tiles.size], products):
-        sel = order[lo:hi]
-        sums[sel] = block[av[sel] - i * t, bv[sel] - j * t]
-    return complex(sums[0]) if not shape else sums.reshape(shape)
+    tbl = character_table(n)
+    step = max(1, 2**16 // n)
+    out = np.empty((av.size, bv.size), dtype=np.complex128)
+    for i in range(0, av.size, step):
+        chirp = _chirp_rows(av[i : i + step], n, tbl)
+        for j in range(0, bv.size, step):
+            # Z_n is built per block, not held: past n = 2^16 it is half the size of a block
+            phases = np.multiply.outer(np.arange(n, dtype=np.int64), bv[j : j + step])
+            phases %= n
+            np.matmul(chirp, np.take(tbl, phases), out=out[i : i + step, j : j + step])
+    return complex(out[0, 0]) if not shape else out.reshape(shape)
 
 
 def _unit(a: int, n: int) -> tuple[int, int]:

@@ -181,14 +181,18 @@ class TestGaussCommand:
         )
         assert row["cases"] == 144 and row["passed"]
 
-    def test_sweep_row_equals_per_a_rows(self):
-        # the batched row against the per-a loop it replaces, bit for bit
+    def test_sweep_row_agrees_with_per_a_rows(self):
+        # the whole table against one row call per a: every oracle value lies
+        # within gauss_brute's bound of the definition, so the two worst
+        # distances from gauss_row differ by at most twice that bound
+        eps = np.finfo(np.float64).eps
         for n in range(1, 100):
             worst = 0.0
             for a in range(n):
                 diff = np.abs(gauss.gauss_row(a, n) - gauss.gauss_brute(a, np.arange(n), n))
                 worst = max(worst, float(diff.max()))
-            assert cli._gauss_sweep_row(n)["max_abs_err"] == worst, n
+            bound = (np.sqrt(2) * (n + 2) + 22) * eps * n
+            assert abs(cli._gauss_sweep_row(n)["max_abs_err"] - worst) <= 2 * bound, n
 
     def test_sweep_row_peak_memory(self):
         # n = 200 has 8 * 10^6 (a, b, x) triples; the oracle counts them in blocks
@@ -665,23 +669,54 @@ class TestUsage:
 
 
 class TestCellFormat:
-    def test_python_and_numpy_scalars_format_alike(self):
+    def test_python_values(self):
         cases = [
-            ("true", [True, np.bool_(True)]),
-            ("false", [False, np.bool_(False)]),
-            ("7", [7, np.int64(7), np.uint8(7), np.int32(7)]),
-            ("-9223372036854775808", [-(2**63), np.int64(-(2**63))]),
-            ("18446744073709551615", [2**64 - 1, np.uint64(2**64 - 1)]),
-            ("0.1", [0.1, np.float64(0.1)]),
-            ("-2.62035213646e-13", [-2.62035213646e-13, np.float64(-2.62035213646e-13)]),
-            ("1e+300", [1e300, np.float64(1e300)]),
-            ("nan", [float("nan"), np.float64("nan")]),
-            ("", [None]),
-            ("all", ["all", np.str_("all")]),
+            ("true", True),
+            ("false", False),
+            ("7", 7),
+            ("-9223372036854775808", -(2**63)),
+            ("18446744073709551615", 2**64 - 1),
+            ("0.1", 0.1),
+            ("-2.62035213646e-13", -2.62035213646e-13),
+            ("1e+300", 1e300),
+            ("nan", float("nan")),
+            ("", None),
+            ("all", "all"),
         ]
-        for text, values in cases:
-            for v in values:
-                assert cli._fmt(v) == cli._fmt_any(v) == text, (type(v), v)
+        for text, v in cases:
+            assert cli._fmt(v) == text, (type(v), v)
+
+    def test_every_cell_has_a_formatted_type(self, tmp_path, monkeypatch):
+        # each subcommand on small inputs, in CSV and JSON: every cell it
+        # emits is exactly one of the types _fmt formats (numpy scalars are not)
+        seen = set()
+        real = cli._emit
+
+        def emit(columns, rows, args):
+            seen.update(type(row.get(c)) for row in rows for c in columns)
+            return real(columns, rows, args)
+
+        monkeypatch.setattr(cli, "_emit", emit)
+        commands = [
+            ("gauss", "--verify", "--n-max", "12"),
+            ("gauss", "--a", "7", "--b", "3", "--n", "31"),
+            ("verify-all", "--n-max", "8", "--q-max", "9", "--sets-per-q", "1"),
+            ("sphere", "--q", "4", "9", "--d", "3", "--all-t"),
+            ("spectrum", "--q", "9", "--d", "2", "--all-t"),
+            ("nu", "--random", "50", "--q", "2", "--d", "6"),
+            ("nu", "--random", "50", "--q", "6", "--d", "3"),
+            ("nu", "--random", "50", "--q", "45", "--d", "2"),
+            ("nu", "--random", "20", "--q", "5003", "--d", "1"),
+            ("certificate", "--random", "200", "--q", "9", "--d", "3"),
+            ("construct", "even-weight", "--d", "4", "--check", "--out-set", str(tmp_path / "ew.txt")),
+            ("construct", "lattice", "--p", "3", "--ell", "2", "--d", "3", "--check"),
+            ("nu", "--set-file", str(tmp_path / "ew.txt")),
+        ]
+        for argv in commands:
+            for fmt in ("csv", "json"):
+                code, _ = run(tmp_path, *argv, "--format", fmt)
+                assert code == 0, argv
+        assert seen and seen <= set(cli._FMT_EXACT), seen
 
 
 class TestOutDirEnv:

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqdist import gauss
 from zqdist.arith import jacobi
 from zqdist.cli import _gauss_tol
 from zqdist.errors import BudgetError, DomainError
@@ -28,6 +27,27 @@ CMATH_REF = 24 * EPS
 def direct_sum(a: int, b: int, n: int) -> complex:
     # independent oracle: plain cmath sum, no shared code with gauss_brute
     return sum(cmath.exp(2j * cmath.pi * ((a * x * x + b * x) % n) / n) for x in range(n))
+
+
+def brute_tol(n: int) -> float:
+    """gauss_brute's docstring bound, (sqrt(2) (n + 2) + 22) eps n, plus
+    17 n eps for ``definition``."""
+    return (math.sqrt(2) * (n + 2) + 22 + 17) * EPS * n
+
+
+def definition(pairs_a, pairs_b, n: int) -> np.ndarray:
+    """G(a, b, n) for each a in pairs_a (down) and b in pairs_b (across): the
+    n terms cos and sin of 2 pi k / n, k = a x^2 + b x mod n exact, each from
+    math (within 11 eps), summed by math.fsum, so within 17 n eps in all."""
+    cos = np.array([math.cos(2 * math.pi * k / n) for k in range(n)])
+    sin = np.array([math.sin(2 * math.pi * k / n) for k in range(n)])
+    x = np.arange(n, dtype=np.int64)
+    out = np.empty((len(pairs_a), len(pairs_b)), dtype=np.complex128)
+    for i, a in enumerate(pairs_a):
+        for j, b in enumerate(pairs_b):
+            k = (a % n * x * x + b % n * x) % n
+            out[i, j] = complex(math.fsum(cos[k]), math.fsum(sin[k]))
+    return out
 
 
 # The closed-form checks, as functions of their range, so that a test below
@@ -136,11 +156,16 @@ class TestBrute:
                     assert abs(grid[a, b] - ref) <= (n + 12) * eps * n, (n, a, b)
 
     def test_array_a_blocks_equal_single_rows(self):
-        # n = 150 splits the 150^3 (a, b, x) triples into blocks that end inside a row of a
-        n = 150
+        # n = 300 splits the table into 2 x 2 blocks of up to 2^16 // n = 218
+        # rows and columns; each row asked on its own is one 1 x 300 product.
+        # Both lie within the bound of the definition, so within twice it of
+        # each other
+        n = 300
         grid = gauss_brute(np.arange(n)[:, None], np.arange(n), n)
         rows = np.stack([gauss_brute(a, np.arange(n), n) for a in range(n)])
-        assert grid.tobytes() == rows.tobytes()
+        assert np.abs(grid - rows).max() <= 2 * brute_tol(n)
+        edges = [0, 217, 218, 299]
+        assert np.abs(grid[np.ix_(edges, edges)] - definition(edges, edges, n)).max() <= brute_tol(n)
 
     def test_array_a_broadcasts(self):
         big = 2**70 + 3
@@ -165,141 +190,130 @@ class TestBrute:
 
     @pytest.mark.parametrize("n", [7, 64, 65, 130, 1031])
     def test_scattered_pairs_equal_grid_entries(self, n):
-        # each value is read off its own aligned tile, so any call shape gives
-        # the grid's bits; the pairs repeat, sit on the last tile edge and come
-        # as negative and huge Python ints in an odd shape
+        # scattered pairs, each asked as a scalar, match the table's entries
+        # within twice the bound (both lie within it of the definition); the
+        # pairs repeat, sit on the last row and column and come as negative
+        # and huge Python ints.  Asked elementwise in one call they are refused
         rng = np.random.default_rng(n)
         a = rng.integers(0, n, size=(5, 7))
         b = rng.integers(0, n, size=(5, 7))
         a[0, :3] = b[0, :3] = n - 1
         a[1, 1], b[1, 1] = a[1, 0], b[1, 0]
-        if n == 1031:  # the grid rows of the a that occur, one call per row
+        if n == 1031:  # the table rows of the a that occur, one call for them all
+            occur = sorted(set(a.ravel().tolist()))
             grid = np.zeros((n, n), dtype=np.complex128)
-            for v in set(a.ravel().tolist()):
-                grid[v] = gauss_brute(v, np.arange(n), n)
+            grid[occur] = gauss_brute(np.array(occur)[:, None], np.arange(n), n)
         else:
             grid = gauss_brute(np.arange(n)[:, None], np.arange(n), n)
         ref = grid[a, b]
         big = 2**70 * n
-        huge_a = [[x - big for x in row] for row in a.tolist()]
-        huge_b = [[y + 3 * big for y in row] for row in b.tolist()]
-        for got in (gauss_brute(a, b, n), gauss_brute(huge_a, huge_b, n),
-                    gauss_brute(a - 5 * n, b, n)):
-            assert got.shape == (5, 7) and got.tobytes() == ref.tobytes()
-        for i, j in [(0, 0), (1, 1), (2, 3), (4, 6)]:
-            assert gauss_brute(int(a[i, j]), int(b[i, j]), n) == ref[i, j]
-        outer = gauss_brute(a[:, :1], b[0], n)  # (5, 1) against (7,)
-        assert outer.tobytes() == grid[a[:, :1], b[0]].tobytes()
+        for i, j in np.ndindex(a.shape):
+            x, y = int(a[i, j]), int(b[i, j])
+            for got in (gauss_brute(x, y, n), gauss_brute(x - big, y + 3 * big, n)):
+                assert abs(got - ref[i, j]) <= 2 * brute_tol(n), (x, y)
+        with pytest.raises(DomainError):
+            gauss_brute(a, b, n)
 
-    @pytest.mark.parametrize("n", [70, 1031])
-    def test_ragged_edge_tiles_agree_across_call_shapes(self, n):
-        # T does not divide n: the last tile row and column are narrower, with
-        # the same bits in every call shape
-        t = max(1, min(64, math.isqrt(2**15 // n)))
-        assert n % t
-        edge = list(range(n - n % t - 2, n))  # the last full tile's end and the ragged tile
-        a = np.array(edge + [0, t])
-        grid = gauss_brute(a[:, None], np.arange(n), n)
-        scattered = gauss_brute(a, a[::-1], n)
-        for i, x in enumerate(a.tolist()):
-            assert gauss_brute(x, np.arange(n), n).tobytes() == grid[i].tobytes()
-            for y in edge + [0]:
-                assert gauss_brute(x, y, n) == grid[i, y]
-            assert scattered[i] == grid[i, a[::-1][i]]
-        for x, y in [(n - 1, n - 1), (0, n - 1), (n - 1, 0)]:
-            assert abs(grid[list(a).index(x), y] - direct_sum(x, y, n)) < _gauss_tol(n)
-
-    def test_unit_tiles(self):
-        # n > 2^15 has 1 x 1 tiles: each value is one dot product of length n
-        n = 32771
-        assert math.isqrt(2**15 // n) == 0
-        b = [3, 17000, n - 1]
-        row = gauss_brute(7, b, n)
-        assert [gauss_brute(7, y, n) for y in b] == list(row)
-        assert gauss_brute([7, 7, 7], b, n).tobytes() == row.tobytes()
-        assert abs(row[0] - direct_sum(7, 3, n)) < _gauss_tol(n)
-
-    @pytest.mark.parametrize("n", [7, 70, 1031, 32771])
-    def test_outer_requests_equal_scalar_and_per_pair_calls(self, n):
-        # a column against a row is grouped by axis; the same pairs spelled
-        # out in full take the per-pair path, and one pair at a time the
-        # scalar one: all three agree bit for bit, on unsorted, repeated,
-        # negative and huge Python-int residues
+    @staticmethod
+    def check_call_shapes(n):
+        """A column of a against a row of b, as Python ints, as numpy arrays
+        and nested one axis deeper; each row, each column and each pair on its
+        own; for n <= 300 the whole table too: every value lies within the
+        docstring's bound of the definition, on unsorted, repeated, negative
+        and past-2^63 Python-int residues.  Returns the residues."""
         big = 2**70 * n
         a = [n - 1, 3, -2, 3, big + 5, 0, -big - 1]
         b = [5, n - 1, -1, 5, 2 * big + 2, 1, n // 2, 3 * n]
+        res_a, res_b = np.array([x % n for x in a]), np.array([y % n for y in b])
         column = [[x] for x in a]
-        res_a = np.array([x % n for x in a])
-        res_b = np.array([y % n for y in b])
         outer = gauss_brute(column, b, n)
-        assert outer.shape == (len(a), len(b))
-        pairs_a, pairs_b = (v.copy() for v in np.broadcast_arrays(res_a[:, None], res_b))
-        assert gauss_brute(pairs_a, pairs_b, n).tobytes() == outer.tobytes()
-        assert gauss_brute(res_a[:, None], res_b, n).tobytes() == outer.tobytes()
-        for i, x in enumerate(a):
-            assert gauss_brute(x, b, n).tobytes() == outer[i].tobytes()
-            for j, y in enumerate(b):
-                assert gauss_brute(x, y, n) == outer[i, j], (x, y)
-        for j, y in enumerate(b):  # a column against a scalar keeps the column's shape
-            assert gauss_brute(column, y, n).tobytes() == outer[:, j : j + 1].tobytes()
-        nested = gauss_brute(res_a.reshape(7, 1, 1), res_b, n)
-        assert nested.shape == (7, 1, len(b)) and nested.tobytes() == outer.tobytes()
-
-    def test_whole_grid_scatters_no_pairs(self, monkeypatch):
-        # outer-product requests are grouped by axis: no sort of the n^2
-        # (chunk, tile row, tile column) keys; other shapes still take it
-        sorts = []
-        real = np.lexsort
-
-        def lexsort(keys, *args, **kwargs):
-            sorts.append(len(keys[0]))
-            return real(keys, *args, **kwargs)
-
-        monkeypatch.setattr(np, "lexsort", lexsort)
-        for n in (7, 70, 150):
+        calls = [
+            outer,
+            gauss_brute(res_a[:, None], res_b, n),
+            gauss_brute(res_a.reshape(7, 1, 1), res_b, n).reshape(7, 8),
+            np.stack([gauss_brute(x, b, n) for x in a]),
+            np.hstack([gauss_brute(column, y, n) for y in b]),
+            np.array([[gauss_brute(x, y, n) for y in b] for x in a]),
+        ]
+        if n <= 300:
             x = np.arange(n)
-            gauss_brute(x[:, None], x, n)
-            gauss_brute(x[::-1, None], x[::-1], n)
-            gauss_brute(3, x, n)
-            gauss_brute(3, 5, n)
-        assert sorts == []
-        gauss_brute(np.arange(5), np.arange(5), 7)
-        assert sorts == [5]
+            calls.append(gauss_brute(x[:, None], x, n)[np.ix_(res_a, res_b)])
+        ref = definition(res_a.tolist(), res_b.tolist(), n)
+        for got in calls:
+            assert got.shape == (7, 8)
+            assert np.abs(got - ref).max() <= brute_tol(n)
+        assert isinstance(gauss_brute(a[0], b[0], n), complex)
+        assert gauss_brute(column, b, n).tobytes() == outer.tobytes()  # the same call, the same bits
+        return res_a, res_b
+
+    @pytest.mark.parametrize("n", [1, 2, 256, 257, 300])
+    def test_call_shapes_agree_within_bound(self, n):
+        # n = 256 is the last whole table that is one product, n = 257 the
+        # first whose table splits into blocks
+        self.check_call_shapes(n)
+
+    @pytest.mark.parametrize("n", [7, 70, 1031, 32771])
+    def test_outer_requests_equal_scalar_and_per_pair_calls(self, n):
+        # a column against a row agrees with the row and scalar calls within
+        # the bound; the same pairs spelled out in full, one a and one b per
+        # entry, are refused rather than taken pair by pair
+        res_a, res_b = self.check_call_shapes(n)
+        pairs_a, pairs_b = (v.copy() for v in np.broadcast_arrays(res_a[:, None], res_b))
+        with pytest.raises(DomainError):
+            gauss_brute(pairs_a, pairs_b, n)
+
+    @pytest.mark.parametrize("n", [70, 1031])
+    def test_ragged_edge_tiles_agree_across_call_shapes(self, n):
+        # blocks of 2^16 // n rows and columns do not divide n: the last block
+        # is narrower (n = 1031: 16 blocks of 63 and one of 23; n = 70: the
+        # one block is the whole table).  The rows and columns on both sides
+        # of its first edge and the table's last, asked as a table, row by
+        # row, column by column and pair by pair, lie within the bound
+        step = max(1, 2**16 // n)
+        assert n % step
+        last = (n - 1) // step * step
+        edge = sorted({max(0, last - 2), max(0, last - 1), last, n - 1})
+        a = np.array(edge + [0])
+        ref = definition(a.tolist(), edge, n)
+        grid = gauss_brute(a[:, None], np.arange(n), n)[:, edge]
+        rows = np.stack([gauss_brute(x, edge, n) for x in a.tolist()])
+        cols = np.hstack([gauss_brute(a[:, None], y, n) for y in edge])
+        pairs = np.array([[gauss_brute(x, y, n) for y in edge] for x in a.tolist()])
+        for got in (grid, rows, cols, pairs):
+            assert np.abs(got - ref).max() <= brute_tol(n)
+        for x, y in [(n - 1, n - 1), (0, n - 1), (n - 1, 0)]:
+            assert abs(gauss_brute(x, y, n) - direct_sum(x, y, n)) < _gauss_tol(n)
+
+    def test_unit_tiles(self):
+        # n > 2^15 has blocks of one row and one column: each value is one dot
+        # product of length n, in a row, a column or on its own
+        n = 32771
+        assert 2**16 // n == 1
+        b = [3, 17000, n - 1]
+        ref = definition([7], b, n)[0]
+        row = gauss_brute(7, b, n)
+        for got in (row, [gauss_brute(7, y, n) for y in b], gauss_brute([[7]], b, n)[0],
+                    gauss_brute([[7], [7], [7]], b, n)[1]):
+            assert np.abs(np.asarray(got) - ref).max() <= brute_tol(n)
+        assert abs(row[0] - direct_sum(7, 3, n)) < _gauss_tol(n)
+
+    def test_elementwise_request_is_refused(self):
+        # only outer products are taken: a scalar on either side, or a
+        # (..., 1) array of a against a 1-D b
+        x = np.arange(5)
+        for a, b in [(x, x), (x.reshape(5, 1), x.reshape(1, 5)), (x[:, None], x[None, :, None]),
+                     ([[1, 2]], [3, 4]), (x[:, None], np.zeros((0, 2), dtype=int))]:
+            with pytest.raises(DomainError):
+                gauss_brute(a, b, 7)
         assert gauss_brute(4, np.arange(0), 7).shape == (0,)
-
-    @staticmethod
-    def count_builds(monkeypatch):
-        """The first row and column of every chirp-row and linear-column build."""
-        built = {"rows": [], "cols": []}
-        real_rows, real_cols = gauss._chirp_rows, gauss._linear_columns
-
-        def rows(a0, a1, *args):
-            built["rows"].append(a0)
-            return real_rows(a0, a1, *args)
-
-        def cols(b0, b1, *args):
-            built["cols"].append(b0)
-            return real_cols(b0, b1, *args)
-
-        monkeypatch.setattr(gauss, "_chirp_rows", rows)
-        monkeypatch.setattr(gauss, "_linear_columns", cols)
-        return built
-
-    @pytest.mark.parametrize("n", [64, 70, 130])
-    def test_full_grid_builds_each_tile_row_and_column_once(self, monkeypatch, n):
-        built = self.count_builds(monkeypatch)
-        x = np.arange(n)
-        grid = gauss_brute(x[:, None], x, n)
-        t = max(1, min(64, math.isqrt(2**15 // n)))
-        assert sorted(built["rows"]) == sorted(built["cols"]) == list(range(0, n, t))
-        monkeypatch.undo()
-        assert grid.tobytes() == np.stack([gauss_brute(a, x, n) for a in range(n)]).tobytes()
+        assert gauss_brute(np.zeros((0, 1), dtype=int), x, 7).shape == (0, 5)
+        assert gauss_brute(x.reshape(1, 5), 2, 7).shape == (1, 5)
+        assert gauss_brute(x[:1], x, 7).shape == (5,)
 
     def test_row_drops_each_column_after_use(self):
-        # Z_3001 (T = 3): a row call meets each of the 1001 tile columns once,
-        # so no column is kept past its tile: the traced peak stays near one
-        # tile's chirp rows and columns (3 x 3001 roots each), not the 32 MiB
-        # a chunk of kept columns would take
+        # a row of Z_3001 is one chirp row against 143 blocks of 2^16 // n = 21
+        # linear columns, each dropped when the next is built: the traced peak
+        # stays near one block (2^16 roots and their int64 phases)
         n = 3001
         character_table(n)
         tracemalloc.start()
@@ -309,34 +323,30 @@ class TestBrute:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20, peak
-        for y in (0, 695, 696, 1392, 2999, 3000):  # chunk edges at 3 * 232 k and the ragged column
-            assert gauss_brute(5, y, n) == row[y]
+        edges = [0, 20, 21, 2981, 2982, 3000]  # block edges and the ragged last block of 19
+        assert np.abs(row[edges] - definition([5], edges, n)[0]).max() <= brute_tol(n)
 
-    def test_chunks_build_each_tile_column_once(self, monkeypatch):
-        # two tile rows of Z_3001 (T = 3) past the cap: the 1001 tile columns
-        # come in 5 chunks of at most 232, each column is built once and kept
-        # for the second row, within 2^21 entries (32 MiB), and each tile
-        # row's chirp rows are built once per chunk
+    def test_two_rows_peak_within_blocks(self):
+        # two rows of Z_3001 are one block of chirp rows against 143 blocks of
+        # 21 columns: the traced peak is the result and the chirp rows (2 x n
+        # roots each), one block of at most 2^16 roots with its int64 phases,
+        # and one int64 Z_n, plus 64 KiB of small objects
         n = 3001
         a = np.array([[5], [2999]])
         character_table(n)
-        built = self.count_builds(monkeypatch)
         tracemalloc.start()
         try:
             got = gauss_brute(a, np.arange(n), n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 16 * 2**20 <= peak <= 40 * 2**20, peak
-        assert sorted(built["cols"]) == list(range(0, n, 3))
-        assert sorted(built["rows"]) == [3] * 5 + [2997] * 5
-        monkeypatch.undo()
-        for r, x in enumerate(a.ravel().tolist()):
-            for y in (0, 695, 696, 2783, 2784, 3000):  # chunk edges and the ragged column
-                assert gauss_brute(x, y, n) == got[r, y]
+        bound = 2 * 16 * a.size * n + (16 + 8) * 2**16 + 8 * n + 2**16
+        assert peak <= bound, (peak, bound)
+        edges = [0, 20, 21, 2981, 2982, 3000]
+        assert np.abs(got[:, edges] - definition([5, 2999], edges, n)).max() <= brute_tol(n)
 
     def test_scalar_peak_memory(self):
-        # n > 2^15 has 1 x 1 tiles: one chirp row, one linear column, their dot
+        # n > 2^16 has blocks of one row and one column: one chirp row, one linear column, their dot
         n = 1000003
         tbl = character_table(n)  # held, so the call shares it and builds none
         tracemalloc.start()
