@@ -13,9 +13,9 @@ Three routes to nu(t):
   of sign orbits {(+-z_1, ..., +-z_d)}, so only the orbit sums of A on the
   orthant [0, q // 2]^d are needed: fourier.orbit_inverse takes them from
   the orbit power O(s) = sum_{m in orbit(s)} |E^(m)|^2 of fourier.orbit_power,
-  and _fold sums them by sphere with no q^d table.  It is the one transform
-  count of `nu_histogram`, and so the count that certificate_check and the
-  CLI check the sweep against;
+  and one bincount by the orthant's norms (sphere._orthant_norms) sums them
+  by sphere.  It is the one transform count of `nu_histogram`, and so the
+  count that certificate_check and the CLI check the sweep against;
 * the spectral decomposition (`nu_spectral_sweep`, the certificate)
 
     nu(t) = q^{2d} sum_m |E^(m)|^2 S_t^(m)
@@ -26,13 +26,14 @@ with the error term bounded by |E| tau(q) q^{d-1} p_1^{-(d-2)/2}.  Whenever
 main term - bound > 0 the distance t is certified to occur.  For odd q,
 S_t^(m) depends on m only through its class (gcd(m, q) = g and ||m/g|| mod
 q/g, at most sigma(q) classes), and a class is closed under sign flips, so
-the sweep folds O by class into P (_class_power, axis by axis over the
-(q//2 + 1)^d orthant, with no q^d table) and gets every nu(t) from
+the sweep sums O by class into P (_class_power, one bincount by the
+orthant's class slots, sphere._orthant_ids) and gets every nu(t) from
 q^{2d} P @ K with the sigma(q) x q class kernel K[c, t] = S_t^(m): one
-transform of the indicator, then O(q^d) work.  Its `route` only picks how K
-is built: "direct" from sphere counts, "formula" from Gauss sums.  P and
-the autocorrelation's counts depend on E alone, so the PointSet keeps them
-(sigma(q) floats and q integers, nothing else).  The autocorrelation's
+transform of the indicator, then O(q^d) work.  sphere owns the class
+layout; this module reads it only through those two orthant tables.  The
+sweep's `route` only picks how K is built: "direct" from sphere counts,
+"formula" from Gauss sums.  P and the autocorrelation's counts depend on E
+alone, so the PointSet keeps them (sigma(q) floats and q integers).  The autocorrelation's
 transform leaves both and the sweep's only P, so nu_histogram after a sweep
 transforms the set a second time.
 """
@@ -59,8 +60,9 @@ from .fourier import (
 from .sphere import (
     _class_count,
     _class_kernel,
-    _class_slots,
     _ClassKernel,
+    _orthant_ids,
+    _orthant_norms,
     _sphere_count_rows,
 )
 
@@ -286,7 +288,7 @@ def _power_by_class(
     E: PointSet, max_grid: int, orbit: "np.ndarray | None" = None
 ) -> np.ndarray:
     """P_c of E for every class slot (_class_power), odd q, kept on E: only the
-    first call on a set folds it, from `orbit` when the caller has just
+    first call on a set sums it, from `orbit` when the caller has just
     transformed E (the autocorrelation), else from a transform of its own.
     The transform budget is checked on every call, before P is read."""
     _check_transform_budget(E, max_grid)
@@ -348,10 +350,10 @@ def _nu_autocorrelation(E: PointSet, max_grid: int) -> np.ndarray:
 
     A(z) counts the pairs with x - y = z, so each R(r) is an integer; the
     float values are rounded after a check against _autocorrelation_tolerance.
-    An orbit lies on one sphere, so _fold sums the rounded R by ||r|| mod q;
-    its sums of integers are exact up to 2^53.  A tolerance of 1/2 or more
-    cannot single out the integer, and |E|^2 > 2^53 cannot be summed exactly:
-    both raise BudgetError, as does the transform budget.  The counts are kept
+    An orbit lies on one sphere, so one bincount by sphere._orthant_norms
+    sums the rounded R by ||r|| mod q, exactly up to 2^53.  A tolerance of
+    1/2 or more cannot single out the integer, and |E|^2 > 2^53 cannot be
+    summed exactly: both raise BudgetError, as does the transform budget.  The counts are kept
     on E, read-only, and returned by every later call that these checks
     admit; for odd q the transform also leaves E's class power
     (_power_by_class) for a sweep that follows.
@@ -379,7 +381,7 @@ def _nu_autocorrelation(E: PointSet, max_grid: int) -> np.ndarray:
         raise InconsistencyError(
             f"autocorrelation entry lies {worst:.3g} from an integer, beyond the tolerance {tol:.3g}"
         )
-    nu = _fold(counts, q, d).astype(np.int64)
+    nu = np.bincount(_orthant_norms(q, d), counts.reshape(-1), q).astype(np.int64)
     if int(nu.sum()) != n * n:
         raise InconsistencyError(
             f"autocorrelation pair counts sum to {int(nu.sum())}, not |E|^2 = {n * n}"
@@ -452,45 +454,11 @@ def _class_power(orbit: np.ndarray, q: int, d: int) -> np.ndarray:
     """P_c = the sum of |E^(m)|^2 over the class c of m, for every class slot.
 
     `orbit` is the orbit power of _orbit_power on the orthant [0, q // 2]^d;
-    it is not modified.  A class is closed under every sign flip
-    m_i -> -m_i (gcd and ||m'|| do not change), so P_c is the sum of O over
-    the orthant points of class c.  For each divisor g of q, with n = q / g,
-    the strided view orbit[::g, ..., ::g] is exactly the orthant
-    [0, n // 2]^d of Z_n^d (odd q).  In a copy of it the multiples of each
-    prime p | n are zeroed, as their gcd with q exceeds g; what is left are
-    the m = g m' with gcd(m', n) = 1, which _fold sums by ||m'|| mod n into
-    the n slots of g (sphere._class_slots).
+    it is not modified.  A class is closed under every sign flip, so P_c is
+    the sum of O over the k_c orthant points of class c, added one after
+    another by one bincount by sphere._orthant_ids.
     """
-    grid = orbit.reshape((q // 2 + 1,) * d)
-    out = np.empty(_class_count(q))
-    for g, n, offset in _class_slots(q):
-        part = grid[(slice(None, None, g),) * d].copy()
-        for p, _ in factorize(n).factors if n > 1 else ():
-            part[(slice(None, None, p),) * d] = 0.0
-        out[offset : offset + n] = _fold(part, n, d)
-    return out
-
-
-def _fold(part: np.ndarray, n: int, d: int) -> np.ndarray:
-    """sum_u part[u] by ||u|| mod n, for `part` on the orthant [0, n // 2]^d of Z_n^d.
-
-    One axis at a time, from the first: the axis u folds into a residue axis
-    r = u^2 (mod n); then each next axis u folds with the residue axis r
-    into new[r] = sum_u acc[r - u^2 (mod n), u], whole rows of the axes
-    still to fold at a time.  Every term is nonnegative and the zero terms
-    add exactly, so each fold sums at most h = n // 2 + 1 terms into a
-    residue, along at most n // 2 roundings: d (n // 2) in all.
-    """
-    h = n // 2 + 1
-    part = part.reshape(h, -1)
-    folded = np.zeros((n, part.shape[1]))
-    for u in range(h):
-        folded[u * u % n] += part[u]
-    u = np.arange(h)
-    shifted = (np.arange(n) - u[:, None] ** 2) % n  # [u, r]: r - u^2 mod n
-    for _ in range(d - 1):
-        folded = folded.reshape(n, h, -1)[shifted, u[:, None]].sum(axis=0)
-    return folded.reshape(n)
+    return np.bincount(_orthant_ids(q, d), orbit.reshape(-1), _class_count(q))
 
 
 def _sweep_tolerance(E: PointSet, power_by_class: np.ndarray, kern: _ClassKernel) -> np.ndarray:
@@ -506,9 +474,9 @@ def _sweep_tolerance(E: PointSet, power_by_class: np.ndarray, kern: _ClassKernel
       the error of its terms, so no bound relative to |E^(m)|^2 holds.
     * The rest is bounded relative to the nonnegative terms, in units of
       eps = 2^-52, as rho_c: squaring and the d axis folds of orbit_power
-      round d + 1 times; the class fold (_fold) of modulus n = q / gcd(m, q)
-      d (n // 2) times; the sum over the C = sigma(q) classes, the product
-      P_c K[c, t] and the factor q^{2d} C + 3 times.  That weights
+      round d + 1 times; the sum over the k_c orthant points of class c
+      (_class_power) k_c times; the sum over the C = sigma(q) classes, the
+      product P_c K[c, t] and the factor q^{2d} C + 3 times.  That weights
       q^{2d} sum_c P_c |K[c, t]|.
     * The kernel builders bound the error of K[c, t] absolutely, by
       error[c, t]: K cancels to 0 on an empty sphere, so no relative bound
@@ -525,10 +493,8 @@ def _sweep_tolerance(E: PointSet, power_by_class: np.ndarray, kern: _ClassKernel
     q, d = E.q, E.d
     eps = float(np.finfo(np.float64).eps)
     a = _forward_charge(E)
-    rho = np.empty(len(power_by_class))
-    for _, n, offset in _class_slots(q):
-        rho[offset : offset + n] = d + 1 + d * (n // 2)
-    rho += len(rho) + 3
+    classes = len(power_by_class)
+    rho = np.bincount(_orthant_ids(q, d), minlength=classes) + float(d + 1 + classes + 3)
     spheres = _sphere_count_rows(q, d)[d].astype(np.float64)
     tol = (power_by_class * rho * eps) @ np.abs(kern.values)
     tol += power_by_class @ kern.error
@@ -553,13 +519,14 @@ def nu_spectral_sweep(
     """Spectral evaluation of nu(t) for every t from one transform of E's
     indicator; must reproduce nu_pairs exactly.
 
-    S_t^(m) depends on m only through its class (sphere._class_slots), so
+    S_t^(m) depends on m only through its class, so
     nu(t) = q^{2d} sum_c P_c K[c, t] with P_c the sum of |E^(m)|^2 over
     class c (_class_power) and K the sigma(q) x q class kernel
     (sphere._class_kernel).  `route` picks how K is built: "direct" from
     exact point counts, "formula" from Gauss sums.  Beyond the one orbit
-    transform (_orbit_power) the work is O(q^d) with no q^d table, |S_t| comes from the
-    exact convolution sphere._sphere_count_rows, and the chain bound
+    transform (_orbit_power) the work is O(q^d), and the only tables are
+    those of the (q//2 + 1)^d orthant; |S_t| comes from the exact
+    convolution sphere._sphere_count_rows, and the chain bound
     max_{m != 0} |S_t^(m)| is a column maximum of |K|.  P is kept on E
     (sigma(q) floats): only the first sweep of a set transforms it, or none
     when nu_histogram counted nu(t) by the autocorrelation first (as

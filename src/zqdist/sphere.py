@@ -27,6 +27,10 @@ Gauss-sum product: the formula spectrum of S_t is its column t spread over
 the members of each class.  The spectral sweep of distset reads nu(t) off
 the kernel; the direct spectra are its oracle.
 
+This module owns the class layout (_class_slots).  Classes and spheres are
+closed under sign flips, so the representatives and distset's class and
+sphere sums each read one table of the sign orthant [0, q // 2]^d.
+
 Formula routes require odd q; enumeration works for any q within budget and
 is the oracle of the count formula.
 """
@@ -312,20 +316,22 @@ def _class_count(q: int) -> int:
     return sum(n for _, n, _ in _class_slots(q))
 
 
-def _class_ids(q: int, d: int, norms: np.ndarray) -> np.ndarray:
-    """The class slot of every m in Z_q^d, flat and row-major, from the flat
-    table `norms` of ||m|| mod q.  Each divisor g writes its slots over the
-    strided slice of the multiples of g, in increasing order of g, so the
-    last write to m comes from g = gcd(m, q); ||m'|| mod n for m' in Z_n^d is
-    the norm of Z_q^d at m' reduced mod n.  The slots are written in
-    _narrow_dtype(sigma(q) - 1), one byte a point while sigma(q) <= 256, so
-    a sort of them is a radix sort; each residue is cast to that dtype
-    before its offset is added, so no sum wraps in the narrower norm dtype.
+def _class_ids(q: int, d: int, norms: np.ndarray, h: int) -> np.ndarray:
+    """The class slot of every m in the box [0, h)^d of Z_q^d, flat and
+    row-major, from the flat table `norms` of ||m|| mod q on that box.  Each
+    divisor g writes its slots over the strided slice of the multiples
+    m = g m' of g, in increasing order of g, so the last write to m comes
+    from g = gcd(m, q); ||m'|| mod n is the norm at m' reduced mod n, and m'
+    runs over the first (h - 1) // g + 1 points of each axis.  The slots
+    are written in _narrow_dtype(sigma(q) - 1), one byte a point while
+    sigma(q) <= 256, so a sort of them is a radix sort; each residue is cast
+    to that dtype before its offset is added, so no sum wraps in the
+    narrower norm dtype.
     """
-    norms = norms.reshape((q,) * d)
-    ids = np.empty((q,) * d, dtype=_narrow_dtype(_class_count(q) - 1))
+    norms = norms.reshape((h,) * d)
+    ids = np.empty((h,) * d, dtype=_narrow_dtype(_class_count(q) - 1))
     for g, n, offset in _class_slots(q):
-        residues = norms[(slice(0, n),) * d] % n
+        residues = norms[(slice(0, (h - 1) // g + 1),) * d] % n
         ids[(slice(None, None, g),) * d] = residues.astype(ids.dtype) + offset
     return ids.reshape(-1)
 
@@ -340,7 +346,32 @@ def _frequency_classes(q: int, d: int) -> tuple[np.ndarray, int]:
     d >= 3 (_class_slots gives their layout).  This q^d table is not cached:
     the CLI's spectrum rows build it once per (q, d) from the norm table they hold.
     """
-    return _class_ids(q, d, _norms_flat(q, d)), _class_count(q)
+    return _class_ids(q, d, _norms_flat(q, d), q), _class_count(q)
+
+
+@_table(lambda q, d: (q // 2 + 1) ** d)
+def _orthant_norms(q: int, d: int) -> np.ndarray:
+    """||s|| mod q for every s in the sign orthant [0, q // 2]^d, flat and
+    row-major: a sphere is a union of sign orbits, each meeting the orthant
+    once, so a sum of orbit sums by sphere is one bincount by this table."""
+    squares = np.arange(q // 2 + 1, dtype=np.int64)
+    squares *= squares
+    squares %= q
+    acc = _form_flat(q, [squares] * d)
+    acc.setflags(write=False)
+    return acc
+
+
+@_table(lambda q, d: (q // 2 + 1) ** d)
+def _orthant_ids(q: int, d: int) -> np.ndarray:
+    """The class slot of every s in the sign orthant [0, q // 2]^d (odd q),
+    flat and row-major.  A class is closed under every sign flip (gcd and
+    ||m'|| do not change), so a sum of orbit sums by class is one bincount
+    by this table; and with m, the class holds (min(m_i, q - m_i)), on the
+    orthant and never after m in flat order, so its first member is here."""
+    ids = _class_ids(q, d, _orthant_norms(q, d), q // 2 + 1)
+    ids.setflags(write=False)
+    return ids
 
 
 @dataclass(frozen=True)
@@ -470,16 +501,15 @@ def _class_representatives(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
     A class meets {0}^{d-j} x Z_q^j with j = min(d, 3), since Z_q^3 already
     holds all sigma(q) classes, and every member there precedes in flat order
-    every member with a nonzero among the first d - j coordinates.  So the
-    first members of the classes of Z_q^j, padded with d - j leading zeros,
-    are those of Z_q^d, found on q^j points whatever d is.
+    every member with a nonzero among the first d - j coordinates.  The
+    first member of a class of Z_q^j lies on the orthant (_orthant_ids),
+    whose flat order is that of Z_q^j; padded with d - j leading zeros, the
+    first orthant members are those of Z_q^d, whatever d is.
     """
-    j = min(d, 3)
-    squares = np.arange(q, dtype=np.int64) ** 2 % q
-    ids = _class_ids(q, j, _form_flat(q, [squares] * j))
-    present, first = np.unique(ids, return_index=True)
+    j, h = min(d, 3), q // 2 + 1
+    present, first = np.unique(_orthant_ids(q, j), return_index=True)
     reps = np.zeros((len(present), d), dtype=np.int64)
-    reps[:, d - j :] = np.stack(np.unravel_index(first, (q,) * j), axis=1)
+    reps[:, d - j :] = np.stack(np.unravel_index(first, (h,) * j), axis=1)
     return reps, present
 
 
@@ -499,8 +529,9 @@ def _class_kernel(
     """The sigma(q) x q class kernel of the spheres of Z_q^d, built by the named
     route from the first member (in flat order) of every nonempty class:
     "direct" from exact point counts, "formula" from Gauss sums.  The build
-    touches q^min(d, 3) points, never the grid, and keeps the rule of the
-    tables of Z_q (fourier._table, by q^2) on size and cache."""
+    touches the (q // 2 + 1)^min(d, 3) orthant points, never the grid, and
+    keeps the rule of the tables of Z_q (fourier._table, by q^2) on size and
+    cache."""
     mod.require_odd("the sphere class kernel")
     if route not in ("direct", "formula"):
         raise DomainError(f"unknown spectrum route {route!r}")

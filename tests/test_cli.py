@@ -281,19 +281,20 @@ class TestSpectrumCommand:
     def test_one_class_table_per_command(self, tmp_path, monkeypatch):
         # the formula spectra of all 15 rows share one q^d class table, built
         # once and not cached; the formula kernel's representatives are found
-        # on Z_15^3
+        # on the 8^3 orthant of Z_15^3
         builds = []
         real = sphere._class_ids
 
-        def spy(q, d, norms):
-            builds.append((q, d))
-            return real(q, d, norms)
+        def spy(q, d, norms, h):
+            builds.append((q, d, h))
+            return real(q, d, norms, h)
 
         monkeypatch.setattr(sphere, "_class_ids", spy)
         sphere._build_class_kernel.cache_clear()
+        sphere._orthant_ids.cache_clear()
         code, text = run(tmp_path, "spectrum", "--q", "15", "--d", "4", "--all-t")
         assert code == 0 and len(records(text)) == 15
-        assert sorted(builds) == [(15, 3), (15, 4)]
+        assert sorted(builds) == [(15, 3, 8), (15, 4, 15)]
 
     def test_route_tol_is_the_derived_bound(self, tmp_path):
         eps = np.finfo(np.float64).eps

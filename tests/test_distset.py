@@ -434,13 +434,13 @@ class TestHalfSpectrumRoute:
 def _whole_grid_tolerance(E, kern):
     """_sweep_tolerance recomputed from the whole grid: |E^|^2 over all of
     Z_q^d binned by _frequency_classes ids, |S_t| by enumeration, and the
-    fold rounds d (n // 2) of each class read off its slot."""
+    k_c roundings of each class sum (_orthant_sizes)."""
     q, d, n = E.q, E.d, E.size
     eps = np.finfo(np.float64).eps
     ids, classes = _frequency_classes(q, d)
     sums = np.bincount(ids, weights=np.abs(forward(indicator(E)).values) ** 2,
                        minlength=classes)
-    rho = d + 1 + _fold_rounds(q, d) + classes + 3
+    rho = d + 1 + _orthant_sizes(q, d) + classes + 3
     a = d * (q + 11) * eps * n
     spheres = sphere_counts_all(q, d).astype(float)
     return (a * (2 * math.sqrt(n) + a) * np.sqrt(spheres)
@@ -511,12 +511,13 @@ def _class_sums_exactly(E):
     return orbit, exact
 
 
-def _fold_rounds(q, d):
-    """d (n // 2) for every class slot of modulus n."""
-    rounds = np.empty(sum(n for _, n, _ in sphere._class_slots(q)))
-    for _, n, offset in sphere._class_slots(q):
-        rounds[offset : offset + n] = d * (n // 2)
-    return rounds
+def _orthant_sizes(q, d):
+    """k_c, the number of points of the orthant [0, q // 2]^d in each class
+    slot, read off the whole-grid _frequency_classes ids: the class sum adds
+    k_c terms one after another, so it rounds at most k_c times."""
+    ids, classes = _frequency_classes(q, d)
+    orthant = ids.reshape((q,) * d)[(slice(0, q // 2 + 1),) * d]
+    return np.bincount(orthant.reshape(-1), minlength=classes)
 
 
 class TestClassFold:
@@ -526,7 +527,7 @@ class TestClassFold:
         for q in FOLD_CASES[d]:
             E = sample_random_set(q, d, max(1, q**d // 3), seed=q + d)
             orbit, exact = _class_sums_exactly(E)
-            bound = (_fold_rounds(q, d) + 1) * eps * exact  # + 1: fsum rounds once
+            bound = (_orthant_sizes(q, d) + 1) * eps * exact  # + 1: fsum rounds once
             folded = distset._class_power(orbit, q, d)
             assert (np.abs(folded - exact) <= bound).all(), (q, d)
             if q > 64:
@@ -555,7 +556,7 @@ class TestClassFold:
         for route in ("direct", "formula"):
             assert [rep.nu for rep in nu_spectral_sweep(E, route=route)] == list(hist)
         assert np.array_equal(nu_histogram(E), hist)  # 15^5 <= 1000^2: the autocorrelation
-        E = sample_random_set(105, 3, 2000, seed=5)  # n = 105 folds by shifts
+        E = sample_random_set(105, 3, 2000, seed=5)  # 192 class slots on the 53^3 orthant
         assert [rep.nu for rep in nu_spectral_sweep(E)] == list(nu_pairs(E))
         inverses = _counting(monkeypatch, "orbit_inverse")
         for q, d, size in ((6, 5, 3000), (4, 8, 600), (66, 2, 600), (9, 3, 300), (45, 3, 2100),
@@ -700,8 +701,10 @@ class TestSweepRouting:
 
 
 def _peak_mib(fn, *args, **kwargs):
-    _norms_flat.cache_clear()  # count the norm table and the class kernels too
-    sphere._build_class_kernel.cache_clear()
+    # count the norm tables (whole grid and orthant) and the class kernels too
+    for cache in (_norms_flat, sphere._orthant_norms, sphere._orthant_ids,
+                  sphere._build_class_kernel):
+        cache.cache_clear()
     tracemalloc.start()
     try:
         fn(*args, **kwargs)

@@ -432,6 +432,46 @@ class TestClassKernel:
             assert kern.values.tobytes() == vals.tobytes(), route
             assert kern.error.tobytes() == err.tobytes(), route
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_representatives_are_first_grid_members(self, d):
+        # the reference: the first indices of np.unique over the whole-grid
+        # class ids, for every odd q with q^d <= 10^6 (d = 1 stops where
+        # d = 2 does, at q < 1000)
+        for q in range(3, 1000, 2):
+            if q ** max(d, 2) > 10**6:
+                break
+            ids, _ = _frequency_classes(q, d)
+            present, first = np.unique(ids, return_index=True)
+            reps, reps_present = sphere._class_representatives(q, d)
+            assert np.array_equal(reps_present, present), (q, d)
+            grid_reps = np.stack(np.unravel_index(first, (q,) * d), axis=1)
+            assert np.array_equal(reps, grid_reps), (q, d)
+
+    def test_representatives_match_whole_z_q3_table(self):
+        # the reference: the first members of the classes of all of Z_q^3,
+        # binned in int64 with no orthant, padded with leading zeros for d > 3
+        for q in range(3, 130, 2):
+            squares = np.arange(q, dtype=np.int64) ** 2 % q
+            ids = _class_ids_int64(q, 3, _form_flat_int64(q, [squares] * 3))
+            present, first = np.unique(ids, return_index=True)
+            tails = np.stack(np.unravel_index(first, (q,) * 3), axis=1)
+            for d in range(3, 7):
+                reps, reps_present = sphere._class_representatives(q, d)
+                assert np.array_equal(reps_present, present), (q, d)
+                assert not reps[:, : d - 3].any() and np.array_equal(reps[:, d - 3 :], tails), (q, d)
+
+    def test_representatives_peak_is_the_orthant(self):
+        # the classes are binned on the (q//2 + 1)^3 orthant, not on Z_q^3
+        q = 211
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sphere._class_representatives(q, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * (q // 2 + 1) ** 3 + 2**20, peak
+
     def test_direct_kernel_enumerates_no_grid(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("the direct kernel built a Z_q^j table")
@@ -596,10 +636,15 @@ class TestNarrowTables:
     ])
     def test_class_ids_width(self, q, d, dtype):
         norms = sphere._norms_flat(q, d)
-        ids = sphere._class_ids(q, d, norms)
+        ids = sphere._class_ids(q, d, norms, q)
         assert ids.dtype == dtype
         assert int(ids.max()) < sigma(q)
         assert np.array_equal(ids, _class_ids_int64(q, d, norms))
+        # the orthant table is the whole grid's on [0, q // 2]^d
+        orthant = sphere._orthant_ids(q, d)
+        assert orthant.dtype == dtype
+        on_orthant = ids.reshape((q,) * d)[(slice(0, q // 2 + 1),) * d]
+        assert np.array_equal(orthant, on_orthant.reshape(-1))
 
 
 class TestGaussTable:
