@@ -52,7 +52,6 @@ from .errors import BudgetError, DomainError, InconsistencyError
 from .fourier import (
     DEFAULT_GRID_BUDGET,
     _pass_charge,
-    check_grid_budget,
     half_weights,
     orbit_inverse,
     orbit_power,
@@ -101,7 +100,10 @@ class PointSet:
     those of sample_random_set and construct_even_weight do, are kept as they
     come, with no sort and no gather.
 
-    A transform of the set also keeps, read-only, its class power P_c
+    A set never builds or keeps a q^d indicator: its transform reads the
+    sorted flat_indices (_orbit_power), binning them row by row when there
+    are at most q^(d-1), else scattering them into a buffer of the passes.
+    A transform of the set keeps, read-only, its class power P_c
     (_power_by_class, odd q), the sigma(q) floats of the sweep, and the
     autocorrelation's transform its q pair counts (_nu_autocorrelation): a
     new or translated set starts without them.
@@ -167,12 +169,6 @@ class PointSet:
             )
         strides = self.q ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
         return self._coords @ strides
-
-    def _indicator_values(self, max_grid: int) -> np.ndarray:
-        """1_E on Z_q^d as a flat, row-major float64 array."""
-        vals = np.zeros(check_grid_budget(self.q, self.d, max_grid))
-        vals[self.flat_indices()] = 1.0
-        return vals
 
     def translate(self, v: Sequence[int]) -> "PointSet":
         if len(v) != self.d:
@@ -277,11 +273,13 @@ def _check_transform_budget(E: PointSet, max_grid: int) -> None:
 
 def _orbit_power(E: PointSet, max_grid: int) -> np.ndarray:
     """The orbit power O(s) = sum_{m in orbit(s)} |E^(m)|^2 on the orthant
-    [0, q // 2]^d (fourier.orbit_power), from the one transform of E's
-    indicator.  Classes and spheres are closed under m_i -> -m_i, so every
-    nu(t) route reads |E^|^2 through O."""
+    [0, q // 2]^d (fourier.orbit_power), from the one transform of E, read
+    off its sorted flat indices with no q^d indicator: up to q^(d-1) points
+    are binned row by row, more are scattered into a pass buffer, and the
+    passes hold two q^d buffers either way.  Classes and spheres are closed
+    under m_i -> -m_i, so every nu(t) route reads |E^|^2 through O."""
     _check_transform_budget(E, max_grid)
-    return orbit_power(E._indicator_values(max_grid), E.q, E.d)
+    return orbit_power(E.flat_indices(), E.q, E.d)
 
 
 def _power_by_class(

@@ -16,8 +16,12 @@ to their order and allocate nothing past those two grids.
 
 Sums over Z_q^d that are closed under every sign flip m_i -> -m_i need only
 the orbit sums over the orthant [0, q // 2]^d.  `orbit_power` gives the
-orbit sums of |F|^2 for a real grid from d real passes with q x q cosine
-and sine rows, squared and folded axis by axis; `orbit_inverse` gives the
+orbit sums of |F|^2 for the indicator of a set, read from its sorted flat
+support, from d real passes with q x q cosine and sine rows, squared and
+folded axis by axis.  No q^d indicator is built: a set of at most q^(d-1)
+points makes its first pass q weighted bincounts of its rows, and a larger
+one scatters its ones into the spare pass buffer, so the passes still hold
+only their two q^d buffers.  `orbit_inverse` gives the
 orbit sums of an inverse transform from the orbit sums of its spectrum, by
 d real passes with (q//2 + 1)^2 cosine matrices.  The complex `forward`
 and `inverse` serve complex grids and are the oracle for both.
@@ -289,27 +293,54 @@ def _passes(
     return arr
 
 
-def orbit_power(values: np.ndarray, q: int, d: int) -> np.ndarray:
-    """O(s) = sum_{m in orbit(s)} |F(m)|^2 for the forward transform F of a
-    real grid, on the orthant [0, q // 2]^d: an array of shape (q//2 + 1,)^d.
+def orbit_power(support: np.ndarray, q: int, d: int) -> np.ndarray:
+    """O(s) = sum_{m in orbit(s)} |F(m)|^2 for the forward transform F of the
+    indicator of a set, on the orthant [0, q // 2]^d: an array of shape
+    (q//2 + 1,)^d.  `support` holds the set's flat indices in increasing
+    order (PointSet.flat_indices); the caller holds q^d to its grid budget.
 
     The orbit of s is {(+-s_1, ..., +-s_d)}.  Write F(m) through the real
     coefficients C_phi(s) = q^{-d} sum_x f(x) prod_i phi_i(x_i), each phi_i
     the cosine or (for s_i != -s_i) the sine of 2 pi x s_i / q: the 2^k
     values of F on an orbit with k axes s_i != -s_i are a Walsh transform
     of the 2^k coefficients C_phi(s), so O(s) = 2^k sum_phi C_phi(s)^2.
-    Hence d real passes (_passes) with the basis _orbit_basis, the first
-    scaled by q^-d, give every C_phi in q^d entries.  They are squared in
-    place, and d more passes with the (q//2 + 1) x q matrix _orbit_fold fold
-    the axes in turn: each adds the sine row of m into its cosine row, both
-    weighted by w(m) of half_weights.  The weights are 1 and 2, so the sum
-    rounds once and the doubling is exact.  The passes ping-pong between two
-    q^d buffers, so the peak is those and the (q//2 + 1)^d result.
+    Hence d real passes with the basis _orbit_basis, the first scaled by
+    q^-d, give every C_phi in q^d entries.  The first pass, over the last
+    axis, takes one of two forms:
+
+    * at most q^(d-1) points, no more than the lines of the last axis: row j
+      of the pass is one weighted bincount of the prefixes flat // q, with
+      weights basis[j, flat mod q], O(q (|E| + q^(d-1))) work;
+    * more points: the indicator's ones are scattered into the second
+      buffer, which the next pass overwrites, and the pass is the BLAS
+      product of _passes like every later one.
+
+    Each output of either form sums at most q basis entries, the bincount's
+    in increasing x since the support is sorted, so _pass_charge bounds its
+    rounding.  The later passes run through _passes.  The coefficients are
+    squared in place, and d more passes with the (q//2 + 1) x q matrix
+    _orbit_fold fold the axes in turn: each adds the sine row of m into its
+    cosine row, both weighted by w(m) of half_weights.  The weights are 1
+    and 2, so the sum rounds once and the doubling is exact.  Every pass
+    ping-pongs between the same two q^d buffers, so the peak is those, the
+    O(|E| + q^(d-1)) of the first pass and the (q//2 + 1)^d result.
     """
     h = q // 2 + 1
     basis = _orbit_basis(q)
+    support = np.asarray(support)
+    if support.dtype.kind not in "iu":
+        raise DomainError(f"orbit_power reads flat indices, got a {support.dtype} array")
     buffers = np.empty((2, q**d))
-    arr = _passes(np.asarray(values, dtype=np.float64), basis, 1, buffers)
+    lines = q ** (d - 1)
+    if support.size <= lines:
+        prefix, last = np.divmod(support, q)
+        for row, phi in zip(buffers[0].reshape(q, lines), basis):
+            row[:] = np.bincount(prefix, phi[last], lines)
+        arr = buffers[0]
+    else:
+        buffers[1] = 0.0
+        buffers[1][support] = 1.0
+        arr = _passes(buffers[1], basis, 1, buffers)
     arr *= 1.0 / q**d
     arr = _passes(arr, basis, d - 1, buffers[::-1])
     np.square(arr, out=arr)

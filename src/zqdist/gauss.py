@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -88,13 +88,23 @@ class GaussSumValue:
 _ZERO = GaussSumValue(0, 1, (0, 0), _F0)
 
 
+def _index(v, name: str) -> int:
+    """v as a Python int by operator.index, so numpy integers give their
+    values; anything non-integral raises DomainError."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {v!r}") from None
+
+
 def _residues(v, n: int) -> np.ndarray:
     """v mod n as an int64 array of v's shape.  Integer arrays are reduced by
     numpy; anything else (Python ints of any size, lists of them) is reduced
-    as Python ints before an int64 array is built."""
+    entry by entry as Python ints (_index) before an int64 array is built."""
     if isinstance(v, np.ndarray) and v.dtype.kind in "iu":
         return (v % n).astype(np.int64)
-    return np.asarray(np.asarray(v, dtype=object) % n, dtype=np.int64)
+    reduce = np.frompyfunc(lambda x: _index(x, "every entry") % n, 1, 1)
+    return np.asarray(reduce(np.asarray(v, dtype=object)), dtype=np.int64)
 
 
 def _chirp_rows(a: np.ndarray, n: int, tbl: np.ndarray) -> np.ndarray:
@@ -145,6 +155,7 @@ def gauss_brute(a: "int | np.ndarray", b: "int | np.ndarray", n: int) -> "comple
     Stability of Numerical Algorithms*, 2002, sec. 3.6), gamma_k = k eps /
     (1 - k eps).  To first order |G_computed - G| <= (sqrt(2) (n + 2) + 22) eps n.
     """
+    n = _index(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     check_grid_budget(n, 1)
@@ -190,6 +201,7 @@ def gauss_closed(a: int, n: int) -> GaussSumValue:
 
     In the last branch a is odd automatically: gcd(a, n) = 1 with 4 | n.
     """
+    a, n = _index(a, "a"), _index(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     a %= n
@@ -221,7 +233,6 @@ def _square_phase(b2, n, neg_inv):
     return half * half % n * neg_inv % n
 
 
-@lru_cache(maxsize=1024)
 def _reduce(a: int, n: int) -> tuple[int, _Branch, _Branch]:
     """g = gcd(a, n) and, for b' = b / g even and odd, the branch that completes
     the square of G(a, b, n), or ``_DEAD`` where every such sum vanishes.
@@ -236,8 +247,6 @@ def _reduce(a: int, n: int) -> tuple[int, _Branch, _Branch]:
     the square gives
 
         G(a', b', n') = e^{-2 pi i a' c^2 / n'} G(a', n').
-
-    ``a`` must be reduced mod n, so that the cache sees one key per row.
     """
     g = math.gcd(a, n)  # n when a = 0: only b = 0 survives, with G = n
     a2, n2 = a // g, n // g
@@ -253,6 +262,7 @@ def gauss_general(a: int, b: int, n: int) -> GaussSumValue:
     """G(a, b, n) for arbitrary integer a, b, always in closed form: the
     branch of ``_reduce`` for b, with the completed square's phase kept as
     an exact fraction."""
+    a, b, n = _index(a, "a"), _index(b, "b"), _index(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     g, *branches = _reduce(a % n, n)
@@ -276,6 +286,7 @@ def gauss_row(a: "int | np.ndarray", n: int) -> np.ndarray:
     directly.  The entries that vanish are
     exact zeros.  No character table is shared with ``gauss_brute``.
     """
+    n = _index(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     av = _residues(a, n)

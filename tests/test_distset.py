@@ -47,7 +47,9 @@ def full_grid(q, d):
 
 def indicator(E):
     # 1_E as a complex grid function, for the full forward transform
-    return GridFunction(E.modulus, E.d, E._indicator_values(10**7))
+    vals = np.zeros(E.q**E.d)
+    vals[E.flat_indices()] = 1.0
+    return GridFunction(E.modulus, E.d, vals)
 
 
 def nu_loop(E, t):
@@ -404,6 +406,31 @@ class TestNuAutocorrelation:
             nu_histogram(full_grid(3, 2))
 
 
+class TestFirstPassForms:
+    @pytest.mark.parametrize("q", [2, 3, 4, 6, 9, 15, 45])
+    def test_counts_on_both_sides_of_q_to_the_d_minus_1(self, monkeypatch, q):
+        # orbit_power bins E's rows up to q^(d-1) points and scatters them
+        # into a pass buffer past it; a singleton and d = 1 are covered too.
+        # Over Z_2 nu_histogram counts by parity, so the autocorrelation is
+        # called directly; otherwise a pair budget of |E|^2 - 1 leaves the
+        # transform to count
+        forwards = _counting(monkeypatch, "orbit_power")
+        for d in (1, 2, 3, 4, 8):
+            lines = q ** (d - 1)
+            if q**d > 10**5 or lines > 3000:  # nu_pairs scans at most 10^7 pairs
+                continue
+            for size in sorted({1, max(lines - 1, 1), lines, lines + 1}):
+                E = sample_random_set(q, d, size, seed=q * 31 + d)
+                want = nu_pairs(E)
+                before = len(forwards)
+                if q == 2:
+                    got = distset._nu_autocorrelation(E, 10**7)
+                else:
+                    got = nu_histogram(E, max_pairs=size * size - 1)
+                assert np.array_equal(got, want), (q, d, size)
+                assert len(forwards) == before + 1
+
+
 # Every even q of the list and every odd q <= 45 with d <= 4, while the pair
 # scan at the crossover stays below 10^7 pairs (q^{d+1} <= 5 * 10^6).
 CROSSOVER_CASES = [
@@ -721,6 +748,15 @@ class TestHalfSpectrumMemory:
     def test_certificate_peak(self):
         E = sample_random_set(9, 6, 177147, seed=2024)
         assert _peak_mib(certificate_check, E) <= 20
+
+    @pytest.mark.parametrize("q,d,size", [(15, 5, 6000), (9, 6, 177147)])
+    def test_histogram_holds_no_indicator(self, q, d, size):
+        # the two q^d pass buffers of orbit_power and O(|E| + q^(d-1)) besides:
+        # no 8 q^d-byte indicator, whether E's rows are binned (6000 <= 15^4)
+        # or its ones scattered into a pass buffer (177147 > 9^5)
+        E = sample_random_set(q, d, size, seed=2024)
+        peak = _peak_mib(nu_histogram, E) * 2**20
+        assert peak <= 2 * 8 * q**d + 2 * 8 * (size + q ** (d - 1)) + 2**16, peak
 
 
 class TestNuSpectral:

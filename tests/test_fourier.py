@@ -185,15 +185,19 @@ class TestHalfTransforms:
 
     @pytest.mark.parametrize("q,d", HALF_CASES)
     def test_half_forward_is_forward_on_half_grid(self, q, d):
-        # the orbit power against the orbit sums of |forward|^2: each
-        # coefficient of each route is within D = d (q + 11) eps q^-d sum |f|
-        # of its value, so each route's O(s) within 2 (w O)^{1/2} D + w D^2
-        # and the roundings of its squares and sums
+        # the orbit power of a set against the orbit sums of |forward|^2 of
+        # its indicator f, for q^(d-1) points (binned first pass) and for a
+        # random 30% of the grid: each coefficient of each route is within
+        # D = d (q + 11) eps q^-d sum |f| of its value, so each route's O(s)
+        # within 2 (w O)^{1/2} D + w D^2 and the roundings of its squares and sums
         rng = np.random.Generator(np.random.PCG64(10 * q + d))
         eps = np.finfo(np.float64).eps
         w = orbit_sizes(q, d)
-        for f in (rng.standard_normal(q**d), (rng.random(q**d) < 0.3).astype(float)):
-            got = orbit_power(f, q, d)
+        for support in (np.sort(rng.choice(q**d, q ** (d - 1), replace=False)),
+                        np.flatnonzero(rng.random(q**d) < 0.3)):
+            f = np.zeros(q**d)
+            f[support] = 1.0
+            got = orbit_power(support, q, d)
             want = orbit_sums(np.abs(forward(GridFunction(q, d, f)).values) ** 2, q, d)
             assert got.shape == (q // 2 + 1,) * d
             D = d * (q + 11) * eps * np.abs(f).sum() / q**d
@@ -223,7 +227,7 @@ class TestHalfTransforms:
         # |F|^2 of a 0/1 grid inverts to its autocorrelation, an integer grid
         for q, d in ((6, 3), (7, 3), (10, 2)):
             f = (np.random.Generator(np.random.PCG64(q)).random(q**d) < 0.5).astype(float)
-            acorr = orbit_inverse(orbit_power(f, q, d), q, d) * q**d
+            acorr = orbit_inverse(orbit_power(np.flatnonzero(f), q, d), q, d) * q**d
             grid = f.reshape((q,) * d)
             direct = [np.sum(grid * np.roll(grid, shift, axis=tuple(range(d))))
                       for shift in itertools.product(range(q), repeat=d)]
@@ -239,7 +243,7 @@ class TestHalfTransforms:
                 break
             f = (np.random.Generator(np.random.PCG64(q * 13 + d)).random(q**d) < 0.4)
             f = f.astype(float)
-            got = orbit_power(f, q, d)
+            got = orbit_power(np.flatnonzero(f), q, d)
             want = orbit_sums(np.abs(forward(GridFunction(q, d, f)).values) ** 2, q, d)
             w = orbit_sizes(q, d)
             D = d * (q + 11) * eps * f.sum() / q**d
@@ -247,15 +251,43 @@ class TestHalfTransforms:
             assert (np.abs(got - want) <= bound).all(), (q, d)
             assert got.sum() == pytest.approx(f.sum() / q**d, rel=1e-12)  # Parseval
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 6, 9, 15, 45])
+    def test_both_first_passes_within_the_pass_charge(self, q):
+        # a singleton and q^(d-1) - 1, q^(d-1) points take the binned first
+        # pass, q^(d-1) + 1 points the indicator in a pass buffer; each
+        # against the orbit sums of |forward|^2 of the explicit indicator
+        # grid, within the bound of test_orbit_power_of_indicators
+        eps = np.finfo(np.float64).eps
+        for d in (1, 2, 3, 4, 8):
+            if q**d > 10**5:
+                break
+            rng = np.random.Generator(np.random.PCG64(q * 17 + d))
+            lines = q ** (d - 1)
+            for size in sorted({1, max(lines - 1, 1), lines, lines + 1}):
+                support = np.sort(rng.choice(q**d, size, replace=False))
+                f = np.zeros(q**d)
+                f[support] = 1.0
+                got = orbit_power(support, q, d)
+                want = orbit_sums(np.abs(forward(GridFunction(q, d, f)).values) ** 2, q, d)
+                w = orbit_sizes(q, d)
+                D = d * (q + 11) * eps * size / q**d
+                bound = 2 * (2 * np.sqrt(w * want) * D + w * D**2 + (2 * d + 2) * eps * want)
+                assert (np.abs(got - want) <= bound).all(), (q, d, size)
+
+    def test_flat_indices_must_be_integers(self):
+        with pytest.raises(DomainError):
+            orbit_power(np.array([0.0, 1.0]), 3, 2)
+
     def test_peak_is_two_grids(self):
         # Z_3^12: twelve real passes ping-pong between two q^d float64
-        # buffers, and the folds write into the spare one; 64 KiB is left for
+        # buffers, the set's ones scattered into the second before the first
+        # pass, and the folds write into the spare one; 64 KiB is left for
         # the (q//2 + 1)^d result and the interpreter's own allocations
         q, d = 3, 12
-        f = (np.random.Generator(np.random.PCG64(7)).random(q**d) < 0.5).astype(float)
+        support = np.flatnonzero(np.random.Generator(np.random.PCG64(7)).random(q**d) < 0.5)
         tracemalloc.start()
         try:
-            orbit_power(f, q, d)
+            orbit_power(support, q, d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -269,7 +301,7 @@ class TestHalfTransforms:
 
     def test_kernel_budget(self):
         with pytest.raises(BudgetError):
-            orbit_power(np.zeros(3163), 3163, 1)
+            orbit_power(np.arange(3163), 3163, 1)
         with pytest.raises(BudgetError):
             orbit_inverse(np.zeros(1582), 3163, 1)
 

@@ -581,3 +581,29 @@ class TestRow:
         for n in (0, -5):
             with pytest.raises(DomainError):
                 gauss_row(1, n)
+
+
+class TestIntegerArguments:
+    def test_numpy_integers_give_the_python_int_values(self):
+        # pow(a, -1, n) in the reduction takes only Python ints
+        assert gauss_row(np.arange(5), np.int64(5)).tobytes() == gauss_row(np.arange(5), 5).tobytes()
+        assert gauss_row(3, np.int64(12)).tobytes() == gauss_row(3, 12).tobytes()
+        assert gauss_general(3, 1, np.int64(5)) == gauss_general(3, 1, 5)
+        assert gauss_general(np.int64(3), np.int32(1), 5) == gauss_general(3, 1, 5)
+        assert gauss_closed(np.int64(3), np.uint8(5)) == gauss_closed(3, 5)
+        assert gauss_brute(np.int64(3), 1, np.int64(5)) == gauss_brute(3, 1, 5)
+
+    @pytest.mark.parametrize("call", [
+        lambda: gauss_general(3.0, 1, 5),
+        lambda: gauss_general(3, 1, 5.0),
+        lambda: gauss_general(3, Fraction(1, 2), 5),
+        lambda: gauss_closed(3, 5.0),
+        lambda: gauss_row(3, 12.0),
+        lambda: gauss_row(np.array([1.5]), 5),
+        lambda: gauss_brute(0.5, 1, 5),
+        lambda: gauss_brute(1, [1, 2.5], 5),
+    ], ids=["general-a", "general-n", "general-b", "closed-n", "row-n", "row-a", "brute-a",
+            "brute-b"])
+    def test_non_integral_arguments_are_domain_errors(self, call):
+        with pytest.raises(DomainError):
+            call()
