@@ -41,6 +41,7 @@ transforms the set a second time.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -92,13 +93,16 @@ class PointSet:
     """A nonempty, deduplicated, lexicographically sorted set of points.
 
     The points are one read-only (size, d) int64 array of residues in [0, q).
-    Coordinates may be any integers, Python ints of any size included; they
-    are reduced mod q unless every one already lies in [0, q).  The rows are
-    sorted and deduplicated on packed base-q int64 keys (_packed_keys): one
-    key, sorted by one argsort, whenever q^d <= 2^62, and a lexsort over the
-    few keys otherwise.  Rows whose one key already strictly increases, as
-    those of sample_random_set and construct_even_weight do, are kept as they
-    come, with no sort and no gather.
+    Coordinates may be any integers, Python ints of any size and numpy
+    integers included; they are reduced mod q unless every one already lies
+    in [0, q), and a non-integral coordinate (a float, even an integral one)
+    raises DomainError.  The rows are sorted and deduplicated on packed
+    base-q int64 keys (_packed_keys): one key, sorted by one argsort,
+    whenever q^d <= 2^62, and a lexsort over the few keys otherwise.  Rows
+    whose one key already strictly increases, as those of sample_random_set
+    and construct_even_weight do, are kept as they come, with no sort and no
+    gather.  The one key is the flat index of its row, so the set keeps it,
+    read-only and reordered with the rows, as its flat_indices.
 
     A set never builds or keeps a q^d indicator: its transform reads the
     sorted flat_indices (_orbit_power), binning them row by row when there
@@ -109,7 +113,7 @@ class PointSet:
     new or translated set starts without them.
     """
 
-    __slots__ = ("modulus", "d", "_coords", "_power_by_class", "_nu")
+    __slots__ = ("modulus", "d", "_coords", "_flat", "_power_by_class", "_nu")
 
     def __init__(self, q: "int | Modulus", d: int, points: Iterable[Sequence[int]]) -> None:
         m = as_modulus(q)
@@ -119,31 +123,39 @@ class PointSet:
         if len(rows) == 0:
             raise DomainError("point set is empty")
         try:
-            try:
-                arr = np.array(rows, dtype=np.int64)
-            except OverflowError:
-                # coordinates beyond int64 reduce exactly as Python ints
-                arr = np.array([[int(c) % m.q for c in p] for p in rows], dtype=np.int64)
+            arr = np.asarray(rows)
+            if arr.dtype.kind in "biu" and np.can_cast(arr.dtype, np.int64):
+                arr = arr.astype(np.int64)
+            else:
+                # numpy reads ints past int64 as floats or objects: reduce them
+                # exactly as Python ints, and refuse anything non-integral
+                arr = np.array([[operator.index(c) % m.q for c in p] for p in rows], dtype=np.int64)
         except ValueError:
             raise DomainError(f"every point needs {d} coordinates") from None
+        except TypeError:
+            raise DomainError("coordinates must be integers") from None
         if arr.ndim != 2 or arr.shape[1] != d:
             raise DomainError(f"every point needs {d} coordinates, got shape {arr.shape}")
         if arr.min() < 0 or arr.max() >= m.q:
             arr %= m.q
         keys = _packed_keys(arr, m.q)
+        flat = keys[0]
         # rows whose one key strictly increases are sorted and distinct already
-        if len(keys) > 1 or not (keys[0][1:] > keys[0][:-1]).all():
+        if len(keys) > 1 or not (flat[1:] > flat[:-1]).all():
             # equal keys are equal points, so the unstable sort of one key is canonical
-            order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+            order = np.argsort(flat) if len(keys) == 1 else np.lexsort(keys[::-1])
             same = np.ones(len(arr) - 1, dtype=bool)
             for key in keys:
                 key = key[order]
                 same &= key[1:] == key[:-1]
-            arr = arr[order[np.append(True, ~same)]]
+            keep = order[np.append(True, ~same)]
+            arr, flat = arr[keep], flat[keep]
         arr.setflags(write=False)
+        flat.setflags(write=False)
         self.modulus = m
         self.d = d
         self._coords = arr
+        self._flat = flat if m.q**d <= 1 << 62 else None  # then the one key is the flat index
         self._power_by_class = None
         self._nu = None
 
@@ -163,12 +175,19 @@ class PointSet:
         return self._coords
 
     def flat_indices(self) -> np.ndarray:
+        """The base-q index of each row, x_1 most significant, in row order
+        and so increasing: read-only, the constructor's sort key while
+        q^d <= 2^62, else computed on each call."""
+        if self._flat is not None:
+            return self._flat
         if self.q**self.d > 1 << 63:
             raise DomainError(
                 f"|Z_{self.q}^{self.d}| = {self.q**self.d} exceeds the 2^63 flat indices of int64"
             )
         strides = self.q ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
-        return self._coords @ strides
+        flat = self._coords @ strides
+        flat.setflags(write=False)
+        return flat
 
     def translate(self, v: Sequence[int]) -> "PointSet":
         if len(v) != self.d:
@@ -273,13 +292,14 @@ def _check_transform_budget(E: PointSet, max_grid: int) -> None:
 
 def _orbit_power(E: PointSet, max_grid: int) -> np.ndarray:
     """The orbit power O(s) = sum_{m in orbit(s)} |E^(m)|^2 on the orthant
-    [0, q // 2]^d (fourier.orbit_power), from the one transform of E, read
-    off its sorted flat indices with no q^d indicator: up to q^(d-1) points
-    are binned row by row, more are scattered into a pass buffer, and the
-    passes hold two q^d buffers either way.  Classes and spheres are closed
-    under m_i -> -m_i, so every nu(t) route reads |E^|^2 through O."""
+    [0, q // 2]^d (fourier.orbit_power, held to max_grid), from the one
+    transform of E, read off the flat indices E keeps with no q^d
+    indicator: up to q^(d-1) points are binned row by row, more are
+    scattered into a pass buffer, and the passes hold two q^d buffers either
+    way.  Classes and spheres are closed under m_i -> -m_i, so every nu(t)
+    route reads |E^|^2 through O."""
     _check_transform_budget(E, max_grid)
-    return orbit_power(E.flat_indices(), E.q, E.d)
+    return orbit_power(E.flat_indices(), E.q, E.d, max_grid)
 
 
 def _power_by_class(
@@ -300,26 +320,27 @@ def _power_by_class(
 
 
 def _forward_charge(E: PointSet) -> float:
-    """a = d (q + 11) eps |E|, q^d times the bound on the error of each real
-    coefficient C_phi(s) of orbit_power for 1_E.
+    """a = d (q + 11) eps |E|, the bound on the error of each unscaled real
+    coefficient q^d C_phi(s) that the passes of orbit_power leave for 1_E.
 
     Each length-q pass is charged _pass_charge, (q + 11) eps of the absolute
-    sum of its terms; its q roundings take q eps/2, and the q eps/2 left
-    over covers the scaling by q^-d.  The basis rows have |cos|, |sin| <= 1,
-    so the absolute sums stay q^-d |E| through the d passes.  The 2^k errors of
-    the coefficients on one orbit are at most that in Euclidean norm too:
-    per pass (cos, sin) has norm 1, so Minkowski's inequality carries the
-    bound through every pass.  With |C(s)|^2 = O(s) / w(s), w(s) the orbit
-    size, the computed O(s) is then within
+    sum of its terms: its q roundings take q eps/2 and the table roots 11 eps,
+    which leaves q eps/2 to spare.  The passes are not scaled, and the basis
+    rows have |cos|, |sin| <= 1, so the absolute sums stay |E| through the
+    d passes.  The 2^k errors of the coefficients on one orbit are at most
+    that in Euclidean norm too: per pass (cos, sin) has norm 1, so
+    Minkowski's inequality carries the bound through every pass.  With |q^d C(s)|^2 = q^{2d} O(s) / w(s), w(s) the
+    orbit size, the computed O(s) is then within
 
         2 (w(s) O(s))^{1/2} a q^-d + w(s) a^2 q^-2d
 
-    of its value before the roundings of the squares and the folds."""
+    of its value before the roundings of the square, the folds and the one
+    division by q^{2d}."""
     return E.d * _pass_charge(E.q) * E.size
 
 
 def _autocorrelation_tolerance(E: PointSet) -> float:
-    """w_max (a (2 |E|^{1/2} + a) + (d + 1 + d (q//2 + 12)) eps |E|): how far
+    """w_max (a (2 |E|^{1/2} + a) + (d + 2 + d (q//2 + 12)) eps |E|): how far
     an orbit sum R(r) = q^d orbit_inverse(O)(r) of A may lie from its
     integer, with a from _forward_charge and w_max = 2^d (1 for q = 2) the
     largest orbit.
@@ -329,8 +350,9 @@ def _autocorrelation_tolerance(E: PointSet) -> float:
       orbits cover Z_q^d, sum_s w(s) = q^d, and sum_s O(s) = |E| q^-d
       (Parseval), so sum_s (w(s) O(s))^{1/2} <= |E|^{1/2} by
       Cauchy-Schwarz: w(r) a (2 |E|^{1/2} + a).
-    * Squaring rounds once and each of the d axis folds of orbit_power adds
-      once, on nonnegative terms: (d + 1) eps of q^d sum_s O(s) = |E|.
+    * orbit_power rounds each nonnegative O(s) d + 2 times: the square, one
+      slice sum per axis fold and the division by q^{2d} (its weights are
+      exact powers of two): (d + 2) eps of q^d sum_s O(s) = |E|.
     * orbit_inverse is d passes of h = q//2 + 1 terms with |w cos| <= w,
       charged _pass_charge(h) of absolute sums that stay w(r) |E|, the
       leftover h eps/2 covering the scaling by q^d: d (h + 11) eps w(r) |E|.
@@ -338,7 +360,7 @@ def _autocorrelation_tolerance(E: PointSet) -> float:
     eps, n, d = float(np.finfo(np.float64).eps), E.size, E.d
     a = _forward_charge(E)
     w_max = float(half_weights(E.q).max()) ** d
-    steps = (d + 1) * eps + d * _pass_charge(E.q // 2 + 1)  # exact: eps is a power of two
+    steps = (d + 2) * eps + d * _pass_charge(E.q // 2 + 1)  # exact: eps is a power of two
     return w_max * (a * (2 * math.sqrt(n) + a) + steps * n)
 
 
@@ -471,11 +493,11 @@ def _sweep_tolerance(E: PointSet, power_by_class: np.ndarray, kern: _ClassKernel
       This charge is absolute: a coefficient that cancels to near 0 keeps
       the error of its terms, so no bound relative to |E^(m)|^2 holds.
     * The rest is bounded relative to the nonnegative terms, in units of
-      eps = 2^-52, as rho_c: squaring and the d axis folds of orbit_power
-      round d + 1 times; the sum over the k_c orthant points of class c
-      (_class_power) k_c times; the sum over the C = sigma(q) classes, the
-      product P_c K[c, t] and the factor q^{2d} C + 3 times.  That weights
-      q^{2d} sum_c P_c |K[c, t]|.
+      eps = 2^-52, as rho_c: the square, the d axis folds and the division
+      by q^{2d} of orbit_power round d + 2 times; the sum over the k_c
+      orthant points of class c (_class_power) k_c times; the sum over the
+      C = sigma(q) classes, the product P_c K[c, t] and the factor q^{2d}
+      C + 3 times.  That weights q^{2d} sum_c P_c |K[c, t]|.
     * The kernel builders bound the error of K[c, t] absolutely, by
       error[c, t]: K cancels to 0 on an empty sphere, so no relative bound
       holds there.
@@ -492,7 +514,7 @@ def _sweep_tolerance(E: PointSet, power_by_class: np.ndarray, kern: _ClassKernel
     eps = float(np.finfo(np.float64).eps)
     a = _forward_charge(E)
     classes = len(power_by_class)
-    rho = np.bincount(_orthant_ids(q, d), minlength=classes) + float(d + 1 + classes + 3)
+    rho = np.bincount(_orthant_ids(q, d), minlength=classes) + float(d + 2 + classes + 3)
     spheres = _sphere_count_rows(q, d)[d].astype(np.float64)
     tol = (power_by_class * rho * eps) @ np.abs(kern.values)
     tol += power_by_class @ kern.error

@@ -17,8 +17,11 @@ to their order and allocate nothing past those two grids.
 Sums over Z_q^d that are closed under every sign flip m_i -> -m_i need only
 the orbit sums over the orthant [0, q // 2]^d.  `orbit_power` gives the
 orbit sums of |F|^2 for the indicator of a set, read from its sorted flat
-support, from d real passes with q x q cosine and sine rows, squared and
-folded axis by axis.  No q^d indicator is built: a set of at most q^(d-1)
+support, from d unscaled real passes with q x q cosine and sine rows.  Their
+output is squared in place and folded one axis at a time by slice sums in
+the same buffer, the sine rows added into the cosine rows; the orbit sizes,
+powers of two, and one division by q^{2d} then scale only the
+(q//2 + 1)^d result.  No q^d indicator is built: a set of at most q^(d-1)
 points makes its first pass q weighted bincounts of its rows, and a larger
 one scatters its ones into the spare pass buffer, so the passes still hold
 only their two q^d buffers.  `orbit_inverse` gives the
@@ -239,20 +242,6 @@ def _orbit_basis(q: int) -> np.ndarray:
 
 
 @_table(_square)
-def _orbit_fold(q: int) -> np.ndarray:
-    """The (q//2 + 1) x q fold of orbit_power: row m holds w(m) of
-    half_weights at the cosine row m of _orbit_basis and, for 0 < m < q / 2,
-    at its sine row."""
-    h = q // 2 + 1
-    w = half_weights(q)
-    fold = np.zeros((h, q))
-    fold[np.arange(h), np.arange(h)] = w
-    fold[np.arange(1, q - h + 1), np.arange(h, q)] = w[1 : q - h + 1]
-    fold.setflags(write=False)
-    return fold
-
-
-@_table(_square)
 def _orbit_cosines(q: int) -> np.ndarray:
     """The (q//2 + 1)^2 matrix w(r) cos(2 pi r s / q) of orbit_inverse, row r,
     column s, with w = half_weights(q) (multiplying by 1 or 2 is exact)."""
@@ -293,20 +282,29 @@ def _passes(
     return arr
 
 
-def orbit_power(support: np.ndarray, q: int, d: int) -> np.ndarray:
+# A ufunc over strided views buffers each operand in up to np.getbufsize()
+# entries: 192 KiB for the three of one slice sum at numpy's default 8192.
+# The folds of orbit_power run with this many, 24 KiB.
+_SLICE_BUFSIZE = 1024
+
+
+def orbit_power(
+    support: np.ndarray, q: int, d: int, max_grid: int = DEFAULT_GRID_BUDGET
+) -> np.ndarray:
     """O(s) = sum_{m in orbit(s)} |F(m)|^2 for the forward transform F of the
     indicator of a set, on the orthant [0, q // 2]^d: an array of shape
     (q//2 + 1,)^d.  `support` holds the set's flat indices in increasing
-    order (PointSet.flat_indices); the caller holds q^d to its grid budget.
+    order (PointSet.flat_indices); q^d must fit max_grid, checked before
+    anything is allocated.
 
     The orbit of s is {(+-s_1, ..., +-s_d)}.  Write F(m) through the real
     coefficients C_phi(s) = q^{-d} sum_x f(x) prod_i phi_i(x_i), each phi_i
     the cosine or (for s_i != -s_i) the sine of 2 pi x s_i / q: the 2^k
     values of F on an orbit with k axes s_i != -s_i are a Walsh transform
     of the 2^k coefficients C_phi(s), so O(s) = 2^k sum_phi C_phi(s)^2.
-    Hence d real passes with the basis _orbit_basis, the first scaled by
-    q^-d, give every C_phi in q^d entries.  The first pass, over the last
-    axis, takes one of two forms:
+    Hence d real passes with the basis _orbit_basis give every q^d C_phi in
+    q^d entries, unscaled.  The first pass, over the last axis, takes one of
+    two forms:
 
     * at most q^(d-1) points, no more than the lines of the last axis: row j
       of the pass is one weighted bincount of the prefixes flat // q, with
@@ -318,20 +316,25 @@ def orbit_power(support: np.ndarray, q: int, d: int) -> np.ndarray:
     Each output of either form sums at most q basis entries, the bincount's
     in increasing x since the support is sorted, so _pass_charge bounds its
     rounding.  The later passes run through _passes.  The coefficients are
-    squared in place, and d more passes with the (q//2 + 1) x q matrix
-    _orbit_fold fold the axes in turn: each adds the sine row of m into its
-    cosine row, both weighted by w(m) of half_weights.  The weights are 1
-    and 2, so the sum rounds once and the doubling is exact.  Every pass
-    ping-pongs between the same two q^d buffers, so the peak is those, the
-    O(|E| + q^(d-1)) of the first pass and the (q//2 + 1)^d result.
+    squared in place and folded one axis at a time by slice sums, in the
+    same buffer: the sine rows h..q-1 (m = 1, ..., q - h) are added into the
+    cosine rows 1..q-h, and the view narrows to the h = q//2 + 1 cosine
+    rows.  Each output adds its sine term once per axis, a rounding of
+    nonnegative terms.  Only then, on the h^d result, come the weights w(s)
+    of half_weights, powers of two and so exact, and one division by
+    q^{2d}: one rounding while q^{2d} < 2^53, within eps past it.  The
+    passes ping-pong between the same two q^d buffers and the slice sums
+    run with _SLICE_BUFSIZE, so the peak is those buffers, the
+    O(|E| + q^(d-1)) of the first pass and the h^d result.
     """
-    h = q // 2 + 1
-    basis = _orbit_basis(q)
+    n = check_grid_budget(q, d, max_grid)
     support = np.asarray(support)
     if support.dtype.kind not in "iu":
         raise DomainError(f"orbit_power reads flat indices, got a {support.dtype} array")
-    buffers = np.empty((2, q**d))
-    lines = q ** (d - 1)
+    h = q // 2 + 1
+    basis = _orbit_basis(q)
+    buffers = np.empty((2, n))
+    lines = n // q
     if support.size <= lines:
         prefix, last = np.divmod(support, q)
         for row, phi in zip(buffers[0].reshape(q, lines), basis):
@@ -341,11 +344,21 @@ def orbit_power(support: np.ndarray, q: int, d: int) -> np.ndarray:
         buffers[1] = 0.0
         buffers[1][support] = 1.0
         arr = _passes(buffers[1], basis, 1, buffers)
-    arr *= 1.0 / q**d
     arr = _passes(arr, basis, d - 1, buffers[::-1])
     np.square(arr, out=arr)
-    arr = _passes(arr, _orbit_fold(q), d, (buffers[d % 2], arr))  # pass k wrote buffers[k % 2]
-    return arr.reshape((h,) * d).copy()
+    grid = arr.reshape((q,) * d)
+    bufsize = np.setbufsize(_SLICE_BUFSIZE)
+    try:
+        for axis in range(d):
+            pre = (slice(None),) * axis
+            grid[pre + (slice(1, q - h + 1),)] += grid[pre + (slice(h, q),)]
+            grid = grid[pre + (slice(h),)]
+        out = grid / float(q ** (2 * d))
+        for axis in range(d):  # w = 2, exactly, on the rows that took a sine row
+            out[(slice(None),) * axis + (slice(1, q - h + 1),)] *= 2.0
+    finally:
+        np.setbufsize(bufsize)
+    return out
 
 
 def orbit_inverse(orbit: np.ndarray, q: int, d: int) -> np.ndarray:

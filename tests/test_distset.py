@@ -96,6 +96,23 @@ class TestPointSet:
         assert PointSet(5, 2, [(10**30, 1)]).points == ((0, 1),)
         assert PointSet(5, 2, [(-(10**30) - 1, 2**70), (4, 4)]).points == ((4, 4),)
 
+    def test_rejects_non_integral_coordinates(self):
+        # numpy's int64 cast would truncate these to the point (0, 1)
+        for rows in ([[0.5, 1.7]], np.array([[0.5, 1.7]]), [[1, 2.0]], np.array([[1.0, 2.0]]),
+                     [(2**70, 0.5)], [[1, "2"]]):
+            with pytest.raises(DomainError):
+                PointSet(9, 2, rows)
+
+    def test_integer_inputs_of_every_kind(self):
+        # numpy integers, int32 and uint64 arrays (past 2^63 too), Python ints
+        # past int64 and bools, each reduced as the Python ints they equal
+        for rows in ([[10, -5], [3, 2]], [(np.int64(10), np.uint8(4)), (np.int8(-6), 2)],
+                     np.array([[1, 4], [3, 2]], dtype=np.int32),
+                     np.array([[2**64 - 8, 4], [3, 2**63 + 2]], dtype=np.uint64),
+                     [[2**63 + 1, 4], [-(2**63) - 6, 2**64 + 2]], [[True, 4], [3, 2]]):
+            want = tuple(sorted({tuple(int(c) % 9 for c in p) for p in rows}))
+            assert PointSet(9, 2, rows).points == want, rows
+
     def test_membership_with_unreduced_coordinates(self):
         E = PointSet(5, 2, [(1, 2), (3, 4)])
         assert (6, -3) in E
@@ -169,6 +186,29 @@ class TestPointSet:
         shuffled = rows[::-1].copy()
         shuffled[-1] = shuffled[0]  # out of order, with a repeat
         assert PointSet(q, d, shuffled).array().tobytes() == rows[1:].tobytes()
+
+    @pytest.mark.parametrize("q,d", [(9, 6), (2, 62), (45, 11)])
+    def test_flat_indices_are_the_kept_sort_key(self, q, d):
+        # one read-only array, the constructor's key, equal to the rows
+        # times their base-q strides for sorted input and for unsorted input
+        # with repeats
+        rng = np.random.Generator(np.random.PCG64(q + d))
+        strides = np.array([q ** (d - 1 - i) for i in range(d)], dtype=np.int64)
+        sorted_rows = sample_random_set(q, d, 500, seed=3).array().copy()
+        shuffled = rng.integers(0, q, size=(400, d))
+        shuffled = np.concatenate([shuffled, shuffled[:50], -shuffled[50:60]])
+        for rows in (sorted_rows, shuffled):
+            E = PointSet(q, d, rows)
+            flat = E.flat_indices()
+            assert flat is E.flat_indices() and not flat.flags.writeable
+            assert np.array_equal(flat, E.array() @ strides)
+            assert (flat[1:] > flat[:-1]).all()
+
+    def test_flat_indices_past_2_62_are_computed(self):
+        # q^d = 2^63 is past the one key's 2^62: the indices are computed, read-only
+        E = PointSet(2, 63, [[1] * 63, [0] * 62 + [1]])
+        assert E.flat_indices().tolist() == [1, 2**63 - 1]
+        assert not E.flat_indices().flags.writeable
 
     def test_translate_wraps(self):
         E = PointSet(5, 2, [(0, 0), (4, 3)])
@@ -467,7 +507,7 @@ def _whole_grid_tolerance(E, kern):
     ids, classes = _frequency_classes(q, d)
     sums = np.bincount(ids, weights=np.abs(forward(indicator(E)).values) ** 2,
                        minlength=classes)
-    rho = d + 1 + _orthant_sizes(q, d) + classes + 3
+    rho = d + 2 + _orthant_sizes(q, d) + classes + 3
     a = d * (q + 11) * eps * n
     spheres = sphere_counts_all(q, d).astype(float)
     return (a * (2 * math.sqrt(n) + a) * np.sqrt(spheres)
@@ -488,7 +528,7 @@ class TestHalfSpectrumTolerances:
         # the orbit power, then the inverse passes, for an orbit of 2^d members
         eps = np.finfo(np.float64).eps
         a = d * (q + 11) * eps * size
-        bound = 2**d * (a * (2 * size**0.5 + a) + (d + 1 + d * (q // 2 + 12)) * eps * size)
+        bound = 2**d * (a * (2 * size**0.5 + a) + (d + 2 + d * (q // 2 + 12)) * eps * size)
         assert tol == pytest.approx(bound, rel=1e-12)
 
     @pytest.mark.parametrize("q,d,size", TOLERANCE_SETS)
@@ -613,7 +653,7 @@ class TestOrbitRoutes:
         # leaves (the class power, the sphere counts, the table roots) stays
         # below one 2^16-entry float64 array
         for cache in (sphere._build_class_kernel, sphere._sphere_count_rows, fourier._kernel,
-                      fourier._orbit_basis, fourier._orbit_fold, fourier._orbit_cosines,
+                      fourier._orbit_basis, fourier._orbit_cosines,
                       fourier.character_table):
             cache.cache_clear()
         E = sample_random_set(3001, 1, 500, seed=1)

@@ -281,8 +281,9 @@ class TestHalfTransforms:
     def test_peak_is_two_grids(self):
         # Z_3^12: twelve real passes ping-pong between two q^d float64
         # buffers, the set's ones scattered into the second before the first
-        # pass, and the folds write into the spare one; 64 KiB is left for
-        # the (q//2 + 1)^d result and the interpreter's own allocations
+        # pass, and the square and the axis folds stay in the buffer of the
+        # last pass; 64 KiB is left for the (q//2 + 1)^d result and the
+        # interpreter's own allocations
         q, d = 3, 12
         support = np.flatnonzero(np.random.Generator(np.random.PCG64(7)).random(q**d) < 0.5)
         tracemalloc.start()
@@ -292,6 +293,38 @@ class TestHalfTransforms:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 8 * q**d + 2**16, peak
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 6, 9, 15, 45])
+    def test_every_pass_is_a_basis_pass(self, monkeypatch, q):
+        # both first-pass forms: _passes sees only the q x q basis, since the
+        # square and the folds are slice sums in place, and the result is a
+        # fresh C-contiguous (q//2 + 1)^d array
+        seen = []
+        passes = fourier._passes
+
+        def spy(arr, kernel, count, buffers):
+            seen.append((kernel, count))
+            return passes(arr, kernel, count, buffers)
+
+        monkeypatch.setattr(fourier, "_passes", spy)
+        for d in (1, 2, 3, 4):
+            if q**d > 10**5:
+                break
+            lines = q ** (d - 1)
+            for size in sorted({1, lines, lines + 1}):
+                seen.clear()
+                out = orbit_power(np.arange(size), q, d)
+                assert out.shape == (q // 2 + 1,) * d and out.flags.c_contiguous
+                assert all(kernel is fourier._orbit_basis(q) for kernel, _ in seen), (q, d)
+                assert sum(count for _, count in seen) == (d if size > lines else d - 1)
+
+    def test_budget_is_checked_before_any_allocation(self):
+        # two buffers of 3^30 float64 entries would be 2.93 PiB: refused up front
+        with pytest.raises(BudgetError):
+            orbit_power(np.arange(3), 3, 30)
+        with pytest.raises(BudgetError):
+            orbit_power(np.arange(3), 3, 4, max_grid=80)
+        assert orbit_power(np.arange(3), 3, 4, max_grid=81).shape == (2,) * 4
 
     def test_weights_count_every_column_once(self):
         for q in range(2, 30):
@@ -309,7 +342,7 @@ class TestHalfTransforms:
         # 256^2 = 2^16 entries are kept; 257^2 are shared while a caller holds
         # them and gone once it lets them go
         tables = ((fourier._kernel, (True,)), (fourier._orbit_basis, ()),
-                  (fourier._orbit_fold, ()), (fourier._orbit_cosines, ()))
+                  (fourier._orbit_cosines, ()))
         for table, key in tables:
             table.cache_clear()
             assert table(256, *key) is table(256, *key)
