@@ -9,6 +9,7 @@ that need odd q gate themselves via Modulus.require_odd.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,10 +20,21 @@ __all__ = [
     "Residue",
     "factorize",
     "as_modulus",
+    "as_int",
     "tau",
     "jacobi",
     "residue",
 ]
+
+
+def as_int(v, name: str) -> int:
+    """v as a Python int by operator.index, so numpy integers give their
+    values; anything non-integral (a float, even an integral one) raises
+    DomainError."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {v!r}") from None
 
 
 @dataclass(frozen=True)
@@ -127,13 +139,14 @@ def jacobi(a: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class Residue:
-    """A canonical representative in [0, q); inputs are normalized on construction."""
+    """A canonical representative in [0, q); inputs are normalized on
+    construction, and a non-integral value raises DomainError."""
 
     value: int
     modulus: Modulus
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.modulus.q)
+        object.__setattr__(self, "value", as_int(self.value, "a residue") % self.modulus.q)
 
     @property
     def q(self) -> int:

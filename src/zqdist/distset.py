@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import Modulus, Residue, as_modulus, factorize, tau
+from .arith import Modulus, Residue, as_int, as_modulus, factorize, tau
 from .errors import BudgetError, DomainError, InconsistencyError
 from .fourier import (
     DEFAULT_GRID_BUDGET,
@@ -617,10 +617,13 @@ class ThresholdReport:
 
 
 def theorem_threshold(q: "int | Modulus", d: int, C: float) -> ThresholdReport:
-    """C tau(q) q^d p_1^{-(d-2)/2}: sets at least this large realize every distance."""
+    """C tau(q) q^d p_1^{-(d-2)/2}: sets at least this large realize every
+    distance.  The constant C must be positive."""
     m = as_modulus(q)
     m.require_odd("theorem_threshold")
-    if d <= 2:
+    if not C > 0:  # NaN too
+        raise DomainError(f"the threshold needs C > 0, got C={C}")
+    if as_int(d, "d") <= 2:
         raise DomainError(f"the threshold needs d > 2, got d={d}")
     thr = C * tau(m) * float(m.q) ** d * float(m.p1) ** (-(d - 2) / 2)
     return ThresholdReport(thr, thr < float(m.q) ** d)

@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import Modulus, as_modulus
+from .arith import Modulus, as_int, as_modulus
 from .errors import BudgetError, DomainError
 
 __all__ = [
@@ -123,6 +123,8 @@ def _square(q: int, *args) -> int:
 @_table(lambda q: q)
 def character_table(q: int) -> np.ndarray:
     """e^{2 pi i k / q} for k in Z_q, the q-entry table behind all transforms."""
+    if as_int(q, "q") < 1:
+        raise DomainError(f"q must be >= 1, got {q}")
     tbl = np.exp(2j * np.pi * np.arange(q) / q)
     tbl.setflags(write=False)
     return tbl

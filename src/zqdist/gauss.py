@@ -18,8 +18,10 @@ Evaluators:
 ``gauss_row``
     the same closed form for a whole row b in Z_n at once, rendered as
     complex, for one a or an integer array of a: the reduction runs once
-    per (a, n), the completed-square phases are integer array operations,
-    and each phase is read from a table of roots per modulus.
+    per (a, n), and the rows are grouped by g = gcd(a, n).  A class's sums
+    live on one progression of b, and their completed-square phases are
+    one int64 outer product, reduced once per entry and read from one
+    table of the n-th roots of unity.
 
 ``gauss_general`` and ``gauss_row`` share one reduction helper, ``_reduce``,
 which returns plain tuples; it and ``gauss_closed`` take the unit of
@@ -33,15 +35,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import jacobi
-from .errors import DomainError
-from .fourier import character_table, check_grid_budget
+from .arith import as_int, jacobi
+from .errors import BudgetError, DomainError
+from .fourier import DEFAULT_GRID_BUDGET, character_table, check_grid_budget
 
 __all__ = ["GaussSumValue", "gauss_brute", "gauss_closed", "gauss_general", "gauss_row"]
 
@@ -88,22 +89,13 @@ class GaussSumValue:
 _ZERO = GaussSumValue(0, 1, (0, 0), _F0)
 
 
-def _index(v, name: str) -> int:
-    """v as a Python int by operator.index, so numpy integers give their
-    values; anything non-integral raises DomainError."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {v!r}") from None
-
-
 def _residues(v, n: int) -> np.ndarray:
     """v mod n as an int64 array of v's shape.  Integer arrays are reduced by
     numpy; anything else (Python ints of any size, lists of them) is reduced
-    entry by entry as Python ints (_index) before an int64 array is built."""
+    entry by entry as Python ints (as_int) before an int64 array is built."""
     if isinstance(v, np.ndarray) and v.dtype.kind in "iu":
         return (v % n).astype(np.int64)
-    reduce = np.frompyfunc(lambda x: _index(x, "every entry") % n, 1, 1)
+    reduce = np.frompyfunc(lambda x: as_int(x, "every entry") % n, 1, 1)
     return np.asarray(reduce(np.asarray(v, dtype=object)), dtype=np.int64)
 
 
@@ -155,7 +147,7 @@ def gauss_brute(a: "int | np.ndarray", b: "int | np.ndarray", n: int) -> "comple
     Stability of Numerical Algorithms*, 2002, sec. 3.6), gamma_k = k eps /
     (1 - k eps).  To first order |G_computed - G| <= (sqrt(2) (n + 2) + 22) eps n.
     """
-    n = _index(n, "n")
+    n = as_int(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     check_grid_budget(n, 1)
@@ -201,7 +193,7 @@ def gauss_closed(a: int, n: int) -> GaussSumValue:
 
     In the last branch a is odd automatically: gcd(a, n) = 1 with 4 | n.
     """
-    a, n = _index(a, "a"), _index(n, "n")
+    a, n = as_int(a, "a"), as_int(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     a %= n
@@ -223,14 +215,6 @@ def _branch(scale: int, a: int, n: int) -> _Branch:
     if unit == (0, 0):
         return _DEAD
     return n, -pow(a, -1, n) % n, complex(*unit) * (scale * math.sqrt(n)), scale, unit
-
-
-def _square_phase(b2, n, neg_inv):
-    """-a' c^2 mod n' with 2 a' c = b' (mod n') and neg_inv = -a'^{-1} mod n',
-    for ints or int64 arrays of b' in [0, 2 n'); every product is reduced mod
-    n' first."""
-    half = (b2 + b2 % 2 * n) // 2 % n  # b' / 2 mod n': odd b' means odd n'
-    return half * half % n * neg_inv % n
 
 
 def _reduce(a: int, n: int) -> tuple[int, _Branch, _Branch]:
@@ -262,7 +246,7 @@ def gauss_general(a: int, b: int, n: int) -> GaussSumValue:
     """G(a, b, n) for arbitrary integer a, b, always in closed form: the
     branch of ``_reduce`` for b, with the completed square's phase kept as
     an exact fraction."""
-    a, b, n = _index(a, "a"), _index(b, "b"), _index(n, "n")
+    a, b, n = as_int(a, "a"), as_int(b, "b"), as_int(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     g, *branches = _reduce(a % n, n)
@@ -270,7 +254,9 @@ def gauss_general(a: int, b: int, n: int) -> GaussSumValue:
     mod, neg_inv, _, scale, unit = _DEAD if b % g else branches[b // g % 2]
     if not scale:
         return _ZERO
-    return GaussSumValue(scale, mod, unit, Fraction(_square_phase(b // g, mod, neg_inv), mod))
+    b //= g
+    half = (b + b % 2 * mod) // 2 % mod  # c = b' / 2 mod M: an odd b' has an odd M
+    return GaussSumValue(scale, mod, unit, Fraction(neg_inv * half * half % mod, mod))
 
 
 def gauss_row(a: "int | np.ndarray", n: int) -> np.ndarray:
@@ -278,42 +264,72 @@ def gauss_row(a: "int | np.ndarray", n: int) -> np.ndarray:
     integer a, and for an integer array a one row per entry, of shape
     a.shape + (n,).
 
-    The branches of ``_reduce`` are looked up once per a; the gates and the
-    completed-square phases are then one int64 pass over every (a, b).  The
-    phase num / n' is read from one table of np.exp(2 pi i k / n') per
-    modulus n' present, so a call renders sigma(n) roots at most; np.exp
-    works entry by entry, so each root has the bits of rendering num / n'
-    directly.  The entries that vanish are
-    exact zeros.  No character table is shared with ``gauss_brute``.
+    The branches of ``_reduce`` are looked up once per a, and the rows are
+    grouped by their class g = gcd(a, n).  In one class n' = n / g is fixed,
+    and so is the one arithmetic progression of b whose sums live:
+
+        b = 0 (mod g)      when n' is odd,
+        b = 0 (mod 2g)     when 4 | n',
+        b = g (mod 2g)     when n' = 2 (mod 4);
+
+    every other entry is an exact zero and is never computed.  Over the
+    progression the completed-square phase -a' c^2 mod M (M the live
+    branch's modulus) is K j^2 mod M, with j = b / g and
+    K = -a'^{-1} ((M + 1) / 2)^2 for odd M, j = b / 2g and K = -a'^{-1} for
+    4 | n'.  So the phases of a class are one int64 outer product of its
+    rows' K and the one row of j^2 mod M, reduced mod M once per entry: no
+    entry is divided.  A call renders one table of n roots,
+    np.exp(2 pi i k / n), and reads e(num / M) as its entry num n / M: M
+    divides n, so the floats num / M and (num n / M) / n are the same
+    correctly rounded quotient, and np.exp works entry by entry, so each
+    root has the bits of rendering num / M directly.  Each entry is the
+    branch's size times that root.  A class is rendered in blocks of at
+    most 2^17 entries, so the int64 and complex temporaries of a block stay
+    within 3 MiB.  n and the a.size x n output are held to the grid budget
+    before anything of their size is allocated.  No character table is
+    shared with ``gauss_brute``.
     """
-    n = _index(n, "n")
+    n = as_int(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    check_grid_budget(n, 1)
     av = _residues(a, n)
+    if av.size * n > DEFAULT_GRID_BUDGET:
+        raise BudgetError(f"{av.size} Gauss rows of Z_{n} have {av.size * n} entries, "
+                          f"exceeding the budget {DEFAULT_GRID_BUDGET}")
     out = np.zeros(av.shape + (n,), dtype=np.complex128)
-    if not av.size:
-        return out
-    g, branches = [], []
-    for ar in av.ravel().tolist():
-        gr, even, odd = _reduce(ar, n)
-        g.append(gr)
-        branches += (even, odd)
-    mod, neg_inv, size = map(np.array, list(zip(*branches))[:3])
-    moduli, at = np.unique(mod, return_inverse=True)
-    roots = np.concatenate([np.exp(2j * np.pi * (np.arange(m) / m)) for m in moduli.tolist()])
-    offset = (np.cumsum(moduli) - moduli)[at]  # where the roots of each branch's n' start
-    g = np.array(g, dtype=np.int64)[:, None]
-    b = np.arange(n, dtype=np.int64)
+    classes = {}  # g -> (M, rows, their K, their sizes)
+    for row, ar in enumerate(av.ravel().tolist()):
+        g, even, odd = _reduce(ar, n)
+        mod, neg_inv, size = (even if even[3] else odd)[:3]  # odd n': one branch; else one lives
+        if g not in classes:
+            classes[g] = (mod, [], [], [])
+        _, rows, k, sizes = classes[g]
+        rows.append(row)
+        k.append(neg_inv * ((mod + 1) // 2) ** 2 % mod if mod % 2 else neg_inv)
+        sizes.append(size)
     flat = out.reshape(-1, n)
-    step = max(1, 2**18 // n)  # rows per pass: the int64 temporaries stay near 2 MiB
-    for lo in range(0, len(flat), step):
-        b2, rem = np.divmod(b, g[lo : lo + step])  # b' = b / g where g | b
-        br = b2 % 2  # index of the branch: 2 (row) + parity of b'
-        br += np.arange(2 * lo, 2 * lo + 2 * len(b2), 2)[:, None]
-        num = _square_phase(b2, mod[br], neg_inv[br])
-        num += offset[br]
-        part = size[br]
-        part *= roots[num]
-        part[(rem != 0) | (part == 0)] = 0  # g does not divide b, or the branch vanishes
-        flat[lo : lo + step] = part
+    b = np.arange(n)
+    roots = np.exp(2j * np.pi * (b / n))
+    squares = b * b
+    for g, (mod, rows, k, sizes) in classes.items():
+        if mod % 2:  # j = b' = b / g: all of Z_n' (n' = M), or its odd residues (n' = 2M)
+            stride = n // g // mod
+            j2, cols = squares[stride - 1 : n // g : stride], slice((stride - 1) * g, n, stride * g)
+        else:  # 4 | n': j = b' / 2 = b / 2g
+            j2, cols = squares[: mod // 2], slice(0, n, 2 * g)
+        j2 = j2 % mod
+        rows, k = np.array((rows, k))
+        sizes = np.array(sizes)[:, None]
+        roots_m = roots[:: n // mod]  # e(k / M) for k in Z_M
+        step = max(1, 2**17 // j2.size)  # rows per block
+        for lo in range(0, rows.size, step):
+            num = np.multiply.outer(k[lo : lo + step], j2)
+            num %= mod
+            part = roots_m[num]
+            del num
+            # size * root in this operand order: with FMA the swapped product rounds differently
+            np.multiply(sizes[lo : lo + step], part, out=part)
+            flat[rows[lo : lo + step], cols] = part
+            del part  # a block's temporaries are gone before the next one's are made
     return out

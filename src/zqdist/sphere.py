@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import Modulus, Residue, as_modulus, jacobi, tau
+from .arith import Modulus, Residue, as_int, as_modulus, jacobi, tau
 from .errors import DomainError, InconsistencyError
 from .fourier import (
     DEFAULT_GRID_BUDGET,
@@ -90,7 +90,7 @@ class SphereSpec:
     t: Residue
 
     def __post_init__(self) -> None:
-        if self.d < 1:
+        if as_int(self.d, "the dimension") < 1:
             raise DomainError(f"dimension must be >= 1, got {self.d}")
         if self.t.modulus != self.modulus:
             raise DomainError("t must be a residue mod q")
@@ -106,7 +106,7 @@ class SphereSpec:
 
 def sphere_spec(q: "int | Modulus", d: int, t: "int | Residue") -> SphereSpec:
     m = as_modulus(q)
-    tv = t if isinstance(t, Residue) else Residue(t, m)
+    tv = t if isinstance(t, Residue) else Residue(as_int(t, "t"), m)
     return SphereSpec(m, d, tv)
 
 
@@ -172,6 +172,8 @@ def _counts_cached(q: int, d: int) -> np.ndarray:
 def sphere_counts_all(q: "int | Modulus", d: int, max_grid: int = DEFAULT_GRID_BUDGET) -> np.ndarray:
     """|S_t| for every t in Z_q at once, by exhaustive enumeration."""
     m = as_modulus(q)
+    if as_int(d, "d") < 1:
+        raise DomainError(f"dimension must be >= 1, got {d}")
     check_grid_budget(m.q, d, max_grid)
     return _counts_cached(m.q, d)
 

@@ -945,6 +945,17 @@ class TestThreshold:
         with pytest.raises(DomainError):
             theorem_threshold(9, 2, 1.0)
 
+    def test_non_integral_dimension_refused(self):
+        # d = 3.5 would get a threshold of 2878.25
+        with pytest.raises(DomainError):
+            theorem_threshold(9, 3.5, 1.0)
+
+    @pytest.mark.parametrize("C", [-1.0, 0, 0.0, float("nan")])
+    def test_non_positive_constant_refused(self, C):
+        # C = -1 would give the threshold -1262.67, reported as non-vacuous
+        with pytest.raises(DomainError):
+            theorem_threshold(9, 3, C)
+
 
 class TestCertificate:
     def test_soundness_random_sets(self):

@@ -45,6 +45,12 @@ class TestChi:
         assert character_table(7)[0] == 1
         assert abs(character_table(9)[3] - cmath.exp(2j * cmath.pi / 3)) < 1e-12
 
+    @pytest.mark.parametrize("q", [0, -3, 2.5])
+    def test_no_modulus_refused(self, q):
+        # q = 0 would give an empty table
+        with pytest.raises(DomainError):
+            character_table(q)
+
     def test_character_property(self):
         for q in (5, 8, 9, 12):
             tbl = character_table(q)

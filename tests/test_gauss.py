@@ -531,21 +531,30 @@ class TestTolerances:
             check()
 
 
+def check_rows_against_scalar_render(rows, n):
+    # each entry is within 4 eps of |G| = scale sqrt(surd) of the symbolic
+    # value's own rendering, and exactly 0 wherever that value is zero
+    eps = np.finfo(np.float64).eps
+    assert rows.shape == (n, n) and rows.dtype == np.complex128
+    for a, row in enumerate(rows):
+        vals = [gauss_general(a, b, n) for b in range(n)]
+        rendered = np.array([v.complex_render for v in vals])
+        size = np.array([v.scale * math.sqrt(v.surd) for v in vals])
+        assert np.all(np.abs(row - rendered) <= 4 * eps * size), (n, a)
+        zero = np.array([v.is_zero for v in vals])
+        assert np.all(row[zero] == 0), (n, a)
+
+
 class TestRow:
     def test_matches_scalar_render(self):
-        # each entry is within 4 eps of |G| = scale sqrt(surd) of the symbolic
-        # value's own rendering, and exactly 0 wherever that value is zero
-        eps = np.finfo(np.float64).eps
         for n in range(1, 100):
-            for a in range(n):
-                row = gauss_row(a, n)
-                assert row.shape == (n,) and row.dtype == np.complex128
-                vals = [gauss_general(a, b, n) for b in range(n)]
-                rendered = np.array([v.complex_render for v in vals])
-                size = np.array([v.scale * math.sqrt(v.surd) for v in vals])
-                assert np.all(np.abs(row - rendered) <= 4 * eps * size), (n, a)
-                zero = np.array([v.is_zero for v in vals])
-                assert np.all(row[zero] == 0), (n, a)
+            check_rows_against_scalar_render(np.stack([gauss_row(a, n) for a in range(n)]), n)
+
+    @pytest.mark.parametrize("n", [128, 210, 256, 300])
+    def test_class_rows_match_scalar_render_past_100(self, n):
+        # 2^7 and 2^8 put every 4 | n' class on the even progression, 210 =
+        # 2 3 5 7 has eight classes on the odd one; one call renders every row
+        check_rows_against_scalar_render(gauss_row(np.arange(n), n), n)
 
     def test_small_moduli_and_zero_a(self):
         for a in (0, 1, 5, -3):
@@ -563,7 +572,7 @@ class TestRow:
             assert np.abs(gauss_row(big, n) - gauss_brute(big, np.arange(n), n)).max() < 1e-12 * n
 
     def test_array_a_equals_stacked_rows(self):
-        for n in range(1, 100):
+        for n in (*range(1, 100), 128, 210, 256, 300, 1155):
             rows = np.stack([gauss_row(a, n) for a in range(n)])
             assert gauss_row(np.arange(n), n).tobytes() == rows.tobytes(), n
         big = 2**70 + 3
@@ -581,6 +590,34 @@ class TestRow:
         for n in (0, -5):
             with pytest.raises(DomainError):
                 gauss_row(1, n)
+
+    def test_refused_past_the_grid_budget_before_allocating(self):
+        # one row of Z_(10^12) would take 14.6 TiB; 10001 rows of Z_1000 pass
+        # the budget only as a whole output (10^7 entries are allowed)
+        many = np.zeros(10**4 + 1, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                gauss_row(1, 10**12)
+            with pytest.raises(BudgetError):
+                gauss_row(many, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, peak
+
+    def test_class_blocks_bound_the_peak(self):
+        # the 1008 rows of the unit class render in blocks of at most 2^17
+        # entries: the output and at most 4 MiB of temporaries besides
+        n = 1009
+        a = np.arange(n)
+        tracemalloc.start()
+        try:
+            gauss_row(a, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n * n + 4 * 2**20, peak
 
 
 class TestIntegerArguments:

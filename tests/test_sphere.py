@@ -77,8 +77,29 @@ class TestEnumerate:
     def test_negative_t_normalized(self):
         assert sphere_enumerate(sphere_spec(5, 2, -1)) == sphere_enumerate(sphere_spec(5, 2, 4))
 
+    @pytest.mark.parametrize("t", [1.5, 3.0, np.float64(2.0), "3"])
+    def test_non_integral_t_refused(self, t):
+        # kept as a residue, t = 1.5 would get a count of 81 points from the formula
+        with pytest.raises(DomainError):
+            sphere_count_formula(sphere_spec(9, 3, t))
+
+    def test_non_integral_dimension_refused(self):
+        # d = 2.5 would get a count of 32.0 points for S_1 in Z_9
+        with pytest.raises(DomainError):
+            sphere_count_formula(sphere_spec(9, 2.5, 1))
+
+    def test_integer_t_of_any_kind(self):
+        for t in (np.int64(4), np.uint8(4), 13, True):
+            assert sphere_spec(9, 3, t).t_value == int(t) % 9
+
 
 class TestPartition:
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_no_dimension_refused(self, d):
+        # d = 0 would recurse without end in the norm table's build
+        with pytest.raises(DomainError):
+            sphere_counts_all(9, d)
+
     def test_counts_partition_grid(self):
         for q in (2, 3, 5, 9, 15):
             for d in (1, 2, 3):
