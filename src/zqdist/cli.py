@@ -61,9 +61,9 @@ from .fourier import (
 )
 from .gauss import gauss_brute, gauss_general, gauss_row
 from .sphere import (
+    _class_ids,
     _class_kernel,
-    _frequency_classes,
-    _norms_flat,
+    _norms,
     decay_report,
     sphere_count_formula,
     sphere_counts_all,
@@ -252,9 +252,9 @@ def _spectrum_rows(m, d: int, ts, max_grid: int) -> list[dict]:
     kern = _class_kernel(m, d, "formula", max_grid)
     columns, errors = kern.values[:, ts], kern.error[:, ts].max(axis=0)
     del kern
-    held = _kernel(m.q, True), _norms_flat(m.q, d)  # not read: kept alive for the rows
+    held = _kernel(m.q, True), _norms(m.q, d, m.q)  # not read: kept alive for the rows
     counts = sphere_counts_all(m, d, max_grid)
-    ids, _ = _frequency_classes(m.q, d)
+    ids = _class_ids(m.q, d, m.q)
     return [_spectrum_row(sphere_spec(m, d, t), columns[:, i], ids, float(errors[i]),
                           int(counts[t]), max_grid) for i, t in enumerate(ts)]
 

@@ -13,8 +13,8 @@ Three routes to nu(t):
   of sign orbits {(+-z_1, ..., +-z_d)}, so only the orbit sums of A on the
   orthant [0, q // 2]^d are needed: fourier.orbit_inverse takes them from
   the orbit power O(s) = sum_{m in orbit(s)} |E^(m)|^2 of fourier.orbit_power,
-  and one bincount by the orthant's norms (sphere._orthant_norms) sums them
-  by sphere.  It is the one transform count of `nu_histogram`, and so the
+  and one bincount by the orthant's norm table (sphere._norms) sums them by
+  sphere.  It is the one transform count of `nu_histogram`, and so the
   count that certificate_check and the CLI check the sweep against;
 * the spectral decomposition (`nu_spectral_sweep`, the certificate)
 
@@ -27,21 +27,20 @@ main term - bound > 0 the distance t is certified to occur.  For odd q,
 S_t^(m) depends on m only through its class (gcd(m, q) = g and ||m/g|| mod
 q/g, at most sigma(q) classes), and a class is closed under sign flips, so
 the sweep sums O by class into P (_class_power, one bincount by the
-orthant's class slots, sphere._orthant_ids) and gets every nu(t) from
+orthant's class table, sphere._class_ids) and gets every nu(t) from
 q^{2d} P @ K with the sigma(q) x q class kernel K[c, t] = S_t^(m): one
-transform of the indicator, then O(q^d) work.  sphere owns the class
-layout; this module reads it only through those two orthant tables.  The
-sweep's `route` only picks how K is built: "direct" from sphere counts,
+transform of the indicator, then O(q^d) work.  sphere owns the norm and
+class tables; this module reads them only on the orthant, h = q // 2 + 1.
+The sweep's `route` only picks how K is built: "direct" from sphere counts,
 "formula" from Gauss sums.  P and the autocorrelation's counts depend on E
-alone, so the PointSet keeps them (sigma(q) floats and q integers).  The autocorrelation's
-transform leaves both and the sweep's only P, so nu_histogram after a sweep
-transforms the set a second time.
+alone, so the PointSet keeps them (sigma(q) floats and q integers).  The
+autocorrelation's transform leaves both and the sweep's only P, so
+nu_histogram after a sweep transforms the set a second time.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -61,8 +60,8 @@ from .sphere import (
     _class_count,
     _class_kernel,
     _ClassKernel,
-    _orthant_ids,
-    _orthant_norms,
+    _class_ids,
+    _norms,
     _sphere_count_rows,
 )
 
@@ -117,6 +116,7 @@ class PointSet:
 
     def __init__(self, q: "int | Modulus", d: int, points: Iterable[Sequence[int]]) -> None:
         m = as_modulus(q)
+        d = as_int(d, "the dimension")
         if d < 1:
             raise DomainError(f"dimension must be >= 1, got {d}")
         rows = points if isinstance(points, (list, tuple, np.ndarray)) else list(points)
@@ -129,7 +129,7 @@ class PointSet:
             else:
                 # numpy reads ints past int64 as floats or objects: reduce them
                 # exactly as Python ints, and refuse anything non-integral
-                arr = np.array([[operator.index(c) % m.q for c in p] for p in rows], dtype=np.int64)
+                arr = np.array([[as_int(c, "coordinate") % m.q for c in p] for p in rows], np.int64)
         except ValueError:
             raise DomainError(f"every point needs {d} coordinates") from None
         except TypeError:
@@ -370,8 +370,8 @@ def _nu_autocorrelation(E: PointSet, max_grid: int) -> np.ndarray:
 
     A(z) counts the pairs with x - y = z, so each R(r) is an integer; the
     float values are rounded after a check against _autocorrelation_tolerance.
-    An orbit lies on one sphere, so one bincount by sphere._orthant_norms
-    sums the rounded R by ||r|| mod q, exactly up to 2^53.  A tolerance of
+    An orbit lies on one sphere, so one bincount by the orthant's norms
+    (sphere._norms) sums the rounded R by ||r|| mod q, exactly up to 2^53.  A tolerance of
     1/2 or more cannot single out the integer, and |E|^2 > 2^53 cannot be
     summed exactly: both raise BudgetError, as does the transform budget.  The counts are kept
     on E, read-only, and returned by every later call that these checks
@@ -401,7 +401,7 @@ def _nu_autocorrelation(E: PointSet, max_grid: int) -> np.ndarray:
         raise InconsistencyError(
             f"autocorrelation entry lies {worst:.3g} from an integer, beyond the tolerance {tol:.3g}"
         )
-    nu = np.bincount(_orthant_norms(q, d), counts.reshape(-1), q).astype(np.int64)
+    nu = np.bincount(_norms(q, d, q // 2 + 1), counts.reshape(-1), q).astype(np.int64)
     if int(nu.sum()) != n * n:
         raise InconsistencyError(
             f"autocorrelation pair counts sum to {int(nu.sum())}, not |E|^2 = {n * n}"
@@ -476,9 +476,9 @@ def _class_power(orbit: np.ndarray, q: int, d: int) -> np.ndarray:
     `orbit` is the orbit power of _orbit_power on the orthant [0, q // 2]^d;
     it is not modified.  A class is closed under every sign flip, so P_c is
     the sum of O over the k_c orthant points of class c, added one after
-    another by one bincount by sphere._orthant_ids.
+    another by one bincount by the orthant's class table (sphere._class_ids).
     """
-    return np.bincount(_orthant_ids(q, d), orbit.reshape(-1), _class_count(q))
+    return np.bincount(_class_ids(q, d, q // 2 + 1), orbit.reshape(-1), _class_count(q))
 
 
 def _sweep_tolerance(E: PointSet, power_by_class: np.ndarray, kern: _ClassKernel) -> np.ndarray:
@@ -510,11 +510,11 @@ def _sweep_tolerance(E: PointSet, power_by_class: np.ndarray, kern: _ClassKernel
     built with one sigma(q) x q temporary, |K|.  A tolerance of 1/2 or more
     for any t cannot certify the nearest integer and raises BudgetError.
     """
-    q, d = E.q, E.d
+    q, d, h = E.q, E.d, E.q // 2 + 1
     eps = float(np.finfo(np.float64).eps)
     a = _forward_charge(E)
     classes = len(power_by_class)
-    rho = np.bincount(_orthant_ids(q, d), minlength=classes) + float(d + 2 + classes + 3)
+    rho = np.bincount(_class_ids(q, d, h), minlength=classes) + float(d + 2 + classes + 3)
     spheres = _sphere_count_rows(q, d)[d].astype(np.float64)
     tol = (power_by_class * rho * eps) @ np.abs(kern.values)
     tol += power_by_class @ kern.error
@@ -689,10 +689,14 @@ def certificate_check(
 def construct_even_weight(d: int) -> PointSet:
     """All vectors of Z_2^d with an even number of nonzero coordinates.
 
-    |E| = 2^{d-1} and every pairwise distance is 0 in Z_2.
+    |E| = 2^{d-1} and every pairwise distance is 0 in Z_2.  As for
+    sample_random_set, 2^32 points or more (d > 32) raise BudgetError.
     """
+    d = as_int(d, "the dimension")
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
+    if d > 32:
+        raise BudgetError(f"the even-weight set of Z_2^{d} has 2^{d - 1} points, past 2^32 - 1")
     # the first d - 1 coordinates are free; the last one makes the weight even
     free = (np.arange(1 << (d - 1))[:, None] >> np.arange(d - 2, -1, -1)) & 1
     return PointSet(2, d, np.column_stack([free, free.sum(axis=1) % 2]))
@@ -701,6 +705,7 @@ def construct_even_weight(d: int) -> PointSet:
 def _lattice_shape(p: int, ell: int, d: int) -> tuple[int, int]:
     """q = p^ell and |E| = p^{floor(ell/2) d} of the zero-distance lattice,
     after checking that p is an odd prime and ell, d >= 1."""
+    p, ell, d = as_int(p, "p"), as_int(ell, "ell"), as_int(d, "the dimension")
     if p < 3 or p % 2 == 0 or factorize(p).factors != ((p, 1),):
         raise DomainError(f"p must be an odd prime, got {p}")
     if ell < 1:
@@ -711,12 +716,16 @@ def _lattice_shape(p: int, ell: int, d: int) -> tuple[int, int]:
 
 
 def construct_zero_distance_lattice(p: int, ell: int, d: int) -> PointSet:
-    """E = (p^ceil(ell/2) Z_{p^ell})^d, of size p^{floor(ell/2) d}.
+    """E = (p^ceil(ell/2) Z_{p^ell})^d, of size p^{floor(ell/2) d}, which
+    must stay below 2^32 (BudgetError), as for sample_random_set.
 
     Coordinate differences are multiples of p^ceil(ell/2), so every distance
     is divisible by p^{2 ceil(ell/2)} and hence 0 in Z_{p^ell}.
     """
     q, size = _lattice_shape(p, ell, d)
+    if size >= 1 << 32:
+        raise BudgetError(f"the lattice has {size} points, past 2^32 - 1")
+    p, ell, d = int(p), int(ell), int(d)  # integers, checked: numpy ones as Python ints
     coords = np.arange(0, q, p ** ((ell + 1) // 2))
     # row i holds the base-k digits of i, k = len(coords), for any d
     flat = np.arange(size, dtype=np.int64)
@@ -826,6 +835,9 @@ def sample_random_set(q: "int | Modulus", d: int, size: int, seed: int) -> Point
     their base-q digits are the rows of the PointSet already in its order.
     """
     m = as_modulus(q)
+    d, size, seed = as_int(d, "the dimension"), as_int(size, "sample size"), as_int(seed, "seed")
+    if d < 1:
+        raise DomainError(f"dimension must be >= 1, got {d}")
     n = m.q**d
     if size < 1:
         raise DomainError(f"sample size must be >= 1, got {size}")

@@ -120,11 +120,17 @@ def _square(q: int, *args) -> int:
     return q * q
 
 
-@_table(lambda q: q)
-def character_table(q: int) -> np.ndarray:
-    """e^{2 pi i k / q} for k in Z_q, the q-entry table behind all transforms."""
+def _roots(q) -> int:
+    """q, the size of the character table of Z_q, once checked to be an
+    integer >= 1 within the grid budget, before any lookup or allocation."""
     if as_int(q, "q") < 1:
         raise DomainError(f"q must be >= 1, got {q}")
+    return check_grid_budget(q, 1)
+
+
+@_table(_roots)
+def character_table(q: int) -> np.ndarray:
+    """e^{2 pi i k / q} for k in Z_q, the q-entry table behind all transforms."""
     tbl = np.exp(2j * np.pi * np.arange(q) / q)
     tbl.setflags(write=False)
     return tbl

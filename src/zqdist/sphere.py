@@ -27,9 +27,11 @@ Gauss-sum product: the formula spectrum of S_t is its column t spread over
 the members of each class.  The spectral sweep of distset reads nu(t) off
 the kernel; the direct spectra are its oracle.
 
-This module owns the class layout (_class_slots).  Classes and spheres are
-closed under sign flips, so the representatives and distset's class and
-sphere sums each read one table of the sign orthant [0, q // 2]^d.
+This module owns the form's tables: the squares x^2 mod q (_squares), and
+the norms (_norms) and class slots (_class_ids, laid out by _class_slots) of
+any box [0, h)^d.  h = q is the whole grid; classes and spheres are closed
+under sign flips, so the representatives and distset's class and sphere
+sums read the sign orthant, h = q // 2 + 1.
 
 Formula routes require odd q; enumeration works for any q within budget and
 is the oracle of the count formula.
@@ -143,17 +145,25 @@ def _form_flat(q: int, tables: Sequence[np.ndarray]) -> np.ndarray:
     return acc
 
 
-@_table(lambda q, d: q**d)
-def _norms_flat(q: int, d: int) -> np.ndarray:
-    """x_1^2 + ... + x_d^2 mod q for every flat index, row-major, in
-    _form_flat's dtype: one byte a point for q <= 128 and two for q <= 2^15
-    (at most 20 MB at the default grid budget), eight beyond.  The squares
-    are taken in place, so the traced peak of a build is the table and
-    little more."""
+@_table(lambda q: q)
+def _squares(q: int) -> np.ndarray:
+    """x^2 mod q for x in Z_q, int64 and read-only: the one square table of
+    the norm tables, the sphere-count rows and the direct kernel."""
     squares = np.arange(q, dtype=np.int64)
     squares *= squares
     squares %= q
-    acc = _form_flat(q, [squares] * d)
+    squares.setflags(write=False)
+    return squares
+
+
+@_table(lambda q, d, h: h**d)
+def _norms(q: int, d: int, h: int) -> np.ndarray:
+    """x_1^2 + ... + x_d^2 mod q for every x in the box [0, h)^d, flat and
+    row-major, in _form_flat's dtype: one byte a point for q <= 128, two for
+    q <= 2^15 (at most 20 MB at the default grid budget), eight beyond.  The
+    orthant h = q // 2 + 1 meets every sign orbit once, and an orbit lies on
+    one sphere, so a sum of orbit sums by sphere is one bincount by its table."""
+    acc = _form_flat(q, [_squares(q)[:h]] * d)
     acc.setflags(write=False)
     return acc
 
@@ -161,7 +171,7 @@ def _norms_flat(q: int, d: int) -> np.ndarray:
 @_table(lambda q, d: q)
 def _counts_cached(q: int, d: int) -> np.ndarray:
     # np.bincount copies a block to intp and returns q counts: blocks of max(2^16, q)
-    norms, step = _norms_flat(q, d), max(1 << 16, q)
+    norms, step = _norms(q, d, q), max(1 << 16, q)
     counts = np.zeros(q, dtype=np.intp)
     for lo in range(0, norms.size, step):
         counts += np.bincount(norms[lo : lo + step], minlength=q)
@@ -181,7 +191,7 @@ def sphere_counts_all(q: "int | Modulus", d: int, max_grid: int = DEFAULT_GRID_B
 def sphere_enumerate(spec: SphereSpec, max_grid: int = DEFAULT_GRID_BUDGET) -> list[tuple[int, ...]]:
     """All points of S_t in lexicographic order, by scanning the full grid."""
     check_grid_budget(spec.q, spec.d, max_grid)
-    norms = _norms_flat(spec.q, spec.d)
+    norms = _norms(spec.q, spec.d, spec.q)
     idx = np.flatnonzero(norms == spec.t_value)
     return [point_of_index(int(i), spec.q, spec.d) for i in idx]
 
@@ -189,7 +199,7 @@ def sphere_enumerate(spec: SphereSpec, max_grid: int = DEFAULT_GRID_BUDGET) -> l
 def sphere_indicator(spec: SphereSpec, max_grid: int = DEFAULT_GRID_BUDGET) -> GridFunction:
     """The 0/1 indicator of S_t as a grid function."""
     check_grid_budget(spec.q, spec.d, max_grid)
-    return GridFunction(spec.modulus, spec.d, _norms_flat(spec.q, spec.d) == spec.t_value)
+    return GridFunction(spec.modulus, spec.d, _norms(spec.q, spec.d, spec.q) == spec.t_value)
 
 
 @dataclass(frozen=True)
@@ -318,60 +328,32 @@ def _class_count(q: int) -> int:
     return sum(n for _, n, _ in _class_slots(q))
 
 
-def _class_ids(q: int, d: int, norms: np.ndarray, h: int) -> np.ndarray:
-    """The class slot of every m in the box [0, h)^d of Z_q^d, flat and
-    row-major, from the flat table `norms` of ||m|| mod q on that box.  Each
-    divisor g writes its slots over the strided slice of the multiples
-    m = g m' of g, in increasing order of g, so the last write to m comes
-    from g = gcd(m, q); ||m'|| mod n is the norm at m' reduced mod n, and m'
-    runs over the first (h - 1) // g + 1 points of each axis.  The slots
-    are written in _narrow_dtype(sigma(q) - 1), one byte a point while
-    sigma(q) <= 256, so a sort of them is a radix sort; each residue is cast
-    to that dtype before its offset is added, so no sum wraps in the
-    narrower norm dtype.
+@_table(lambda q, d, h: h**d)
+def _class_ids(q: int, d: int, h: int) -> np.ndarray:
+    """The class slot of every frequency m in the box [0, h)^d of Z_q^d (odd
+    q), flat and row-major.
+
+    With g = gcd(m_1, ..., m_d, q) and n = q / g, write m = g m' with m' in
+    Z_n^d.  The class of m is (g, ||m'|| mod n): at most sigma(q) classes,
+    and exactly that many for d >= 3 (_class_slots lays them out).  A class
+    is closed under sign flips and holds (min(m_i, q - m_i)) with m, so a
+    sum of orbit sums by class is one bincount by the table of the orthant
+    h = q // 2 + 1, which holds the first member of every class in flat order.
+
+    Each divisor g, in increasing order, writes its slots over the strided
+    slice of the multiples of g, so the last write to m comes from
+    g = gcd(m, q); ||m'|| mod n is the box's norm at m' (the first
+    (h - 1) // g + 1 points of each axis) mod n.  The slots take
+    _narrow_dtype(sigma(q) - 1), one byte a point while sigma(q) <= 256 (a
+    sort of them is a radix sort); each residue is cast to it before its
+    offset is added, so no sum wraps in the narrower norm dtype.
     """
-    norms = norms.reshape((h,) * d)
+    norms = _norms(q, d, h).reshape((h,) * d)
     ids = np.empty((h,) * d, dtype=_narrow_dtype(_class_count(q) - 1))
     for g, n, offset in _class_slots(q):
         residues = norms[(slice(0, (h - 1) // g + 1),) * d] % n
         ids[(slice(None, None, g),) * d] = residues.astype(ids.dtype) + offset
-    return ids.reshape(-1)
-
-
-def _frequency_classes(q: int, d: int) -> tuple[np.ndarray, int]:
-    """The class of every frequency m in Z_q^d (odd q), flat and row-major,
-    and the number sigma(q) of class slots.
-
-    With g = gcd(m_1, ..., m_d, q) and n = q / g, write m = g m' with m' in
-    Z_n^d.  The class of m is the pair (g, ||m'|| mod n), so there are at
-    most sigma(q) = sum_{g | q} q / g classes, and exactly that many for
-    d >= 3 (_class_slots gives their layout).  This q^d table is not cached:
-    the CLI's spectrum rows build it once per (q, d) from the norm table they hold.
-    """
-    return _class_ids(q, d, _norms_flat(q, d), q), _class_count(q)
-
-
-@_table(lambda q, d: (q // 2 + 1) ** d)
-def _orthant_norms(q: int, d: int) -> np.ndarray:
-    """||s|| mod q for every s in the sign orthant [0, q // 2]^d, flat and
-    row-major: a sphere is a union of sign orbits, each meeting the orthant
-    once, so a sum of orbit sums by sphere is one bincount by this table."""
-    squares = np.arange(q // 2 + 1, dtype=np.int64)
-    squares *= squares
-    squares %= q
-    acc = _form_flat(q, [squares] * d)
-    acc.setflags(write=False)
-    return acc
-
-
-@_table(lambda q, d: (q // 2 + 1) ** d)
-def _orthant_ids(q: int, d: int) -> np.ndarray:
-    """The class slot of every s in the sign orthant [0, q // 2]^d (odd q),
-    flat and row-major.  A class is closed under every sign flip (gcd and
-    ||m'|| do not change), so a sum of orbit sums by class is one bincount
-    by this table; and with m, the class holds (min(m_i, q - m_i)), on the
-    orthant and never after m in flat order, so its first member is here."""
-    ids = _class_ids(q, d, _orthant_norms(q, d), q // 2 + 1)
+    ids = ids.reshape(-1)
     ids.setflags(write=False)
     return ids
 
@@ -412,8 +394,7 @@ def _sphere_count_rows(q: int, d: int) -> np.ndarray:
     q^{i+1}, so the counts are exact while q^d fits int64 (any grid within
     budget does).  No grid is enumerated.
     """
-    ks = np.arange(q, dtype=np.int64)
-    roots_of = np.bincount(ks * ks % q, minlength=q)  # #{x in Z_q : x^2 = a}
+    roots_of = np.bincount(_squares(q), minlength=q)  # #{x in Z_q : x^2 = a}
     rows = np.zeros((d + 1, q), dtype=np.int64)
     rows[0, 0] = 1
     for i in range(d):
@@ -444,8 +425,7 @@ def _kernel_direct(
     convolutions (j - 1 when j = d, else j) sums q products within
     (q // 2 + 1) eps; with the scaling and second-order terms (2), K[c, t]
     is within (j (11 + r // 2) + k (q // 2 + 1) + 2) eps |S_t| q^{-d}."""
-    ks = np.arange(q, dtype=np.int64)
-    squares = ks * ks % q
+    ks, squares = np.arange(q, dtype=np.int64), _squares(q)
     cos = character_table(q).real  # the real part of e(-x mu / q) as well
     spheres = _sphere_count_rows(q, d)  # spheres[i][t] = |S_t| in Z_q^i
     root_steps = 11 + int(spheres[1].max()) // 2
@@ -504,12 +484,12 @@ def _class_representatives(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     A class meets {0}^{d-j} x Z_q^j with j = min(d, 3), since Z_q^3 already
     holds all sigma(q) classes, and every member there precedes in flat order
     every member with a nonzero among the first d - j coordinates.  The
-    first member of a class of Z_q^j lies on the orthant (_orthant_ids),
-    whose flat order is that of Z_q^j; padded with d - j leading zeros, the
-    first orthant members are those of Z_q^d, whatever d is.
+    first member of a class of Z_q^j lies on the orthant (_class_ids), whose
+    flat order is that of Z_q^j; padded with d - j leading zeros, the first
+    orthant members are those of Z_q^d, whatever d is.
     """
     j, h = min(d, 3), q // 2 + 1
-    present, first = np.unique(_orthant_ids(q, j), return_index=True)
+    present, first = np.unique(_class_ids(q, j, h), return_index=True)
     reps = np.zeros((len(present), d), dtype=np.int64)
     reps[:, d - j :] = np.stack(np.unravel_index(first, (h,) * j), axis=1)
     return reps, present
@@ -545,7 +525,7 @@ def sphere_spectrum_formula(spec: SphereSpec, max_grid: int = DEFAULT_GRID_BUDGE
     """The full spectrum by the product formula: column t of the formula class
     kernel, spread over the members of every class."""
     kern = _class_kernel(spec.modulus, spec.d, "formula", max_grid)
-    ids, _ = _frequency_classes(spec.q, spec.d)
+    ids = _class_ids(spec.q, spec.d, spec.q)
     return Spectrum(spec.modulus, spec.d, kern.values[ids, spec.t_value])
 
 

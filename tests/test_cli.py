@@ -218,20 +218,21 @@ class TestSpectrumCommand:
 
     def test_each_route_once_per_row(self, tmp_path, monkeypatch):
         # one transform per row; the formula spectra of all rows share one
-        # fetch of the kernel and one class table
-        calls = {"sphere_fourier_direct": 0, "_class_kernel": 0, "_frequency_classes": 0}
+        # fetch of the kernel and one whole-grid class table (h = q)
+        calls = {"sphere_fourier_direct": [], "_class_kernel": [], "_class_ids": []}
         for name in calls:
             real = getattr(sphere, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
+                calls[_name].append(args)
                 return _real(*args, **kwargs)
 
             for mod in (sphere, cli):
                 monkeypatch.setattr(mod, name, counted, raising=False)
         code, text = run(tmp_path, "spectrum", "--q", "9", "--all-t")
         assert code == 0 and len(records(text)) == 9
-        assert calls == {"sphere_fourier_direct": 9, "_class_kernel": 1, "_frequency_classes": 1}
+        assert len(calls["sphere_fourier_direct"]) == 9 and len(calls["_class_kernel"]) == 1
+        assert [args for args in calls["_class_ids"] if args[2] == 9] == [(9, 3, 9)]
 
     def test_formula_kernel_built_once_per_q_and_d(self, tmp_path, monkeypatch):
         # Z_1009's kernel is past the cache: every row of the command reads
@@ -280,21 +281,23 @@ class TestSpectrumCommand:
 
     def test_one_class_table_per_command(self, tmp_path, monkeypatch):
         # the formula spectra of all 15 rows share one q^d class table, built
-        # once and not cached; the formula kernel's representatives are found
-        # on the 8^3 orthant of Z_15^3
-        builds = []
+        # once; the formula kernel's representatives are found on the 8^3
+        # orthant of Z_15^3
+        calls = []
         real = sphere._class_ids
 
-        def spy(q, d, norms, h):
-            builds.append((q, d, h))
-            return real(q, d, norms, h)
+        def spy(q, d, h):
+            calls.append((q, d, h))
+            return real(q, d, h)
 
-        monkeypatch.setattr(sphere, "_class_ids", spy)
+        for mod in (sphere, cli):
+            monkeypatch.setattr(mod, "_class_ids", spy)
         sphere._build_class_kernel.cache_clear()
-        sphere._orthant_ids.cache_clear()
+        real.cache_clear()
         code, text = run(tmp_path, "spectrum", "--q", "15", "--d", "4", "--all-t")
         assert code == 0 and len(records(text)) == 15
-        assert sorted(builds) == [(15, 3, 8), (15, 4, 15)]
+        assert sorted(calls) == [(15, 3, 8), (15, 4, 15)]
+        assert real.cache_info().misses == 2
 
     def test_route_tol_is_the_derived_bound(self, tmp_path):
         eps = np.finfo(np.float64).eps

@@ -31,9 +31,10 @@ from zqdist.distset import (
 from zqdist.errors import BudgetError, DomainError, InconsistencyError
 from zqdist.fourier import GridFunction, forward, half_weights, orbit_inverse
 from zqdist.sphere import (
+    _class_count,
+    _class_ids,
     _class_kernel,
-    _frequency_classes,
-    _norms_flat,
+    _norms,
     sphere_counts_all,
     sphere_enumerate,
     sphere_fourier_direct,
@@ -112,6 +113,13 @@ class TestPointSet:
                      [[2**63 + 1, 4], [-(2**63) - 6, 2**64 + 2]], [[True, 4], [3, 2]]):
             want = tuple(sorted({tuple(int(c) % 9 for c in p) for p in rows}))
             assert PointSet(9, 2, rows).points == want, rows
+
+    def test_dimension_is_an_integer(self):
+        # a float d was kept as 2.0, and the pair scan then failed with TypeError
+        with pytest.raises(DomainError, match="dimension"):
+            PointSet(3, 2.0, [[1, 2], [0, 1], [2, 2]])
+        E = PointSet(3, np.int64(2), [[1, 2], [0, 1], [2, 2]])
+        assert type(E.d) is int and list(nu_histogram(E)) == list(nu_pairs(E))
 
     def test_membership_with_unreduced_coordinates(self):
         E = PointSet(5, 2, [(1, 2), (3, 4)])
@@ -500,11 +508,11 @@ class TestHalfSpectrumRoute:
 
 def _whole_grid_tolerance(E, kern):
     """_sweep_tolerance recomputed from the whole grid: |E^|^2 over all of
-    Z_q^d binned by _frequency_classes ids, |S_t| by enumeration, and the
+    Z_q^d binned by the whole-grid _class_ids, |S_t| by enumeration, and the
     k_c roundings of each class sum (_orthant_sizes)."""
     q, d, n = E.q, E.d, E.size
     eps = np.finfo(np.float64).eps
-    ids, classes = _frequency_classes(q, d)
+    ids, classes = _class_ids(q, d, q), _class_count(q)
     sums = np.bincount(ids, weights=np.abs(forward(indicator(E)).values) ** 2,
                        minlength=classes)
     rho = d + 2 + _orthant_sizes(q, d) + classes + 3
@@ -547,7 +555,7 @@ class TestHalfSpectrumTolerances:
         # the orbit-power class sums equal the whole-grid sums up to rounding
         E = sample_random_set(15, 4, 2000, seed=6)
         orbit = distset._class_power(distset._orbit_power(E, 10**7), 15, 4)
-        ids, _ = _frequency_classes(15, 4)
+        ids = _class_ids(15, 4, 15)
         whole = np.bincount(ids, weights=np.abs(forward(indicator(E)).values) ** 2)
         assert np.abs(orbit - whole).max() <= 1e-12 * whole.sum()
 
@@ -559,8 +567,8 @@ FOLD_CASES = {d: [q for q in range(3, 317, 2) if q ** max(d, 2) <= 10**5] for d 
 
 def _class_sums_exactly(E):
     """(orbit power of |forward(1_E)|^2 on the orthant, its class sums over
-    all of Z_q^d, summed exactly by fsum after binning by _frequency_classes
-    ids).
+    all of Z_q^d, summed exactly by fsum after binning by the whole-grid
+    _class_ids).
 
     The full grid takes every orbit member's value from the orbit's orthant
     point s, so the orbit power w(s) |E^(s)|^2 multiplies by a power of 2,
@@ -571,7 +579,7 @@ def _class_sums_exactly(E):
     fold = np.minimum(np.arange(q), q - np.arange(q))  # m -> the orthant point of its orbit
     full = full[np.ix_(*[fold] * d)]
     orbit = full[(slice(0, h),) * d] * functools.reduce(np.multiply.outer, [half_weights(q)] * d)
-    ids, classes = _frequency_classes(q, d)
+    ids, classes = _class_ids(q, d, q), _class_count(q)
     order = np.argsort(ids, kind="stable")
     bounds = np.cumsum(np.bincount(ids, minlength=classes))[:-1]
     exact = np.array([math.fsum(part) for part in np.split(full.reshape(-1)[order], bounds)])
@@ -580,9 +588,9 @@ def _class_sums_exactly(E):
 
 def _orthant_sizes(q, d):
     """k_c, the number of points of the orthant [0, q // 2]^d in each class
-    slot, read off the whole-grid _frequency_classes ids: the class sum adds
+    slot, read off the whole-grid _class_ids: the class sum adds
     k_c terms one after another, so it rounds at most k_c times."""
-    ids, classes = _frequency_classes(q, d)
+    ids, classes = _class_ids(q, d, q), _class_count(q)
     orthant = ids.reshape((q,) * d)[(slice(0, q // 2 + 1),) * d]
     return np.bincount(orthant.reshape(-1), minlength=classes)
 
@@ -608,14 +616,19 @@ class TestClassFold:
         assert np.array_equal(orbit, before)
 
     def test_sweep_builds_no_grid_table(self, monkeypatch):
-        # neither the q^d norm table nor the q^d class-id grid, cold caches
-        # included; nor does the autocorrelation of nu_histogram, for even q
-        # and for odd q with d <= 3
-        def forbidden(*args):
-            raise AssertionError("the sweep built a q^d table")
+        # neither the q^d norm table nor the q^d class table (h = q), cold
+        # caches included; nor does the autocorrelation of nu_histogram, for
+        # even q and for odd q with d <= 3
+        for name in ("_norms", "_class_ids"):
+            real = getattr(sphere, name)
 
-        monkeypatch.setattr(sphere, "_norms_flat", forbidden)
-        monkeypatch.setattr(sphere, "_frequency_classes", forbidden)
+            def no_grid(q, d, h, _real=real):
+                assert h < q, f"the sweep built the Z_{q}^{d} table"
+                return _real(q, d, h)
+
+            for mod in (sphere, distset):
+                monkeypatch.setattr(mod, name, no_grid, raising=False)
+            real.cache_clear()
         sphere._build_class_kernel.cache_clear()
         sphere._sphere_count_rows.cache_clear()
         E = sample_random_set(15, 4, 1000, seed=4)
@@ -768,9 +781,9 @@ class TestSweepRouting:
 
 
 def _peak_mib(fn, *args, **kwargs):
-    # count the norm tables (whole grid and orthant) and the class kernels too
-    for cache in (_norms_flat, sphere._orthant_norms, sphere._orthant_ids,
-                  sphere._build_class_kernel):
+    # count the square, norm and class tables (whole grid and orthant) and the
+    # class kernels too
+    for cache in (sphere._squares, _norms, _class_ids, sphere._build_class_kernel):
         cache.cache_clear()
     tracemalloc.start()
     try:
@@ -1133,6 +1146,26 @@ class TestConstructions:
             with pytest.raises(DomainError):
                 construct_zero_distance_lattice(bad, 2, 3)
 
+    def test_non_integral_arguments_refused(self):
+        for call in (lambda: construct_even_weight(2.5), lambda: construct_even_weight("3"),
+                     lambda: construct_zero_distance_lattice(3.0, 2, 3),
+                     lambda: construct_zero_distance_lattice(3, 2.0, 3),
+                     lambda: construct_zero_distance_lattice(3, 2, 3.0)):
+            with pytest.raises(DomainError):
+                call()
+        E = construct_zero_distance_lattice(np.int64(3), np.int64(2), np.int64(3))
+        assert E == construct_zero_distance_lattice(3, 2, 3)
+        assert construct_even_weight(np.int64(3)) == construct_even_weight(3)
+
+    @pytest.mark.parametrize("build,args", [
+        (construct_even_weight, (33,)),  # 2^32 points
+        (construct_even_weight, (64,)),  # 2^63 points, past a shift of int64
+        (construct_zero_distance_lattice, (3, 40, 3)),  # 3^60 points from 26 GiB of coordinates
+    ])
+    def test_oversized_sets_refused_before_any_array(self, build, args, refused_before_allocating):
+        with refused_before_allocating(BudgetError):
+            build(*args)
+
 
 class TestSampling:
     def test_deterministic(self):
@@ -1158,6 +1191,13 @@ class TestSampling:
             sample_random_set(3, 2, 0, seed=0)
         with pytest.raises(DomainError):
             sample_random_set(3, 2, 10, seed=0)
+
+    def test_non_integral_arguments_refused(self):
+        for args in ((3, 2.0, 3, 1), (3, 0, 1, 1), (3, 2, 3.0, 1), (3, 2, 3, 1.0)):
+            with pytest.raises(DomainError):
+                sample_random_set(*args)
+        E = sample_random_set(3, np.int64(2), np.int64(3), np.int64(1))
+        assert E == sample_random_set(3, 2, 3, 1)
 
     def test_exact_beyond_int64(self):
         # 2^63 < 3^40 < 2^64: flat indices past int64 keep their exact digits

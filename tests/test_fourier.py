@@ -45,10 +45,17 @@ class TestChi:
         assert character_table(7)[0] == 1
         assert abs(character_table(9)[3] - cmath.exp(2j * cmath.pi / 3)) < 1e-12
 
-    @pytest.mark.parametrize("q", [0, -3, 2.5])
+    @pytest.mark.parametrize("q", [0, -3, 2.5, 9.0, "x", None])
     def test_no_modulus_refused(self, q):
-        # q = 0 would give an empty table
+        # q = 0 would give an empty table; the check precedes the cache's own
+        # size comparison, which a string would fail with TypeError
         with pytest.raises(DomainError):
+            character_table(q)
+
+    @pytest.mark.parametrize("q", [fourier.DEFAULT_GRID_BUDGET + 1, 10**9, 10**20])
+    def test_oversized_table_refused(self, q, refused_before_allocating):
+        # 10^9 roots would take 16 GB, and numpy cannot size 10^20 of them
+        with refused_before_allocating(BudgetError):
             character_table(q)
 
     def test_character_property(self):

@@ -13,8 +13,9 @@ from zqdist.arith import as_modulus
 from zqdist.errors import BudgetError, DomainError, InconsistencyError
 from zqdist.fourier import forward
 from zqdist.sphere import (
+    _class_count,
+    _class_ids,
     _class_kernel,
-    _frequency_classes,
     decay_report,
     sphere_count_formula,
     sphere_counts_all,
@@ -110,7 +111,7 @@ class TestPartition:
     def test_counts_bin_in_bounded_blocks(self, q, d):
         # np.bincount casts its input to intp: one call on the whole norm table
         # would make an 8-byte copy of it, 80 MB for the two-byte Z_3162^2
-        norms = sphere._norms_flat(q, d)
+        norms = sphere._norms(q, d, q)
         sphere._counts_cached.cache_clear()
         tracemalloc.start()
         try:
@@ -275,7 +276,7 @@ class TestFourierFormula:
         eps = np.finfo(np.float64).eps
         for q, d in FORMULA_CASES:
             kern = _class_kernel(as_modulus(q), d, "formula")
-            ids, slots = _frequency_classes(q, d)
+            ids, slots = _class_ids(q, d, q), _class_count(q)
             if d == 1:  # the non-squares mod q leave classes empty, with zero rows
                 empty = np.bincount(ids, minlength=slots) == 0
                 assert empty.any()
@@ -405,7 +406,7 @@ class TestClassKernel:
         # the oracle: every full direct spectrum, binned by class
         eps = np.finfo(np.float64).eps
         kernels = {route: _class_kernel(as_modulus(q), d, route) for route in ("direct", "formula")}
-        ids, slots = _frequency_classes(q, d)  # the reference class of every frequency
+        ids, slots = _class_ids(q, d, q), _class_count(q)  # the reference class of every frequency
         sizes = np.bincount(ids, minlength=slots)
         for kn in kernels.values():
             assert kn.values.shape == kn.error.shape == (slots, q)
@@ -438,7 +439,7 @@ class TestClassKernel:
         # the reference: the first member in flat order of every class of the
         # whole grid, by np.minimum.at over all q^d frequencies; the kernels
         # from the padded Z_q^min(d, 3) members must match it bit for bit
-        ids, slots = _frequency_classes(q, d)
+        ids, slots = _class_ids(q, d, q), _class_count(q)
         first = np.full(slots, q**d)
         np.minimum.at(first, ids, np.arange(q**d))
         present = np.flatnonzero(np.bincount(ids, minlength=slots))
@@ -461,7 +462,7 @@ class TestClassKernel:
         for q in range(3, 1000, 2):
             if q ** max(d, 2) > 10**6:
                 break
-            ids, _ = _frequency_classes(q, d)
+            ids = _class_ids(q, d, q)
             present, first = np.unique(ids, return_index=True)
             reps, reps_present = sphere._class_representatives(q, d)
             assert np.array_equal(reps_present, present), (q, d)
@@ -587,7 +588,7 @@ class TestNarrowTables:
     ])
     def test_norms_at_the_width_edges(self, q, d, dtype):
         squares = np.arange(q, dtype=np.int64) ** 2 % q
-        norms = sphere._norms_flat(q, d)
+        norms = sphere._norms(q, d, q)
         assert norms.dtype == dtype
         assert np.array_equal(norms, _form_flat_int64(q, [squares] * d))
         # every residue on the first two axes, so sums reach 2 q - 2
@@ -604,7 +605,7 @@ class TestNarrowTables:
         gc.collect()
         tracemalloc.start()
         try:
-            norms = sphere._norms_flat(q, d)
+            norms = sphere._norms(q, d, q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -619,10 +620,10 @@ class TestNarrowTables:
     def test_large_norm_tables_are_not_kept(self):
         # 45^4 > 2^16 points: the norm table is shared while held, and neither
         # it nor the counts keep it once released; 9^5 points are kept
-        assert sphere._norms_flat(9, 5) is sphere._norms_flat(9, 5)
-        held = sphere._norms_flat(45, 4)
+        assert sphere._norms(9, 5, 9) is sphere._norms(9, 5, 9)
+        held = sphere._norms(45, 4, 45)
         counts = sphere_counts_all(45, 4)
-        assert sphere._norms_flat(45, 4) is held
+        assert sphere._norms(45, 4, 45) is held
         gone = weakref.ref(held)
         del held
         gc.collect()
@@ -632,7 +633,7 @@ class TestNarrowTables:
     def test_indicator_is_built_once(self):
         # the boolean comparison goes straight to GridFunction's complex copy
         q, d = 45, 3
-        norms = sphere._norms_flat(q, d)
+        norms = sphere._norms(q, d, q)
         spec = sphere_spec(q, d, 1)
         tracemalloc.start()
         try:
@@ -644,8 +645,8 @@ class TestNarrowTables:
         assert np.array_equal(ind.values, (norms == 1).astype(complex))
 
     def test_one_byte_a_point(self):
-        assert sphere._norms_flat(27, 4).nbytes == 27**4
-        ids, slots = _frequency_classes(45, 4)
+        assert sphere._norms(27, 4, 27).nbytes == 27**4
+        ids, slots = _class_ids(45, 4, 45), _class_count(45)
         assert slots == 78 and ids.nbytes == 45**4
 
     @pytest.mark.parametrize("q,d,dtype", [
@@ -656,16 +657,38 @@ class TestNarrowTables:
         (45045, 1, np.int64),  # sigma = 104832 past two bytes
     ])
     def test_class_ids_width(self, q, d, dtype):
-        norms = sphere._norms_flat(q, d)
-        ids = sphere._class_ids(q, d, norms, q)
+        norms = sphere._norms(q, d, q)
+        ids = sphere._class_ids(q, d, q)
         assert ids.dtype == dtype
         assert int(ids.max()) < sigma(q)
         assert np.array_equal(ids, _class_ids_int64(q, d, norms))
         # the orthant table is the whole grid's on [0, q // 2]^d
-        orthant = sphere._orthant_ids(q, d)
+        orthant = sphere._class_ids(q, d, q // 2 + 1)
         assert orthant.dtype == dtype
         on_orthant = ids.reshape((q,) * d)[(slice(0, q // 2 + 1),) * d]
         assert np.array_equal(orthant, on_orthant.reshape(-1))
+
+    def test_orthant_tables_are_the_grid_tables_on_the_orthant(self):
+        # one builder for both boxes: the orthant's norm table is the whole
+        # grid's on [0, q // 2]^d for every q <= 64, odd and even, and every d
+        # with q^d <= 10^5, and so is the class table for odd q
+        for q in range(2, 65):
+            h = q // 2 + 1
+            builders = (sphere._norms, sphere._class_ids) if q % 2 else (sphere._norms,)
+            for d in itertools.takewhile(lambda d: q**d <= 10**5, itertools.count(1)):
+                for build in builders:
+                    grid = build(q, d, q).reshape((q,) * d)
+                    orthant = build(q, d, h)
+                    assert orthant.dtype == grid.dtype and not orthant.flags.writeable
+                    on_orthant = grid[(slice(0, h),) * d].reshape(-1)
+                    assert np.array_equal(orthant, on_orthant), (build.__name__, q, d)
+
+    @pytest.mark.parametrize("q", [1, 2, 9, 45, 3001, 65537])
+    def test_one_square_table(self, q):
+        # x^2 mod q in int64, read-only: the norm tables take their axes from it
+        squares = sphere._squares(q)
+        assert squares.dtype == np.int64 and not squares.flags.writeable
+        assert np.array_equal(squares, np.arange(q, dtype=np.int64) ** 2 % q)
 
 
 class TestGaussTable:
