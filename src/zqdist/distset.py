@@ -105,7 +105,7 @@ class PointSet:
 
     A set never builds or keeps a q^d indicator: its transform reads the
     sorted flat_indices (_orbit_power), binning them row by row when there
-    are at most q^(d-1), else scattering them into a buffer of the passes.
+    are at most q^(d-1), else scattering them into the transform's grid.
     A transform of the set keeps, read-only, its class power P_c
     (_power_by_class, odd q), the sigma(q) floats of the sweep, and the
     autocorrelation's transform its q pair counts (_nu_autocorrelation): a
@@ -295,8 +295,8 @@ def _orbit_power(E: PointSet, max_grid: int) -> np.ndarray:
     [0, q // 2]^d (fourier.orbit_power, held to max_grid), from the one
     transform of E, read off the flat indices E keeps with no q^d
     indicator: up to q^(d-1) points are binned row by row, more are
-    scattered into a pass buffer, and the passes hold two q^d buffers either
-    way.  Classes and spheres are closed under m_i -> -m_i, so every nu(t)
+    scattered into the transform's one q^d grid, and the passes work in that
+    grid either way.  Classes and spheres are closed under m_i -> -m_i, so every nu(t)
     route reads |E^|^2 through O."""
     _check_transform_budget(E, max_grid)
     return orbit_power(E.flat_indices(), E.q, E.d, max_grid)
@@ -325,7 +325,10 @@ def _forward_charge(E: PointSet) -> float:
 
     Each length-q pass is charged _pass_charge, (q + 11) eps of the absolute
     sum of its terms: its q roundings take q eps/2 and the table roots 11 eps,
-    which leaves q eps/2 to spare.  The passes are not scaled, and the basis
+    which leaves q eps/2 to spare.  That holds for every schedule of
+    fourier._passes: the leading axes in place a column chunk at a time, the
+    trailing ones block by block, each output one length-q dot product and
+    each copy exact.  The passes are not scaled, and the basis
     rows have |cos|, |sin| <= 1, so the absolute sums stay |E| through the
     d passes.  The 2^k errors of the coefficients on one orbit are at most
     that in Euclidean norm too: per pass (cos, sin) has norm 1, so
@@ -686,17 +689,28 @@ def certificate_check(
     return rows
 
 
+# The coordinates a constructor or the sampler builds, |E| d int64 entries,
+# are held to this many (2 GiB), checked before any array: every subset of a
+# grid within DEFAULT_GRID_BUDGET fits, all of Z_2^23 (1.9 * 10^8) the largest.
+_COORD_BUDGET = 1 << 28
+
+
+def _check_coord_budget(size: int, d: int, what: str) -> None:
+    if size * d > _COORD_BUDGET:
+        raise BudgetError(f"{what} has {size} points in dimension {d}: {size * d} coordinates, "
+                          f"past the budget {_COORD_BUDGET}")
+
+
 def construct_even_weight(d: int) -> PointSet:
     """All vectors of Z_2^d with an even number of nonzero coordinates.
 
-    |E| = 2^{d-1} and every pairwise distance is 0 in Z_2.  As for
-    sample_random_set, 2^32 points or more (d > 32) raise BudgetError.
+    |E| = 2^{d-1} and every pairwise distance is 0 in Z_2.  Past
+    _COORD_BUDGET coordinates (d > 24) it raises BudgetError.
     """
     d = as_int(d, "the dimension")
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    if d > 32:
-        raise BudgetError(f"the even-weight set of Z_2^{d} has 2^{d - 1} points, past 2^32 - 1")
+    _check_coord_budget(1 << (d - 1), d, f"the even-weight set of Z_2^{d}")
     # the first d - 1 coordinates are free; the last one makes the weight even
     free = (np.arange(1 << (d - 1))[:, None] >> np.arange(d - 2, -1, -1)) & 1
     return PointSet(2, d, np.column_stack([free, free.sum(axis=1) % 2]))
@@ -716,15 +730,14 @@ def _lattice_shape(p: int, ell: int, d: int) -> tuple[int, int]:
 
 
 def construct_zero_distance_lattice(p: int, ell: int, d: int) -> PointSet:
-    """E = (p^ceil(ell/2) Z_{p^ell})^d, of size p^{floor(ell/2) d}, which
-    must stay below 2^32 (BudgetError), as for sample_random_set.
+    """E = (p^ceil(ell/2) Z_{p^ell})^d, of size p^{floor(ell/2) d}, whose
+    coordinates must fit _COORD_BUDGET (BudgetError), as for sample_random_set.
 
     Coordinate differences are multiples of p^ceil(ell/2), so every distance
     is divisible by p^{2 ceil(ell/2)} and hence 0 in Z_{p^ell}.
     """
     q, size = _lattice_shape(p, ell, d)
-    if size >= 1 << 32:
-        raise BudgetError(f"the lattice has {size} points, past 2^32 - 1")
+    _check_coord_budget(size, d, "the lattice")
     p, ell, d = int(p), int(ell), int(d)  # integers, checked: numpy ones as Python ints
     coords = np.arange(0, q, p ** ((ell + 1) // 2))
     # row i holds the base-k digits of i, k = len(coords), for any d
@@ -829,7 +842,8 @@ def sample_random_set(q: "int | Modulus", d: int, size: int, seed: int) -> Point
 
     Bit-for-bit reproducible from the seed: a splitmix64 stream drives a
     partial Fisher-Yates selection over flat indices, so q^d may not exceed
-    2^64, and size must stay below 2^32.  The swaps are resolved together,
+    2^64, size must stay below 2^32 and size d within _COORD_BUDGET, both
+    BudgetError.  The swaps are resolved together,
     not one at a time: two unstable sorts and O(log size) pointer-jumping
     passes (_fisher_yates_select).  The picked flat indices are sorted, so
     their base-q digits are the rows of the PointSet already in its order.
@@ -846,7 +860,8 @@ def sample_random_set(q: "int | Modulus", d: int, size: int, seed: int) -> Point
     if n > 1 << 64:
         raise DomainError(f"|Z_{m.q}^{d}| = {n} exceeds the 2^64 flat indices of the sampler")
     if size >= 1 << 32:
-        raise DomainError(f"sample size {size} reaches the sampler's limit of 2^32 points")
+        raise BudgetError(f"sample size {size} reaches the sampler's limit of 2^32 points")
+    _check_coord_budget(size, d, "the sample")
     flat = np.sort(_fisher_yates_select(_fisher_yates_draws(seed, n, size)))
     # q^d <= 2^64: the flat indices fit uint64, and their quotients by q fit int64
     digits = np.empty((size, d), dtype=np.int64)

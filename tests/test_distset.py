@@ -1161,6 +1161,10 @@ class TestConstructions:
         (construct_even_weight, (33,)),  # 2^32 points
         (construct_even_weight, (64,)),  # 2^63 points, past a shift of int64
         (construct_zero_distance_lattice, (3, 40, 3)),  # 3^60 points from 26 GiB of coordinates
+        # below 2^32 points, past _COORD_BUDGET coordinates
+        (construct_even_weight, (32,)),  # 2^31 x 32 coordinates, 512 GiB
+        (construct_zero_distance_lattice, (3, 41, 1)),  # 3^20 points, 26 GiB
+        (sample_random_set, (3, 40, 2**32 - 1, 1)),  # 1.7 * 10^11 coordinates
     ])
     def test_oversized_sets_refused_before_any_array(self, build, args, refused_before_allocating):
         with refused_before_allocating(BudgetError):
@@ -1254,12 +1258,14 @@ class TestSampling:
         assert got.tobytes() == _stable_sort_sample(q, d, size, seed).tobytes()
 
     def test_size_of_2_32_refused_before_drawing(self, monkeypatch):
-        # the (run, step) keys of _fisher_yates_select hold a step in 32 bits
+        # the (run, step) keys of _fisher_yates_select hold a step in 32 bits;
+        # the coordinate budget is raised so that only that limit applies
         def forbidden(*args):
             raise AssertionError("the sampler drew before checking the size")
 
         monkeypatch.setattr(distset, "_fisher_yates_draws", forbidden)
-        with pytest.raises(DomainError):
+        monkeypatch.setattr(distset, "_COORD_BUDGET", 2**40)
+        with pytest.raises(BudgetError):
             sample_random_set(2, 64, 2**32, seed=1)
         with pytest.raises(AssertionError):  # one point less reaches the draws
             sample_random_set(2, 64, 2**32 - 1, seed=1)

@@ -291,12 +291,11 @@ class TestHalfTransforms:
         with pytest.raises(DomainError):
             orbit_power(np.array([0.0, 1.0]), 3, 2)
 
-    def test_peak_is_two_grids(self):
-        # Z_3^12: twelve real passes ping-pong between two q^d float64
-        # buffers, the set's ones scattered into the second before the first
-        # pass, and the square and the axis folds stay in the buffer of the
-        # last pass; 64 KiB is left for the (q//2 + 1)^d result and the
-        # interpreter's own allocations
+    def test_peak_is_one_grid_and_the_scratch(self):
+        # Z_3^12: the set's ones scattered into the one q^d float64 grid,
+        # twelve real passes in it and the scratch of at most _BLOCK entries,
+        # and the square and the axis folds in the same grid; 64 KiB is left
+        # for the (q//2 + 1)^d result and the interpreter's own allocations
         q, d = 3, 12
         support = np.flatnonzero(np.random.Generator(np.random.PCG64(7)).random(q**d) < 0.5)
         tracemalloc.start()
@@ -305,19 +304,19 @@ class TestHalfTransforms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 8 * q**d + 2**16, peak
+        assert peak <= 8 * q**d + 8 * fourier._BLOCK + 2**16, peak
 
     @pytest.mark.parametrize("q", [2, 3, 4, 6, 9, 15, 45])
     def test_every_pass_is_a_basis_pass(self, monkeypatch, q):
-        # both first-pass forms: _passes sees only the q x q basis, since the
-        # square and the folds are slice sums in place, and the result is a
-        # fresh C-contiguous (q//2 + 1)^d array
+        # both first-pass forms: the pass engine sees only the q x q basis,
+        # since the square and the folds are slice sums in place, and the
+        # result is a fresh C-contiguous (q//2 + 1)^d array
         seen = []
         passes = fourier._passes
 
-        def spy(arr, kernel, count, buffers):
-            seen.append((kernel, count))
-            return passes(arr, kernel, count, buffers)
+        def spy(src, grid, kernel, d, first=0):
+            seen.append((kernel, d - first))
+            return passes(src, grid, kernel, d, first)
 
         monkeypatch.setattr(fourier, "_passes", spy)
         for d in (1, 2, 3, 4):
@@ -368,6 +367,114 @@ class TestHalfTransforms:
             info = table.cache_info()
             assert (info.currsize, info.maxsize) == (1, 16)
             assert info.maxsize * fourier._CACHED_TABLE_ENTRIES <= 2**20
+
+
+def schedule(n, d, block, first=0):
+    """(j, k, groups) of fourier._passes on Z_n^d with _BLOCK = block: j
+    leading axes in place, k trailing axes block by block, and the number of
+    whole blocks in each group, the last one possibly fewer."""
+    j = first
+    while n ** (d - j) > block:
+        j += 1
+    per, count = block // n ** (d - j), n**j
+    return j, d - j, [min(per, count - lo) for lo in range(0, count, per)]
+
+
+# (q, d, _BLOCK) for the pass engine, odd and even q; the comments give the
+# schedule of a pass engine that starts at the first axis
+ENGINE_CASES = [
+    (3, 5, 243),   # one block, j = 0
+    (4, 4, 64),    # j = 1, k = 3, groups of one block
+    (10, 3, 250),  # j = 1, k = 2, groups of two blocks
+    (5, 4, 25),    # j = 2, k = 2
+    (3, 6, 54),    # j = 3, k = 3, 27 blocks in groups of two, the last ragged
+    (2, 9, 8),     # j = 6, k = 3
+    (5, 2, 10),    # j = 1, k = 1: 5 lines in groups of two, the last ragged
+    (6, 3, 30),    # j = 2, k = 1: 36 lines in groups of five, the last ragged
+    (7, 3, 7),     # j = 2, k = 1: one line a group
+]
+
+
+class TestPassEngine:
+    # Every schedule of fourier._passes, forced by a small _BLOCK: in-place
+    # leading passes, trailing blocks in groups, k = 1 lines, ragged groups,
+    # complex kernels (forward, inverse) and real ones (orbit_power's basis,
+    # orbit_inverse's cosines), each against a route that does not share it.
+
+    def test_cases_cover_every_schedule(self):
+        plans = [schedule(q, d, block) for q, d, block in ENGINE_CASES]
+        assert {min(j, 2) for j, _, _ in plans} == {0, 1, 2}
+        assert any(k == 1 and groups[-1] < groups[0] for _, k, groups in plans)
+        assert any(k > 1 and groups[-1] < groups[0] for _, k, groups in plans)
+        assert {q % 2 for q, _, _ in ENGINE_CASES} == {0, 1}
+
+    @pytest.mark.parametrize("q,d,block", ENGINE_CASES)
+    def test_forward_and_inverse_match_the_reference(self, monkeypatch, q, d, block):
+        monkeypatch.setattr(fourier, "_BLOCK", block)
+        f = random_grid(q, d, seed=7 * q + d)
+        ref = dft_reference(f).values
+        assert np.abs(forward(f).values - ref).max() < 1e-10
+        back = inverse(Spectrum(q, d, ref)).values
+        want = q**d * np.conj(dft_reference(GridFunction(q, d, np.conj(ref))).values)
+        assert np.abs(back - want).max() < 1e-10
+
+    @pytest.mark.parametrize("q,d,block", ENGINE_CASES)
+    def test_orbit_power_binned_and_scattered(self, monkeypatch, q, d, block):
+        # a singleton and q^(d-1) points bin the first pass (j >= 1), 30% of
+        # the grid scatters it; against the orbit sums of |forward|^2 taken
+        # at the default _BLOCK, within the bound of test_orbit_power_of_indicators
+        eps = np.finfo(np.float64).eps
+        rng = np.random.Generator(np.random.PCG64(q * 31 + d))
+        w = orbit_sizes(q, d)
+        for support in (np.array([q**d // 3]), np.sort(rng.choice(q**d, q ** (d - 1), replace=False)),
+                        np.flatnonzero(rng.random(q**d) < 0.3)):
+            f = np.zeros(q**d)
+            f[support] = 1.0
+            want = orbit_sums(np.abs(forward(GridFunction(q, d, f)).values) ** 2, q, d)
+            with monkeypatch.context() as patch:
+                patch.setattr(fourier, "_BLOCK", block)
+                got = orbit_power(support, q, d)
+            D = d * (q + 11) * eps * support.size / q**d
+            bound = 2 * (2 * np.sqrt(w * want) * D + w * D**2 + (2 * d + 2) * eps * want)
+            assert (np.abs(got - want) <= bound).all(), (q, d, support.size)
+
+    @pytest.mark.parametrize("q,d,block", [(9, 4, 25), (6, 5, 16), (5, 4, 9), (10, 3, 6)])
+    def test_orbit_inverse_on_forced_schedules(self, monkeypatch, q, d, block):
+        # the (q//2 + 1)^d grid of the cosine passes: j = 2, 3, 2, 2; the
+        # reference inverse runs at the default _BLOCK
+        assert schedule(q // 2 + 1, d, block)[0] >= 2
+        eps = np.finfo(np.float64).eps
+        power = np.abs(random_grid(q, d, seed=q + d).values) ** 2
+        want = orbit_sums(inverse(Spectrum(q, d, power)).values.real, q, d)
+        monkeypatch.setattr(fourier, "_BLOCK", block)
+        got = orbit_inverse(orbit_sums(power, q, d), q, d)
+        bound = orbit_sizes(q, d) * 2 * d * (q + 11) * eps * power.sum()
+        assert (np.abs(got - want) <= bound).all()
+
+    def test_read_only_source_is_left_alone(self):
+        # forward reads f's read-only values in place and writes one fresh grid
+        f = random_grid(9, 6, seed=3)
+        before = f.values.copy()
+        F = forward(f)
+        assert np.array_equal(f.values, before)
+        assert not F.values.flags.writeable and F.values.flags.c_contiguous
+
+    def test_each_transform_holds_one_grid_and_the_scratch(self):
+        # Z_9^6 complex (forward, inverse) and Z_5^8 real (orbit_inverse):
+        # the result grid, the scratch, and 64 KiB for the interpreter
+        f = random_grid(9, 6, seed=5)
+        F = Spectrum(9, 6, f.values)
+        orbit = np.random.Generator(np.random.PCG64(2)).random((3,) * 8)
+        cases = ((forward, f, 16), (inverse, F, 16), (lambda o: orbit_inverse(o, 5, 8), orbit, 8))
+        for transform, arg, itemsize in cases:
+            tracemalloc.start()
+            try:
+                transform(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            size = np.size(arg.values if hasattr(arg, "values") else arg)
+            assert peak <= itemsize * (size + min(size, fourier._BLOCK)) + 2**16, peak
 
 
 class TestPlancherel:
