@@ -104,8 +104,9 @@ class PointSet:
     read-only and reordered with the rows, as its flat_indices.
 
     A set never builds or keeps a q^d indicator: its transform reads the
-    sorted flat_indices (_orbit_power), binning them row by row when there
-    are at most q^(d-1), else scattering them into the transform's grid.
+    sorted flat_indices (_orbit_power).  With at most q^(d-1) of them it
+    builds no q^d grid either: it bins them row by row into slabs of
+    first-axis rows; with more it scatters them into the transform's grid.
     A transform of the set keeps, read-only, its class power P_c
     (_power_by_class, odd q), the sigma(q) floats of the sweep, and the
     autocorrelation's transform its q pair counts (_nu_autocorrelation): a
@@ -294,10 +295,11 @@ def _orbit_power(E: PointSet, max_grid: int) -> np.ndarray:
     """The orbit power O(s) = sum_{m in orbit(s)} |E^(m)|^2 on the orthant
     [0, q // 2]^d (fourier.orbit_power, held to max_grid), from the one
     transform of E, read off the flat indices E keeps with no q^d
-    indicator: up to q^(d-1) points are binned row by row, more are
-    scattered into the transform's one q^d grid, and the passes work in that
-    grid either way.  Classes and spheres are closed under m_i -> -m_i, so every nu(t)
-    route reads |E^|^2 through O."""
+    indicator: up to q^(d-1) points are binned row by row into slabs of
+    first-axis rows, each transformed, squared and folded in turn with no
+    q^d grid; more are scattered into the transform's one q^d grid.
+    Classes and spheres are closed under m_i -> -m_i, so every nu(t) route
+    reads |E^|^2 through O."""
     _check_transform_budget(E, max_grid)
     return orbit_power(E.flat_indices(), E.q, E.d, max_grid)
 
@@ -326,9 +328,11 @@ def _forward_charge(E: PointSet) -> float:
     Each length-q pass is charged _pass_charge, (q + 11) eps of the absolute
     sum of its terms: its q roundings take q eps/2 and the table roots 11 eps,
     which leaves q eps/2 to spare.  That holds for every schedule of
-    fourier._passes: the leading axes in place a column chunk at a time, the
-    trailing ones block by block, each output one length-q dot product and
-    each copy exact.  The passes are not scaled, and the basis
+    fourier._passes and for every slab of orbit_power, so the charge is the
+    same with or without a q^d grid: the leading axes in place a column
+    chunk at a time, the trailing ones block by block, a slab's first pass
+    by bincounts, each output the same length-q dot product and each copy
+    exact.  The passes are not scaled, and the basis
     rows have |cos|, |sin| <= 1, so the absolute sums stay |E| through the
     d passes.  The 2^k errors of the coefficients on one orbit are at most
     that in Euclidean norm too: per pass (cos, sin) has norm 1, so
@@ -355,7 +359,9 @@ def _autocorrelation_tolerance(E: PointSet) -> float:
       Cauchy-Schwarz: w(r) a (2 |E|^{1/2} + a).
     * orbit_power rounds each nonnegative O(s) d + 2 times: the square, one
       slice sum per axis fold and the division by q^{2d} (its weights are
-      exact powers of two): (d + 2) eps of q^d sum_s O(s) = |E|.
+      exact powers of two): (d + 2) eps of q^d sum_s O(s) = |E|.  Each
+      output adds its sine term once per axis in slabs or in the grid, the
+      first axis folded last or first, so the count holds for both forms.
     * orbit_inverse is d passes of h = q//2 + 1 terms with |w cos| <= w,
       charged _pass_charge(h) of absolute sums that stay w(r) |E|, the
       leftover h eps/2 covering the scaling by q^d: d (h + 11) eps w(r) |E|.
@@ -436,7 +442,7 @@ def nu_histogram(
             f"the histogram of Z_{q} has {q} entries, exceeding the budget {max_grid}"
         )
     if q == 2:
-        odd = int((E.array().sum(axis=1) % 2).sum())
+        odd = int(np.count_nonzero(np.einsum("ij->i", E.array()) & 1))
         even = n - odd
         return np.array([even * even + odd * odd, 2 * even * odd], dtype=np.int64)
     if q ** (E.d + 1) <= n * n or n * n > max_pairs:

@@ -10,23 +10,26 @@ restriction on q.  The q x q pass kernel costs 16 q^2 bytes whatever d is,
 so transforms raise BudgetError once q^2 exceeds DEFAULT_GRID_BUDGET; tables
 of at most 2^16 entries are kept, larger ones shared only while held (_table).
 Phases are reduced mod q before exponentiation.  One pass engine (_passes)
-serves every transform in one q^d grid and a scratch of at most
-_BLOCK = 2^16 entries: the leading axes, while the rest of the grid past
-them exceeds _BLOCK, are transformed in place a column chunk at a time
-through the scratch; then each block of the trailing axes, at most _BLOCK
-entries, gets all its passes while it stays in L2, alternating with the
-scratch, and comes out in natural order.
+serves every transform in one grid and a scratch of at most _BLOCK = 2^16
+entries: the leading axes, while the rest of the grid past them exceeds
+_BLOCK, are transformed in place a column chunk at a time through the
+scratch; then each block of the trailing axes, at most _BLOCK entries, gets
+all its passes while it stays in L2, alternating with the scratch, and
+comes out in natural order.  The grid is all of Z_q^d, or a slab of rows of
+its first axis whose first pass is already done.
 
 Sums over Z_q^d that are closed under every sign flip m_i -> -m_i need only
 the orbit sums over the orthant [0, q // 2]^d.  `orbit_power` gives the
 orbit sums of |F|^2 for the indicator of a set, read from its sorted flat
 support, from d unscaled real passes with q x q cosine and sine rows.  Their
-output is squared in place and folded one axis at a time by slice sums in
-the same grid, the sine rows added into the cosine rows; the orbit sizes,
-powers of two, and one division by q^{2d} then scale only the
-(q//2 + 1)^d result.  No q^d indicator is built apart from the grid: a set
-of at most q^(d-1) points makes its first pass q weighted bincounts of its
-rows, and a larger one scatters its ones into the grid itself.
+output is squared in place and folded one axis at a time by slice sums, the
+sine rows added into the cosine rows; the orbit sizes, powers of two, and
+one division by q^{2d} then scale only the (q//2 + 1)^d result.  No q^d
+indicator is ever built.  A set of at most q^(d-1) points builds no q^d
+grid either: the transform runs in slabs of first-axis rows, at most
+_BLOCK entries when a row fits, each slab's first pass weighted bincounts
+of the set's rows, and each slab is squared and folded while it sits in L2.
+A larger set scatters its ones into one q^d grid.
 `orbit_inverse` gives the orbit sums of an inverse transform from the orbit
 sums of its spectrum, by d real passes with (q//2 + 1)^2 cosine matrices.
 The complex `forward` and `inverse` serve complex grids and are the oracle
@@ -232,17 +235,28 @@ def inverse(F: Spectrum) -> GridFunction:
 
 
 def half_weights(q: int) -> np.ndarray:
-    """The size of the sign orbit {m, -m} of each m = 0, ..., q // 2 in Z_q.
+    """The size of the sign orbit {m, -m} of each m = 0, ..., q // 2 in Z_q,
+    for an integer q >= 1 (else DomainError).
 
     m = 0 and, for even q, m = q / 2 are their own negatives: w = 1 there
     and 2 elsewhere.  The orbit of s in the orthant [0, q // 2]^d of Z_q^d
     has prod_i w(s_i) members, and the orbits partition Z_q^d.
     """
+    q, _ = _orbit_shape(q, 1)
     w = np.full(q // 2 + 1, 2.0)
     w[0] = 1.0
     if q % 2 == 0:
         w[-1] = 1.0
     return w
+
+
+def _orbit_shape(q, d) -> tuple[int, int]:
+    """(q, d) of an orbit transform on Z_q^d, once both are checked to be
+    integers with q >= 1 and d >= 1."""
+    q, d = as_int(q, "q"), as_int(d, "the dimension")
+    if q < 1 or d < 1:
+        raise DomainError(f"an orbit transform needs q >= 1 and d >= 1, got q = {q}, d = {d}")
+    return q, d
 
 
 @_table(_square)
@@ -251,12 +265,16 @@ def _orbit_basis(q: int) -> np.ndarray:
     cos(2 pi x m / q) for m = 0, ..., q // 2, then sin(2 pi x m / q) for
     m = 1, ..., (q - 1) // 2.  Those are q rows for every q; the sine of
     m = 0 and of m = q / 2 vanishes.  The entries are the parts of the table
-    roots of _kernel."""
+    roots of _kernel, gathered from the real and imaginary parts of
+    character_table by one phase table reduced in place: no complex q x q
+    array is made."""
     h = q // 2 + 1
-    ms = np.concatenate([np.arange(h), np.arange(1, q - h + 1)])
-    roots = character_table(q)[np.outer(ms, np.arange(q)) % q]
-    basis = roots.real.copy()
-    basis[h:] = roots.imag[h:]
+    phases = np.multiply.outer(np.concatenate([np.arange(h), np.arange(1, q - h + 1)]),
+                               np.arange(q))
+    phases %= q
+    tbl, basis = character_table(q), np.empty((q, q))
+    np.take(tbl.real, phases[:h], out=basis[:h], mode="clip")
+    np.take(tbl.imag, phases[h:], out=basis[h:], mode="clip")
     basis.setflags(write=False)
     return basis
 
@@ -274,7 +292,10 @@ def _orbit_cosines(q: int) -> np.ndarray:
 
 def _pass_charge(q: int) -> float:
     """(q + 11) eps, the rounding of one length-q pass relative to the absolute
-    sum of its terms: at most q roundings by eps/2, table roots within 11 eps."""
+    sum of its terms: at most q roundings by eps/2, table roots within 11 eps.
+    Every output of every pass is one length-q dot product, whether the pass
+    runs on the whole grid, on a slab of orbit_power or as its bincounts, so
+    one charge serves them all."""
     return (q + 11) * float(np.finfo(np.float64).eps)
 
 
@@ -285,19 +306,21 @@ _BLOCK = 1 << 16
 
 def _passes(src: np.ndarray, grid: np.ndarray, kernel: np.ndarray, d: int,
             first: int = 0) -> np.ndarray:
-    """Passes first, ..., d - 1 of the n x n `kernel` over Z_n^d, into the
-    flat C-contiguous `grid`, which it returns: pass i replaces axis i by
-    sum_x kernel[m, x] a[..., x, ...].  Pass `first` reads `src` (the grid
+    """Passes first, ..., d - 1 of the n x n `kernel` over axes of extent n,
+    into the flat C-contiguous `grid`, which it returns: pass i replaces
+    axis i by sum_x kernel[m, x] a[..., x, ...].  The grid holds g n^(d-1)
+    entries, g the extent of axis 0: all of Z_n^d, or a slab of g rows of
+    its first axis when first >= 1.  Pass `first` reads `src` (the grid
     itself, or an array of its size that may be read-only), every later one
     the grid, so the grid ends with the transform in natural order.  Past
-    the grid only a scratch of min(n^d, _BLOCK) entries is allocated; n
-    must not exceed _BLOCK, as the kernel budget ensures.
+    the grid only a scratch of min(grid.size, _BLOCK) entries is allocated;
+    n must not exceed _BLOCK, as the kernel budget ensures.
 
     With j = max(first, the least j with n^(d - j) <= _BLOCK):
 
     * axes first, ..., j - 1 are transformed in place, each as
-      kernel @ grid.reshape(n^i, n, -1) in column chunks of at most
-      _BLOCK // n columns, through the scratch and copied back;
+      kernel @ grid.reshape(grid.size // n^(d - i), n, -1) in column chunks
+      of at most _BLOCK // n columns, through the scratch and copied back;
     * the k = d - j trailing axes form contiguous blocks of n^k entries,
       taken in groups of as many whole blocks as fit the scratch.  A group
       gets k products that transform the first axis of each block and move
@@ -311,7 +334,7 @@ def _passes(src: np.ndarray, grid: np.ndarray, kernel: np.ndarray, d: int,
       in-place pass.
 
     Each output is one length-n dot product, so every pass rounds as
-    _pass_charge says, whatever the schedule.
+    _pass_charge says, whatever the schedule and the slab.
     """
     n = kernel.shape[0]
     if first == d:
@@ -323,10 +346,10 @@ def _passes(src: np.ndarray, grid: np.ndarray, kernel: np.ndarray, d: int,
         j += 1
     width = _BLOCK // n
     for i in range(first, j):
-        out = grid.reshape(n**i, n, -1)
+        out = grid.reshape(size // n ** (d - i), n, -1)
         inp = src.reshape(out.shape) if i == first else out
         cols = out.shape[2]
-        for a in range(n**i):
+        for a in range(out.shape[0]):
             for lo in range(0, cols, width):
                 hi = min(lo + width, cols)
                 tmp = scratch[: n * (hi - lo)].reshape(n, hi - lo)
@@ -362,89 +385,129 @@ def _passes(src: np.ndarray, grid: np.ndarray, kernel: np.ndarray, d: int,
 _SLICE_BUFSIZE = 1024
 
 
+def _fold(grid: np.ndarray, q: int, first: int) -> np.ndarray:
+    """Fold the squared coefficients of orbit_power over axes first, ...,
+    in place, and return the narrowed view: on each axis the sine rows
+    h..q-1 (m = 1, ..., q - h) are added into the cosine rows 1..q-h by one
+    slice sum, and the view narrows to the h = q//2 + 1 cosine rows."""
+    h = q // 2 + 1
+    for axis in range(first, grid.ndim):
+        pre = (slice(None),) * axis
+        grid[pre + (slice(1, q - h + 1),)] += grid[pre + (slice(h, q),)]
+        grid = grid[pre + (slice(h),)]
+    return grid
+
+
 def orbit_power(
     support: np.ndarray, q: int, d: int, max_grid: int = DEFAULT_GRID_BUDGET
 ) -> np.ndarray:
     """O(s) = sum_{m in orbit(s)} |F(m)|^2 for the forward transform F of the
     indicator of a set, on the orthant [0, q // 2]^d: an array of shape
-    (q//2 + 1,)^d.  `support` holds the set's flat indices in increasing
-    order (PointSet.flat_indices); q^d must fit max_grid, checked before
-    anything is allocated.
+    (q//2 + 1,)^d.  `support` holds the set's flat indices, strictly
+    increasing within [0, q^d) (PointSet.flat_indices), with q >= 1 and
+    d >= 1 integers; q^d must fit max_grid.  All of this is checked, in one
+    vectorized pass over the support, before anything is allocated, and a
+    bad argument raises DomainError (BudgetError past max_grid).
 
     The orbit of s is {(+-s_1, ..., +-s_d)}.  Write F(m) through the real
     coefficients C_phi(s) = q^{-d} sum_x f(x) prod_i phi_i(x_i), each phi_i
     the cosine or (for s_i != -s_i) the sine of 2 pi x s_i / q: the 2^k
     values of F on an orbit with k axes s_i != -s_i are a Walsh transform
     of the 2^k coefficients C_phi(s), so O(s) = 2^k sum_phi C_phi(s)^2.
-    Hence d real passes with the basis _orbit_basis give every q^d C_phi in
-    q^d entries, unscaled, in one q^d grid.  The first pass, over the first
-    axis, takes one of two forms:
+    Hence d real passes with the basis _orbit_basis give every q^d C_phi,
+    unscaled.  Two forms, by the size of the set:
 
-    * at most q^(d-1) points, no more than the lines of the first axis: row
-      j of the pass is one weighted bincount of the suffixes flat mod
-      q^(d-1), with weights basis[j, flat // q^(d-1)], O(q (|E| + q^(d-1)))
-      work, written in the grid's (m_1, x_2, ..., x_d) layout;
-    * more points: the indicator's ones are scattered into the zeroed grid,
-      and the pass is the first of _passes.
+    * at most q^(d-1) points, no more than the lines of the first axis: no
+      q^d grid is made.  The transform runs in slabs of
+      G = max(1, min(q, _BLOCK // q^(d-1))) first-axis output rows, all in
+      one slab buffer.  Row j of a slab's first pass is one weighted
+      bincount of the suffixes flat mod q^(d-1), with weights
+      basis[j, flat // q^(d-1)], written in the slab's (m_1, x_2, ..., x_d)
+      layout, O(q (|E| + q^(d-1))) work over all slabs.  The slab gets the
+      d - 1 other passes of _passes, and while it sits in L2 it is squared
+      in place and folded (_fold) over axes 2..d; then the fold of axis 1
+      copies cosine row r into row r of the result and adds sine row r into
+      row r - h + 1, whose cosine row came in an earlier or the same slab.
+      A grid of at most _BLOCK entries is one slab of all q rows;
+    * more points: the indicator's ones are scattered into one zeroed q^d
+      grid, which gets all d passes of _passes, is squared in place and is
+      folded (_fold) over all d axes, axis 1 first.
 
-    Timed with the rest of the passes (median of 15, BLAS on one thread,
-    2-core Xeon VM), binning wins below about q^(d-1)/4 on Z_3^12 and
-    Z_9^6, below about q^(d-1)/2 on Z_15^5, and up to q^(d-1) on Z_45^4
-    (at q^(d-1) points: 7.4 against 5.6 ms on Z_3^12, 4.6 against 3.5 ms on
-    Z_9^6, 49.4 against 48.4 ms on Z_45^4).  No rule on |E| alone wins on
-    all four, so the bound stays at q^(d-1).
+    Timed warm with the rest of the transform (median of 15 interleaved
+    calls in one process, BLAS on one thread, 2-core Xeon VM), the slabs win
+    or tie below about q^(d-1)/8 on Z_3^12 and Z_9^6, below about
+    q^(d-1)/2 on Z_15^5, and up to q^(d-1) on Z_45^4 (at q^(d-1) points:
+    8.7 against 7.2 ms on Z_3^12, 6.0 against 4.5 ms on Z_9^6, 8.6 against
+    7.3 ms on Z_15^5, 58.5 against 64.6 ms on Z_45^4).  No rule on |E|
+    alone wins on all four, so the bound stays at q^(d-1); below it the
+    slabs also hold less memory than the q^d grid and fault fewer pages in
+    a cold call.
 
     Each output of either form sums at most q basis entries, the bincount's
     in increasing x_1 since the support is sorted, so _pass_charge bounds
-    its rounding.  The other passes run through _passes, in place in the
-    grid.  The coefficients are squared in place and folded one axis at a
-    time by slice sums, in the same grid: the sine rows h..q-1
-    (m = 1, ..., q - h) are added into the cosine rows 1..q-h, and the view
-    narrows to the h = q//2 + 1 cosine rows.  Each output adds its sine term
-    once per axis, a rounding of nonnegative terms.  Only then, on the h^d
-    result, come the weights w(s) of half_weights, powers of two and so
-    exact, and one division by q^{2d}: one rounding while q^{2d} < 2^53,
-    within eps past it.  The slice sums run with _SLICE_BUFSIZE, so the peak
-    is the grid with the larger of the scratch of _passes and the
-    O(|E| + q^(d-1)) of the first pass, and then the h^d result.
+    its rounding, whatever the slab.  Each output of the folds adds its
+    sine term once per axis, a rounding of nonnegative terms, in whichever
+    order the axes are folded.  Only then, on the h^d result, come the
+    weights w(s) of half_weights, powers of two and so exact, and one
+    division by q^{2d}: one rounding while q^{2d} < 2^53, within eps past
+    it.  The slice sums run with _SLICE_BUFSIZE.  The peak of the slabs is
+    the slab, the scratch of _passes, one bincount row, O(|E|) for the
+    support's digits and weights, and the result; that of the grid is the
+    grid, the scratch and the result.
     """
+    q, d = _orbit_shape(q, d)
     n = check_grid_budget(q, d, max_grid)
     support = np.asarray(support)
-    if support.dtype.kind not in "iu":
-        raise DomainError(f"orbit_power reads flat indices, got a {support.dtype} array")
+    if support.dtype.kind not in "iu" or support.ndim != 1:
+        raise DomainError(f"orbit_power reads a 1-D array of flat indices, got a "
+                          f"{support.ndim}-D {support.dtype} array")
+    if support.size and (support[0] < 0 or support[-1] >= n
+                         or (support[1:] <= support[:-1]).any()):
+        raise DomainError(f"orbit_power reads flat indices strictly increasing within "
+                          f"[0, {n}) for Z_{q}^{d}")
+    support = support.astype(np.int64, copy=False)  # a narrow dtype cannot take q^(d-1)
     h = q // 2 + 1
     basis = _orbit_basis(q)
-    arr = np.empty(n)
     lines = n // q
-    if support.size <= lines:
-        head, tail = np.divmod(support, lines)
-        for row, phi in zip(arr.reshape(q, lines), basis):
-            row[:] = np.bincount(tail, phi[head], lines)
-        first = 1
-    else:
-        arr[:] = 0.0
-        arr[support] = 1.0
-        first = 0
-    _passes(arr, arr, basis, d, first)
-    np.square(arr, out=arr)
-    grid = arr.reshape((q,) * d)
     bufsize = np.setbufsize(_SLICE_BUFSIZE)
     try:
-        for axis in range(d):
-            pre = (slice(None),) * axis
-            grid[pre + (slice(1, q - h + 1),)] += grid[pre + (slice(h, q),)]
-            grid = grid[pre + (slice(h),)]
-        out = grid / float(q ** (2 * d))
-        for axis in range(d):  # w = 2, exactly, on the rows that took a sine row
-            out[(slice(None),) * axis + (slice(1, q - h + 1),)] *= 2.0
+        if support.size <= lines:
+            out = np.empty((h,) * d)
+            rows = max(1, min(q, _BLOCK // lines))
+            head, tail = np.divmod(support, lines)
+            slab = np.empty(rows * lines)
+            for lo in range(0, q, rows):
+                hi = min(lo + rows, q)
+                grid = slab[: (hi - lo) * lines]
+                for row, phi in zip(grid.reshape(-1, lines), basis[lo:hi]):
+                    row[:] = np.bincount(tail, phi[head], lines)
+                _passes(grid, grid, basis, d, 1)
+                np.square(grid, out=grid)
+                folded = _fold(grid.reshape((-1,) + (q,) * (d - 1)), q, 1)
+                if lo < h:  # cosine rows lo, ..., min(hi, h) - 1 into their own rows
+                    out[lo:hi] = folded[: h - lo]
+                if hi > h:  # sine rows r = max(lo, h), ..., hi - 1 into rows r - h + 1
+                    r = max(lo, h)
+                    out[r - h + 1 : hi - h + 1] += folded[r - lo :]
+            out /= float(q ** (2 * d))
+        else:
+            grid = np.empty(n)
+            grid[:] = 0.0
+            grid[support] = 1.0
+            _passes(grid, grid, basis, d)
+            np.square(grid, out=grid)
+            out = _fold(grid.reshape((q,) * d), q, 0) / float(q ** (2 * d))
     finally:
         np.setbufsize(bufsize)
+    for axis in range(d):  # w = 2, exactly, on the rows that took a sine row
+        out[(slice(None),) * axis + (slice(1, q - h + 1),)] *= 2.0
     return out
 
 
 def orbit_inverse(orbit: np.ndarray, q: int, d: int) -> np.ndarray:
     """sum_{z in orbit(r)} f(z) on the orthant, f being the inverse transform
-    of a spectrum F whose orbit sums are `orbit` (the layout of orbit_power).
+    of a spectrum F whose orbit sums are `orbit` (the layout of orbit_power:
+    (q//2 + 1)^d entries, q >= 1 and d >= 1 integers, else DomainError).
 
     sum_{z in orbit(r)} e(z . m / q) = prod_i w(r_i) cos(2 pi r_i m_i / q)
     does not change when any m_i changes sign, so the orbit sums of f are
@@ -452,7 +515,11 @@ def orbit_inverse(orbit: np.ndarray, q: int, d: int) -> np.ndarray:
     (_passes) with the (q//2 + 1)^2 matrix _orbit_cosines, into one fresh
     (q//2 + 1)^d grid, the first reading `orbit` in place.
     """
+    q, d = _orbit_shape(q, d)
     h = q // 2 + 1
+    if np.size(orbit) != h**d:
+        raise DomainError(f"the orbit sums of Z_{q}^{d} have {h}^{d} = {h**d} entries, "
+                          f"got {np.size(orbit)}")
     flat = np.asarray(orbit, dtype=np.float64).reshape(-1)
     return _passes(flat, np.empty(flat.size), _orbit_cosines(q), d).reshape((h,) * d)
 

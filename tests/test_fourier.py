@@ -306,16 +306,36 @@ class TestHalfTransforms:
             tracemalloc.stop()
         assert peak <= 8 * q**d + 8 * fourier._BLOCK + 2**16, peak
 
+    def test_sparse_peak_is_one_slab_and_the_scratch(self):
+        # Z_3^12 with 4000 <= 3^11 points: no q^d grid, only the slab of one
+        # first-axis row (3^11 entries), the scratch of at most _BLOCK
+        # entries, one bincount row, the support's digits and the bincount
+        # weights, and the (q//2 + 1)^d result; 64 KiB for the interpreter
+        q, d, size = 3, 12, 4000
+        support = np.sort(np.random.Generator(np.random.PCG64(7)).choice(q**d, size, replace=False))
+        lines = q ** (d - 1)
+        tracemalloc.start()
+        try:
+            orbit_power(support, q, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (2 * lines + fourier._BLOCK + 3 * size + (q // 2 + 1) ** d) + 2**16
+        assert bound < 0.85 * 8 * q**d
+        assert peak <= bound, peak
+
     @pytest.mark.parametrize("q", [2, 3, 4, 6, 9, 15, 45])
     def test_every_pass_is_a_basis_pass(self, monkeypatch, q):
-        # both first-pass forms: the pass engine sees only the q x q basis,
-        # since the square and the folds are slice sums in place, and the
-        # result is a fresh C-contiguous (q//2 + 1)^d array
+        # both forms: the pass engine sees only the q x q basis, since the
+        # square and the folds are slice sums in place.  Up to q^(d-1) points
+        # it runs d - 1 passes on each of ceil(q / G) slabs of G first-axis
+        # rows, all in one slab buffer; past it d passes on the q^d grid.
+        # The result is a fresh C-contiguous (q//2 + 1)^d array
         seen = []
         passes = fourier._passes
 
         def spy(src, grid, kernel, d, first=0):
-            seen.append((kernel, d - first))
+            seen.append((kernel, grid, d - first))
             return passes(src, grid, kernel, d, first)
 
         monkeypatch.setattr(fourier, "_passes", spy)
@@ -327,8 +347,13 @@ class TestHalfTransforms:
                 seen.clear()
                 out = orbit_power(np.arange(size), q, d)
                 assert out.shape == (q // 2 + 1,) * d and out.flags.c_contiguous
-                assert all(kernel is fourier._orbit_basis(q) for kernel, _ in seen), (q, d)
-                assert sum(count for _, count in seen) == (d if size > lines else d - 1)
+                assert all(kernel is fourier._orbit_basis(q) for kernel, _, _ in seen), (q, d)
+                if size > lines:
+                    assert [(grid.size, count) for _, grid, count in seen] == [(q**d, d)]
+                else:
+                    assert [(grid.size, count) for _, grid, count in seen] == [
+                        (rows * lines, d - 1) for rows in slabs(q, d, fourier._BLOCK)], (q, d)
+                    assert all(np.shares_memory(grid, seen[0][1]) for _, grid, _ in seen)
 
     def test_budget_is_checked_before_any_allocation(self):
         # two buffers of 3^30 float64 entries would be 2.93 PiB: refused up front
@@ -343,6 +368,54 @@ class TestHalfTransforms:
             w = half_weights(q)
             assert w.size == q // 2 + 1 and w.sum() == q
             assert w[0] == 1 and w[-1] == (1 if q % 2 == 0 else 2)
+
+    @pytest.mark.parametrize("support", [[4, 4], [5, 4], [-1], [9], [0, 9]])
+    def test_support_must_strictly_increase_within_the_grid(self, support):
+        # a repeated index once counted twice in the binned form, -1 was read
+        # as 8, and 9 raised IndexError
+        with pytest.raises(DomainError):
+            orbit_power(np.array(support), 3, 2)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
+    def test_flat_indices_of_any_integer_dtype(self, dtype):
+        # an int8 or uint16 support once raised OverflowError on q^(d-1) = 3^11
+        support = np.array([1, 100, 127])
+        want = orbit_power(support, 3, 12)
+        assert np.array_equal(orbit_power(support.astype(dtype), 3, 12), want)
+
+    def test_flat_indices_must_be_one_dimensional(self):
+        with pytest.raises(DomainError):
+            orbit_power(np.array([[0, 1]]), 3, 2)
+
+    def test_orbit_inverse_needs_one_entry_per_orbit(self):
+        with pytest.raises(DomainError):
+            orbit_inverse(np.ones(10), 3, 2)
+        assert orbit_inverse(np.ones((2, 2)), 3, 2).shape == (2, 2)
+
+    @pytest.mark.parametrize("q,d", [(3, 0), (3, -1), (0, 2), (-3, 2), (3, 2.0), (3.0, 2)])
+    def test_orbit_transforms_need_q_and_d_at_least_one(self, q, d):
+        with pytest.raises(DomainError):
+            orbit_power(np.array([0]), q, d)
+        with pytest.raises(DomainError):
+            orbit_inverse(np.ones(1), q, d)
+
+    @pytest.mark.parametrize("q", [0, -3, 2.0])
+    def test_weights_need_q_at_least_one(self, q):
+        with pytest.raises(DomainError):
+            half_weights(q)
+
+    def test_orbit_basis_gathers_the_table_roots(self):
+        # the real basis, gathered from the parts of character_table, is bit
+        # for bit the real and imaginary parts of the complex table roots;
+        # the reference is built a block of rows at a time
+        for q in [*range(1, 301), 1009, 3001]:
+            h = q // 2 + 1
+            ms = np.concatenate([np.arange(h), np.arange(1, q - h + 1)])
+            basis = fourier._orbit_basis(q)
+            for lo in range(0, q, 256):
+                roots = character_table(q)[np.outer(ms[lo : lo + 256], np.arange(q)) % q]
+                want = np.where((np.arange(lo, lo + len(roots)) < h)[:, None], roots.real, roots.imag)
+                assert np.array_equal(basis[lo : lo + 256], want), q
 
     def test_kernel_budget(self):
         with pytest.raises(BudgetError):
@@ -395,6 +468,28 @@ ENGINE_CASES = [
 ]
 
 
+def slabs(q, d, block):
+    """The first-axis rows of each slab of orbit_power's binned form on
+    Z_q^d with _BLOCK = block: G = max(1, min(q, block // q^(d-1))) a slab,
+    the last one possibly fewer."""
+    rows = max(1, min(q, block // q ** (d - 1)))
+    return [min(rows, q - lo) for lo in range(0, q, rows)]
+
+
+# (q, d, _BLOCK) for the slabs of orbit_power, odd and even q
+SLAB_CASES = [
+    (3, 4, 81),    # G = q: one slab of all q rows
+    (4, 3, 64),    # G = q, even q
+    (5, 3, 75),    # G = 3: slabs of 3 and 2 rows
+    (4, 3, 48),    # G = 3: slabs of 3 and 1 rows
+    (5, 3, 25),    # G = 1, q^(d-1) = _BLOCK
+    (6, 3, 40),    # G = 1, q^(d-1) < _BLOCK
+    (3, 5, 27),    # G = 1, q^(d-1) > _BLOCK: one pass in place per slab
+    (3, 6, 9),     # G = 1, three passes in place on leading extents 1, 3, 9
+    (4, 4, 16),    # G = 1, q^(d-1) > _BLOCK, even q
+]
+
+
 class TestPassEngine:
     # Every schedule of fourier._passes, forced by a small _BLOCK: in-place
     # leading passes, trailing blocks in groups, k = 1 lines, ragged groups,
@@ -418,15 +513,19 @@ class TestPassEngine:
         want = q**d * np.conj(dft_reference(GridFunction(q, d, np.conj(ref))).values)
         assert np.abs(back - want).max() < 1e-10
 
-    @pytest.mark.parametrize("q,d,block", ENGINE_CASES)
+    @pytest.mark.parametrize("q,d,block", ENGINE_CASES + SLAB_CASES)
     def test_orbit_power_binned_and_scattered(self, monkeypatch, q, d, block):
-        # a singleton and q^(d-1) points bin the first pass (j >= 1), 30% of
-        # the grid scatters it; against the orbit sums of |forward|^2 taken
-        # at the default _BLOCK, within the bound of test_orbit_power_of_indicators
+        # a singleton, a third of q^(d-1) and q^(d-1) points run in slabs,
+        # 30% of the grid is scattered into it; against the orbit sums of
+        # |forward|^2 taken at the default _BLOCK, within the bound of
+        # test_orbit_power_of_indicators
         eps = np.finfo(np.float64).eps
         rng = np.random.Generator(np.random.PCG64(q * 31 + d))
         w = orbit_sizes(q, d)
-        for support in (np.array([q**d // 3]), np.sort(rng.choice(q**d, q ** (d - 1), replace=False)),
+        lines = q ** (d - 1)
+        for support in (np.array([q**d // 3]),
+                        np.sort(rng.choice(q**d, max(lines // 3, 1), replace=False)),
+                        np.sort(rng.choice(q**d, lines, replace=False)),
                         np.flatnonzero(rng.random(q**d) < 0.3)):
             f = np.zeros(q**d)
             f[support] = 1.0
@@ -437,6 +536,36 @@ class TestPassEngine:
             D = d * (q + 11) * eps * support.size / q**d
             bound = 2 * (2 * np.sqrt(w * want) * D + w * D**2 + (2 * d + 2) * eps * want)
             assert (np.abs(got - want) <= bound).all(), (q, d, support.size)
+
+    def test_slab_cases_cover_every_slab_schedule(self):
+        plans = [(q, d, block, slabs(q, d, block)) for q, d, block in SLAB_CASES]
+        assert any(len(rows) == 1 for _, _, _, rows in plans)
+        assert any(rows[0] > 1 and rows[-1] < rows[0] for _, _, _, rows in plans)
+        assert any(rows[0] == 1 and q ** (d - 1) <= b for q, d, b, rows in plans)
+        assert any(rows[0] == 1 and q ** (d - 1) > b for q, d, b, rows in plans)
+        assert {q % 2 for q, _, _ in SLAB_CASES} == {0, 1}
+
+    @pytest.mark.parametrize("n,d,rows,block", [(3, 4, 2, 9), (3, 5, 2, 9), (4, 3, 3, 16),
+                                                (5, 3, 2, 100), (3, 4, 5, 27)])
+    def test_passes_on_a_slab(self, monkeypatch, n, d, rows, block):
+        # passes 1, ..., d - 1 on a slab whose axis 0 has `rows` entries, not
+        # n^first, in place or read from a separate read-only source: against
+        # the kernel applied to each axis in turn by tensordot
+        rng = np.random.Generator(np.random.PCG64(n * d + rows))
+        kernel = rng.standard_normal((n, n))
+        slab = rng.standard_normal((rows,) + (n,) * (d - 1))
+        want = slab
+        for axis in range(1, d):
+            want = np.moveaxis(np.tensordot(kernel, want, axes=(1, axis)), 0, axis)
+        monkeypatch.setattr(fourier, "_BLOCK", block)
+        src = slab.reshape(-1).copy()
+        src.setflags(write=False)
+        for in_place in (True, False):
+            grid = src.copy() if in_place else np.empty(src.size)
+            out = fourier._passes(grid if in_place else src, grid, kernel, d, 1)
+            assert out is grid
+            assert np.abs(out.reshape(slab.shape) - want).max() < 1e-12
+        assert np.array_equal(src, slab.reshape(-1))
 
     @pytest.mark.parametrize("q,d,block", [(9, 4, 25), (6, 5, 16), (5, 4, 9), (10, 3, 6)])
     def test_orbit_inverse_on_forced_schedules(self, monkeypatch, q, d, block):
