@@ -41,6 +41,9 @@ def as_int(v, name: str) -> int:
 class Modulus:
     """A modulus q >= 2 together with its prime factorization.
 
+    q is kept as a Python int (as_int), so q^d is exact for every d; a
+    non-integral q raises DomainError.
+
     ``factors`` is sorted by prime: q = p1^a1 * ... * pk^ak with p1 < ... < pk
     and every exponent >= 1.
     """
@@ -49,6 +52,7 @@ class Modulus:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "q", as_int(self.q, "the modulus"))
         if self.q < 2:
             raise DomainError(f"modulus must be >= 2, got {self.q}")
         prod = 1
@@ -85,9 +89,17 @@ class Modulus:
         return f"Modulus({self.q} = {inner})"
 
 
-@lru_cache(maxsize=4096)
 def factorize(q: int) -> Modulus:
-    """Factor q >= 2 by trial division (sufficient at desk scale, q <= ~10^12)."""
+    """Factor q >= 2 by trial division (sufficient at desk scale, q <= ~10^12).
+
+    q goes through as_int first, so a numpy integer factors as its value and
+    a non-integral q raises DomainError: the cache sees only Python ints,
+    where 9.0 and np.int64(9) would otherwise share the key of 9."""
+    return _factorize(as_int(q, "the modulus"))
+
+
+@lru_cache(maxsize=4096)
+def _factorize(q: int) -> Modulus:
     if q < 2:
         raise DomainError(f"q must be >= 2, got {q}")
     n = q

@@ -88,20 +88,35 @@ __all__ = [
 DEFAULT_PAIR_BUDGET = 10**8
 
 
+def _residue_modulus(q: "int | Modulus") -> Modulus:
+    """q as a Modulus whose residues fit int64: q >= 2^63 raises DomainError,
+    checked before q is factorized."""
+    value = q.q if isinstance(q, Modulus) else as_int(q, "the modulus")
+    if value >= 1 << 63:
+        raise DomainError(f"q = {value} reaches 2^63: the residues of a point set are int64")
+    return as_modulus(q)
+
+
 class PointSet:
     """A nonempty, deduplicated, lexicographically sorted set of points.
 
-    The points are one read-only (size, d) int64 array of residues in [0, q).
+    The points are one read-only (size, d) int64 array of residues in [0, q),
+    q < 2^63 (DomainError otherwise).
     Coordinates may be any integers, Python ints of any size and numpy
     integers included; they are reduced mod q unless every one already lies
     in [0, q), and a non-integral coordinate (a float, even an integral one)
     raises DomainError.  The rows are sorted and deduplicated on packed
     base-q int64 keys (_packed_keys): one key, sorted by one argsort,
     whenever q^d <= 2^62, and a lexsort over the few keys otherwise.  Rows
-    whose one key already strictly increases, as those of sample_random_set
-    and construct_even_weight do, are kept as they come, with no sort and no
+    whose one key already strictly increases, as those of
+    construct_even_weight do, are kept as they come, with no sort and no
     gather.  The one key is the flat index of its row, so the set keeps it,
     read-only and reordered with the rows, as its flat_indices.
+
+    sample_random_set builds its sets from their sorted flat indices alone
+    (_from_flat): such a set fills its coordinates on the first read
+    (array(), points, iteration, ==, hash, translate, in) and keeps them,
+    read-only; size, len and flat_indices() never build them.
 
     A set never builds or keeps a q^d indicator: its transform reads the
     sorted flat_indices (_orbit_power).  With at most q^(d-1) of them it
@@ -116,7 +131,7 @@ class PointSet:
     __slots__ = ("modulus", "d", "_coords", "_flat", "_power_by_class", "_nu")
 
     def __init__(self, q: "int | Modulus", d: int, points: Iterable[Sequence[int]]) -> None:
-        m = as_modulus(q)
+        m = _residue_modulus(q)
         d = as_int(d, "the dimension")
         if d < 1:
             raise DomainError(f"dimension must be >= 1, got {d}")
@@ -160,19 +175,36 @@ class PointSet:
         self._power_by_class = None
         self._nu = None
 
+    @classmethod
+    def _from_flat(cls, m: Modulus, d: int, flat: np.ndarray) -> "PointSet":
+        """The set of the sorted, distinct int64 flat indices `flat` of
+        Z_q^d, q^d <= 2^62, kept read-only as they are: no check, no sort,
+        and no coordinates until they are read (array())."""
+        self = cls.__new__(cls)
+        flat.setflags(write=False)
+        self.modulus, self.d, self._coords, self._flat = m, d, None, flat
+        self._power_by_class = self._nu = None
+        return self
+
     @property
     def q(self) -> int:
         return self.modulus.q
 
     @property
     def size(self) -> int:
-        return len(self._coords)
+        return len(self._flat if self._coords is None else self._coords)
 
     @property
     def points(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self._coords.tolist()))
+        return tuple(map(tuple, self.array().tolist()))
 
     def array(self) -> np.ndarray:
+        """The read-only (size, d) int64 rows, built from the flat indices
+        on the first read of a set that has none yet (_from_flat)."""
+        if self._coords is None:
+            coords = _flat_digits(self._flat, self.q, self.d)
+            coords.setflags(write=False)
+            self._coords = coords
         return self._coords
 
     def flat_indices(self) -> np.ndarray:
@@ -186,7 +218,7 @@ class PointSet:
                 f"|Z_{self.q}^{self.d}| = {self.q**self.d} exceeds the 2^63 flat indices of int64"
             )
         strides = self.q ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
-        flat = self._coords @ strides
+        flat = self.array() @ strides
         flat.setflags(write=False)
         return flat
 
@@ -195,7 +227,7 @@ class PointSet:
             raise DomainError(f"translation vector needs {self.d} coordinates")
         shift = np.array([int(w) % self.q for w in v], dtype=np.int64)
         # c + s wraps int64 once q > 2^62; c - (q - s) stays in [0, q)
-        c, rest = self._coords, self.q - shift
+        c, rest = self.array(), self.q - shift
         return PointSet(self.modulus, self.d, np.where(c >= rest, c - rest, c + shift))
 
     def __iter__(self):
@@ -208,17 +240,17 @@ class PointSet:
         if len(p) != self.d:
             return False
         row = np.array([int(c) % self.q for c in p], dtype=np.int64)
-        return bool((self._coords == row).all(axis=1).any())
+        return bool((self.array() == row).all(axis=1).any())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
         return (self.modulus, self.d) == (other.modulus, other.d) and np.array_equal(
-            self._coords, other._coords
+            self.array(), other.array()
         )
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self.d, self._coords.tobytes()))
+        return hash((self.modulus, self.d, self.array().tobytes()))
 
     def __repr__(self) -> str:
         return f"PointSet(q={self.q}, d={self.d}, size={self.size})"
@@ -756,126 +788,187 @@ def construct_zero_distance_lattice(p: int, ell: int, d: int) -> PointSet:
 
 _MASK64 = (1 << 64) - 1
 _U64 = np.uint64
+_DRAW_CHUNK = 1 << 14  # stream outputs per stretch of _fisher_yates_draws (128 KiB)
+
+
+def _mix64(z: np.ndarray, seed: int, scratch: np.ndarray) -> np.ndarray:
+    """Output k of the splitmix64 stream from `seed`, in place of each k + 1
+    that z holds: the state seed + (k + 1) gamma mod 2^64 through the three
+    mixing rounds.  uint64 arithmetic wraps mod 2^64; scratch is as long as z."""
+    z *= _U64(0x9E3779B97F4A7C15)
+    z += _U64(seed & _MASK64)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, _U64(shift), out=scratch)
+        z ^= scratch
+        z *= _U64(mult)
+    np.right_shift(z, _U64(31), out=scratch)
+    z ^= scratch
+    return z
 
 
 def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:
     """Outputs start, ..., start + count - 1 of the splitmix64 stream from `seed`.
 
     Output k mixes the state seed + (k + 1) gamma mod 2^64, so any stretch of
-    the stream comes out at once; uint64 arithmetic wraps mod 2^64.
+    the stream comes out at once.
     """
-    z = _U64(seed & _MASK64) + np.arange(start + 1, start + count + 1, dtype=_U64) * _U64(
-        0x9E3779B97F4A7C15
-    )
-    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return z ^ (z >> _U64(31))
+    z = np.arange(start + 1, start + count + 1, dtype=_U64)
+    return _mix64(z, seed, np.empty_like(z))
 
 
 def _fisher_yates_draws(seed: int, n: int, size: int) -> np.ndarray:
     """j_i = i + (a uniform draw below n - i) for i < size, n <= 2^64.
 
     Each draw takes the next stream output z and rejects it while
-    z >= 2^64 - (2^64 mod (n - i)), which keeps it exactly uniform.  A
-    rejection moves every later draw one output on, so the stream is read in
-    stretches that end at the first rejection; they grow while none occurs.
+    z >= 2^64 - (2^64 mod (n - i)), which keeps it exactly uniform.  The
+    stream is read in stretches of _DRAW_CHUNK outputs through reused
+    buffers.  2^64 mod (n - i) < n - i, so a rejected z has
+    z >= 2^64 - (n - i) >= 2^64 - (n - done), done the draws before the
+    stretch: the remainders are computed only for those few candidates.  A
+    rejection moves every later draw one output on, which changes n - i for
+    the later candidates, so their rejections are recomputed from the count
+    of rejections before each until that count no longer changes.  Candidate
+    c's count is exact after c rounds, so this ends, and the one fixed point
+    is the sequential answer; a shift of a few draws barely moves
+    2^64 mod (n - i) against z, so two rounds are the rule.
     """
-    span = _U64(n & _MASK64) - np.arange(size, dtype=_U64)  # n - i; 0 stands for 2^64
-    safe = np.where(span == 0, _U64(1), span)
-    rem = (_U64(0) - span) % safe  # 2^64 mod (n - i)
     draws = np.empty(size, dtype=_U64)
+    steps = np.arange(_DRAW_CHUNK, dtype=_U64)
+    z = np.empty(_DRAW_CHUNK, dtype=_U64)
+    scratch = np.empty(_DRAW_CHUNK, dtype=_U64)
     done = pos = 0
-    width = size
+    if n == 1 << 64:  # n - 0 = 2^64: the first output is the first draw, never rejected
+        draws[0] = _splitmix64(seed, 0, 1)[0]
+        done = pos = 1
     while done < size:
-        take = min(width, size - done)
-        z = _splitmix64(seed, pos, take)
-        part = slice(done, done + take)
-        rejected = np.flatnonzero((rem[part] != 0) & (z >= _U64(0) - rem[part]))
-        ok = int(rejected[0]) if rejected.size else take
-        accepted = slice(done, done + ok)
-        draws[accepted] = np.where(span[accepted] == 0, z[:ok], z[:ok] % safe[accepted])
+        take = min(_DRAW_CHUNK, size - done)
+        out, tmp = z[:take], scratch[:take]
+        np.add(steps[:take], _U64(pos + 1), out=out)
+        _mix64(out, seed, tmp)
+        top = n - done  # the largest n - i of the stretch, below 2^64
+        cand = np.flatnonzero(out >= _U64((1 << 64) - top))
+        if cand.size:
+            z_cand, before = out[cand], np.zeros(cand.size, dtype=_U64)
+            while True:
+                span = _U64(top) - cand.astype(_U64) + before  # n - i for each candidate
+                rem = (_U64(0) - span) % span  # 2^64 mod (n - i)
+                rejected = (rem != 0) & (z_cand >= _U64(0) - rem)
+                counted = np.zeros_like(before)
+                np.cumsum(rejected[:-1], dtype=_U64, out=counted[1:])
+                if np.array_equal(counted, before):
+                    break
+                before = counted
+            if rejected.any():
+                out = np.delete(out, cand[rejected])
+        ok = out.size
+        span = tmp[:ok]
+        np.subtract(_U64(top), steps[:ok], out=span)
+        kept = draws[done : done + ok]
+        np.remainder(out, span, out=kept)
+        kept += steps[:ok]
+        kept += _U64(done)
         done += ok
-        pos += ok + (1 if rejected.size else 0)
-        width = 2 * width if not rejected.size else max(64, 2 * ok)
-    return draws + np.arange(size, dtype=_U64)
+        pos += take
+    return draws
 
 
 def _fisher_yates_select(draws: np.ndarray) -> np.ndarray:
-    """The values picked by the partial Fisher-Yates swaps j_0, j_1, ... (uint64).
+    """The sorted set of values that the partial Fisher-Yates swaps j_0, j_1,
+    ... pick (uint64), where step i swaps positions i and j_i >= i of the
+    identity array.
 
-    Step i swaps positions i and j_i >= i of the identity array and picks
-    the value at j_i.  That value is j_i unless an earlier step k targeted
-    j_i; then, for the last such k, it is W(k), the value that sat at
-    position k at step k.  W(p) = p unless an earlier step targeted p, and
-    then W(p) = W(k) for the last such k < p.  Every step that targets p
-    has k <= p, so that k is the last in p's run of the stably sorted draws
-    unless step p targets p itself; then no later step targets p and W(p)
-    is never read.  The chains of W only run backwards, so pointer jumping
-    resolves them in O(log size) passes.
+    Position p >= size is only ever a target: it ends holding p if no step
+    targets it, else W(k) for the last step k that does, W(k) being the
+    value at position k at step k.  W(k) = k unless an earlier step
+    targeted k, and then W(k) = W(last such step), so every W lies in
+    [0, size).  The picks are the values that do not end at a position
+    >= size:
 
-    The stable order of the draws comes from two unstable sorts: an argsort
-    of the draws numbers their runs of equal values, and a sort of the keys
-    (run, step) packed into one uint64 lists the steps of each run in
-    increasing order.  The packing needs size < 2^32 (sample_random_set
-    refuses larger samples).
+        ([0, size) minus {W(last step targeting p) : p >= size})
+        union {the targets >= size},
+
+    the first part below size and the second at or above it, both sorted.
+    One argsort of the targets groups their steps, and np.maximum.reduceat
+    takes the last step of each group.  W's pointers (the last step that
+    targeted p < size, or p) only run backwards, so pointer jumping over
+    positions resolves them in O(log size) passes through two buffers.  A
+    step with j_i = i swaps nothing but is kept: it points i at itself,
+    and W(i) is never read, since no later step targets i.
     """
     size = draws.size
-    first = np.argsort(draws)
-    ranked = draws[first]
-    same = ranked[1:] == ranked[:-1]
-    run = np.zeros(size, dtype=_U64)
-    np.cumsum(~same, out=run[1:])
-    keys = np.sort((run << _U64(32)) | first.astype(_U64))
-    order = (keys & _U64(0xFFFFFFFF)).astype(np.int64)
-    before = np.full(size, -1, dtype=np.int64)  # last earlier step with the same target
-    before[order[1:][same]] = order[:-1][same]
-    last = np.append(~same, True)
-    targets, k = ranked[last], order[last]
-    inside = targets < _U64(size)
-    # W as pointers: the last step before p that targeted p, or p itself
+    steps = np.argsort(draws)  # grouped by target
+    targets = draws[steps]
+    first = np.empty(size, dtype=bool)
+    first[0] = True
+    np.not_equal(targets[1:], targets[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    last = np.maximum.reduceat(steps, starts)
+    targets = targets[starts]
+    del steps, first, starts
+    inside = int(np.searchsorted(targets, _U64(size)))  # the targets below size come first
     w = np.arange(size, dtype=np.int64)
-    w[targets[inside].astype(np.int64)] = k[inside]
+    w[targets[:inside].astype(np.int64)] = last[:inside]
+    jumped = np.empty_like(w)
     while True:
-        jumped = w[w]
+        np.take(w, w, out=jumped, mode="clip")
         if np.array_equal(jumped, w):
             break
-        w = jumped
-    return np.where(before < 0, draws, w[before].astype(_U64))
+        w, jumped = jumped, w
+    kept = np.ones(size, dtype=bool)
+    kept[w[last[inside:]]] = False
+    picked = np.empty(size, dtype=_U64)
+    low = np.flatnonzero(kept)
+    picked[: low.size] = low
+    picked[low.size :] = targets[inside:]
+    return picked
+
+
+def _flat_digits(flat: np.ndarray, q: int, d: int) -> np.ndarray:
+    """The base-q digits of flat indices below q^d <= 2^64 (int64 or uint64),
+    x_1 most significant, as one (|flat|, d) int64 array: the first quotient
+    by q fits int64 whenever q^d does not."""
+    digits = np.empty((flat.size, d), dtype=np.int64)
+    rest, digits[:, d - 1] = np.divmod(flat, flat.dtype.type(q))
+    rest = rest.astype(np.int64, copy=False)
+    for j in range(d - 2, -1, -1):
+        rest, digits[:, j] = np.divmod(rest, q)
+    return digits
 
 
 def sample_random_set(q: "int | Modulus", d: int, size: int, seed: int) -> PointSet:
     """Uniform sample of `size` distinct points of Z_q^d.
 
     Bit-for-bit reproducible from the seed: a splitmix64 stream drives a
-    partial Fisher-Yates selection over flat indices, so q^d may not exceed
-    2^64, size must stay below 2^32 and size d within _COORD_BUDGET, both
-    BudgetError.  The swaps are resolved together,
-    not one at a time: two unstable sorts and O(log size) pointer-jumping
-    passes (_fisher_yates_select).  The picked flat indices are sorted, so
-    their base-q digits are the rows of the PointSet already in its order.
+    partial Fisher-Yates selection over flat indices
+    (_fisher_yates_draws), so q^d may not exceed 2^64 and q must stay below
+    2^63 (DomainError); size must stay below 2^32 and size d within
+    _COORD_BUDGET, both BudgetError, checked before drawing, so that the
+    coordinates fit whenever they are read.  The swaps are resolved
+    together, not one at a time: one argsort and O(log size)
+    pointer-jumping passes give the picked flat indices as a sorted set
+    (_fisher_yates_select).  While q^d <= 2^62 the set keeps only them and
+    builds its coordinates, their base-q digits, on the first read
+    (PointSet._from_flat); past 2^62 the digits are built here.
     """
-    m = as_modulus(q)
+    m = _residue_modulus(q)
     d, size, seed = as_int(d, "the dimension"), as_int(size, "sample size"), as_int(seed, "seed")
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    n = m.q**d
     if size < 1:
         raise DomainError(f"sample size must be >= 1, got {size}")
+    # q >= 2, so d > 64 is past 2^64 before q^d is ever formed
+    if d > 64 or m.q**d > 1 << 64:
+        raise DomainError(f"|Z_{m.q}^{d}| exceeds the 2^64 flat indices of the sampler")
+    n = m.q**d
     if size > n:
         raise DomainError(f"sample size {size} exceeds |Z_{m.q}^{d}| = {n}")
-    if n > 1 << 64:
-        raise DomainError(f"|Z_{m.q}^{d}| = {n} exceeds the 2^64 flat indices of the sampler")
     if size >= 1 << 32:
         raise BudgetError(f"sample size {size} reaches the sampler's limit of 2^32 points")
     _check_coord_budget(size, d, "the sample")
-    flat = np.sort(_fisher_yates_select(_fisher_yates_draws(seed, n, size)))
-    # q^d <= 2^64: the flat indices fit uint64, and their quotients by q fit int64
-    digits = np.empty((size, d), dtype=np.int64)
-    rest, digits[:, d - 1] = np.divmod(flat, np.uint64(m.q))
-    rest = rest.astype(np.int64)
-    for j in range(d - 2, -1, -1):
-        rest, digits[:, j] = np.divmod(rest, m.q)
-    return PointSet(m, d, digits)
+    flat = _fisher_yates_select(_fisher_yates_draws(seed, n, size))
+    if n <= 1 << 62:
+        return PointSet._from_flat(m, d, flat.view(np.int64))
+    return PointSet(m, d, _flat_digits(flat, m.q, d))
 
 
 def write_pointset(E: PointSet, path) -> None:
@@ -929,7 +1022,7 @@ def read_pointset(path) -> PointSet:
                 match = re.fullmatch(r"q=(\d+)\s+d=(\d+)", line)
                 if not match:
                     raise DomainError(f"first line must be 'q=<int> d=<int>', got {line!r}")
-                header = (as_modulus(int(match.group(1))), int(match.group(2)))
+                header = (_residue_modulus(int(match.group(1))), int(match.group(2)))
                 continue
             coords = tuple(int(tok) % header[0].q for tok in line.split(","))
             if len(coords) != header[1]:

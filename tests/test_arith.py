@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +6,7 @@ from hypothesis import strategies as st
 from zqdist.arith import (
     Modulus,
     Residue,
+    as_modulus,
     factorize,
     jacobi,
     residue,
@@ -55,6 +57,23 @@ class TestFactorize:
             Modulus(12, ((3, 1), (2, 2)))  # primes out of order
         with pytest.raises(DomainError):
             Modulus(12, ((2, 2),))  # wrong product
+
+    def test_q_is_a_python_int(self):
+        # q kept the caller's type: np.int64 q^d wrapped past 2^63, and 9.0
+        # made a modulus
+        for q in (9, np.int64(9), np.uint64(9), np.int8(9)):
+            for m in (as_modulus(q), factorize(q), Modulus(q, ((3, 2),))):
+                assert type(m.q) is int and m == Modulus(9, ((3, 2),))
+        assert as_modulus(np.int64(3)).q ** 40 == 3**40
+
+    def test_non_integral_q_refused(self):
+        # the factorize cache took 9.0 and np.int64(9) for one key: after the
+        # numpy integer, 9.0 came back as a modulus with q = np.int64(9)
+        as_modulus(np.int64(9))
+        for q in (9.0, 9.5, "9", None, float("nan")):
+            for build in (as_modulus, factorize, lambda v: Modulus(v, ((3, 2),))):
+                with pytest.raises(DomainError):
+                    build(q)
 
     def test_flags(self):
         assert factorize(45).is_odd

@@ -2,6 +2,7 @@ import functools
 import io
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 import types
@@ -1234,7 +1235,7 @@ class TestSampling:
         (2, 1, 2, 14),
     ])
     def test_matches_scalar_splitmix64(self, q, d, size, seed):
-        assert sorted(sample_random_set(q, d, size, seed).points) == _scalar_sample(
+        assert list(sample_random_set(q, d, size, seed).points) == _scalar_sample(
             q, d, size, seed)
 
     def test_grid_beyond_64_bits_rejected(self):
@@ -1251,15 +1252,25 @@ class TestSampling:
         (2, 63, 50, 1),
         (4, 32, 70, 2),
         (45, 4, 20000, 11),
+        (9, 6, 531441, 7),  # the full grid: every position is picked
+        (15, 5, 1, 3),  # one point
+        (9, 1, 1, 0),
+        (2**63 - 1, 1, 3000, 5),  # 2^62 < n < 2^64, coordinates built eagerly
     ])
     def test_byte_identical_to_the_stable_sort_sampler(self, q, d, size, seed):
-        got = sample_random_set(q, d, size, seed).array()
-        assert got.dtype == np.int64 and got.flags.c_contiguous
-        assert got.tobytes() == _stable_sort_sample(q, d, size, seed).tobytes()
+        E = sample_random_set(q, d, size, seed)
+        digits, flat = _stable_sort_sample(q, d, size, seed)
+        if q**d <= 1 << 63:
+            assert E.flat_indices().dtype == np.int64
+            assert E.flat_indices().tobytes() == flat.astype(np.int64).tobytes()
+        got = E.array()
+        assert got.dtype == np.int64 and got.flags.c_contiguous and not got.flags.writeable
+        assert got.tobytes() == digits.tobytes()
 
     def test_size_of_2_32_refused_before_drawing(self, monkeypatch):
-        # the (run, step) keys of _fisher_yates_select hold a step in 32 bits;
-        # the coordinate budget is raised so that only that limit applies
+        # a sample of 2^32 points or more is refused before any draw, to keep
+        # the sampler's arrays bounded whatever the coordinate budget; the
+        # budget is raised so that only that limit applies
         def forbidden(*args):
             raise AssertionError("the sampler drew before checking the size")
 
@@ -1270,10 +1281,100 @@ class TestSampling:
         with pytest.raises(AssertionError):  # one point less reaches the draws
             sample_random_set(2, 64, 2**32 - 1, seed=1)
 
+    def test_numpy_integer_q_is_its_value(self):
+        # q stayed np.int64, so q^d wrapped past 2^63: 3^40 read as negative,
+        # and 3^30 raised OverflowError in the draws
+        for d, size in ((40, 2000), (30, 50), (6, 300)):
+            for q in (np.int64(3), np.uint8(3), np.int32(3)):
+                got = sample_random_set(q, d, size, 9)
+                assert type(got.q) is int
+                assert got.array().tobytes() == sample_random_set(3, d, size, 9).array().tobytes()
+
+    def test_non_integral_q_refused(self):
+        # 9.0 was kept as the modulus, and the sampler then raised TypeError
+        # while the constructor accepted it
+        for q in (9.0, 9.5, "9", None):
+            with pytest.raises(DomainError):
+                sample_random_set(q, 3, 5, 1)
+            with pytest.raises(DomainError):
+                PointSet(q, 2, [(1, 2)])
+
+    @pytest.mark.parametrize("q", [2**63, 2**63 + 1, 2**64, np.uint64(2**64 - 1), 10**30])
+    def test_q_past_int64_refused_before_any_array(self, q, refused_before_allocating):
+        # the residues are int64: these raised OverflowError or UFuncTypeError
+        with refused_before_allocating(DomainError):
+            PointSet(q, 2, [(5, 7)])
+        with refused_before_allocating(DomainError):
+            sample_random_set(q, 1, 3, 1)
+
+    @pytest.mark.parametrize("d", [2**40, 2**62])
+    def test_huge_dimension_refused_before_q_to_the_d(self, d, refused_before_allocating):
+        # q^d was formed in full before it was compared with 2^64
+        with refused_before_allocating(DomainError):
+            sample_random_set(2, d, 3, 1)
+
+    def test_largest_q_kept(self):
+        q = 2**63 - 1
+        assert PointSet(q, 2, [(q - 1, 5), (-1, 5), (q, 7)]).points == ((0, 7), (q - 1, 5))
+        E = sample_random_set(q, 1, 3, 1)
+        assert list(E.points) == _scalar_sample(q, 1, 3, 1)
+
+    def test_sampled_coordinates_built_on_the_first_read(self):
+        reads = [
+            lambda E: E.array(), lambda E: E.points, lambda E: list(E),
+            lambda E: E == E, lambda E: hash(E), lambda E: E.translate((0, 0, 0, 0)),
+            lambda E: (1, 2, 3, 4) in E,
+        ]
+        for read in reads:
+            E = sample_random_set(9, 4, 700, 5)
+            assert (E.size, len(E)) == (700, 700)
+            flat = E.flat_indices()
+            assert not flat.flags.writeable and E._coords is None
+            # the transforms read the flat indices only
+            nu_histogram(E), nu_spectral_sweep(E), certificate_check(E)
+            assert E._coords is None
+            read(E)
+            arr = E._coords
+            assert arr is not None and not arr.flags.writeable and E.array() is arr
+            rebuilt = PointSet(9, 4, E.points)
+            assert E == rebuilt and hash(E) == hash(rebuilt)
+            assert rebuilt.flat_indices().tobytes() == flat.tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        q=st.one_of(
+            st.sampled_from([-(2**64), -1, 0, 1, 2, 3, 4, 9, 45, 2**31 - 1, 2**62, 2**63 - 1, 2**63,
+                             2**64, 10**30, True, False, 9.0, 2.5, float("nan"), float("inf"),
+                             np.int64(9), np.uint64(2**64 - 1), np.int8(-3), np.uint8(5), "9"]),
+            st.integers(-5, 60),
+        ),
+        d=st.one_of(
+            st.sampled_from([-1, 0, 1, 2, 64, 2**40, True, 2.0, np.int64(3), np.uint64(2**63)]),
+            st.integers(1, 12),
+        ),
+        size=st.one_of(st.sampled_from([-1, 0, 1, 2**31, 2**32, 2**64, True, 3.0, np.int64(5),
+                                        np.uint64(7)]),
+                       st.integers(1, 400)),
+        seed=st.one_of(
+            st.sampled_from([-(2**70), -1, 0, 2**64, 2**200, False, 1.0, np.uint64(2**64 - 1),
+                             np.int64(-7)]),
+            st.integers(0, 2**64),
+        ),
+    )
+    def test_arguments_give_a_set_or_a_classified_error(self, q, d, size, seed):
+        try:
+            E = sample_random_set(q, d, size, seed)
+        except (DomainError, BudgetError):
+            return
+        assert E.size == operator.index(size) and E.d == operator.index(d) and type(E.q) is int
+        if E.q ** E.d <= 1 << 62:
+            assert E.flat_indices().size == E.size
+
 
 def _stable_sort_sample(q, d, size, seed):
     # reference: the draws resolved through one stable argsort, the digits
-    # peeled in uint64 from the unsorted picks, the rows lexsorted
+    # peeled in uint64 from the unsorted picks, the rows lexsorted; returns
+    # them with the sorted picks
     draws = distset._fisher_yates_draws(seed, q**d, size)
     order = np.argsort(draws, kind="stable")
     ranked = draws[order]
@@ -1288,31 +1389,44 @@ def _stable_sort_sample(q, d, size, seed):
     for _ in range(size.bit_length()):
         w = w[w]
     flat = np.where(before < 0, draws, w[before].astype(np.uint64))
+    picks = np.sort(flat)
     digits = np.empty((size, d), dtype=np.int64)
     for j in range(d - 1, -1, -1):
         flat, digits[:, j] = np.divmod(flat, np.uint64(q))
-    return digits[np.lexsort(digits.T[::-1])]
+    return digits[np.lexsort(digits.T[::-1])], picks
 
 
-def _scalar_sample(q, d, size, seed):
-    # independent oracle: splitmix64 one output at a time, each draw rejected
-    # while z >= 2^64 - (2^64 mod (n - i)), then the Fisher-Yates swaps
+def _splitmix64_scalar(seed):
+    # independent oracle: splitmix64 one output at a time
     mask = (1 << 64) - 1
     state = seed & mask
-    n = q**d
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+def _scalar_draws_from(outputs, n, size):
+    # each draw takes the next output, rejected while z >= 2^64 - (2^64 mod (n - i))
     draws = []
     for i in range(size):
         limit = (1 << 64) - ((1 << 64) % (n - i))
-        while True:
-            state = (state + 0x9E3779B97F4A7C15) & mask
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            z ^= z >> 31
-            if z < limit:
-                break
+        z = next(outputs)
+        while z >= limit:
+            z = next(outputs)
         draws.append(i + z % (n - i))
+    return draws
+
+
+def _scalar_draws(q, d, size, seed):
+    return _scalar_draws_from(_splitmix64_scalar(seed), q**d, size)
+
+
+def _scalar_sample(q, d, size, seed):
+    # the scalar draws, then the Fisher-Yates swaps one at a time
     return sorted(tuple((f // q**k) % q for k in range(d - 1, -1, -1))
-                  for f in _swap_loop(draws))
+                  for f in _swap_loop(_scalar_draws(q, d, size, seed)))
 
 
 def _lexsort_canonical(q, rows):
@@ -1333,7 +1447,51 @@ def _swap_loop(draws):
     return chosen
 
 
+class TestFisherYatesDraws:
+    # stretches of 7 outputs, so that rejections fall at their ends and
+    # starts, and one stretch holds several
+    @pytest.mark.parametrize("q,d,size,seed", [
+        (3, 40, 300, 7),  # 2^64 mod 3^40 rejects a third of the outputs
+        (3, 40, 300, 8),
+        (2**63 - 1, 1, 200, 5),
+        (2, 64, 100, 3),  # n = 2^64: the first draw takes its output whole
+        (2, 64, 1, 4),
+        (3, 39, 400, 9),  # n < 2^62, candidates without rejections too
+        (9, 6, 100, 2024),
+        (7, 1, 7, 1),  # n = size: the last span is 1
+    ])
+    def test_matches_scalar_draws_in_short_stretches(self, monkeypatch, q, d, size, seed):
+        want = _scalar_draws(q, d, size, seed)
+        for chunk in (7, 64, 1 << 14):
+            monkeypatch.setattr(distset, "_DRAW_CHUNK", chunk)
+            got = distset._fisher_yates_draws(seed, q**d, size)
+            assert got.dtype == np.uint64 and got.tolist() == want, chunk
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_rejection_moves_the_later_candidates(self, monkeypatch, seed):
+        # outputs within a few of the rejection bound n - i (2^64 mod (n - i)
+        # = 2^64 - (n - i) while n - i > 2^63), so that whether an output is
+        # rejected depends on how many were rejected before it; the stream
+        # stands in for splitmix64, output k at stream position k + 1
+        n, size = 2**63 + 10, 300
+        rng = random.Random(seed)
+        stream = [2**64 - 1, n - 1] + [n - k + rng.randint(-3, 3) if rng.random() < 0.8
+                                       else rng.randrange(2**64) for k in range(2, 2000)]
+
+        def scripted(z, seed, scratch):
+            z[:] = [stream[k - 1] for k in z.tolist()]
+            return z
+
+        monkeypatch.setattr(distset, "_mix64", scripted)
+        want = _scalar_draws_from(iter(stream), n, size)
+        for chunk in (7, 64, 1 << 14):
+            monkeypatch.setattr(distset, "_DRAW_CHUNK", chunk)
+            assert distset._fisher_yates_draws(0, n, size).tolist() == want, chunk
+
+
 class TestFisherYatesSelect:
+    # the select step returns the picked set, sorted, not the picks in order
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.one_of(st.integers(1, 3000), st.integers(1, 2**64)))
     def test_matches_swap_loop(self, data, n):
@@ -1342,16 +1500,17 @@ class TestFisherYatesSelect:
         draws = [rng.randrange(i, n) for i in range(size)]
         got = distset._fisher_yates_select(np.array(draws, dtype=np.uint64))
         assert got.dtype == np.uint64
-        assert got.tolist() == _swap_loop(draws)
+        assert got.tolist() == sorted(_swap_loop(draws))
 
     @pytest.mark.parametrize("size", [1, 2, 3, 1000])
     def test_chains(self, size):
         # each step targets the next position: the last pick follows one chain
-        # back through every step; all target the last position; none swaps
+        # back through every step; all target the last position; none swaps;
+        # each swaps with the first position past the picks
         for draws in ([min(i + 1, size - 1) for i in range(size)], [size - 1] * size,
-                      list(range(size))):
+                      list(range(size)), [size] * size, [size + i for i in range(size)]):
             got = distset._fisher_yates_select(np.array(draws, dtype=np.uint64))
-            assert got.tolist() == _swap_loop(draws)
+            assert got.tolist() == sorted(_swap_loop(draws))
 
 
 class TestTranslationInvariance:

@@ -95,6 +95,15 @@ class TestEnumerate:
 
 
 class TestPartition:
+    def test_numpy_integer_q_is_its_value(self):
+        # np.int64 q reached the count table and raised UFuncTypeError
+        assert sphere_counts_all(np.int64(9), 3).tolist() == sphere_counts_all(9, 3).tolist()
+        with pytest.raises(BudgetError):
+            sphere_counts_all(np.int64(3), 40)
+        for q in (9.0, "9"):
+            with pytest.raises(DomainError):
+                sphere_counts_all(q, 3)
+
     @pytest.mark.parametrize("d", [0, -1])
     def test_no_dimension_refused(self, d):
         # d = 0 would recurse without end in the norm table's build
