@@ -9,9 +9,12 @@ that need odd q gate themselves via Modulus.require_odd.
 
 from __future__ import annotations
 
+import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 
 from .errors import DomainError
 
@@ -90,12 +93,26 @@ class Modulus:
 
 
 def factorize(q: int) -> Modulus:
-    """Factor q >= 2 by trial division (sufficient at desk scale, q <= ~10^12).
+    """Factor q >= 2: trial division by the odd numbers below _TRIAL_BOUND,
+    then Pollard-Brent rho on what is left, each factor certified prime by
+    Miller-Rabin (_is_prime), exact below _MR_EXACT > 3.3 * 10^24.  Every
+    q < 2^63 factors in well under a second; a factor past _MR_EXACT that
+    Miller-Rabin cannot refute raises DomainError, its primality unproven.
 
     q goes through as_int first, so a numpy integer factors as its value and
     a non-integral q raises DomainError: the cache sees only Python ints,
     where 9.0 and np.int64(9) would otherwise share the key of 9."""
     return _factorize(as_int(q, "the modulus"))
+
+
+# Trial division runs up to this bound: what is left of q then has no prime
+# factor below it, so below the bound squared it is 1 or a prime, and past
+# it Miller-Rabin and Pollard-Brent take over.
+_TRIAL_BOUND = 1 << 10
+# Miller-Rabin to the first twelve primes as bases proves primality below
+# _MR_EXACT (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT = 3317044064679887385961981
 
 
 @lru_cache(maxsize=4096)
@@ -105,7 +122,7 @@ def _factorize(q: int) -> Modulus:
     n = q
     factors = []
     p = 2
-    while p * p <= n:
+    while p * p <= n and p < _TRIAL_BOUND:
         if n % p == 0:
             a = 0
             while n % p == 0:
@@ -113,9 +130,71 @@ def _factorize(q: int) -> Modulus:
                 a += 1
             factors.append((p, a))
         p += 1 if p == 2 else 2
-    if n > 1:
+    if n >= _TRIAL_BOUND**2:  # its prime factors all exceed those found so far
+        factors += sorted(Counter(_rough_factors(n)).items())
+    elif n > 1:
         factors.append((n, 1))
     return Modulus(q, tuple(factors))
+
+
+def _rough_factors(n: int) -> list[int]:
+    """The prime factors of n > 1, with multiplicity, n having no prime
+    factor below _TRIAL_BOUND."""
+    if n < _TRIAL_BOUND**2 or _is_prime(n):
+        return [n]
+    f = _brent(n)
+    return _rough_factors(f) + _rough_factors(n // f)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for odd n >= _TRIAL_BOUND^2 to the bases _MR_BASES: a
+    composite verdict is always right, a prime one is proven below
+    _MR_EXACT and past it raises DomainError."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s r, r odd
+    r = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, r, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_EXACT:
+        raise DomainError(f"the factor {n} passes Miller-Rabin to the bases 2, ..., 37, "
+                          f"but that proves it prime only below {_MR_EXACT}")
+    return True
+
+
+def _brent(n: int) -> int:
+    """A proper factor of the odd composite n, by Pollard's rho in Brent's
+    form: the walk y -> y^2 + c mod n from y = 2, its differences |x - y|
+    multiplied 128 at a time under one gcd, the last batch retraced one
+    step at a time when that gcd is n; c = 1, 2, ... until a walk splits n."""
+    for c in count(1):
+        y, r, g, prod = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * abs(x - y) % n
+                g = math.gcd(prod, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def as_modulus(q: "int | Modulus") -> Modulus:

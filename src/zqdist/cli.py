@@ -356,9 +356,12 @@ def _explicit_set(kind: str, d: int, p=None, ell=None):
 def _check_set_budget(label: str, size: int, q: int, d: int, max_pairs: int, max_grid: int) -> None:
     """Pair counts need |E|^2 <= max_pairs and every transform q^d <= max_grid
     (so |E| <= max_grid): refuse a set that no route takes before building it."""
-    if size * size > max_pairs and q**d > max_grid:
-        raise BudgetError(f"{label} of size {size} in Z_{q}^{d} fits neither the pair "
-                          f"budget {max_pairs} nor the grid budget {max_grid}")
+    if size * size > max_pairs:
+        try:
+            check_grid_budget(q, d, max_grid)
+        except BudgetError as exc:
+            raise BudgetError(f"{label} of size {size} in Z_{q}^{d} fits neither the pair "
+                              f"budget {max_pairs} nor the grid budget: {exc}") from None
 
 
 def _nu_rows(E: PointSet, label: str, max_grid: int, max_pairs: int) -> list[dict]:

@@ -52,6 +52,7 @@ from .errors import BudgetError, DomainError, InconsistencyError
 from .fourier import (
     DEFAULT_GRID_BUDGET,
     _pass_charge,
+    check_grid_budget,
     half_weights,
     orbit_inverse,
     orbit_power,
@@ -119,7 +120,7 @@ class PointSet:
     read-only; size, len and flat_indices() never build them.
 
     A set never builds or keeps a q^d indicator: its transform reads the
-    sorted flat_indices (_orbit_power).  With at most q^(d-1) of them it
+    sorted flat_indices (fourier.orbit_power).  With at most q^(d-1) of them it
     builds no q^d grid either: it bins them row by row into slabs of
     first-axis rows; with more it scatters them into the transform's grid.
     A transform of the set keeps, read-only, its class power P_c
@@ -171,7 +172,7 @@ class PointSet:
         self.modulus = m
         self.d = d
         self._coords = arr
-        self._flat = flat if m.q**d <= 1 << 62 else None  # then the one key is the flat index
+        self._flat = flat if d <= 62 and m.q**d <= 1 << 62 else None  # one key, the flat index
         self._power_by_class = None
         self._nu = None
 
@@ -213,10 +214,8 @@ class PointSet:
         q^d <= 2^62, else computed on each call."""
         if self._flat is not None:
             return self._flat
-        if self.q**self.d > 1 << 63:
-            raise DomainError(
-                f"|Z_{self.q}^{self.d}| = {self.q**self.d} exceeds the 2^63 flat indices of int64"
-            )
+        if self.d > 63 or self.q**self.d > 1 << 63:
+            raise DomainError(f"|Z_{self.q}^{self.d}| exceeds the 2^63 flat indices of int64")
         strides = self.q ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
         flat = self.array() @ strides
         flat.setflags(write=False)
@@ -292,10 +291,7 @@ def nu_pairs(E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET) -> np.ndarray:
         raise BudgetError(
             f"|E|^2 = {n * n} ordered pairs for q={q} d={d} exceeds the budget {max_pairs}"
         )
-    if q > DEFAULT_GRID_BUDGET:
-        raise BudgetError(
-            f"the histogram of Z_{q} has {q} entries, exceeding the budget {DEFAULT_GRID_BUDGET}"
-        )
+    check_grid_budget(q, 1)
     reduce_squares = d * (q - 1) ** 2 >= 1 << 63
     pts = E.array()
     counts = np.zeros(q, dtype=np.int64)
@@ -314,39 +310,19 @@ def nu_pairs(E: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET) -> np.ndarray:
     return counts
 
 
-def _check_transform_budget(E: PointSet, max_grid: int) -> None:
-    """A transform of Z_q^d holds the q^d grid and the q x q kernel of its
-    passes: q^max(d, 2) must fit max_grid."""
-    size = E.q ** max(E.d, 2)
-    if size > max_grid:
-        raise BudgetError(f"a transform of Z_{E.q}^{E.d} needs q^max(d, 2) = {size} "
-                          f"entries, exceeding the budget {max_grid}")
-
-
-def _orbit_power(E: PointSet, max_grid: int) -> np.ndarray:
-    """The orbit power O(s) = sum_{m in orbit(s)} |E^(m)|^2 on the orthant
-    [0, q // 2]^d (fourier.orbit_power, held to max_grid), from the one
-    transform of E, read off the flat indices E keeps with no q^d
-    indicator: up to q^(d-1) points are binned row by row into slabs of
-    first-axis rows, each transformed, squared and folded in turn with no
-    q^d grid; more are scattered into the transform's one q^d grid.
-    Classes and spheres are closed under m_i -> -m_i, so every nu(t) route
-    reads |E^|^2 through O."""
-    _check_transform_budget(E, max_grid)
-    return orbit_power(E.flat_indices(), E.q, E.d, max_grid)
-
-
 def _power_by_class(
     E: PointSet, max_grid: int, orbit: "np.ndarray | None" = None
 ) -> np.ndarray:
     """P_c of E for every class slot (_class_power), odd q, kept on E: only the
     first call on a set sums it, from `orbit` when the caller has just
     transformed E (the autocorrelation), else from a transform of its own.
-    The transform budget is checked on every call, before P is read."""
-    _check_transform_budget(E, max_grid)
+    A transform of Z_q^d holds the q^d grid and the q x q kernel of its
+    passes, so q^max(d, 2) must fit max_grid: that is checked on every
+    call, before P is read."""
+    check_grid_budget(E.q, max(E.d, 2), max_grid)
     if E._power_by_class is None:
         if orbit is None:
-            orbit = _orbit_power(E, max_grid)
+            orbit = orbit_power(E.flat_indices(), E.q, E.d, max_grid)
         by_class = _class_power(orbit, E.q, E.d)
         by_class.setflags(write=False)
         E._power_by_class = by_class
@@ -407,7 +383,7 @@ def _autocorrelation_tolerance(E: PointSet) -> float:
 
 def _nu_autocorrelation(E: PointSet, max_grid: int) -> np.ndarray:
     """nu(t) = sum_{||z|| = t} A(z) with A = 1_E (*) 1_{-E}, from its orbit
-    sums R(r) = q^d orbit_inverse(O)(r) on the orthant, O = _orbit_power(E).
+    sums R(r) = q^d orbit_inverse(O)(r) on the orthant, O = orbit_power of E.
 
     A(z) counts the pairs with x - y = z, so each R(r) is an integer; the
     float values are rounded after a check against _autocorrelation_tolerance.
@@ -426,10 +402,10 @@ def _nu_autocorrelation(E: PointSet, max_grid: int) -> np.ndarray:
             f"autocorrelation tolerance {tol:.3g} for |E| = {n} in Z_{q}^{d} cannot "
             f"certify integer pair counts"
         )
-    _check_transform_budget(E, max_grid)  # also before the kept counts are read
+    check_grid_budget(q, max(d, 2), max_grid)  # also before the kept counts are read
     if E._nu is not None:
         return E._nu
-    orbit = _orbit_power(E, max_grid)
+    orbit = orbit_power(E.flat_indices(), q, d, max_grid)
     if E.modulus.is_odd:
         _power_by_class(E, max_grid, orbit)
     acorr = orbit_inverse(orbit, q, d)
@@ -469,10 +445,7 @@ def nu_histogram(
     histogram has q entries, so q must fit max_grid.
     """
     n, q = E.size, E.q
-    if q > max_grid:
-        raise BudgetError(
-            f"the histogram of Z_{q} has {q} entries, exceeding the budget {max_grid}"
-        )
+    check_grid_budget(q, 1, max_grid)
     if q == 2:
         odd = int(np.count_nonzero(np.einsum("ij->i", E.array()) & 1))
         even = n - odd
@@ -514,7 +487,7 @@ def _r_bound(E: PointSet) -> float:
 def _class_power(orbit: np.ndarray, q: int, d: int) -> np.ndarray:
     """P_c = the sum of |E^(m)|^2 over the class c of m, for every class slot.
 
-    `orbit` is the orbit power of _orbit_power on the orthant [0, q // 2]^d;
+    `orbit` is the orbit power of fourier.orbit_power on the orthant [0, q // 2]^d;
     it is not modified.  A class is closed under every sign flip, so P_c is
     the sum of O over the k_c orthant points of class c, added one after
     another by one bincount by the orthant's class table (sphere._class_ids).
@@ -585,7 +558,7 @@ def nu_spectral_sweep(
     class c (_class_power) and K the sigma(q) x q class kernel
     (sphere._class_kernel).  `route` picks how K is built: "direct" from
     exact point counts, "formula" from Gauss sums.  Beyond the one orbit
-    transform (_orbit_power) the work is O(q^d), and the only tables are
+    transform (fourier.orbit_power) the work is O(q^d), and the only tables are
     those of the (q//2 + 1)^d orthant; |S_t| comes from the exact
     convolution sphere._sphere_count_rows, and the chain bound
     max_{m != 0} |S_t^(m)| is a column maximum of |K|.  P is kept on E
@@ -702,7 +675,7 @@ def certificate_check(
     m.require_odd("certificate_check")
     if E.d <= 2:
         raise DomainError(f"the certificate needs d > 2, got d={E.d}")
-    _check_transform_budget(E, max_grid)  # before a pair scan the sweep would refuse
+    check_grid_budget(E.q, max(E.d, 2), max_grid)  # before a pair scan the sweep would refuse
     try:
         hist = nu_histogram(E, max_pairs, max_grid)
     except BudgetError:
@@ -926,13 +899,15 @@ def _fisher_yates_select(draws: np.ndarray) -> np.ndarray:
 def _flat_digits(flat: np.ndarray, q: int, d: int) -> np.ndarray:
     """The base-q digits of flat indices below q^d <= 2^64 (int64 or uint64),
     x_1 most significant, as one (|flat|, d) int64 array: the first quotient
-    by q fits int64 whenever q^d does not."""
-    digits = np.empty((flat.size, d), dtype=np.int64)
-    rest, digits[:, d - 1] = np.divmod(flat, flat.dtype.type(q))
+    by q fits int64 whenever q^d does not.  Each digit fills one contiguous
+    row of a (d, |flat|) array, the quotient kept in place, and the rows are
+    transposed once at the end."""
+    digits = np.empty((d, flat.size), dtype=np.int64)
+    rest, digits[d - 1] = np.divmod(flat, flat.dtype.type(q))
     rest = rest.astype(np.int64, copy=False)
     for j in range(d - 2, -1, -1):
-        rest, digits[:, j] = np.divmod(rest, q)
-    return digits
+        np.divmod(rest, q, out=(rest, digits[j]))
+    return np.ascontiguousarray(digits.T)
 
 
 def sample_random_set(q: "int | Modulus", d: int, size: int, seed: int) -> PointSet:

@@ -69,6 +69,13 @@ DEFAULT_GRID_BUDGET = 10**7
 
 
 def check_grid_budget(q: int, d: int, max_grid: int = DEFAULT_GRID_BUDGET) -> int:
+    """q^d, the size of Z_q^d, or BudgetError past max_grid: the one size
+    gate of every grid, table and histogram.  For |q| >= 2 and
+    d >= max_grid.bit_length(), q^d >= 2^d > max_grid is refused before q^d
+    is formed, so a huge d costs nothing."""
+    if abs(q) >= 2 and d >= int(max_grid).bit_length():
+        raise BudgetError(f"grid Z_{q}^{d} has at least 2^{d} points, "
+                          f"exceeding the budget {max_grid}")
     size = q**d
     if size > max_grid:
         raise BudgetError(f"grid Z_{q}^{d} has {size} points, exceeding the budget {max_grid}")
@@ -100,7 +107,9 @@ _CACHED_TABLE_ENTRIES = 1 << 16
 def _table(entries):
     """Decorate a builder of read-only tables keyed by its arguments, a table
     having entries(*key) entries: keep those of at most _CACHED_TABLE_ENTRIES,
-    least recently used out, and hold larger ones only by weak reference."""
+    least recently used out, and hold larger ones only by weak reference.
+    The q x q tables take check_grid_budget(q, 2) as `entries`: refused past
+    DEFAULT_GRID_BUDGET, whatever max_grid is, before any lookup."""
     def decorate(build):
         kept, shared = lru_cache(maxsize=16)(build), weakref.WeakValueDictionary()
 
@@ -116,14 +125,6 @@ def _table(entries):
         return table
 
     return decorate
-
-
-def _square(q: int, *args) -> int:
-    """q^2, the size of a table of Z_q, refused past the kernel budget."""
-    if q * q > DEFAULT_GRID_BUDGET:
-        raise BudgetError(f"the Z_{q} transform kernel has {q * q} entries, exceeding the "
-                          f"budget {DEFAULT_GRID_BUDGET}")
-    return q * q
 
 
 def _roots(q) -> int:
@@ -159,10 +160,10 @@ class _GridBase:
         if d < 1:
             raise DomainError(f"dimension must be >= 1, got {d}")
         vals = np.array(values, dtype=np.complex128).reshape(-1)
-        if vals.size != modulus.q**d:
-            raise DomainError(
-                f"expected {modulus.q ** d} values for Z_{modulus.q}^{d}, got {vals.size}"
-            )
+        # q >= 2, so d >= vals.size.bit_length() means q^d > vals.size, unformed
+        if d >= vals.size.bit_length() or vals.size != modulus.q**d:
+            raise DomainError(f"expected {modulus.q}^{d} values for Z_{modulus.q}^{d}, "
+                              f"got {vals.size}")
         vals.setflags(write=False)
         self.modulus = modulus
         self.d = d
@@ -209,7 +210,7 @@ class Spectrum(_GridBase):
     """Fourier coefficients indexed by frequency vectors m in Z_q^d."""
 
 
-@_table(_square)
+@_table(lambda q, *_: check_grid_budget(q, 2))
 def _kernel(q: int, forward_sign: bool) -> np.ndarray:
     phases = np.outer(np.arange(q), np.arange(q)) % q
     tbl = character_table(q)
@@ -236,13 +237,14 @@ def inverse(F: Spectrum) -> GridFunction:
 
 def half_weights(q: int) -> np.ndarray:
     """The size of the sign orbit {m, -m} of each m = 0, ..., q // 2 in Z_q,
-    for an integer q >= 1 (else DomainError).
+    for an integer q >= 1 (else DomainError) within DEFAULT_GRID_BUDGET
+    (else BudgetError), checked as for character_table.
 
     m = 0 and, for even q, m = q / 2 are their own negatives: w = 1 there
     and 2 elsewhere.  The orbit of s in the orthant [0, q // 2]^d of Z_q^d
     has prod_i w(s_i) members, and the orbits partition Z_q^d.
     """
-    q, _ = _orbit_shape(q, 1)
+    q = _roots(q)
     w = np.full(q // 2 + 1, 2.0)
     w[0] = 1.0
     if q % 2 == 0:
@@ -259,7 +261,7 @@ def _orbit_shape(q, d) -> tuple[int, int]:
     return q, d
 
 
-@_table(_square)
+@_table(lambda q, *_: check_grid_budget(q, 2))
 def _orbit_basis(q: int) -> np.ndarray:
     """The q x q real basis of orbit_power, one function of x per row:
     cos(2 pi x m / q) for m = 0, ..., q // 2, then sin(2 pi x m / q) for
@@ -279,7 +281,7 @@ def _orbit_basis(q: int) -> np.ndarray:
     return basis
 
 
-@_table(_square)
+@_table(lambda q, *_: check_grid_budget(q, 2))
 def _orbit_cosines(q: int) -> np.ndarray:
     """The (q//2 + 1)^2 matrix w(r) cos(2 pi r s / q) of orbit_inverse, row r,
     column s, with w = half_weights(q) (multiplying by 1 or 2 is exact)."""
@@ -516,10 +518,9 @@ def orbit_inverse(orbit: np.ndarray, q: int, d: int) -> np.ndarray:
     (q//2 + 1)^d grid, the first reading `orbit` in place.
     """
     q, d = _orbit_shape(q, d)
-    h = q // 2 + 1
-    if np.size(orbit) != h**d:
-        raise DomainError(f"the orbit sums of Z_{q}^{d} have {h}^{d} = {h**d} entries, "
-                          f"got {np.size(orbit)}")
+    h, size = q // 2 + 1, np.size(orbit)
+    if (h >= 2 and d >= size.bit_length()) or size != h**d:  # bound first, as for a grid
+        raise DomainError(f"the orbit sums of Z_{q}^{d} have {h}^{d} entries, got {size}")
     flat = np.asarray(orbit, dtype=np.float64).reshape(-1)
     return _passes(flat, np.empty(flat.size), _orbit_cosines(q), d).reshape((h,) * d)
 

@@ -53,7 +53,6 @@ from .fourier import (
     GridFunction,
     Spectrum,
     _kernel,
-    _square,
     _table,
     character_table,
     check_grid_budget,
@@ -495,7 +494,7 @@ def _class_representatives(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return reps, present
 
 
-@_table(_square)
+@_table(lambda q, *_: check_grid_budget(q, 2))
 def _build_class_kernel(q: int, d: int, route: str) -> _ClassKernel:
     reps, present = _class_representatives(q, d)
     build = _kernel_direct if route == "direct" else _kernel_formula

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from zqdist.arith import (
     Modulus,
+    _factorize,
     Residue,
     as_modulus,
     factorize,
@@ -24,6 +25,28 @@ def divisor_count_direct(n: int) -> int:
             count += 1 if d * d == n else 2
         d += 1
     return count
+
+
+def primes_below(n: int) -> np.ndarray:
+    # sieve of Eratosthenes
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, int(n**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
+
+
+def trial_division(q: int, primes: np.ndarray) -> tuple:
+    # independent oracle: divide by every prime up to sqrt(q); what is left is 1 or prime
+    factors = []
+    for p in primes[q % primes == 0].tolist():
+        a = 0
+        while q % p == 0:
+            q //= p
+            a += 1
+        factors.append((p, a))
+    return tuple(factors + [(q, 1)] * (q > 1))
 
 
 def legendre_euler(a: int, p: int) -> int:
@@ -51,6 +74,51 @@ class TestFactorize:
             for p, a in m.factors:
                 prod *= p**a
             assert prod == q
+
+    def test_matches_trial_division_below_2e5(self):
+        # every q < 2 * 10^5, divided by all primes at once: the exponent of
+        # each p <= sqrt(q) in every q, and the cofactor left, which is prime
+        qs = np.arange(2, 200_000)
+        rest, expected = qs.copy(), [[] for _ in qs]
+        for p in primes_below(448).tolist():
+            exp = np.zeros_like(qs)
+            while (hit := rest % p == 0).any():
+                rest[hit] //= p
+                exp[hit] += 1
+            for i in np.flatnonzero(exp).tolist():
+                expected[i].append((p, int(exp[i])))
+        for i in np.flatnonzero(rest > 1).tolist():
+            expected[i].append((int(rest[i]), 1))
+        for q, factors in zip(qs.tolist(), expected):
+            assert _factorize.__wrapped__(q).factors == tuple(factors), q
+
+    def test_matches_trial_division_below_1e12(self):
+        # 250 uniform q < 10^12, and 250 products of two primes past the
+        # trial bound, whose cofactors Pollard-Brent must split
+        rng = np.random.default_rng(12)
+        primes = primes_below(10**6)
+        rough = primes[primes > 1 << 10]
+        pairs = rng.choice(rough, (250, 2)).astype(object)
+        qs = rng.integers(2, 10**12, 250).tolist() + [int(a * b) for a, b in pairs]
+        for q in qs:
+            assert _factorize.__wrapped__(q).factors == trial_division(q, primes), q
+
+    def test_rough_powers_and_products(self):
+        # prime powers and products whose factors all lie past the trial bound
+        for p in (1031, 65537, 2147483647):
+            for a in (2, 3):
+                assert factorize(p**a).factors == ((p, a),)
+        assert factorize(1031 * 65537**2 * 2147483647).factors == (
+            (1031, 1), (65537, 2), (2147483647, 1))
+        assert factorize(2**61 - 1).factors == ((2**61 - 1, 1),)
+        assert factorize(2**63 - 25).factors == ((2**63 - 25, 1),)
+
+    def test_unproven_prime_factor_refused(self):
+        # 2^89 - 1 is prime, but past 3.3 * 10^24 Miller-Rabin to the bases
+        # 2, ..., 37 does not prove it
+        with pytest.raises(DomainError, match="Miller-Rabin"):
+            factorize(2**89 - 1)
+        assert factorize(3**60).factors == ((3, 60),)
 
     def test_modulus_validation(self):
         with pytest.raises(DomainError):

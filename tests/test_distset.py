@@ -30,7 +30,7 @@ from zqdist.distset import (
     write_pointset,
 )
 from zqdist.errors import BudgetError, DomainError, InconsistencyError
-from zqdist.fourier import GridFunction, forward, half_weights, orbit_inverse
+from zqdist.fourier import GridFunction, forward, half_weights, orbit_inverse, orbit_power
 from zqdist.sphere import (
     _class_count,
     _class_ids,
@@ -339,14 +339,15 @@ class TestNuBrute:
         assert int(nu_pairs(E).sum()) == 144
 
     def test_histogram_longer_than_the_budget_is_refused(self):
-        # two points make 4 pairs, but the histogram alone would have q entries
+        # two points make 4 pairs, but the histogram alone would have q entries,
+        # as many as the grid Z_q^1
         E = PointSet(2**40 + 15, 1, [[0], [1]])
-        with pytest.raises(BudgetError, match="histogram"):
+        with pytest.raises(BudgetError, match=rf"Z_{2**40 + 15}\^1 has {2**40 + 15} points"):
             nu_pairs(E)
-        with pytest.raises(BudgetError, match="histogram"):
+        with pytest.raises(BudgetError, match=rf"Z_{2**40 + 15}\^1 has {2**40 + 15} points"):
             nu_histogram(E)
         E = PointSet(101, 1, [[0], [1]])
-        with pytest.raises(BudgetError, match="histogram"):
+        with pytest.raises(BudgetError, match=r"Z_101\^1 has 101 points"):
             nu_histogram(E, max_grid=100)
         assert list(nu_histogram(E, max_grid=101)[:2]) == [2, 2]
 
@@ -530,7 +531,7 @@ class TestHalfSpectrumTolerances:
     @pytest.mark.parametrize("q,d,size", TOLERANCE_SETS)
     def test_autocorrelation_residual_within_tolerance(self, q, d, size):
         E = sample_random_set(q, d, size, seed=2024)
-        acorr = orbit_inverse(distset._orbit_power(E, 10**7), q, d) * float(q**d)
+        acorr = orbit_inverse(orbit_power(E.flat_indices(), q, d), q, d) * float(q**d)
         tol = distset._autocorrelation_tolerance(E)
         assert np.abs(acorr - np.rint(acorr)).max() <= tol
         # forward errors through Cauchy-Schwarz and Parseval, the roundings of
@@ -545,7 +546,7 @@ class TestHalfSpectrumTolerances:
     def test_sweep_residual_within_tolerance(self, q, d, size, route):
         E = sample_random_set(q, d, size, seed=2024)
         kern = _class_kernel(E.modulus, d, route)
-        sums = distset._class_power(distset._orbit_power(E, 10**7), q, d)
+        sums = distset._class_power(orbit_power(E.flat_indices(), q, d), q, d)
         total = float(q) ** (2 * d) * (sums @ kern.values)
         tol = distset._sweep_tolerance(E, sums, kern)
         assert (np.abs(total.real - np.rint(total.real)) <= tol).all()
@@ -555,7 +556,7 @@ class TestHalfSpectrumTolerances:
     def test_class_sums_match_whole_grid(self):
         # the orbit-power class sums equal the whole-grid sums up to rounding
         E = sample_random_set(15, 4, 2000, seed=6)
-        orbit = distset._class_power(distset._orbit_power(E, 10**7), 15, 4)
+        orbit = distset._class_power(orbit_power(E.flat_indices(), 15, 4), 15, 4)
         ids = _class_ids(15, 4, 15)
         whole = np.bincount(ids, weights=np.abs(forward(indicator(E)).values) ** 2)
         assert np.abs(orbit - whole).max() <= 1e-12 * whole.sum()
@@ -611,7 +612,7 @@ class TestClassFold:
 
     def test_power_is_not_modified(self):
         E = sample_random_set(45, 3, 3000, seed=3)
-        orbit = distset._orbit_power(E, 10**7)
+        orbit = orbit_power(E.flat_indices(), 45, 3)
         before = orbit.copy()
         distset._class_power(orbit, 45, 3)
         assert np.array_equal(orbit, before)
@@ -883,7 +884,7 @@ class TestNuSpectral:
         # that is a budget limit, not an inconsistency
         E = sample_random_set(9, 3, 200, seed=3)
         kern = _class_kernel(E.modulus, 3)
-        sums = distset._class_power(distset._orbit_power(E, 10**7), 9, 3)
+        sums = distset._class_power(orbit_power(E.flat_indices(), 9, 3), 9, 3)
         tol = distset._sweep_tolerance(E, sums, kern)
         assert 0 < tol.max() < 1e-9
         with pytest.raises(BudgetError, match="reaches 1/2"):
@@ -1511,6 +1512,31 @@ class TestFisherYatesSelect:
                       list(range(size)), [size] * size, [size + i for i in range(size)]):
             got = distset._fisher_yates_select(np.array(draws, dtype=np.uint64))
             assert got.tolist() == sorted(_swap_loop(draws))
+
+
+class TestFlatDigits:
+    # the digit rows are transposed once; the reference writes each digit
+    # into its strided column
+    @staticmethod
+    def column_loop(flat, q, d):
+        digits = np.empty((flat.size, d), dtype=np.int64)
+        rest, digits[:, d - 1] = np.divmod(flat, flat.dtype.type(q))
+        rest = rest.astype(np.int64, copy=False)
+        for j in range(d - 2, -1, -1):
+            rest, digits[:, j] = np.divmod(rest, q)
+        return digits
+
+    @pytest.mark.parametrize("q,d,dtype,low", [
+        (3, 14, np.int64, 0), (45, 4, np.int64, 0), (7, 1, np.int64, 0),
+        (2, 64, np.uint64, 2**63), (2**32, 2, np.uint64, 2**63), (3, 40, np.uint64, 2**63),
+    ])
+    def test_matches_column_loop(self, q, d, dtype, low):
+        rng = np.random.default_rng(q + d)
+        span = min(q**d, 2**64) - low
+        flat = np.sort((rng.integers(0, span, 5000, dtype=np.uint64) + np.uint64(low)).astype(dtype))
+        got = distset._flat_digits(flat, q, d)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, self.column_loop(flat, q, d))
 
 
 class TestTranslationInvariance:
